@@ -460,12 +460,9 @@ func BenchmarkSingletonOps(b *testing.B) {
 // — round-robin placement spreads the anchors across shards — and then
 // extends a chain inside that cluster, so every commit is a genuine
 // create on the worker's own shard and the only shared state is the
-// identity mint. On a multi-core runner throughput scales near-linearly
-// with the stripe width; at shards=1 every worker serialises on the one
-// site lock (the pre-striping behaviour). cmd/causalgc-bench
-// -parallel-json emits the same measurement as BENCH_parallel.json and
-// the CI lane enforces the 8-shard ≥ 3x 1-shard floor on 8-core
-// runners.
+// identity mint. At shards=1 every worker serialises on the one shard
+// lock. This is a `go test -bench` smoke; the measured trajectory is
+// the inmem-batch workload of bench/ (BENCHMARK.json).
 func BenchmarkParallelCommit(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -39,52 +39,67 @@ func ExampleCluster() {
 }
 
 // TestClusterQuickstart is the example with assertions: remote create,
-// third-party state, drop, cycle reclamation, oracle verdicts.
+// third-party state, drop, cycle reclamation, oracle verdicts — on
+// default (one-shard) nodes and on volatile WithShards(2) nodes, which
+// NewCluster must stripe exactly as NewNode does.
 func TestClusterQuickstart(t *testing.T) {
-	c := causalgc.NewCluster(3, causalgc.WithTransport(transport.NewDeterministic(transport.Faults{Seed: 42})))
-	defer c.Close()
-	n1 := c.Node(1)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := []causalgc.Option{causalgc.WithTransport(transport.NewDeterministic(transport.Faults{Seed: 42}))}
+			if shards > 1 {
+				opts = append(opts, causalgc.WithShards(shards))
+			}
+			c := causalgc.NewCluster(3, opts...)
+			defer c.Close()
+			for _, n := range c.Nodes() {
+				if got := n.Shards(); got != shards {
+					t.Fatalf("node %v: Shards() = %d, want %d", n.ID(), got, shards)
+				}
+			}
+			n1 := c.Node(1)
 
-	a, err := n1.NewRemote(n1.Root().Obj, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Node(2).NewRemote(a.Obj, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Node(2).SendRef(a.Obj, b, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rep := c.Check(); !rep.Clean() || rep.Live != 5 {
-		t.Fatalf("before drop: want 5 live clean, got %v", rep)
-	}
+			a, err := n1.NewRemote(n1.Root().Obj, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			b, err := c.Node(2).NewRemote(a.Obj, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Node(2).SendRef(a.Obj, b, a); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if rep := c.Check(); !rep.Clean() || rep.Live != 5 {
+				t.Fatalf("before drop: want 5 live clean, got %v", rep)
+			}
 
-	if err := n1.DropRefs(n1.Root().Obj, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	rep := c.Check()
-	if !rep.Clean() {
-		t.Fatalf("after drop: not clean: %v", rep)
-	}
-	if !c.Node(2).ClusterRemoved(a.Cluster) || !c.Node(3).ClusterRemoved(b.Cluster) {
-		t.Fatalf("cycle not removed: a=%v b=%v",
-			c.Node(2).ClusterRemoved(a.Cluster), c.Node(3).ClusterRemoved(b.Cluster))
-	}
-	if c.Node(2).HasObject(a.Obj) || c.Node(3).HasObject(b.Obj) {
-		t.Fatal("cycle objects not reclaimed")
+			if err := n1.DropRefs(n1.Root().Obj, a); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Settle(); err != nil {
+				t.Fatal(err)
+			}
+			rep := c.Check()
+			if !rep.Clean() {
+				t.Fatalf("after drop: not clean: %v", rep)
+			}
+			if !c.Node(2).ClusterRemoved(a.Cluster) || !c.Node(3).ClusterRemoved(b.Cluster) {
+				t.Fatalf("cycle not removed: a=%v b=%v",
+					c.Node(2).ClusterRemoved(a.Cluster), c.Node(3).ClusterRemoved(b.Cluster))
+			}
+			if c.Node(2).HasObject(a.Obj) || c.Node(3).HasObject(b.Obj) {
+				t.Fatal("cycle objects not reclaimed")
+			}
+		})
 	}
 }
 

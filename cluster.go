@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"causalgc/internal/sim"
-	"causalgc/internal/site"
 	"causalgc/monitor"
 	"causalgc/transport"
 )
@@ -72,37 +71,21 @@ func NewCluster(n int, opts ...Option) *Cluster {
 				mon = monitor.New(0)
 			}
 		}
-		if cfg.persistDir == "" {
-			nodeCfg := cfg.site // per-node copy: the observer slot diverges
-			if mon != nil {
-				nodeCfg.Observer = site.Fanout(mon, cfg.site.Observer)
-			}
-			node := &Node{
-				rt:  site.New(id, cfg.tr, nodeCfg),
-				tr:  cfg.tr,
-				mon: mon,
-			}
-			if mon != nil {
-				attachMonitor(mon, node.rt, nil, cfg.tr)
-			}
-			c.nodes = append(c.nodes, node)
-		} else {
-			// One construction path for persistent nodes: Recover, with the
-			// per-site subdirectory, shared transport, per-node monitor and
-			// a cleared metrics address (the cluster serves) appended so
-			// they override whatever the caller's options carried.
-			node, err := Recover(id, append(append([]Option{}, opts...),
-				WithTransport(cfg.tr),
-				WithPersistence(filepath.Join(cfg.persistDir, fmt.Sprintf("site-%d", i))),
-				WithMonitor(mon),
-				WithMetricsAddr(""),
-			)...)
-			if err != nil {
-				c.Close()
-				panic(fmt.Sprintf("causalgc: NewCluster site %v: %v", id, err))
-			}
-			c.nodes = append(c.nodes, node)
+		// One construction path for every node: the shared transport, a
+		// per-site persistence subdirectory, the per-node monitor, and no
+		// metrics address (the cluster serves).
+		nodeCfg := cfg
+		nodeCfg.monitor = mon
+		nodeCfg.metricsAddr = ""
+		if cfg.persistDir != "" {
+			nodeCfg.persistDir = filepath.Join(cfg.persistDir, fmt.Sprintf("site-%d", i))
 		}
+		node, err := newNode(id, nodeCfg)
+		if err != nil {
+			c.Close()
+			panic(fmt.Sprintf("causalgc: NewCluster site %v: %v", id, err))
+		}
+		c.nodes = append(c.nodes, node)
 		if c.msrv != nil {
 			c.msrv.Attach(mon)
 		}

@@ -9,8 +9,9 @@
 //	causalgc-bench                              # all experiments
 //	causalgc-bench -exp E6                      # one experiment
 //	causalgc-bench -json results.json           # also write machine-readable results
-//	causalgc-bench -batch-json BENCH_batch.json # batch-vs-singleton throughput point
-//	causalgc-bench -parallel-json BENCH_parallel.json # sharded commit scaling point
+//
+// Performance numbers (throughput, latency, reclamation cost) are the
+// business of the bench/ module, not of this tool: `bash bench/run.sh`.
 package main
 
 import (
@@ -24,22 +25,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id: E5 E6 E7 E8 E9 A2 or all")
 	jsonPath := flag.String("json", "", "write the experiments' machine-readable results (eval.Result array) to this path ('-' for stdout) in addition to the tables")
-	batchJSON := flag.String("batch-json", "", "measure batched vs singleton commit throughput and write the JSON report to this path ('-' for stdout); skips the experiments")
-	parallelJSON := flag.String("parallel-json", "", "measure parallel commit throughput at 1/4/8 lock shards and write the JSON report to this path ('-' for stdout); skips the experiments")
-	parallelFloor := flag.Float64("parallel-floor", 3, "minimum 8-shard over 1-shard speedup enforced by -parallel-json on machines with >= 8 cores (0 disables)")
 	flag.Parse()
-	if *batchJSON != "" {
-		if !eval.BatchBench(os.Stdout, *batchJSON) {
-			os.Exit(1)
-		}
-		return
-	}
-	if *parallelJSON != "" {
-		if !eval.ParallelBench(os.Stdout, *parallelJSON, *parallelFloor) {
-			os.Exit(1)
-		}
-		return
-	}
 	results, ok := eval.RunResults(os.Stdout, *exp)
 	if *jsonPath != "" && len(results) > 0 {
 		if err := writeResults(*jsonPath, results); err != nil {

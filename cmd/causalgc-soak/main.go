@@ -15,9 +15,9 @@
 //   - the global reachability oracle finds zero residual garbage and
 //     zero dangling references;
 //   - the outbox, assert-journal and legacy-bundle depth gauges are
-//     back to zero and no hard-cap backstop ever fired — on a sharded
-//     run (-shards) per shard and in aggregate, with every cross-shard
-//     handoff queue empty;
+//     back to zero and no hard-cap backstop ever fired — per shard
+//     (-shards) and in aggregate, with every cross-shard handoff queue
+//     empty;
 //   - every WAL fsync stayed within the latency budget.
 //
 // Any violation dumps the per-site structured event traces and exits
@@ -53,7 +53,7 @@ func main() {
 	cfg := soakConfig{}
 	flag.DurationVar(&cfg.duration, "duration", 2*time.Minute, "churn phase length; quiescence checks run after it")
 	flag.IntVar(&cfg.sites, "sites", 4, "number of sites in the cluster (>= 2)")
-	flag.IntVar(&cfg.shards, "shards", 0, "lock-stripe width of every site (0 = classic unsharded runtime)")
+	flag.IntVar(&cfg.shards, "shards", 1, "lock-stripe width of every site (>= 1)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "127.0.0.1:0", "address the cluster-wide metrics endpoint binds")
 	flag.StringVar(&cfg.persistDir, "persist", "", "root directory for per-site durability; empty = a fresh temp dir, removed on success")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for the churn, partition and fault randomness")
@@ -62,8 +62,8 @@ func main() {
 	flag.BoolVar(&cfg.verbose, "v", false, "print periodic progress lines during the churn phase")
 	flag.Parse()
 
-	if cfg.sites < 2 {
-		fmt.Fprintln(os.Stderr, "causalgc-soak: -sites must be >= 2")
+	if cfg.sites < 2 || cfg.shards < 1 {
+		fmt.Fprintln(os.Stderr, "causalgc-soak: -sites must be >= 2 and -shards >= 1")
 		os.Exit(2)
 	}
 	sum, err := run(cfg)
@@ -244,17 +244,14 @@ func run(cfg soakConfig) (summary, error) {
 
 // nodeOpts are the options every site starts (and restarts) with.
 func (s *soak) nodeOpts(root string, site int, mon *monitor.Monitor) []causalgc.Option {
-	opts := []causalgc.Option{
+	return []causalgc.Option{
 		causalgc.WithTransport(s.tr),
 		causalgc.WithPersistence(filepath.Join(root, fmt.Sprintf("site-%d", site))),
 		causalgc.WithSnapshotEvery(128),
 		causalgc.WithGroupCommit(2 * time.Millisecond),
 		causalgc.WithMonitor(mon),
+		causalgc.WithShards(s.cfg.shards),
 	}
-	if s.cfg.shards > 0 {
-		opts = append(opts, causalgc.WithShards(s.cfg.shards))
-	}
-	return opts
 }
 
 // churnPhase drives randomised mutation, periodic collection and
@@ -511,30 +508,28 @@ func (s *soak) quiescePhase() {
 			s.violationf("site %d retained state not drained: outbox=%d assertRows=%d legacyBundles=%d",
 				site, d.Outbox, d.AssertRows, d.LegacyBundles)
 		}
-		// On a sharded run the aggregate gauge must decompose into
-		// per-shard zeros — a shard hiding retained state behind a
-		// sibling's negative accounting would be a monitor bug — and
-		// nothing may sit in a cross-shard handoff queue at quiescence.
-		if s.cfg.shards > 0 {
-			if snap.Shards != s.cfg.shards {
-				s.violationf("site %d reports %d shards, configured %d", site, snap.Shards, s.cfg.shards)
+		// The aggregate gauge must decompose into per-shard zeros — a
+		// shard hiding retained state behind a sibling's negative
+		// accounting would be a monitor bug — and nothing may sit in a
+		// cross-shard handoff queue at quiescence.
+		if snap.Shards != s.cfg.shards {
+			s.violationf("site %d reports %d shards, configured %d", site, snap.Shards, s.cfg.shards)
+		}
+		shardOutbox, shardAsserts := 0, 0
+		for si, d := range snap.ShardDepths {
+			shardOutbox += d.Outbox
+			shardAsserts += d.AssertRows
+			if d.Outbox != 0 || d.AssertRows != 0 || d.LegacyBundles != 0 {
+				s.violationf("site %d shard %d retained state not drained: outbox=%d assertRows=%d legacyBundles=%d",
+					site, si, d.Outbox, d.AssertRows, d.LegacyBundles)
 			}
-			shardOutbox, shardAsserts := 0, 0
-			for si, d := range snap.ShardDepths {
-				shardOutbox += d.Outbox
-				shardAsserts += d.AssertRows
-				if d.Outbox != 0 || d.AssertRows != 0 || d.LegacyBundles != 0 {
-					s.violationf("site %d shard %d retained state not drained: outbox=%d assertRows=%d legacyBundles=%d",
-						site, si, d.Outbox, d.AssertRows, d.LegacyBundles)
-				}
-			}
-			if shardOutbox != snap.Depths.Outbox || shardAsserts != snap.Depths.AssertRows {
-				s.violationf("site %d per-shard depths do not sum to the aggregate: outbox %d vs %d, assertRows %d vs %d",
-					site, shardOutbox, snap.Depths.Outbox, shardAsserts, snap.Depths.AssertRows)
-			}
-			if snap.Handoff != 0 {
-				s.violationf("site %d handoff queues hold %d frame(s) at quiescence", site, snap.Handoff)
-			}
+		}
+		if shardOutbox != snap.Depths.Outbox || shardAsserts != snap.Depths.AssertRows {
+			s.violationf("site %d per-shard depths do not sum to the aggregate: outbox %d vs %d, assertRows %d vs %d",
+				site, shardOutbox, snap.Depths.Outbox, shardAsserts, snap.Depths.AssertRows)
+		}
+		if snap.Handoff != 0 {
+			s.violationf("site %d handoff queues hold %d frame(s) at quiescence", site, snap.Handoff)
 		}
 		if snap.Engine.AssertRowsDropped != 0 || snap.Engine.LegacyEvicted != 0 || snap.Frames.OutboxEvicted != 0 {
 			s.violationf("site %d backstop fired: assertRowsDropped=%d legacyEvicted=%d outboxEvicted=%d",
@@ -583,19 +578,17 @@ func (s *soak) finalScrapeChecks() {
 			s.violationf("scraped %s sums to %v at quiescence, want 0", gauge, total)
 		}
 	}
-	if s.cfg.shards > 0 {
-		for _, gauge := range []string{"causalgc_shard_outbox_depth", "causalgc_shard_assert_journal_depth", "causalgc_handoff_depth"} {
-			samples := s.cfg.sites
-			if gauge != "causalgc_handoff_depth" {
-				samples *= s.cfg.shards
-			}
-			total, n := sumMetric(after, gauge)
-			if n != samples {
-				s.violationf("scrape exports %d %s samples, want %d", n, gauge, samples)
-			}
-			if total != 0 {
-				s.violationf("scraped %s sums to %v at quiescence, want 0", gauge, total)
-			}
+	for _, gauge := range []string{"causalgc_shard_outbox_depth", "causalgc_shard_assert_journal_depth", "causalgc_handoff_depth"} {
+		samples := s.cfg.sites
+		if gauge != "causalgc_handoff_depth" {
+			samples *= s.cfg.shards
+		}
+		total, n := sumMetric(after, gauge)
+		if n != samples {
+			s.violationf("scrape exports %d %s samples, want %d", n, gauge, samples)
+		}
+		if total != 0 {
+			s.violationf("scraped %s sums to %v at quiescence, want 0", gauge, total)
 		}
 	}
 }

@@ -65,7 +65,7 @@ func (Ack) ApproxSize() int { return 24 }
 // graph, so its message counts are comparable with the causal GGD's on
 // identical workloads.
 type Collector struct {
-	sites []site.Instance
+	sites []*site.Site
 	net   netsim.Network
 
 	// marked is the per-epoch mark set.
@@ -85,7 +85,7 @@ type Collector struct {
 // registers handlers on dedicated site IDs offset by markOffset... it
 // instead multiplexes through a dedicated handler registered per site ID
 // plus 1000, keeping the real runtimes' traffic separate.
-func New(sites []site.Instance, net netsim.Network) *Collector {
+func New(sites []*site.Site, net netsim.Network) *Collector {
 	c := &Collector{sites: sites, net: net}
 	for _, s := range sites {
 		id := s.ID()

@@ -16,7 +16,7 @@ import (
 type Stream uint8
 
 // The four retirement streams. Stream zero means "untracked": local
-// deliveries, pre-v3 frames, and frames from senders that retain nothing.
+// deliveries and frames from senders that retain nothing.
 const (
 	// StreamMut covers the retained outbound mutator frames of the site
 	// outbox (Create, RefTransfer).

@@ -6,8 +6,8 @@
 // root). The engine is driven by:
 //
 //   - lazy log-keeping hooks from the heap (EdgeUp/EdgeDown/SentRef, §3.4);
-//   - edge-assert control messages (HandleAssert) — see below;
-//   - edge-destruction control messages (HandleDestroy, §3.1);
+//   - edge-assert control messages (HandleAssertFrame) — see below;
+//   - edge-destruction control messages (HandleDestroyFrame, §3.1);
 //   - dependency-vector propagations (HandlePropagate, §3.3 step 3);
 //   - explicit refresh rounds (Refresh), the §5 recovery mechanism;
 //   - cumulative frame acknowledgements relayed by the site runtime

@@ -56,16 +56,6 @@ type AssertMsg struct {
 	IntroSeq uint64
 }
 
-// AckMsg is the legacy per-row acknowledgement of one edge-assert
-// (wire.HintAck, superseded by the cumulative FrameAck protocol of
-// DESIGN.md §3.2). It is still decoded and honoured so pre-v3 journals
-// replay identically.
-type AckMsg struct {
-	Intro    ids.ClusterID
-	IntroSeq uint64
-	Stamp    uint64
-}
-
 // Sender transmits GGD control messages to other sites and assigns the
 // retirement-stream sequence numbers of DESIGN.md §3.2. The site runtime
 // implements it on top of the network; local deliveries never touch it.
@@ -155,7 +145,7 @@ type Options struct {
 	// cluster is handled in-engine only when Owns reports true, and
 	// every other cluster — including same-site clusters owned by a
 	// sibling shard — is reached through the Sender like a remote peer
-	// (DESIGN.md §3.4). Nil means site equality (the unsharded engine).
+	// (DESIGN.md §3.4). Nil means site equality (a standalone engine).
 	Owns func(ids.ClusterID) bool
 }
 
@@ -667,7 +657,7 @@ func (e *Engine) HandleCreate(cl, creator ids.ClusterID, stamp uint64) {
 // --- GGD message handling (§3.3, Fig 6) ---------------------------------
 
 // HandleDestroy processes an untracked edge-destruction control message
-// (tests and pre-v3 replays; live traffic uses HandleDestroyFrame).
+// (tests; live traffic uses HandleDestroyFrame).
 func (e *Engine) HandleDestroy(to, from ids.ClusterID, m DestroyMsg) {
 	e.HandleDestroyFrame(to, from, m, 0, false)
 }
@@ -691,28 +681,11 @@ func (e *Engine) HandlePropagate(to, from ids.ClusterID, m Propagation) {
 	e.Drain()
 }
 
-// HandleAssert processes an untracked incoming edge-assert (tests and
-// pre-v3 replays; live traffic uses HandleAssertFrame).
-func (e *Engine) HandleAssert(to, from ids.ClusterID, m AssertMsg) {
-	e.HandleAssertFrame(to, from, m, 0)
-}
-
 // HandleAssertFrame processes an incoming edge-assert carrying its
 // sequence in the sender site's assert stream (zero for untracked).
 func (e *Engine) HandleAssertFrame(to, from ids.ClusterID, m AssertMsg, seq uint64) {
 	e.inbox = append(e.inbox, delivery{to: to, from: from, kind: deliverAssert, assert: m, seq: seq, stream: StreamAssert})
 	e.Drain()
-}
-
-// HandleAck processes a legacy per-row HintAck: the hint owner (from) has
-// resolved the echoed introduction, so the matching journal row of the
-// asserting process (to) is retired. Idempotent; unknown rows (already
-// retired, or re-acked after an edge re-formed under a fresher
-// forwarding) are ignored. Live traffic retires rows through the
-// cumulative AckAsserts instead; this path keeps pre-v3 journals
-// replaying identically.
-func (e *Engine) HandleAck(to, from ids.ClusterID, m AckMsg) {
-	delete(e.asserts, assertRow{holder: to, target: from, intro: m.Intro, seq: m.IntroSeq})
 }
 
 // --- Cumulative frame retirement (DESIGN.md §3.2) ------------------------

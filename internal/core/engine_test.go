@@ -236,7 +236,7 @@ func TestEngineHandleAssertResolvesHint(t *testing.T) {
 		t.Fatal("removed with a pending introduction hint (UNSAFE)")
 	}
 	// rem's assert resolves the hint with a live stamp: still alive.
-	e.HandleAssert(cA, rem, AssertMsg{Stamp: 9, Intro: cB, IntroSeq: 5})
+	e.HandleAssertFrame(cA, rem, AssertMsg{Stamp: 9, Intro: cB, IntroSeq: 5}, 0)
 	if e.Removed(cA) {
 		t.Fatal("removed while rem holds a live edge")
 	}
@@ -362,7 +362,7 @@ func TestEngineSelfRefSendArmsOwnHint(t *testing.T) {
 		t.Fatal("self-introduction hint not armed")
 	}
 	// rem's assert resolves it.
-	e.HandleAssert(cA, rem, AssertMsg{Stamp: 4, Intro: cA, IntroSeq: seq})
+	e.HandleAssertFrame(cA, rem, AssertMsg{Stamp: 4, Intro: cA, IntroSeq: seq}, 0)
 	if e.LogSnapshot(cA).Hints().Has(rem) {
 		t.Fatal("hint not resolved by assert")
 	}
@@ -406,8 +406,11 @@ func TestEngineAssertJournaledAndResentUntilAck(t *testing.T) {
 	if got := e.Stats().AssertResends; got != 2 {
 		t.Errorf("AssertResends = %d, want 2", got)
 	}
-	// The owner's ack retires the journal row: no further re-sends.
-	e.HandleAck(cA, rem, AckMsg{Intro: intro, IntroSeq: 7, Stamp: first.m.Stamp})
+	// The owner site's cumulative ack retires the journal row: no
+	// further re-sends.
+	if got := e.AckAsserts(rem.Site, first.seq); got != 1 {
+		t.Fatalf("AckAsserts retired %d rows, want 1", got)
+	}
 	n := len(fs.asserts)
 	e.Refresh()
 	if len(fs.asserts) != n {
@@ -463,7 +466,7 @@ func TestEngineAssertProcessingSettles(t *testing.T) {
 		t.Fatalf("duplicate assert not re-settled: %+v", fs.settles)
 	}
 	// Untracked frames (seq 0) settle nothing.
-	e.HandleAssert(cA, rem, AssertMsg{Stamp: 4, Intro: cB, IntroSeq: 2})
+	e.HandleAssertFrame(cA, rem, AssertMsg{Stamp: 4, Intro: cB, IntroSeq: 2}, 0)
 	if len(fs.settles) != 2 {
 		t.Fatalf("untracked assert settled: %+v", fs.settles)
 	}
@@ -481,7 +484,7 @@ func TestEngineNegativeAssertExpiresHint(t *testing.T) {
 		t.Fatal("removed with a pending hint (UNSAFE)")
 	}
 	// rem's site reports the introduction dead: stampless assert.
-	e.HandleAssert(cA, rem, AssertMsg{Stamp: 0, Intro: cB, IntroSeq: 5})
+	e.HandleAssertFrame(cA, rem, AssertMsg{Stamp: 0, Intro: cB, IntroSeq: 5}, 0)
 	if got := e.Stats().HintsExpired; got != 1 {
 		t.Errorf("HintsExpired = %d, want 1", got)
 	}
@@ -498,7 +501,7 @@ func TestEngineExpiryBoundSuppressesStaleRearm(t *testing.T) {
 	e.EdgeUp(r1, cA, true, ids.NoCluster, 0) // keep cA alive
 	e.Drain()
 	// Expiry arrives before the (stale, gossiped) arming.
-	e.HandleAssert(cA, rem, AssertMsg{Stamp: 0, Intro: cB, IntroSeq: 5})
+	e.HandleAssertFrame(cA, rem, AssertMsg{Stamp: 0, Intro: cB, IntroSeq: 5}, 0)
 	e.HandleDestroy(cA, cB, DestroyMsg{
 		Auth:  vclock.Vector{cB: vclock.Eps(3)},
 		Hints: vclock.Vector{rem: vclock.At(5)},
@@ -534,7 +537,9 @@ func TestEngineResolveIntroductionDeadHolder(t *testing.T) {
 	if len(fs.asserts) != 2 {
 		t.Fatalf("negative assert not re-sent: %+v", fs.asserts)
 	}
-	e.HandleAck(cA, rem, AckMsg{Intro: cB, IntroSeq: 4})
+	if got := e.AckAsserts(rem.Site, fs.asserts[0].seq); got != 1 {
+		t.Fatalf("AckAsserts retired %d rows, want 1", got)
+	}
 	e.Refresh()
 	if len(fs.asserts) != 2 {
 		t.Fatalf("negative assert re-sent after ack: %+v", fs.asserts)

@@ -27,10 +27,10 @@ import (
 )
 
 // Counters is a site's identity mint: the object and cluster sequence
-// counters every heap of the site draws from. An unsharded site owns a
-// private instance; the shards of a sharded site share one, so the
-// identities a sharded run mints are exactly those the 1-shard run
-// would (DESIGN.md §3.4). Atomic, because shards mint concurrently.
+// counters every heap of the site draws from. The shards of a site
+// share one instance, so the identities an n-shard run mints are
+// exactly those the 1-shard run would (DESIGN.md §3.4). Atomic, because
+// shards mint concurrently.
 type Counters struct {
 	obj atomic.Uint64
 	clu atomic.Uint64
@@ -163,8 +163,8 @@ type edge struct {
 	from, to ids.ClusterID
 }
 
-// Heap is one site's portion of the distributed object graph — or, on
-// a sharded site, one shard's partition of it.
+// Heap is one shard's partition of a site's portion of the distributed
+// object graph (the whole portion on a one-shard site).
 type Heap struct {
 	site     ids.SiteID
 	hooks    Hooks
@@ -177,16 +177,17 @@ type Heap struct {
 	rootObj  ids.ObjectID
 }
 
-// New creates the heap for a site, including its root cluster and root
+// New creates a standalone rooted heap with a private identity mint:
+// the whole of a site's portion, including its root cluster and root
 // object (the site's local root set, Fig 1). hooks must not be nil.
 func New(site ids.SiteID, hooks Hooks) *Heap {
 	return NewShard(site, hooks, NewCounters(), true)
 }
 
-// NewShard creates a heap drawing identities from a shared mint.
-// withRoot=false builds a rootless partition: only shard 0 of a
-// sharded site owns the local root set; the other shards hold clusters
-// whose roots are entry tables alone.
+// NewShard creates one shard's heap, drawing identities from the
+// site's shared mint. withRoot=false builds a rootless partition: only
+// shard 0 owns the local root set; the other shards hold clusters whose
+// roots are entry tables alone.
 func NewShard(site ids.SiteID, hooks Hooks, ctr *Counters, withRoot bool) *Heap {
 	h := &Heap{
 		site:     site,

@@ -42,9 +42,9 @@ type EdgeImage struct {
 }
 
 // Export renders the heap as an image sharing no state with it. The
-// counter fields snapshot the (possibly shared) identity mint: every
-// shard of a sharded site exports the same values, and restore
-// max-observes them, so the duplication is harmless.
+// counter fields snapshot the site's shared identity mint: every shard
+// exports the same values, and restore max-observes them, so the
+// duplication is harmless.
 func (h *Heap) Export() Image {
 	obj, clu := h.ctr.Snapshot()
 	img := Image{
@@ -68,18 +68,13 @@ func (h *Heap) Export() Image {
 	return img
 }
 
-// Restore rebuilds a heap from an image without firing any Hooks
-// notifications: the image already reflects every edge transition, and
-// the engine state restored alongside it reflects the notifications the
-// live heap issued.
-func Restore(hooks Hooks, img Image) (*Heap, error) {
-	return RestoreShard(hooks, img, NewCounters(), true)
-}
-
-// RestoreShard rebuilds one shard's heap against a shared identity
-// mint. withRoot=false accepts a rootless image (shards 1..N-1 of a
-// sharded site). The image's counter fields are max-observed into ctr,
-// never overwritten: shards restore in any order.
+// RestoreShard rebuilds one shard's heap from an image against the
+// site's shared identity mint, without firing any Hooks notifications:
+// the image already reflects every edge transition, and the engine
+// state restored alongside it reflects the notifications the live heap
+// issued. withRoot=false accepts a rootless image (every shard but
+// shard 0). The image's counter fields are max-observed into ctr, never
+// overwritten: shards restore in any order.
 func RestoreShard(hooks Hooks, img Image, ctr *Counters, withRoot bool) (*Heap, error) {
 	if !img.Site.Valid() {
 		return nil, fmt.Errorf("heap: restore: incomplete image for site %v", img.Site)

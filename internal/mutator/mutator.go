@@ -22,9 +22,9 @@ import (
 type World interface {
 	// Site returns the site instance (a plain runtime or a lock-striped
 	// sharded one) of the given site.
-	Site(ids.SiteID) site.Instance
+	Site(ids.SiteID) *site.Site
 	// Sites returns every site instance, in site order.
-	Sites() []site.Instance
+	Sites() []*site.Site
 	// Run delivers messages until the substrate is quiet.
 	Run() error
 	// Step delivers at most one message and reports whether it did.

@@ -43,8 +43,7 @@ func (r Report) String() string {
 }
 
 // Site is the view the oracle needs of one site: a consistent dump of
-// its live objects. Both site.Runtime and the lock-striped site.Sharded
-// satisfy it.
+// its live objects (site.Site satisfies it).
 type Site interface {
 	Snapshot() (ids.ObjectID, []site.ObjectSnapshot)
 }

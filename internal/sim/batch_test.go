@@ -184,25 +184,14 @@ func makeBatchPlan(seed int64, sites, rounds int) []batchPlanGroup {
 	return plan
 }
 
-// execBatchPlan runs one plan against a fresh durable world in either
-// mode and returns the final pooled references (for cross-mode
-// comparison) and the world for verdicts.
-func execBatchPlan(t *testing.T, plan []batchPlanGroup, seed int64, sites int, dir string, batched bool) (*World, []heap.Ref) {
-	return execPlanSharded(t, plan, seed, sites, dir, batched, 0)
-}
-
-// execPlanSharded is execBatchPlan over sites striped into the given
-// number of lock shards (0: plain unsharded runtimes).
-func execPlanSharded(t *testing.T, plan []batchPlanGroup, seed int64, sites int, dir string, batched bool, shards int) (*World, []heap.Ref) {
+// execBatchPlan runs one plan against a fresh durable world — batched
+// or op by op, every site striped into the given number of lock shards
+// — and returns the final pooled references (for cross-mode and
+// cross-width comparison) and the world for verdicts.
+func execBatchPlan(t *testing.T, plan []batchPlanGroup, seed int64, sites int, dir string, batched bool, shards int) (*World, []heap.Ref) {
 	t.Helper()
 	faults := netsim.Faults{Seed: seed, DropProb: 0.15, DupProb: 0.05, Reorder: true}
-	var w *World
-	var err error
-	if shards > 0 {
-		w, err = NewDurableShardedWorld(sites, faults, site.DefaultOptions(), dir, 32, shards)
-	} else {
-		w, err = NewDurableWorld(sites, faults, site.DefaultOptions(), dir, 32)
-	}
+	w, err := NewDurableShardedWorld(sites, faults, site.DefaultOptions(), dir, 32, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,35 +324,37 @@ func execPlanSharded(t *testing.T, plan []batchPlanGroup, seed int64, sites int,
 }
 
 // TestBatchSingletonEquivalence runs the seeded fuzz lane across
-// several seeds: identical minted references and identical (clean)
-// oracle verdicts in both modes, zero violations.
+// several seeds and stripe widths: identical minted references and
+// identical (clean) oracle verdicts in both modes, zero violations.
 func TestBatchSingletonEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	const sites, rounds = 4, 30
-	for _, seed := range seeds {
-		plan := makeBatchPlan(seed, sites, rounds)
-		ws, poolS := execBatchPlan(t, plan, seed, sites, t.TempDir(), false)
-		wb, poolB := execBatchPlan(t, plan, seed, sites, t.TempDir(), true)
-		if len(poolS) != len(poolB) {
-			t.Fatalf("seed %d: pool sizes diverge: singleton %d, batched %d", seed, len(poolS), len(poolB))
-		}
-		for i := range poolS {
-			if poolS[i] != poolB[i] {
-				t.Fatalf("seed %d: pool[%d] diverges: singleton %v, batched %v", seed, i, poolS[i], poolB[i])
+	for _, shards := range crashWidths {
+		for _, seed := range seeds {
+			plan := makeBatchPlan(seed, sites, rounds)
+			ws, poolS := execBatchPlan(t, plan, seed, sites, t.TempDir(), false, shards)
+			wb, poolB := execBatchPlan(t, plan, seed, sites, t.TempDir(), true, shards)
+			if len(poolS) != len(poolB) {
+				t.Fatalf("shards %d seed %d: pool sizes diverge: singleton %d, batched %d", shards, seed, len(poolS), len(poolB))
 			}
+			for i := range poolS {
+				if poolS[i] != poolB[i] {
+					t.Fatalf("shards %d seed %d: pool[%d] diverges: singleton %v, batched %v", shards, seed, i, poolS[i], poolB[i])
+				}
+			}
+			repS, repB := ws.Check(), wb.Check()
+			if !repS.Clean() || !repB.Clean() {
+				t.Fatalf("shards %d seed %d: verdicts diverge from clean: singleton %v, batched %v", shards, seed, repS, repB)
+			}
+			if repS.Live != repB.Live {
+				t.Fatalf("shards %d seed %d: live counts diverge: singleton %d, batched %d", shards, seed, repS.Live, repB.Live)
+			}
+			t.Logf("shards %d seed %d: both modes clean with %d live objects", shards, seed, repS.Live)
+			ws.Close()
+			wb.Close()
 		}
-		repS, repB := ws.Check(), wb.Check()
-		if !repS.Clean() || !repB.Clean() {
-			t.Fatalf("seed %d: verdicts diverge from clean: singleton %v, batched %v", seed, repS, repB)
-		}
-		if repS.Live != repB.Live {
-			t.Fatalf("seed %d: live counts diverge: singleton %d, batched %d", seed, repS.Live, repB.Live)
-		}
-		t.Logf("seed %d: both modes clean with %d live objects", seed, repS.Live)
-		ws.Close()
-		wb.Close()
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -79,20 +80,30 @@ func TestCrashRestartCycleRecovered(t *testing.T) {
 
 // TestCrashRestartFuzz is the seeded kill-and-restart fault scenario:
 // random churn interleaved with crashes and recoveries of random sites
-// at random points, cross-checked against the reachability oracle. The
+// at random points, cross-checked against the reachability oracle, at
+// every width of crashWidths. The
 // invariant is unconditional safety — the oracle must never observe a
 // live object reclaimed (a dangling reference), no matter where the
 // crashes land. Liveness after healing is checked best-effort: crashes
 // legitimately lose control traffic, and refresh rounds must win it
 // back.
 func TestCrashRestartFuzz(t *testing.T) {
+	for _, shards := range crashWidths {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { crashRestartFuzz(t, shards) })
+	}
+}
+
+// crashWidths are the stripe widths the crash batteries run at: the
+// default and a genuinely striped site.
+var crashWidths = []int{1, 3}
+
+func crashRestartFuzz(t *testing.T, shards int) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		seed := seed
-		w, err := NewDurableWorld(4, netsim.Faults{Seed: seed, Reorder: true}, site.DefaultOptions(), t.TempDir(), 16)
+		w, err := NewDurableShardedWorld(4, netsim.Faults{Seed: seed, Reorder: true}, site.DefaultOptions(), t.TempDir(), 16, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,11 +156,18 @@ func TestCrashRestartFuzz(t *testing.T) {
 
 // TestCrashAtEveryPoint kills and recovers one site after every single
 // mutator operation of a short scripted workload, checking safety at
-// each crash point: the systematic sweep over crash instants.
+// each crash point: the systematic sweep over crash instants, at every
+// width of crashWidths.
 func TestCrashAtEveryPoint(t *testing.T) {
+	for _, shards := range crashWidths {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { crashAtEveryPoint(t, shards) })
+	}
+}
+
+func crashAtEveryPoint(t *testing.T, shards int) {
 	// The scripted workload has 6 operations; crash after each.
 	for point := 0; point < 6; point++ {
-		w, err := NewDurableWorld(3, netsim.Faults{Seed: int64(point + 1)}, site.DefaultOptions(), t.TempDir(), 4)
+		w, err := NewDurableShardedWorld(3, netsim.Faults{Seed: int64(point + 1)}, site.DefaultOptions(), t.TempDir(), 4, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

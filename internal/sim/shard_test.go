@@ -10,12 +10,12 @@ import (
 	"causalgc/internal/site"
 )
 
-// This file is the multi-shard equivalence lane: the lock-striped
-// engine must be indistinguishable from the classic single-lock runtime
-// under every fault the harness can throw. Two batteries:
+// This file is the multi-shard equivalence lane: a striped site must be
+// indistinguishable from a one-shard site under every fault the harness
+// can throw. Two batteries:
 //
 //   - TestShardedEquivalenceFuzz replays the seeded symbolic op stream
-//     of the batch lane against a 4-shard world and an unsharded
+//     of the batch lane against a 4-shard world and a 1-shard
 //     reference world — drops, duplication, reordering and a
 //     kill-and-restart included — and demands identical minted
 //     references and identical clean oracle verdicts.
@@ -26,7 +26,7 @@ import (
 //     site must collect down to its root.
 
 // TestShardedEquivalenceFuzz: same plan, same seed, same faults —
-// striped and unsharded executions may not diverge in anything the
+// 4-shard and 1-shard executions may not diverge in anything the
 // mutator or the oracle can observe.
 func TestShardedEquivalenceFuzz(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
@@ -36,22 +36,22 @@ func TestShardedEquivalenceFuzz(t *testing.T) {
 	const sites, rounds, shards = 4, 30, 4
 	for _, seed := range seeds {
 		plan := makeBatchPlan(seed, sites, rounds)
-		wRef, poolRef := execPlanSharded(t, plan, seed, sites, t.TempDir(), false, 0)
-		wSh, poolSh := execPlanSharded(t, plan, seed, sites, t.TempDir(), false, shards)
+		wRef, poolRef := execBatchPlan(t, plan, seed, sites, t.TempDir(), false, 1)
+		wSh, poolSh := execBatchPlan(t, plan, seed, sites, t.TempDir(), false, shards)
 		if len(poolRef) != len(poolSh) {
-			t.Fatalf("seed %d: pool sizes diverge: unsharded %d, %d-shard %d", seed, len(poolRef), shards, len(poolSh))
+			t.Fatalf("seed %d: pool sizes diverge: 1-shard %d, %d-shard %d", seed, len(poolRef), shards, len(poolSh))
 		}
 		for i := range poolRef {
 			if poolRef[i] != poolSh[i] {
-				t.Fatalf("seed %d: minted ref %d diverges: unsharded %v, %d-shard %v", seed, i, poolRef[i], shards, poolSh[i])
+				t.Fatalf("seed %d: minted ref %d diverges: 1-shard %v, %d-shard %v", seed, i, poolRef[i], shards, poolSh[i])
 			}
 		}
 		repRef, repSh := wRef.Check(), wSh.Check()
 		if !repRef.Clean() || !repSh.Clean() {
-			t.Fatalf("seed %d: verdicts diverge from clean: unsharded %v, %d-shard %v", seed, repRef, shards, repSh)
+			t.Fatalf("seed %d: verdicts diverge from clean: 1-shard %v, %d-shard %v", seed, repRef, shards, repSh)
 		}
 		if repRef.Live != repSh.Live {
-			t.Fatalf("seed %d: live counts diverge: unsharded %d, %d-shard %d", seed, repRef.Live, shards, repSh.Live)
+			t.Fatalf("seed %d: live counts diverge: 1-shard %d, %d-shard %d", seed, repRef.Live, shards, repSh.Live)
 		}
 		t.Logf("seed %d: both widths clean with %d live objects", seed, repRef.Live)
 		wRef.Close()

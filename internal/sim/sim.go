@@ -27,15 +27,14 @@ const DefaultSettleRounds = 16
 // World is a complete simulated system.
 type World struct {
 	net   *netsim.Sim
-	sites []site.Instance
+	sites []*site.Site
 	opts  site.Options
 
-	// shards is the lock-stripe width of every site (0 = unsharded
-	// runtimes, the default).
+	// shards is the lock-stripe width every site is built with.
 	shards int
 
 	// durable tracks the journals of a durable world (NewDurableWorld);
-	// nil entries mean the site is volatile.
+	// nil for a volatile world.
 	durable []*durableSite
 }
 
@@ -49,62 +48,47 @@ type durableSite struct {
 	replayed int
 }
 
-// NewWorld builds n sites (IDs 1..n) over a deterministic simulator.
+// NewWorld builds n volatile one-shard sites (IDs 1..n) over a
+// deterministic simulator.
 func NewWorld(n int, faults netsim.Faults, opts site.Options) *World {
-	w := &World{net: netsim.NewSim(faults), opts: opts}
-	for i := 1; i <= n; i++ {
-		w.sites = append(w.sites, site.New(ids.SiteID(i), w.net, opts))
-	}
-	return w
+	return NewShardedWorld(n, faults, opts, 1)
 }
 
-// NewShardedWorld builds n volatile sites whose engines are striped
-// over the given number of lock shards (shards < 2 degrades to a
-// 1-shard Sharded, still exercising the composition layer).
+// NewShardedWorld is NewWorld with every site striped over the given
+// number of lock shards.
 func NewShardedWorld(n int, faults netsim.Faults, opts site.Options, shards int) *World {
-	if shards < 1 {
-		shards = 1
-	}
-	w := &World{net: netsim.NewSim(faults), opts: opts, shards: shards}
-	for i := 1; i <= n; i++ {
-		w.sites = append(w.sites, site.NewSharded(ids.SiteID(i), w.net, opts, shards))
-	}
+	w, _ := newWorld(n, faults, opts, "", 0, shards) // a volatile world cannot fail
 	return w
 }
 
-// NewDurableWorld builds n durable sites journaling under
+// NewDurableWorld builds n durable one-shard sites journaling under
 // dir/site-<id>, snapshotting every `every` records. Sites can then be
 // killed and recovered with Crash/Restart — the kill-and-restart fault
 // scenario. Journals run unsynced: an in-process "crash" cannot lose
 // page-cache contents, so fsync would only slow the schedule search.
 func NewDurableWorld(n int, faults netsim.Faults, opts site.Options, dir string, every int) (*World, error) {
-	return newDurableWorld(n, faults, opts, dir, every, 0)
+	return newWorld(n, faults, opts, dir, every, 1)
 }
 
 // NewDurableShardedWorld is NewDurableWorld with every site striped
-// over the given number of lock shards; Crash/Restart recover through
-// the sharded constructor (the shard count is sticky in the journal).
+// over the given number of lock shards (the width is sticky in each
+// journal across Crash/Restart).
 func NewDurableShardedWorld(n int, faults netsim.Faults, opts site.Options, dir string, every, shards int) (*World, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	return newDurableWorld(n, faults, opts, dir, every, shards)
+	return newWorld(n, faults, opts, dir, every, shards)
 }
 
-func newDurableWorld(n int, faults netsim.Faults, opts site.Options, dir string, every, shards int) (*World, error) {
+// newWorld is the one constructor body: n sites of the given width,
+// durable under dir when dir is non-empty, volatile otherwise.
+func newWorld(n int, faults netsim.Faults, opts site.Options, dir string, every, shards int) (*World, error) {
 	w := &World{net: netsim.NewSim(faults), opts: opts, shards: shards}
 	for i := 1; i <= n; i++ {
 		id := ids.SiteID(i)
-		d := &durableSite{dir: filepath.Join(dir, fmt.Sprintf("site-%d", i)), every: every}
-		j, err := site.OpenPersist(d.dir, site.PersistOptions{
-			SnapshotEvery: every,
-			Store:         persist.Options{NoSync: true},
-		})
-		if err != nil {
-			return nil, err
+		if dir == "" {
+			w.sites = append(w.sites, site.NewSharded(id, w.net, opts, shards))
+			continue
 		}
-		d.journal = j
-		s, err := w.recoverSite(id, j)
+		d := &durableSite{dir: filepath.Join(dir, fmt.Sprintf("site-%d", i)), every: every}
+		s, err := w.open(id, d)
 		if err != nil {
 			return nil, err
 		}
@@ -114,13 +98,23 @@ func newDurableWorld(n int, faults netsim.Faults, opts site.Options, dir string,
 	return w, nil
 }
 
-// recoverSite builds one durable site through the constructor matching
-// the world's stripe width.
-func (w *World) recoverSite(id ids.SiteID, j *site.Persist) (site.Instance, error) {
-	if w.shards > 0 {
-		return site.RecoverSharded(id, w.net, w.opts, j, w.shards)
+// open opens d's journal directory and recovers (or starts) site id
+// from it.
+func (w *World) open(id ids.SiteID, d *durableSite) (*site.Site, error) {
+	j, err := site.OpenPersist(d.dir, site.PersistOptions{
+		SnapshotEvery: d.every,
+		Store:         persist.Options{NoSync: true},
+	})
+	if err != nil {
+		return nil, err
 	}
-	return site.Recover(id, w.net, w.opts, j)
+	s, err := site.RecoverSharded(id, w.net, w.opts, j, w.shards)
+	if err != nil {
+		j.Close()
+		return nil, err
+	}
+	d.journal = j
+	return s, nil
 }
 
 // Crash kills a durable site: its journal's files are closed with no
@@ -154,22 +148,13 @@ func (w *World) Restart(id ids.SiteID) error {
 	if !d.crashed {
 		return fmt.Errorf("sim: site %v is not crashed", id)
 	}
-	j, err := site.OpenPersist(d.dir, site.PersistOptions{
-		SnapshotEvery: d.every,
-		Store:         persist.Options{NoSync: true},
-	})
+	s, err := w.open(id, d)
 	if err != nil {
 		return err
 	}
-	s, err := w.recoverSite(id, j)
-	if err != nil {
-		j.Close()
-		return err
-	}
-	d.journal = j
 	d.crashed = false
 	d.restarts++
-	d.replayed += j.Store().Stats().RecoveredRecords
+	d.replayed += d.journal.Store().Stats().RecoveredRecords
 	w.sites[int(id)-1] = s
 	return nil
 }
@@ -178,9 +163,7 @@ func (w *World) Restart(id ids.SiteID) error {
 func (w *World) ReplayedRecords() int {
 	total := 0
 	for _, d := range w.durable {
-		if d != nil {
-			total += d.replayed
-		}
+		total += d.replayed
 	}
 	return total
 }
@@ -189,7 +172,7 @@ func (w *World) ReplayedRecords() int {
 func (w *World) Close() error {
 	var first error
 	for _, d := range w.durable {
-		if d != nil && !d.crashed {
+		if !d.crashed {
 			if err := d.journal.Close(); err != nil && first == nil {
 				first = err
 			}
@@ -207,12 +190,12 @@ func (w *World) durableOf(id ids.SiteID) *durableSite {
 }
 
 // Site returns the site instance of site id (1-based).
-func (w *World) Site(id ids.SiteID) site.Instance {
+func (w *World) Site(id ids.SiteID) *site.Site {
 	return w.sites[int(id)-1]
 }
 
 // Sites returns all site instances.
-func (w *World) Sites() []site.Instance { return w.sites }
+func (w *World) Sites() []*site.Site { return w.sites }
 
 // Net exposes the simulator (fault control, stats).
 func (w *World) Net() *netsim.Sim { return w.net }

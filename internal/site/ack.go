@@ -16,13 +16,12 @@ import (
 // receive side, FrameAck emission, StreamAdvance floor advisories, and
 // the outbox of unacknowledged mutator frames.
 //
-// The stream state lives in a streams table shared by every shard of a
-// sharded site (DESIGN.md §3.4): a remote peer tracks ONE cumulative
+// The stream state lives in a streams table shared by every shard of
+// the site (DESIGN.md §3.4): a remote peer tracks ONE cumulative
 // watermark per stream from this site, so two shards drawing sequences
 // toward the same peer must draw from the same counter — per-shard
 // counters would collide at the peer and silently retire undelivered
-// frames. An unsharded runtime owns a private table; the code path is
-// identical.
+// frames.
 
 // FrameStats counts the site-level retirement activity: the operator's
 // view of how much re-send state is outstanding, how it drains, and —
@@ -51,8 +50,8 @@ type FrameStats struct {
 
 // AckObserver is an optional extension of Observer: implementations
 // that also satisfy it receive retirement events. Like Observer
-// callbacks, these run with the runtime's mutex held and must not call
-// back into the Runtime.
+// callbacks, these run with a shard mutex held and must not call back
+// into the Site.
 type AckObserver interface {
 	// FrameEvicted fires when the outbox hard cap drops an
 	// unacknowledged mutator frame bound for peer: tolerated loss.
@@ -143,8 +142,8 @@ func (t *recvTracker) advance(floor uint64) bool {
 	}
 }
 
-// streams is the shared per-site retirement-stream state: one instance
-// per site, shared by every shard. Its mutex is a leaf in the lock
+// streams is the per-site retirement-stream state: one instance per
+// site, shared by every shard. Its mutex is a leaf in the lock
 // order (shard r.mu → st.mu): nothing is called while holding it, so
 // shards contend only for the few loads/stores below.
 type streams struct {
@@ -190,11 +189,11 @@ func (st *streams) sendStream(peer ids.SiteID, kind core.Stream) *sendStream {
 // assignSeqLocked returns seq unchanged when non-zero (a re-send under
 // its original sequence) and otherwise assigns the next sequence of the
 // (peer, kind) stream. Caller holds r.mu.
-func (r *Runtime) assignSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64) uint64 {
+func (r *shard) assignSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64) uint64 {
 	if seq != 0 {
 		return seq
 	}
-	st := r.st
+	st := r.site.st
 	st.mu.Lock()
 	s := st.sendStream(peer, kind)
 	s.nextSeq++
@@ -204,12 +203,15 @@ func (r *Runtime) assignSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64)
 }
 
 // observeSeqLocked raises the (peer, kind) send counter to at least
-// seq: applying a record that carries a pre-drawn sequence (OpRecord
-// .MutSeq) must keep the shared counter ahead of every recorded draw,
-// or a post-replay draw would re-issue a sequence the peer already
-// settled. Caller holds r.mu.
-func (r *Runtime) observeSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64) {
-	st := r.st
+// seq: applying a record's pre-drawn sequence (OpRecord.MutSeq) must
+// keep the shared counter ahead of every recorded draw, or a
+// post-replay draw would re-issue a sequence the peer already settled
+// (a no-op on the live path, which drew it). Caller holds r.mu.
+func (r *shard) observeSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64) {
+	if seq == 0 {
+		return // a volatile site or a frameless op drew nothing
+	}
+	st := r.site.st
 	st.mu.Lock()
 	s := st.sendStream(peer, kind)
 	if s.nextSeq < seq {
@@ -222,12 +224,12 @@ func (r *Runtime) observeSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64
 // and schedules a FrameAck flush for its stream — also on duplicates,
 // which re-sends the unchanged watermark and heals a lost ack. Caller
 // holds r.mu.
-func (r *Runtime) markRecvLocked(peer ids.SiteID, kind core.Stream, seq uint64) {
+func (r *shard) markRecvLocked(peer ids.SiteID, kind core.Stream, seq uint64) {
 	if seq == 0 || kind == 0 {
 		return
 	}
 	k := streamKey{peer: peer, kind: kind}
-	st := r.st
+	st := r.site.st
 	st.mu.Lock()
 	t := st.recv[k]
 	if t == nil {
@@ -248,7 +250,7 @@ func (r *Runtime) markRecvLocked(peer ids.SiteID, kind core.Stream, seq uint64) 
 // here may also cover settlements a sibling shard just made: harmless,
 // acks are cumulative and receivers ignore stale ones. Caller holds
 // r.mu.
-func (r *Runtime) flushAcksLocked() {
+func (r *shard) flushAcksLocked() {
 	if len(r.dirtyAcks) == 0 {
 		return
 	}
@@ -258,7 +260,7 @@ func (r *Runtime) flushAcksLocked() {
 	}
 	r.dirtyAcks = nil
 	sort.Slice(keys, func(i, j int) bool { return streamKeyLess(keys[i], keys[j]) })
-	st := r.st
+	st := r.site.st
 	for _, k := range keys {
 		st.mu.Lock()
 		t := st.recv[k]
@@ -279,13 +281,13 @@ func (r *Runtime) flushAcksLocked() {
 // peer: epoch changes re-arm the re-send dampers (the peer restarted
 // and may have lost undurable state), and the watermark retires the
 // covered retained state of THIS shard exactly. The shared ackedTo
-// floor only ever rises; retirement itself is idempotent, so on a
-// sharded site the same ack fans out to every shard and each retires
-// its own rows. Caller holds r.mu.
-func (r *Runtime) handleFrameAckLocked(peer ids.SiteID, m wire.FrameAck) {
-	st := r.st
+// floor only ever rises; retirement itself is idempotent, so the same
+// ack fans out to every shard and each retires its own rows. Caller
+// holds r.mu.
+func (r *shard) handleFrameAckLocked(peer ids.SiteID, m wire.FrameAck) {
+	st := r.site.st
 	st.mu.Lock()
-	if r.shardIndex() == 0 {
+	if r.index == 0 {
 		// fstats is shared and the ack fans out to every shard: count
 		// the network delivery once, not once per shard.
 		st.fstats.AcksReceived++
@@ -326,12 +328,12 @@ func (r *Runtime) handleFrameAckLocked(peer ids.SiteID, m wire.FrameAck) {
 // below the floor will never be (re-)sent, so the watermark skips the
 // dead gap, and the refreshed watermark is acknowledged back. Caller
 // holds r.mu.
-func (r *Runtime) handleAdvanceLocked(peer ids.SiteID, m wire.StreamAdvance) {
+func (r *shard) handleAdvanceLocked(peer ids.SiteID, m wire.StreamAdvance) {
 	if m.Stream == 0 || m.Floor == 0 {
 		return
 	}
 	k := streamKey{peer: peer, kind: m.Stream}
-	st := r.st
+	st := r.site.st
 	st.mu.Lock()
 	t := st.recv[k]
 	if t == nil {
@@ -348,7 +350,7 @@ func (r *Runtime) handleAdvanceLocked(peer ids.SiteID, m wire.StreamAdvance) {
 
 // retireOutboxLocked drops every outbox frame bound for peer covered by
 // the watermark. Caller holds r.mu.
-func (r *Runtime) retireOutboxLocked(peer ids.SiteID, watermark uint64) {
+func (r *shard) retireOutboxLocked(peer ids.SiteID, watermark uint64) {
 	kept := r.outbox[:0]
 	n := 0
 	for _, f := range r.outbox {
@@ -363,21 +365,21 @@ func (r *Runtime) retireOutboxLocked(peer ids.SiteID, watermark uint64) {
 	}
 	r.outbox = kept
 	if n > 0 {
-		r.st.mu.Lock()
-		r.st.fstats.FramesRetired += n
-		r.st.mu.Unlock()
-		if ao, ok := r.opts.Observer.(AckObserver); ok {
-			ao.FrameRetired(r.id, peer, core.StreamMut, n)
+		r.site.st.mu.Lock()
+		r.site.st.fstats.FramesRetired += n
+		r.site.st.mu.Unlock()
+		if ao, ok := r.site.opts.Observer.(AckObserver); ok {
+			ao.FrameRetired(r.site.id, peer, core.StreamMut, n)
 		}
 	}
 }
 
 // resendOutboxLocked re-ships the unacknowledged, damper-due outbox
 // frames during a refresh round. Caller holds r.mu.
-func (r *Runtime) resendOutboxLocked() {
-	r.st.mu.Lock()
-	round := r.st.refreshRound
-	r.st.mu.Unlock()
+func (r *shard) resendOutboxLocked() {
+	r.site.st.mu.Lock()
+	round := r.site.st.refreshRound
+	r.site.st.mu.Unlock()
 	resent, suppressed := 0, 0
 	for i := range r.outbox {
 		f := &r.outbox[i]
@@ -387,20 +389,20 @@ func (r *Runtime) resendOutboxLocked() {
 		}
 		resent++
 		r.emitLocked(f.to, f.p)
-		f.bo.Bump(round, core.EffectiveBackoffCap(r.opts.Engine.ResendBackoffCap))
+		f.bo.Bump(round, core.EffectiveBackoffCap(r.site.opts.Engine.ResendBackoffCap))
 	}
 	if resent+suppressed > 0 {
-		r.st.mu.Lock()
-		r.st.fstats.OutboxResends += resent
-		r.st.fstats.ResendsSuppressed += suppressed
-		r.st.mu.Unlock()
+		r.site.st.mu.Lock()
+		r.site.st.fstats.OutboxResends += resent
+		r.site.st.fstats.ResendsSuppressed += suppressed
+		r.site.st.mu.Unlock()
 	}
 }
 
 // retainedFloorLocked reports the smallest sequence this shard still
 // retains on the (peer, kind) stream, or 0 when it retains nothing
 // there. Caller holds r.mu.
-func (r *Runtime) retainedFloorLocked(peer ids.SiteID, kind core.Stream) uint64 {
+func (r *shard) retainedFloorLocked(peer ids.SiteID, kind core.Stream) uint64 {
 	if kind == core.StreamMut {
 		var floor uint64
 		for _, f := range r.outbox {
@@ -416,46 +418,59 @@ func (r *Runtime) retainedFloorLocked(peer ids.SiteID, kind core.Stream) uint64 
 	return 0
 }
 
-// advanceFloorsLocked emits StreamAdvance advisories for every send
-// stream whose acknowledged watermark trails the smallest sequence the
-// site still retains: the gap below the floor is acknowledged-or-
-// abandoned and would otherwise stall the peer's cumulative watermark
-// forever. Unsharded path only — one shard's view of "retained" is not
-// the site's, so a sharded site merges per-shard floors in
-// Sharded.Refresh instead (emitting a floor past a sibling shard's
-// retained row would let the peer retire it undelivered). Caller holds
-// r.mu.
-func (r *Runtime) advanceFloorsLocked() {
-	st := r.st
+// advanceFloors emits StreamAdvance advisories for every send stream
+// whose acknowledged watermark trails the smallest sequence the site
+// still retains: the gap below the floor is acknowledged-or-abandoned
+// and would otherwise stall the peer's cumulative watermark forever. A
+// stream's floor is the minimum over every shard's retained floor — no
+// single shard knows what its siblings still retain, and a floor past a
+// sibling's retained row would let the peer retire it undelivered.
+// Advisories go out through shard 0. A sequence assigned concurrently
+// with the pass is always above the snapshotted nextSeq, hence above
+// any floor emitted here — the advisory can never cover it.
+func (s *Site) advanceFloors() {
+	st := s.st
 	st.mu.Lock()
 	keys := make([]streamKey, 0, len(st.send))
 	for k := range st.send {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return streamKeyLess(keys[i], keys[j]) })
-	type snap struct{ nextSeq, ackedTo uint64 }
-	snaps := make(map[streamKey]snap, len(keys))
-	for _, k := range keys {
-		s := st.send[k]
-		snaps[k] = snap{nextSeq: s.nextSeq, ackedTo: s.ackedTo}
+	snaps := make([]sendStream, len(keys))
+	for i, k := range keys {
+		snaps[i] = *st.send[k]
 	}
 	st.mu.Unlock()
+	floors := make([]uint64, len(keys))
+	for _, r := range s.shards {
+		r.mu.Lock()
+		for i, k := range keys {
+			f := r.retainedFloorLocked(k.peer, k.kind)
+			if f != 0 && (floors[i] == 0 || f < floors[i]) {
+				floors[i] = f
+			}
+		}
+		r.mu.Unlock()
+	}
+	r0 := s.shards[0]
+	r0.mu.Lock()
 	advances := 0
-	for _, k := range keys {
-		s := snaps[k]
-		if s.nextSeq == 0 {
+	for i, k := range keys {
+		sn := snaps[i]
+		if sn.nextSeq == 0 {
 			continue
 		}
-		floor := r.retainedFloorLocked(k.peer, k.kind)
+		floor := floors[i]
 		if floor == 0 {
-			floor = s.nextSeq + 1
+			floor = sn.nextSeq + 1
 		}
-		if floor-1 <= s.ackedTo {
+		if floor-1 <= sn.ackedTo {
 			continue
 		}
 		advances++
-		r.emitLocked(k.peer, wire.StreamAdvance{Stream: k.kind, Floor: floor})
+		r0.emitLocked(k.peer, wire.StreamAdvance{Stream: k.kind, Floor: floor})
 	}
+	r0.mu.Unlock()
 	if advances > 0 {
 		st.mu.Lock()
 		st.fstats.AdvancesSent += advances
@@ -463,13 +478,17 @@ func (r *Runtime) advanceFloorsLocked() {
 	}
 }
 
-// FrameStats returns a copy of the site-level retirement counters.
-func (r *Runtime) FrameStats() FrameStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.st.mu.Lock()
-	st := r.st.fstats
-	r.st.mu.Unlock()
-	st.OutboxRetained = len(r.outbox)
-	return st
+// FrameStats returns the site-level retirement counters with the outbox
+// gauge summed across shards.
+func (s *Site) FrameStats() FrameStats {
+	s.st.mu.Lock()
+	fs := s.st.fstats
+	s.st.mu.Unlock()
+	fs.OutboxRetained = 0
+	for _, r := range s.shards {
+		r.mu.Lock()
+		fs.OutboxRetained += len(r.outbox)
+		r.mu.Unlock()
+	}
+	return fs
 }

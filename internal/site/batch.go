@@ -34,43 +34,52 @@ import (
 // ops ran, and replay reproduces the same partial outcome
 // deterministically.
 //
+// The batch commits on the shard owning its first concrete holder
+// (staging requires every concrete holder to live there; fresh clusters
+// minted by a multi-op batch pin to that shard, so the whole group
+// stays local — see premintBatchLocked).
+//
 // The returned slice has one Ref per op: the minted reference for
 // creates, the zero Ref otherwise.
-func (r *Runtime) ApplyBatch(ops []wire.BatchOp) ([]heap.Ref, error) {
+func (s *Site) ApplyBatch(ops []wire.BatchOp) ([]heap.Ref, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
+	r := s.shards[0]
+	for _, bop := range ops {
+		if bop.HolderFrom == 0 && bop.Op.Holder.Valid() {
+			r = s.shardFor(bop.Op.Holder)
+			break
+		}
+	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	refs, err := r.commitBatchLocked(ops)
+	r.mu.Unlock()
+	s.afterEvent()
+	return refs, err
+}
+
+// commitBatchLocked runs the commit sequence of runOpLocked once for
+// the whole group: stage, pre-mint, one journal append, apply. Caller
+// holds r.mu.
+func (r *shard) commitBatchLocked(ops []wire.BatchOp) ([]heap.Ref, error) {
 	if err := r.stageBatchLocked(ops); err != nil {
 		return nil, err
 	}
 	ops = r.premintBatchLocked(ops)
-	if err := r.journalBatch(ops); err != nil {
-		return nil, err
+	if r.journaling() {
+		if err := r.appendLocked(&wire.WALRecord{Batch: &wire.BatchRecord{Ops: ops}}); err != nil {
+			return nil, fmt.Errorf("site %v: journal batch (%d ops): %w", r.site.id, len(ops), err)
+		}
 	}
-	refs, err := r.applyBatchLocked(ops)
-	r.checkpointLocked()
-	return refs, err
-}
-
-// journalBatch durably records a whole batch as one WAL append.
-func (r *Runtime) journalBatch(ops []wire.BatchOp) error {
-	if r.journal == nil || r.replaying {
-		return nil
-	}
-	rec := &wire.WALRecord{Shard: r.shardIndex(), Batch: &wire.BatchRecord{Ops: ops}}
-	if err := r.journal.Append(rec); err != nil {
-		return fmt.Errorf("site %v: journal batch (%d ops): %w", r.id, len(ops), err)
-	}
-	return nil
+	return r.applyBatchLocked(ops)
 }
 
 // applyBatchLocked applies a staged (or replayed) batch: coalescing on,
 // ops applied in order with deferred arguments resolved from earlier
 // results, acks flushed, envelopes shipped. Caller holds r.mu; the
 // batch record must already be durable (or replaying).
-func (r *Runtime) applyBatchLocked(ops []wire.BatchOp) ([]heap.Ref, error) {
+func (r *shard) applyBatchLocked(ops []wire.BatchOp) ([]heap.Ref, error) {
 	opened := r.beginCoalesceLocked()
 	refs := make([]heap.Ref, len(ops))
 	var firstErr error
@@ -95,9 +104,9 @@ func (r *Runtime) applyBatchLocked(ops []wire.BatchOp) ([]heap.Ref, error) {
 	return refs, firstErr
 }
 
-// premintBatchLocked pre-mints a staged batch on a sharded site: the
-// drawn identities, placements and stream sequences ride the journaled
-// BatchRecord, so replay reproduces them exactly (see premintLocked).
+// premintBatchLocked pre-mints a staged batch: the drawn identities,
+// placements and stream sequences ride the journaled BatchRecord, so
+// replay reproduces them exactly (see premintLocked).
 // Fresh clusters are pinned to the executing shard for multi-op
 // batches — a deferred reference to a cross-shard creation would name
 // an object the executing shard will never materialise — while
@@ -108,8 +117,8 @@ func (r *Runtime) applyBatchLocked(ops []wire.BatchOp) ([]heap.Ref, error) {
 // resolveBatchOp re-derives the same refs at apply (and replay) time.
 // The ops slice is copied before mutation: callers own their argument.
 // Caller holds r.mu.
-func (r *Runtime) premintBatchLocked(ops []wire.BatchOp) []wire.BatchOp {
-	if r.sh == nil || r.replaying {
+func (r *shard) premintBatchLocked(ops []wire.BatchOp) []wire.BatchOp {
+	if r.replaying {
 		return ops
 	}
 	pin := len(ops) > 1
@@ -130,7 +139,7 @@ func (r *Runtime) premintBatchLocked(ops []wire.BatchOp) []wire.BatchOp {
 			op.Target = preds[bop.TargetFrom-1]
 		}
 		r.premintLocked(op, pin)
-		preds[i] = predictedRef(r.id, *op)
+		preds[i] = predictedRef(r.site.id, *op)
 		op.Holder, op.To, op.Target = holder, to, target
 	}
 	return minted
@@ -227,7 +236,7 @@ type stagedSlot struct {
 // checks the singleton entry points perform before their journal append
 // (holder existence, foreign clusters, self-remote, SendRef holdership)
 // evaluated against the heap and the staged view. Caller holds r.mu.
-func (r *Runtime) stageBatchLocked(ops []wire.BatchOp) error {
+func (r *shard) stageBatchLocked(ops []wire.BatchOp) error {
 	if len(ops) == 1 && ops[0].HolderFrom == 0 && ops[0].ToFrom == 0 && ops[0].TargetFrom == 0 {
 		// The singleton fast path (every Node one-element batch): no
 		// deferred arguments means no staged view to build — the
@@ -266,27 +275,27 @@ func checkDeferred(name string, from, i int, view *stagedView) (stagedArg, error
 // stageHolder resolves and validates a holder argument that must name
 // an existing local object (the pre-journal check of the create and
 // SendRef entry points).
-func (r *Runtime) stageHolder(opName string, i int, bop wire.BatchOp, view *stagedView) (stagedArg, error) {
+func (r *shard) stageHolder(opName string, i int, bop wire.BatchOp, view *stagedView) (stagedArg, error) {
 	if bop.HolderFrom > 0 {
 		arg, err := checkDeferred("holder", bop.HolderFrom, i, view)
 		if err != nil {
 			return arg, err
 		}
-		if view.create[bop.HolderFrom-1] != r.id {
+		if view.create[bop.HolderFrom-1] != r.site.id {
 			// The deferred holder is created on another site by this very
 			// batch: it can never be a local holder here.
-			return arg, fmt.Errorf("site %v: %s (batch op %d): %w", r.id, opName, bop.HolderFrom-1, heap.ErrNoSuchObject)
+			return arg, fmt.Errorf("site %v: %s (batch op %d): %w", r.site.id, opName, bop.HolderFrom-1, heap.ErrNoSuchObject)
 		}
 		return arg, nil
 	}
 	if r.heap.Object(bop.Op.Holder) == nil {
-		return stagedArg{}, fmt.Errorf("site %v: %s %v: %w", r.id, opName, bop.Op.Holder, heap.ErrNoSuchObject)
+		return stagedArg{}, fmt.Errorf("site %v: %s %v: %w", r.site.id, opName, bop.Op.Holder, heap.ErrNoSuchObject)
 	}
 	return stagedArg{obj: bop.Op.Holder}, nil
 }
 
 // stageBatchOpLocked validates one staged op and extends the view.
-func (r *Runtime) stageBatchOpLocked(i int, bop wire.BatchOp, view *stagedView) error {
+func (r *shard) stageBatchOpLocked(i int, bop wire.BatchOp, view *stagedView) error {
 	// Structural validity of every deferred argument first.
 	for _, d := range []struct {
 		name string
@@ -304,28 +313,28 @@ func (r *Runtime) stageBatchOpLocked(i int, bop wire.BatchOp, view *stagedView) 
 		if err != nil {
 			return err
 		}
-		view.create[i] = r.id
+		view.create[i] = r.site.id
 		view.slots[stagedSlot{holder: holder, target: stagedArg{idx: i + 1}}] = struct{}{}
 	case wire.OpNewLocalIn:
-		if bop.Op.Clu.Site != r.id {
-			return fmt.Errorf("site %v: NewLocalIn %v: %w", r.id, bop.Op.Clu, heap.ErrForeignCluster)
+		if bop.Op.Clu.Site != r.site.id {
+			return fmt.Errorf("site %v: NewLocalIn %v: %w", r.site.id, bop.Op.Clu, heap.ErrForeignCluster)
 		}
 		holder, err := r.stageHolder("NewLocalIn holder", i, bop, view)
 		if err != nil {
 			return err
 		}
-		view.create[i] = r.id
+		view.create[i] = r.site.id
 		view.slots[stagedSlot{holder: holder, target: stagedArg{idx: i + 1}}] = struct{}{}
 	case wire.OpNewRemote:
 		holder, err := r.stageHolder("NewRemote holder", i, bop, view)
 		if err != nil {
 			return err
 		}
-		if bop.Op.Site == r.id {
-			return fmt.Errorf("site %v: NewRemote: %w", r.id, ErrRemoteSelf)
+		if bop.Op.Site == r.site.id {
+			return fmt.Errorf("site %v: NewRemote: %w", r.site.id, ErrRemoteSelf)
 		}
 		if bop.Op.Site == ids.NoSite {
-			return fmt.Errorf("site %v: NewRemote: %w", r.id, ErrNoSite)
+			return fmt.Errorf("site %v: NewRemote: %w", r.site.id, ErrNoSite)
 		}
 		view.create[i] = bop.Op.Site
 		view.slots[stagedSlot{holder: holder, target: stagedArg{idx: i + 1}}] = struct{}{}
@@ -339,7 +348,7 @@ func (r *Runtime) stageBatchOpLocked(i int, bop wire.BatchOp, view *stagedView) 
 			target.obj = ids.ObjectID{}
 		}
 		if !r.stagedHolds(holder, target, bop.Op.Target, view) {
-			return fmt.Errorf("site %v: SendRef: %v of %v: %w", r.id, bop.Op.Target, bop.Op.Holder, ErrNotHolder)
+			return fmt.Errorf("site %v: SendRef: %v of %v: %w", r.site.id, bop.Op.Target, bop.Op.Holder, ErrNotHolder)
 		}
 		// A copy to a local destination stages a new slot there.
 		to := stagedArg{obj: bop.Op.To.Obj, idx: bop.ToFrom}
@@ -370,7 +379,7 @@ func (r *Runtime) stageBatchOpLocked(i int, bop wire.BatchOp, view *stagedView) 
 // stagedHolds is the staged-view counterpart of holds: the sender
 // either holds the target in the live heap, stages the slot earlier in
 // this batch, or sends a reference denoting itself.
-func (r *Runtime) stagedHolds(holder, target stagedArg, concrete heap.Ref, view *stagedView) bool {
+func (r *shard) stagedHolds(holder, target stagedArg, concrete heap.Ref, view *stagedView) bool {
 	if _, ok := view.slots[stagedSlot{holder: holder, target: target}]; ok {
 		return true
 	}
@@ -387,27 +396,27 @@ func (r *Runtime) stagedHolds(holder, target stagedArg, concrete heap.Ref, view 
 }
 
 // stageOpLocked validates one concrete (singleton) operation before its
-// journal append: the rejection-without-journaling semantics of the
-// original per-op entry points. Caller holds r.mu.
-func (r *Runtime) stageOpLocked(op wire.OpRecord) error {
+// journal append: an illegal operation is rejected without journaling.
+// Caller holds r.mu.
+func (r *shard) stageOpLocked(op wire.OpRecord) error {
 	switch op.Kind {
 	case wire.OpNewLocal:
 		if r.heap.Object(op.Holder) == nil {
-			return fmt.Errorf("site %v: NewLocal holder %v: %w", r.id, op.Holder, heap.ErrNoSuchObject)
+			return fmt.Errorf("site %v: NewLocal holder %v: %w", r.site.id, op.Holder, heap.ErrNoSuchObject)
 		}
 	case wire.OpNewLocalIn:
-		if op.Clu.Site != r.id {
-			return fmt.Errorf("site %v: NewLocalIn %v: %w", r.id, op.Clu, heap.ErrForeignCluster)
+		if op.Clu.Site != r.site.id {
+			return fmt.Errorf("site %v: NewLocalIn %v: %w", r.site.id, op.Clu, heap.ErrForeignCluster)
 		}
 		if r.heap.Object(op.Holder) == nil {
-			return fmt.Errorf("site %v: NewLocalIn holder %v: %w", r.id, op.Holder, heap.ErrNoSuchObject)
+			return fmt.Errorf("site %v: NewLocalIn holder %v: %w", r.site.id, op.Holder, heap.ErrNoSuchObject)
 		}
 	case wire.OpNewRemote:
 		if r.heap.Object(op.Holder) == nil {
-			return fmt.Errorf("site %v: NewRemote holder %v: %w", r.id, op.Holder, heap.ErrNoSuchObject)
+			return fmt.Errorf("site %v: NewRemote holder %v: %w", r.site.id, op.Holder, heap.ErrNoSuchObject)
 		}
-		if op.Site == r.id {
-			return fmt.Errorf("site %v: NewRemote: %w", r.id, ErrRemoteSelf)
+		if op.Site == r.site.id {
+			return fmt.Errorf("site %v: NewRemote: %w", r.site.id, ErrRemoteSelf)
 		}
 		if op.Site == ids.NoSite && !r.replaying {
 			// New validation, gated off during replay: a WAL written
@@ -416,15 +425,15 @@ func (r *Runtime) stageOpLocked(op wire.OpRecord) error {
 			// skipping it on replay would shift every later minted
 			// identity. (The check in the batch staging walk needs no
 			// gate: batch records replay without re-staging.)
-			return fmt.Errorf("site %v: NewRemote: %w", r.id, ErrNoSite)
+			return fmt.Errorf("site %v: NewRemote: %w", r.site.id, ErrNoSite)
 		}
 	case wire.OpSendRef:
 		fo := r.heap.Object(op.Holder)
 		if fo == nil {
-			return fmt.Errorf("site %v: SendRef from %v: %w", r.id, op.Holder, heap.ErrNoSuchObject)
+			return fmt.Errorf("site %v: SendRef from %v: %w", r.site.id, op.Holder, heap.ErrNoSuchObject)
 		}
 		if !r.holds(fo, op.Target) {
-			return fmt.Errorf("site %v: SendRef: %v of %v: %w", r.id, op.Target, op.Holder, ErrNotHolder)
+			return fmt.Errorf("site %v: SendRef: %v of %v: %w", r.site.id, op.Target, op.Holder, ErrNotHolder)
 		}
 	}
 	return nil
@@ -434,18 +443,17 @@ func (r *Runtime) stageOpLocked(op wire.OpRecord) error {
 
 // emitLocked routes one outbound frame: buffered into the per-peer
 // coalescer while a commit or envelope-dispatch window is open, sent
-// directly otherwise. On a sharded site a frame addressed to the own
-// site is a cross-shard message: it bypasses the coalescer and enters
-// the ordered handoff queue of its destination shard. During replay
-// self-addressed frames are dropped — the receiving shard's journaled
-// delivery records already carry them, and re-routing would apply them
-// twice; a crash between the sender's journal append and the receiver's
-// is healed like any lost frame (outbox re-send, refresh). Caller holds
-// r.mu.
-func (r *Runtime) emitLocked(to ids.SiteID, p netsim.Payload) {
-	if r.sh != nil && to == r.id {
+// directly otherwise. A frame addressed to the own site is a
+// cross-shard message: it bypasses the coalescer and enters the ordered
+// handoff queue of its destination shard. During replay self-addressed
+// frames are dropped — the receiving shard's journaled delivery records
+// already carry them, and re-routing would apply them twice; a crash
+// between the sender's journal append and the receiver's is healed like
+// any lost frame (outbox re-send, refresh). Caller holds r.mu.
+func (r *shard) emitLocked(to ids.SiteID, p netsim.Payload) {
+	if to == r.site.id {
 		if !r.replaying {
-			r.sh.route(p)
+			r.site.enqueue(p)
 		}
 		return
 	}
@@ -456,13 +464,13 @@ func (r *Runtime) emitLocked(to ids.SiteID, p netsim.Payload) {
 		r.coalesce[to] = append(r.coalesce[to], p)
 		return
 	}
-	r.net.Send(r.id, to, p)
+	r.site.net.Send(r.site.id, to, p)
 }
 
 // beginCoalesceLocked opens a coalescing window if none is open and
 // reports whether this call opened it (the opener flushes). Caller
 // holds r.mu.
-func (r *Runtime) beginCoalesceLocked() bool {
+func (r *shard) beginCoalesceLocked() bool {
 	if r.coalescing {
 		return false
 	}
@@ -476,7 +484,7 @@ func (r *Runtime) beginCoalesceLocked() bool {
 // "batch" is wire-identical to the singleton path. Destinations flush
 // in site order for deterministic schedules under the simulator.
 // Caller holds r.mu.
-func (r *Runtime) flushCoalesceLocked() {
+func (r *shard) flushCoalesceLocked() {
 	buf := r.coalesce
 	r.coalescing = false
 	r.coalesce = nil
@@ -488,7 +496,7 @@ func (r *Runtime) flushCoalesceLocked() {
 		peers = append(peers, to)
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	max := r.opts.MaxBatchFrames
+	max := r.site.opts.MaxBatchFrames
 	if max <= 0 {
 		max = DefaultMaxBatchFrames
 	}
@@ -500,9 +508,9 @@ func (r *Runtime) flushCoalesceLocked() {
 				n = max
 			}
 			if n == 1 {
-				r.net.Send(r.id, to, frames[0])
+				r.site.net.Send(r.site.id, to, frames[0])
 			} else {
-				r.net.Send(r.id, to, wire.Envelope{Frames: frames[:n:n]})
+				r.site.net.Send(r.site.id, to, wire.Envelope{Frames: frames[:n:n]})
 			}
 			frames = frames[n:]
 		}

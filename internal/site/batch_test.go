@@ -217,7 +217,7 @@ func TestReplayAppliesLegacyZeroSiteNewRemote(t *testing.T) {
 	}
 	// Forge the legacy record an old release would have journaled, as
 	// if the op had been applied before the check existed.
-	if err := j.Append(&wire.WALRecord{Op: &wire.OpRecord{Kind: wire.OpNewRemote, Holder: root, Site: 0}}); err != nil {
+	if err := j.Append(&wire.WALRecord{Width: 1, Op: &wire.OpRecord{Kind: wire.OpNewRemote, Holder: root, Site: 0, MintObj: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

@@ -1,21 +1,26 @@
 // Package site assembles one site of the distributed system: a heap, a
-// local collector, a GGD engine and a network endpoint. Runtime is the
+// local collector, a GGD engine and a network endpoint. Site is the
 // API surface the public causalgc facade, the examples and the
 // simulation harness program against — its methods are the mutator
 // operations of the paper's model (§3.1): creating objects locally and
 // remotely, copying references across sites (including third-party
 // references), and destroying references.
 //
-// Runtime methods are safe for concurrent use; one mutex serialises the
-// mutator, the network handler and the collector, which models the
-// paper's per-site single mutator/collector interleaving.
+// A Site is always a composition of n >= 1 shards (DESIGN.md §3.4):
+// each shard owns a partition of the site's clusters — heap rows, engine
+// processes, outbox — under its own mutex, which models the paper's
+// single mutator/collector interleaving per partition. There is one
+// commit sequence (stage, pre-mint, journal, apply), one recovery
+// (RecoverSharded; Recover and New are its one-shard spellings) and one
+// snapshot format, whatever the width. Site methods are safe for
+// concurrent use.
 //
-// Beyond the mutator surface the runtime owns two protocol planes:
+// Beyond the mutator surface the site owns two protocol planes:
 //
-//   - Durability (persist.go, DESIGN.md §5): with a Journal attached,
-//     every relevant event is written ahead to a WAL and the full site
-//     image is snapshotted periodically; Recover reconstructs the site
-//     and resumes the protocol.
+//   - Durability (persist.go, DESIGN.md §5): with a Persist journal
+//     attached, every relevant event is written ahead to a WAL and the
+//     full site image is snapshotted periodically; RecoverSharded
+//     reconstructs the site and resumes the protocol.
 //   - Acknowledged retirement (ack.go, DESIGN.md §3.2): the site
 //     assigns retirement-stream sequences to every re-sendable frame,
 //     tracks cumulative receive watermarks, emits FrameAck and

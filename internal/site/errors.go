@@ -3,7 +3,7 @@ package site
 import "errors"
 
 // Sentinel errors for illegal mutator operations, wrapped with site and
-// object context by the Runtime methods. Heap-level conditions reuse the
+// object context by the Site methods. Heap-level conditions reuse the
 // heap package sentinels (heap.ErrNoSuchObject, ...); callers match both
 // with errors.Is. The public causalgc package re-exports all of them.
 var (

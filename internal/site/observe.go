@@ -73,7 +73,7 @@ func (f fanout) FrameRetired(site ids.SiteID, peer ids.SiteID, stream core.Strea
 	}
 }
 
-// Depths reports the sizes of a runtime's retained-state tables: the
+// Depths reports the sizes of a site's retained-state tables: the
 // gauges a monitor watches to confirm the protocol's metadata stays
 // bounded under churn. All but DestroyRows converge to zero at
 // quiescence; DestroyRows settles at the number of destroyed edges
@@ -97,8 +97,25 @@ type Depths struct {
 	PendingDeliveries int
 }
 
-// Depths returns the current retained-state table sizes.
-func (r *Runtime) Depths() Depths {
+// Depths sums the retained-state table sizes across shards (aggregate
+// monitor gauges; per-shard gauges come from ShardDepths).
+func (s *Site) Depths() Depths {
+	var total Depths
+	for i := range s.shards {
+		d := s.ShardDepths(i)
+		total.Outbox += d.Outbox
+		total.AssertRows += d.AssertRows
+		total.DestroyRows += d.DestroyRows
+		total.LegacyBundles += d.LegacyBundles
+		total.PendingRefs += d.PendingRefs
+		total.PendingDeliveries += d.PendingDeliveries
+	}
+	return total
+}
+
+// ShardDepths returns one shard's retained-state table sizes.
+func (s *Site) ShardDepths(i int) Depths {
+	r := s.shards[i]
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ret := r.engine.Retained()

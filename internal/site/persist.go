@@ -13,19 +13,6 @@ import (
 	"causalgc/persist"
 )
 
-// Journal is the runtime's durability hook. Append is called
-// write-ahead — before the recorded event mutates state or sends
-// messages — and must make the record durable before returning, which
-// is what guarantees no frame escapes a site before the event that
-// caused it can be replayed. Checkpoint is called at quiescent points
-// (end of every operation and delivery, under the runtime's mutex); the
-// implementation decides whether to materialise a snapshot and must not
-// call back into the Runtime.
-type Journal interface {
-	Append(rec *wire.WALRecord) error
-	Checkpoint(build func() (*wire.SiteImage, error)) error
-}
-
 // PersistOptions tune a Persist journal.
 type PersistOptions struct {
 	// SnapshotEvery takes a snapshot (and truncates the WAL) after this
@@ -42,12 +29,10 @@ func (o PersistOptions) withDefaults() PersistOptions {
 	return o
 }
 
-// Persist is the standard Journal: wire-encoded records over a
+// Persist is a site's journal: wire-encoded records over a
 // persist.Store, with a snapshot every SnapshotEvery records. Safe for
-// concurrent appenders: the shards of a sharded site share one Persist
-// (one WAL and one snapshot per site), serialised by the internal
-// mutex; an unsharded Runtime additionally serialises under its own
-// mutex, as before.
+// concurrent appenders: the shards of a site share one Persist (one WAL
+// and one snapshot per site), serialised by the internal mutex.
 type Persist struct {
 	mu       sync.Mutex
 	store    *persist.Store
@@ -98,7 +83,8 @@ func (p *Persist) Load() (*wire.SiteImage, []*wire.WALRecord, error) {
 	return img, recs, nil
 }
 
-// Append implements Journal.
+// Append makes one record durable: it is called write-ahead — before
+// the recorded event mutates state or sends messages.
 func (p *Persist) Append(rec *wire.WALRecord) error {
 	data, err := wire.EncodeRecord(rec)
 	if err != nil {
@@ -116,18 +102,9 @@ func (p *Persist) Append(rec *wire.WALRecord) error {
 	return nil
 }
 
-// Checkpoint implements Journal: a snapshot is taken once SnapshotEvery
-// records have accumulated since the last one.
-func (p *Persist) Checkpoint(build func() (*wire.SiteImage, error)) error {
-	if !p.Due() {
-		return nil
-	}
-	return p.ForceCheckpoint(build)
-}
-
 // Due reports whether enough records accumulated since the last
-// snapshot to warrant one. The sharded runtime polls it outside the
-// shard locks and runs the stop-the-world checkpoint when it trips.
+// snapshot to warrant one. The site polls it outside the shard locks
+// and runs the stop-the-world checkpoint when it trips.
 func (p *Persist) Due() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -137,8 +114,8 @@ func (p *Persist) Due() bool {
 // ForceCheckpoint snapshots unconditionally and truncates the WAL. The
 // build callback runs outside the Persist mutex (it holds the site's
 // own locks); the caller must guarantee no append lands between build
-// and the snapshot write — the unsharded runtime holds r.mu across the
-// whole call, the sharded runtime holds every shard's lock.
+// and the snapshot write — the site holds every shard's lock across
+// the whole call.
 func (p *Persist) ForceCheckpoint(build func() (*wire.SiteImage, error)) error {
 	img, err := build()
 	var data []byte
@@ -171,104 +148,203 @@ func (p *Persist) Store() *persist.Store { return p.store }
 // a trimmed restart.
 func (p *Persist) Close() error { return p.store.Close() }
 
-var _ Journal = (*Persist)(nil)
+// --- Checkpointing -------------------------------------------------------
+
+func (s *Site) maybeCheckpoint() {
+	if s.journal == nil || s.replaying.Load() || !s.journal.Due() {
+		return
+	}
+	// Failures are sticky inside Persist (the next Append surfaces
+	// them); the completed operation itself is already durable in the
+	// WAL.
+	_ = s.checkpointAll(true)
+}
+
+// checkpointAll is the stop-the-world snapshot: acquire every shard
+// mutex in ascending order, drain the handoff queues by direct
+// dispatch under the held locks (a snapshot must not strand in-flight
+// cross-shard frames in a volatile queue), export the image, and write
+// it while still holding everything — Persist truncates the WAL on
+// snapshot, so no shard may append between build and write. onlyIfDue
+// re-checks Due under ckptMu: two drainers racing past
+// maybeCheckpoint's unlocked Due check serialise here, and the loser
+// — whose snapshot the winner just took, resetting the record count —
+// skips a redundant back-to-back stop-the-world pass.
+//
+// A concurrent drainer holding a deliverMu may have popped a frame and
+// be blocked on a shard mutex we hold: that frame is in neither the
+// queues nor the image, which is safe — its journal record lands after
+// the truncation once the drainer resumes, exactly like any
+// post-snapshot delivery.
+func (s *Site) checkpointAll(onlyIfDue bool) error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	if onlyIfDue && !s.journal.Due() {
+		return nil
+	}
+	for _, r := range s.shards {
+		r.mu.Lock()
+	}
+	defer func() {
+		for _, r := range s.shards {
+			r.mu.Unlock()
+		}
+	}()
+	s.drainAllLocked()
+	return s.journal.ForceCheckpoint(s.exportImageAllLocked)
+}
+
+// drainAllLocked empties the handoff queues by direct dispatch while
+// every shard mutex is held (deliverMu is NOT taken: item order with a
+// concurrently blocked drainer is already commutative — the protocol
+// tolerates reordering; FIFO determinism is only promised for
+// single-threaded schedules, where no concurrent drainer exists).
+func (s *Site) drainAllLocked() {
+	for {
+		idle := true
+		for i, q := range s.queues {
+			for {
+				p, ok := q.pop()
+				if !ok {
+					break
+				}
+				idle = false
+				s.shards[i].deliverShardLocked(s.id, p)
+			}
+		}
+		if idle {
+			return
+		}
+	}
+}
+
+// Checkpoint forces a snapshot now (and truncates the WAL). A no-op on
+// a volatile site.
+func (s *Site) Checkpoint() error {
+	if s.journal == nil {
+		return nil
+	}
+	return s.checkpointAll(false)
+}
 
 // --- Recovery ------------------------------------------------------------
 
-// Recover reconstructs a site from its journal and resumes the
+// Recover is RecoverSharded asking for one shard: the constructor of a
+// durable site built without a stripe width.
+func Recover(id ids.SiteID, net netsim.Network, opts Options, j *Persist) (*Site, error) {
+	return RecoverSharded(id, net, opts, j, 1)
+}
+
+// RecoverSharded reconstructs a site from its journal and resumes the
 // protocol: load the latest snapshot, replay the WAL tail through the
-// regular operation and delivery paths (journaling suppressed — the
-// records are already durable), re-send the outbox's mutator frames
+// regular commit and delivery paths (journaling suppressed — the
+// records are already durable), re-send the outboxes' mutator frames
 // (receivers deduplicate via their introduction records), and run one
 // journaled Refresh so peers re-converge. A fresh journal yields a
-// fresh site with journaling enabled, so Recover doubles as the
-// persistent constructor.
+// fresh site of the requested width with journaling enabled, so
+// RecoverSharded doubles as the persistent constructor.
 //
-// Replay is deterministic: operations re-mint the same identities from
-// the restored counters, deliveries re-apply in journaled order, and
+// The stripe width is sticky per data directory: the snapshot's shard
+// count — or, before the first snapshot exists, the width stamped on
+// the WAL records — wins over the argument, because WAL shard tags and
+// the fallback routing hash are only meaningful at the width that
+// wrote them.
+//
+// Replay is exact: every record goes back to the shard that journaled
+// it and carries the identities, placement and stream sequence its
+// commit drew, deliveries re-apply in each shard's journaled order, and
 // every engine-clock-advancing entry point is itself journaled — which
 // is why a recovered site never re-issues an already-used stamp for a
 // new event (the unsafety that would let an old Ē mask a live edge).
+// Site-wide OpCollect/OpRefresh records re-run the site-wide cycle.
 // Messages re-sent during replay are duplicates of pre-crash traffic:
 // GGD control messages are idempotent by merge, creations are dropped
 // as duplicates by the receiving heap, and reference transfers are
-// deduplicated by (introducer, forwarding-seq).
+// deduplicated by (introducer, forwarding-seq). Self-addressed frames
+// are NOT re-routed during replay — the destination shard's own
+// Deliver records carry them — and a crash between the sender's journal
+// append and the receiver's is healed like any lost frame: outbox
+// re-send, refresh.
 //
-// Live traffic arriving during replay is buffered and processed (and
-// journaled) after the replay completes, so the WAL stays a total order
-// of the site's events.
-//
-// Recover rebuilds an unsharded site; a journal written by a sharded
-// site (SiteImage.Shards > 1, or shard-tagged WAL records) must go
-// through RecoverSharded instead.
-func Recover(id ids.SiteID, net netsim.Network, opts Options, j *Persist) (*Runtime, error) {
+// Live traffic arriving during replay is buffered per shard and
+// processed (and journaled) after the replay completes, so the WAL
+// stays a total order of each shard's events.
+func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist, shards int) (*Site, error) {
 	img, recs, err := j.Load()
 	if err != nil {
 		return nil, fmt.Errorf("site %v: recover: %w", id, err)
 	}
-	// A multi-shard site that crashed before its first checkpoint leaves
-	// no snapshot, only shard-tagged WAL records — the snapshot guard
-	// below never sees them, so check the tail itself. Replaying such a
-	// record into a single runtime would route its cross-shard frames to
-	// the site's own network address (no hub intercepts them) and
-	// double-apply on delivery.
-	for _, rec := range recs {
-		if rec.Shard > 0 {
-			return nil, fmt.Errorf("site %v: recover: journal written by a sharded site (WAL record for shard %d); use RecoverSharded", id, rec.Shard)
-		}
-	}
-	var r *Runtime
-	if img == nil {
-		r = newRuntime(id, net, opts)
-	} else {
+	switch {
+	case img != nil:
 		if img.Site != id {
 			return nil, fmt.Errorf("site %v: recover: journal belongs to site %v", id, img.Site)
 		}
-		if img.Shards > 1 {
-			return nil, fmt.Errorf("site %v: recover: journal written by a %d-shard site; use RecoverSharded", id, img.Shards)
+		shards = len(img.Shards)
+	case len(recs) > 0 && recs[0].Width > 0:
+		shards = recs[0].Width
+	}
+	s := newSite(id, net, opts, shards)
+	s.journal = j
+	if img == nil {
+		for _, r := range s.shards {
+			r.initFresh()
 		}
-		r, err = restoreRuntime(net, opts, img)
-		if err != nil {
-			return nil, fmt.Errorf("site %v: recover: %w", id, err)
+	} else {
+		restoreStreams(s.st, img)
+		s.rr.Store(img.PlaceRR)
+		// Routing map first: restoring a shard engine installs the owns
+		// predicate, which consults it immediately.
+		for i, ss := range img.Shards {
+			s.seedRouting(i, ss)
+		}
+		for i, ss := range img.Shards {
+			if err := s.shards[i].restore(ss); err != nil {
+				return nil, fmt.Errorf("site %v: recover: shard %d: %w", id, i, err)
+			}
 		}
 	}
-	r.journal = j
-	r.replaying = true
+	s.trackObjects()
+	for _, r := range s.shards {
+		r.replaying = true
+	}
+	s.replaying.Store(true)
 	// Register before replay: frames from already-running peers buffer
-	// in recoverBuf instead of being dropped by the transport.
-	net.Register(id, r.handle)
+	// per shard in recoverBuf instead of being dropped by the transport.
+	net.Register(id, s.handleNet)
 	for _, rec := range recs {
-		r.applyRecord(rec)
+		s.applyRecord(rec)
 	}
-	// End of replay: process the deliveries buffered meanwhile through
-	// the journaled path.
-	r.mu.Lock()
-	r.replaying = false
-	buffered := r.recoverBuf
-	r.recoverBuf = nil
-	resend := make([]outboundFrame, len(r.outbox))
-	copy(resend, r.outbox)
-	r.mu.Unlock()
-	for _, d := range buffered {
-		r.handle(d.from, d.p)
+	// End of replay: flip the flags, process the buffered live traffic
+	// through the journaled path, and re-send every shard's unconfirmed
+	// mutator frames — at-least-once delivery, deduplicated at the
+	// receivers. The re-sends go through the emitLocked coalescer (the
+	// only sanctioned send path — sendcheck enforces this) inside one
+	// coalescing window, so the recovery burst ships as one envelope per
+	// peer instead of a frame per row.
+	s.replaying.Store(false)
+	for _, r := range s.shards {
+		r.mu.Lock()
+		r.replaying = false
+		buffered := r.recoverBuf
+		r.recoverBuf = nil
+		r.mu.Unlock()
+		for _, d := range buffered {
+			r.handle(d.from, d.p)
+		}
+		r.mu.Lock()
+		opened := r.beginCoalesceLocked()
+		for _, f := range r.outbox {
+			r.emitLocked(f.to, f.p)
+		}
+		if opened {
+			r.flushCoalesceLocked()
+		}
+		r.mu.Unlock()
+		s.drainHandoffs()
 	}
-	// Re-send the unconfirmed mutator frames: at-least-once delivery,
-	// deduplicated at the receivers. Routed through the emitLocked
-	// coalescer (the only sanctioned send path — sendcheck enforces
-	// this) inside one coalescing window, so the recovery burst ships
-	// as one envelope per peer instead of a frame per row.
-	r.mu.Lock()
-	opened := r.beginCoalesceLocked()
-	for _, f := range resend {
-		r.emitLocked(f.to, f.p)
-	}
-	if opened {
-		r.flushCoalesceLocked()
-	}
-	r.mu.Unlock()
 	// One refresh re-propagates the recovered GGD state so detection
 	// resumes without waiting for new mutator activity.
-	if err := r.Refresh(); err != nil {
+	if err := s.Refresh(); err != nil {
 		return nil, fmt.Errorf("site %v: recover: %w", id, err)
 	}
 	if img != nil {
@@ -277,80 +353,98 @@ func Recover(id ids.SiteID, net netsim.Network, opts Options, j *Persist) (*Runt
 		// restore the same pre-bump snapshot and re-use the epoch, and
 		// peers would skip the damper reset for the second restart. The
 		// forced snapshot also bounds the next replay.
-		if err := r.Checkpoint(); err != nil {
+		if err := s.checkpointAll(false); err != nil {
 			return nil, fmt.Errorf("site %v: recover: checkpoint: %w", id, err)
 		}
 	}
-	return r, nil
+	return s, nil
 }
 
-// applyRecord replays one WAL record. Errors are ignored: a record that
-// failed when first applied fails identically on replay (replay
-// determinism), and a delivery can never fail.
-func (r *Runtime) applyRecord(rec *wire.WALRecord) {
-	switch {
-	case rec.Deliver != nil:
-		r.replayDeliver(rec.Deliver.From, rec.Deliver.Payload)
-	case rec.Batch != nil:
-		// A journaled batch replays through the same group-apply path the
-		// live commit used: ops in order, deferred refs re-resolved from
-		// the re-minted results, outbound frames re-coalesced. Staging is
-		// skipped — the batch proved it before the record was appended,
-		// and replay determinism reproduces the same verdicts.
-		r.mu.Lock()
-		_, _ = r.applyBatchLocked(rec.Batch.Ops)
-		r.mu.Unlock()
-	case rec.Op != nil:
-		op := *rec.Op
-		switch op.Kind {
-		case wire.OpCollect:
-			_, _ = r.Collect()
-		case wire.OpRefresh:
-			_ = r.Refresh()
-		default:
-			// The full journaled record goes back through the singleton
-			// commit sequence (stage → apply; journaling and pre-minting
-			// are suppressed while replaying), preserving any recorded
-			// mints and placement a sharded site stamped on it.
-			r.mu.Lock()
-			_, _ = r.runOpLocked(op)
-			r.mu.Unlock()
+// seedRouting pre-populates the cluster routing map from one shard's
+// durable image: live clusters, engine processes, and tombstones (a
+// removed cluster must keep routing to the shard holding its
+// tombstone).
+func (s *Site) seedRouting(i int, ss wire.ShardState) {
+	seed := func(cl ids.ClusterID) {
+		if cl.Site == s.id && !cl.Root {
+			s.setClusterShard(cl, i)
 		}
 	}
+	for _, ci := range ss.Heap.Clusters {
+		seed(ci.ID)
+	}
+	for _, pi := range ss.Engine.Procs {
+		seed(pi.ID)
+	}
+	for cl := range ss.Engine.Tombstones {
+		seed(cl)
+	}
 }
 
-// replayDeliver dispatches a journaled delivery, bypassing the
-// recoverBuf (which is for *live* traffic racing the replay).
-func (r *Runtime) replayDeliver(from ids.SiteID, p netsim.Payload) {
+// applyRecord replays one WAL record on the shard that journaled it.
+// Site-wide cycle records re-run the site-wide cycle. Errors are
+// ignored: a record that failed when first applied fails identically on
+// replay (replay determinism), and a delivery can never fail.
+func (s *Site) applyRecord(rec *wire.WALRecord) {
+	if rec.Op != nil {
+		switch rec.Op.Kind {
+		case wire.OpCollect:
+			_, _ = s.Collect()
+			return
+		case wire.OpRefresh:
+			_ = s.Refresh()
+			return
+		}
+	}
+	r := s.shards[0]
+	if rec.Shard > 0 && rec.Shard < s.n {
+		r = s.shards[rec.Shard]
+	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dispatchLocked(from, p)
+	switch {
+	case rec.Deliver != nil:
+		// Dispatched directly, bypassing the recoverBuf (which is for
+		// *live* traffic racing the replay).
+		r.dispatchLocked(rec.Deliver.From, rec.Deliver.Payload)
+	case rec.Batch != nil:
+		// Staging is skipped — the batch proved it before the record was
+		// appended, and replay determinism reproduces the same verdicts.
+		_, _ = r.applyBatchLocked(rec.Batch.Ops)
+	case rec.Op != nil:
+		_, _ = r.runOpLocked(*rec.Op)
+	}
+	r.mu.Unlock()
+	s.drainHandoffs()
 }
 
-// restoreRuntime rebuilds an unsharded runtime from a snapshot image.
-// It does not register on the network; Recover does.
-func restoreRuntime(net netsim.Network, opts Options, img *wire.SiteImage) (*Runtime, error) {
-	r := &Runtime{
-		id:          img.Site,
-		net:         net,
-		opts:        opts,
-		st:          newStreams(),
-		pendingRefs: make(map[ids.ObjectID][]pendingRef),
-		seenIntro:   make(map[introKey]struct{}, len(img.SeenIntro)),
-		removals:    img.Removals,
-	}
-	restoreStreams(r.st, img)
+// restore rebuilds the shard's heap, engine and delivery state from its
+// durable state block. Outbox dampers reset on restore: the recovery
+// re-send covers the first attempt, and the first refresh retries
+// promptly.
+func (r *shard) restore(ss wire.ShardState) error {
+	s := r.site
 	var err error
-	r.engine, err = core.Restore(img.Site, (*sender)(r), r.onRemove, opts.Engine, img.Engine)
+	r.engine, err = core.Restore(s.id, (*sender)(r), r.onRemove, r.engineOptions(), ss.Engine)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r.heap, err = heap.Restore((*hooks)(r), img.Heap)
+	r.heap, err = heap.RestoreShard((*hooks)(r), ss.Heap, s.ctr, r.index == 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r.restoreShardState(img.PendingRefs, img.SeenIntro, img.Outbox)
-	return r, nil
+	r.removals = ss.Removals
+	for _, pr := range ss.PendingRefs {
+		r.pendingRefs[pr.Holder] = append(r.pendingRefs[pr.Holder], pendingRef{
+			target: pr.Target, intro: pr.Intro, introSeq: pr.IntroSeq,
+		})
+	}
+	for _, in := range ss.SeenIntro {
+		r.seenIntro[introKey{intro: in.Intro, seq: in.Seq}] = struct{}{}
+	}
+	for _, f := range ss.Outbox {
+		r.outbox = append(r.outbox, outboundFrame{to: f.To, seq: f.Seq, p: f.Payload})
+	}
+	return nil
 }
 
 // restoreStreams rebuilds the shared stream table from a snapshot
@@ -378,24 +472,6 @@ func restoreStreams(st *streams, img *wire.SiteImage) {
 	}
 }
 
-// restoreShardState fills the per-shard delivery state (pending
-// transfers, the transfer dedup set, the outbox) from its images.
-// Outbox dampers reset on restore: the recovery re-send covers the
-// first attempt, and the first refresh retries promptly.
-func (r *Runtime) restoreShardState(pend []wire.PendingRefImage, intro []wire.IntroImage, outbox []wire.FrameImage) {
-	for _, pr := range pend {
-		r.pendingRefs[pr.Holder] = append(r.pendingRefs[pr.Holder], pendingRef{
-			target: pr.Target, intro: pr.Intro, introSeq: pr.IntroSeq,
-		})
-	}
-	for _, in := range intro {
-		r.seenIntro[introKey{intro: in.Intro, seq: in.Seq}] = struct{}{}
-	}
-	for _, f := range outbox {
-		r.outbox = append(r.outbox, outboundFrame{to: f.To, seq: f.Seq, p: f.Payload})
-	}
-}
-
 // restoreFrameStats rebuilds the site counters from their image.
 func restoreFrameStats(f wire.FrameStatsImage) FrameStats {
 	return FrameStats{
@@ -406,11 +482,11 @@ func restoreFrameStats(f wire.FrameStatsImage) FrameStats {
 	}
 }
 
-// exportShardStateLocked renders this runtime's partition of the site
+// exportShardStateLocked renders this shard's partition of the site
 // state: heap, engine, and delivery-side buffers — everything except
 // the shared stream table. Caller holds r.mu at a quiescent point
 // (engine drained).
-func (r *Runtime) exportShardStateLocked() (wire.ShardState, error) {
+func (r *shard) exportShardStateLocked() (wire.ShardState, error) {
 	eng, err := r.engine.Export()
 	if err != nil {
 		return wire.ShardState{}, err
@@ -437,7 +513,7 @@ func (r *Runtime) exportShardStateLocked() (wire.ShardState, error) {
 	return ss, nil
 }
 
-// exportStreamsInto renders the shared stream table into the image
+// exportInto renders the shared stream table into the image
 // (deterministically ordered). Safe under any shard's r.mu: it takes
 // the leaf st.mu itself.
 func (st *streams) exportInto(img *wire.SiteImage) {
@@ -486,38 +562,23 @@ func (st *streams) exportInto(img *wire.SiteImage) {
 	}
 }
 
-// exportImageLocked renders the runtime's full state (an unsharded
-// site, or shard 0's slice plus the shared streams — Sharded appends
-// the sibling shards' states). Caller holds r.mu at a quiescent point
-// (engine drained).
-func (r *Runtime) exportImageLocked() (*wire.SiteImage, error) {
-	ss, err := r.exportShardStateLocked()
-	if err != nil {
-		return nil, err
-	}
+// exportImageAllLocked renders the site image: the shared state plus
+// one ShardState per shard. Caller holds every shard mutex with the
+// engines drained and the handoff queues empty.
+func (s *Site) exportImageAllLocked() (*wire.SiteImage, error) {
 	img := &wire.SiteImage{
-		Site:        r.id,
-		Removals:    ss.Removals,
-		Heap:        ss.Heap,
-		Engine:      ss.Engine,
-		PendingRefs: ss.PendingRefs,
-		SeenIntro:   ss.SeenIntro,
-		Outbox:      ss.Outbox,
+		Site:    s.id,
+		PlaceRR: s.rr.Load(),
+		Shards:  make([]wire.ShardState, s.n),
 	}
-	r.st.exportInto(img)
+	s.st.exportInto(img)
+	for i, r := range s.shards {
+		var err error
+		if img.Shards[i], err = r.exportShardStateLocked(); err != nil {
+			return nil, err
+		}
+	}
 	return img, nil
-}
-
-// Checkpoint forces a snapshot now (and truncates the WAL). A no-op
-// without a journal.
-func (r *Runtime) Checkpoint() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.journal.(*Persist)
-	if !ok || p == nil {
-		return nil
-	}
-	return p.ForceCheckpoint(r.exportImageLocked)
 }
 
 func sortedObjectKeys(m map[ids.ObjectID][]pendingRef) []ids.ObjectID {
@@ -531,7 +592,7 @@ func sortedObjectKeys(m map[ids.ObjectID][]pendingRef) []ids.ObjectID {
 
 // sortIntros uses sort.Slice, not the ids-package insertion sorts:
 // seenIntro grows to maxSeenIntro (64k) entries on long-lived sites,
-// and this runs under the runtime mutex at every snapshot.
+// and this runs under the shard mutex at every snapshot.
 func sortIntros(in []wire.IntroImage) {
 	sort.Slice(in, func(i, j int) bool {
 		if in[i].Intro != in[j].Intro {

@@ -1,8 +1,6 @@
 package site_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -12,7 +10,6 @@ import (
 	"causalgc/internal/oracle"
 	"causalgc/internal/site"
 	"causalgc/internal/wire"
-	"causalgc/persist"
 )
 
 // openPersist opens a journal for one site under the test's temp dir.
@@ -26,7 +23,7 @@ func openPersist(t *testing.T, dir string, every int) *site.Persist {
 }
 
 // recoverSite runs site.Recover, failing the test on error.
-func recoverSite(t *testing.T, id ids.SiteID, net netsim.Network, p *site.Persist) *site.Runtime {
+func recoverSite(t *testing.T, id ids.SiteID, net netsim.Network, p *site.Persist) *site.Site {
 	t.Helper()
 	s, err := site.Recover(id, net, site.DefaultOptions(), p)
 	if err != nil {
@@ -55,7 +52,7 @@ func TestRecoverFreshDirectory(t *testing.T) {
 
 // buildState drives a site through a representative mix of journaled
 // operations: local and remote creates, a transfer, a drop, a collect.
-func buildState(t *testing.T, net *netsim.Sim, s1 *site.Runtime) (kept heap.Ref) {
+func buildState(t *testing.T, net *netsim.Sim, s1 *site.Site) (kept heap.Ref) {
 	t.Helper()
 	a, err := s1.NewLocal(s1.Root().Obj)
 	if err != nil {
@@ -338,103 +335,5 @@ func TestJournalFailureFailsOps(t *testing.T) {
 	}
 	if _, err := s1.Collect(); err == nil {
 		t.Fatal("collect succeeded with a dead journal")
-	}
-}
-
-// TestRecoverV2SnapshotMigration: a site whose latest snapshot predates
-// the acknowledged-retirement protocol (version 2: no stream counters,
-// no watermarks, no frame seqs) recovers under the v3 codec and resumes
-// the full protocol — the zeroed retirement state is exactly a fresh
-// upgrade, so streams build up from live traffic and detection still
-// converges.
-func TestRecoverV2SnapshotMigration(t *testing.T) {
-	dir := t.TempDir()
-	net := netsim.NewSim(netsim.Faults{Seed: 9})
-	p := openPersist(t, dir, 1024)
-	s1 := recoverSite(t, 1, net, p)
-	s2 := site.New(2, net, site.DefaultOptions())
-	kept, err := s1.NewLocal(s1.Root().Obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rem, err := s1.NewRemote(s1.Root().Obj, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(t, net)
-	if err := s1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Downgrade the snapshot on disk to version 2: strip every v3 field,
-	// exactly what a pre-upgrade binary would have written.
-	st, err := persist.Open(dir, persist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := wire.DecodeSnapshot(st.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	img.Version = 2
-	img.Epoch = 0
-	img.SendStreams, img.RecvStreams, img.PeerEpochs = nil, nil, nil
-	img.Frames = wire.FrameStatsImage{}
-	for i := range img.Outbox {
-		img.Outbox[i].Seq = 0
-		switch pl := img.Outbox[i].Payload.(type) {
-		case wire.Create:
-			pl.Seq = 0
-			img.Outbox[i].Payload = pl
-		case wire.RefTransfer:
-			pl.Seq = 0
-			img.Outbox[i].Payload = pl
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteSnapshot(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recover over the v2 image: state intact, protocol functional.
-	p2 := openPersist(t, dir, 1024)
-	s1b := recoverSite(t, 1, net, p2)
-	defer p2.Close()
-	run(t, net)
-	if !s1b.HasObject(kept.Obj) {
-		t.Fatal("migrated recovery lost an object")
-	}
-	// New traffic opens fresh streams from zero on both sides; a full
-	// drop/refresh cycle must still converge and retire its rows.
-	if err := s1b.DropRefs(s1b.Root().Obj, rem); err != nil {
-		t.Fatal(err)
-	}
-	run(t, net)
-	if _, err := s2.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	run(t, net)
-	if err := s1b.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	run(t, net)
-	if s2.HasObject(rem.Obj) {
-		t.Fatal("dropped remote object not reclaimed after migration")
-	}
-	rep := oracle.Check(s1b, s2)
-	if !rep.Safe() || len(rep.Garbage) != 0 {
-		t.Fatalf("not clean after v2 migration: %v", rep)
 	}
 }

@@ -2,1076 +2,785 @@ package site
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"causalgc/internal/core"
 	"causalgc/internal/heap"
 	"causalgc/internal/ids"
 	"causalgc/internal/netsim"
-	"causalgc/internal/vclock"
 	"causalgc/internal/wire"
 )
 
-// This file implements the lock-striped sharded site (DESIGN.md §3.4).
-// A Sharded composes N full Runtimes — each owning a partition of the
-// site's clusters under its own mutex — behind the same public API as
-// an unsharded Runtime. The shards share the site identity, the
-// identity mint (heap.Counters plus the remote-creation mint), the
-// retirement-stream table (streams), and one Persist journal; they
-// interact only through the ordered cross-shard handoff queues, where
-// a sibling shard is addressed exactly like a reliable remote peer:
-// frames are journaled before they enter a queue, retained in the
-// sending shard's outbox, and retired by the ordinary FrameAck path.
+// pendingRef is a buffered reference transfer awaiting its holder.
+type pendingRef struct {
+	target   heap.Ref
+	intro    ids.ClusterID
+	introSeq uint64
+}
+
+// introKey identifies one forwarding of a reference: the introducing
+// cluster and its forwarding sequence number. Forwarding seqs are drawn
+// from the introducer's event clock, so the pair is globally unique.
+type introKey struct {
+	intro ids.ClusterID
+	seq   uint64
+}
+
+// outboundFrame is one sent mutator frame retained until the receiving
+// site's cumulative FrameAck retires it (re-sent by crash recovery and
+// by damper-due refresh rounds).
+type outboundFrame struct {
+	to  ids.SiteID
+	seq uint64
+	p   netsim.Payload
+	bo  core.Backoff
+}
+
+// maxOutbox is the hard-cap backstop on retained outbound mutator
+// frames. Under the acknowledged-retirement protocol the outbox trims
+// its acknowledged prefix and stays near-empty in steady state; the cap
+// only fires against a peer that never acknowledges (down forever,
+// partitioned). Evicting an unacknowledged frame is tolerated loss —
+// the GGD plane survives it; an undelivered mutator frame costs at
+// worst residual garbage, never safety — and is counted in
+// FrameStats.OutboxEvicted and surfaced through AckObserver instead of
+// happening silently.
+const maxOutbox = 1024
+
+// maxSeenIntro bounds the receiver-side transfer dedup set. Evicting an
+// entry can at worst let a re-sent transfer be applied twice, which
+// adds a redundant slot — a leak risk, never a safety violation.
+const maxSeenIntro = 1 << 16
+
+// bufDelivery is one live delivery buffered while a recovery replay is
+// in progress.
+type bufDelivery struct {
+	from ids.SiteID
+	p    netsim.Payload
+}
+
+// shard is one lock stripe of a Site: a heap partition, a GGD engine
+// over the clusters the site routes to it, and the delivery-side state
+// of those clusters, all under one mutex. The site identity, the
+// identity mint, the retirement-stream table and the journal belong to
+// the Site and are reached through the back-pointer.
+type shard struct {
+	mu sync.Mutex
+	// site is the owning composition; index is this shard's position in
+	// site.shards. Shard 0 owns the site's root cluster.
+	site  *Site
+	index int
+
+	heap   *heap.Heap
+	engine *core.Engine
+
+	// pendingRefs buffers reference transfers that arrived before the
+	// creation message of their holder object (cross-sender races).
+	pendingRefs map[ids.ObjectID][]pendingRef
+	// removals counts GGD removals since the last collection.
+	removals int
+
+	// replaying suppresses journaling and buffers live deliveries while
+	// recovery replays the WAL.
+	replaying  bool
+	recoverBuf []bufDelivery
+	// seenIntro dedups received reference transfers by (introducer,
+	// forwarding-seq), making recovery resends idempotent.
+	seenIntro map[introKey]struct{}
+	// outbox retains outbound mutator frames (populated only on a
+	// durable site) until the receiver acknowledges them; oldest first,
+	// hard-capped at maxOutbox as a documented backstop.
+	outbox []outboundFrame
+
+	// dirtyAcks are the streams whose watermark must be (re-)acked at
+	// the end of the current dispatch: the shard that settled a frame
+	// sends the ack.
+	dirtyAcks map[streamKey]struct{}
+
+	// coalescing, when set, buffers outbound frames per destination
+	// instead of sending them: open during a batch commit and during
+	// the dispatch of a received envelope, flushed as one wire.Envelope
+	// per peer (DESIGN.md §3.3). The buffer allocates lazily on the
+	// first frame, so frameless windows (most one-op batches) cost
+	// nothing.
+	coalescing bool
+	coalesce   map[ids.SiteID][]netsim.Payload
+
+	// closed freezes the shard: deliveries are dropped (tolerated loss)
+	// so introspection keeps answering from an unchanging state.
+	closed bool
+}
+
+// newShard allocates shard i of s without its heap and engine: the
+// caller builds those fresh (initFresh) or from an image (restore).
+func newShard(s *Site, i int) *shard {
+	return &shard{
+		site:        s,
+		index:       i,
+		pendingRefs: make(map[ids.ObjectID][]pendingRef),
+		seenIntro:   make(map[introKey]struct{}),
+	}
+}
+
+// engineOptions are the site's engine options with this shard's routing
+// rule as the locality predicate.
+func (r *shard) engineOptions() core.Options {
+	o := r.site.opts.Engine
+	o.Owns = r.owns
+	return o
+}
+
+// initFresh builds an empty heap partition (rooted on shard 0 only) and
+// its engine.
+func (r *shard) initFresh() {
+	s := r.site
+	r.engine = core.New(s.id, (*sender)(r), r.onRemove, r.engineOptions())
+	r.heap = heap.NewShard(s.id, (*hooks)(r), s.ctr, r.index == 0)
+	if r.index == 0 {
+		r.engine.Register(r.heap.RootCluster())
+	}
+}
+
+// owns reports whether this shard routes cl: a same-site cluster the
+// site's routing rule assigns here.
+func (r *shard) owns(cl ids.ClusterID) bool {
+	return cl.Site == r.site.id && r.site.clusterShardIdx(cl) == r.index
+}
+
+// --- heap.Hooks and core plumbing ---------------------------------------
+
+// hooks adapts shard to heap.Hooks.
+type hooks shard
+
+func (h *hooks) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.ClusterID, introSeq uint64) {
+	(*shard)(h).engine.EdgeUp(holder, target, first, intro, introSeq)
+}
+
+func (h *hooks) EdgeDown(holder, target ids.ClusterID) {
+	(*shard)(h).engine.EdgeDown(holder, target)
+}
+
+var _ heap.Hooks = (*hooks)(nil)
+
+// sender adapts shard to core.Sender: it assigns retirement-stream
+// sequences (per destination site and stream) and stamps them onto the
+// wire frames, so receivers can acknowledge cumulatively.
 //
-// Routing rule: a local cluster belongs to the shard recorded at its
-// placement (round-robin for clusters minted under the root cluster,
-// the executing shard otherwise); the site's root cluster belongs to
-// shard 0; an unknown local cluster hashes deterministically. Objects
-// follow their cluster and never migrate.
-//
-// Lock order: ckptMu → shards[0].mu → … → shards[N-1].mu → st.mu /
-// Persist.mu / handoff listMu (leaves). A single operation holds ONE
-// shard lock; only the stop-the-world checkpoint holds them all, in
-// ascending index order.
+// The engine only runs inside shard methods that hold r.mu, so every
+// callback below executes under the lock by construction; the
+// interface fixes the method names, so the *Locked suffix cannot carry
+// that fact and the calls are annotated as audited lockcheck
+// exceptions instead.
+type sender shard
 
-// Instance is the site abstraction the Node layer drives: implemented
-// by both the unsharded *Runtime and the lock-striped *Sharded.
-type Instance interface {
-	ID() ids.SiteID
-	Root() heap.Ref
-	Close()
-
-	NewLocal(holder ids.ObjectID) (heap.Ref, error)
-	NewLocalIn(holder ids.ObjectID, cl ids.ClusterID) (heap.Ref, error)
-	NewCluster() (ids.ClusterID, error)
-	NewRemote(holder ids.ObjectID, target ids.SiteID) (heap.Ref, error)
-	SendRef(fromObj ids.ObjectID, to heap.Ref, target heap.Ref) error
-	AddRef(holder ids.ObjectID, target heap.Ref) error
-	DropRefs(holder ids.ObjectID, target heap.Ref) error
-	ClearSlot(holder ids.ObjectID, slot int) error
-	ApplyBatch(ops []wire.BatchOp) ([]heap.Ref, error)
-
-	Collect() (heap.CollectStats, error)
-	Refresh() error
-	Checkpoint() error
-
-	NumObjects() int
-	HasObject(obj ids.ObjectID) bool
-	ClusterRemoved(cl ids.ClusterID) bool
-	EngineStats() core.Stats
-	FrameStats() FrameStats
-	Depths() Depths
-	LogSnapshot(cl ids.ClusterID) *vclock.Log
-	Clock(cl ids.ClusterID) uint64
-	Snapshot() (ids.ObjectID, []ObjectSnapshot)
+func (s *sender) SendDestroy(from, to ids.ClusterID, m core.DestroyMsg, seq uint64) uint64 {
+	r := (*shard)(s)
+	seq = r.assignSeqLocked(to.Site, core.StreamDestroy, seq)               //causalgc:allow-locked-call engine callbacks run under r.mu
+	r.emitLocked(to.Site, wire.Destroy{From: from, To: to, M: m, Seq: seq}) //causalgc:allow-locked-call engine callbacks run under r.mu
+	return seq
 }
 
-var (
-	_ Instance = (*Runtime)(nil)
-	_ Instance = (*Sharded)(nil)
-)
-
-// handoffQueue is the ordered cross-shard delivery queue of one
-// destination shard. listMu guards the item list and is a leaf lock
-// (enqueues happen under the sending shard's mutex); deliverMu
-// serialises drainers so the destination shard processes its queue in
-// FIFO order — the "ordered handoff" of the tentpole: within one
-// queue, frames are delivered in the order the causal stamps were
-// assigned by their senders.
-type handoffQueue struct {
-	listMu    sync.Mutex
-	items     []netsim.Payload
-	deliverMu sync.Mutex
+func (s *sender) SendLegacy(from, to ids.ClusterID, m core.DestroyMsg, seq uint64) uint64 {
+	r := (*shard)(s)
+	seq = r.assignSeqLocked(to.Site, core.StreamLegacy, seq)                              //causalgc:allow-locked-call engine callbacks run under r.mu
+	r.emitLocked(to.Site, wire.Destroy{From: from, To: to, M: m, Seq: seq, Legacy: true}) //causalgc:allow-locked-call engine callbacks run under r.mu
+	return seq
 }
 
-func (q *handoffQueue) push(p netsim.Payload) {
-	q.listMu.Lock()
-	q.items = append(q.items, p)
-	q.listMu.Unlock()
+func (s *sender) SendAssert(from, to ids.ClusterID, m core.AssertMsg, seq uint64) uint64 {
+	r := (*shard)(s)
+	seq = r.assignSeqLocked(to.Site, core.StreamAssert, seq)               //causalgc:allow-locked-call engine callbacks run under r.mu
+	r.emitLocked(to.Site, wire.Assert{From: from, To: to, M: m, Seq: seq}) //causalgc:allow-locked-call engine callbacks run under r.mu
+	return seq
 }
 
-func (q *handoffQueue) pop() (netsim.Payload, bool) {
-	q.listMu.Lock()
-	defer q.listMu.Unlock()
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	p := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
-	return p, true
+func (s *sender) SendPropagate(from, to ids.ClusterID, m core.Propagation) {
+	(*shard)(s).emitLocked(to.Site, wire.Propagate{From: from, To: to, M: m}) //causalgc:allow-locked-call engine callbacks run under r.mu
 }
 
-func (q *handoffQueue) depth() int {
-	q.listMu.Lock()
-	defer q.listMu.Unlock()
-	return len(q.items)
+func (s *sender) SettleFrame(peer ids.SiteID, stream core.Stream, seq uint64) {
+	(*shard)(s).markRecvLocked(peer, stream, seq) //causalgc:allow-locked-call engine callbacks run under r.mu
 }
 
-// Sharded is a lock-striped site: N shard Runtimes behind one site
-// identity. See the file comment for the architecture.
-type Sharded struct {
-	id   ids.SiteID
-	net  netsim.Network
-	opts Options
-	n    int
+var _ core.Sender = (*sender)(nil)
 
-	shards []*Runtime
-	st     *streams
-	ctr    *heap.Counters
-	queues []*handoffQueue
-
-	// journal is the single shared Persist (nil for a volatile site).
-	// Shards append to it directly; snapshots go through the
-	// stop-the-world checkpoint below, never through a single shard.
-	journal *Persist
-
-	// objMap routes objects to shards (ids.ObjectID → int), maintained
-	// by each shard heap's object tracker. cluMap routes local clusters
-	// (ids.ClusterID → int), appended at placement time and never
-	// shrunk: a removed cluster keeps routing to the shard holding its
-	// tombstone, so zombie-drop and stale-delivery logic fire on the
-	// right engine.
-	objMap sync.Map
-	cluMap sync.Map
-
-	// rr is the round-robin placement cursor for clusters minted under
-	// the root cluster (persisted as SiteImage.PlaceRR).
-	rr atomic.Uint64
-
-	// ckptMu serialises stop-the-world checkpoints; cycleMu serialises
-	// the site-wide Collect/Refresh cycles (their journal records must
-	// not interleave with each other's shard sweeps).
-	ckptMu  sync.Mutex
-	cycleMu sync.Mutex
-
-	// replaying mirrors the shards' flags during RecoverSharded.
-	replaying bool
-}
-
-// NewSharded creates a volatile sharded site with n shards (n < 1 is
-// clamped to 1) and registers it on the network. For a durable site
-// use RecoverSharded.
-func NewSharded(id ids.SiteID, net netsim.Network, opts Options, n int) *Sharded {
-	s := buildSharded(id, net, opts, n)
-	for i := 0; i < s.n; i++ {
-		s.shards[i] = newShardRuntime(id, net, opts, s.st, s.ctr, s.hooksFor(i))
-		s.installTracker(i)
-	}
-	s.objMap.Store(s.shards[0].heap.RootObject(), 0)
-	net.Register(id, s.handleNet)
-	return s
-}
-
-func buildSharded(id ids.SiteID, net netsim.Network, opts Options, n int) *Sharded {
-	if n < 1 {
-		n = 1
-	}
-	s := &Sharded{
-		id:     id,
-		net:    net,
-		opts:   opts,
-		n:      n,
-		shards: make([]*Runtime, n),
-		st:     newStreams(),
-		ctr:    heap.NewCounters(),
-		queues: make([]*handoffQueue, n),
-	}
-	for i := range s.queues {
-		s.queues[i] = &handoffQueue{}
-	}
-	return s
-}
-
-// hooksFor builds the sharding callbacks binding shard i to this
-// composition.
-func (s *Sharded) hooksFor(i int) *shardHooks {
-	return &shardHooks{
-		index: i,
-		owns: func(cl ids.ClusterID) bool {
-			return cl.Site == s.id && s.clusterShardIdx(cl) == i
-		},
-		place: func(newClu, holderClu ids.ClusterID, pin bool) int {
-			return s.placeCluster(newClu, holderClu, i, pin)
-		},
-		clusterShard: s.clusterShardIdx,
-		placed: func(cl ids.ClusterID, place int) {
-			s.cluMap.Store(cl, place-1)
-		},
-		route: s.enqueue,
+// onRemove is the engine's removal callback: discard the cluster's global
+// roots from the local root set (§2.2) and schedule reclamation.
+func (r *shard) onRemove(cl ids.ClusterID) {
+	// Errors are impossible here by construction: the engine only removes
+	// clusters it registered, which exist in the heap.
+	_ = r.heap.RemoveCluster(cl)
+	r.removals++
+	if obs := r.site.opts.Observer; obs != nil {
+		obs.ClusterRemoved(r.site.id, cl)
 	}
 }
 
-// installTracker wires shard i's heap into the object routing map.
-func (s *Sharded) installTracker(i int) {
-	idx := i
-	s.shards[i].heap.SetObjectTracker(func(obj ids.ObjectID, alive bool) {
-		if alive {
-			s.objMap.Store(obj, idx)
-		} else {
-			s.objMap.Delete(obj)
+// collectLocked runs one local collection and notifies the observer.
+func (r *shard) collectLocked() heap.CollectStats {
+	stats := r.heap.Collect()
+	if obs := r.site.opts.Observer; obs != nil {
+		obs.Collected(r.site.id, stats)
+	}
+	return stats
+}
+
+// --- Delivery ------------------------------------------------------------
+
+// handle delivers one frame routed to this shard, from the network or
+// from a sibling's handoff queue.
+func (r *shard) handle(from ids.SiteID, p netsim.Payload) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.replaying {
+		// A live delivery racing the recovery replay: buffered, then
+		// journaled and processed once the replay completes.
+		if !r.closed {
+			r.recoverBuf = append(r.recoverBuf, bufDelivery{from: from, p: p})
 		}
-	})
+		return
+	}
+	r.deliverShardLocked(from, p)
 }
 
-// clusterShardIdx answers the routing shard of a same-site cluster:
-// the root cluster is shard 0's, placed clusters route by the
-// placement map, anything else (a cluster minted remotely on this
-// site's behalf, a pre-shard legacy identity) hashes deterministically
-// so every shard — and every recovery — agrees without coordination.
-func (s *Sharded) clusterShardIdx(cl ids.ClusterID) int {
-	if s.n == 1 {
-		return 0
+// deliverShardLocked journals and dispatches one delivery with r.mu
+// already held: the body of handle, also used by the stop-the-world
+// checkpoint, which drains the handoff queues while holding every
+// shard's lock. Caller holds r.mu (and never a sibling shard's lock
+// except on the all-locks checkpoint path).
+func (r *shard) deliverShardLocked(from ids.SiteID, p netsim.Payload) {
+	if r.closed {
+		return
 	}
-	if cl.Root {
-		return 0
-	}
-	if v, ok := s.cluMap.Load(cl); ok {
-		return v.(int)
-	}
-	return int(hashCluster(cl) % uint64(s.n))
-}
-
-// hashCluster is a fixed splitmix64-style mix: the fallback routing
-// hash must be identical across runs and across recoveries.
-func hashCluster(cl ids.ClusterID) uint64 {
-	x := cl.Seq ^ (uint64(cl.Site) << 32) ^ 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// placeCluster decides and records the placement of a freshly minted
-// local cluster. Clusters minted under the root cluster spread
-// round-robin (they are the anchors parallel mutators fan out from);
-// everything else stays with the executing shard for locality. pin
-// forces the executing shard (multi-op batches).
-func (s *Sharded) placeCluster(newClu, holderClu ids.ClusterID, executing int, pin bool) int {
-	idx := executing
-	if !pin && holderClu.Root {
-		idx = int(s.rr.Add(1)-1) % s.n
-	}
-	s.cluMap.Store(newClu, idx)
-	return idx + 1
-}
-
-// enqueue routes one self-addressed frame into the handoff queues.
-// Acknowledgement frames fan out to every shard — the shared stream
-// watermark is cumulative across shards, and retirement is idempotent,
-// so each shard retires its own covered rows. Called under the sending
-// shard's mutex (listMu is a leaf).
-func (s *Sharded) enqueue(p netsim.Payload) {
-	switch p.(type) {
-	case wire.FrameAck, wire.StreamAdvance:
-		for _, q := range s.queues {
-			q.push(p)
+	if r.journaling() {
+		if err := r.appendLocked(&wire.WALRecord{Deliver: &wire.DeliverRecord{From: from, Payload: p}}); err != nil {
+			// An unjournalable delivery must not take effect: acting on
+			// it would desynchronise the replayable history from the
+			// messages this site sends. Dropping is safe — the protocol
+			// tolerates loss (§5).
+			return
 		}
-	default:
-		s.queues[s.frameShardIdx(p)].push(p)
+	}
+	r.dispatchLocked(from, p)
+}
+
+// dispatchLocked applies one delivery, settles the engine, and flushes
+// any acknowledgements the delivery earned. A received wire.Envelope is
+// applied frame by frame but settled and acknowledged once, and the
+// responses it provokes (FrameAcks, asserts, cascade traffic) are
+// themselves coalesced into one envelope per peer. Caller holds r.mu.
+func (r *shard) dispatchLocked(from ids.SiteID, p netsim.Payload) {
+	opened := false
+	if _, ok := p.(wire.Envelope); ok {
+		opened = r.beginCoalesceLocked()
+	}
+	r.applyFrameLocked(from, p)
+	r.settleLocked()
+	r.flushAcksLocked()
+	if opened {
+		r.flushCoalesceLocked()
 	}
 }
 
-// frameShardIdx answers the destination shard of one frame by its
-// destination cluster (mutator frames by the target object's cluster,
-// GGD control frames by the To cluster).
-func (s *Sharded) frameShardIdx(p netsim.Payload) int {
+// applyFrameLocked applies one wire frame (an envelope's inner frames
+// recursively, in order). Caller holds r.mu.
+func (r *shard) applyFrameLocked(from ids.SiteID, p netsim.Payload) {
 	switch m := p.(type) {
 	case wire.Create:
-		return s.clusterShardIdx(m.Cluster)
+		r.handleCreate(m)
+		// Mutator frames settle on any delivery: every disposition
+		// (applied, duplicate-dropped, zombie-dropped) is final and
+		// replayable.
+		r.markRecvLocked(from, core.StreamMut, m.Seq)
 	case wire.RefTransfer:
-		if m.ToCluster.Valid() {
-			return s.clusterShardIdx(m.ToCluster)
-		}
-		if v, ok := s.objMap.Load(m.ToObj); ok {
-			return v.(int)
-		}
-		return 0
+		r.handleRefTransfer(m)
+		r.markRecvLocked(from, core.StreamMut, m.Seq)
 	case wire.Destroy:
-		return s.clusterShardIdx(m.To)
-	case wire.Assert:
-		return s.clusterShardIdx(m.To)
+		r.engine.HandleDestroyFrame(m.To, m.From, m.M, m.Seq, m.Legacy)
 	case wire.Propagate:
-		return s.clusterShardIdx(m.To)
-	case wire.HintAck:
-		return s.clusterShardIdx(m.To)
-	}
-	return 0
-}
-
-// drainHandoffs delivers queued cross-shard frames until every queue
-// is empty. Each queue drains under its deliverMu with no other lock
-// held, so two drainers never deadlock: a drainer blocks only on one
-// deliverMu or one shard mutex at a time, and frame delivery never
-// acquires a deliverMu. Cascades terminate — delivering an ack emits
-// nothing, and mutator/control cascades bottom out in the engines.
-func (s *Sharded) drainHandoffs() {
-	for {
-		idle := true
-		for i, q := range s.queues {
-			if s.drainQueue(i, q) {
-				idle = false
-			}
-		}
-		if idle {
-			return
+		r.engine.HandlePropagate(m.To, m.From, m.M)
+	case wire.Assert:
+		r.engine.HandleAssertFrame(m.To, m.From, m.M, m.Seq)
+	case wire.FrameAck:
+		r.handleFrameAckLocked(from, m)
+	case wire.StreamAdvance:
+		r.handleAdvanceLocked(from, m)
+	case wire.Envelope:
+		for _, f := range m.Frames {
+			r.applyFrameLocked(from, f)
 		}
 	}
 }
 
-func (s *Sharded) drainQueue(i int, q *handoffQueue) bool {
-	q.deliverMu.Lock()
-	defer q.deliverMu.Unlock()
-	drained := false
-	for {
-		p, ok := q.pop()
-		if !ok {
-			return drained
-		}
-		drained = true
-		s.shards[i].handle(s.id, p)
+// journaling reports whether events must be written ahead: on a durable
+// site, except during replay (the records are already durable). Callers
+// check it before building a record, so a volatile site allocates none.
+// Caller holds r.mu.
+func (r *shard) journaling() bool {
+	return r.site.journal != nil && !r.replaying
+}
+
+// appendLocked journals one record, tagged with this shard and the
+// site's stripe width, write-ahead: before the recorded event mutates
+// state or sends messages, which is what guarantees no frame escapes a
+// site before the event that caused it can be replayed. Caller holds
+// r.mu and has checked journaling.
+func (r *shard) appendLocked(rec *wire.WALRecord) error {
+	rec.Shard, rec.Width = r.index, r.site.n
+	return r.site.journal.Append(rec)
+}
+
+// journalOpLocked durably records a mutator operation before it is
+// applied. Caller holds r.mu.
+func (r *shard) journalOpLocked(op wire.OpRecord) error {
+	if !r.journaling() {
+		return nil
 	}
+	if err := r.appendLocked(&wire.WALRecord{Op: &op}); err != nil {
+		return fmt.Errorf("site %v: journal %v: %w", r.site.id, op.Kind, err)
+	}
+	return nil
 }
 
-// afterEvent runs after every public operation and network delivery,
-// outside all shard locks: flush the cross-shard handoffs, then take a
-// snapshot if the shared journal says one is due.
-func (s *Sharded) afterEvent() {
-	s.drainHandoffs()
-	s.maybeCheckpoint()
+// assignMutSeqLocked draws the next mutator-stream sequence for a frame
+// bound to target, or zero for volatile sites (no journal → no outbox →
+// nothing to acknowledge).
+func (r *shard) assignMutSeqLocked(target ids.SiteID) uint64 {
+	if r.site.journal == nil {
+		return 0
+	}
+	return r.assignSeqLocked(target, core.StreamMut, 0)
 }
 
-// --- Checkpointing -------------------------------------------------------
-
-// shardJournal is the Journal each shard sees: appends pass through to
-// the shared Persist; per-shard checkpoint offers are refused — one
-// shard's state is not the site's, so only the stop-the-world path
-// below may snapshot (and truncate the shared WAL).
-type shardJournal struct {
-	p *Persist
-}
-
-func (j *shardJournal) Append(rec *wire.WALRecord) error { return j.p.Append(rec) }
-
-func (j *shardJournal) Checkpoint(func() (*wire.SiteImage, error)) error { return nil }
-
-var _ Journal = (*shardJournal)(nil)
-
-func (s *Sharded) maybeCheckpoint() {
-	if s.journal == nil || s.replaying || !s.journal.Due() {
+// recordOutboundLocked retains a sent mutator frame until the receiver
+// acknowledges it, evicting the oldest past the maxOutbox backstop
+// (counted tolerated loss).
+func (r *shard) recordOutboundLocked(to ids.SiteID, seq uint64, p netsim.Payload) {
+	if r.site.journal == nil || seq == 0 {
 		return
 	}
-	// Failures are sticky inside Persist (the next Append surfaces
-	// them), same as the unsharded checkpointLocked contract.
-	_ = s.checkpointAll(true)
+	if len(r.outbox) >= maxOutbox {
+		victim := r.outbox[0]
+		copy(r.outbox, r.outbox[1:])
+		r.outbox = r.outbox[:len(r.outbox)-1]
+		st := r.site.st
+		st.mu.Lock()
+		st.fstats.OutboxEvicted++
+		st.mu.Unlock()
+		if ao, ok := r.site.opts.Observer.(AckObserver); ok {
+			ao.FrameEvicted(r.site.id, victim.to, core.StreamMut, 1)
+		}
+	}
+	r.outbox = append(r.outbox, outboundFrame{to: to, seq: seq, p: p})
 }
 
-// checkpointAll is the stop-the-world snapshot: acquire every shard
-// mutex in ascending order, drain the handoff queues by direct
-// dispatch under the held locks (a snapshot must not strand in-flight
-// cross-shard frames in a volatile queue), export the composite image,
-// and write it while still holding everything — Persist truncates the
-// WAL on snapshot, so no shard may append between build and write.
-// onlyIfDue re-checks Due under ckptMu: two drainers racing past
-// maybeCheckpoint's unlocked Due check serialise here, and the loser
-// — whose snapshot the winner just took, resetting the record count —
-// skips a redundant back-to-back stop-the-world pass.
+func (r *shard) handleCreate(m wire.Create) {
+	if r.engine.Removed(m.Cluster) {
+		// A duplicate or recovery-re-sent creation of a cluster GGD has
+		// already removed: applying it would resurrect a zombie object —
+		// the swept cluster shell is gone, so the heap would rebuild a
+		// live-looking cluster and pin the object as an entry root
+		// forever, while the tombstoned engine process can never issue a
+		// second verdict. Dropping is the idempotent outcome: the first
+		// creation was fully processed and reclaimed.
+		return
+	}
+	r.engine.HandleCreate(m.Cluster, m.Creator, m.Stamp)
+	o, err := r.heap.NewObjectAt(m.Obj, m.Cluster)
+	if err != nil {
+		return // duplicate create: idempotent drop
+	}
+	// The object is referenced from outside this heap partition from
+	// birth (a remote site or a sibling shard): it is a global root.
+	_ = r.heap.MarkEntry(o.ID())
+	for _, pr := range r.pendingRefs[m.Obj] {
+		_, _ = r.heap.AddRefIntro(m.Obj, pr.target, pr.intro, pr.introSeq)
+	}
+	delete(r.pendingRefs, m.Obj)
+}
+
+func (r *shard) handleRefTransfer(m wire.RefTransfer) {
+	// Dedup by (introducer, forwarding-seq): forwarding seqs are unique
+	// per introducing cluster, so a re-sent transfer — a crashed sender
+	// re-playing its outbox, or a journaled delivery re-arriving after
+	// the sender's recovery — is applied exactly once.
+	if m.IntroSeq > 0 {
+		k := introKey{intro: m.FromCluster, seq: m.IntroSeq}
+		if _, dup := r.seenIntro[k]; dup {
+			return
+		}
+		if len(r.seenIntro) >= maxSeenIntro {
+			for old := range r.seenIntro {
+				delete(r.seenIntro, old)
+				break
+			}
+		}
+		r.seenIntro[k] = struct{}{}
+	}
+	if r.heap.Object(m.ToObj) == nil {
+		if m.ToCluster.Valid() && (r.engine.Registered(m.ToCluster) || r.engine.Removed(m.ToCluster)) {
+			// The holder's cluster is known here but the object is gone:
+			// an object can only be named after its creation was
+			// processed (which registers the cluster), so the holder was
+			// collected and this introduction can never form its edge.
+			// Expire it at the hint's owner instead of parking the frame
+			// forever.
+			r.engine.ResolveIntroduction(m.ToCluster, m.Target.Cluster, m.FromCluster, m.IntroSeq)
+			return
+		}
+		// The holder's creation message has not arrived yet (different
+		// sender): buffer and replay on creation.
+		r.pendingRefs[m.ToObj] = append(r.pendingRefs[m.ToObj], pendingRef{
+			target: m.Target, intro: m.FromCluster, introSeq: m.IntroSeq,
+		})
+		return
+	}
+	// AddRefIntro triggers EdgeUp: the receiver stamps the new edge in
+	// its own clock space — the authoritative lazy log-keeping record
+	// (§3.4) — and sends the edge-assert resolving the introduction.
+	_, _ = r.heap.AddRefIntro(m.ToObj, m.Target, m.FromCluster, m.IntroSeq)
+}
+
+// settleLocked drives removal cascades to completion: GGD removals clear
+// entry tables, the following collection destroys the last proxies, whose
+// destruction messages may remove further local clusters, and so on.
+func (r *shard) settleLocked() {
+	r.engine.Drain()
+	if !r.site.opts.AutoCollect {
+		return
+	}
+	for r.removals > 0 {
+		r.removals = 0
+		r.collectLocked()
+		r.engine.Drain()
+	}
+}
+
+// --- Commit sequence -----------------------------------------------------
+
+// Every mutator operation follows one commit sequence — stage-check
+// (reject without journaling), pre-mint (record the drawn identities,
+// placement and stream sequence on the OpRecord), write-ahead journal,
+// apply — shared with the batch path (commitBatchLocked), which runs
+// the same stages once per group instead of once per op. Replay feeds
+// the journaled record back through the same sequence with journaling
+// and pre-minting suppressed: apply never draws, so a replay rebuilds
+// exactly what the live commit built whatever the WAL interleaving.
+
+// runOpLocked commits one mutator operation. Caller holds r.mu.
+func (r *shard) runOpLocked(op wire.OpRecord) (heap.Ref, error) {
+	if err := r.stageOpLocked(op); err != nil {
+		return heap.NilRef, err
+	}
+	r.premintLocked(&op, false)
+	if err := r.journalOpLocked(op); err != nil {
+		return heap.NilRef, err
+	}
+	return r.applyOpLocked(op)
+}
+
+// premintLocked draws the identities op will mint and records them
+// (plus the placement shard of the created object's cluster and the
+// mutator-stream sequence of any frame the op emits) on the record
+// before it is journaled. Shards commit concurrently, so the WAL append
+// order need not match the live mint (or seq-draw) order: replaying the
+// counters in WAL order would shift identities and rebind frame
+// sequences, and the recorded values are what makes replay exact.
+// During replay they are authoritative and nothing is drawn. pin forces
+// fresh clusters onto the executing shard (multi-op batches). Caller
+// holds r.mu; the op has passed stageOpLocked. For batch ops with
+// deferred arguments the caller passes a copy with the arguments
+// resolved against the batch's own predicted mints (premintBatchLocked).
 //
-// A concurrent drainer holding a deliverMu may have popped a frame and
-// be blocked on a shard mutex we hold: that frame is in neither the
-// queues nor the image, which is safe — its journal record lands after
-// the truncation once the drainer resumes, exactly like any
-// post-snapshot delivery.
-func (s *Sharded) checkpointAll(onlyIfDue bool) error {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	if onlyIfDue && !s.journal.Due() {
-		return nil
-	}
-	for _, r := range s.shards {
-		r.mu.Lock()
-	}
-	defer func() {
-		for _, r := range s.shards {
-			r.mu.Unlock()
-		}
-	}()
-	s.drainAllLocked()
-	img, err := s.exportImageAllLocked()
-	if err != nil {
-		return err
-	}
-	return s.journal.ForceCheckpoint(func() (*wire.SiteImage, error) { return img, nil })
-}
-
-// drainAllLocked empties the handoff queues by direct dispatch while
-// every shard mutex is held (deliverMu is NOT taken: item order with a
-// concurrently blocked drainer is already commutative — the protocol
-// tolerates reordering; FIFO determinism is only promised for
-// single-threaded schedules, where no concurrent drainer exists).
-func (s *Sharded) drainAllLocked() {
-	for {
-		idle := true
-		for i, q := range s.queues {
-			for {
-				p, ok := q.pop()
-				if !ok {
-					break
-				}
-				idle = false
-				s.shards[i].deliverShardLocked(s.id, p)
-			}
-		}
-		if idle {
-			return
-		}
-	}
-}
-
-// exportImageAllLocked renders the composite v4 image: shard 0 in the
-// legacy top-level fields (plus the shared stream table), shards
-// 1..N-1 in ShardExtra. Caller holds every shard mutex with the
-// engines drained and the handoff queues empty.
-func (s *Sharded) exportImageAllLocked() (*wire.SiteImage, error) {
-	img, err := s.shards[0].exportImageLocked()
-	if err != nil {
-		return nil, err
-	}
-	img.Shards = s.n
-	img.PlaceRR = s.rr.Load()
-	for _, r := range s.shards[1:] {
-		ss, err := r.exportShardStateLocked()
-		if err != nil {
-			return nil, err
-		}
-		img.ShardExtra = append(img.ShardExtra, ss)
-	}
-	return img, nil
-}
-
-// Checkpoint forces a snapshot now. A no-op without a journal.
-func (s *Sharded) Checkpoint() error {
-	if s.journal == nil {
-		return nil
-	}
-	return s.checkpointAll(false)
-}
-
-// --- Network delivery ----------------------------------------------------
-
-// handleNet is the transport entry point: split and route the frames
-// to their destination shards, then settle cross-shard effects.
-func (s *Sharded) handleNet(from ids.SiteID, p netsim.Payload) {
-	s.deliverNet(from, p)
-	s.afterEvent()
-}
-
-// deliverNet routes one inbound payload. An envelope splits into one
-// sub-envelope per destination shard (inner order preserved within
-// each shard — the only order the receiver's streams depend on); acks
-// and floor advisories fan out to every shard, like on the handoff
-// path.
-func (s *Sharded) deliverNet(from ids.SiteID, p netsim.Payload) {
-	if env, ok := p.(wire.Envelope); ok && s.n > 1 {
-		parts := make([][]netsim.Payload, s.n)
-		for _, f := range env.Frames {
-			switch f.(type) {
-			case wire.FrameAck, wire.StreamAdvance:
-				for i := range parts {
-					parts[i] = append(parts[i], f)
-				}
-			default:
-				i := s.frameShardIdx(f)
-				parts[i] = append(parts[i], f)
-			}
-		}
-		for i, frames := range parts {
-			switch len(frames) {
-			case 0:
-			case 1:
-				s.shards[i].handle(from, frames[0])
-			default:
-				s.shards[i].handle(from, wire.Envelope{Frames: frames})
-			}
-		}
+// A pre-drawn sequence whose op later fails to apply (or whose journal
+// append fails) leaves a gap in the stream, exactly like a pre-minted
+// identity that is never materialised: the next Refresh's floor
+// advisory walks the peer's watermark over it.
+func (r *shard) premintLocked(op *wire.OpRecord, pin bool) {
+	if r.replaying {
 		return
 	}
-	switch p.(type) {
-	case wire.FrameAck, wire.StreamAdvance:
-		for _, r := range s.shards {
-			r.handle(from, p)
+	s := r.site
+	switch op.Kind {
+	case wire.OpNewLocal:
+		op.MintClu = s.ctr.MintClu()
+		op.MintObj = s.ctr.MintObj()
+		holderClu := ids.NoCluster
+		if ho := r.heap.Object(op.Holder); ho != nil {
+			holderClu = ho.Cluster()
 		}
-	default:
-		s.shards[s.frameShardIdx(p)].handle(from, p)
-	}
-}
-
-// --- Mutator API ----------------------------------------------------------
-
-// shardFor routes an operation to the shard owning the given object
-// (shard 0 for unknown objects, whose operations fail there with the
-// same ErrNoSuchObject any shard would report).
-func (s *Sharded) shardFor(obj ids.ObjectID) *Runtime {
-	if v, ok := s.objMap.Load(obj); ok {
-		return s.shards[v.(int)]
-	}
-	return s.shards[0]
-}
-
-// ID returns the site identifier.
-func (s *Sharded) ID() ids.SiteID { return s.id }
-
-// Root returns a reference to the site's root object (owned by shard 0).
-func (s *Sharded) Root() heap.Ref { return s.shards[0].Root() }
-
-// ShardCount returns the number of shards.
-func (s *Sharded) ShardCount() int { return s.n }
-
-// Close freezes every shard.
-func (s *Sharded) Close() {
-	for _, r := range s.shards {
-		r.Close()
-	}
-}
-
-// NewLocal creates an object in a fresh cluster, executing on the
-// holder's shard; the placement policy may put the new cluster on a
-// sibling shard, reached through the handoff queue.
-func (s *Sharded) NewLocal(holder ids.ObjectID) (heap.Ref, error) {
-	ref, err := s.shardFor(holder).NewLocal(holder)
-	s.afterEvent()
-	return ref, err
-}
-
-// NewLocalIn creates an object in an existing local cluster.
-func (s *Sharded) NewLocalIn(holder ids.ObjectID, cl ids.ClusterID) (heap.Ref, error) {
-	ref, err := s.shardFor(holder).NewLocalIn(holder, cl)
-	s.afterEvent()
-	return ref, err
-}
-
-// NewCluster mints a fresh local cluster, rotating the executing (and
-// owning — bare clusters pin to their executing shard) shard.
-func (s *Sharded) NewCluster() (ids.ClusterID, error) {
-	idx := int(s.rr.Add(1)-1) % s.n
-	cl, err := s.shards[idx].NewCluster()
-	s.afterEvent()
-	return cl, err
-}
-
-// NewRemote creates an object on another site, executing on the
-// holder's shard.
-func (s *Sharded) NewRemote(holder ids.ObjectID, target ids.SiteID) (heap.Ref, error) {
-	ref, err := s.shardFor(holder).NewRemote(holder, target)
-	s.afterEvent()
-	return ref, err
-}
-
-// SendRef copies a reference, executing on the sender's shard.
-func (s *Sharded) SendRef(fromObj ids.ObjectID, to heap.Ref, target heap.Ref) error {
-	err := s.shardFor(fromObj).SendRef(fromObj, to, target)
-	s.afterEvent()
-	return err
-}
-
-// AddRef stores target into a new slot of holder.
-func (s *Sharded) AddRef(holder ids.ObjectID, target heap.Ref) error {
-	err := s.shardFor(holder).AddRef(holder, target)
-	s.afterEvent()
-	return err
-}
-
-// DropRefs clears every slot of holder referencing target.Obj.
-func (s *Sharded) DropRefs(holder ids.ObjectID, target heap.Ref) error {
-	err := s.shardFor(holder).DropRefs(holder, target)
-	s.afterEvent()
-	return err
-}
-
-// ClearSlot drops one slot of holder.
-func (s *Sharded) ClearSlot(holder ids.ObjectID, slot int) error {
-	err := s.shardFor(holder).ClearSlot(holder, slot)
-	s.afterEvent()
-	return err
-}
-
-// ApplyBatch commits a batch on the shard owning its first concrete
-// holder (batch staging requires every concrete holder to live there;
-// fresh clusters minted by a multi-op batch pin to that shard, so the
-// whole group stays local — see premintBatchLocked).
-func (s *Sharded) ApplyBatch(ops []wire.BatchOp) ([]heap.Ref, error) {
-	r := s.shards[0]
-	for _, bop := range ops {
-		if bop.HolderFrom == 0 && bop.Op.Holder.Valid() {
-			r = s.shardFor(bop.Op.Holder)
-			break
+		cl := ids.ClusterID{Site: s.id, Seq: op.MintClu}
+		op.Place = s.placeCluster(cl, holderClu, r.index, pin)
+		if op.Place-1 != r.index {
+			// Cross-shard placement: the apply emits a Create through the
+			// handoff queue, addressed to the own site.
+			op.MutSeq = r.assignMutSeqLocked(s.id)
 		}
-	}
-	refs, err := r.ApplyBatch(ops)
-	s.afterEvent()
-	return refs, err
-}
-
-// --- GGD cycles -----------------------------------------------------------
-
-// Collect runs the collection cycle on every shard. One site-wide
-// OpCollect is journaled through shard 0 (replay intercepts it and
-// re-runs the site-wide cycle); cross-shard cascades settle through
-// the handoff queues between shard sweeps.
-func (s *Sharded) Collect() (heap.CollectStats, error) {
-	s.cycleMu.Lock()
-	defer s.cycleMu.Unlock()
-	var total heap.CollectStats
-	var firstErr error
-	for i, r := range s.shards {
-		r.mu.Lock()
-		stats, err := r.collectShardLocked(i == 0)
-		r.mu.Unlock()
-		total.Marked += stats.Marked
-		total.Swept += stats.Swept
-		total.Roots += stats.Roots
-		if err != nil && firstErr == nil {
-			firstErr = err
+	case wire.OpNewLocalIn:
+		op.MintObj = s.ctr.MintObj()
+		op.Place = s.clusterShardIdx(op.Clu) + 1
+		if op.Place-1 != r.index {
+			op.MutSeq = r.assignMutSeqLocked(s.id)
 		}
-		s.drainHandoffs()
+	case wire.OpNewCluster:
+		op.MintClu = s.ctr.MintClu()
+		cl := ids.ClusterID{Site: s.id, Seq: op.MintClu}
+		op.Place = s.placeCluster(cl, ids.NoCluster, r.index, true)
+	case wire.OpNewRemote:
+		s.st.mu.Lock()
+		s.st.mint++
+		op.MintObj = s.st.mint
+		s.st.mu.Unlock()
+		op.MutSeq = r.assignMutSeqLocked(op.Site)
+	case wire.OpSendRef:
+		op.MutSeq = r.premintSendRefSeqLocked(op.To, op.Target)
 	}
-	s.maybeCheckpoint()
-	return total, firstErr
 }
 
-// Refresh runs the recovery round on every shard: one site-wide
-// OpRefresh journaled through shard 0, one damper round bump for the
-// whole site, per-shard re-sends, then ONE merged floor-advisory pass
-// — a stream's floor is the minimum over every shard's retained floor,
-// computed here because no single shard knows what its siblings still
-// retain (emitting a floor past a sibling's retained row would let the
-// peer retire it undelivered).
-func (s *Sharded) Refresh() error {
-	s.cycleMu.Lock()
-	defer s.cycleMu.Unlock()
-	s.st.mu.Lock()
-	s.st.refreshRound++
-	s.st.mu.Unlock()
-	var firstErr error
-	for i, r := range s.shards {
-		r.mu.Lock()
-		err := r.refreshShardLocked(i == 0, false)
-		r.mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
+// premintSendRefSeqLocked pre-draws the mutator-stream sequence of the
+// RefTransfer a SendRef will emit, mirroring the apply-time conditions
+// exactly (same lock hold, so the state cannot change in between): no
+// frame for a destination this shard owns, and no sequence for frames
+// SentRef gives no dedup identity (intra-cluster copies, where target
+// and destination share a cluster — a staged holder is always live,
+// hence its engine process registered). Caller holds r.mu.
+func (r *shard) premintSendRefSeqLocked(to, target heap.Ref) uint64 {
+	if to.Obj.Site == r.site.id && r.owns(to.Cluster) {
+		return 0
+	}
+	if target.Cluster == to.Cluster {
+		return 0
+	}
+	return r.assignMutSeqLocked(to.Obj.Site)
+}
+
+// applyOpLocked applies one resolved, pre-minted mutator operation:
+// validation, mutation, sends (through emitLocked, so a surrounding
+// batch commit coalesces them) and the settle cascade — everything
+// except locking and journaling, which the callers own. For
+// OpNewCluster the returned Ref carries only the minted cluster. Caller
+// holds r.mu.
+func (r *shard) applyOpLocked(op wire.OpRecord) (heap.Ref, error) {
+	switch op.Kind {
+	case wire.OpNewLocal:
+		cl := ids.ClusterID{Site: r.site.id, Seq: op.MintClu}
+		r.site.ctr.ObserveClu(op.MintClu)
+		return r.applyCreateLocked("NewLocal", op, cl)
+	case wire.OpNewLocalIn:
+		if op.Clu.Site != r.site.id {
+			return heap.NilRef, fmt.Errorf("site %v: NewLocalIn %v: %w", r.site.id, op.Clu, heap.ErrForeignCluster)
 		}
-		s.drainHandoffs()
+		return r.applyCreateLocked("NewLocalIn", op, op.Clu)
+	case wire.OpNewCluster:
+		cl := ids.ClusterID{Site: r.site.id, Seq: op.MintClu}
+		r.site.ctr.ObserveClu(op.MintClu)
+		r.site.setClusterShard(cl, op.Place-1)
+		r.engine.Register(cl)
+		return heap.Ref{Cluster: cl}, nil
+	case wire.OpNewRemote:
+		return r.applyNewRemoteLocked(op)
+	case wire.OpSendRef:
+		return heap.NilRef, r.applySendRefLocked(op.Holder, op.To, op.Target, op.MutSeq)
+	case wire.OpAddRef:
+		_, err := r.heap.AddRef(op.Holder, op.Target)
+		r.settleLocked()
+		return heap.NilRef, err
+	case wire.OpDropRefs:
+		err := r.heap.DropRefs(op.Holder, op.Target.Obj)
+		r.settleLocked()
+		return heap.NilRef, err
+	case wire.OpClearSlot:
+		err := r.heap.ClearSlot(op.Holder, op.Slot)
+		r.settleLocked()
+		return heap.NilRef, err
 	}
-	if !s.replaying {
-		s.advanceMergedFloors()
-		s.drainHandoffs()
-	}
-	s.maybeCheckpoint()
-	return firstErr
+	return heap.NilRef, fmt.Errorf("site %v: apply %v: unknown op", r.site.id, op.Kind)
 }
 
-// advanceMergedFloors is the sharded counterpart of
-// advanceFloorsLocked: per-(peer, stream) floors merged by minimum
-// across shards, advisories emitted through shard 0. A sequence
-// assigned concurrently with the merge is always above the snapshotted
-// nextSeq, hence above any floor emitted here — the advisory can never
-// cover it.
-func (s *Sharded) advanceMergedFloors() {
-	st := s.st
+// applyCreateLocked is the shared body of NewLocal and NewLocalIn:
+// materialise the pre-minted object op.MintObj in cl (fresh for
+// NewLocal, existing for NewLocalIn) and reference it from op.Holder.
+// The live path stored a fresh cluster's placement at pre-mint; replay
+// repopulates the routing map here (the re-store is idempotent).
+func (r *shard) applyCreateLocked(opName string, op wire.OpRecord, cl ids.ClusterID) (heap.Ref, error) {
+	if r.heap.Object(op.Holder) == nil {
+		return heap.NilRef, fmt.Errorf("site %v: %s holder %v: %w", r.site.id, opName, op.Holder, heap.ErrNoSuchObject)
+	}
+	obj := ids.ObjectID{Site: r.site.id, Seq: op.MintObj}
+	r.site.ctr.ObserveObj(op.MintObj)
+	r.site.setClusterShard(cl, op.Place-1)
+	if op.Place-1 != r.index {
+		// The cluster lives on a sibling shard: create the object there
+		// through the self-as-peer handoff path.
+		return r.createRemoteLocked(op.Holder, r.site.id, heap.Ref{Obj: obj, Cluster: cl}, op.MutSeq)
+	}
+	r.engine.Register(cl)
+	if _, err := r.heap.NewObjectAt(obj, cl); err != nil {
+		return heap.NilRef, err
+	}
+	ref := heap.Ref{Obj: obj, Cluster: cl}
+	if _, err := r.heap.AddRef(op.Holder, ref); err != nil {
+		return heap.NilRef, err
+	}
+	r.settleLocked()
+	return ref, nil
+}
+
+func (r *shard) applyNewRemoteLocked(op wire.OpRecord) (heap.Ref, error) {
+	id := r.site.id
+	if r.heap.Object(op.Holder) == nil {
+		return heap.NilRef, fmt.Errorf("site %v: NewRemote holder %v: %w", id, op.Holder, heap.ErrNoSuchObject)
+	}
+	if op.Site == id {
+		return heap.NilRef, fmt.Errorf("site %v: NewRemote: %w", id, ErrRemoteSelf)
+	}
+	// Keep the shared counter at least as far along as the recorded draw
+	// (replay; a no-op on the live path, which drew it).
+	st := r.site.st
 	st.mu.Lock()
-	keys := make([]streamKey, 0, len(st.send))
-	for k := range st.send {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return streamKeyLess(keys[i], keys[j]) })
-	type snap struct{ nextSeq, ackedTo uint64 }
-	snaps := make(map[streamKey]snap, len(keys))
-	for _, k := range keys {
-		ss := st.send[k]
-		snaps[k] = snap{nextSeq: ss.nextSeq, ackedTo: ss.ackedTo}
+	if st.mint < op.MintObj {
+		st.mint = op.MintObj
 	}
 	st.mu.Unlock()
-	floors := make(map[streamKey]uint64, len(keys))
-	for _, r := range s.shards {
-		r.mu.Lock()
-		for _, k := range keys {
-			f := r.retainedFloorLocked(k.peer, k.kind)
-			if f != 0 && (floors[k] == 0 || f < floors[k]) {
-				floors[k] = f
-			}
-		}
-		r.mu.Unlock()
+	seq := uint64(id)<<32 | op.MintObj
+	ref := heap.Ref{
+		Obj:     ids.ObjectID{Site: op.Site, Seq: seq},
+		Cluster: ids.ClusterID{Site: op.Site, Seq: seq},
 	}
-	r0 := s.shards[0]
-	r0.mu.Lock()
-	advances := 0
-	for _, k := range keys {
-		sn := snaps[k]
-		if sn.nextSeq == 0 {
-			continue
-		}
-		floor := floors[k]
-		if floor == 0 {
-			floor = sn.nextSeq + 1
-		}
-		if floor-1 <= sn.ackedTo {
-			continue
-		}
-		advances++
-		r0.emitLocked(k.peer, wire.StreamAdvance{Stream: k.kind, Floor: floor})
-	}
-	r0.mu.Unlock()
-	if advances > 0 {
-		st.mu.Lock()
-		st.fstats.AdvancesSent += advances
-		st.mu.Unlock()
-	}
+	return r.createRemoteLocked(op.Holder, op.Site, ref, op.MutSeq)
 }
 
-// --- Recovery -------------------------------------------------------------
-
-// RecoverSharded reconstructs a sharded site from its journal, exactly
-// as Recover does for an unsharded one. The shard count is sticky per
-// data directory: an existing snapshot's count wins over the argument
-// (WAL shard tags must keep routing to the partition that wrote them);
-// a journal with no snapshot yet sizes to cover the highest shard tag
-// in the WAL. Replay routes each record to the shard that journaled
-// it; site-wide OpCollect/OpRefresh records (always tagged shard 0)
-// re-run the site-wide cycle. Self-addressed frames are NOT re-routed
-// during replay — the destination shard's own Deliver records carry
-// them — and a crash between the sender's journal append and the
-// receiver's is healed like any lost frame: outbox re-send, refresh.
-func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist, shards int) (*Sharded, error) {
-	img, recs, err := j.Load()
-	if err != nil {
-		return nil, fmt.Errorf("site %v: recover sharded: %w", id, err)
+// createRemoteLocked creates the pre-minted object ref outside this
+// heap partition, referenced from holder: on another site (the paper's
+// "a root object 1 creates an object 2", §3.1), or on a sibling shard,
+// where target is the own site and the creation frame travels the
+// ordered handoff queue instead of the network — every invariant
+// (journal-before-send, outbox retention, FrameAck-to-self retirement,
+// zombie-drop at the owner) comes along for free. seq is the record's
+// pre-drawn stream sequence. Caller holds r.mu.
+func (r *shard) createRemoteLocked(holder ids.ObjectID, target ids.SiteID, ref heap.Ref, seq uint64) (heap.Ref, error) {
+	ho := r.heap.Object(holder)
+	// Order matters: AddRefIntro fires EdgeUp, which bumps the creator's
+	// clock for the creation event; the stamp shipped with the message is
+	// that clock, so the new object's own row records its creator
+	// correctly. ids.CreationSeq marks the creation (no edge-assert: the
+	// creation message is the assert).
+	if _, err := r.heap.AddRefIntro(holder, ref, ids.NoCluster, ids.CreationSeq); err != nil {
+		return heap.NilRef, err
 	}
-	n := shards
-	if img != nil {
-		if img.Site != id {
-			return nil, fmt.Errorf("site %v: recover sharded: journal belongs to site %v", id, img.Site)
-		}
-		n = img.Shards
-		if n < 1 {
-			n = 1 // v2/v3 (or 1-shard v4) image: the whole site is shard 0
-		}
+	r.observeSeqLocked(target, core.StreamMut, seq)
+	create := wire.Create{
+		Creator: ho.Cluster(),
+		Stamp:   r.engine.RemoteCreationStamp(ho.Cluster()),
+		Obj:     ref.Obj,
+		Cluster: ref.Cluster,
+		Seq:     seq,
 	}
-	for _, rec := range recs {
-		if rec.Shard >= n {
-			n = rec.Shard + 1
-		}
-	}
-	s := buildSharded(id, net, opts, n)
-	s.journal = j
-	if img == nil {
-		for i := 0; i < s.n; i++ {
-			s.shards[i] = newShardRuntime(id, net, opts, s.st, s.ctr, s.hooksFor(i))
-		}
-	} else {
-		restoreStreams(s.st, img)
-		s.rr.Store(img.PlaceRR)
-		if want := s.n - 1; len(img.ShardExtra) != want && img.Shards > 1 {
-			return nil, fmt.Errorf("site %v: recover sharded: image has %d extra shard states, want %d", id, len(img.ShardExtra), want)
-		}
-		states := make([]wire.ShardState, s.n)
-		states[0] = wire.ShardState{
-			Heap:        img.Heap,
-			Engine:      img.Engine,
-			Removals:    img.Removals,
-			PendingRefs: img.PendingRefs,
-			SeenIntro:   img.SeenIntro,
-			Outbox:      img.Outbox,
-		}
-		copy(states[1:], img.ShardExtra)
-		// Routing maps first: restoring a shard engine installs the owns
-		// predicate, which consults them immediately.
-		for i, ss := range states {
-			s.seedRouting(i, ss)
-		}
-		for i, ss := range states {
-			s.shards[i], err = s.restoreShardRuntime(i, ss)
-			if err != nil {
-				return nil, fmt.Errorf("site %v: recover sharded: shard %d: %w", id, i, err)
-			}
-		}
-	}
-	for i := 0; i < s.n; i++ {
-		s.installTracker(i)
-		s.shards[i].journal = &shardJournal{p: j}
-		s.shards[i].replaying = true
-	}
-	s.objMap.Store(s.shards[0].heap.RootObject(), 0)
-	if img != nil {
-		// Rebuild the object routing of restored heaps (the tracker only
-		// sees live mutations).
-		for i, r := range s.shards {
-			for _, o := range r.heap.Objects() {
-				s.objMap.Store(o.ID(), i)
-			}
-		}
-	}
-	s.replaying = true
-	// Register before replay: frames from already-running peers buffer
-	// per shard in recoverBuf instead of being dropped.
-	net.Register(id, s.handleNet)
-	for _, rec := range recs {
-		s.applyShardRecord(rec)
-	}
-	// End of replay: flip the flags, process the buffered live traffic,
-	// re-send every shard's unconfirmed outbox.
-	s.replaying = false
-	for _, r := range s.shards {
-		r.mu.Lock()
-		r.replaying = false
-		buffered := r.recoverBuf
-		r.recoverBuf = nil
-		resend := make([]outboundFrame, len(r.outbox))
-		copy(resend, r.outbox)
-		r.mu.Unlock()
-		for _, d := range buffered {
-			r.handle(d.from, d.p)
-		}
-		r.mu.Lock()
-		opened := r.beginCoalesceLocked()
-		for _, f := range resend {
-			r.emitLocked(f.to, f.p)
-		}
-		if opened {
-			r.flushCoalesceLocked()
-		}
-		r.mu.Unlock()
-		s.drainHandoffs()
-	}
-	if err := s.Refresh(); err != nil {
-		return nil, fmt.Errorf("site %v: recover sharded: %w", id, err)
-	}
-	if img != nil {
-		// Make the bumped recovery epoch durable immediately (see
-		// Recover) and bound the next replay.
-		if err := s.checkpointAll(false); err != nil {
-			return nil, fmt.Errorf("site %v: recover sharded: checkpoint: %w", id, err)
-		}
-	}
-	return s, nil
+	r.emitLocked(target, create)
+	r.recordOutboundLocked(target, seq, create)
+	r.settleLocked()
+	return ref, nil
 }
 
-// seedRouting pre-populates the routing maps from one shard's durable
-// image: live clusters, engine processes, and tombstones (a removed
-// cluster must keep routing to the shard holding its tombstone).
-func (s *Sharded) seedRouting(i int, ss wire.ShardState) {
-	for _, ci := range ss.Heap.Clusters {
-		if ci.ID.Site == s.id && !ci.ID.Root {
-			s.cluMap.Store(ci.ID, i)
-		}
+func (r *shard) applySendRefLocked(fromObj ids.ObjectID, to heap.Ref, target heap.Ref, preSeq uint64) error {
+	id := r.site.id
+	fo := r.heap.Object(fromObj)
+	if fo == nil {
+		return fmt.Errorf("site %v: SendRef from %v: %w", id, fromObj, heap.ErrNoSuchObject)
 	}
-	for _, pi := range ss.Engine.Procs {
-		if pi.ID.Site == s.id && !pi.ID.Root {
-			s.cluMap.Store(pi.ID, i)
-		}
+	if !r.holds(fo, target) {
+		return fmt.Errorf("site %v: SendRef: %v of %v: %w", id, target, fromObj, ErrNotHolder)
 	}
-	for cl := range ss.Engine.Tombstones {
-		if cl.Site == s.id && !cl.Root {
-			s.cluMap.Store(cl, i)
+	if to.Obj.Site == id && r.owns(to.Cluster) {
+		// Destination owned by this heap partition: immediate copy.
+		if r.heap.Object(to.Obj) == nil {
+			return fmt.Errorf("site %v: SendRef to %v: %w", id, to.Obj, heap.ErrNoSuchObject)
 		}
+		seq := r.engine.SentRef(fo.Cluster(), target.Cluster, to.Cluster)
+		_, err := r.heap.AddRefIntro(to.Obj, target, fo.Cluster(), seq)
+		r.settleLocked()
+		return err
 	}
+	// Once a reference to a local object crosses the partition boundary
+	// (to another site, or to a sibling shard), the object becomes a
+	// global root (§2.1): local GC must treat it as a root until GGD
+	// removes its cluster. Targets this shard does not own were marked
+	// by whichever shard first exported them — the first export of any
+	// reference necessarily executes on the owning shard.
+	if r.owns(target.Cluster) {
+		_ = r.heap.MarkEntry(target.Obj)
+	}
+	// Sender-side lazy log-keeping: DV_i[k][j]++ (or DV_i[i][j]++ when
+	// sending the holder's own cluster reference).
+	seq := r.engine.SentRef(fo.Cluster(), target.Cluster, to.Cluster)
+	xfer := wire.RefTransfer{
+		FromCluster: fo.Cluster(),
+		IntroSeq:    seq,
+		ToObj:       to.Obj,
+		ToCluster:   to.Cluster,
+		Target:      target,
+	}
+	// IntroSeq 0 frames (intra-cluster copies, stale holders) carry no
+	// dedup identity, so a re-send would apply them twice; they stay out
+	// of the retirement stream and the outbox — losing one to a crash is
+	// loss-equivalent, which the protocol tolerates.
+	if seq != 0 {
+		r.observeSeqLocked(to.Obj.Site, core.StreamMut, preSeq)
+		xfer.Seq = preSeq
+	}
+	r.emitLocked(to.Obj.Site, xfer)
+	r.recordOutboundLocked(to.Obj.Site, xfer.Seq, xfer)
+	r.settleLocked()
+	return nil
 }
 
-// restoreShardRuntime rebuilds shard i from its durable state block.
-func (s *Sharded) restoreShardRuntime(i int, ss wire.ShardState) (*Runtime, error) {
-	sh := s.hooksFor(i)
-	opts := s.opts
-	opts.Engine.Owns = sh.owns
-	r := &Runtime{
-		id:          s.id,
-		net:         s.net,
-		opts:        opts,
-		st:          s.st,
-		sh:          sh,
-		pendingRefs: make(map[ids.ObjectID][]pendingRef),
-		seenIntro:   make(map[introKey]struct{}, len(ss.SeenIntro)),
-		removals:    ss.Removals,
-	}
-	var err error
-	r.engine, err = core.Restore(s.id, (*sender)(r), r.onRemove, opts.Engine, ss.Engine)
-	if err != nil {
-		return nil, err
-	}
-	r.heap, err = heap.RestoreShard((*hooks)(r), ss.Heap, s.ctr, i == 0)
-	if err != nil {
-		return nil, err
-	}
-	r.restoreShardState(ss.PendingRefs, ss.SeenIntro, ss.Outbox)
-	return r, nil
-}
-
-// applyShardRecord replays one WAL record on the shard that journaled
-// it. Site-wide cycle records re-run the site-wide cycle (journaling
-// is suppressed while replaying, so nothing is re-recorded).
-func (s *Sharded) applyShardRecord(rec *wire.WALRecord) {
-	if rec.Op != nil {
-		switch rec.Op.Kind {
-		case wire.OpCollect:
-			_, _ = s.Collect()
-			return
-		case wire.OpRefresh:
-			_ = s.Refresh()
-			return
-		}
-	}
-	idx := rec.Shard
-	if idx < 0 || idx >= s.n {
-		idx = 0
-	}
-	s.shards[idx].applyRecord(rec)
-	s.drainHandoffs()
-}
-
-// --- Introspection --------------------------------------------------------
-
-// NumObjects sums the live objects across shards (each object lives in
-// exactly one shard heap).
-func (s *Sharded) NumObjects() int {
-	total := 0
-	for _, r := range s.shards {
-		total += r.NumObjects()
-	}
-	return total
-}
-
-// HasObject reports whether the object exists on any shard.
-func (s *Sharded) HasObject(obj ids.ObjectID) bool {
-	if v, ok := s.objMap.Load(obj); ok {
-		return s.shards[v.(int)].HasObject(obj)
-	}
-	// The routing entry may lag a restore or a sweep: scan every shard
-	// before concluding absence (a false negative would misreport a
-	// live object; the scan is a read-only query off the hot path).
-	for _, r := range s.shards {
-		if r.HasObject(obj) {
+func (r *shard) holds(o *heap.Object, target heap.Ref) bool {
+	for _, s := range o.Slots() {
+		if s == target {
 			return true
 		}
 	}
-	return false
+	// The holder may hold a different ref to the same cluster (e.g. its
+	// own cluster's reference); sending one's own reference is always
+	// legal, mirroring the paper's "sends a reference denoting itself".
+	return target.Obj == o.ID()
 }
 
-// ClusterRemoved asks the shard owning the cluster.
-func (s *Sharded) ClusterRemoved(cl ids.ClusterID) bool {
-	return s.shards[s.clusterShardIdx(cl)].ClusterRemoved(cl)
-}
+// --- GGD cycles ----------------------------------------------------------
 
-// LogSnapshot asks the shard owning the cluster.
-func (s *Sharded) LogSnapshot(cl ids.ClusterID) *vclock.Log {
-	return s.shards[s.clusterShardIdx(cl)].LogSnapshot(cl)
-}
-
-// Clock asks the shard owning the cluster.
-func (s *Sharded) Clock(cl ids.ClusterID) uint64 {
-	return s.shards[s.clusterShardIdx(cl)].Clock(cl)
-}
-
-// EngineStats sums the per-shard GGD engine counters.
-func (s *Sharded) EngineStats() core.Stats {
-	var total core.Stats
-	for _, r := range s.shards {
-		addStats(&total, r.EngineStats())
+// collectShardLocked is this shard's part of a site-wide Collect.
+// Collections are journaled — sweeping the last proxy of a remote
+// cluster advances the engine clock and emits destruction messages, so
+// replay must reproduce them — once per site: journal is set on shard 0
+// only. Caller holds r.mu and no other shard's lock.
+func (r *shard) collectShardLocked(journal bool) (heap.CollectStats, error) {
+	if journal {
+		if err := r.journalOpLocked(wire.OpRecord{Kind: wire.OpCollect}); err != nil {
+			return heap.CollectStats{}, err
+		}
 	}
-	return total
+	stats := r.collectLocked()
+	r.engine.Drain()
+	r.settleLocked()
+	return stats, nil
 }
 
-// ShardEngineStats returns one shard's engine counters (monitor depth
-// gauges are per shard as well as aggregate).
-func (s *Sharded) ShardEngineStats(i int) core.Stats {
-	return s.shards[i].EngineStats()
-}
-
-// FrameStats returns the shared retirement counters with the outbox
-// gauge summed across shards.
-func (s *Sharded) FrameStats() FrameStats {
-	s.st.mu.Lock()
-	fs := s.st.fstats
-	s.st.mu.Unlock()
-	fs.OutboxRetained = 0
-	for _, r := range s.shards {
-		r.mu.Lock()
-		fs.OutboxRetained += len(r.outbox)
-		r.mu.Unlock()
+// refreshShardLocked is this shard's part of a site-wide Refresh:
+// re-propagate every local process's vector and re-ship the
+// unacknowledged retained state — the engine's journal rows and bundles
+// plus the outbox frames, each under its re-send damper. The round bump
+// and the StreamAdvance floor pass are the site's (Site.Refresh): one
+// shard's retained floor says nothing about a sibling's. journal is set
+// on shard 0 only. Caller holds r.mu and no other shard's lock.
+func (r *shard) refreshShardLocked(journal bool) error {
+	if journal {
+		if err := r.journalOpLocked(wire.OpRecord{Kind: wire.OpRefresh}); err != nil {
+			return err
+		}
 	}
-	return fs
-}
-
-// ShardOutboxDepth returns one shard's unacknowledged outbound frame
-// count.
-func (s *Sharded) ShardOutboxDepth(i int) int {
-	r := s.shards[i]
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.outbox)
-}
-
-// Depths sums the retained-state table sizes across shards (aggregate
-// monitor gauges; per-shard gauges come from ShardDepths).
-func (s *Sharded) Depths() Depths {
-	var total Depths
-	for i := range s.shards {
-		addDepths(&total, s.ShardDepths(i))
-	}
-	return total
-}
-
-// ShardDepths returns one shard's retained-state table sizes.
-func (s *Sharded) ShardDepths(i int) Depths {
-	return s.shards[i].Depths()
-}
-
-func addDepths(total *Depths, d Depths) {
-	total.Outbox += d.Outbox
-	total.AssertRows += d.AssertRows
-	total.DestroyRows += d.DestroyRows
-	total.LegacyBundles += d.LegacyBundles
-	total.PendingRefs += d.PendingRefs
-	total.PendingDeliveries += d.PendingDeliveries
-}
-
-// HandoffDepth returns the number of queued cross-shard frames (zero
-// at quiescence: afterEvent drains before returning).
-func (s *Sharded) HandoffDepth() int {
-	total := 0
-	for _, q := range s.queues {
-		total += q.depth()
-	}
-	return total
-}
-
-// Snapshot merges the per-shard object snapshots (sorted by ID) under
-// shard 0's root.
-func (s *Sharded) Snapshot() (ids.ObjectID, []ObjectSnapshot) {
-	root, objs := s.shards[0].Snapshot()
-	for _, r := range s.shards[1:] {
-		_, more := r.Snapshot()
-		objs = append(objs, more...)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].ID.Less(objs[j].ID) })
-	return root, objs
-}
-
-// addStats accumulates engine counters field-wise.
-func addStats(total *core.Stats, s core.Stats) {
-	total.Removed += s.Removed
-	total.Evaluations += s.Evaluations
-	total.PropagationsSent += s.PropagationsSent
-	total.DestroysSent += s.DestroysSent
-	total.AssertsSent += s.AssertsSent
-	total.AssertResends += s.AssertResends
-	total.DestroyResends += s.DestroyResends
-	total.LegacyResends += s.LegacyResends
-	total.ResendsSuppressed += s.ResendsSuppressed
-	total.RowsRetired += s.RowsRetired
-	total.AssertRowsDropped += s.AssertRowsDropped
-	total.LegacyEvicted += s.LegacyEvicted
-	total.HintsExpired += s.HintsExpired
-	total.StaleDeliveries += s.StaleDeliveries
+	r.engine.Refresh()
+	r.resendOutboxLocked()
+	r.settleLocked()
+	r.flushAcksLocked()
+	return nil
 }

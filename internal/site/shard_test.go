@@ -1,10 +1,8 @@
 package site
 
 import (
-	"bytes"
-	"encoding/gob"
+	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -13,7 +11,6 @@ import (
 	"causalgc/internal/ids"
 	"causalgc/internal/netsim"
 	"causalgc/internal/wire"
-	"causalgc/persist"
 )
 
 // mustRef wraps a (Ref, error) mutator result, failing the test on error.
@@ -30,7 +27,7 @@ func mustRef(t *testing.T) func(heap.Ref, error) heap.Ref {
 // settleSharded runs Collect+Refresh cycles until the live object
 // count stops changing (cross-shard GGD cascades take a few rounds of
 // assert/destroy exchange through the handoff queues).
-func settleSharded(t *testing.T, s *Sharded, net *netsim.Sim) {
+func settleSharded(t *testing.T, s *Site, net *netsim.Sim) {
 	t.Helper()
 	prev := -1
 	for i := 0; i < 8; i++ {
@@ -102,8 +99,8 @@ func TestShardedLifecycle(t *testing.T) {
 	}
 }
 
-// TestShardedRemotePeer checks the sharded site against an ordinary
-// unsharded remote peer: remote creation, transfer, reclamation.
+// TestShardedRemotePeer checks a 3-shard site against a one-shard
+// remote peer: remote creation, transfer, reclamation.
 func TestShardedRemotePeer(t *testing.T) {
 	net := netsim.NewSim(netsim.Faults{Seed: 1})
 	s := NewSharded(1, net, DefaultOptions(), 3)
@@ -166,7 +163,7 @@ func TestShardedRemotePeer(t *testing.T) {
 // mint must produce identical references, and the final heaps must
 // match object for object.
 func TestShardedSoloEquivalence(t *testing.T) {
-	script := func(s *Sharded) (refs []heap.Ref, _ *Sharded) {
+	script := func(s *Site) (refs []heap.Ref, _ *Site) {
 		root := s.Root().Obj
 		a := mustRef(t)(s.NewLocal(root))
 		b := mustRef(t)(s.NewLocal(root))
@@ -211,6 +208,14 @@ func TestShardedSoloEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(objsA, objsB) {
 		t.Fatalf("heaps diverge:\n 1-shard: %+v\n 4-shard: %+v", objsA, objsB)
 	}
+}
+
+// shardHas reports whether shard i of s holds obj.
+func shardHas(s *Site, i int, obj ids.ObjectID) bool {
+	r := s.shards[i]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.heap.Object(obj) != nil
 }
 
 // openShardPersist opens a journal under dir.
@@ -289,11 +294,13 @@ func TestShardCrashMidHandoff(t *testing.T) {
 	root := s.Root().Obj
 	_ = mustRef(t)(s.NewLocal(root)) // rr → shard 0 (local, drained)
 
-	// Bypass Sharded: the shard Runtime journals the op and enqueues
-	// the Create for shard 1, but nothing drains the queue — the frame
-	// is in flight when the site dies.
+	// Bypass Site.runOp: shard 0 journals the op and enqueues the Create
+	// for shard 1, but nothing drains the queue — the frame is in flight
+	// when the site dies.
 	r0 := s.shards[0]
-	ref, err := r0.NewLocal(root) // rr → shard 1: cross-shard create
+	r0.mu.Lock()
+	ref, err := r0.runOpLocked(wire.OpRecord{Kind: wire.OpNewLocal, Holder: root}) // rr → shard 1: cross-shard create
+	r0.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +310,7 @@ func TestShardCrashMidHandoff(t *testing.T) {
 	if s.HandoffDepth() == 0 {
 		t.Fatal("expected the creation frame stranded in the handoff queue")
 	}
-	if s.shards[1].HasObject(ref.Obj) {
+	if shardHas(s, 1, ref.Obj) {
 		t.Fatal("object materialised without a drain")
 	}
 	if err := p.Close(); err != nil { // crash: queue contents are volatile
@@ -322,7 +329,7 @@ func TestShardCrashMidHandoff(t *testing.T) {
 	if got := s2.clusterShardIdx(ref.Cluster); got != 1 {
 		t.Errorf("recovered cluster routed to shard %d, want 1", got)
 	}
-	if !s2.shards[1].HasObject(ref.Obj) {
+	if !shardHas(s2, 1, ref.Obj) {
 		t.Error("recovered object not on its owning shard")
 	}
 	if d := s2.HandoffDepth(); d != 0 {
@@ -397,160 +404,6 @@ func TestShardedMergedFloorNeverRegresses(t *testing.T) {
 		if adv.Floor != 3 {
 			t.Errorf("floor = %d, want 3 (one past the last assigned seq)", adv.Floor)
 		}
-	}
-}
-
-// TestSnapshotV3Migrates writes a v3-versioned unsharded image and
-// recovers it through both constructors: the sticky shard count of a
-// legacy image is 1 regardless of the requested stripe width, and the
-// state survives the version bump (the migration test referenced from
-// the wire package's version pin).
-func TestSnapshotV3Migrates(t *testing.T) {
-	// Build a genuine unsharded image.
-	netA := netsim.NewSim(netsim.Faults{Seed: 1})
-	dirA := t.TempDir()
-	pA := openShardPersist(t, dirA, 1000)
-	r, err := Recover(1, netA, DefaultOptions(), pA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := mustRef(t)(r.NewLocal(r.Root().Obj))
-	if err := r.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen the store to read the checkpoint back (Store.Snapshot
-	// reflects what was recovered at Open, not same-session writes).
-	stA, err := persist.Open(dirA, persist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := wire.DecodeSnapshot(stA.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stA.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-encode it as version 3 (the pre-shard format: no Shards,
-	// ShardExtra, PlaceRR — all zero on an unsharded image anyway).
-	img.Version = 3
-	img.Shards = 0
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		t.Fatal(err)
-	}
-	dirB := t.TempDir()
-	st, err := persist.Open(dirB, persist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteSnapshot(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// RecoverSharded migrates it forward; the shard count stays 1.
-	netB := netsim.NewSim(netsim.Faults{Seed: 1})
-	pB := openShardPersist(t, dirB, 1000)
-	s, err := RecoverSharded(1, netB, DefaultOptions(), pB, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ShardCount(); got != 1 {
-		t.Errorf("ShardCount = %d, want 1 (sticky legacy image)", got)
-	}
-	if !s.HasObject(ref.Obj) {
-		t.Error("v3 state lost in migration")
-	}
-	if err := pB.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The unsharded Recover accepts the same v3 image.
-	netC := netsim.NewSim(netsim.Faults{Seed: 1})
-	pC := openShardPersist(t, dirB, 1000)
-	r2, err := Recover(1, netC, DefaultOptions(), pC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.HasObject(ref.Obj) {
-		t.Error("v3 state lost in unsharded recovery")
-	}
-}
-
-// TestRecoverRejectsShardedImage: a journal written by a >1-shard site
-// must be refused by the unsharded Recover with a pointer to
-// RecoverSharded.
-func TestRecoverRejectsShardedImage(t *testing.T) {
-	dir := t.TempDir()
-	net := netsim.NewSim(netsim.Faults{Seed: 1})
-	p := openShardPersist(t, dir, 1000)
-	s, err := RecoverSharded(1, net, DefaultOptions(), p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = mustRef(t)(s.NewLocal(s.Root().Obj))
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	net.Unregister(1)
-
-	p2 := openShardPersist(t, dir, 1000)
-	if _, err := Recover(1, net, DefaultOptions(), p2); err == nil {
-		t.Fatal("Recover accepted a 3-shard journal")
-	} else if !strings.Contains(err.Error(), "RecoverSharded") {
-		t.Errorf("error %q does not point to RecoverSharded", err)
-	}
-}
-
-// TestRecoverRejectsShardTaggedWAL: the snapshot guard above never
-// fires when a multi-shard site crashes before its first checkpoint
-// (no snapshot exists) — the shard-tagged WAL tail itself must be
-// refused, or its cross-shard creations would replay into a single
-// runtime as self-addressed network frames and double-apply.
-func TestRecoverRejectsShardTaggedWAL(t *testing.T) {
-	dir := t.TempDir()
-	net := netsim.NewSim(netsim.Faults{Seed: 1})
-	p := openShardPersist(t, dir, 1<<20) // never due: crash precedes the first snapshot
-	s, err := RecoverSharded(1, net, DefaultOptions(), p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := s.Root().Obj
-	_ = mustRef(t)(s.NewLocal(root))  // rr → shard 0
-	b := mustRef(t)(s.NewLocal(root)) // rr → shard 1
-	if got := s.clusterShardIdx(b.Cluster); got != 1 {
-		t.Fatalf("b placed on shard %d, want 1", got)
-	}
-	// Executes on b's shard: the journal gains a Shard=1 record.
-	_ = mustRef(t)(s.NewLocalIn(b.Obj, b.Cluster))
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	net.Unregister(1)
-
-	p2 := openShardPersist(t, dir, 1<<20)
-	if _, err := Recover(1, net, DefaultOptions(), p2); err == nil {
-		t.Fatal("Recover accepted a shard-tagged WAL with no snapshot")
-	} else if !strings.Contains(err.Error(), "RecoverSharded") {
-		t.Errorf("error %q does not point to RecoverSharded", err)
-	}
-	// The same journal recovers fine through the sharded path.
-	s2, err := RecoverSharded(1, net, DefaultOptions(), p2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.HasObject(b.Obj) {
-		t.Error("state lost across the refused-then-sharded recovery")
 	}
 }
 
@@ -633,7 +486,7 @@ func TestCheckpointAllSkipsWhenNotDue(t *testing.T) {
 // object its Create payload carries, across all shards. A sequence
 // bound to two different payloads (or two frames sharing a sequence)
 // fails the test via the count check at the call site.
-func outboxFramesTo(s *Sharded, peer ids.SiteID) (map[uint64]ids.ObjectID, int) {
+func outboxFramesTo(s *Site, peer ids.SiteID) (map[uint64]ids.ObjectID, int) {
 	out := make(map[uint64]ids.ObjectID)
 	n := 0
 	for _, r := range s.shards {
@@ -723,5 +576,163 @@ func TestShardedConcurrentSeqReplayExact(t *testing.T) {
 			}
 		}
 		t.Fatalf("replay rebound outbox sequences (%d live vs %d recovered rows)", len(want), len(got))
+	}
+}
+
+// TestRecoverStickyWidth: a journal written at width k recovers at
+// width k whatever width is requested (the default included), both
+// from a snapshot and from the WAL tail alone before the first
+// checkpoint, and the rebuilt outbox binds every retained frame to the
+// sequence the live run sent.
+func TestRecoverStickyWidth(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		for _, snapshot := range []bool{true, false} {
+			for _, requested := range []int{0, 2, 5} { // 0: Recover, the default width
+				t.Run(fmt.Sprintf("k=%d/snapshot=%v/requested=%d", k, snapshot, requested), func(t *testing.T) {
+					dir := t.TempDir()
+					net := netsim.NewSim(netsim.Faults{Seed: 1})
+					p := openShardPersist(t, dir, 1<<20)
+					s, err := RecoverSharded(1, net, DefaultOptions(), p, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					root := s.Root().Obj
+					// Peer 2 never runs: every frame toward it stays retained.
+					for i := 0; i < 4; i++ {
+						a := mustRef(t)(s.NewLocal(root))
+						_ = mustRef(t)(s.NewRemote(a.Obj, 2))
+					}
+					if snapshot {
+						if err := s.Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
+						a := mustRef(t)(s.NewLocal(root)) // a WAL tail past the snapshot
+						_ = mustRef(t)(s.NewRemote(a.Obj, 2))
+					}
+					want, n := outboxFramesTo(s, 2)
+					if n == 0 || len(want) != n {
+						t.Fatalf("retained %d frames on %d seqs before the crash", n, len(want))
+					}
+					wantRoot, wantObjs := s.Snapshot()
+					if err := p.Close(); err != nil { // crash
+						t.Fatal(err)
+					}
+					net.Unregister(1)
+
+					p2 := openShardPersist(t, dir, 1<<20)
+					defer p2.Close()
+					var s2 *Site
+					if requested == 0 {
+						s2, err = Recover(1, net, DefaultOptions(), p2)
+					} else {
+						s2, err = RecoverSharded(1, net, DefaultOptions(), p2, requested)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := s2.ShardCount(); got != k {
+						t.Fatalf("recovered at width %d, want the journal's %d", got, k)
+					}
+					if got, n2 := outboxFramesTo(s2, 2); n2 != len(got) || !reflect.DeepEqual(got, want) {
+						t.Fatalf("outbox seq→payload diverged:\n want %v\n got  %v", want, got)
+					}
+					if gotRoot, gotObjs := s2.Snapshot(); gotRoot != wantRoot || !reflect.DeepEqual(gotObjs, wantObjs) {
+						t.Fatalf("heap diverged:\n want %+v\n got  %+v", wantObjs, gotObjs)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestJournaledOpsCarryMints: there is one journaling rule — every
+// journaled create and send records the identities, placement and
+// stream sequence its commit drew, on a one-shard site exactly as on a
+// striped one, and every record is stamped with the stripe width.
+func TestJournaledOpsCarryMints(t *testing.T) {
+	for _, width := range []int{1, 3} {
+		dir := t.TempDir()
+		net := netsim.NewSim(netsim.Faults{Seed: 1})
+		p := openShardPersist(t, dir, 1<<20)
+		s, err := RecoverSharded(1, net, DefaultOptions(), p, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := s.Root().Obj
+		a := mustRef(t)(s.NewLocal(root))
+		cl, err := s.NewCluster()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = mustRef(t)(s.NewLocalIn(root, cl))
+		rem := mustRef(t)(s.NewRemote(a.Obj, 2))
+		if err := s.SendRef(a.Obj, rem, a); err != nil { // a sends its own reference
+			t.Fatal(err)
+		}
+		if _, err := s.ApplyBatch([]wire.BatchOp{
+			{Op: wire.OpRecord{Kind: wire.OpNewLocal, Holder: root}},
+			{Op: wire.OpRecord{Kind: wire.OpNewRemote, Site: 2}, HolderFrom: 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		net.Unregister(1)
+
+		p2 := openShardPersist(t, dir, 1<<20)
+		_, recs, err := p2.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2.Close()
+		seen := map[wire.OpKind]int{}
+		check := func(op wire.OpRecord) {
+			seen[op.Kind]++
+			var missing []string
+			need := func(name string, set bool) {
+				if !set {
+					missing = append(missing, name)
+				}
+			}
+			switch op.Kind {
+			case wire.OpNewLocal:
+				need("MintObj", op.MintObj != 0)
+				need("MintClu", op.MintClu != 0)
+				need("Place", op.Place != 0)
+			case wire.OpNewLocalIn:
+				need("MintObj", op.MintObj != 0)
+				need("Place", op.Place != 0)
+			case wire.OpNewCluster:
+				need("MintClu", op.MintClu != 0)
+				need("Place", op.Place != 0)
+			case wire.OpNewRemote:
+				need("MintObj", op.MintObj != 0)
+				need("MutSeq", op.MutSeq != 0)
+			case wire.OpSendRef:
+				need("MutSeq", op.MutSeq != 0)
+			}
+			if len(missing) > 0 {
+				t.Errorf("width %d: journaled %v lacks %v: %+v", width, op.Kind, missing, op)
+			}
+		}
+		for i, rec := range recs {
+			if rec.Width != width {
+				t.Errorf("width %d: record %d stamped with width %d", width, i, rec.Width)
+			}
+			switch {
+			case rec.Op != nil:
+				check(*rec.Op)
+			case rec.Batch != nil:
+				for _, bop := range rec.Batch.Ops {
+					check(bop.Op)
+				}
+			}
+		}
+		for _, kind := range []wire.OpKind{wire.OpNewLocal, wire.OpNewLocalIn, wire.OpNewCluster, wire.OpNewRemote, wire.OpSendRef} {
+			if seen[kind] == 0 {
+				t.Errorf("width %d: no journaled %v record", width, kind)
+			}
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package site
 
 import (
-	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"causalgc/internal/core"
 	"causalgc/internal/heap"
@@ -12,17 +13,16 @@ import (
 	"causalgc/internal/wire"
 )
 
-// Options configure a Runtime.
+// Options configure a Site.
 type Options struct {
 	// AutoCollect runs a local collection whenever GGD removes a local
 	// cluster, so reclamation cascades without explicit Collect calls.
-	// Defaults to true via New.
+	// Defaults to true via DefaultOptions.
 	AutoCollect bool
 	// Engine tunes the GGD engine (the unsafe ablation switch).
 	Engine core.Options
 	// Observer, when non-nil, receives lifecycle notifications. Callbacks
-	// run with the runtime's mutex held and must not call back into the
-	// Runtime.
+	// run with a shard mutex held and must not call back into the Site.
 	Observer Observer
 	// MaxBatchFrames caps the frames coalesced into one wire.Envelope by
 	// a batch commit (or an envelope dispatch); a larger group flushes
@@ -38,7 +38,7 @@ const DefaultMaxBatchFrames = 256
 
 // Observer receives site lifecycle events: the public metrics hook of the
 // causalgc API. Implementations must be fast and must not re-enter the
-// Runtime (callbacks run under its mutex).
+// Site (callbacks run under a shard mutex).
 type Observer interface {
 	// ClusterRemoved fires when GGD detects a local cluster as global
 	// garbage and removes it.
@@ -53,666 +53,423 @@ func DefaultOptions() Options {
 	return Options{AutoCollect: true}
 }
 
-// pendingRef is a buffered reference transfer awaiting its holder.
-type pendingRef struct {
-	target   heap.Ref
-	intro    ids.ClusterID
-	introSeq uint64
+// Site is one site of the distributed system: n >= 1 shards — each a
+// heap partition and a GGD engine under its own mutex (DESIGN.md §3.4)
+// — behind one site identity. The shards share the identity mint
+// (heap.Counters plus the remote-creation mint), the retirement-stream
+// table (streams) and one Persist journal; they interact only through
+// the ordered cross-shard handoff queues, where a sibling shard is
+// addressed exactly like a reliable remote peer: frames are journaled
+// before they enter a queue, retained in the sending shard's outbox,
+// and retired by the ordinary FrameAck path. A one-shard site has no
+// siblings and its queue stays empty.
+//
+// Routing rule: a local cluster belongs to the shard recorded at its
+// placement (round-robin for clusters minted under the root cluster,
+// the executing shard otherwise); the site's root cluster belongs to
+// shard 0; an unknown local cluster hashes deterministically. Objects
+// follow their cluster and never migrate.
+//
+// Lock order: ckptMu → shards[0].mu → … → shards[n-1].mu → st.mu /
+// Persist.mu / handoff listMu (leaves). A single operation holds ONE
+// shard lock; only the stop-the-world checkpoint holds them all, in
+// ascending index order.
+//
+// Methods are safe for concurrent use.
+type Site struct {
+	id   ids.SiteID
+	net  netsim.Network
+	opts Options
+	n    int
+
+	shards []*shard
+	st     *streams
+	ctr    *heap.Counters
+	queues []*handoffQueue
+
+	// journal is the site's Persist (nil for a volatile site). Shards
+	// append to it directly; snapshots go through the stop-the-world
+	// checkpoint, never through a single shard.
+	journal *Persist
+
+	// objMap routes objects to shards (ids.ObjectID → int), maintained
+	// by each shard heap's object tracker. cluMap routes local clusters
+	// (ids.ClusterID → int), appended at placement time and never
+	// shrunk: a removed cluster keeps routing to the shard holding its
+	// tombstone, so zombie-drop and stale-delivery logic fire on the
+	// right engine. Both stay empty on a one-shard site, where every
+	// lookup answers shard 0 without consulting them.
+	objMap sync.Map
+	cluMap sync.Map
+
+	// rr is the round-robin placement cursor for clusters minted under
+	// the root cluster (persisted as SiteImage.PlaceRR).
+	rr atomic.Uint64
+
+	// ckptMu serialises stop-the-world checkpoints; cycleMu serialises
+	// the site-wide Collect/Refresh cycles (their journal records must
+	// not interleave with each other's shard sweeps).
+	ckptMu  sync.Mutex
+	cycleMu sync.Mutex
+
+	// replaying is set while recovery replays the WAL (the shards carry
+	// their own flag under their mutex): no checkpoints, no floor
+	// advisories.
+	replaying atomic.Bool
 }
 
-// introKey identifies one forwarding of a reference: the introducing
-// cluster and its forwarding sequence number. Forwarding seqs are drawn
-// from the introducer's event clock, so the pair is globally unique.
-type introKey struct {
-	intro ids.ClusterID
-	seq   uint64
+// Instance is the handle the layers above hold on a site.
+type Instance = *Site
+
+// New creates a volatile one-shard site and registers it on the
+// network. For a durable site use Recover.
+func New(id ids.SiteID, net netsim.Network, opts Options) *Site {
+	return NewSharded(id, net, opts, 1)
 }
 
-// outboundFrame is one sent mutator frame retained until the receiving
-// site's cumulative FrameAck retires it (re-sent by crash recovery and
-// by damper-due refresh rounds).
-type outboundFrame struct {
-	to  ids.SiteID
-	seq uint64
-	p   netsim.Payload
-	bo  core.Backoff
-}
-
-// maxOutbox is the hard-cap backstop on retained outbound mutator
-// frames. Under the acknowledged-retirement protocol the outbox trims
-// its acknowledged prefix and stays near-empty in steady state; the cap
-// only fires against a peer that never acknowledges (down forever,
-// partitioned). Evicting an unacknowledged frame is tolerated loss —
-// the GGD plane survives it; an undelivered mutator frame costs at
-// worst residual garbage, never safety — and is counted in
-// FrameStats.OutboxEvicted and surfaced through AckObserver instead of
-// happening silently.
-const maxOutbox = 1024
-
-// maxSeenIntro bounds the receiver-side transfer dedup set. Evicting an
-// entry can at worst let a re-sent transfer be applied twice, which
-// adds a redundant slot — a leak risk, never a safety violation.
-const maxSeenIntro = 1 << 16
-
-// bufDelivery is one live delivery buffered while a recovery replay is
-// in progress.
-type bufDelivery struct {
-	from ids.SiteID
-	p    netsim.Payload
-}
-
-// shardHooks wires one Runtime into a Sharded composition (DESIGN.md
-// §3.4). Every callback is set by Sharded before the runtime handles
-// its first event and never changes afterwards; nil shardHooks (the sh
-// field of an unsharded Runtime) selects the classic single-lock
-// behavior everywhere.
-type shardHooks struct {
-	// index is this shard's position (0-based). Shard 0 owns the site's
-	// root cluster.
-	index int
-	// owns narrows cluster locality below site equality: true only for
-	// same-site clusters this shard routes. Installed as the engine's
-	// Owns predicate too.
-	owns func(ids.ClusterID) bool
-	// place picks the placement shard for a freshly minted local cluster
-	// and records the routing choice; holderClu is the creating holder's
-	// cluster (NoCluster for a bare NewCluster). pin forces the
-	// executing shard (multi-op batches, where a cross-shard create
-	// would strand the batch's deferred references). Returns the
-	// 1-based shard recorded in OpRecord.Place.
-	place func(newClu, holderClu ids.ClusterID, pin bool) int
-	// clusterShard answers the 0-based routing shard of any same-site
-	// cluster (placement map first, deterministic hash otherwise).
-	clusterShard func(ids.ClusterID) int
-	// placed records an applied placement: the WAL replay path
-	// repopulates the routing map through it (premint is skipped during
-	// replay; the recorded Place is authoritative).
-	placed func(cl ids.ClusterID, place int)
-	// route hands a self-addressed frame to the ordered cross-shard
-	// handoff queue of its destination shard.
-	route func(p netsim.Payload)
-}
-
-// Runtime is one site — or, within a Sharded composition, one shard of
-// a site: a full runtime owning a partition of the site's clusters,
-// sharing the site identity, the identity mint, and the retirement
-// stream table with its sibling shards.
-type Runtime struct {
-	mu     sync.Mutex
-	id     ids.SiteID
-	heap   *heap.Heap
-	engine *core.Engine
-	net    netsim.Network
-	opts   Options
-
-	// st is the retirement-stream table: private to an unsharded
-	// runtime, shared across the shards of a sharded site. Its mutex is
-	// a leaf under r.mu.
-	st *streams
-	// sh holds the sharding callbacks; nil on an unsharded runtime.
-	sh *shardHooks
-
-	// pendingRefs buffers reference transfers that arrived before the
-	// creation message of their holder object (cross-sender races).
-	pendingRefs map[ids.ObjectID][]pendingRef
-	// removals counts GGD removals since the last collection.
-	removals int
-
-	// journal, when non-nil, receives a durable record of every relevant
-	// event before it takes effect (write-ahead; see DESIGN.md §5).
-	journal Journal
-	// replaying suppresses journaling and buffers live deliveries while
-	// Recover replays the WAL.
-	replaying  bool
-	recoverBuf []bufDelivery
-	// seenIntro dedups received reference transfers by (introducer,
-	// forwarding-seq), making recovery resends idempotent.
-	seenIntro map[introKey]struct{}
-	// outbox retains outbound mutator frames (populated only when a
-	// journal is attached) until the receiver acknowledges them; oldest
-	// first, hard-capped at maxOutbox as a documented backstop.
-	outbox []outboundFrame
-
-	// dirtyAcks are the streams whose watermark must be (re-)acked at
-	// the end of the current dispatch. Per shard: the shard that settled
-	// a frame sends the ack.
-	dirtyAcks map[streamKey]struct{}
-
-	// coalescing, when set, buffers outbound frames per destination
-	// instead of sending them: open during a batch commit and during
-	// the dispatch of a received envelope, flushed as one wire.Envelope
-	// per peer (DESIGN.md §3.3). The buffer allocates lazily on the
-	// first frame, so frameless windows (most one-op batches) cost
-	// nothing.
-	coalescing bool
-	coalesce   map[ids.SiteID][]netsim.Payload
-
-	// closed freezes the runtime: deliveries are dropped (tolerated
-	// loss) so introspection keeps answering from an unchanging state.
-	closed bool
-}
-
-// New creates a site runtime and registers it on the network. For a
-// durable site use Recover, which attaches a journal and replays any
-// existing state.
-func New(id ids.SiteID, net netsim.Network, opts Options) *Runtime {
-	r := newRuntime(id, net, opts)
-	net.Register(id, r.handle)
-	return r
-}
-
-// newRuntime builds a fresh unsharded runtime without registering it.
-func newRuntime(id ids.SiteID, net netsim.Network, opts Options) *Runtime {
-	r := &Runtime{
-		id:          id,
-		net:         net,
-		opts:        opts,
-		st:          newStreams(),
-		pendingRefs: make(map[ids.ObjectID][]pendingRef),
-		seenIntro:   make(map[introKey]struct{}),
+// NewSharded creates a volatile site with n shards (n < 1 is clamped to
+// 1) and registers it on the network. For a durable site use
+// RecoverSharded.
+func NewSharded(id ids.SiteID, net netsim.Network, opts Options, n int) *Site {
+	s := newSite(id, net, opts, n)
+	for _, r := range s.shards {
+		r.initFresh()
 	}
-	r.engine = core.New(id, (*sender)(r), r.onRemove, opts.Engine)
-	r.heap = heap.New(id, (*hooks)(r))
-	r.engine.Register(r.heap.RootCluster())
-	return r
+	s.trackObjects()
+	net.Register(id, s.handleNet)
+	return s
 }
 
-// newShardRuntime builds one shard of a sharded site: a rootless heap
-// partition (except shard 0) drawing identities from the shared mint,
-// an engine whose locality predicate is the shard's routing rule, and
-// the shared stream table.
-func newShardRuntime(id ids.SiteID, net netsim.Network, opts Options, st *streams, ctr *heap.Counters, sh *shardHooks) *Runtime {
-	opts.Engine.Owns = sh.owns
-	r := &Runtime{
-		id:          id,
-		net:         net,
-		opts:        opts,
-		st:          st,
-		sh:          sh,
-		pendingRefs: make(map[ids.ObjectID][]pendingRef),
-		seenIntro:   make(map[introKey]struct{}),
+// newSite allocates a site of n shards; the caller gives every shard its
+// heap and engine (fresh, or restored from an image).
+func newSite(id ids.SiteID, net netsim.Network, opts Options, n int) *Site {
+	if n < 1 {
+		n = 1
 	}
-	r.engine = core.New(id, (*sender)(r), r.onRemove, r.opts.Engine)
-	r.heap = heap.NewShard(id, (*hooks)(r), ctr, sh.index == 0)
-	if sh.index == 0 {
-		r.engine.Register(r.heap.RootCluster())
+	s := &Site{
+		id:     id,
+		net:    net,
+		opts:   opts,
+		n:      n,
+		shards: make([]*shard, n),
+		st:     newStreams(),
+		ctr:    heap.NewCounters(),
+		queues: make([]*handoffQueue, n),
 	}
-	return r
-}
-
-// ID returns the site identifier.
-func (r *Runtime) ID() ids.SiteID { return r.id }
-
-// Root returns a reference to the site's root object; its slots model the
-// mutator's named references.
-func (r *Runtime) Root() heap.Ref {
-	return r.heap.RootRef()
-}
-
-// owns reports whether this runtime routes cl: plain site equality when
-// unsharded, the shard routing rule otherwise.
-func (r *Runtime) owns(cl ids.ClusterID) bool {
-	if r.sh != nil {
-		return r.sh.owns(cl)
+	for i := range s.shards {
+		s.shards[i] = newShard(s, i)
+		s.queues[i] = &handoffQueue{}
 	}
-	return cl.Site == r.id
+	return s
 }
 
-// shardIndex returns this runtime's shard position (0 when unsharded).
-func (r *Runtime) shardIndex() int {
-	if r.sh != nil {
-		return r.sh.index
+// --- Routing -------------------------------------------------------------
+
+// trackObjects wires every shard heap into the object routing map and
+// seeds it with the objects already there (the root; a restored heap's
+// contents — the tracker only sees live mutations).
+func (s *Site) trackObjects() {
+	if s.n == 1 {
+		return
+	}
+	for i, r := range s.shards {
+		idx := i
+		for _, o := range r.heap.Objects() {
+			s.objMap.Store(o.ID(), idx)
+		}
+		r.heap.SetObjectTracker(func(obj ids.ObjectID, alive bool) {
+			if alive {
+				s.objMap.Store(obj, idx)
+			} else {
+				s.objMap.Delete(obj)
+			}
+		})
+	}
+}
+
+// shardFor routes an operation to the shard owning the given object
+// (shard 0 for unknown objects, whose operations fail there with the
+// same ErrNoSuchObject any shard would report).
+func (s *Site) shardFor(obj ids.ObjectID) *shard {
+	if s.n > 1 {
+		if v, ok := s.objMap.Load(obj); ok {
+			return s.shards[v.(int)]
+		}
+	}
+	return s.shards[0]
+}
+
+// clusterShardIdx answers the routing shard of a same-site cluster:
+// the root cluster is shard 0's, placed clusters route by the
+// placement map, anything else (a cluster minted remotely on this
+// site's behalf) hashes deterministically so every shard — and every
+// recovery — agrees without coordination.
+func (s *Site) clusterShardIdx(cl ids.ClusterID) int {
+	if s.n == 1 || cl.Root {
+		return 0
+	}
+	if v, ok := s.cluMap.Load(cl); ok {
+		return v.(int)
+	}
+	return int(hashCluster(cl) % uint64(s.n))
+}
+
+// setClusterShard records that cl routes to shard idx.
+func (s *Site) setClusterShard(cl ids.ClusterID, idx int) {
+	if s.n > 1 {
+		s.cluMap.Store(cl, idx)
+	}
+}
+
+// hashCluster is a fixed splitmix64-style mix: the fallback routing
+// hash must be identical across runs and across recoveries.
+func hashCluster(cl ids.ClusterID) uint64 {
+	x := cl.Seq ^ (uint64(cl.Site) << 32) ^ 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// placeCluster decides and records the placement of a freshly minted
+// local cluster, returning the 1-based shard journaled as
+// OpRecord.Place. Clusters minted under the root cluster spread
+// round-robin (they are the anchors parallel mutators fan out from);
+// everything else stays with the executing shard for locality. pin
+// forces the executing shard (multi-op batches, where a cross-shard
+// create would strand the batch's deferred references).
+func (s *Site) placeCluster(newClu, holderClu ids.ClusterID, executing int, pin bool) int {
+	idx := executing
+	if !pin && holderClu.Root {
+		idx = int(s.rr.Add(1)-1) % s.n
+	}
+	s.setClusterShard(newClu, idx)
+	return idx + 1
+}
+
+// frameShardIdx answers the destination shard of one frame by its
+// destination cluster (mutator frames by the target object's cluster,
+// GGD control frames by the To cluster).
+func (s *Site) frameShardIdx(p netsim.Payload) int {
+	switch m := p.(type) {
+	case wire.Create:
+		return s.clusterShardIdx(m.Cluster)
+	case wire.RefTransfer:
+		if m.ToCluster.Valid() {
+			return s.clusterShardIdx(m.ToCluster)
+		}
+		return s.shardFor(m.ToObj).index
+	case wire.Destroy:
+		return s.clusterShardIdx(m.To)
+	case wire.Assert:
+		return s.clusterShardIdx(m.To)
+	case wire.Propagate:
+		return s.clusterShardIdx(m.To)
 	}
 	return 0
 }
 
-// --- heap.Hooks and core plumbing ---------------------------------------
+// --- Cross-shard handoff -------------------------------------------------
 
-// hooks adapts Runtime to heap.Hooks without exposing the methods on the
-// public API.
-type hooks Runtime
-
-func (h *hooks) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.ClusterID, introSeq uint64) {
-	(*Runtime)(h).engine.EdgeUp(holder, target, first, intro, introSeq)
+// handoffQueue is the ordered cross-shard delivery queue of one
+// destination shard. listMu guards the item list and is a leaf lock
+// (enqueues happen under the sending shard's mutex); deliverMu
+// serialises drainers so the destination shard processes its queue in
+// FIFO order: within one queue, frames are delivered in the order the
+// causal stamps were assigned by their senders.
+type handoffQueue struct {
+	listMu    sync.Mutex
+	items     []netsim.Payload
+	deliverMu sync.Mutex
 }
 
-func (h *hooks) EdgeDown(holder, target ids.ClusterID) {
-	(*Runtime)(h).engine.EdgeDown(holder, target)
+func (q *handoffQueue) push(p netsim.Payload) {
+	q.listMu.Lock()
+	q.items = append(q.items, p)
+	q.listMu.Unlock()
 }
 
-var _ heap.Hooks = (*hooks)(nil)
-
-// sender adapts Runtime to core.Sender: it assigns retirement-stream
-// sequences (per destination site and stream) and stamps them onto the
-// wire frames, so receivers can acknowledge cumulatively.
-//
-// The engine only runs inside Runtime methods that hold r.mu, so every
-// callback below executes under the lock by construction; the
-// interface fixes the method names, so the *Locked suffix cannot carry
-// that fact and the calls are annotated as audited lockcheck
-// exceptions instead.
-type sender Runtime
-
-func (s *sender) SendDestroy(from, to ids.ClusterID, m core.DestroyMsg, seq uint64) uint64 {
-	r := (*Runtime)(s)
-	seq = r.assignSeqLocked(to.Site, core.StreamDestroy, seq)               //causalgc:allow-locked-call engine callbacks run under r.mu
-	r.emitLocked(to.Site, wire.Destroy{From: from, To: to, M: m, Seq: seq}) //causalgc:allow-locked-call engine callbacks run under r.mu
-	return seq
-}
-
-func (s *sender) SendLegacy(from, to ids.ClusterID, m core.DestroyMsg, seq uint64) uint64 {
-	r := (*Runtime)(s)
-	seq = r.assignSeqLocked(to.Site, core.StreamLegacy, seq)                              //causalgc:allow-locked-call engine callbacks run under r.mu
-	r.emitLocked(to.Site, wire.Destroy{From: from, To: to, M: m, Seq: seq, Legacy: true}) //causalgc:allow-locked-call engine callbacks run under r.mu
-	return seq
-}
-
-func (s *sender) SendAssert(from, to ids.ClusterID, m core.AssertMsg, seq uint64) uint64 {
-	r := (*Runtime)(s)
-	seq = r.assignSeqLocked(to.Site, core.StreamAssert, seq)               //causalgc:allow-locked-call engine callbacks run under r.mu
-	r.emitLocked(to.Site, wire.Assert{From: from, To: to, M: m, Seq: seq}) //causalgc:allow-locked-call engine callbacks run under r.mu
-	return seq
-}
-
-func (s *sender) SendPropagate(from, to ids.ClusterID, m core.Propagation) {
-	(*Runtime)(s).emitLocked(to.Site, wire.Propagate{From: from, To: to, M: m}) //causalgc:allow-locked-call engine callbacks run under r.mu
-}
-
-func (s *sender) SettleFrame(peer ids.SiteID, stream core.Stream, seq uint64) {
-	(*Runtime)(s).markRecvLocked(peer, stream, seq) //causalgc:allow-locked-call engine callbacks run under r.mu
-}
-
-var _ core.Sender = (*sender)(nil)
-
-// onRemove is the engine's removal callback: discard the cluster's global
-// roots from the local root set (§2.2) and schedule reclamation.
-func (r *Runtime) onRemove(cl ids.ClusterID) {
-	// Errors are impossible here by construction: the engine only removes
-	// clusters it registered, which exist in the heap.
-	_ = r.heap.RemoveCluster(cl)
-	r.removals++
-	if r.opts.Observer != nil {
-		r.opts.Observer.ClusterRemoved(r.id, cl)
+func (q *handoffQueue) pop() (netsim.Payload, bool) {
+	q.listMu.Lock()
+	defer q.listMu.Unlock()
+	if len(q.items) == 0 {
+		return nil, false
 	}
+	p := q.items[0]
+	q.items[0] = nil
+	q.items = q.items[1:]
+	return p, true
 }
 
-// collectLocked runs one local collection and notifies the observer.
-func (r *Runtime) collectLocked() heap.CollectStats {
-	stats := r.heap.Collect()
-	if r.opts.Observer != nil {
-		r.opts.Observer.Collected(r.id, stats)
-	}
-	return stats
+func (q *handoffQueue) depth() int {
+	q.listMu.Lock()
+	defer q.listMu.Unlock()
+	return len(q.items)
 }
 
-// Close freezes the runtime: deliveries still arriving from a shared
-// transport are dropped (tolerated loss) instead of mutating state, so
-// post-Close introspection reads a stable image. Mutator entry points
-// are gated by the owning Node.
-func (r *Runtime) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = true
-}
-
-// handle is the network delivery entry point.
-func (r *Runtime) handle(from ids.SiteID, p netsim.Payload) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.replaying {
-		// A live delivery racing the recovery replay: buffered, then
-		// journaled and processed once the replay completes.
-		if !r.closed {
-			r.recoverBuf = append(r.recoverBuf, bufDelivery{from: from, p: p})
+// enqueue routes one self-addressed frame into the handoff queues.
+// Acknowledgement frames fan out to every shard — the shared stream
+// watermark is cumulative across shards, and retirement is idempotent,
+// so each shard retires its own covered rows. Called under the sending
+// shard's mutex (listMu is a leaf).
+func (s *Site) enqueue(p netsim.Payload) {
+	switch p.(type) {
+	case wire.FrameAck, wire.StreamAdvance:
+		for _, q := range s.queues {
+			q.push(p)
 		}
-		return
-	}
-	r.deliverShardLocked(from, p)
-	r.checkpointLocked()
-}
-
-// deliverShardLocked journals and dispatches one delivery with r.mu
-// already held: the body of handle, also used by the sharded
-// stop-the-world checkpoint, which drains the handoff queues while
-// holding every shard's lock. Caller holds r.mu (and never a sibling
-// shard's lock except on the all-locks checkpoint path).
-func (r *Runtime) deliverShardLocked(from ids.SiteID, p netsim.Payload) {
-	if r.closed {
-		return
-	}
-	if r.journal != nil {
-		if err := r.journal.Append(&wire.WALRecord{Shard: r.shardIndex(), Deliver: &wire.DeliverRecord{From: from, Payload: p}}); err != nil {
-			// An unjournalable delivery must not take effect: acting on it
-			// would desynchronise the replayable history from the messages
-			// this site sends. Dropping is safe — the protocol tolerates
-			// loss (§5).
-			return
-		}
-	}
-	r.dispatchLocked(from, p)
-}
-
-// dispatchLocked applies one delivery, settles the engine, and flushes
-// any acknowledgements the delivery earned. A received wire.Envelope is
-// applied frame by frame but settled and acknowledged once, and the
-// responses it provokes (FrameAcks, asserts, cascade traffic) are
-// themselves coalesced into one envelope per peer. Caller holds r.mu.
-func (r *Runtime) dispatchLocked(from ids.SiteID, p netsim.Payload) {
-	opened := false
-	if _, ok := p.(wire.Envelope); ok {
-		opened = r.beginCoalesceLocked()
-	}
-	r.applyFrameLocked(from, p)
-	r.settleLocked()
-	r.flushAcksLocked()
-	if opened {
-		r.flushCoalesceLocked()
+	default:
+		s.queues[s.frameShardIdx(p)].push(p)
 	}
 }
 
-// applyFrameLocked applies one wire frame (an envelope's inner frames
-// recursively, in order). Caller holds r.mu.
-func (r *Runtime) applyFrameLocked(from ids.SiteID, p netsim.Payload) {
-	switch m := p.(type) {
-	case wire.Create:
-		r.handleCreate(m)
-		// Mutator frames settle on any delivery: every disposition
-		// (applied, duplicate-dropped, zombie-dropped) is final and
-		// replayable.
-		r.markRecvLocked(from, core.StreamMut, m.Seq)
-	case wire.RefTransfer:
-		r.handleRefTransfer(m)
-		r.markRecvLocked(from, core.StreamMut, m.Seq)
-	case wire.Destroy:
-		r.engine.HandleDestroyFrame(m.To, m.From, m.M, m.Seq, m.Legacy)
-	case wire.Propagate:
-		r.engine.HandlePropagate(m.To, m.From, m.M)
-	case wire.Assert:
-		r.engine.HandleAssertFrame(m.To, m.From, m.M, m.Seq)
-	case wire.HintAck:
-		r.engine.HandleAck(m.To, m.From, m.M)
-	case wire.FrameAck:
-		r.handleFrameAckLocked(from, m)
-	case wire.StreamAdvance:
-		r.handleAdvanceLocked(from, m)
-	case wire.Envelope:
-		for _, f := range m.Frames {
-			r.applyFrameLocked(from, f)
-		}
-	}
-}
-
-// journalOp durably records a mutator operation before it is applied.
-func (r *Runtime) journalOp(op wire.OpRecord) error {
-	if r.journal == nil || r.replaying {
-		return nil
-	}
-	if err := r.journal.Append(&wire.WALRecord{Shard: r.shardIndex(), Op: &op}); err != nil {
-		return fmt.Errorf("site %v: journal %v: %w", r.id, op.Kind, err)
-	}
-	return nil
-}
-
-// checkpointLocked offers the journal a snapshot opportunity at a
-// quiescent point. Checkpoint failures are sticky inside the journal
-// (the next Append surfaces them); the completed operation itself is
-// already durable in the WAL.
-func (r *Runtime) checkpointLocked() {
-	if r.journal == nil || r.replaying {
-		return
-	}
-	_ = r.journal.Checkpoint(r.exportImageLocked)
-}
-
-// assignMutSeqLocked draws the next mutator-stream sequence for a frame
-// bound to target, or zero for volatile sites (no journal → no outbox →
-// nothing to acknowledge).
-func (r *Runtime) assignMutSeqLocked(target ids.SiteID) uint64 {
-	if r.journal == nil {
-		return 0
-	}
-	return r.assignSeqLocked(target, core.StreamMut, 0)
-}
-
-// recordOutboundLocked retains a sent mutator frame until the receiver
-// acknowledges it, evicting the oldest past the maxOutbox backstop
-// (counted tolerated loss).
-func (r *Runtime) recordOutboundLocked(to ids.SiteID, seq uint64, p netsim.Payload) {
-	if r.journal == nil || seq == 0 {
-		return
-	}
-	if len(r.outbox) >= maxOutbox {
-		victim := r.outbox[0]
-		copy(r.outbox, r.outbox[1:])
-		r.outbox = r.outbox[:len(r.outbox)-1]
-		r.st.mu.Lock()
-		r.st.fstats.OutboxEvicted++
-		r.st.mu.Unlock()
-		if ao, ok := r.opts.Observer.(AckObserver); ok {
-			ao.FrameEvicted(r.id, victim.to, core.StreamMut, 1)
-		}
-	}
-	r.outbox = append(r.outbox, outboundFrame{to: to, seq: seq, p: p})
-}
-
-func (r *Runtime) handleCreate(m wire.Create) {
-	if r.engine.Removed(m.Cluster) {
-		// A duplicate or recovery-re-sent creation of a cluster GGD has
-		// already removed: applying it would resurrect a zombie object —
-		// the swept cluster shell is gone, so the heap would rebuild a
-		// live-looking cluster and pin the object as an entry root
-		// forever, while the tombstoned engine process can never issue a
-		// second verdict. Dropping is the idempotent outcome: the first
-		// creation was fully processed and reclaimed.
-		return
-	}
-	r.engine.HandleCreate(m.Cluster, m.Creator, m.Stamp)
-	o, err := r.heap.NewObjectAt(m.Obj, m.Cluster)
-	if err != nil {
-		return // duplicate create: idempotent drop
-	}
-	// The object is referenced from outside this heap partition from
-	// birth (a remote site or a sibling shard): it is a global root.
-	_ = r.heap.MarkEntry(o.ID())
-	for _, pr := range r.pendingRefs[m.Obj] {
-		_, _ = r.heap.AddRefIntro(m.Obj, pr.target, pr.intro, pr.introSeq)
-	}
-	delete(r.pendingRefs, m.Obj)
-}
-
-func (r *Runtime) handleRefTransfer(m wire.RefTransfer) {
-	// Dedup by (introducer, forwarding-seq): forwarding seqs are unique
-	// per introducing cluster, so a re-sent transfer — a crashed sender
-	// re-playing its outbox, or a journaled delivery re-arriving after
-	// the sender's recovery — is applied exactly once.
-	if m.IntroSeq > 0 {
-		k := introKey{intro: m.FromCluster, seq: m.IntroSeq}
-		if _, dup := r.seenIntro[k]; dup {
-			return
-		}
-		if len(r.seenIntro) >= maxSeenIntro {
-			for old := range r.seenIntro {
-				delete(r.seenIntro, old)
-				break
+// drainHandoffs delivers queued cross-shard frames until every queue
+// is empty. Each queue drains under its deliverMu with no other lock
+// held, so two drainers never deadlock: a drainer blocks only on one
+// deliverMu or one shard mutex at a time, and frame delivery never
+// acquires a deliverMu. Cascades terminate — delivering an ack emits
+// nothing, and mutator/control cascades bottom out in the engines.
+func (s *Site) drainHandoffs() {
+	for {
+		idle := true
+		for i, q := range s.queues {
+			if s.drainQueue(i, q) {
+				idle = false
 			}
 		}
-		r.seenIntro[k] = struct{}{}
-	}
-	if r.heap.Object(m.ToObj) == nil {
-		if m.ToCluster.Valid() && (r.engine.Registered(m.ToCluster) || r.engine.Removed(m.ToCluster)) {
-			// The holder's cluster is known here but the object is gone:
-			// an object can only be named after its creation was
-			// processed (which registers the cluster), so the holder was
-			// collected and this introduction can never form its edge.
-			// Expire it at the hint's owner instead of parking the frame
-			// forever.
-			r.engine.ResolveIntroduction(m.ToCluster, m.Target.Cluster, m.FromCluster, m.IntroSeq)
+		if idle {
 			return
 		}
-		// The holder's creation message has not arrived yet (different
-		// sender): buffer and replay on creation.
-		r.pendingRefs[m.ToObj] = append(r.pendingRefs[m.ToObj], pendingRef{
-			target: m.Target, intro: m.FromCluster, introSeq: m.IntroSeq,
-		})
-		return
 	}
-	// AddRefIntro triggers EdgeUp: the receiver stamps the new edge in
-	// its own clock space — the authoritative lazy log-keeping record
-	// (§3.4) — and sends the edge-assert resolving the introduction.
-	_, _ = r.heap.AddRefIntro(m.ToObj, m.Target, m.FromCluster, m.IntroSeq)
 }
 
-// settleLocked drives removal cascades to completion: GGD removals clear
-// entry tables, the following collection destroys the last proxies, whose
-// destruction messages may remove further local clusters, and so on.
-func (r *Runtime) settleLocked() {
-	r.engine.Drain()
-	if !r.opts.AutoCollect {
+func (s *Site) drainQueue(i int, q *handoffQueue) bool {
+	q.deliverMu.Lock()
+	defer q.deliverMu.Unlock()
+	drained := false
+	for {
+		p, ok := q.pop()
+		if !ok {
+			return drained
+		}
+		drained = true
+		s.shards[i].handle(s.id, p)
+	}
+}
+
+// afterEvent runs after every public operation and network delivery,
+// outside all shard locks: flush the cross-shard handoffs, then take a
+// snapshot if the journal says one is due.
+func (s *Site) afterEvent() {
+	s.drainHandoffs()
+	s.maybeCheckpoint()
+}
+
+// --- Network delivery ----------------------------------------------------
+
+// handleNet is the transport entry point: split and route the frames
+// to their destination shards, then settle cross-shard effects.
+func (s *Site) handleNet(from ids.SiteID, p netsim.Payload) {
+	s.deliverNet(from, p)
+	s.afterEvent()
+}
+
+// deliverNet routes one inbound payload. An envelope splits into one
+// sub-envelope per destination shard (inner order preserved within
+// each shard — the only order the receiver's streams depend on); acks
+// and floor advisories fan out to every shard, like on the handoff
+// path.
+func (s *Site) deliverNet(from ids.SiteID, p netsim.Payload) {
+	if env, ok := p.(wire.Envelope); ok && s.n > 1 {
+		parts := make([][]netsim.Payload, s.n)
+		for _, f := range env.Frames {
+			switch f.(type) {
+			case wire.FrameAck, wire.StreamAdvance:
+				for i := range parts {
+					parts[i] = append(parts[i], f)
+				}
+			default:
+				i := s.frameShardIdx(f)
+				parts[i] = append(parts[i], f)
+			}
+		}
+		for i, frames := range parts {
+			switch len(frames) {
+			case 0:
+			case 1:
+				s.shards[i].handle(from, frames[0])
+			default:
+				s.shards[i].handle(from, wire.Envelope{Frames: frames})
+			}
+		}
 		return
 	}
-	for r.removals > 0 {
-		r.removals = 0
-		r.collectLocked()
-		r.engine.Drain()
+	switch p.(type) {
+	case wire.FrameAck, wire.StreamAdvance:
+		for _, r := range s.shards {
+			r.handle(from, p)
+		}
+	default:
+		s.shards[s.frameShardIdx(p)].handle(from, p)
 	}
 }
 
 // --- Mutator API ---------------------------------------------------------
 
-// The singleton mutator entry points all follow one commit sequence —
-// stage-check (reject without journaling, mirroring the historical
-// pre-journal validation), pre-mint (sharded sites record the drawn
-// identities and placement on the OpRecord), write-ahead journal,
-// apply, checkpoint — shared with the batch path (ApplyBatch), which
-// runs the same stages once per group instead of once per op.
+// ID returns the site identifier.
+func (s *Site) ID() ids.SiteID { return s.id }
 
-// runOpLocked commits one mutator operation through the singleton
-// path. Caller holds r.mu.
-func (r *Runtime) runOpLocked(op wire.OpRecord) (heap.Ref, error) {
-	if err := r.stageOpLocked(op); err != nil {
-		return heap.NilRef, err
+// Root returns a reference to the site's root object (owned by shard
+// 0); its slots model the mutator's named references.
+func (s *Site) Root() heap.Ref { return s.shards[0].heap.RootRef() }
+
+// ShardCount returns the number of shards.
+func (s *Site) ShardCount() int { return s.n }
+
+// Close freezes the site: deliveries still arriving from a shared
+// transport are dropped (tolerated loss) instead of mutating state, so
+// post-Close introspection reads a stable image. Mutator entry points
+// are gated by the owning Node.
+func (s *Site) Close() {
+	for _, r := range s.shards {
+		r.mu.Lock()
+		r.closed = true
+		r.mu.Unlock()
 	}
-	r.premintLocked(&op, false)
-	if err := r.journalOp(op); err != nil {
-		return heap.NilRef, err
-	}
-	ref, err := r.applyOpLocked(op)
-	r.checkpointLocked()
+}
+
+// runOp commits one mutator operation on shard r (the holder's shard)
+// and settles its cross-shard effects.
+func (s *Site) runOp(r *shard, op wire.OpRecord) (heap.Ref, error) {
+	r.mu.Lock()
+	ref, err := r.runOpLocked(op)
+	r.mu.Unlock()
+	s.afterEvent()
 	return ref, err
 }
 
-// premintLocked draws the identities op will mint and records them
-// (plus the placement shard for fresh clusters and the mutator-stream
-// sequence of any frame the op emits) on the record before it is
-// journaled. Only sharded sites pre-mint: with concurrent shards the
-// WAL append order need not match the live mint (or seq-draw) order,
-// so replaying the counters in WAL order would shift identities and
-// rebind frame sequences — the recorded values make replay exact. An
-// unsharded runtime replays under one lock, where WAL order IS mint
-// order, and keeps its legacy (mint-at-apply) format. During replay
-// the recorded values are authoritative and nothing is drawn. pin
-// forces fresh clusters onto the executing shard (multi-op batches).
-// Caller holds r.mu; the op has passed stageOpLocked. For batch ops
-// with deferred arguments the caller passes a copy with the arguments
-// resolved against the batch's own predicted mints (premintBatchLocked).
-//
-// A pre-drawn sequence whose op later fails to apply (or whose journal
-// append fails) leaves a gap in the stream, exactly like a pre-minted
-// identity that is never materialised: the next Refresh's floor
-// advisory walks the peer's watermark over it.
-func (r *Runtime) premintLocked(op *wire.OpRecord, pin bool) {
-	if r.sh == nil || r.replaying {
-		return
-	}
-	ctr := r.heap.Counters()
-	switch op.Kind {
-	case wire.OpNewLocal:
-		// Draw order matches the solo apply path: cluster, then object.
-		op.MintClu = ctr.MintClu()
-		op.MintObj = ctr.MintObj()
-		holderClu := ids.NoCluster
-		if ho := r.heap.Object(op.Holder); ho != nil {
-			holderClu = ho.Cluster()
-		}
-		cl := ids.ClusterID{Site: r.id, Seq: op.MintClu}
-		op.Place = r.sh.place(cl, holderClu, pin)
-		if op.Place-1 != r.sh.index {
-			// Cross-shard placement: the apply emits a Create through the
-			// handoff queue, addressed to the own site.
-			op.MutSeq = r.assignMutSeqLocked(r.id)
-		}
-	case wire.OpNewLocalIn:
-		op.MintObj = ctr.MintObj()
-		op.Place = r.sh.clusterShard(op.Clu) + 1
-		if op.Place-1 != r.sh.index {
-			op.MutSeq = r.assignMutSeqLocked(r.id)
-		}
-	case wire.OpNewCluster:
-		op.MintClu = ctr.MintClu()
-		cl := ids.ClusterID{Site: r.id, Seq: op.MintClu}
-		op.Place = r.sh.place(cl, ids.NoCluster, true)
-	case wire.OpNewRemote:
-		r.st.mu.Lock()
-		r.st.mint++
-		op.MintObj = r.st.mint
-		r.st.mu.Unlock()
-		op.MutSeq = r.assignMutSeqLocked(op.Site)
-	case wire.OpSendRef:
-		op.MutSeq = r.premintSendRefSeqLocked(op.To, op.Target)
-	}
-}
-
-// premintSendRefSeqLocked pre-draws the mutator-stream sequence of the
-// RefTransfer a SendRef will emit, mirroring the apply-time conditions
-// exactly (same lock hold, so the state cannot change in between): no
-// frame for a destination this partition owns, and no sequence for
-// frames SentRef gives no dedup identity (intra-cluster copies, where
-// target and destination share a cluster — a staged holder is always
-// live, hence its engine process registered). Caller holds r.mu.
-func (r *Runtime) premintSendRefSeqLocked(to, target heap.Ref) uint64 {
-	if to.Obj.Site == r.id && r.owns(to.Cluster) {
-		return 0
-	}
-	if target.Cluster == to.Cluster {
-		return 0
-	}
-	return r.assignMutSeqLocked(to.Obj.Site)
-}
-
-// mutSeqLocked resolves the sequence of one outbound mutator frame:
-// the pre-drawn value when the record carries one (sharded commit, or
-// a replay of it) — observed into the shared counter so later draws
-// stay above it — and a live draw otherwise. Caller holds r.mu.
-func (r *Runtime) mutSeqLocked(preminted uint64, target ids.SiteID) uint64 {
-	if preminted != 0 {
-		r.observeSeqLocked(target, core.StreamMut, preminted)
-		return preminted
-	}
-	return r.assignMutSeqLocked(target)
-}
-
 // NewLocal creates an object in a fresh cluster on this site, referenced
-// from holder (often the root object). It returns a reference to the new
-// object.
-func (r *Runtime) NewLocal(holder ids.ObjectID) (heap.Ref, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runOpLocked(wire.OpRecord{Kind: wire.OpNewLocal, Holder: holder})
+// from holder (often the root object), and returns a reference to it.
+// The placement policy may put the new cluster on a sibling of the
+// holder's shard, reached through the handoff queue.
+func (s *Site) NewLocal(holder ids.ObjectID) (heap.Ref, error) {
+	return s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpNewLocal, Holder: holder})
 }
 
 // NewLocalIn creates an object in an existing local cluster, referenced
 // from holder. Used by coarse clustering policies (§3.5).
-func (r *Runtime) NewLocalIn(holder ids.ObjectID, cl ids.ClusterID) (heap.Ref, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runOpLocked(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: holder, Clu: cl})
+func (s *Site) NewLocalIn(holder ids.ObjectID, cl ids.ClusterID) (heap.Ref, error) {
+	return s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: holder, Clu: cl})
 }
 
-// NewCluster mints a fresh local cluster identity (for NewLocalIn).
-func (r *Runtime) NewCluster() (ids.ClusterID, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ref, err := r.runOpLocked(wire.OpRecord{Kind: wire.OpNewCluster})
+// NewCluster mints a fresh local cluster identity (for NewLocalIn),
+// rotating the executing — and owning: bare clusters pin to their
+// executing shard — shard.
+func (s *Site) NewCluster() (ids.ClusterID, error) {
+	r := s.shards[int(s.rr.Add(1)-1)%s.n]
+	ref, err := s.runOp(r, wire.OpRecord{Kind: wire.OpNewCluster})
 	return ref.Cluster, err
 }
 
@@ -720,431 +477,191 @@ func (r *Runtime) NewCluster() (ids.ClusterID, error) {
 // referenced from holder: the paper's "a root object 1 creates an object
 // 2" (§3.1). The creator mints the identities; the creation message
 // carries the creator's stamp — the only piggybacked log-keeping datum.
-func (r *Runtime) NewRemote(holder ids.ObjectID, target ids.SiteID) (heap.Ref, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runOpLocked(wire.OpRecord{Kind: wire.OpNewRemote, Holder: holder, Site: target})
+func (s *Site) NewRemote(holder ids.ObjectID, target ids.SiteID) (heap.Ref, error) {
+	return s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpNewRemote, Holder: holder, Site: target})
 }
 
 // SendRef copies a reference the sender holds to a (usually remote)
 // object: the mutator messages of Fig 7. fromObj must currently hold
 // target in one of its slots; to names the destination object. When the
-// destination is local the copy is immediate; otherwise a single mutator
-// message is sent — lazy log-keeping adds no control messages even when
-// target denotes a third-party object on yet another site (§3.4).
-func (r *Runtime) SendRef(fromObj ids.ObjectID, to heap.Ref, target heap.Ref) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, err := r.runOpLocked(wire.OpRecord{Kind: wire.OpSendRef, Holder: fromObj, To: to, Target: target})
+// destination lives on the sender's shard the copy is immediate;
+// otherwise a single mutator message is sent — lazy log-keeping adds no
+// control messages even when target denotes a third-party object on yet
+// another site (§3.4).
+func (s *Site) SendRef(fromObj ids.ObjectID, to heap.Ref, target heap.Ref) error {
+	_, err := s.runOp(s.shardFor(fromObj), wire.OpRecord{Kind: wire.OpSendRef, Holder: fromObj, To: to, Target: target})
 	return err
 }
 
 // AddRef stores target into a new slot of holder (a local mutation).
-func (r *Runtime) AddRef(holder ids.ObjectID, target heap.Ref) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, err := r.runOpLocked(wire.OpRecord{Kind: wire.OpAddRef, Holder: holder, Target: target})
+func (s *Site) AddRef(holder ids.ObjectID, target heap.Ref) error {
+	_, err := s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpAddRef, Holder: holder, Target: target})
 	return err
 }
 
 // DropRefs clears every slot of holder that references target.Obj: the
 // mutator destroys its edge(s) to that object.
-func (r *Runtime) DropRefs(holder ids.ObjectID, target heap.Ref) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, err := r.runOpLocked(wire.OpRecord{Kind: wire.OpDropRefs, Holder: holder, Target: target})
+func (s *Site) DropRefs(holder ids.ObjectID, target heap.Ref) error {
+	_, err := s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpDropRefs, Holder: holder, Target: target})
 	return err
 }
 
 // ClearSlot drops one slot of holder.
-func (r *Runtime) ClearSlot(holder ids.ObjectID, slot int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, err := r.runOpLocked(wire.OpRecord{Kind: wire.OpClearSlot, Holder: holder, Slot: slot})
+func (s *Site) ClearSlot(holder ids.ObjectID, slot int) error {
+	_, err := s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpClearSlot, Holder: holder, Slot: slot})
 	return err
 }
 
-// applyOpLocked applies one resolved mutator operation: validation,
-// mutation, sends (through emitLocked, so a surrounding batch commit
-// coalesces them) and the settle cascade — everything except locking,
-// journaling and checkpointing, which the callers own. For OpNewCluster
-// the returned Ref carries only the minted cluster. Caller holds r.mu.
-func (r *Runtime) applyOpLocked(op wire.OpRecord) (heap.Ref, error) {
-	switch op.Kind {
-	case wire.OpNewLocal:
-		return r.applyNewLocalLocked(op)
-	case wire.OpNewLocalIn:
-		return r.applyNewLocalInLocked(op)
-	case wire.OpNewCluster:
-		var cl ids.ClusterID
-		if op.MintClu != 0 {
-			cl = ids.ClusterID{Site: r.id, Seq: op.MintClu}
-			r.heap.Counters().ObserveClu(op.MintClu)
-		} else {
-			cl = r.heap.NewCluster()
+// --- GGD cycles ----------------------------------------------------------
+
+// Collect runs local collections until no further GGD cascade fires, on
+// every shard. One site-wide OpCollect is journaled through shard 0
+// (replay intercepts it and re-runs the site-wide cycle); cross-shard
+// cascades settle through the handoff queues between shard sweeps.
+func (s *Site) Collect() (heap.CollectStats, error) {
+	s.cycleMu.Lock()
+	defer s.cycleMu.Unlock()
+	var total heap.CollectStats
+	var firstErr error
+	for i, r := range s.shards {
+		r.mu.Lock()
+		stats, err := r.collectShardLocked(i == 0)
+		r.mu.Unlock()
+		total.Marked += stats.Marked
+		total.Swept += stats.Swept
+		total.Roots += stats.Roots
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		r.notePlacement(cl, op.Place)
-		r.engine.Register(cl)
-		return heap.Ref{Cluster: cl}, nil
-	case wire.OpNewRemote:
-		return r.applyNewRemoteLocked(op)
-	case wire.OpSendRef:
-		return heap.NilRef, r.applySendRefLocked(op.Holder, op.To, op.Target, op.MutSeq)
-	case wire.OpAddRef:
-		_, err := r.heap.AddRef(op.Holder, op.Target)
-		r.settleLocked()
-		return heap.NilRef, err
-	case wire.OpDropRefs:
-		err := r.heap.DropRefs(op.Holder, op.Target.Obj)
-		r.settleLocked()
-		return heap.NilRef, err
-	case wire.OpClearSlot:
-		err := r.heap.ClearSlot(op.Holder, op.Slot)
-		r.settleLocked()
-		return heap.NilRef, err
+		s.drainHandoffs()
 	}
-	return heap.NilRef, fmt.Errorf("site %v: apply %v: unknown op", r.id, op.Kind)
+	s.maybeCheckpoint()
+	return total, firstErr
 }
 
-// notePlacement records an applied cluster placement in the shard
-// routing map (replay repopulates the map through this path; the live
-// path already stored it at pre-mint, and the re-store is idempotent).
-func (r *Runtime) notePlacement(cl ids.ClusterID, place int) {
-	if r.sh != nil && place != 0 {
-		r.sh.placed(cl, place)
-	}
-}
-
-func (r *Runtime) applyNewLocalLocked(op wire.OpRecord) (heap.Ref, error) {
-	holder := op.Holder
-	if r.heap.Object(holder) == nil {
-		return heap.NilRef, fmt.Errorf("site %v: NewLocal holder %v: %w", r.id, holder, heap.ErrNoSuchObject)
-	}
-	var cl ids.ClusterID
-	var obj ids.ObjectID
-	if op.MintClu != 0 {
-		// Pre-minted identities (sharded site, live or replay).
-		cl = ids.ClusterID{Site: r.id, Seq: op.MintClu}
-		obj = ids.ObjectID{Site: r.id, Seq: op.MintObj}
-		r.heap.Counters().ObserveClu(op.MintClu)
-		r.heap.Counters().ObserveObj(op.MintObj)
-	} else {
-		cl = r.heap.NewCluster()
-	}
-	r.notePlacement(cl, op.Place)
-	if op.Place != 0 && op.Place-1 != r.shardIndex() {
-		// The placement policy put the fresh cluster on a sibling shard:
-		// create it there through the self-as-peer handoff path.
-		return r.createOnShardLocked(holder, obj, cl, op.MutSeq)
-	}
-	r.engine.Register(cl)
-	var o *heap.Object
-	if obj.Valid() {
-		var err error
-		o, err = r.heap.NewObjectAt(obj, cl)
-		if err != nil {
-			return heap.NilRef, err
+// Refresh is the recovery round that re-detects residual garbage after
+// message loss (§5, DESIGN.md §3.2): every shard re-propagates its
+// processes' vectors and re-ships its unacknowledged retained state,
+// then peers are advised of any stream floors so cumulative watermarks
+// cannot stall on abandoned gaps. One site-wide OpRefresh is journaled
+// through shard 0 and the damper round is bumped once for the whole
+// site.
+func (s *Site) Refresh() error {
+	s.cycleMu.Lock()
+	defer s.cycleMu.Unlock()
+	s.st.mu.Lock()
+	s.st.refreshRound++
+	s.st.mu.Unlock()
+	var firstErr error
+	for i, r := range s.shards {
+		r.mu.Lock()
+		err := r.refreshShardLocked(i == 0)
+		r.mu.Unlock()
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-	} else {
-		o = r.heap.NewObject(cl)
+		s.drainHandoffs()
 	}
-	ref := heap.Ref{Obj: o.ID(), Cluster: cl}
-	if _, err := r.heap.AddRef(holder, ref); err != nil {
-		return heap.NilRef, err
+	if !s.replaying.Load() {
+		s.advanceFloors()
+		s.drainHandoffs()
 	}
-	r.settleLocked()
-	return ref, nil
-}
-
-func (r *Runtime) applyNewLocalInLocked(op wire.OpRecord) (heap.Ref, error) {
-	holder, cl := op.Holder, op.Clu
-	if cl.Site != r.id {
-		return heap.NilRef, fmt.Errorf("site %v: NewLocalIn %v: %w", r.id, cl, heap.ErrForeignCluster)
-	}
-	if r.heap.Object(holder) == nil {
-		return heap.NilRef, fmt.Errorf("site %v: NewLocalIn holder %v: %w", r.id, holder, heap.ErrNoSuchObject)
-	}
-	var obj ids.ObjectID
-	if op.MintObj != 0 {
-		obj = ids.ObjectID{Site: r.id, Seq: op.MintObj}
-		r.heap.Counters().ObserveObj(op.MintObj)
-	}
-	if op.Place != 0 && op.Place-1 != r.shardIndex() {
-		// The target cluster lives on a sibling shard.
-		return r.createOnShardLocked(holder, obj, cl, op.MutSeq)
-	}
-	r.engine.Register(cl)
-	var o *heap.Object
-	if obj.Valid() {
-		var err error
-		o, err = r.heap.NewObjectAt(obj, cl)
-		if err != nil {
-			return heap.NilRef, err
-		}
-	} else {
-		o = r.heap.NewObject(cl)
-	}
-	ref := heap.Ref{Obj: o.ID(), Cluster: cl}
-	if _, err := r.heap.AddRef(holder, ref); err != nil {
-		return heap.NilRef, err
-	}
-	r.settleLocked()
-	return ref, nil
-}
-
-// createOnShardLocked creates a pre-minted object whose cluster a
-// sibling shard owns: the exact remote-creation flow of
-// applyNewRemoteLocked with the own site as target — the creation frame
-// travels the ordered handoff queue instead of the network, and every
-// invariant (journal-before-send, outbox retention, FrameAck-to-self
-// retirement, zombie-drop at the owner) comes along for free. seq is
-// the record's pre-drawn stream sequence (op.MutSeq). Caller holds
-// r.mu.
-func (r *Runtime) createOnShardLocked(holder ids.ObjectID, obj ids.ObjectID, cl ids.ClusterID, seq uint64) (heap.Ref, error) {
-	ho := r.heap.Object(holder)
-	ref := heap.Ref{Obj: obj, Cluster: cl}
-	// Order matters, exactly as in applyNewRemoteLocked: AddRefIntro
-	// fires EdgeUp, which bumps the creator's clock for the creation
-	// event; the stamp shipped with the frame is that clock.
-	if _, err := r.heap.AddRefIntro(holder, ref, ids.NoCluster, ids.CreationSeq); err != nil {
-		return heap.NilRef, err
-	}
-	stamp := r.engine.RemoteCreationStamp(ho.Cluster())
-	create := wire.Create{
-		Creator: ho.Cluster(),
-		Stamp:   stamp,
-		Obj:     obj,
-		Cluster: cl,
-		Seq:     r.mutSeqLocked(seq, r.id),
-	}
-	r.emitLocked(r.id, create)
-	r.recordOutboundLocked(r.id, create.Seq, create)
-	r.settleLocked()
-	return ref, nil
-}
-
-func (r *Runtime) applyNewRemoteLocked(op wire.OpRecord) (heap.Ref, error) {
-	holder, target := op.Holder, op.Site
-	ho := r.heap.Object(holder)
-	if ho == nil {
-		return heap.NilRef, fmt.Errorf("site %v: NewRemote holder %v: %w", r.id, holder, heap.ErrNoSuchObject)
-	}
-	if target == r.id {
-		return heap.NilRef, fmt.Errorf("site %v: NewRemote: %w", r.id, ErrRemoteSelf)
-	}
-	var mint uint64
-	if op.MintObj != 0 {
-		// Pre-minted (sharded site): the recorded draw is authoritative;
-		// keep the shared counter at least that far along.
-		mint = op.MintObj
-		r.st.mu.Lock()
-		if r.st.mint < mint {
-			r.st.mint = mint
-		}
-		r.st.mu.Unlock()
-	} else {
-		r.st.mu.Lock()
-		r.st.mint++
-		mint = r.st.mint
-		r.st.mu.Unlock()
-	}
-	obj := ids.ObjectID{Site: target, Seq: uint64(r.id)<<32 | mint}
-	cl := ids.ClusterID{Site: target, Seq: uint64(r.id)<<32 | mint}
-	ref := heap.Ref{Obj: obj, Cluster: cl}
-	// Order matters: AddRefIntro fires EdgeUp, which bumps the creator's
-	// clock for the creation event; the stamp shipped with the message is
-	// that clock, so the new object's own row records its creator
-	// correctly. ids.CreationSeq marks the creation (no edge-assert: the
-	// creation message is the assert).
-	if _, err := r.heap.AddRefIntro(holder, ref, ids.NoCluster, ids.CreationSeq); err != nil {
-		return heap.NilRef, err
-	}
-	stamp := r.engine.RemoteCreationStamp(ho.Cluster())
-	create := wire.Create{
-		Creator: ho.Cluster(),
-		Stamp:   stamp,
-		Obj:     obj,
-		Cluster: cl,
-		Seq:     r.mutSeqLocked(op.MutSeq, target),
-	}
-	r.emitLocked(target, create)
-	r.recordOutboundLocked(target, create.Seq, create)
-	r.settleLocked()
-	return ref, nil
-}
-
-func (r *Runtime) applySendRefLocked(fromObj ids.ObjectID, to heap.Ref, target heap.Ref, preSeq uint64) error {
-	fo := r.heap.Object(fromObj)
-	if fo == nil {
-		return fmt.Errorf("site %v: SendRef from %v: %w", r.id, fromObj, heap.ErrNoSuchObject)
-	}
-	if !r.holds(fo, target) {
-		return fmt.Errorf("site %v: SendRef: %v of %v: %w", r.id, target, fromObj, ErrNotHolder)
-	}
-	if to.Obj.Site == r.id && r.owns(to.Cluster) {
-		// Destination owned by this heap partition: immediate copy.
-		if r.heap.Object(to.Obj) == nil {
-			return fmt.Errorf("site %v: SendRef to %v: %w", r.id, to.Obj, heap.ErrNoSuchObject)
-		}
-		seq := r.engine.SentRef(fo.Cluster(), target.Cluster, to.Cluster)
-		_, err := r.heap.AddRefIntro(to.Obj, target, fo.Cluster(), seq)
-		r.settleLocked()
-		return err
-	}
-	// Once a reference to a local object crosses the partition boundary
-	// (to another site, or to a sibling shard), the object becomes a
-	// global root (§2.1): local GC must treat it as a root until GGD
-	// removes its cluster. Targets this shard does not own were marked
-	// by whichever shard first exported them — the first export of any
-	// reference necessarily executes on the owning shard.
-	if r.owns(target.Cluster) {
-		_ = r.heap.MarkEntry(target.Obj)
-	}
-	// Sender-side lazy log-keeping: DV_i[k][j]++ (or DV_i[i][j]++ when
-	// sending the holder's own cluster reference).
-	seq := r.engine.SentRef(fo.Cluster(), target.Cluster, to.Cluster)
-	xfer := wire.RefTransfer{
-		FromCluster: fo.Cluster(),
-		IntroSeq:    seq,
-		ToObj:       to.Obj,
-		ToCluster:   to.Cluster,
-		Target:      target,
-	}
-	// IntroSeq 0 frames (intra-cluster copies, stale holders) carry no
-	// dedup identity, so a re-send would apply them twice; they stay out
-	// of the retirement stream and the outbox — losing one to a crash is
-	// loss-equivalent, which the protocol tolerates.
-	if seq != 0 {
-		xfer.Seq = r.mutSeqLocked(preSeq, to.Obj.Site)
-	}
-	r.emitLocked(to.Obj.Site, xfer)
-	r.recordOutboundLocked(to.Obj.Site, xfer.Seq, xfer)
-	r.settleLocked()
-	return nil
-}
-
-func (r *Runtime) holds(o *heap.Object, target heap.Ref) bool {
-	for _, s := range o.Slots() {
-		if s == target {
-			return true
-		}
-	}
-	// The holder may hold a different ref to the same cluster (e.g. its
-	// own cluster's reference); sending one's own reference is always
-	// legal, mirroring the paper's "sends a reference denoting itself".
-	return target.Obj == o.ID()
-}
-
-// Collect runs local collections until no further GGD cascade fires.
-// Collections are journaled: sweeping the last proxy of a remote
-// cluster advances the engine clock and emits destruction messages, so
-// replay must reproduce them.
-func (r *Runtime) Collect() (heap.CollectStats, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.collectShardLocked(true)
-}
-
-// collectShardLocked is the body of Collect: journal (when this shard
-// speaks for the site), collect, settle, checkpoint. Sharded.Collect
-// journals one site-wide OpCollect through shard 0 and runs the body on
-// every shard. Caller holds r.mu and no other shard's lock.
-func (r *Runtime) collectShardLocked(journal bool) (heap.CollectStats, error) {
-	if journal {
-		if err := r.journalOp(wire.OpRecord{Kind: wire.OpCollect}); err != nil {
-			return heap.CollectStats{}, err
-		}
-	}
-	stats := r.collectLocked()
-	r.engine.Drain()
-	r.settleLocked()
-	r.checkpointLocked()
-	return stats, nil
-}
-
-// Refresh re-propagates every local process's vector and re-ships the
-// unacknowledged retained state — the engine's journal rows and bundles
-// plus this site's outbox frames, each under its re-send damper — then
-// advises peers of any stream floors so cumulative watermarks cannot
-// stall on abandoned gaps: the recovery round that re-detects residual
-// garbage after message loss (§5, DESIGN.md §3.2).
-func (r *Runtime) Refresh() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.st.mu.Lock()
-	r.st.refreshRound++
-	r.st.mu.Unlock()
-	return r.refreshShardLocked(true, true)
-}
-
-// refreshShardLocked is the body of Refresh minus the round bump (the
-// site bumps once, not once per shard). floors gates the StreamAdvance
-// advisories: an unsharded runtime advances its own floors; a sharded
-// site suppresses the per-shard pass and emits merged floors from
-// Sharded.Refresh instead — one shard's retained floor says nothing
-// about a sibling's, and advancing past a sibling's retained row would
-// let the peer retire it undelivered. Caller holds r.mu and no other
-// shard's lock.
-func (r *Runtime) refreshShardLocked(journal, floors bool) error {
-	if journal {
-		if err := r.journalOp(wire.OpRecord{Kind: wire.OpRefresh}); err != nil {
-			return err
-		}
-	}
-	r.engine.Refresh()
-	r.resendOutboxLocked()
-	if floors {
-		r.advanceFloorsLocked()
-	}
-	r.settleLocked()
-	r.flushAcksLocked()
-	r.checkpointLocked()
-	return nil
+	s.maybeCheckpoint()
+	return firstErr
 }
 
 // --- Introspection -------------------------------------------------------
 
-// NumObjects returns the number of live heap objects (including the root
-// object).
-func (r *Runtime) NumObjects() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.heap.NumObjects()
+// NumObjects returns the number of live heap objects (including the
+// root object): each object lives in exactly one shard heap.
+func (s *Site) NumObjects() int {
+	total := 0
+	for _, r := range s.shards {
+		r.mu.Lock()
+		total += r.heap.NumObjects()
+		r.mu.Unlock()
+	}
+	return total
 }
 
 // HasObject reports whether the object still exists.
-func (r *Runtime) HasObject(obj ids.ObjectID) bool {
+func (s *Site) HasObject(obj ids.ObjectID) bool {
+	// The routing entry may lag a restore or a sweep: scan every shard
+	// before concluding absence (a false negative would misreport a
+	// live object; the scan is a read-only query off the hot path).
+	for _, r := range s.shards {
+		r.mu.Lock()
+		has := r.heap.Object(obj) != nil
+		r.mu.Unlock()
+		if has {
+			return true
+		}
+	}
+	return false
+}
+
+// clusterShard locks and returns the shard owning cl; the caller
+// unlocks it.
+func (s *Site) clusterShard(cl ids.ClusterID) *shard {
+	r := s.shards[s.clusterShardIdx(cl)]
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.heap.Object(obj) != nil
+	return r
 }
 
 // ClusterRemoved reports whether GGD removed the cluster.
-func (r *Runtime) ClusterRemoved(cl ids.ClusterID) bool {
-	r.mu.Lock()
+func (s *Site) ClusterRemoved(cl ids.ClusterID) bool {
+	r := s.clusterShard(cl)
 	defer r.mu.Unlock()
 	return r.engine.Removed(cl)
 }
 
-// EngineStats returns the GGD engine counters.
-func (r *Runtime) EngineStats() core.Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.engine.Stats()
-}
-
 // LogSnapshot returns a deep copy of a local process's log, or nil.
-func (r *Runtime) LogSnapshot(cl ids.ClusterID) *vclock.Log {
-	r.mu.Lock()
+func (s *Site) LogSnapshot(cl ids.ClusterID) *vclock.Log {
+	r := s.clusterShard(cl)
 	defer r.mu.Unlock()
 	return r.engine.LogSnapshot(cl)
 }
 
 // Clock returns a local process's event counter.
-func (r *Runtime) Clock(cl ids.ClusterID) uint64 {
-	r.mu.Lock()
+func (s *Site) Clock(cl ids.ClusterID) uint64 {
+	r := s.clusterShard(cl)
 	defer r.mu.Unlock()
 	return r.engine.Clock(cl)
+}
+
+// EngineStats sums the per-shard GGD engine counters.
+func (s *Site) EngineStats() core.Stats {
+	var total core.Stats
+	for _, r := range s.shards {
+		r.mu.Lock()
+		st := r.engine.Stats()
+		r.mu.Unlock()
+		total.Removed += st.Removed
+		total.Evaluations += st.Evaluations
+		total.PropagationsSent += st.PropagationsSent
+		total.DestroysSent += st.DestroysSent
+		total.AssertsSent += st.AssertsSent
+		total.AssertResends += st.AssertResends
+		total.DestroyResends += st.DestroyResends
+		total.LegacyResends += st.LegacyResends
+		total.ResendsSuppressed += st.ResendsSuppressed
+		total.RowsRetired += st.RowsRetired
+		total.AssertRowsDropped += st.AssertRowsDropped
+		total.LegacyEvicted += st.LegacyEvicted
+		total.HintsExpired += st.HintsExpired
+		total.StaleDeliveries += st.StaleDeliveries
+	}
+	return total
+}
+
+// HandoffDepth returns the number of queued cross-shard frames (zero
+// at quiescence: afterEvent drains before returning).
+func (s *Site) HandoffDepth() int {
+	total := 0
+	for _, q := range s.queues {
+		total += q.depth()
+	}
+	return total
 }
 
 // ObjectSnapshot is one object's state for the oracle.
@@ -1154,13 +671,18 @@ type ObjectSnapshot struct {
 	Slots   []heap.Ref
 }
 
-// Snapshot exports the site's objects and root for the global oracle.
-func (r *Runtime) Snapshot() (root ids.ObjectID, objs []ObjectSnapshot) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	root = r.heap.RootObject()
-	for _, o := range r.heap.Objects() {
-		objs = append(objs, ObjectSnapshot{ID: o.ID(), Cluster: o.Cluster(), Slots: o.Slots()})
+// Snapshot exports the site's root and objects (sorted by ID) for the
+// global oracle.
+func (s *Site) Snapshot() (root ids.ObjectID, objs []ObjectSnapshot) {
+	for _, r := range s.shards {
+		r.mu.Lock()
+		for _, o := range r.heap.Objects() {
+			objs = append(objs, ObjectSnapshot{ID: o.ID(), Cluster: o.Cluster(), Slots: o.Slots()})
+		}
+		r.mu.Unlock()
 	}
-	return root, objs
+	if s.n > 1 { // one shard's objects are already in ID order
+		sort.Slice(objs, func(i, j int) bool { return objs[i].ID.Less(objs[j].ID) })
+	}
+	return s.Root().Obj, objs
 }

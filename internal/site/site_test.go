@@ -10,7 +10,7 @@ import (
 	"causalgc/internal/site"
 )
 
-func twoSites(t *testing.T) (*netsim.Sim, *site.Runtime, *site.Runtime) {
+func twoSites(t *testing.T) (*netsim.Sim, *site.Site, *site.Site) {
 	t.Helper()
 	net := netsim.NewSim(netsim.Faults{Seed: 1})
 	s1 := site.New(1, net, site.DefaultOptions())

@@ -118,10 +118,9 @@ func TestRecordArity(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: the sharding additions bumped the snapshot
-// format to v4 (shard-partitioned state); older images still decode
-// (see TestSnapshotV3Migrates in shard_test.go), and re-encoded images
-// round-trip.
+// TestSnapshotV4Pinned: the shard-partitioned snapshot format is v4 —
+// the only version that decodes — re-encoded images round-trip, and
+// re-send state is always bare frames, never envelopes.
 func TestSnapshotV4Pinned(t *testing.T) {
 	if SnapshotVersion != 4 {
 		t.Fatalf("SnapshotVersion = %d; sharding pinned the format at v4", SnapshotVersion)
@@ -138,11 +137,11 @@ func TestSnapshotV4Pinned(t *testing.T) {
 	if got.Site != img.Site || got.Mint != img.Mint {
 		t.Fatalf("image mismatch: got site=%v mint=%d", got.Site, got.Mint)
 	}
-	// An outbox frame stored pre-batch (a bare Create) must still load:
-	// re-send state is always bare frames, never envelopes.
-	for _, f := range got.Outbox {
-		if _, ok := f.Payload.(Envelope); ok {
-			t.Fatal("outbox must never retain envelopes")
+	for _, ss := range got.Shards {
+		for _, f := range ss.Outbox {
+			if _, ok := f.Payload.(Envelope); ok {
+				t.Fatal("outbox must never retain envelopes")
+			}
 		}
 	}
 }

@@ -24,14 +24,15 @@
 // retained state exactly; StreamAdvance advisories let receivers skip
 // gaps that will never fill (rows retired through another path, frames
 // evicted at a hard cap). Both are GGD-plane traffic: idempotent and
-// loss-tolerant. HintAck, the per-row predecessor, is retained for
-// decode compatibility with pre-v3 journals only.
+// loss-tolerant.
 //
 // # Durable images
 //
-// A SiteImage (SnapshotVersion 3) is the full durable state of one
-// site, including the retirement streams' counters and watermarks;
-// version-2 images migrate forward losslessly on decode. WALRecord is
-// one journaled event — a mutator operation or an inbound delivery —
+// A SiteImage is the full durable state of one site: the state its
+// shards share (identity mint, retirement streams' counters and
+// watermarks, recovery epoch) plus one ShardState per shard. Exactly
+// one SnapshotVersion decodes; there is no migration code. WALRecord is
+// one journaled event — a mutator operation, a batch of them, or an
+// inbound delivery — tagged with the shard that journaled it and
 // replayed against the image to reconstruct the site (DESIGN.md §5).
 package wire

@@ -25,51 +25,24 @@ import (
 )
 
 // SnapshotVersion is bumped when SiteImage changes incompatibly; a
-// recovery over a mismatching version fails rather than misdecodes.
-// Version 2 added the hint-resolution protocol's durable state (the
-// engine's assert re-send journal and retained finalisation bundles,
-// RefTransfer.ToCluster inside stored frames). Version 3 added the
-// acknowledged-retirement protocol's durable state: per-peer stream
-// counters and receive watermarks, the recovery epoch, frame-level
-// statistics, and stream sequences on retained rows. Version 4 added
-// the lock-striped shard partition (DESIGN.md §3.4): the shard count,
-// per-shard state blocks for shards 1..N-1 (shard 0 keeps the legacy
-// top-level fields, so a 1-shard image is byte-compatible with v3
-// modulo the version number), the round-robin placement cursor, and
-// minted identities and pre-drawn stream sequences recorded on
-// OpRecords. Older images migrate
-// forward losslessly — every new field starts zero, which decodes as
-// "one shard, identities re-minted from counters", exactly the
-// pre-shard behaviour — so DecodeSnapshot accepts v2 and v3 too.
+// recovery over any other version fails rather than misdecodes (no
+// migration code: there is one format). Version 4 is the shard layout
+// — every site is n >= 1 shards (DESIGN.md §3.4), so the image is the
+// site-wide shared state plus one ShardState per shard. The number did
+// not move when shard 0 left the top-level fields for Shards[0]: no v4
+// image was ever deployed, and an image of the earlier draft decodes
+// to zero shards, which DecodeSnapshot refuses.
 const SnapshotVersion = 4
 
-// minSnapshotVersion is the oldest snapshot version DecodeSnapshot
-// still migrates forward.
-const minSnapshotVersion = 2
-
-// SiteImage is the full durable state of one site at a quiescent point.
+// SiteImage is the full durable state of one site at a quiescent point:
+// the state the shards share at runtime (identity mint, retirement
+// streams, recovery epoch, counters, placement cursor) and one
+// ShardState per shard.
 type SiteImage struct {
 	Version int
 	Site    ids.SiteID
 	// Mint numbers identities created on behalf of other sites.
 	Mint uint64
-	// Removals counts GGD removals since the last collection (non-zero
-	// only when AutoCollect is off).
-	Removals int
-	Heap     heap.Image
-	Engine   core.EngineImage
-	// PendingRefs are buffered reference transfers awaiting their
-	// holder's creation message.
-	PendingRefs []PendingRefImage
-	// SeenIntro is the receiver-side dedup record of processed reference
-	// transfers, keyed by (introducing cluster, forwarding seq): what
-	// makes re-sent mutator frames idempotent after a crash.
-	SeenIntro []IntroImage
-	// Outbox holds the unacknowledged outbound mutator frames (bounded
-	// backstop); recovery and refresh rounds re-send them until the
-	// receiver's cumulative FrameAck retires them, and receivers dedup
-	// via their own SeenIntro state.
-	Outbox []FrameImage
 	// Epoch counts this site's recoveries; FrameAcks carry it so peers
 	// detect the restart and re-arm their re-send dampers.
 	Epoch uint64
@@ -88,29 +61,35 @@ type SiteImage struct {
 	PeerEpochs []PeerEpochImage
 	// Frames are the site-level retirement statistics.
 	Frames FrameStatsImage
-	// Shards is the shard count the image was exported with (0 and 1
-	// both mean the unsharded runtime — 0 is what v2/v3 images decode
-	// to). The count is sticky per data directory: recovery always
-	// rebuilds the partition the image records.
-	Shards int
-	// ShardExtra holds the per-shard state of shards 1..Shards-1; shard
-	// 0 lives in the legacy top-level fields above. Shared state (mint
-	// counters, stream watermarks, epoch) stays top-level: it is shared
-	// across shards at runtime too.
-	ShardExtra []ShardState
 	// PlaceRR is the round-robin placement cursor for clusters minted
 	// under the root cluster (the shard-spreading policy).
 	PlaceRR uint64
+	// Shards holds the per-shard state in shard order; shard 0 owns the
+	// site's root cluster. Its length is the stripe width, sticky per
+	// data directory: recovery always rebuilds the partition the image
+	// records.
+	Shards []ShardState
 }
 
-// ShardState is the durable state owned by one non-zero shard.
+// ShardState is the durable state owned by one shard.
 type ShardState struct {
-	Heap        heap.Image
-	Engine      core.EngineImage
-	Removals    int
+	Heap   heap.Image
+	Engine core.EngineImage
+	// Removals counts GGD removals since the last collection (non-zero
+	// only when AutoCollect is off).
+	Removals int
+	// PendingRefs are buffered reference transfers awaiting their
+	// holder's creation message.
 	PendingRefs []PendingRefImage
-	SeenIntro   []IntroImage
-	Outbox      []FrameImage
+	// SeenIntro is the receiver-side dedup record of processed reference
+	// transfers, keyed by (introducing cluster, forwarding seq): what
+	// makes re-sent mutator frames idempotent after a crash.
+	SeenIntro []IntroImage
+	// Outbox holds the unacknowledged outbound mutator frames (bounded
+	// backstop); recovery and refresh rounds re-send them until the
+	// receiver's cumulative FrameAck retires them, and receivers dedup
+	// via their own SeenIntro state.
+	Outbox []FrameImage
 }
 
 // SendStreamImage is one sender-side retirement stream.
@@ -170,28 +149,33 @@ type FrameImage struct {
 	Seq     uint64
 }
 
-// WALRecord is one durable event. Exactly one field is set.
+// WALRecord is one durable event. Exactly one of Op, Deliver and Batch
+// is set.
 type WALRecord struct {
 	Op      *OpRecord
 	Deliver *DeliverRecord
 	// Batch is a group of mutator operations committed atomically by the
 	// batched mutator API (DESIGN.md §3.3): one record, one append, one
-	// fsync (or group-commit window) for the whole group. Pre-batch WALs
-	// never carry it, so old logs decode and replay unchanged.
+	// fsync (or group-commit window) for the whole group.
 	Batch *BatchRecord
 	// Shard tags the record with the shard that journaled it (the
 	// executing shard for ops, the destination shard for deliveries).
 	// Replay routes by this tag, making recovery independent of the
-	// live routing-table state. Zero on pre-shard WALs and on 1-shard
-	// runtimes, where shard 0 is the whole site.
+	// live routing-table state.
 	Shard int
+	// Width is the stripe width of the site that journaled the record.
+	// It makes the width sticky before the first snapshot exists: the
+	// fallback cluster routing hashes modulo the width, so replaying a
+	// WAL tail at any other width would misroute.
+	Width int
 }
 
 // BatchRecord is the journaled form of one committed mutator batch.
 // Replay applies the ops in order through the same code path as the
 // live commit, resolving deferred references from the results of
-// earlier ops of the same batch, so a recovered site re-mints the same
-// identities the original commit did.
+// earlier ops of the same batch; every op carries its pre-minted draws,
+// so a recovered site rebuilds the identities the original commit
+// minted.
 type BatchRecord struct {
 	Ops []BatchOp
 }
@@ -261,17 +245,13 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-// OpRecord is one mutator operation with its arguments. On the
-// unsharded runtime, results (minted identities) are deterministic
-// functions of the restored counters, so replay re-mints them
-// identically with the Mint* fields left zero. Sharded runtimes
-// journal concurrently, so WAL order no longer equals mint order: the
-// executing shard pre-mints at stage time and records the drawn
-// counter values (MintObj/MintClu), the placement decision (Place) and
-// the drawn mutator-stream sequence (MutSeq) so replay reproduces the
-// exact identities, routing and frame sequences regardless of
-// interleaving. Zero values mean "mint from the counter" — legacy
-// records replay unchanged.
+// OpRecord is one mutator operation with its arguments and the draws
+// its commit made. Shards journal concurrently, so WAL order need not
+// equal mint order: the executing shard pre-mints at commit time and
+// records the drawn counter values (MintObj/MintClu), the placement
+// decision (Place) and the drawn mutator-stream sequence (MutSeq), and
+// replay reproduces the exact identities, routing and frame sequences
+// regardless of interleaving. Apply never draws.
 type OpRecord struct {
 	Kind   OpKind
 	Holder ids.ObjectID  // NewLocal, NewLocalIn, NewRemote, SendRef (sender), AddRef, DropRefs, ClearSlot
@@ -281,22 +261,19 @@ type OpRecord struct {
 	Target heap.Ref      // SendRef, AddRef, DropRefs target
 	Slot   int           // ClearSlot index
 	// MintObj is the pre-minted object counter value (creates), MintClu
-	// the pre-minted cluster counter value (NewLocal), and Place the
-	// 1-based shard the minted cluster was placed on (NewLocal under the
-	// root cluster). Zero = draw from the live counter / route live.
+	// the pre-minted cluster counter value (NewLocal, NewCluster), and
+	// Place the 1-based shard the created object's cluster lives on.
 	MintObj uint64
 	MintClu uint64
 	Place   int
 	// MutSeq is the pre-drawn mutator-stream sequence of the frame this
 	// op emits (NewRemote's Create toward Site, a cross-shard create
 	// toward the own site, SendRef's sequenced RefTransfer toward To's
-	// site). Like the Mint* fields it is recorded by sharded sites only:
-	// seqs are drawn from the shared per-(peer, stream) counter, so with
-	// concurrent shards WAL order need not match draw order, and a
-	// replay that re-drew in WAL order would bind different sequences to
-	// the rebuilt outbox frames than the live run sent — a journaled
-	// FrameAck would then retire a frame the peer never received. Zero =
-	// draw at apply time (unsharded runtimes, frameless ops).
+	// site). Sequences come from the shared per-(peer, stream) counter,
+	// so a replay that re-drew in WAL order could bind different
+	// sequences to the rebuilt outbox frames than the live run sent — a
+	// journaled FrameAck would then retire a frame the peer never
+	// received. Zero on volatile sites and frameless ops.
 	MutSeq uint64
 }
 
@@ -314,7 +291,6 @@ func init() {
 	gob.Register(RefTransfer{})
 	gob.Register(Destroy{})
 	gob.Register(Assert{})
-	gob.Register(HintAck{})
 	gob.Register(FrameAck{})
 	gob.Register(StreamAdvance{})
 	gob.Register(Propagate{})
@@ -331,19 +307,19 @@ func EncodeSnapshot(img *SiteImage) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeSnapshot parses a snapshot body.
+// DecodeSnapshot parses a snapshot body, accepting SnapshotVersion only
+// and only an image that records at least one shard.
 func DecodeSnapshot(data []byte) (*SiteImage, error) {
 	var img SiteImage
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
 		return nil, fmt.Errorf("wire: decode snapshot: %w", err)
 	}
-	if img.Version < minSnapshotVersion || img.Version > SnapshotVersion {
-		return nil, fmt.Errorf("wire: snapshot version %d, want %d..%d", img.Version, minSnapshotVersion, SnapshotVersion)
+	if img.Version != SnapshotVersion {
+		return nil, fmt.Errorf("wire: snapshot version %d, want %d", img.Version, SnapshotVersion)
 	}
-	// Pre-v3 images migrate forward in place: the retirement protocol's
-	// fields are zero, meaning "nothing assigned, nothing acknowledged",
-	// which the protocol treats exactly like a freshly upgraded site.
-	img.Version = SnapshotVersion
+	if len(img.Shards) == 0 {
+		return nil, fmt.Errorf("wire: snapshot of site %v records no shards", img.Site)
+	}
 	return &img, nil
 }
 

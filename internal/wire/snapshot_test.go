@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"causalgc/internal/core"
@@ -17,9 +19,7 @@ func sampleImage() *SiteImage {
 	cl3 := ids.ClusterID{Site: 3, Seq: 9}
 	root := ids.ClusterID{Site: 2, Seq: 1, Root: true}
 	obj := ids.ObjectID{Site: 2, Seq: 4}
-	return &SiteImage{
-		Site:     2,
-		Mint:     13,
+	shard0 := ShardState{
 		Removals: 1,
 		Heap: heap.Image{
 			Site:        2,
@@ -81,6 +81,14 @@ func sampleImage() *SiteImage {
 			{To: 3, Payload: RefTransfer{FromCluster: cl2, IntroSeq: 12, ToObj: ids.ObjectID{Site: 3, Seq: 2}, ToCluster: cl3, Target: heap.Ref{Obj: obj, Cluster: cl2}}},
 		},
 	}
+	// Shard 1 is a rootless partition holding one cluster.
+	shard1 := ShardState{Heap: heap.Image{
+		Site:     2,
+		NextObj:  5,
+		NextClu:  8,
+		Clusters: []heap.ClusterImage{{ID: ids.ClusterID{Site: 2, Seq: 8}}},
+	}}
+	return &SiteImage{Site: 2, Mint: 13, PlaceRR: 3, Shards: []ShardState{shard0, shard1}}
 }
 
 // ObjectImageAlias keeps the sample readable while exercising the real
@@ -97,74 +105,59 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != SnapshotVersion || got.Site != 2 || got.Mint != 13 || got.Removals != 1 {
+	if got.Version != SnapshotVersion || got.Site != 2 || got.Mint != 13 || got.PlaceRR != 3 || len(got.Shards) != 2 {
 		t.Fatalf("header fields: %+v", got)
 	}
-	if len(got.Heap.Objects) != 2 || got.Heap.NextClu != 8 || got.Heap.Objects[1].Slots[0] != img.Heap.Objects[1].Slots[0] {
-		t.Fatalf("heap image mismatch: %+v", got.Heap)
+	if !reflect.DeepEqual(got.Shards[1], img.Shards[1]) {
+		t.Fatalf("rootless shard mismatch: %+v", got.Shards[1])
 	}
-	if len(got.Engine.Procs) != 1 {
-		t.Fatalf("engine procs: %+v", got.Engine.Procs)
+	img0 := img.Shards[0]
+	got0 := got.Shards[0]
+	if got0.Removals != 1 {
+		t.Fatalf("removals: %+v", got0)
 	}
-	p := got.Engine.Procs[0]
+	if len(got0.Heap.Objects) != 2 || got0.Heap.NextClu != 8 || got0.Heap.Objects[1].Slots[0] != img0.Heap.Objects[1].Slots[0] {
+		t.Fatalf("heap image mismatch: %+v", got0.Heap)
+	}
+	if len(got0.Engine.Procs) != 1 {
+		t.Fatalf("engine procs: %+v", got0.Engine.Procs)
+	}
+	p := got0.Engine.Procs[0]
 	if p.Clock != 17 || !p.Active || len(p.Acq) != 1 {
 		t.Fatalf("proc mismatch: %+v", p)
 	}
-	if !p.Log.Own.Equal(img.Engine.Procs[0].Log.Own) {
-		t.Fatalf("own vector mismatch: %v vs %v", p.Log.Own, img.Engine.Procs[0].Log.Own)
+	if !p.Log.Own.Equal(img0.Engine.Procs[0].Log.Own) {
+		t.Fatalf("own vector mismatch: %v vs %v", p.Log.Own, img0.Engine.Procs[0].Log.Own)
 	}
 	row := p.Log.VRows[ids.ClusterID{Site: 3, Seq: 9}]
 	if !row.Confirmed || !row.Auth.Equal(vclock.Vector{{Site: 2, Seq: 7}: vclock.At(9)}) {
 		t.Fatalf("vrow mismatch: %+v", row)
 	}
-	if len(got.Engine.Pending) != 1 || got.Engine.Pending[0].Kind != 1 {
-		t.Fatalf("pending mismatch: %+v", got.Engine.Pending)
+	if len(got0.Engine.Pending) != 1 || got0.Engine.Pending[0].Kind != 1 {
+		t.Fatalf("pending mismatch: %+v", got0.Engine.Pending)
 	}
-	if got.Engine.Tombstones[ids.ClusterID{Site: 2, Seq: 3}] != 21 {
-		t.Fatalf("tombstones mismatch: %+v", got.Engine.Tombstones)
+	if got0.Engine.Tombstones[ids.ClusterID{Site: 2, Seq: 3}] != 21 {
+		t.Fatalf("tombstones mismatch: %+v", got0.Engine.Tombstones)
 	}
-	if len(got.SeenIntro) != 1 || got.SeenIntro[0].Seq != 11 {
-		t.Fatalf("seenIntro mismatch: %+v", got.SeenIntro)
+	if len(got0.SeenIntro) != 1 || got0.SeenIntro[0].Seq != 11 {
+		t.Fatalf("seenIntro mismatch: %+v", got0.SeenIntro)
 	}
-	if len(got.Outbox) != 2 {
-		t.Fatalf("outbox mismatch: %+v", got.Outbox)
+	if len(got0.Outbox) != 2 {
+		t.Fatalf("outbox mismatch: %+v", got0.Outbox)
 	}
-	if c, ok := got.Outbox[0].Payload.(Create); !ok || c.Stamp != 17 {
-		t.Fatalf("outbox[0] payload mismatch: %#v", got.Outbox[0].Payload)
+	if c, ok := got0.Outbox[0].Payload.(Create); !ok || c.Stamp != 17 {
+		t.Fatalf("outbox[0] payload mismatch: %#v", got0.Outbox[0].Payload)
 	}
-	if r, ok := got.Outbox[1].Payload.(RefTransfer); !ok || r.IntroSeq != 12 || !r.ToCluster.Valid() {
-		t.Fatalf("outbox[1] payload mismatch: %#v", got.Outbox[1].Payload)
+	if r, ok := got0.Outbox[1].Payload.(RefTransfer); !ok || r.IntroSeq != 12 || !r.ToCluster.Valid() {
+		t.Fatalf("outbox[1] payload mismatch: %#v", got0.Outbox[1].Payload)
 	}
-	if len(got.Engine.Asserts) != 2 || got.Engine.Asserts[0] != img.Engine.Asserts[0] ||
-		got.Engine.Asserts[1].Stamp != 0 {
-		t.Fatalf("assert journal mismatch: %+v", got.Engine.Asserts)
+	if len(got0.Engine.Asserts) != 2 || got0.Engine.Asserts[0] != img0.Engine.Asserts[0] ||
+		got0.Engine.Asserts[1].Stamp != 0 {
+		t.Fatalf("assert journal mismatch: %+v", got0.Engine.Asserts)
 	}
-	if len(got.Engine.Legacy) != 1 ||
-		!got.Engine.Legacy[0].M.Processed.Equal(img.Engine.Legacy[0].M.Processed) {
-		t.Fatalf("legacy bundles mismatch: %+v", got.Engine.Legacy)
-	}
-}
-
-func TestRecordRoundTripHintAck(t *testing.T) {
-	rec := &WALRecord{Deliver: &DeliverRecord{From: 3, Payload: HintAck{
-		From: ids.ClusterID{Site: 3, Seq: 9},
-		To:   ids.ClusterID{Site: 2, Seq: 7},
-		M:    core.AckMsg{Intro: ids.ClusterID{Site: 1, Seq: 1, Root: true}, IntroSeq: 4, Stamp: 5},
-	}}}
-	data, err := EncodeRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRecord(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, ok := got.Deliver.Payload.(HintAck)
-	if !ok {
-		t.Fatalf("payload = %#v, want HintAck", got.Deliver.Payload)
-	}
-	if ack != rec.Deliver.Payload.(HintAck) {
-		t.Fatalf("round trip mismatch: %+v != %+v", ack, rec.Deliver.Payload)
+	if len(got0.Engine.Legacy) != 1 ||
+		!got0.Engine.Legacy[0].M.Processed.Equal(img0.Engine.Legacy[0].M.Processed) {
+		t.Fatalf("legacy bundles mismatch: %+v", got0.Engine.Legacy)
 	}
 }
 
@@ -242,43 +235,41 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2MigratesForward: a version-2 image (no retirement
-// protocol state) decodes under the v3 codec with every new field zero
-// — exactly the pre-protocol state — and is stamped forward. Versions
-// outside the supported window still fail loudly.
-func TestSnapshotV2MigratesForward(t *testing.T) {
-	img := sampleImage()
-	img.Version = 2
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(buf.Bytes())
-	if err != nil {
-		t.Fatalf("v2 snapshot rejected: %v", err)
-	}
-	if got.Version != SnapshotVersion {
-		t.Errorf("migrated Version = %d, want %d", got.Version, SnapshotVersion)
-	}
-	if got.Site != img.Site || got.Mint != img.Mint {
-		t.Errorf("migration lost base fields: %+v", got)
-	}
-	if got.Epoch != 0 || len(got.SendStreams) != 0 || len(got.RecvStreams) != 0 || len(got.PeerEpochs) != 0 {
-		t.Errorf("v2 migration fabricated retirement state: %+v", got)
-	}
-	for _, bad := range []int{0, 1, SnapshotVersion + 1} {
+// TestDecodeSnapshotRejectsOtherVersions: exactly one snapshot version
+// decodes — there is no migration code — and any other is refused with
+// an error naming both versions, never misdecoded.
+func TestDecodeSnapshotRejectsOtherVersions(t *testing.T) {
+	for _, bad := range []int{0, 2, 3, SnapshotVersion + 1} {
+		img := sampleImage()
 		img.Version = bad
-		buf.Reset()
+		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(img); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeSnapshot(buf.Bytes()); err == nil {
+		_, err := DecodeSnapshot(buf.Bytes())
+		if err == nil {
 			t.Errorf("version %d accepted", bad)
+			continue
 		}
+		want := fmt.Sprintf("snapshot version %d, want %d", bad, SnapshotVersion)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: error %q does not say %q", bad, err, want)
+		}
+	}
+	// A current-version image with no shard states (what the pre-uniform
+	// draft of the layout decodes to) is refused too, not rebuilt empty.
+	img := sampleImage()
+	img.Shards = nil
+	data, err := EncodeSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot(data); err == nil || !strings.Contains(err.Error(), "no shards") {
+		t.Errorf("shardless image: err = %v, want a no-shards refusal", err)
 	}
 }
 
-// TestSnapshotRoundTripStreams: the v3 retirement state survives an
+// TestSnapshotRoundTripStreams: the retirement state survives an
 // encode/decode round trip byte-exactly.
 func TestSnapshotRoundTripStreams(t *testing.T) {
 	img := sampleImage()
@@ -292,7 +283,7 @@ func TestSnapshotRoundTripStreams(t *testing.T) {
 	}
 	img.PeerEpochs = []PeerEpochImage{{Peer: 3, Epoch: 2}}
 	img.Frames = FrameStatsImage{AcksSent: 7, OutboxEvicted: 1, FramesRetired: 12}
-	img.Outbox = []FrameImage{{To: 3, Seq: 16, Payload: Create{Creator: ids.ClusterID{Site: 2, Seq: 7}, Stamp: 3, Seq: 16}}}
+	img.Shards[0].Outbox = []FrameImage{{To: 3, Seq: 16, Payload: Create{Creator: ids.ClusterID{Site: 2, Seq: 7}, Stamp: 3, Seq: 16}}}
 	data, err := EncodeSnapshot(img)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +298,7 @@ func TestSnapshotRoundTripStreams(t *testing.T) {
 		got.Frames != img.Frames || got.Epoch != img.Epoch {
 		t.Fatalf("retirement state did not round-trip:\n got %+v\nwant %+v", got, img)
 	}
-	if len(got.Outbox) != 1 || got.Outbox[0].Seq != 16 {
-		t.Fatalf("outbox seq lost: %+v", got.Outbox)
+	if out := got.Shards[0].Outbox; len(out) != 1 || out[0].Seq != 16 {
+		t.Fatalf("outbox seq lost: %+v", out)
 	}
 }

@@ -16,7 +16,6 @@ const (
 	KindDestroy   = "ggd.destroy"
 	KindPropagate = "ggd.prop"
 	KindAssert    = "ggd.assert"
-	KindAck       = "ggd.ack"
 	KindFrameAck  = "ggd.frameack"
 	KindAdvance   = "ggd.advance"
 	KindEnvelope  = "mut.envelope"
@@ -36,7 +35,7 @@ type Create struct {
 	Cluster ids.ClusterID
 	// Seq is the frame's sequence in the creator site's mutator
 	// retirement stream to the destination (DESIGN.md §3.2); zero when
-	// the sender retains no outbox (volatile sites, pre-v3 frames).
+	// the sender retains no outbox (volatile sites).
 	Seq uint64
 }
 
@@ -134,22 +133,6 @@ func (Assert) Kind() string { return KindAssert }
 
 // ApproxSize implements netsim.Payload.
 func (Assert) ApproxSize() int { return 64 }
-
-// HintAck is the legacy per-row acknowledgement of an edge-assert,
-// superseded by the cumulative FrameAck (DESIGN.md §3.2). It is no
-// longer sent; the type remains registered so pre-v3 write-ahead logs
-// decode and replay identically, retiring the echoed journal row.
-type HintAck struct {
-	From ids.ClusterID
-	To   ids.ClusterID
-	M    core.AckMsg
-}
-
-// Kind implements netsim.Payload.
-func (HintAck) Kind() string { return KindAck }
-
-// ApproxSize implements netsim.Payload.
-func (HintAck) ApproxSize() int { return 56 }
 
 // FrameAck is the cumulative acknowledgement of the acknowledged-
 // retirement protocol (DESIGN.md §3.2): the sending site has reached a
@@ -283,7 +266,6 @@ var (
 	_ netsim.Payload     = Destroy{}
 	_ netsim.Payload     = Propagate{}
 	_ netsim.Payload     = Assert{}
-	_ netsim.Payload     = HintAck{}
 	_ netsim.Payload     = FrameAck{}
 	_ netsim.Payload     = StreamAdvance{}
 	_ netsim.Payload     = Envelope{}

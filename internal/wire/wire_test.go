@@ -19,7 +19,8 @@ func TestKinds(t *testing.T) {
 		{Destroy{}, KindDestroy},
 		{Propagate{}, KindPropagate},
 		{Assert{}, KindAssert},
-		{HintAck{}, KindAck},
+		{FrameAck{}, KindFrameAck},
+		{StreamAdvance{}, KindAdvance},
 	}
 	for _, tt := range tests {
 		if got := tt.p.Kind(); got != tt.kind {
@@ -41,9 +42,9 @@ func TestMutatorTrafficIsApplication(t *testing.T) {
 		t.Error("RefTransfer must be fault-exempt")
 	}
 	// GGD control traffic is fault-eligible: that is where the paper's
-	// robustness claims live. HintAck included — a lost ack only costs a
+	// robustness claims live. FrameAck included — a lost ack only costs a
 	// redundant re-send.
-	for _, p := range []netsim.Payload{Destroy{}, Propagate{}, Assert{}, HintAck{}} {
+	for _, p := range []netsim.Payload{Destroy{}, Propagate{}, Assert{}, FrameAck{}, StreamAdvance{}} {
 		if !netsim.FaultEligible(p) {
 			t.Errorf("%T must be fault-eligible", p)
 		}

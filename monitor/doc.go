@@ -50,6 +50,11 @@
 //	causalgc_legacy_bundles_depth      gauge    DEP  finalisation bundles retained
 //	causalgc_pending_refs_depth        gauge    DEP  buffered reference transfers
 //	causalgc_pending_deliveries_depth  gauge    DEP  control messages buffered pre-registration
+//	causalgc_shards                    gauge    DEP  lock-stripe width (1 on a default node)
+//	causalgc_handoff_depth             gauge    DEP  cross-shard frames queued (zero at quiescence)
+//	causalgc_shard_outbox_depth{shard} gauge    DEP  per-shard share of causalgc_outbox_depth
+//	causalgc_shard_assert_journal_depth{shard} gauge DEP per-shard share of causalgc_assert_journal_depth
+//	causalgc_shard_pending_refs_depth{shard} gauge DEP per-shard share of causalgc_pending_refs_depth
 //	causalgc_collections_total         counter  COL  mark-sweep collections observed
 //	causalgc_collect_marked_total      counter  COL  objects marked, summed
 //	causalgc_collect_swept_total       counter  COL  objects reclaimed, summed
@@ -74,5 +79,8 @@
 // rate() handles the resets as usual. The depth gauges are the
 // boundedness story: under a steady workload with periodic Refresh,
 // everything but causalgc_destroy_bundles_depth must return to zero at
-// quiescence, and the backstop counters must stay flat.
+// quiescence, and the backstop counters must stay flat. Every node is
+// n >= 1 shards, so the shard series are always emitted: a node built
+// without WithShards exports causalgc_shards 1 and one shard="0" sample
+// per shard-labelled gauge.
 package monitor

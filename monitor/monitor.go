@@ -36,13 +36,12 @@ type Sources struct {
 	// Transport is the shared delivery statistics of the node's
 	// transport; nil when the transport exposes none.
 	Transport *netsim.Stats
-	// Shards returns the lock-stripe width; nil for an unsharded node.
+	// Shards returns the lock-stripe width (1 on a default node).
 	Shards func() int
-	// ShardDepths returns one shard's retained-state table sizes; nil
-	// for an unsharded node. Valid indices are 0..Shards()-1.
+	// ShardDepths returns one shard's retained-state table sizes. Valid
+	// indices are 0..Shards()-1.
 	ShardDepths func(i int) site.Depths
-	// Handoff returns the queued cross-shard frame count; nil for an
-	// unsharded node.
+	// Handoff returns the queued cross-shard frame count.
 	Handoff func() int
 }
 
@@ -144,14 +143,14 @@ type Snapshot struct {
 	// Transport is the per-kind delivery statistics; nil when the node's
 	// transport exposes none.
 	Transport map[string]netsim.KindStats `json:"transport,omitempty"`
-	// Shards is the lock-stripe width; 0 for an unsharded node.
+	// Shards is the lock-stripe width: every node reports at least 1
+	// (0 only when the monitor is attached to no site).
 	Shards int `json:"shards,omitempty"`
 	// ShardDepths is each shard's retained-state table sizes, in shard
-	// order; nil for an unsharded node. The site-wide Depths above is
-	// their sum.
+	// order. The site-wide Depths above is their sum.
 	ShardDepths []site.Depths `json:"shard_depths,omitempty"`
 	// Handoff is the queued cross-shard frame count (zero at
-	// quiescence); 0 for an unsharded node.
+	// quiescence, and always on a one-shard node).
 	Handoff int `json:"handoff,omitempty"`
 	// Residual is the oracle-reported residual garbage object count;
 	// nil until SetResidual is called (production deployments have no

@@ -82,7 +82,7 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 		snaps, func(s *Snapshot) int { return s.Depths.PendingDeliveries })
 
 	if anyShards(snaps) {
-		p.head("causalgc_shards", "gauge", "Lock-stripe width of the sharded site.")
+		p.head("causalgc_shards", "gauge", "Lock-stripe width of the site (1 by default).")
 		for i := range snaps {
 			if s := &snaps[i]; s.Shards > 0 {
 				p.sample("causalgc_shards", s, "", float64(s.Shards))
@@ -253,7 +253,7 @@ type siteDepthsView struct {
 }
 
 // shardDepth writes one shard-labelled depth sample per shard of every
-// sharded snapshot.
+// snapshot (shard="0" alone on a default node).
 func (p *promWriter) shardDepth(snaps []Snapshot, name string, get func(siteDepthsView) int) {
 	for i := range snaps {
 		s := &snaps[i]

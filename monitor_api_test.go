@@ -73,6 +73,13 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q", s)
 		}
 	}
+	// Every node is n >= 1 shards: default nodes export the shard series
+	// too, as one shard="0" sample.
+	for _, s := range []string{`causalgc_shards{site="s1"} 1`, `causalgc_handoff_depth{site="s2"} 0`, `causalgc_shard_outbox_depth{site="s3",shard="0"} 0`} {
+		if !strings.Contains(body, s) {
+			t.Errorf("/metrics missing %q", s)
+		}
+	}
 	// The transport surface flows through: the remote create sent wire
 	// traffic that must appear kind-labelled.
 	if !strings.Contains(body, `causalgc_net_sent_total{site="s1",kind=`) {

@@ -41,7 +41,7 @@ func (c *config) setupMonitor() {
 }
 
 func newConfig(opts []Option) config {
-	c := config{site: site.DefaultOptions()}
+	c := config{site: site.DefaultOptions(), shards: 1}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -173,19 +173,18 @@ func WithMetricsAddr(addr string) Option {
 
 // WithShards stripes the node's heap, GGD engine and outbound
 // coalescer over n lock shards, keyed by cluster: commits against
-// clusters on different shards proceed under different locks, so
-// multi-core mutators scale near-linearly (see
-// BenchmarkParallelCommit) instead of serialising on one site mutex.
-// n < 1 picks runtime.GOMAXPROCS(0). Cross-shard operations ride a
+// clusters on different shards proceed under different locks instead
+// of serialising on one site mutex (see BenchmarkParallelCommit, and
+// the inmem-batch workload of bench/ for measured numbers). n < 1
+// picks runtime.GOMAXPROCS(0). Cross-shard operations ride a
 // deterministic ordered handoff queue and reuse the acknowledged-
 // retirement machinery, so every protocol invariant — journal-before-
 // send included — survives striping (DESIGN.md §3.4).
 //
-// The stripe width is sticky per persistence directory: a journal
-// written with k shards recovers with k shards regardless of the
-// option, and a node built without WithShards refuses a multi-shard
-// journal. Without this option the node runs the classic single-lock
-// runtime.
+// Every node is n >= 1 shards of the same engine; without this option
+// n is 1. The stripe width is sticky per persistence directory: a
+// journal written with k shards recovers with k shards regardless of
+// the option.
 func WithShards(n int) Option {
 	return func(c *config) {
 		if n < 1 {
@@ -229,7 +228,7 @@ func WithGroupCommit(window time.Duration) Option {
 // After Close, mutator and collection operations return ErrNodeClosed;
 // read-only introspection keeps answering from the frozen state.
 type Node struct {
-	rt    site.Instance
+	rt    *site.Site
 	tr    transport.Transport
 	ownTr bool
 	pst   *site.Persist
@@ -240,18 +239,16 @@ type Node struct {
 }
 
 // attachMonitor binds a monitor's snapshot sources to a freshly built
-// runtime (and its persistence store and transport, when present).
-func attachMonitor(m *monitor.Monitor, rt site.Instance, pst *site.Persist, tr transport.Transport) {
+// site (and its persistence store and transport, when present).
+func attachMonitor(m *monitor.Monitor, rt *site.Site, pst *site.Persist, tr transport.Transport) {
 	src := monitor.Sources{
-		Objects: rt.NumObjects,
-		Engine:  rt.EngineStats,
-		Frames:  rt.FrameStats,
-		Depths:  rt.Depths,
-	}
-	if sh, ok := rt.(*site.Sharded); ok {
-		src.Shards = sh.ShardCount
-		src.ShardDepths = sh.ShardDepths
-		src.Handoff = sh.HandoffDepth
+		Objects:     rt.NumObjects,
+		Engine:      rt.EngineStats,
+		Frames:      rt.FrameStats,
+		Depths:      rt.Depths,
+		Shards:      rt.ShardCount,
+		ShardDepths: rt.ShardDepths,
+		Handoff:     rt.HandoffDepth,
 	}
 	if pst != nil {
 		src.Persist = pst.Store().Stats
@@ -262,14 +259,65 @@ func attachMonitor(m *monitor.Monitor, rt site.Instance, pst *site.Persist, tr t
 	m.Attach(rt.ID(), src)
 }
 
+// newNode builds one node from a resolved configuration: the single
+// construction path behind NewNode, Recover and NewCluster. Without a
+// configured transport the node gets (and owns) a private concurrent
+// in-memory one.
+func newNode(id SiteID, c config) (*Node, error) {
+	n := &Node{tr: c.tr}
+	if n.tr == nil {
+		n.tr = transport.NewAsync(transport.Faults{})
+		n.ownTr = true
+	}
+	c.setupMonitor()
+	n.mon = c.monitor
+	if c.persistDir == "" {
+		n.rt = site.NewSharded(id, n.tr, c.site, c.shards)
+	} else {
+		if n.mon != nil {
+			// Pre-attach with empty sources so events re-fired during the
+			// WAL replay below are traced with the right site; the real
+			// sources bind once the site exists.
+			n.mon.Attach(id, monitor.Sources{})
+		}
+		var err error
+		n.pst, err = site.OpenPersist(c.persistDir, site.PersistOptions{
+			SnapshotEvery: c.snapshotEvery,
+			Store:         persistStoreOptions(c),
+		})
+		if err == nil {
+			if n.rt, err = site.RecoverSharded(id, n.tr, c.site, n.pst, c.shards); err != nil {
+				n.pst.Close()
+			}
+		}
+		if err != nil {
+			closeOwnedTransport(n.ownTr, n.tr, nil)
+			return nil, err
+		}
+	}
+	if n.mon != nil {
+		attachMonitor(n.mon, n.rt, n.pst, n.tr)
+	}
+	if c.metricsAddr != "" {
+		srv, err := monitor.NewServer(c.metricsAddr, n.mon)
+		if err != nil {
+			n.Close()
+			return nil, err
+		}
+		n.msrv = srv
+	}
+	return n, nil
+}
+
 // NewNode creates a node for site id and registers it on its transport.
 // Without WithTransport the node runs over a private concurrent
 // in-memory transport, which makes a standalone node self-contained;
 // multi-site systems share one transport via NewCluster or WithTransport.
 //
-// With WithPersistence, NewNode delegates to Recover and panics on a
-// persistence I/O error; call Recover directly to handle the error.
-// NewNode also panics on an invalid option value (ErrBadOption).
+// With WithPersistence the node is recovered from (or started in) the
+// directory exactly as by Recover, and NewNode panics on a persistence
+// I/O error; call Recover directly to handle the error. NewNode also
+// panics on an invalid option value (ErrBadOption).
 func NewNode(id SiteID, opts ...Option) *Node {
 	c := newConfig(opts)
 	if err := c.validate(); err != nil {
@@ -277,36 +325,9 @@ func NewNode(id SiteID, opts ...Option) *Node {
 		// match errors.Is(ErrBadOption).
 		panic(fmt.Errorf("causalgc: NewNode(%v): %w", id, err))
 	}
-	if c.persistDir != "" {
-		n, err := Recover(id, opts...)
-		if err != nil {
-			panic(fmt.Sprintf("causalgc: NewNode(%v): %v (use Recover to handle persistence errors)", id, err))
-		}
-		return n
-	}
-	ownTr := false
-	if c.tr == nil {
-		c.tr = transport.NewAsync(transport.Faults{})
-		ownTr = true
-	}
-	c.setupMonitor()
-	var rt site.Instance
-	if c.shards > 0 {
-		rt = site.NewSharded(id, c.tr, c.site, c.shards)
-	} else {
-		rt = site.New(id, c.tr, c.site)
-	}
-	n := &Node{rt: rt, tr: c.tr, ownTr: ownTr, mon: c.monitor}
-	if n.mon != nil {
-		attachMonitor(n.mon, n.rt, nil, n.tr)
-	}
-	if c.metricsAddr != "" {
-		srv, err := monitor.NewServer(c.metricsAddr, n.mon)
-		if err != nil {
-			n.Close()
-			panic(fmt.Sprintf("causalgc: NewNode(%v): %v", id, err))
-		}
-		n.msrv = srv
+	n, err := newNode(id, c)
+	if err != nil {
+		panic(fmt.Sprintf("causalgc: NewNode(%v): %v (use Recover to handle persistence errors)", id, err))
 	}
 	return n
 }
@@ -326,53 +347,9 @@ func Recover(id SiteID, opts ...Option) (*Node, error) {
 	if c.persistDir == "" {
 		return nil, fmt.Errorf("causalgc: Recover(%v): WithPersistence directory required", id)
 	}
-	ownTr := false
-	if c.tr == nil {
-		c.tr = transport.NewAsync(transport.Faults{})
-		ownTr = true
-	}
-	c.setupMonitor()
-	if c.monitor != nil {
-		// Pre-attach with empty sources so events re-fired during the WAL
-		// replay below are traced with the right site; the real sources
-		// bind once the runtime exists.
-		c.monitor.Attach(id, monitor.Sources{})
-	}
-	pst, err := site.OpenPersist(c.persistDir, site.PersistOptions{
-		SnapshotEvery: c.snapshotEvery,
-		Store:         persistStoreOptions(c),
-	})
+	n, err := newNode(id, c)
 	if err != nil {
-		if ownTr {
-			closeTransport(c.tr)
-		}
-		return nil, err
-	}
-	var rt site.Instance
-	var err2 error
-	if c.shards > 0 {
-		rt, err2 = site.RecoverSharded(id, c.tr, c.site, pst, c.shards)
-	} else {
-		rt, err2 = site.Recover(id, c.tr, c.site, pst)
-	}
-	if err2 != nil {
-		pst.Close()
-		if ownTr {
-			closeTransport(c.tr)
-		}
-		return nil, err2
-	}
-	n := &Node{rt: rt, tr: c.tr, ownTr: ownTr, pst: pst, mon: c.monitor}
-	if n.mon != nil {
-		attachMonitor(n.mon, n.rt, n.pst, n.tr)
-	}
-	if c.metricsAddr != "" {
-		srv, serr := monitor.NewServer(c.metricsAddr, n.mon)
-		if serr != nil {
-			n.Close()
-			return nil, fmt.Errorf("causalgc: Recover(%v): %w", id, serr)
-		}
-		n.msrv = srv
+		return nil, fmt.Errorf("causalgc: Recover(%v): %w", id, err)
 	}
 	return n, nil
 }
@@ -380,15 +357,10 @@ func Recover(id SiteID, opts ...Option) (*Node, error) {
 // ID returns the node's site identifier.
 func (n *Node) ID() SiteID { return n.rt.ID() }
 
-// Shards returns the node's lock-stripe width: 1 for the classic
-// single-lock runtime, the WithShards count (or the sticky count
-// recovered from the journal) for a sharded node.
-func (n *Node) Shards() int {
-	if sh, ok := n.rt.(*site.Sharded); ok {
-		return sh.ShardCount()
-	}
-	return 1
-}
+// Shards returns the node's lock-stripe width: the WithShards count
+// (1 without the option), or the sticky count recovered from the
+// journal.
+func (n *Node) Shards() int { return n.rt.ShardCount() }
 
 // Transport returns the transport the node is registered on.
 func (n *Node) Transport() transport.Transport { return n.tr }

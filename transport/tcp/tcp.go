@@ -33,7 +33,6 @@ func init() {
 	gob.Register(wire.RefTransfer{})
 	gob.Register(wire.Destroy{})
 	gob.Register(wire.Assert{})
-	gob.Register(wire.HintAck{})
 	gob.Register(wire.FrameAck{})
 	gob.Register(wire.StreamAdvance{})
 	gob.Register(wire.Propagate{})

@@ -23,7 +23,6 @@ var wirePayloads = []struct {
 	{"destroy", wire.Destroy{}, true},
 	{"propagate", wire.Propagate{}, true},
 	{"assert", wire.Assert{}, true},
-	{"hintack", wire.HintAck{}, true},
 	{"frameack", wire.FrameAck{}, true},
 	{"advance", wire.StreamAdvance{}, true},
 	{"envelope-mut", wire.Envelope{Frames: []transport.Payload{wire.Create{}}}, false},

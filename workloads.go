@@ -21,10 +21,10 @@ func needNodes(c *Cluster, n int, what string) error {
 // clusterWorld adapts a Cluster to the workload builders' World.
 type clusterWorld struct{ c *Cluster }
 
-func (w clusterWorld) Site(id ids.SiteID) site.Instance { return w.c.Node(id).rt }
+func (w clusterWorld) Site(id ids.SiteID) *site.Site { return w.c.Node(id).rt }
 
-func (w clusterWorld) Sites() []site.Instance {
-	rts := make([]site.Instance, len(w.c.nodes))
+func (w clusterWorld) Sites() []*site.Site {
+	rts := make([]*site.Site, len(w.c.nodes))
 	for i, n := range w.c.nodes {
 		rts[i] = n.rt
 	}
