@@ -8,40 +8,27 @@ import (
 	"causalgc/internal/ids"
 )
 
-// AsyncNetwork is the concurrent in-memory network: one delivery goroutine
-// per registered site, unbounded per-site queues (a handler may send while
-// handling without deadlocking), and the same fault plan as Sim minus
-// reordering (goroutine scheduling provides natural nondeterminism).
+// AsyncNetwork is the concurrent in-memory network: one Mailbox (and so
+// one delivery goroutine) per registered site, and the same fault plan
+// as Sim minus reordering (goroutine scheduling provides natural
+// nondeterminism).
 //
 // All goroutines are owned by the network and joined by Close.
 type AsyncNetwork struct {
 	mu     sync.Mutex
-	eps    map[ids.SiteID]*asyncEndpoint
+	boxes  map[ids.SiteID]*Mailbox
 	rng    *rand.Rand
 	faults Faults
 	stats  *Stats
+	cut    IdleCut
 	closed bool
 	wg     sync.WaitGroup
-}
-
-type asyncEndpoint struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []asyncMsg
-	busy   int // messages dequeued whose handler has not returned yet
-	closed bool
-	h      Handler
-}
-
-type asyncMsg struct {
-	from ids.SiteID
-	p    Payload
 }
 
 // NewAsync creates a concurrent network with the given fault plan.
 func NewAsync(f Faults) *AsyncNetwork {
 	return &AsyncNetwork{
-		eps:    make(map[ids.SiteID]*asyncEndpoint),
+		boxes:  make(map[ids.SiteID]*Mailbox),
 		rng:    rand.New(rand.NewSource(f.Seed)),
 		faults: f,
 		stats:  NewStats(),
@@ -51,133 +38,64 @@ func NewAsync(f Faults) *AsyncNetwork {
 var _ Network = (*AsyncNetwork)(nil)
 
 // Register installs the handler for a site and starts its delivery
-// goroutine. Registering after Close is a no-op.
+// goroutine; registering a site again swaps its handler. Registering
+// after Close is a no-op.
 func (n *AsyncNetwork) Register(site ids.SiteID, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return
 	}
-	if _, ok := n.eps[site]; ok {
-		n.eps[site].setHandler(h)
+	if box, ok := n.boxes[site]; ok {
+		box.SetHandler(h)
 		return
 	}
-	ep := &asyncEndpoint{h: h}
-	ep.cond = sync.NewCond(&ep.mu)
-	n.eps[site] = ep
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		ep.pump(n.stats)
-	}()
-}
-
-func (ep *asyncEndpoint) setHandler(h Handler) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	ep.h = h
-}
-
-func (ep *asyncEndpoint) pump(stats *Stats) {
-	for {
-		ep.mu.Lock()
-		for len(ep.queue) == 0 && !ep.closed {
-			ep.cond.Wait()
-		}
-		if len(ep.queue) == 0 && ep.closed {
-			ep.mu.Unlock()
-			return
-		}
-		m := ep.queue[0]
-		ep.queue = ep.queue[1:]
-		ep.busy++
-		h := ep.h
-		ep.mu.Unlock()
-
-		stats.RecordDelivered(m.p)
-		h(m.from, m.p)
-
-		ep.mu.Lock()
-		ep.busy--
-		ep.mu.Unlock()
-	}
-}
-
-func (ep *asyncEndpoint) enqueue(m asyncMsg) bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed {
-		return false
-	}
-	ep.queue = append(ep.queue, m)
-	ep.cond.Signal()
-	return true
+	n.boxes[site] = StartMailbox(h, &n.cut, n.stats, &n.wg)
 }
 
 // Stats returns the delivery statistics.
 func (n *AsyncNetwork) Stats() *Stats { return n.stats }
 
-// Send queues p for delivery, applying the fault plan.
+// Send queues p for delivery, applying the fault plan. Sends to an
+// unregistered site or after Close are dropped.
 func (n *AsyncNetwork) Send(from, to ids.SiteID, p Payload) {
 	n.stats.RecordSent(p)
 
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		n.stats.RecordDropped(p)
-		return
-	}
-	ep := n.eps[to]
-	drop := false
-	dup := false
-	if FaultEligible(p) {
-		if n.faults.Partitioned != nil && n.faults.Partitioned(from, to) {
-			drop = true
-		} else {
-			if n.faults.DropProb > 0 && n.rng.Float64() < n.faults.DropProb {
-				drop = true
-			}
-			if kp := n.faults.DropKindProb[p.Kind()]; !drop && kp > 0 && n.rng.Float64() < kp {
-				drop = true
-			}
-			if !drop && n.faults.DupProb > 0 && n.rng.Float64() < n.faults.DupProb {
-				dup = true
-			}
-		}
+	box := n.boxes[to]
+	verdict := Drop
+	if !n.closed {
+		verdict = n.faults.Decide(n.rng, from, to, p) // rng is guarded by n.mu
 	}
 	n.mu.Unlock()
 
-	if drop || ep == nil {
+	if verdict == Drop || box == nil || !box.Enqueue(from, p) {
 		n.stats.RecordDropped(p)
 		return
 	}
-	if !ep.enqueue(asyncMsg{from: from, p: p}) {
-		n.stats.RecordDropped(p)
-		return
-	}
-	if dup {
+	if verdict == Duplicate {
 		n.stats.RecordDuplicated(p)
-		if !ep.enqueue(asyncMsg{from: from, p: p}) {
+		if !box.Enqueue(from, p) {
 			n.stats.RecordDropped(p)
 		}
 	}
 }
 
-// Quiesce blocks until every queue is empty and every in-flight handler
-// has returned. Because a handler can only create new work by sending
-// (which re-fills a queue before the handler returns and is therefore
-// observed), an idle verdict is stable: messages sent after Quiesce
-// returns come from outside the network.
+// Quiesce blocks until the network is idle as one consistent cut
+// (IdleCut): every queue empty and every handler returned, with nothing
+// enqueued while that was established. A handler can only create new
+// work by sending, which it does before it returns, so the verdict is
+// stable: messages sent after Quiesce returns come from outside the
+// network.
 func (n *AsyncNetwork) Quiesce() {
-	for !n.idle() {
+	for !n.cut.Idle() {
 		time.Sleep(50 * time.Microsecond)
 	}
 }
 
-// Drain blocks until every queue is empty and every in-flight handler
-// has returned, or the timeout elapses; it reports whether the network
-// went idle. It is the bounded form of Quiesce, satisfying the public
-// transport.Drainer capability.
+// Drain is the bounded form of Quiesce, satisfying the public
+// transport.Drainer capability: it gives up once the timeout elapses
+// and reports whether the network went idle.
 func (n *AsyncNetwork) Drain(timeout time.Duration) bool {
 	// The bound is a polling budget, not a wall-clock deadline: the
 	// loop gives up after sleeping for timeout in total, so no clock
@@ -186,7 +104,7 @@ func (n *AsyncNetwork) Drain(timeout time.Duration) bool {
 	// the sleeps oversleep, which only ever lengthens the grace.
 	const poll = 50 * time.Microsecond
 	for waited := time.Duration(0); ; waited += poll {
-		if n.idle() {
+		if n.cut.Idle() {
 			return true
 		}
 		if waited >= timeout {
@@ -194,24 +112,6 @@ func (n *AsyncNetwork) Drain(timeout time.Duration) bool {
 		}
 		time.Sleep(poll)
 	}
-}
-
-func (n *AsyncNetwork) idle() bool {
-	n.mu.Lock()
-	eps := make([]*asyncEndpoint, 0, len(n.eps))
-	for _, ep := range n.eps {
-		eps = append(eps, ep)
-	}
-	n.mu.Unlock()
-	for _, ep := range eps {
-		ep.mu.Lock()
-		busy := len(ep.queue) > 0 || ep.busy > 0
-		ep.mu.Unlock()
-		if busy {
-			return false
-		}
-	}
-	return true
 }
 
 // Close stops all delivery goroutines after their queues drain and joins
@@ -223,17 +123,9 @@ func (n *AsyncNetwork) Close() {
 		return
 	}
 	n.closed = true
-	eps := make([]*asyncEndpoint, 0, len(n.eps))
-	for _, ep := range n.eps {
-		eps = append(eps, ep)
+	for _, box := range n.boxes {
+		box.Close()
 	}
 	n.mu.Unlock()
-
-	for _, ep := range eps {
-		ep.mu.Lock()
-		ep.closed = true
-		ep.cond.Broadcast()
-		ep.mu.Unlock()
-	}
 	n.wg.Wait()
 }

@@ -1,18 +1,26 @@
 // Package netsim provides the message-passing substrate of the
 // reproduction: an in-memory network connecting sites, in two flavours —
 // a deterministic single-threaded simulator (Sim) used by tests and
-// benchmarks, and a concurrent channel-based network (AsyncNetwork) used
-// by the runnable examples.
+// benchmarks, and a concurrent network (AsyncNetwork) with one delivery
+// goroutine per site, the default under a Node.
 //
 // The paper's robustness claims (§1, §5) are about message loss and
 // duplication, so the substrate injects faults: per-message drop and
 // duplication probabilities, static partitions, and (in Sim) arbitrary
 // reordering. Delivery statistics are recorded per payload kind, because
 // message complexity is the paper's headline comparison metric (§4).
+//
+// Each mechanism exists once and is shared: Faults.Decide is the only
+// place a drop or duplication is decided (Sim and AsyncNetwork call
+// it), Mailbox is the per-site delivery queue of every concurrent
+// substrate (AsyncNetwork and transport/tcp), IdleCut the one
+// quiescence test over such queues, and Stats the one ledger of sent,
+// delivered, dropped and duplicated.
 package netsim
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 
@@ -88,6 +96,44 @@ type Faults struct {
 	// Partitioned, when non-nil, blocks messages for which it returns
 	// true. Blocked messages count as dropped.
 	Partitioned func(from, to ids.SiteID) bool
+}
+
+// Verdict is a fault plan's decision for one send.
+type Verdict uint8
+
+// The fault plan's verdicts.
+const (
+	// Deliver enqueues the message once.
+	Deliver Verdict = iota
+	// Drop loses the message.
+	Drop
+	// Duplicate enqueues the message twice.
+	Duplicate
+)
+
+// Decide is the fault plan's single decision point: what happens to one
+// send of p from -> to. Application payloads are always delivered and
+// draw nothing from rng. For control payloads the ladder is partition
+// (no draw), DropProb, DropKindProb, DupProb, each probability drawing
+// one rng.Float64 only when it is positive and the ladder got that far
+// — the order every seeded schedule depends on.
+func (f *Faults) Decide(rng *rand.Rand, from, to ids.SiteID, p Payload) Verdict {
+	if !FaultEligible(p) {
+		return Deliver
+	}
+	if f.Partitioned != nil && f.Partitioned(from, to) {
+		return Drop
+	}
+	if f.DropProb > 0 && rng.Float64() < f.DropProb {
+		return Drop
+	}
+	if kp := f.DropKindProb[p.Kind()]; kp > 0 && rng.Float64() < kp {
+		return Drop
+	}
+	if f.DupProb > 0 && rng.Float64() < f.DupProb {
+		return Duplicate
+	}
+	return Deliver
 }
 
 // Stats records message traffic. Safe for concurrent use.

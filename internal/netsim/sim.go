@@ -59,27 +59,17 @@ func (s *Sim) Register(site ids.SiteID, h Handler) {
 // Stats returns the delivery statistics.
 func (s *Sim) Stats() *Stats { return s.stats }
 
-// Send queues p from -> to, applying the fault plan: partition and drop
-// lose the message, duplication enqueues it twice.
+// Send queues p from -> to, applying the fault plan: a drop loses the
+// message, a duplication enqueues it twice.
 func (s *Sim) Send(from, to ids.SiteID, p Payload) {
 	s.stats.RecordSent(p)
-	if FaultEligible(p) {
-		if s.faults.Partitioned != nil && s.faults.Partitioned(from, to) {
-			s.stats.RecordDropped(p)
-			return
-		}
-		if s.faults.DropProb > 0 && s.rng.Float64() < s.faults.DropProb {
-			s.stats.RecordDropped(p)
-			return
-		}
-		if kp := s.faults.DropKindProb[p.Kind()]; kp > 0 && s.rng.Float64() < kp {
-			s.stats.RecordDropped(p)
-			return
-		}
-		if s.faults.DupProb > 0 && s.rng.Float64() < s.faults.DupProb {
-			s.stats.RecordDuplicated(p)
-			s.enqueue(from, to, p)
-		}
+	switch s.faults.Decide(s.rng, from, to, p) {
+	case Drop:
+		s.stats.RecordDropped(p)
+		return
+	case Duplicate:
+		s.stats.RecordDuplicated(p)
+		s.enqueue(from, to, p)
 	}
 	s.enqueue(from, to, p)
 }

@@ -46,6 +46,12 @@ type FrameStats struct {
 	FramesRetired int
 	// AdvancesSent counts StreamAdvance floor advisories.
 	AdvancesSent int
+	// DeliveriesRefused counts incoming deliveries dropped unapplied and
+	// unacknowledged because their write-ahead append failed: tolerated
+	// loss (the sender re-ships what it retains), but a failing disk
+	// makes the site a black hole, so it is counted. Per session: not
+	// part of the snapshot.
+	DeliveriesRefused int
 }
 
 // AckObserver is an optional extension of Observer: implementations
@@ -172,6 +178,14 @@ func newStreams() *streams {
 		recv:      make(map[streamKey]*recvTracker),
 		peerEpoch: make(map[ids.SiteID]uint64),
 	}
+}
+
+// deliveryRefused counts one delivery dropped because its write-ahead
+// append failed. Takes the leaf st.mu itself.
+func (st *streams) deliveryRefused() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.fstats.DeliveriesRefused++
 }
 
 // sendStream returns (creating if needed) the send-side stream state.

@@ -337,3 +337,49 @@ func TestJournalFailureFailsOps(t *testing.T) {
 		t.Fatal("collect succeeded with a dead journal")
 	}
 }
+
+// TestRefusedDeliveryIsCounted: a delivery whose write-ahead append
+// fails is dropped unapplied and unacknowledged — and counted, so a
+// failing disk shows up instead of turning the site into a silent black
+// hole.
+func TestRefusedDeliveryIsCounted(t *testing.T) {
+	net := netsim.NewSim(netsim.Faults{Seed: 1})
+	p1 := openPersist(t, t.TempDir(), 1000)
+	p2 := openPersist(t, t.TempDir(), 1000)
+	s1 := recoverSite(t, 1, net, p1)
+	s2 := recoverSite(t, 2, net, p2)
+	defer p1.Close()
+
+	// A healthy delivery is applied and acknowledged.
+	if _, err := s1.NewRemote(s1.Root().Obj, 2); err != nil {
+		t.Fatal(err)
+	}
+	run(t, net)
+	if got := s2.FrameStats(); got.AcksSent != 1 || got.DeliveriesRefused != 0 {
+		t.Fatalf("healthy delivery: acks sent = %d, refused = %d; want 1, 0", got.AcksSent, got.DeliveriesRefused)
+	}
+	objects, engine, acks := s2.NumObjects(), s2.EngineStats(), net.Stats().Sent(wire.KindFrameAck)
+
+	p2.Close() // the journal dies under the live site
+	refused, err := s1.NewRemote(s1.Root().Obj, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, net)
+
+	if got := s2.FrameStats().DeliveriesRefused; got != 1 {
+		t.Errorf("DeliveriesRefused = %d, want 1", got)
+	}
+	if s2.HasObject(refused.Obj) || s2.NumObjects() != objects {
+		t.Errorf("refused create took effect: %d objects, want %d", s2.NumObjects(), objects)
+	}
+	if got := s2.EngineStats(); got != engine {
+		t.Errorf("engine state moved on a refused delivery:\n got %+v\nwant %+v", got, engine)
+	}
+	if got := net.Stats().Sent(wire.KindFrameAck); got != acks {
+		t.Errorf("a refused delivery was acknowledged: %d acks on the wire, want %d", got, acks)
+	}
+	if got := s2.FrameStats().AcksSent; got != 1 {
+		t.Errorf("AcksSent = %d, want 1", got)
+	}
+}

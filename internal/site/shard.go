@@ -257,7 +257,8 @@ func (r *shard) deliverShardLocked(from ids.SiteID, p netsim.Payload) {
 			// An unjournalable delivery must not take effect: acting on
 			// it would desynchronise the replayable history from the
 			// messages this site sends. Dropping is safe — the protocol
-			// tolerates loss (§5).
+			// tolerates loss (§5) — and counted, not silent.
+			r.site.st.deliveryRefused()
 			return
 		}
 	}

@@ -35,4 +35,9 @@
 // one journaled event — a mutator operation, a batch of them, or an
 // inbound delivery — tagged with the shard that journaled it and
 // replayed against the image to reconstruct the site (DESIGN.md §5).
+//
+// # Codec
+//
+// codec.go is the one place where any of the above becomes bytes, the
+// addressed Frame of a socket transport included; see its header.
 package wire

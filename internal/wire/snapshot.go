@@ -9,13 +9,12 @@
 // image deterministically reconstructs the site (see internal/site and
 // DESIGN.md §5).
 //
-// Encoding is gob: the same codec the TCP backend uses for frames, so
-// a snapshot can embed any payload a transport can carry.
+// Encoding lives in codec.go: the same codec the TCP backend's frames
+// go through, so a snapshot can embed any payload a transport can carry.
+
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"causalgc/internal/core"
@@ -281,84 +280,4 @@ type OpRecord struct {
 type DeliverRecord struct {
 	From    ids.SiteID
 	Payload netsim.Payload
-}
-
-func init() {
-	// The concrete payload types carried behind netsim.Payload fields.
-	// gob.Register tolerates re-registration of identical types, so this
-	// coexists with transport/tcp's registrations.
-	gob.Register(Create{})
-	gob.Register(RefTransfer{})
-	gob.Register(Destroy{})
-	gob.Register(Assert{})
-	gob.Register(FrameAck{})
-	gob.Register(StreamAdvance{})
-	gob.Register(Propagate{})
-	gob.Register(Envelope{})
-}
-
-// EncodeSnapshot renders a SiteImage for persist.Store.WriteSnapshot.
-func EncodeSnapshot(img *SiteImage) ([]byte, error) {
-	img.Version = SnapshotVersion
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		return nil, fmt.Errorf("wire: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSnapshot parses a snapshot body, accepting SnapshotVersion only
-// and only an image that records at least one shard.
-func DecodeSnapshot(data []byte) (*SiteImage, error) {
-	var img SiteImage
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("wire: decode snapshot: %w", err)
-	}
-	if img.Version != SnapshotVersion {
-		return nil, fmt.Errorf("wire: snapshot version %d, want %d", img.Version, SnapshotVersion)
-	}
-	if len(img.Shards) == 0 {
-		return nil, fmt.Errorf("wire: snapshot of site %v records no shards", img.Site)
-	}
-	return &img, nil
-}
-
-// recordArity counts the set fields of a WALRecord (exactly one must
-// be).
-func recordArity(rec *WALRecord) int {
-	n := 0
-	if rec.Op != nil {
-		n++
-	}
-	if rec.Deliver != nil {
-		n++
-	}
-	if rec.Batch != nil {
-		n++
-	}
-	return n
-}
-
-// EncodeRecord renders a WALRecord for persist.Store.Append.
-func EncodeRecord(rec *WALRecord) ([]byte, error) {
-	if recordArity(rec) != 1 {
-		return nil, fmt.Errorf("wire: record must set exactly one of Op/Deliver/Batch")
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("wire: encode record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeRecord parses one WAL record.
-func DecodeRecord(data []byte) (*WALRecord, error) {
-	var rec WALRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("wire: decode record: %w", err)
-	}
-	if recordArity(&rec) != 1 {
-		return nil, fmt.Errorf("wire: record must set exactly one of Op/Deliver/Batch")
-	}
-	return &rec, nil
 }

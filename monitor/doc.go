@@ -44,6 +44,7 @@
 //	causalgc_acks_received_total       counter  FRM  FrameAcks received
 //	causalgc_frames_retired_total      counter  FRM  outbox frames retired by acks
 //	causalgc_advances_sent_total       counter  FRM  StreamAdvance advisories sent
+//	causalgc_deliveries_refused_total  counter  FRM  deliveries dropped unapplied: WAL append failed
 //	causalgc_outbox_depth              gauge    DEP  unacknowledged mutator frames retained
 //	causalgc_assert_journal_depth      gauge    DEP  un-acknowledged edge-asserts journaled
 //	causalgc_destroy_bundles_depth     gauge    DEP  destroyed-edge bundles tracked

@@ -21,8 +21,10 @@ func testSources() Sources {
 	return Sources{
 		Objects: func() int { return 7 },
 		Engine:  func() core.Stats { return core.Stats{Removed: 3, AssertResends: 2} },
-		Frames:  func() site.FrameStats { return site.FrameStats{OutboxRetained: 1, OutboxResends: 4} },
-		Depths:  func() site.Depths { return site.Depths{Outbox: 1, AssertRows: 5} },
+		Frames: func() site.FrameStats {
+			return site.FrameStats{OutboxRetained: 1, OutboxResends: 4, DeliveriesRefused: 6}
+		},
+		Depths: func() site.Depths { return site.Depths{Outbox: 1, AssertRows: 5} },
 		Persist: func() persist.Stats {
 			return persist.Stats{Appends: 10, Syncs: 2, SyncNanos: 3000, SyncMaxNanos: 2000}
 		},
@@ -123,6 +125,7 @@ func TestWriteExposition(t *testing.T) {
 		`causalgc_resends_total{site="s2",stream="assert"} 2`,
 		`causalgc_resends_total{site="s2",stream="outbox"} 4`,
 		`causalgc_assert_journal_depth{site="s2"} 5`,
+		`causalgc_deliveries_refused_total{site="s2"} 6`,
 		`causalgc_wal_fsync_seconds_total{site="s2"} 3e-06`,
 		`causalgc_wal_fsync_max_seconds{site="s2"} 2e-06`,
 		`causalgc_net_sent_total{site="s2",kind="fake"} 1`,

@@ -67,6 +67,8 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 		snaps, func(s *Snapshot) int { return s.Frames.FramesRetired })
 	p.counter("causalgc_advances_sent_total", "StreamAdvance floor advisories sent.",
 		snaps, func(s *Snapshot) int { return s.Frames.AdvancesSent })
+	p.counter("causalgc_deliveries_refused_total", "Deliveries dropped unapplied because their write-ahead append failed.",
+		snaps, func(s *Snapshot) int { return s.Frames.DeliveriesRefused })
 
 	p.igauge("causalgc_outbox_depth", "Unacknowledged outbound mutator frames retained.",
 		snaps, func(s *Snapshot) int { return s.Depths.Outbox })

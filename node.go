@@ -68,13 +68,6 @@ func (c config) validate() error {
 	return nil
 }
 
-// WithAutoCollect controls whether a node runs a local collection
-// whenever GGD removes one of its clusters, so reclamation cascades
-// without explicit Collect calls. Default: on.
-func WithAutoCollect(on bool) Option {
-	return func(c *config) { c.site.AutoCollect = on }
-}
-
 // WithEngineOptions tunes the node's GGD engine: the unsafe ablation
 // switches and the removal trace observer.
 func WithEngineOptions(e EngineOptions) Option {

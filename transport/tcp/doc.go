@@ -1,6 +1,9 @@
 // Package tcp is the real-socket transport backend: causalgc sites in
 // different OS processes exchange the same wire messages the in-memory
-// backends carry, as length-prefixed gob frames over TCP.
+// backends carry, as length-prefixed frames over TCP. The package holds
+// what is about sockets; the frame encoding is internal/wire's, and the
+// per-site delivery queues and the idle test behind Drain are the ones
+// the in-memory concurrent backend uses (internal/netsim).
 //
 // One Network serves one process. It listens on a single address for
 // every site the process hosts, and dials one outgoing connection per

@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"causalgc/internal/ids"
+	"causalgc/internal/netsim"
 	"causalgc/internal/wire"
 	"causalgc/transport"
 )
@@ -21,28 +20,11 @@ import (
 // corrupted stream and close the connection.
 const maxFrame = 16 << 20
 
-// envelope is the on-the-wire frame body: the addressed payload.
-type envelope struct {
-	From    ids.SiteID
-	To      ids.SiteID
-	Payload transport.Payload
-}
-
-func init() {
-	gob.Register(wire.Create{})
-	gob.Register(wire.RefTransfer{})
-	gob.Register(wire.Destroy{})
-	gob.Register(wire.Assert{})
-	gob.Register(wire.FrameAck{})
-	gob.Register(wire.StreamAdvance{})
-	gob.Register(wire.Propagate{})
-	gob.Register(wire.Envelope{})
-}
-
 // RegisterPayload registers a custom payload's concrete type with the
-// frame codec. The built-in wire messages are pre-registered; call this
-// in both peer processes for any additional payload types.
-func RegisterPayload(p transport.Payload) { gob.Register(p) }
+// frame codec (internal/wire owns it). The built-in wire messages are
+// pre-registered; call this in both peer processes for any additional
+// payload types.
+func RegisterPayload(p transport.Payload) { wire.RegisterPayload(p) }
 
 // Config configures a process-wide TCP transport.
 type Config struct {
@@ -71,20 +53,19 @@ type Network struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// activity counts local queue events (enqueues, handler and write
-	// completions): Drain uses it to certify that a clean sweep over
-	// the queues observed a consistent quiescent cut rather than a
-	// moving target.
-	activity atomic.Uint64
+	// cut watches every local queue — the hosted sites' mailboxes and
+	// the peer writers: Drain asks it whether they were all idle as one
+	// consistent cut rather than a moving target.
+	cut netsim.IdleCut
 
 	mu      sync.Mutex
-	peers   map[ids.SiteID]string // site → dial address (from cfg + SetPeer)
-	inboxes map[ids.SiteID]*inbox // locally hosted sites
+	peers   map[ids.SiteID]string          // site → dial address (from cfg + SetPeer)
+	inboxes map[ids.SiteID]*netsim.Mailbox // locally hosted sites
 	// early buffers frames that arrive for a site before it registers:
 	// the listener is up before the process finishes constructing (or
 	// recovering) its sites, and a fast peer can land a frame in that
 	// window. Bounded per site; flushed in order on Register.
-	early   map[ids.SiteID][]delivery
+	early   map[ids.SiteID][]wire.Frame
 	writers map[string]*writer    // peer address → connection writer
 	conns   map[net.Conn]struct{} // accepted (inbound) connections
 	closed  bool
@@ -124,8 +105,8 @@ func New(cfg Config) (*Network, error) {
 		ctx:     ctx,
 		cancel:  cancel,
 		peers:   make(map[ids.SiteID]string, len(cfg.Peers)),
-		inboxes: make(map[ids.SiteID]*inbox),
-		early:   make(map[ids.SiteID][]delivery),
+		inboxes: make(map[ids.SiteID]*netsim.Mailbox),
+		early:   make(map[ids.SiteID][]wire.Frame),
 		writers: make(map[string]*writer),
 		conns:   make(map[net.Conn]struct{}),
 	}
@@ -152,22 +133,17 @@ func (n *Network) Register(site ids.SiteID, h transport.Handler) {
 		return
 	}
 	if in, ok := n.inboxes[site]; ok {
-		in.setHandler(h)
+		in.SetHandler(h)
 		return
 	}
-	in := newInbox(h, &n.activity)
+	in := netsim.StartMailbox(h, &n.cut, n.stats, &n.wg)
 	n.inboxes[site] = in
 	// Flush frames that raced the registration, in arrival order, before
 	// any new frame can reach the inbox (both paths hold n.mu).
-	for _, d := range n.early[site] {
-		in.enqueue(d)
+	for _, f := range n.early[site] {
+		in.Enqueue(f.From, f.Payload)
 	}
 	delete(n.early, site)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		in.pump(n.stats)
-	}()
 }
 
 // Send queues p for delivery to site `to`: in memory when the site is
@@ -184,7 +160,7 @@ func (n *Network) Send(from, to ids.SiteID, p transport.Payload) {
 	}
 	if in, ok := n.inboxes[to]; ok {
 		n.mu.Unlock()
-		if !in.enqueue(delivery{from: from, p: p}) {
+		if !in.Enqueue(from, p) {
 			n.stats.RecordDropped(p)
 		}
 		return
@@ -207,7 +183,7 @@ func (n *Network) Send(from, to ids.SiteID, p transport.Payload) {
 	}
 	n.mu.Unlock()
 
-	buf, err := encodeFrame(envelope{From: from, To: to, Payload: p})
+	buf, err := encodeFrame(wire.Frame{From: from, To: to, Payload: p})
 	if err != nil {
 		n.stats.RecordDropped(p)
 		return
@@ -229,31 +205,22 @@ func (n *Network) Close() error {
 	n.closed = true
 	n.cancel() // abort in-flight dials and reconnect backoffs
 	err := n.ln.Close()
-	ins := make([]*inbox, 0, len(n.inboxes))
 	for _, in := range n.inboxes {
-		ins = append(ins, in)
+		in.Close()
 	}
-	ws := make([]*writer, 0, len(n.writers))
 	for _, w := range n.writers {
-		ws = append(ws, w)
+		w.close()
 	}
 	for c := range n.conns {
 		c.Close()
 	}
-	for site, ds := range n.early {
-		for _, d := range ds {
-			n.stats.RecordDropped(d.p)
+	for site, fs := range n.early {
+		for _, f := range fs {
+			n.stats.RecordDropped(f.Payload)
 		}
 		delete(n.early, site)
 	}
 	n.mu.Unlock()
-
-	for _, in := range ins {
-		in.close()
-	}
-	for _, w := range ws {
-		w.close()
-	}
 	n.wg.Wait()
 	return err
 }
@@ -271,7 +238,7 @@ func (n *Network) Drain(timeout time.Duration) bool {
 	confirmed := false
 	poll := 200 * time.Microsecond
 	for {
-		if n.flushedLocally() {
+		if n.cut.Idle() {
 			// Two consistent flushed cuts separated by a short grace
 			// interval: a frame this process wrote to a loopback socket
 			// moments ago surfaces as inbox activity during the grace
@@ -304,37 +271,6 @@ func (n *Network) Drain(timeout time.Duration) bool {
 		case <-time.After(wait):
 		}
 	}
-}
-
-// flushedLocally reports whether all inboxes and writer queues are
-// empty and idle as one consistent cut: the sweep only counts if the
-// activity counter did not move while it ran — otherwise a handler
-// finishing mid-sweep could enqueue into a queue (an already-checked
-// writer, or another local site's inbox) and the pass would certify a
-// moving target.
-func (n *Network) flushedLocally() bool {
-	before := n.activity.Load()
-	n.mu.Lock()
-	ws := make([]*writer, 0, len(n.writers))
-	for _, w := range n.writers {
-		ws = append(ws, w)
-	}
-	ins := make([]*inbox, 0, len(n.inboxes))
-	for _, in := range n.inboxes {
-		ins = append(ins, in)
-	}
-	n.mu.Unlock()
-	for _, in := range ins {
-		if !in.idle() {
-			return false
-		}
-	}
-	for _, w := range ws {
-		if !w.idle() {
-			return false
-		}
-	}
-	return n.activity.Load() == before
 }
 
 // SetPeer adds or updates the dial address for a remote site at runtime
@@ -379,111 +315,30 @@ func (n *Network) readLoop(conn net.Conn) {
 		n.mu.Unlock()
 	}()
 	for {
-		env, err := readFrame(conn)
+		f, err := readFrame(conn)
 		if err != nil {
 			return // EOF, peer reset, or corrupt stream: drop the conn
 		}
 		n.mu.Lock()
-		in := n.inboxes[env.To]
+		in := n.inboxes[f.To]
 		if in == nil && !n.closed {
-			q, known := n.early[env.To]
+			q, known := n.early[f.To]
 			if (known || len(n.early) < maxEarlySites) && len(q) < maxEarly {
 				// The site has not registered yet (process still starting
 				// or recovering): buffer until it does.
-				n.early[env.To] = append(q, delivery{from: env.From, p: env.Payload})
+				n.early[f.To] = append(q, f)
 				n.mu.Unlock()
 				continue
 			}
 		}
 		n.mu.Unlock()
-		if in == nil || !in.enqueue(delivery{from: env.From, p: env.Payload}) {
+		if in == nil || !in.Enqueue(f.From, f.Payload) {
 			// Buffer overflow (a site this process never hosts — stale
 			// routing) or delivered after Close: lost, which the
 			// protocol tolerates.
-			n.stats.RecordDropped(env.Payload)
+			n.stats.RecordDropped(f.Payload)
 		}
 	}
-}
-
-// inbox serialises deliveries to one site, decoupling socket reads from
-// handler execution (handlers may send, and sites lock themselves while
-// handling).
-type inbox struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []delivery
-	busy     int // deliveries dequeued whose handler has not returned yet
-	h        transport.Handler
-	closed   bool
-	activity *atomic.Uint64 // the owning Network's Drain counter
-}
-
-type delivery struct {
-	from ids.SiteID
-	p    transport.Payload
-}
-
-func newInbox(h transport.Handler, activity *atomic.Uint64) *inbox {
-	in := &inbox{h: h, activity: activity}
-	in.cond = sync.NewCond(&in.mu)
-	return in
-}
-
-func (in *inbox) setHandler(h transport.Handler) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.h = h
-}
-
-func (in *inbox) enqueue(d delivery) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.closed {
-		return false
-	}
-	in.queue = append(in.queue, d)
-	in.activity.Add(1)
-	in.cond.Signal()
-	return true
-}
-
-func (in *inbox) close() {
-	in.mu.Lock()
-	in.closed = true
-	in.cond.Broadcast()
-	in.mu.Unlock()
-}
-
-func (in *inbox) pump(stats *transport.Stats) {
-	for {
-		in.mu.Lock()
-		for len(in.queue) == 0 && !in.closed {
-			in.cond.Wait()
-		}
-		if len(in.queue) == 0 {
-			in.mu.Unlock()
-			return
-		}
-		d := in.queue[0]
-		in.queue = in.queue[1:]
-		in.busy++
-		h := in.h
-		in.mu.Unlock()
-		stats.RecordDelivered(d.p)
-		h(d.from, d.p)
-		in.mu.Lock()
-		in.busy--
-		in.mu.Unlock()
-		in.activity.Add(1)
-	}
-}
-
-// idle reports whether the inbox has nothing queued and no handler
-// running.
-func (in *inbox) idle() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.queue) == 0 && in.busy == 0
 }
 
 // --- outbound path -------------------------------------------------------
@@ -512,13 +367,14 @@ type outFrame struct {
 func newWriter(n *Network, addr string) *writer {
 	w := &writer{net: n, addr: addr}
 	w.cond = sync.NewCond(&w.mu)
+	n.cut.Watch(w)
 	return w
 }
 
-// idle reports whether the writer has written every queued frame to
+// Idle reports whether the writer has written every queued frame to
 // its socket (the queue head is not popped until written, so an empty
 // queue means all handed to the OS).
-func (w *writer) idle() bool {
+func (w *writer) Idle() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.queue) == 0
@@ -530,8 +386,8 @@ func (w *writer) enqueue(f outFrame) bool {
 	if w.closed {
 		return false
 	}
+	w.net.cut.Tick() // before the append: see netsim.IdleCut
 	w.queue = append(w.queue, f)
-	w.net.activity.Add(1)
 	w.cond.Signal()
 	return true
 }
@@ -579,7 +435,6 @@ func (w *writer) run() {
 		w.mu.Lock()
 		w.queue = w.queue[1:]
 		w.mu.Unlock()
-		w.net.activity.Add(1)
 	}
 }
 
@@ -663,46 +518,43 @@ func (w *writer) dropConn(conn net.Conn) {
 	w.mu.Unlock()
 }
 
-// --- frame codec ---------------------------------------------------------
+// --- framing ------------------------------------------------------------
 
-// encodeFrame renders an envelope as a length-prefixed gob frame: a
-// 4-byte big-endian length followed by the gob bytes. Each frame carries
-// its own gob stream so a receiver can resynchronise per frame and a
+// encodeFrame renders a frame for the socket: a 4-byte big-endian length
+// followed by the body internal/wire encodes. Each body is
+// self-contained, so a receiver can resynchronise per frame and a
 // reconnecting sender needs no codec state.
-func encodeFrame(env envelope) ([]byte, error) {
+func encodeFrame(f wire.Frame) ([]byte, error) {
 	var body bytes.Buffer
 	body.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(&body).Encode(&env); err != nil {
-		return nil, fmt.Errorf("tcp: encode %T: %w", env.Payload, err)
+	if err := wire.EncodeFrame(&body, &f); err != nil {
+		return nil, fmt.Errorf("tcp: %T: %w", f.Payload, err)
 	}
 	buf := body.Bytes()
 	if len(buf)-4 > maxFrame {
 		// Writing an oversized frame would poison the connection: the
 		// receiver rejects it and drops the whole stream, and a retry
 		// would re-kill the reconnected connection.
-		return nil, fmt.Errorf("tcp: frame for %T is %d bytes, exceeds %d", env.Payload, len(buf)-4, maxFrame)
+		return nil, fmt.Errorf("tcp: frame for %T is %d bytes, exceeds %d", f.Payload, len(buf)-4, maxFrame)
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
 	return buf, nil
 }
 
-// readFrame reads one length-prefixed gob frame.
-func readFrame(r io.Reader) (envelope, error) {
+// readFrame reads one length-prefixed frame and has internal/wire decode
+// its body.
+func readFrame(r io.Reader) (wire.Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return envelope{}, err
+		return wire.Frame{}, err
 	}
 	size := binary.BigEndian.Uint32(hdr[:])
 	if size == 0 || size > maxFrame {
-		return envelope{}, fmt.Errorf("tcp: bad frame size %d", size)
+		return wire.Frame{}, fmt.Errorf("tcp: bad frame size %d", size)
 	}
 	body := make([]byte, size)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return envelope{}, err
+		return wire.Frame{}, err
 	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return envelope{}, fmt.Errorf("tcp: decode frame: %w", err)
-	}
-	return env, nil
+	return wire.DecodeFrame(body)
 }

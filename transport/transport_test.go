@@ -2,11 +2,13 @@ package transport_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"causalgc/internal/wire"
 	"causalgc/transport"
+	"causalgc/transport/tcp"
 )
 
 // wirePayloads is one instance of every wire message the transports
@@ -172,5 +174,173 @@ func TestAsyncDrain(t *testing.T) {
 	defer mu.Unlock()
 	if got != 1 {
 		t.Errorf("delivered %d, want 1", got)
+	}
+}
+
+// substrate is one backend under the conformance table: the transport,
+// how to wait until it has nothing left to do, how to tear it down, and
+// its traffic summed over kinds (and, for tcp, over both processes'
+// networks).
+type substrate struct {
+	transport.Transport
+	settle func(t *testing.T)
+	stop   func()
+	totals func() transport.KindStats
+}
+
+func sum(stats ...*transport.Stats) transport.KindStats {
+	var n transport.KindStats
+	for _, st := range stats {
+		for _, k := range st.Snapshot() {
+			n.Sent += k.Sent
+			n.Delivered += k.Delivered
+			n.Dropped += k.Dropped
+			n.Duplicated += k.Duplicated
+		}
+	}
+	return n
+}
+
+func reconciled(k transport.KindStats) bool { return k.Delivered+k.Dropped == k.Sent+k.Duplicated }
+
+// The in-memory backends run a fault plan, so the control traffic of
+// the table is dropped and duplicated; tcp has no fault injection.
+var conformanceFaults = transport.Faults{Seed: 7, DropProb: 0.2, DupProb: 0.2}
+
+// sockets is two tcp.Networks, one hosting site 1 and one site 2, so
+// every message between them crosses a real loopback socket.
+type sockets struct{ a, b *tcp.Network }
+
+func (s sockets) of(site transport.SiteID) *tcp.Network {
+	if site == 1 {
+		return s.a
+	}
+	return s.b
+}
+func (s sockets) Register(site transport.SiteID, h transport.Handler) { s.of(site).Register(site, h) }
+func (s sockets) Send(from, to transport.SiteID, p transport.Payload) { s.of(from).Send(from, to, p) }
+func (s sockets) Stats() *transport.Stats                             { return s.a.Stats() }
+
+var substrates = []struct {
+	name string
+	open func(t *testing.T) substrate
+}{
+	{"deterministic", func(t *testing.T) substrate {
+		tr := transport.NewDeterministic(conformanceFaults)
+		return substrate{
+			Transport: tr,
+			settle: func(t *testing.T) {
+				if !tr.Drain(time.Second) {
+					t.Fatal("Drain reported failure")
+				}
+			},
+			// The simulator has no Close: tearing an endpoint down is
+			// Unregister, and what is sent to it afterwards is lost
+			// when its turn to be delivered comes.
+			stop:   func() { tr.Unregister(1); tr.Unregister(2) },
+			totals: func() transport.KindStats { return sum(tr.Stats()) },
+		}
+	}},
+	{"async", func(t *testing.T) substrate {
+		tr := transport.NewAsync(conformanceFaults)
+		t.Cleanup(tr.Close)
+		return substrate{
+			Transport: tr,
+			settle: func(t *testing.T) {
+				if !tr.Drain(5 * time.Second) {
+					t.Fatal("Drain timed out")
+				}
+			},
+			stop:   tr.Close,
+			totals: func() transport.KindStats { return sum(tr.Stats()) },
+		}
+	}},
+	{"tcp", func(t *testing.T) substrate {
+		var s sockets
+		for _, n := range []**tcp.Network{&s.a, &s.b} {
+			nw, err := tcp.New(tcp.Config{Listen: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { nw.Close() })
+			*n = nw
+		}
+		s.a.SetPeer(2, s.b.Addr().String())
+		s.b.SetPeer(1, s.a.Addr().String())
+		totals := func() transport.KindStats { return sum(s.a.Stats(), s.b.Stats()) }
+		return substrate{
+			Transport: s,
+			settle: func(t *testing.T) {
+				// A frame between the two sockets is in neither
+				// network's queues, so Drain is repeated until the books
+				// balance: every send delivered or dropped, and (the
+				// drains after that) every handler returned.
+				for deadline := time.Now().Add(10 * time.Second); ; {
+					if reconciled(totals()) && s.a.Drain(time.Second) && s.b.Drain(time.Second) && reconciled(totals()) {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("tcp pair did not settle: %+v", totals())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			},
+			stop:   func() { s.a.Close(); s.b.Close() },
+			totals: totals,
+		}
+	}},
+}
+
+// TestConformance runs one table over all three backends: what a site
+// runtime relies on must hold whichever substrate carries its frames.
+func TestConformance(t *testing.T) {
+	for _, backend := range substrates {
+		t.Run(backend.name, func(t *testing.T) {
+			tr := backend.open(t)
+			tr.settle(t) // Drain is true on an idle transport
+
+			// Deliveries cascade (site 2 echoes to site 1) and settling
+			// chases them. Creates are application traffic: no faults.
+			var first, second atomic.Int64
+			tr.Register(1, func(transport.SiteID, transport.Payload) { first.Add(1) })
+			tr.Register(2, func(_ transport.SiteID, p transport.Payload) { tr.Send(2, 1, p) })
+			tr.Send(1, 2, wire.Create{})
+			tr.settle(t)
+			if first.Load() != 1 {
+				t.Fatalf("echo not delivered after settling: %d", first.Load())
+			}
+
+			// Registering a site again swaps its handler.
+			tr.Register(1, func(transport.SiteID, transport.Payload) { second.Add(1) })
+			tr.Send(1, 2, wire.Create{})
+			tr.settle(t)
+			if first.Load() != 1 || second.Load() != 1 {
+				t.Fatalf("after re-Register: old handler saw %d, new %d; want 1, 1", first.Load(), second.Load())
+			}
+
+			// Every send is booked exactly once as delivered or dropped,
+			// duplicates as one more delivery or drop: control traffic
+			// under the fault plan, plus an unroutable destination.
+			for i := 0; i < 100; i++ {
+				tr.Send(1, 2, wire.FrameAck{})
+			}
+			tr.Send(1, 42, wire.FrameAck{})
+			tr.settle(t)
+			k := tr.totals()
+			if !reconciled(k) || k.Dropped == 0 {
+				t.Errorf("books do not balance after a drain: %+v", k)
+			}
+
+			// A send after the teardown is booked as dropped.
+			tr.stop()
+			tr.Send(1, 2, wire.Create{})
+			if d, ok := tr.Transport.(transport.Drainer); ok {
+				d.Drain(time.Second) // the simulator books the loss on delivery
+			}
+			after := tr.totals()
+			if after.Sent != k.Sent+1 || after.Dropped != k.Dropped+1 || after.Delivered != k.Delivered {
+				t.Errorf("send after teardown: %+v, was %+v; want one more sent and dropped", after, k)
+			}
+		})
 	}
 }
