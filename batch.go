@@ -9,11 +9,11 @@ import (
 // one write-ahead journal append (one fsync, or one group-commit
 // window share, composing with WithGroupCommit) and one coalesced
 // wire envelope per destination site — instead of paying each of those
-// per operation, as the singleton Node methods do. The protocol itself
-// is unchanged: every frame of a committed batch keeps its own
-// retirement-stream sequence, the journal-before-send invariant holds
-// per batch, and replay after a crash reconstructs the batch exactly
-// (DESIGN.md §3.3).
+// per operation, as the singleton Node methods (batches of one) do. The
+// protocol itself is unchanged: every frame of a committed batch keeps
+// its own retirement-stream sequence, the journal-before-send invariant
+// holds per batch, and replay after a crash reconstructs the batch
+// exactly (DESIGN.md §3.3).
 //
 // Staging returns *BatchRef placeholders, so later operations of the
 // same batch can chain onto objects that will not exist until Commit
@@ -211,13 +211,13 @@ func (n *Node) applyBatch(ops []wire.BatchOp) ([]Ref, error) {
 	return n.rt.ApplyBatch(ops)
 }
 
-// applyOne commits a one-element batch: the singleton mutator methods
-// of Node are implemented as these, so both paths share one
-// stage/journal/apply sequence and one set of semantics.
+// applyOne commits a group of one: the singleton mutator methods of
+// Node and Batch.Commit share one stage/journal/apply sequence
+// (site.ApplyBatch, site.Apply) and one set of semantics.
 func (n *Node) applyOne(op wire.OpRecord) (Ref, error) {
-	refs, err := n.applyBatch([]wire.BatchOp{{Op: op}})
-	if err != nil {
+	if err := n.gate.enter(); err != nil {
 		return NilRef, err
 	}
-	return refs[0], nil
+	defer n.gate.exit()
+	return n.rt.Apply(op)
 }

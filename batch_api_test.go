@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"causalgc/transport"
 )
@@ -182,12 +183,6 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := Recover(1, WithPersistence(t.TempDir()), WithGroupCommit(-1)); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("negative WithGroupCommit: %v, want ErrBadOption", err)
 	}
-	if _, err := Recover(1, WithPersistence(t.TempDir()), WithResendBackoff(-1)); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("negative WithResendBackoff: %v, want ErrBadOption", err)
-	}
-	if _, err := Recover(1, WithPersistence(t.TempDir()), WithMaxBatchFrames(-1)); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("negative WithMaxBatchFrames: %v, want ErrBadOption", err)
-	}
 	func() {
 		defer func() {
 			err, ok := recover().(error)
@@ -207,7 +202,7 @@ func TestOptionValidation(t *testing.T) {
 		NewCluster(2, WithGroupCommit(-2))
 	}()
 	// Valid configurations still construct.
-	n := NewNode(1, WithMaxBatchFrames(8), WithResendBackoff(4))
+	n := NewNode(1, WithSnapshotEvery(8), WithGroupCommit(time.Millisecond))
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,9 @@
 // wire envelope per destination site for the whole group, instead of
 // each cost per operation. Creations return *BatchRef placeholders
 // later ops of the same batch can chain onto (deferred reference
-// resolution); the singleton mutator methods are one-element batches,
-// so semantics are identical either way (DESIGN.md §3.3).
+// resolution); the singleton mutator methods commit batches of one
+// through the same commit path, so semantics are identical either way
+// (DESIGN.md §3.3).
 //
 // # Reliability and retirement
 //
@@ -59,7 +60,7 @@
 // nodes) unconfirmed outbound mutator frames — is retained and re-sent
 // by Refresh rounds until the receiving site acknowledges it with a
 // cumulative FrameAck, at which point it is retired exactly
-// (DESIGN.md §3.2). An exponential per-row damper (WithResendBackoff)
+// (DESIGN.md §3.2). An exponential per-row damper (capped at 64 rounds)
 // keeps long-lived systems from re-shipping the same rows every round,
 // and after quiescence a refresh round re-ships nothing at all. The
 // hard caps that bound the retained state are backstops only: when one

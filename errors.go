@@ -14,10 +14,10 @@ var ErrNodeClosed = errors.New("causalgc: node closed")
 
 // ErrBadOption is returned (wrapped, naming the offending option and
 // value) by Recover when an option carries a nonsensical value — a
-// negative WithSnapshotEvery, WithGroupCommit, WithResendBackoff or
-// WithMaxBatchFrames. NewNode and NewCluster panic with the same
-// wrapped error value (their signatures predate option validation), so
-// a recover() can still match it. Match with errors.Is.
+// negative WithSnapshotEvery or WithGroupCommit. NewNode and NewCluster
+// panic with the same wrapped error value (their signatures predate
+// option validation), so a recover() can still match it. Match with
+// errors.Is.
 var ErrBadOption = errors.New("causalgc: invalid option")
 
 // ErrBatchCommitted is returned by Batch.Commit when the batch was

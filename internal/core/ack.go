@@ -46,14 +46,14 @@ func (s Stream) String() string {
 	return "untracked"
 }
 
-// DefaultResendBackoffCap is the default ceiling, in refresh rounds, of
-// the exponential re-send damper (Options.ResendBackoffCap).
-const DefaultResendBackoffCap = 64
+// ResendBackoffCap is the ceiling, in refresh rounds, of the exponential
+// re-send damper.
+const ResendBackoffCap = 64
 
 // Backoff is the per-retained-item re-send damper: an unacknowledged
 // item is re-shipped on the first refresh round after it was sent, then
-// at exponentially growing round intervals (1, 2, 4, ... up to the
-// configured cap), so long-lived systems stop re-shipping the same rows
+// at exponentially growing round intervals (1, 2, 4, ... up to
+// ResendBackoffCap), so long-lived systems stop re-shipping the same rows
 // every round while a genuinely lost frame is still retried promptly.
 // The damper is deliberately not persisted: recovery resets it, so a
 // restarted site re-ships everything once and the peers re-converge.
@@ -67,9 +67,8 @@ type Backoff struct {
 // Ready reports whether a re-send is due at the given refresh round.
 func (b *Backoff) Ready(round uint64) bool { return round >= b.due }
 
-// Bump schedules the next re-send after a send at the given round. cap
-// is the maximal interval in rounds (≥ 1).
-func (b *Backoff) Bump(round uint64, cap uint64) {
+// Bump schedules the next re-send after a send at the given round.
+func (b *Backoff) Bump(round uint64) {
 	interval := uint64(1)
 	if b.attempts < 62 {
 		b.attempts++
@@ -77,8 +76,8 @@ func (b *Backoff) Bump(round uint64, cap uint64) {
 	if b.attempts > 1 {
 		interval = uint64(1) << (b.attempts - 1)
 	}
-	if interval > cap {
-		interval = cap
+	if interval > ResendBackoffCap {
+		interval = ResendBackoffCap
 	}
 	b.due = round + interval
 }
@@ -86,14 +85,6 @@ func (b *Backoff) Bump(round uint64, cap uint64) {
 // Reset re-arms the item for immediate re-send (topology change, peer
 // restart).
 func (b *Backoff) Reset() { *b = Backoff{} }
-
-// EffectiveBackoffCap resolves the configured damper ceiling.
-func EffectiveBackoffCap(configured int) uint64 {
-	if configured <= 0 {
-		return DefaultResendBackoffCap
-	}
-	return uint64(configured)
-}
 
 // edgeKey identifies a destroyed edge whose Ē bundle is re-shipped until
 // the target site acknowledges it.

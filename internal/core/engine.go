@@ -134,10 +134,6 @@ type Options struct {
 	// reproducing the paper's raw max-merge of counts and Ē stamps. A2
 	// ablation only: exhibits the introduction race.
 	UnsafeNoHints bool
-	// ResendBackoffCap caps the exponential re-send damper's interval,
-	// in refresh rounds (DESIGN.md §3.2). Zero means
-	// DefaultResendBackoffCap; one re-sends every round (damping off).
-	ResendBackoffCap int
 	// RemoveObserver, when non-nil, is called with the process's final log
 	// just before removal (diagnostics and the trace tooling).
 	RemoveObserver func(id ids.ClusterID, log *vclock.Log, clock uint64)
@@ -156,7 +152,6 @@ type Engine struct {
 	send     Sender
 	onRemove func(ids.ClusterID)
 	opts     Options
-	boCap    uint64
 
 	procs     map[ids.ClusterID]*process
 	tombstone map[ids.ClusterID]uint64 // removed cluster → final clock
@@ -270,7 +265,6 @@ func New(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Option
 		send:      send,
 		onRemove:  onRemove,
 		opts:      opts,
-		boCap:     EffectiveBackoffCap(opts.ResendBackoffCap),
 		procs:     make(map[ids.ClusterID]*process),
 		tombstone: make(map[ids.ClusterID]uint64),
 		pending:   make(map[ids.ClusterID][]delivery),
@@ -1301,7 +1295,7 @@ func (e *Engine) Refresh() {
 				continue
 			}
 			st = e.sendEdgeDestroy(p.id, k, m)
-			st.bo.Bump(e.round, e.boCap)
+			st.bo.Bump(e.round)
 			e.stats.DestroyResends++
 		}
 		e.Drain()
@@ -1326,7 +1320,7 @@ func (e *Engine) Refresh() {
 		st.seq = e.send.SendAssert(row.holder, row.target, AssertMsg{
 			Stamp: st.stamp, Intro: row.intro, IntroSeq: row.seq,
 		}, st.seq)
-		st.bo.Bump(e.round, e.boCap)
+		st.bo.Bump(e.round)
 	}
 	for _, l := range e.legacy {
 		if !l.bo.Ready(e.round) {
@@ -1336,7 +1330,7 @@ func (e *Engine) Refresh() {
 		e.stats.DestroysSent++
 		e.stats.LegacyResends++
 		l.seq = e.send.SendLegacy(l.from, l.to, cloneDestroy(l.m), l.seq)
-		l.bo.Bump(e.round, e.boCap)
+		l.bo.Bump(e.round)
 	}
 	e.Drain()
 }

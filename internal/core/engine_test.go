@@ -890,22 +890,6 @@ func TestEngineResendDamperBacksOff(t *testing.T) {
 	_ = base
 }
 
-func TestEngineResendDamperCapOne(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{ResendBackoffCap: 1})
-	e.Register(r1)
-	e.Register(cA)
-	e.EdgeUp(r1, cA, true, ids.NoCluster, 0)
-	e.Drain()
-	e.EdgeUp(cA, rem, true, cB, 7)
-	base := len(fs.asserts)
-	for i := 0; i < 5; i++ {
-		e.Refresh()
-	}
-	if got := len(fs.asserts) - base; got != 5 {
-		t.Errorf("with cap 1 every round must re-send: got %d of 5", got)
-	}
-}
-
 func TestEngineResetPeerBackoffReArms(t *testing.T) {
 	e, fs, _ := newEngine(t, Options{})
 	e.Register(r1)

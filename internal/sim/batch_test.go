@@ -11,14 +11,15 @@ import (
 	"causalgc/internal/wire"
 )
 
-// This file is the batched-vs-singleton equivalence lane (ISSUE 5): the
-// SAME seeded mutator op stream is executed twice — once through the
-// singleton entry points (one lock/journal/frame set per op) and once
-// grouped into ApplyBatch commits (one lock, one journal append, one
-// envelope per peer per group) — under message drops, duplication,
-// reordering and a kill-and-restart crash. The two runs must mint
-// identical references, never violate safety, and converge to the same
-// oracle verdict (clean) once the network heals.
+// This file is the grouping-equivalence lane: there is one commit path,
+// and the SAME seeded mutator op stream is executed through it twice —
+// once as n one-op commits (the singleton Site methods: one lock, one
+// journal record and one coalescing window per op) and once as a few
+// multi-op ApplyBatch commits (one of each per group) — under message
+// drops, duplication, reordering and a kill-and-restart crash. Grouping
+// is the only variable: the two runs must mint identical references,
+// never violate safety, and converge to the same oracle verdict (clean)
+// once the network heals.
 
 // Argument selectors of the symbolic plan: a plan references objects it
 // will create by pool index (creations of earlier groups) or by
@@ -324,8 +325,10 @@ func execBatchPlan(t *testing.T, plan []batchPlanGroup, seed int64, sites int, d
 }
 
 // TestBatchSingletonEquivalence runs the seeded fuzz lane across
-// several seeds and stripe widths: identical minted references and
-// identical (clean) oracle verdicts in both modes, zero violations.
+// several seeds and stripe widths, comparing the op stream grouped as
+// one-op commits against the same stream grouped as multi-op commits:
+// identical minted references and identical (clean) oracle verdicts in
+// both groupings, zero violations.
 func TestBatchSingletonEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {

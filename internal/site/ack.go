@@ -403,7 +403,7 @@ func (r *shard) resendOutboxLocked() {
 		}
 		resent++
 		r.emitLocked(f.to, f.p)
-		f.bo.Bump(round, core.EffectiveBackoffCap(r.site.opts.Engine.ResendBackoffCap))
+		f.bo.Bump(round)
 	}
 	if resent+suppressed > 0 {
 		r.site.st.mu.Lock()

@@ -10,17 +10,23 @@ import (
 	"causalgc/internal/wire"
 )
 
-// This file is the site half of the batched mutator API (DESIGN.md
-// §3.3). A batch commits a group of staged mutator operations under ONE
-// lock acquisition, ONE write-ahead journal append (a single
-// wire.BatchRecord — one fsync, or one group-commit window share,
-// instead of one per op), and per-destination coalesced wire.Envelope
-// frames (one transport send per peer instead of one per frame). The
-// journal-before-send invariant holds per batch: the group record is
-// durable before any frame the group produced leaves the site, exactly
-// as the singleton path guarantees per op. Retirement semantics are
-// unchanged — every coalesced mutator frame keeps its own stream
-// sequence and outbox row; only the transport framing is grouped.
+// This file is the commit path of a site (DESIGN.md §3.3). Every mutator
+// commit is a group of n >= 1 operations — the singleton Site methods
+// commit groups of one — and follows ONE sequence under ONE lock
+// acquisition: stage (an illegal group is rejected before anything is
+// journaled), pre-mint (the drawn identities, placements and stream
+// sequences are recorded on the ops), ONE write-ahead journal append (a
+// single wire.BatchRecord — one fsync, or one group-commit window
+// share, for the whole group), then apply inside one coalescing window
+// (one transport send per peer; a single frame ships bare). The
+// journal-before-send invariant holds per commit: the group record is
+// durable before any frame the group produced leaves the site.
+// Retirement semantics are per frame — every coalesced mutator frame
+// keeps its own stream sequence and outbox row; only the transport
+// framing is grouped. Replay feeds the journaled group back through the
+// same function with staging, pre-minting and journaling suppressed:
+// apply never draws, so a replay rebuilds exactly what the live commit
+// built whatever the WAL interleaving.
 
 // ApplyBatch commits a group of mutator operations atomically with
 // respect to staging: the whole group is validated against a staged
@@ -28,16 +34,20 @@ import (
 // existence checked against the heap plus the batch's own creations),
 // and a staging failure rejects the batch before anything is journaled
 // or applied. Once staged, the group is journaled as one record and
-// applied in order; a per-op apply failure (exactly the failures the
-// singleton path could hit after its journal append) does not undo
-// earlier ops — the first such error is returned after the remaining
-// ops ran, and replay reproduces the same partial outcome
-// deterministically.
+// applied in order; a per-op apply failure does not undo earlier ops —
+// the first such error is returned after the remaining ops ran, and
+// replay reproduces the same partial outcome deterministically.
 //
 // The batch commits on the shard owning its first concrete holder
 // (staging requires every concrete holder to live there; fresh clusters
 // minted by a multi-op batch pin to that shard, so the whole group
 // stays local — see premintBatchLocked).
+//
+// ApplyBatch owns ops for the duration of the call: the commit writes
+// each op's draws (MintObj, MintClu, Place, MutSeq) into it in place
+// instead of copying the group. The caller must not share it with a
+// concurrent call; it may resubmit it afterwards (every commit re-draws
+// all four fields).
 //
 // The returned slice has one Ref per op: the minted reference for
 // creates, the zero Ref otherwise.
@@ -46,45 +56,64 @@ func (s *Site) ApplyBatch(ops []wire.BatchOp) ([]heap.Ref, error) {
 		return nil, nil
 	}
 	r := s.shards[0]
-	for _, bop := range ops {
-		if bop.HolderFrom == 0 && bop.Op.Holder.Valid() {
-			r = s.shardFor(bop.Op.Holder)
+	for i := range ops {
+		if ops[i].HolderFrom == 0 && ops[i].Op.Holder.Valid() {
+			r = s.shardFor(ops[i].Op.Holder)
 			break
 		}
 	}
+	refs := make([]heap.Ref, len(ops))
+	return refs, s.commit(r, ops, refs)
+}
+
+// Apply commits one mutator operation: a group of one, committed on the
+// shard owning the op's holder.
+func (s *Site) Apply(op wire.OpRecord) (heap.Ref, error) {
+	return s.commitOne(s.shardFor(op.Holder), op)
+}
+
+// commitOne commits a group of one on shard r; the one-element result
+// stays on the stack.
+func (s *Site) commitOne(r *shard, op wire.OpRecord) (heap.Ref, error) {
+	var ref [1]heap.Ref
+	err := s.commit(r, []wire.BatchOp{{Op: op}}, ref[:])
+	return ref[0], err
+}
+
+// commit commits ops on shard r, filling refs (one per op), and settles
+// the commit's cross-shard effects.
+func (s *Site) commit(r *shard, ops []wire.BatchOp, refs []heap.Ref) error {
 	r.mu.Lock()
-	refs, err := r.commitBatchLocked(ops)
+	err := r.commitLocked(ops, refs)
 	r.mu.Unlock()
 	s.afterEvent()
-	return refs, err
+	return err
 }
 
-// commitBatchLocked runs the commit sequence of runOpLocked once for
-// the whole group: stage, pre-mint, one journal append, apply. Caller
+// commitLocked is the one commit sequence — stage, pre-mint, one journal
+// append, apply — for a group of n >= 1 ops; refs receives one Ref per
+// op. During replay the group is a journaled record: it was staged and
+// pre-minted before it was appended, so only the apply runs. Caller
 // holds r.mu.
-func (r *shard) commitBatchLocked(ops []wire.BatchOp) ([]heap.Ref, error) {
-	if err := r.stageBatchLocked(ops); err != nil {
-		return nil, err
-	}
-	ops = r.premintBatchLocked(ops)
-	if r.journaling() {
-		if err := r.appendLocked(&wire.WALRecord{Batch: &wire.BatchRecord{Ops: ops}}); err != nil {
-			return nil, fmt.Errorf("site %v: journal batch (%d ops): %w", r.site.id, len(ops), err)
+func (r *shard) commitLocked(ops []wire.BatchOp, refs []heap.Ref) error {
+	if !r.replaying {
+		if err := r.stageBatchLocked(ops); err != nil {
+			return err
+		}
+		r.premintBatchLocked(ops)
+		if r.journaling() {
+			// The record takes a copy, so ops never escapes: a volatile
+			// site's group of one stays on the caller's stack.
+			rec := &wire.WALRecord{Batch: &wire.BatchRecord{Ops: append([]wire.BatchOp(nil), ops...)}}
+			if err := r.appendLocked(rec); err != nil {
+				return fmt.Errorf("site %v: journal commit (%d ops): %w", r.site.id, len(ops), err)
+			}
 		}
 	}
-	return r.applyBatchLocked(ops)
-}
-
-// applyBatchLocked applies a staged (or replayed) batch: coalescing on,
-// ops applied in order with deferred arguments resolved from earlier
-// results, acks flushed, envelopes shipped. Caller holds r.mu; the
-// batch record must already be durable (or replaying).
-func (r *shard) applyBatchLocked(ops []wire.BatchOp) ([]heap.Ref, error) {
 	opened := r.beginCoalesceLocked()
-	refs := make([]heap.Ref, len(ops))
 	var firstErr error
-	for i, bop := range ops {
-		op, err := resolveBatchOp(bop, refs)
+	for i := range ops {
+		op, err := resolveBatchOp(&ops[i], refs[:i])
 		if err == nil {
 			refs[i], err = r.applyOpLocked(op)
 		}
@@ -101,56 +130,47 @@ func (r *shard) applyBatchLocked(ops []wire.BatchOp) ([]heap.Ref, error) {
 	if opened {
 		r.flushCoalesceLocked()
 	}
-	return refs, firstErr
+	return firstErr
 }
 
-// premintBatchLocked pre-mints a staged batch: the drawn identities,
-// placements and stream sequences ride the journaled BatchRecord, so
-// replay reproduces them exactly (see premintLocked).
-// Fresh clusters are pinned to the executing shard for multi-op
-// batches — a deferred reference to a cross-shard creation would name
-// an object the executing shard will never materialise — while
-// singleton batches (every Node one-op commit) keep the full placement
-// policy. Deferred arguments are resolved against the refs the batch's
-// own earlier pre-mints predict, only for the duration of each op's
-// pre-mint — the journaled record keeps its deferred form, and
-// resolveBatchOp re-derives the same refs at apply (and replay) time.
-// The ops slice is copied before mutation: callers own their argument.
-// Caller holds r.mu.
-func (r *shard) premintBatchLocked(ops []wire.BatchOp) []wire.BatchOp {
-	if r.replaying {
-		return ops
-	}
+// premintBatchLocked pre-mints a staged group in place: the drawn
+// identities, placements and stream sequences ride the journaled
+// BatchRecord, so replay reproduces them exactly (see premintLocked).
+// Fresh clusters are pinned to the executing shard for multi-op groups
+// — a deferred reference to a cross-shard creation would name an object
+// the executing shard will never materialise — while a group of one
+// keeps the full placement policy. Deferred arguments are resolved
+// against the refs the group's own earlier pre-mints predict, only for
+// the duration of each op's pre-mint — the journaled record keeps its
+// deferred form, and resolveBatchOp re-derives the same refs at apply
+// (and replay) time. Caller holds r.mu.
+func (r *shard) premintBatchLocked(ops []wire.BatchOp) {
 	pin := len(ops) > 1
-	minted := make([]wire.BatchOp, len(ops))
-	copy(minted, ops)
-	preds := make([]heap.Ref, len(minted))
-	for i := range minted {
-		bop := &minted[i]
+	id := r.site.id
+	for i := range ops {
+		bop := &ops[i]
 		op := &bop.Op
 		holder, to, target := op.Holder, op.To, op.Target
 		if bop.HolderFrom > 0 {
-			op.Holder = preds[bop.HolderFrom-1].Obj
+			op.Holder = predictedRef(id, &ops[bop.HolderFrom-1].Op).Obj
 		}
 		if bop.ToFrom > 0 {
-			op.To = preds[bop.ToFrom-1]
+			op.To = predictedRef(id, &ops[bop.ToFrom-1].Op)
 		}
 		if bop.TargetFrom > 0 {
-			op.Target = preds[bop.TargetFrom-1]
+			op.Target = predictedRef(id, &ops[bop.TargetFrom-1].Op)
 		}
 		r.premintLocked(op, pin)
-		preds[i] = predictedRef(r.site.id, *op)
 		op.Holder, op.To, op.Target = holder, to, target
 	}
-	return minted
 }
 
 // predictedRef computes the Ref a pre-minted create will return when it
 // applies — the resolution context for later ops' deferred arguments
-// during batch pre-mint. Non-creates (and ops that mint nothing)
-// predict the zero Ref, matching resolveBatchOp's treatment of a failed
-// deferred source.
-func predictedRef(id ids.SiteID, op wire.OpRecord) heap.Ref {
+// during pre-mint. Non-creates (and ops that mint nothing) predict the
+// zero Ref, matching resolveBatchOp's treatment of a failed deferred
+// source.
+func predictedRef(id ids.SiteID, op *wire.OpRecord) heap.Ref {
 	switch op.Kind {
 	case wire.OpNewLocal:
 		return heap.Ref{
@@ -173,10 +193,11 @@ func predictedRef(id ids.SiteID, op wire.OpRecord) heap.Ref {
 }
 
 // resolveBatchOp substitutes deferred arguments with the Refs minted by
-// earlier ops of the same batch. Indices were range-checked at staging;
-// a deferred source that failed to apply resolves to the zero Ref, so
-// the dependent op fails the same way on every replay.
-func resolveBatchOp(bop wire.BatchOp, refs []heap.Ref) (wire.OpRecord, error) {
+// the earlier ops of the same group (refs holds their results). Indices
+// were range-checked at staging; the check here guards a replayed
+// record. A deferred source that failed to apply resolves to the zero
+// Ref, so the dependent op fails the same way on every replay.
+func resolveBatchOp(bop *wire.BatchOp, refs []heap.Ref) (wire.OpRecord, error) {
 	op := bop.Op
 	if bop.HolderFrom > 0 {
 		if bop.HolderFrom > len(refs) {
@@ -201,59 +222,58 @@ func resolveBatchOp(bop wire.BatchOp, refs []heap.Ref) (wire.OpRecord, error) {
 
 // --- Staging -------------------------------------------------------------
 
-// stagedView tracks what a batch will have created by the time each op
-// applies: which earlier ops mint objects (and on which site), and
-// which slot additions the batch itself stages — the deferred-Ref
-// resolution context for validating ops against state that does not
-// exist until Commit.
-type stagedView struct {
-	// create[i] is the site of the object op i creates (NoSite when op i
-	// creates nothing).
-	create []ids.SiteID
-	// slots records staged slot additions as (holder, target) argument
-	// pairs; concrete arguments use their identity, deferred ones their
-	// batch index. Additions only: staged removals are not simulated, so
-	// staging is deliberately lenient there and the apply-time check
-	// (which sees the true intermediate heap) stays authoritative.
-	slots map[stagedSlot]struct{}
-}
-
 // stagedArg names an op argument during staging: a concrete object or
-// the deferred result of an earlier batch op.
+// the deferred result of an earlier op of the group.
 type stagedArg struct {
 	obj ids.ObjectID
-	idx int // 1-based batch index when deferred; 0 when concrete
+	idx int // 1-based group index when deferred; 0 when concrete
 }
 
-// stagedSlot is one staged slot addition.
+// arg renders one (concrete, deferred index) argument pair.
+func arg(obj ids.ObjectID, from int) stagedArg {
+	if from > 0 {
+		return stagedArg{idx: from}
+	}
+	return stagedArg{obj: obj}
+}
+
+// stagedSlot is one staged slot addition, as a (holder, target)
+// argument pair.
 type stagedSlot struct {
 	holder stagedArg
 	target stagedArg
 }
 
-// stageBatchLocked validates a whole batch before anything is journaled
-// or applied: structural checks on deferred indices, plus the same
-// checks the singleton entry points perform before their journal append
-// (holder existence, foreign clusters, self-remote, SendRef holdership)
-// evaluated against the heap and the staged view. Caller holds r.mu.
+// stagedSlots records the slot additions a group stages — the context
+// for validating a SendRef against holdership that does not exist until
+// the group commits. Additions only: staged removals are not simulated,
+// so staging is deliberately lenient there and the apply-time check
+// (which sees the true intermediate heap) stays authoritative. The map
+// is allocated on the first addition a later op can read, so a group of
+// one never builds it.
+type stagedSlots map[stagedSlot]struct{}
+
+// createSite is the site of the object op creates (NoSite when it
+// creates none): what a later op's deferred argument may name.
+func (r *shard) createSite(op *wire.OpRecord) ids.SiteID {
+	switch op.Kind {
+	case wire.OpNewLocal, wire.OpNewLocalIn:
+		return r.site.id
+	case wire.OpNewRemote:
+		return op.Site
+	}
+	return ids.NoSite
+}
+
+// stageBatchLocked validates a whole group before anything is journaled
+// or applied: structural checks on deferred indices, plus the
+// pre-journal checks of each kind (holder existence, foreign clusters,
+// self-remote, SendRef holdership) evaluated against the heap and the
+// slots the group itself stages. Caller holds r.mu.
 func (r *shard) stageBatchLocked(ops []wire.BatchOp) error {
-	if len(ops) == 1 && ops[0].HolderFrom == 0 && ops[0].ToFrom == 0 && ops[0].TargetFrom == 0 {
-		// The singleton fast path (every Node one-element batch): no
-		// deferred arguments means no staged view to build — the
-		// concrete pre-journal checks are the whole story. Non-batchable
-		// kinds fall through to the full walk, which rejects them.
-		switch ops[0].Op.Kind {
-		case wire.OpNewLocal, wire.OpNewLocalIn, wire.OpNewRemote,
-			wire.OpSendRef, wire.OpAddRef, wire.OpDropRefs, wire.OpClearSlot:
-			return r.stageOpLocked(ops[0].Op)
-		}
-	}
-	view := &stagedView{
-		create: make([]ids.SiteID, len(ops)),
-		slots:  make(map[stagedSlot]struct{}),
-	}
-	for i, bop := range ops {
-		if err := r.stageBatchOpLocked(i, bop, view); err != nil {
+	var slots stagedSlots
+	for i := range ops {
+		if err := r.stageBatchOpLocked(ops, i, &slots); err != nil {
 			if len(ops) > 1 {
 				return fmt.Errorf("batch op %d: %w", i, err)
 			}
@@ -263,128 +283,112 @@ func (r *shard) stageBatchLocked(ops []wire.BatchOp) error {
 	return nil
 }
 
-// checkDeferred validates one deferred argument index: it must name an
-// earlier op of the batch that creates an object.
-func checkDeferred(name string, from, i int, view *stagedView) (stagedArg, error) {
-	if from > i || view.create[from-1] == ids.NoSite {
-		return stagedArg{}, fmt.Errorf("%s from op %d: %w", name, from-1, ErrBatchRef)
-	}
-	return stagedArg{idx: from}, nil
-}
-
-// stageHolder resolves and validates a holder argument that must name
-// an existing local object (the pre-journal check of the create and
-// SendRef entry points).
-func (r *shard) stageHolder(opName string, i int, bop wire.BatchOp, view *stagedView) (stagedArg, error) {
-	if bop.HolderFrom > 0 {
-		arg, err := checkDeferred("holder", bop.HolderFrom, i, view)
-		if err != nil {
-			return arg, err
-		}
-		if view.create[bop.HolderFrom-1] != r.site.id {
-			// The deferred holder is created on another site by this very
-			// batch: it can never be a local holder here.
-			return arg, fmt.Errorf("site %v: %s (batch op %d): %w", r.site.id, opName, bop.HolderFrom-1, heap.ErrNoSuchObject)
-		}
-		return arg, nil
-	}
-	if r.heap.Object(bop.Op.Holder) == nil {
-		return stagedArg{}, fmt.Errorf("site %v: %s %v: %w", r.site.id, opName, bop.Op.Holder, heap.ErrNoSuchObject)
-	}
-	return stagedArg{obj: bop.Op.Holder}, nil
-}
-
-// stageBatchOpLocked validates one staged op and extends the view.
-func (r *shard) stageBatchOpLocked(i int, bop wire.BatchOp, view *stagedView) error {
-	// Structural validity of every deferred argument first.
-	for _, d := range []struct {
-		name string
-		from int
-	}{{"holder", bop.HolderFrom}, {"to", bop.ToFrom}, {"target", bop.TargetFrom}} {
-		if d.from > 0 {
-			if _, err := checkDeferred(d.name, d.from, i, view); err != nil {
-				return err
-			}
-		}
-	}
-	switch bop.Op.Kind {
-	case wire.OpNewLocal:
-		holder, err := r.stageHolder("NewLocal holder", i, bop, view)
-		if err != nil {
-			return err
-		}
-		view.create[i] = r.site.id
-		view.slots[stagedSlot{holder: holder, target: stagedArg{idx: i + 1}}] = struct{}{}
-	case wire.OpNewLocalIn:
-		if bop.Op.Clu.Site != r.site.id {
-			return fmt.Errorf("site %v: NewLocalIn %v: %w", r.site.id, bop.Op.Clu, heap.ErrForeignCluster)
-		}
-		holder, err := r.stageHolder("NewLocalIn holder", i, bop, view)
-		if err != nil {
-			return err
-		}
-		view.create[i] = r.site.id
-		view.slots[stagedSlot{holder: holder, target: stagedArg{idx: i + 1}}] = struct{}{}
-	case wire.OpNewRemote:
-		holder, err := r.stageHolder("NewRemote holder", i, bop, view)
-		if err != nil {
-			return err
-		}
-		if bop.Op.Site == r.site.id {
-			return fmt.Errorf("site %v: NewRemote: %w", r.site.id, ErrRemoteSelf)
-		}
-		if bop.Op.Site == ids.NoSite {
-			return fmt.Errorf("site %v: NewRemote: %w", r.site.id, ErrNoSite)
-		}
-		view.create[i] = bop.Op.Site
-		view.slots[stagedSlot{holder: holder, target: stagedArg{idx: i + 1}}] = struct{}{}
-	case wire.OpSendRef:
-		holder, err := r.stageHolder("SendRef from", i, bop, view)
-		if err != nil {
-			return err
-		}
-		target := stagedArg{obj: bop.Op.Target.Obj, idx: bop.TargetFrom}
-		if target.idx > 0 {
-			target.obj = ids.ObjectID{}
-		}
-		if !r.stagedHolds(holder, target, bop.Op.Target, view) {
-			return fmt.Errorf("site %v: SendRef: %v of %v: %w", r.site.id, bop.Op.Target, bop.Op.Holder, ErrNotHolder)
-		}
-		// A copy to a local destination stages a new slot there.
-		to := stagedArg{obj: bop.Op.To.Obj, idx: bop.ToFrom}
-		if to.idx > 0 {
-			to.obj = ids.ObjectID{}
-		}
-		view.slots[stagedSlot{holder: to, target: target}] = struct{}{}
-	case wire.OpAddRef:
-		// Journal-first semantics (like the singleton path): nothing to
-		// pre-validate, but the staged slot feeds later holds checks.
-		holder := stagedArg{obj: bop.Op.Holder, idx: bop.HolderFrom}
-		target := stagedArg{obj: bop.Op.Target.Obj, idx: bop.TargetFrom}
-		if holder.idx > 0 {
-			holder.obj = ids.ObjectID{}
-		}
-		if target.idx > 0 {
-			target.obj = ids.ObjectID{}
-		}
-		view.slots[stagedSlot{holder: holder, target: target}] = struct{}{}
-	case wire.OpDropRefs, wire.OpClearSlot:
-		// Journal-first semantics; staged removals are not simulated.
-	default:
-		return fmt.Errorf("%v: not a batchable operation: %w", bop.Op.Kind, ErrBatchRef)
+// checkDeferred validates one deferred argument of op i: it must name
+// an earlier op of the group that creates an object.
+func (r *shard) checkDeferred(name string, from int, ops []wire.BatchOp, i int) error {
+	if from > i || from > 0 && r.createSite(&ops[from-1].Op) == ids.NoSite {
+		return fmt.Errorf("%s from op %d: %w", name, from-1, ErrBatchRef)
 	}
 	return nil
 }
 
-// stagedHolds is the staged-view counterpart of holds: the sender
-// either holds the target in the live heap, stages the slot earlier in
-// this batch, or sends a reference denoting itself.
-func (r *shard) stagedHolds(holder, target stagedArg, concrete heap.Ref, view *stagedView) bool {
-	if _, ok := view.slots[stagedSlot{holder: holder, target: target}]; ok {
+// stageHolder validates a holder argument that must name an existing
+// local object (the pre-journal check of the creates and SendRef).
+func (r *shard) stageHolder(opName string, ops []wire.BatchOp, i int) error {
+	bop := &ops[i]
+	if bop.HolderFrom > 0 {
+		if r.createSite(&ops[bop.HolderFrom-1].Op) != r.site.id {
+			// The deferred holder is created on another site by this very
+			// group: it can never be a local holder here.
+			return fmt.Errorf("site %v: %s (batch op %d): %w", r.site.id, opName, bop.HolderFrom-1, heap.ErrNoSuchObject)
+		}
+		return nil
+	}
+	if r.heap.Object(bop.Op.Holder) == nil {
+		return fmt.Errorf("site %v: %s %v: %w", r.site.id, opName, bop.Op.Holder, heap.ErrNoSuchObject)
+	}
+	return nil
+}
+
+// stageBatchOpLocked validates op i of the group and records the slot
+// it stages, when a later op can read it.
+func (r *shard) stageBatchOpLocked(ops []wire.BatchOp, i int, slots *stagedSlots) error {
+	bop := &ops[i]
+	op := &bop.Op
+	// Structural validity of every deferred argument first.
+	if err := r.checkDeferred("holder", bop.HolderFrom, ops, i); err != nil {
+		return err
+	}
+	if err := r.checkDeferred("to", bop.ToFrom, ops, i); err != nil {
+		return err
+	}
+	if err := r.checkDeferred("target", bop.TargetFrom, ops, i); err != nil {
+		return err
+	}
+	holder := arg(op.Holder, bop.HolderFrom)
+	target := arg(op.Target.Obj, bop.TargetFrom)
+	switch op.Kind {
+	case wire.OpNewLocal:
+		if err := r.stageHolder("NewLocal holder", ops, i); err != nil {
+			return err
+		}
+		target = stagedArg{idx: i + 1}
+	case wire.OpNewLocalIn:
+		if op.Clu.Site != r.site.id {
+			return fmt.Errorf("site %v: NewLocalIn %v: %w", r.site.id, op.Clu, heap.ErrForeignCluster)
+		}
+		if err := r.stageHolder("NewLocalIn holder", ops, i); err != nil {
+			return err
+		}
+		target = stagedArg{idx: i + 1}
+	case wire.OpNewRemote:
+		if err := r.stageHolder("NewRemote holder", ops, i); err != nil {
+			return err
+		}
+		if op.Site == r.site.id {
+			return fmt.Errorf("site %v: NewRemote: %w", r.site.id, ErrRemoteSelf)
+		}
+		if op.Site == ids.NoSite {
+			return fmt.Errorf("site %v: NewRemote: %w", r.site.id, ErrNoSite)
+		}
+		target = stagedArg{idx: i + 1}
+	case wire.OpSendRef:
+		if err := r.stageHolder("SendRef from", ops, i); err != nil {
+			return err
+		}
+		if !r.stagedHolds(holder, target, op.Target, *slots) {
+			return fmt.Errorf("site %v: SendRef: %v of %v: %w", r.site.id, op.Target, op.Holder, ErrNotHolder)
+		}
+		// A copy to a local destination stages a new slot there.
+		holder = arg(op.To.Obj, bop.ToFrom)
+	case wire.OpAddRef:
+		// Journal-first semantics: nothing to pre-validate, but the staged
+		// slot feeds later holds checks.
+	case wire.OpNewCluster, wire.OpDropRefs, wire.OpClearSlot:
+		// Journal-first semantics; no slot is staged (removals are not
+		// simulated).
+		return nil
+	default:
+		return fmt.Errorf("%v: not a mutator operation: %w", op.Kind, ErrBatchRef)
+	}
+	if i+1 < len(ops) {
+		if *slots == nil {
+			*slots = make(stagedSlots)
+		}
+		(*slots)[stagedSlot{holder: holder, target: target}] = struct{}{}
+	}
+	return nil
+}
+
+// stagedHolds is the staged counterpart of holds: the sender either
+// holds the target in the live heap, stages the slot earlier in this
+// group, or sends a reference denoting itself.
+func (r *shard) stagedHolds(holder, target stagedArg, concrete heap.Ref, slots stagedSlots) bool {
+	if _, ok := slots[stagedSlot{holder: holder, target: target}]; ok {
 		return true
 	}
 	if holder.idx > 0 {
-		// A batch-created holder can only hold what the batch staged —
+		// A group-created holder can only hold what the group staged —
 		// except its own reference, which is always sendable.
 		return target.idx == holder.idx
 	}
@@ -395,76 +399,40 @@ func (r *shard) stagedHolds(holder, target stagedArg, concrete heap.Ref, view *s
 	return fo != nil && r.holds(fo, concrete)
 }
 
-// stageOpLocked validates one concrete (singleton) operation before its
-// journal append: an illegal operation is rejected without journaling.
-// Caller holds r.mu.
-func (r *shard) stageOpLocked(op wire.OpRecord) error {
-	switch op.Kind {
-	case wire.OpNewLocal:
-		if r.heap.Object(op.Holder) == nil {
-			return fmt.Errorf("site %v: NewLocal holder %v: %w", r.site.id, op.Holder, heap.ErrNoSuchObject)
-		}
-	case wire.OpNewLocalIn:
-		if op.Clu.Site != r.site.id {
-			return fmt.Errorf("site %v: NewLocalIn %v: %w", r.site.id, op.Clu, heap.ErrForeignCluster)
-		}
-		if r.heap.Object(op.Holder) == nil {
-			return fmt.Errorf("site %v: NewLocalIn holder %v: %w", r.site.id, op.Holder, heap.ErrNoSuchObject)
-		}
-	case wire.OpNewRemote:
-		if r.heap.Object(op.Holder) == nil {
-			return fmt.Errorf("site %v: NewRemote holder %v: %w", r.site.id, op.Holder, heap.ErrNoSuchObject)
-		}
-		if op.Site == r.site.id {
-			return fmt.Errorf("site %v: NewRemote: %w", r.site.id, ErrRemoteSelf)
-		}
-		if op.Site == ids.NoSite && !r.replaying {
-			// New validation, gated off during replay: a WAL written
-			// before the check could hold a journaled zero-site
-			// NewRemote whose application bumped the mint counter —
-			// skipping it on replay would shift every later minted
-			// identity. (The check in the batch staging walk needs no
-			// gate: batch records replay without re-staging.)
-			return fmt.Errorf("site %v: NewRemote: %w", r.site.id, ErrNoSite)
-		}
-	case wire.OpSendRef:
-		fo := r.heap.Object(op.Holder)
-		if fo == nil {
-			return fmt.Errorf("site %v: SendRef from %v: %w", r.site.id, op.Holder, heap.ErrNoSuchObject)
-		}
-		if !r.holds(fo, op.Target) {
-			return fmt.Errorf("site %v: SendRef: %v of %v: %w", r.site.id, op.Target, op.Holder, ErrNotHolder)
-		}
-	}
-	return nil
-}
-
 // --- Wire-level coalescing -----------------------------------------------
 
-// emitLocked routes one outbound frame: buffered into the per-peer
-// coalescer while a commit or envelope-dispatch window is open, sent
-// directly otherwise. A frame addressed to the own site is a
-// cross-shard message: it bypasses the coalescer and enters the ordered
-// handoff queue of its destination shard. During replay self-addressed
-// frames are dropped — the receiving shard's journaled delivery records
+// maxEnvelopeFrames caps the frames coalesced into one wire.Envelope: a
+// larger group flushes in several envelopes. Large enough that
+// realistic commits fit one envelope, small enough that one envelope
+// stays well under transport frame limits.
+const maxEnvelopeFrames = 256
+
+// outFrame is one outbound frame buffered by an open coalescing window.
+type outFrame struct {
+	to ids.SiteID
+	p  netsim.Payload
+}
+
+// emitLocked routes one outbound frame: buffered into the coalescer
+// while a commit or envelope-dispatch window is open, sent directly
+// otherwise. A frame addressed to the own site is a cross-shard
+// message: it bypasses the coalescer and enters the ordered handoff
+// queue of its destination shard. During replay self-addressed frames
+// are dropped — the receiving shard's journaled delivery records
 // already carry them, and re-routing would apply them twice; a crash
 // between the sender's journal append and the receiver's is healed like
 // any lost frame (outbox re-send, refresh). Caller holds r.mu.
 func (r *shard) emitLocked(to ids.SiteID, p netsim.Payload) {
-	if to == r.site.id {
+	switch {
+	case to == r.site.id:
 		if !r.replaying {
 			r.site.enqueue(p)
 		}
-		return
+	case r.coalescing:
+		r.coalesce = append(r.coalesce, outFrame{to: to, p: p})
+	default:
+		r.site.net.Send(r.site.id, to, p)
 	}
-	if r.coalescing {
-		if r.coalesce == nil {
-			r.coalesce = make(map[ids.SiteID][]netsim.Payload)
-		}
-		r.coalesce[to] = append(r.coalesce[to], p)
-		return
-	}
-	r.site.net.Send(r.site.id, to, p)
 }
 
 // beginCoalesceLocked opens a coalescing window if none is open and
@@ -480,39 +448,42 @@ func (r *shard) beginCoalesceLocked() bool {
 
 // flushCoalesceLocked closes the coalescing window and ships the
 // buffered frames: one wire.Envelope per destination (chunked at
-// Options.MaxBatchFrames), a single frame sent bare — so a one-frame
-// "batch" is wire-identical to the singleton path. Destinations flush
-// in site order for deterministic schedules under the simulator.
+// maxEnvelopeFrames), a single frame sent bare — so a commit that emits
+// one frame toward a peer puts exactly that frame on the wire.
+// Destinations flush in site order, each one's frames in emit order,
+// for deterministic schedules under the simulator; the common window
+// (no frame, or one peer) is in that order already and is not sorted.
 // Caller holds r.mu.
 func (r *shard) flushCoalesceLocked() {
 	buf := r.coalesce
 	r.coalescing = false
-	r.coalesce = nil
 	if len(buf) == 0 {
 		return
 	}
-	peers := make([]ids.SiteID, 0, len(buf))
-	for to := range buf {
-		peers = append(peers, to)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	max := r.site.opts.MaxBatchFrames
-	if max <= 0 {
-		max = DefaultMaxBatchFrames
-	}
-	for _, to := range peers {
-		frames := buf[to]
-		for len(frames) > 0 {
-			n := len(frames)
-			if n > max {
-				n = max
-			}
-			if n == 1 {
-				r.site.net.Send(r.site.id, to, frames[0])
-			} else {
-				r.site.net.Send(r.site.id, to, wire.Envelope{Frames: frames[:n:n]})
-			}
-			frames = frames[n:]
+	for i := 1; i < len(buf); i++ {
+		if buf[i].to < buf[i-1].to {
+			sort.SliceStable(buf, func(a, b int) bool { return buf[a].to < buf[b].to })
+			break
 		}
 	}
+	for len(buf) > 0 {
+		to, n := buf[0].to, 1
+		for n < len(buf) && n < maxEnvelopeFrames && buf[n].to == to {
+			n++
+		}
+		if n == 1 {
+			r.site.net.Send(r.site.id, to, buf[0].p)
+		} else {
+			frames := make([]netsim.Payload, n)
+			for i := range frames {
+				frames[i] = buf[i].p
+			}
+			r.site.net.Send(r.site.id, to, wire.Envelope{Frames: frames})
+		}
+		buf = buf[n:]
+	}
+	// The buffer is reused by the next window; drop the payload
+	// references it still holds.
+	clear(r.coalesce)
+	r.coalesce = r.coalesce[:0]
 }

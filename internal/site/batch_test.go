@@ -3,6 +3,7 @@ package site_test
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"causalgc/internal/heap"
@@ -194,12 +195,10 @@ func TestBatchJournalGroupAppend(t *testing.T) {
 	}
 }
 
-// TestReplayAppliesLegacyZeroSiteNewRemote: the new ErrNoSite staging
-// check must not run during WAL replay — a log written before the
-// check can hold a journaled zero-site NewRemote whose application
-// bumped the mint counter, and skipping it would shift every later
-// minted identity.
-func TestReplayAppliesLegacyZeroSiteNewRemote(t *testing.T) {
+// TestRecoverRejectsMutatorOpRecord: a mutator commit is journaled as a
+// Batch record, so an Op record of a mutator kind was not written by
+// this code; recovery names it instead of guessing what it meant.
+func TestRecoverRejectsMutatorOpRecord(t *testing.T) {
 	dir := t.TempDir()
 	popts := site.PersistOptions{SnapshotEvery: 1 << 30, Store: persist.Options{NoSync: true}}
 	j, err := site.OpenPersist(filepath.Join(dir, "site-1"), popts)
@@ -210,14 +209,8 @@ func TestReplayAppliesLegacyZeroSiteNewRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := s1.Root().Obj
-	// A live zero-site NewRemote is rejected pre-journal on both paths.
-	if _, err := s1.NewRemote(root, 0); !errors.Is(err, site.ErrNoSite) {
-		t.Fatalf("live NewRemote(0): %v, want ErrNoSite", err)
-	}
-	// Forge the legacy record an old release would have journaled, as
-	// if the op had been applied before the check existed.
-	if err := j.Append(&wire.WALRecord{Width: 1, Op: &wire.OpRecord{Kind: wire.OpNewRemote, Holder: root, Site: 0, MintObj: 1}}); err != nil {
+	// Record 0 is the recovery's own Refresh marker; forge record 1.
+	if err := j.Append(&wire.WALRecord{Width: 1, Op: &wire.OpRecord{Kind: wire.OpNewRemote, Holder: s1.Root().Obj, Site: 2, MintObj: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -228,18 +221,10 @@ func TestReplayAppliesLegacyZeroSiteNewRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	s1b, err := site.Recover(1, netsim.NewSim(netsim.Faults{Seed: 2}), site.DefaultOptions(), j2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The replayed legacy op must have bumped the mint counter: the
-	// next remote creation mints seq (1<<32)|2, not (1<<32)|1.
-	ref, err := s1b.NewRemote(s1b.Root().Obj, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(1)<<32 | 2; ref.Obj.Seq != want {
-		t.Fatalf("minted seq %#x, want %#x (legacy zero-site op not replayed)", ref.Obj.Seq, want)
+	net := netsim.NewSim(netsim.Faults{Seed: 2})
+	_, err = site.Recover(1, net, site.DefaultOptions(), j2)
+	if err == nil || !strings.Contains(err.Error(), "wal record 1") || !strings.Contains(err.Error(), "NewRemote") {
+		t.Fatalf("recover over a mutator Op record: err = %v, want one naming wal record 1 and NewRemote", err)
 	}
 }
 

@@ -271,6 +271,9 @@ func Recover(id ids.SiteID, net netsim.Network, opts Options, j *Persist) (*Site
 // stays a total order of each shard's events.
 func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist, shards int) (*Site, error) {
 	img, recs, err := j.Load()
+	if err == nil {
+		err = checkRecords(recs)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("site %v: recover: %w", id, err)
 	}
@@ -381,20 +384,32 @@ func (s *Site) seedRouting(i int, ss wire.ShardState) {
 	}
 }
 
-// applyRecord replays one WAL record on the shard that journaled it.
-// Site-wide cycle records re-run the site-wide cycle. Errors are
-// ignored: a record that failed when first applied fails identically on
-// replay (replay determinism), and a delivery can never fail.
+// checkRecords rejects a WAL holding an Op record of any kind but the
+// two site-wide cycle markers: mutator commits are journaled as Batch
+// records, so such a record was not written by this code and replaying
+// a guess at its meaning would shift every later identity.
+func checkRecords(recs []*wire.WALRecord) error {
+	for i, rec := range recs {
+		if rec.Op != nil && rec.Op.Kind != wire.OpCollect && rec.Op.Kind != wire.OpRefresh {
+			return fmt.Errorf("wal record %d: Op record of kind %v: only Collect and Refresh are journaled as Op records", i, rec.Op.Kind)
+		}
+	}
+	return nil
+}
+
+// applyRecord replays one WAL record (checkRecords passed): a mutator
+// commit or a delivery on the shard that journaled it, a site-wide
+// cycle marker by re-running the site-wide cycle. Errors are ignored: a
+// record that failed when first applied fails identically on replay
+// (replay determinism), and a delivery can never fail.
 func (s *Site) applyRecord(rec *wire.WALRecord) {
 	if rec.Op != nil {
-		switch rec.Op.Kind {
-		case wire.OpCollect:
+		if rec.Op.Kind == wire.OpCollect {
 			_, _ = s.Collect()
-			return
-		case wire.OpRefresh:
+		} else {
 			_ = s.Refresh()
-			return
 		}
+		return
 	}
 	r := s.shards[0]
 	if rec.Shard > 0 && rec.Shard < s.n {
@@ -407,11 +422,7 @@ func (s *Site) applyRecord(rec *wire.WALRecord) {
 		// *live* traffic racing the replay).
 		r.dispatchLocked(rec.Deliver.From, rec.Deliver.Payload)
 	case rec.Batch != nil:
-		// Staging is skipped — the batch proved it before the record was
-		// appended, and replay determinism reproduces the same verdicts.
-		_, _ = r.applyBatchLocked(rec.Batch.Ops)
-	case rec.Op != nil:
-		_, _ = r.runOpLocked(*rec.Op)
+		_ = r.commitLocked(rec.Batch.Ops, make([]heap.Ref, len(rec.Batch.Ops)))
 	}
 	r.mu.Unlock()
 	s.drainHandoffs()
@@ -439,7 +450,9 @@ func (r *shard) restore(ss wire.ShardState) error {
 		})
 	}
 	for _, in := range ss.SeenIntro {
-		r.seenIntro[introKey{intro: in.Intro, seq: in.Seq}] = struct{}{}
+		k := introKey{intro: in.Intro, seq: in.Seq}
+		r.seenIntro[k] = struct{}{}
+		r.seenOrder = append(r.seenOrder, k)
 	}
 	for _, f := range ss.Outbox {
 		r.outbox = append(r.outbox, outboundFrame{to: f.To, seq: f.Seq, p: f.Payload})
@@ -503,10 +516,9 @@ func (r *shard) exportShardStateLocked() (wire.ShardState, error) {
 			})
 		}
 	}
-	for k := range r.seenIntro {
+	for _, k := range r.seenOrder {
 		ss.SeenIntro = append(ss.SeenIntro, wire.IntroImage{Intro: k.intro, Seq: k.seq})
 	}
-	sortIntros(ss.SeenIntro)
 	for _, f := range r.outbox {
 		ss.Outbox = append(ss.Outbox, wire.FrameImage{To: f.to, Payload: f.p, Seq: f.seq})
 	}
@@ -588,16 +600,4 @@ func sortedObjectKeys(m map[ids.ObjectID][]pendingRef) []ids.ObjectID {
 	}
 	ids.SortObjects(out)
 	return out
-}
-
-// sortIntros uses sort.Slice, not the ids-package insertion sorts:
-// seenIntro grows to maxSeenIntro (64k) entries on long-lived sites,
-// and this runs under the shard mutex at every snapshot.
-func sortIntros(in []wire.IntroImage) {
-	sort.Slice(in, func(i, j int) bool {
-		if in[i].Intro != in[j].Intro {
-			return in[i].Intro.Less(in[j].Intro)
-		}
-		return in[i].Seq < in[j].Seq
-	})
 }

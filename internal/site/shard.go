@@ -47,9 +47,10 @@ type outboundFrame struct {
 // happening silently.
 const maxOutbox = 1024
 
-// maxSeenIntro bounds the receiver-side transfer dedup set. Evicting an
-// entry can at worst let a re-sent transfer be applied twice, which
-// adds a redundant slot — a leak risk, never a safety violation.
+// maxSeenIntro bounds the receiver-side transfer dedup set (oldest
+// evicted first). Evicting an entry can at worst let a re-sent transfer
+// be applied twice, which adds a redundant slot — a leak risk, never a
+// safety violation.
 const maxSeenIntro = 1 << 16
 
 // bufDelivery is one live delivery buffered while a recovery replay is
@@ -85,8 +86,12 @@ type shard struct {
 	replaying  bool
 	recoverBuf []bufDelivery
 	// seenIntro dedups received reference transfers by (introducer,
-	// forwarding-seq), making recovery resends idempotent.
+	// forwarding-seq), making recovery resends idempotent. seenOrder
+	// lists its keys oldest first: past maxSeenIntro the oldest is
+	// evicted, and the snapshot keeps the order, so a replay evicts
+	// exactly what the live run evicted.
 	seenIntro map[introKey]struct{}
+	seenOrder []introKey
 	// outbox retains outbound mutator frames (populated only on a
 	// durable site) until the receiver acknowledges them; oldest first,
 	// hard-capped at maxOutbox as a documented backstop.
@@ -97,14 +102,13 @@ type shard struct {
 	// sends the ack.
 	dirtyAcks map[streamKey]struct{}
 
-	// coalescing, when set, buffers outbound frames per destination
-	// instead of sending them: open during a batch commit and during
-	// the dispatch of a received envelope, flushed as one wire.Envelope
-	// per peer (DESIGN.md §3.3). The buffer allocates lazily on the
-	// first frame, so frameless windows (most one-op batches) cost
-	// nothing.
+	// coalescing, when set, buffers outbound frames instead of sending
+	// them: open during every commit and during the dispatch of a
+	// received envelope, flushed as one wire.Envelope per peer
+	// (DESIGN.md §3.3). The buffer is reused from window to window, so a
+	// steady-state window allocates nothing until it builds an envelope.
 	coalescing bool
-	coalesce   map[ids.SiteID][]netsim.Payload
+	coalesce   []outFrame
 
 	// closed freezes the shard: deliveries are dropped (tolerated loss)
 	// so introspection keeps answering from an unchanging state.
@@ -331,14 +335,16 @@ func (r *shard) appendLocked(rec *wire.WALRecord) error {
 	return r.site.journal.Append(rec)
 }
 
-// journalOpLocked durably records a mutator operation before it is
-// applied. Caller holds r.mu.
-func (r *shard) journalOpLocked(op wire.OpRecord) error {
+// journalCycleLocked durably records a site-wide cycle marker
+// (wire.OpCollect or wire.OpRefresh) before the cycle runs: the only
+// Op records a site writes — a mutator commit is a Batch record
+// (commitLocked). Caller holds r.mu.
+func (r *shard) journalCycleLocked(kind wire.OpKind) error {
 	if !r.journaling() {
 		return nil
 	}
-	if err := r.appendLocked(&wire.WALRecord{Op: &op}); err != nil {
-		return fmt.Errorf("site %v: journal %v: %w", r.site.id, op.Kind, err)
+	if err := r.appendLocked(&wire.WALRecord{Op: &wire.OpRecord{Kind: kind}}); err != nil {
+		return fmt.Errorf("site %v: journal %v: %w", r.site.id, kind, err)
 	}
 	return nil
 }
@@ -410,13 +416,12 @@ func (r *shard) handleRefTransfer(m wire.RefTransfer) {
 		if _, dup := r.seenIntro[k]; dup {
 			return
 		}
-		if len(r.seenIntro) >= maxSeenIntro {
-			for old := range r.seenIntro {
-				delete(r.seenIntro, old)
-				break
-			}
+		if len(r.seenOrder) >= maxSeenIntro {
+			delete(r.seenIntro, r.seenOrder[0])
+			r.seenOrder = r.seenOrder[1:]
 		}
 		r.seenIntro[k] = struct{}{}
+		r.seenOrder = append(r.seenOrder, k)
 	}
 	if r.heap.Object(m.ToObj) == nil {
 		if m.ToCluster.Valid() && (r.engine.Registered(m.ToCluster) || r.engine.Removed(m.ToCluster)) {
@@ -457,28 +462,11 @@ func (r *shard) settleLocked() {
 	}
 }
 
-// --- Commit sequence -----------------------------------------------------
+// --- Commit sequence: per-op stages ---------------------------------------
 
-// Every mutator operation follows one commit sequence — stage-check
-// (reject without journaling), pre-mint (record the drawn identities,
-// placement and stream sequence on the OpRecord), write-ahead journal,
-// apply — shared with the batch path (commitBatchLocked), which runs
-// the same stages once per group instead of once per op. Replay feeds
-// the journaled record back through the same sequence with journaling
-// and pre-minting suppressed: apply never draws, so a replay rebuilds
-// exactly what the live commit built whatever the WAL interleaving.
-
-// runOpLocked commits one mutator operation. Caller holds r.mu.
-func (r *shard) runOpLocked(op wire.OpRecord) (heap.Ref, error) {
-	if err := r.stageOpLocked(op); err != nil {
-		return heap.NilRef, err
-	}
-	r.premintLocked(&op, false)
-	if err := r.journalOpLocked(op); err != nil {
-		return heap.NilRef, err
-	}
-	return r.applyOpLocked(op)
-}
+// The commit sequence itself — stage, pre-mint, journal, apply, once
+// per group of n >= 1 ops — is commitLocked (batch.go); below are the
+// pre-mint and apply stages of one op.
 
 // premintLocked draws the identities op will mint and records them
 // (plus the placement shard of the created object's cluster and the
@@ -486,21 +474,20 @@ func (r *shard) runOpLocked(op wire.OpRecord) (heap.Ref, error) {
 // before it is journaled. Shards commit concurrently, so the WAL append
 // order need not match the live mint (or seq-draw) order: replaying the
 // counters in WAL order would shift identities and rebind frame
-// sequences, and the recorded values are what makes replay exact.
-// During replay they are authoritative and nothing is drawn. pin forces
-// fresh clusters onto the executing shard (multi-op batches). Caller
-// holds r.mu; the op has passed stageOpLocked. For batch ops with
-// deferred arguments the caller passes a copy with the arguments
-// resolved against the batch's own predicted mints (premintBatchLocked).
+// sequences, and the recorded values are what makes replay exact (they
+// are authoritative there: commitLocked never pre-mints a replayed
+// group). All four draw fields are overwritten, so a resubmitted op
+// carries nothing over from an earlier commit. pin forces fresh
+// clusters onto the executing shard (multi-op groups). Caller holds
+// r.mu; the op has passed staging, and its deferred arguments are
+// resolved against the group's own predicted mints (premintBatchLocked).
 //
 // A pre-drawn sequence whose op later fails to apply (or whose journal
 // append fails) leaves a gap in the stream, exactly like a pre-minted
 // identity that is never materialised: the next Refresh's floor
 // advisory walks the peer's watermark over it.
 func (r *shard) premintLocked(op *wire.OpRecord, pin bool) {
-	if r.replaying {
-		return
-	}
+	op.MintObj, op.MintClu, op.Place, op.MutSeq = 0, 0, 0, 0
 	s := r.site
 	switch op.Kind {
 	case wire.OpNewLocal:
@@ -556,9 +543,9 @@ func (r *shard) premintSendRefSeqLocked(to, target heap.Ref) uint64 {
 }
 
 // applyOpLocked applies one resolved, pre-minted mutator operation:
-// validation, mutation, sends (through emitLocked, so a surrounding
-// batch commit coalesces them) and the settle cascade — everything
-// except locking and journaling, which the callers own. For
+// validation, mutation, sends (through emitLocked, so the commit's
+// window coalesces them) and the settle cascade — everything except
+// locking and journaling, which commitLocked owns. For
 // OpNewCluster the returned Ref carries only the minted cluster. Caller
 // holds r.mu.
 func (r *shard) applyOpLocked(op wire.OpRecord) (heap.Ref, error) {
@@ -756,7 +743,7 @@ func (r *shard) holds(o *heap.Object, target heap.Ref) bool {
 // only. Caller holds r.mu and no other shard's lock.
 func (r *shard) collectShardLocked(journal bool) (heap.CollectStats, error) {
 	if journal {
-		if err := r.journalOpLocked(wire.OpRecord{Kind: wire.OpCollect}); err != nil {
+		if err := r.journalCycleLocked(wire.OpCollect); err != nil {
 			return heap.CollectStats{}, err
 		}
 	}
@@ -775,7 +762,7 @@ func (r *shard) collectShardLocked(journal bool) (heap.CollectStats, error) {
 // on shard 0 only. Caller holds r.mu and no other shard's lock.
 func (r *shard) refreshShardLocked(journal bool) error {
 	if journal {
-		if err := r.journalOpLocked(wire.OpRecord{Kind: wire.OpRefresh}); err != nil {
+		if err := r.journalCycleLocked(wire.OpRefresh); err != nil {
 			return err
 		}
 	}

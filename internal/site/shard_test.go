@@ -3,6 +3,7 @@ package site
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"causalgc/internal/ids"
 	"causalgc/internal/netsim"
 	"causalgc/internal/wire"
+	"causalgc/persist"
 )
 
 // mustRef wraps a (Ref, error) mutator result, failing the test on error.
@@ -294,16 +296,18 @@ func TestShardCrashMidHandoff(t *testing.T) {
 	root := s.Root().Obj
 	_ = mustRef(t)(s.NewLocal(root)) // rr → shard 0 (local, drained)
 
-	// Bypass Site.runOp: shard 0 journals the op and enqueues the Create
+	// Bypass Site.commit: shard 0 journals the op and enqueues the Create
 	// for shard 1, but nothing drains the queue — the frame is in flight
 	// when the site dies.
 	r0 := s.shards[0]
+	var one [1]heap.Ref
 	r0.mu.Lock()
-	ref, err := r0.runOpLocked(wire.OpRecord{Kind: wire.OpNewLocal, Holder: root}) // rr → shard 1: cross-shard create
+	err = r0.commitLocked([]wire.BatchOp{{Op: wire.OpRecord{Kind: wire.OpNewLocal, Holder: root}}}, one[:]) // rr → shard 1: cross-shard create
 	r0.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := one[0]
 	if got := s.clusterShardIdx(ref.Cluster); got != 1 {
 		t.Fatalf("cluster placed on shard %d, want 1", got)
 	}
@@ -646,9 +650,11 @@ func TestRecoverStickyWidth(t *testing.T) {
 }
 
 // TestJournaledOpsCarryMints: there is one journaling rule — every
-// journaled create and send records the identities, placement and
-// stream sequence its commit drew, on a one-shard site exactly as on a
-// striped one, and every record is stamped with the stripe width.
+// mutator commit, the singleton methods' groups of one included, is one
+// Batch record whose ops carry the identities, placement and stream
+// sequence the commit drew, on a one-shard site exactly as on a striped
+// one; Op records are site-wide cycle markers only; and every record is
+// stamped with the stripe width.
 func TestJournaledOpsCarryMints(t *testing.T) {
 	for _, width := range []int{1, 3} {
 		dir := t.TempDir()
@@ -669,6 +675,9 @@ func TestJournaledOpsCarryMints(t *testing.T) {
 		if err := s.SendRef(a.Obj, rem, a); err != nil { // a sends its own reference
 			t.Fatal(err)
 		}
+		if err := s.DropRefs(a.Obj, rem); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := s.ApplyBatch([]wire.BatchOp{
 			{Op: wire.OpRecord{Kind: wire.OpNewLocal, Holder: root}},
 			{Op: wire.OpRecord{Kind: wire.OpNewRemote, Site: 2}, HolderFrom: 1},
@@ -686,9 +695,7 @@ func TestJournaledOpsCarryMints(t *testing.T) {
 			t.Fatal(err)
 		}
 		p2.Close()
-		seen := map[wire.OpKind]int{}
 		check := func(op wire.OpRecord) {
-			seen[op.Kind]++
 			var missing []string
 			need := func(name string, set bool) {
 				if !set {
@@ -716,23 +723,137 @@ func TestJournaledOpsCarryMints(t *testing.T) {
 				t.Errorf("width %d: journaled %v lacks %v: %+v", width, op.Kind, missing, op)
 			}
 		}
+		// One Batch record per commit, in commit order (the shards of a
+		// striped site interleave Deliver records of their handoffs).
+		var commits [][]wire.OpKind
 		for i, rec := range recs {
 			if rec.Width != width {
 				t.Errorf("width %d: record %d stamped with width %d", width, i, rec.Width)
 			}
 			switch {
 			case rec.Op != nil:
-				check(*rec.Op)
+				if k := rec.Op.Kind; k != wire.OpCollect && k != wire.OpRefresh {
+					t.Errorf("width %d: record %d: mutator %v journaled as an Op record", width, i, k)
+				}
 			case rec.Batch != nil:
+				var kinds []wire.OpKind
 				for _, bop := range rec.Batch.Ops {
 					check(bop.Op)
+					kinds = append(kinds, bop.Op.Kind)
 				}
+				commits = append(commits, kinds)
 			}
 		}
-		for _, kind := range []wire.OpKind{wire.OpNewLocal, wire.OpNewLocalIn, wire.OpNewCluster, wire.OpNewRemote, wire.OpSendRef} {
-			if seen[kind] == 0 {
-				t.Errorf("width %d: no journaled %v record", width, kind)
+		want := [][]wire.OpKind{
+			{wire.OpNewLocal}, {wire.OpNewCluster}, {wire.OpNewLocalIn}, {wire.OpNewRemote},
+			{wire.OpSendRef}, {wire.OpDropRefs}, {wire.OpNewLocal, wire.OpNewRemote},
+		}
+		if !reflect.DeepEqual(commits, want) {
+			t.Errorf("width %d: journaled commits %v, want %v", width, commits, want)
+		}
+	}
+}
+
+// TestSeenIntroEvictionReplaysExactly pushes a shard's transfer dedup
+// set past maxSeenIntro — partly before a snapshot, partly in the WAL
+// tail — re-delivers the oldest transfers (a crashed sender replaying
+// its outbox), and recovers from the journal: the eviction victim is a
+// function of the replayed history (oldest first, the snapshot keeps
+// the order), so the recovered dedup set, buffered transfers and heap
+// equal the live run's. A victim drawn from map iteration order lets
+// the two disagree on which re-sent transfers apply.
+func TestSeenIntroEvictionReplaysExactly(t *testing.T) {
+	dir := t.TempDir()
+	popts := PersistOptions{SnapshotEvery: 1 << 30, Store: persist.Options{NoSync: true}}
+	p, err := OpenPersist(dir, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netsim.NewSim(netsim.Faults{Seed: 1})
+	s, err := Recover(1, net, DefaultOptions(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const resent, overflow = 2000, 2000
+	intro := ids.ClusterID{Site: 2, Seq: 1}
+	parked := ids.ObjectID{Site: 1, Seq: 2<<32 | 1} // never created: its transfers stay buffered
+	deliver := func(seq uint64) {
+		// The transfers that will be re-sent land on the root object; the
+		// bulk that only fills the dedup set parks cheaply.
+		to := parked
+		if seq <= resent {
+			to = s.Root().Obj
+		}
+		target := ids.ClusterID{Site: 2, Seq: 1 + seq%64}
+		s.handleNet(2, wire.RefTransfer{
+			FromCluster: intro, IntroSeq: seq, ToObj: to,
+			Target: heap.Ref{Obj: ids.ObjectID{Site: 2, Seq: seq}, Cluster: target},
+		})
+	}
+	seq := uint64(1)
+	for ; seq <= maxSeenIntro-50; seq++ {
+		deliver(seq)
+	}
+	if err := s.Checkpoint(); err != nil { // the snapshot must keep the order
+		t.Fatal(err)
+	}
+	for ; seq <= maxSeenIntro+overflow; seq++ { // evicts in the WAL tail
+		deliver(seq)
+	}
+	for again := uint64(1); again <= resent; again++ { // evicted: applies again
+		deliver(again)
+	}
+	type state struct {
+		seen    []introKey
+		pending int
+		root    ids.ObjectID
+		objs    []ObjectSnapshot
+	}
+	capture := func(s *Site) state {
+		r := s.shards[0]
+		r.mu.Lock()
+		st := state{pending: len(r.pendingRefs[parked])}
+		for k := range r.seenIntro {
+			st.seen = append(st.seen, k)
+		}
+		r.mu.Unlock()
+		sort.Slice(st.seen, func(i, j int) bool { return st.seen[i].seq < st.seen[j].seq })
+		st.root, st.objs = s.Snapshot()
+		return st
+	}
+	want := capture(s)
+	if len(want.seen) != maxSeenIntro {
+		t.Fatalf("dedup set holds %d entries, want the cap %d", len(want.seen), maxSeenIntro)
+	}
+	if err := p.Close(); err != nil { // crash
+		t.Fatal(err)
+	}
+	net.Unregister(1)
+
+	p2, err := OpenPersist(dir, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	s2, err := Recover(1, net, DefaultOptions(), p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := capture(s2)
+	if !reflect.DeepEqual(got.seen, want.seen) {
+		diff := 0
+		for i := range want.seen {
+			if got.seen[i] != want.seen[i] {
+				diff++
 			}
 		}
+		t.Errorf("recovered dedup set differs from the live one at %d of %d positions", diff, len(want.seen))
+	}
+	if got.pending != want.pending {
+		t.Errorf("recovered site buffers %d transfers, the live one %d", got.pending, want.pending)
+	}
+	if got.root != want.root || !reflect.DeepEqual(got.objs, want.objs) {
+		t.Errorf("recovered heap differs from the live one: root holds %d slots, live %d",
+			len(got.objs[0].Slots), len(want.objs[0].Slots))
 	}
 }

@@ -24,17 +24,7 @@ type Options struct {
 	// Observer, when non-nil, receives lifecycle notifications. Callbacks
 	// run with a shard mutex held and must not call back into the Site.
 	Observer Observer
-	// MaxBatchFrames caps the frames coalesced into one wire.Envelope by
-	// a batch commit (or an envelope dispatch); a larger group flushes
-	// in several envelopes. Zero means DefaultMaxBatchFrames.
-	MaxBatchFrames int
 }
-
-// DefaultMaxBatchFrames is the default cap on frames per coalesced
-// envelope (Options.MaxBatchFrames): large enough that realistic
-// batches fit one envelope, small enough that one envelope stays well
-// under transport frame limits.
-const DefaultMaxBatchFrames = 256
 
 // Observer receives site lifecycle events: the public metrics hook of the
 // causalgc API. Implementations must be fast and must not re-enter the
@@ -440,28 +430,20 @@ func (s *Site) Close() {
 	}
 }
 
-// runOp commits one mutator operation on shard r (the holder's shard)
-// and settles its cross-shard effects.
-func (s *Site) runOp(r *shard, op wire.OpRecord) (heap.Ref, error) {
-	r.mu.Lock()
-	ref, err := r.runOpLocked(op)
-	r.mu.Unlock()
-	s.afterEvent()
-	return ref, err
-}
+// The mutator methods below commit groups of one (Apply, batch.go).
 
 // NewLocal creates an object in a fresh cluster on this site, referenced
 // from holder (often the root object), and returns a reference to it.
 // The placement policy may put the new cluster on a sibling of the
 // holder's shard, reached through the handoff queue.
 func (s *Site) NewLocal(holder ids.ObjectID) (heap.Ref, error) {
-	return s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpNewLocal, Holder: holder})
+	return s.Apply(wire.OpRecord{Kind: wire.OpNewLocal, Holder: holder})
 }
 
 // NewLocalIn creates an object in an existing local cluster, referenced
 // from holder. Used by coarse clustering policies (§3.5).
 func (s *Site) NewLocalIn(holder ids.ObjectID, cl ids.ClusterID) (heap.Ref, error) {
-	return s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: holder, Clu: cl})
+	return s.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: holder, Clu: cl})
 }
 
 // NewCluster mints a fresh local cluster identity (for NewLocalIn),
@@ -469,7 +451,7 @@ func (s *Site) NewLocalIn(holder ids.ObjectID, cl ids.ClusterID) (heap.Ref, erro
 // executing shard — shard.
 func (s *Site) NewCluster() (ids.ClusterID, error) {
 	r := s.shards[int(s.rr.Add(1)-1)%s.n]
-	ref, err := s.runOp(r, wire.OpRecord{Kind: wire.OpNewCluster})
+	ref, err := s.commitOne(r, wire.OpRecord{Kind: wire.OpNewCluster})
 	return ref.Cluster, err
 }
 
@@ -478,7 +460,7 @@ func (s *Site) NewCluster() (ids.ClusterID, error) {
 // 2" (§3.1). The creator mints the identities; the creation message
 // carries the creator's stamp — the only piggybacked log-keeping datum.
 func (s *Site) NewRemote(holder ids.ObjectID, target ids.SiteID) (heap.Ref, error) {
-	return s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpNewRemote, Holder: holder, Site: target})
+	return s.Apply(wire.OpRecord{Kind: wire.OpNewRemote, Holder: holder, Site: target})
 }
 
 // SendRef copies a reference the sender holds to a (usually remote)
@@ -489,26 +471,26 @@ func (s *Site) NewRemote(holder ids.ObjectID, target ids.SiteID) (heap.Ref, erro
 // control messages even when target denotes a third-party object on yet
 // another site (§3.4).
 func (s *Site) SendRef(fromObj ids.ObjectID, to heap.Ref, target heap.Ref) error {
-	_, err := s.runOp(s.shardFor(fromObj), wire.OpRecord{Kind: wire.OpSendRef, Holder: fromObj, To: to, Target: target})
+	_, err := s.Apply(wire.OpRecord{Kind: wire.OpSendRef, Holder: fromObj, To: to, Target: target})
 	return err
 }
 
 // AddRef stores target into a new slot of holder (a local mutation).
 func (s *Site) AddRef(holder ids.ObjectID, target heap.Ref) error {
-	_, err := s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpAddRef, Holder: holder, Target: target})
+	_, err := s.Apply(wire.OpRecord{Kind: wire.OpAddRef, Holder: holder, Target: target})
 	return err
 }
 
 // DropRefs clears every slot of holder that references target.Obj: the
 // mutator destroys its edge(s) to that object.
 func (s *Site) DropRefs(holder ids.ObjectID, target heap.Ref) error {
-	_, err := s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpDropRefs, Holder: holder, Target: target})
+	_, err := s.Apply(wire.OpRecord{Kind: wire.OpDropRefs, Holder: holder, Target: target})
 	return err
 }
 
 // ClearSlot drops one slot of holder.
 func (s *Site) ClearSlot(holder ids.ObjectID, slot int) error {
-	_, err := s.runOp(s.shardFor(holder), wire.OpRecord{Kind: wire.OpClearSlot, Holder: holder, Slot: slot})
+	_, err := s.Apply(wire.OpRecord{Kind: wire.OpClearSlot, Holder: holder, Slot: slot})
 	return err
 }
 

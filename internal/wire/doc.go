@@ -32,8 +32,9 @@
 // shards share (identity mint, retirement streams' counters and
 // watermarks, recovery epoch) plus one ShardState per shard. Exactly
 // one SnapshotVersion decodes; there is no migration code. WALRecord is
-// one journaled event — a mutator operation, a batch of them, or an
-// inbound delivery — tagged with the shard that journaled it and
+// one journaled event — a mutator commit (Batch, n >= 1 ops), an
+// inbound delivery (Deliver) or a site-wide cycle marker (Op: Collect
+// or Refresh) — tagged with the shard that journaled it and
 // replayed against the image to reconstruct the site (DESIGN.md §5).
 //
 // # Codec

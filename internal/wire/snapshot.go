@@ -4,8 +4,9 @@
 // A SiteImage is the full durable image of one site — heap, engine,
 // runtime bookkeeping and the bounded outbox of unconfirmed mutator
 // frames. A WALRecord is one relevant event appended between
-// snapshots: either a mutator operation (OpRecord) or an incoming
-// message delivery (DeliverRecord). Replaying the records against the
+// snapshots: a mutator commit (BatchRecord), an incoming message
+// delivery (DeliverRecord) or a site-wide cycle marker (OpRecord of
+// kind OpCollect or OpRefresh). Replaying the records against the
 // image deterministically reconstructs the site (see internal/site and
 // DESIGN.md §5).
 //
@@ -82,7 +83,9 @@ type ShardState struct {
 	PendingRefs []PendingRefImage
 	// SeenIntro is the receiver-side dedup record of processed reference
 	// transfers, keyed by (introducing cluster, forwarding seq): what
-	// makes re-sent mutator frames idempotent after a crash.
+	// makes re-sent mutator frames idempotent after a crash. Oldest
+	// first — the order the bounded set evicts in, which a recovered
+	// site must continue exactly.
 	SeenIntro []IntroImage
 	// Outbox holds the unacknowledged outbound mutator frames (bounded
 	// backstop); recovery and refresh rounds re-send them until the
@@ -149,13 +152,17 @@ type FrameImage struct {
 }
 
 // WALRecord is one durable event. Exactly one of Op, Deliver and Batch
-// is set.
+// is set, and the three have disjoint meaning.
 type WALRecord struct {
-	Op      *OpRecord
+	// Op is a site-wide cycle marker: an OpRecord of kind OpCollect or
+	// OpRefresh and nothing else (recovery refuses any other kind).
+	Op *OpRecord
+	// Deliver is one inbound frame.
 	Deliver *DeliverRecord
-	// Batch is a group of mutator operations committed atomically by the
-	// batched mutator API (DESIGN.md §3.3): one record, one append, one
-	// fsync (or group-commit window) for the whole group.
+	// Batch is a mutator commit: a group of n >= 1 operations committed
+	// atomically (DESIGN.md §3.3) — one record, one append, one fsync
+	// (or group-commit window) for the whole group. The singleton
+	// mutator methods journal groups of one.
 	Batch *BatchRecord
 	// Shard tags the record with the shard that journaled it (the
 	// executing shard for ops, the destination shard for deliveries).
@@ -169,7 +176,7 @@ type WALRecord struct {
 	Width int
 }
 
-// BatchRecord is the journaled form of one committed mutator batch.
+// BatchRecord is the journaled form of one mutator commit.
 // Replay applies the ops in order through the same code path as the
 // live commit, resolving deferred references from the results of
 // earlier ops of the same batch; every op carries its pre-minted draws,
@@ -197,13 +204,15 @@ type BatchOp struct {
 	TargetFrom int
 }
 
-// OpKind enumerates journalled mutator operations.
+// OpKind enumerates the journalled operations.
 type OpKind uint8
 
-// The journalled mutator operations. Collect and Refresh are included
-// because both bump engine clocks (sweep-triggered edge destructions,
-// removal cascades): every clock-advancing entry point must be in the
-// WAL or replay would re-issue already-used stamps for new events.
+// The journalled operations: the mutator kinds, journaled as the ops
+// of a BatchRecord, and the two site-wide cycles, journaled as bare Op
+// markers. Collect and Refresh are journaled because both bump engine
+// clocks (sweep-triggered edge destructions, removal cascades): every
+// clock-advancing entry point must be in the WAL or replay would
+// re-issue already-used stamps for new events.
 const (
 	OpNewLocal OpKind = iota + 1
 	OpNewLocalIn
@@ -244,8 +253,10 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-// OpRecord is one mutator operation with its arguments and the draws
-// its commit made. Shards journal concurrently, so WAL order need not
+// OpRecord is one operation with its arguments and the draws its commit
+// made: the element of a BatchRecord (BatchOp.Op) for the mutator
+// kinds, and on its own — Kind alone set — the Collect/Refresh marker
+// of WALRecord.Op. Shards journal concurrently, so WAL order need not
 // equal mint order: the executing shard pre-mints at commit time and
 // records the drawn counter values (MintObj/MintClu), the placement
 // decision (Place) and the drawn mutator-stream sequence (MutSeq), and

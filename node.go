@@ -8,6 +8,7 @@ import (
 	"causalgc/internal/site"
 	"causalgc/internal/wire"
 	"causalgc/monitor"
+	"causalgc/persist"
 	"causalgc/transport"
 )
 
@@ -20,7 +21,6 @@ type config struct {
 	tr            transport.Transport
 	persistDir    string
 	snapshotEvery int
-	noSync        bool
 	groupCommit   time.Duration
 	monitor       *monitor.Monitor
 	metricsAddr   string
@@ -49,21 +49,15 @@ func newConfig(opts []Option) config {
 }
 
 // validate rejects nonsensical option values with typed errors
-// (ErrBadOption): a negative snapshot cadence, group-commit window,
-// re-send backoff cap or envelope frame cap has no meaning, and
-// accepting one silently would misconfigure the node.
+// (ErrBadOption): a negative snapshot cadence or group-commit window
+// has no meaning, and accepting one silently would misconfigure the
+// node.
 func (c config) validate() error {
 	if c.snapshotEvery < 0 {
 		return fmt.Errorf("%w: WithSnapshotEvery(%d) must be non-negative", ErrBadOption, c.snapshotEvery)
 	}
 	if c.groupCommit < 0 {
 		return fmt.Errorf("%w: WithGroupCommit(%v) must be non-negative", ErrBadOption, c.groupCommit)
-	}
-	if c.site.Engine.ResendBackoffCap < 0 {
-		return fmt.Errorf("%w: WithResendBackoff(%d) must be non-negative", ErrBadOption, c.site.Engine.ResendBackoffCap)
-	}
-	if c.site.MaxBatchFrames < 0 {
-		return fmt.Errorf("%w: WithMaxBatchFrames(%d) must be non-negative", ErrBadOption, c.site.MaxBatchFrames)
 	}
 	return nil
 }
@@ -88,21 +82,6 @@ func WithObserver(o Observer) Option {
 	return func(c *config) { c.site.Observer = o }
 }
 
-// WithResendBackoff caps the exponential re-send damper of the
-// acknowledged-retirement protocol (DESIGN.md §3.2), in refresh
-// rounds. Un-acknowledged re-send state — journaled edge-asserts,
-// destroyed-edge bundles, retained finalisation bundles, outbox
-// mutator frames — is re-shipped on the first refresh round after it
-// was sent, then at exponentially growing round intervals (1, 2, 4,
-// ...) up to this cap, so long-lived systems stop re-shipping the same
-// rows every round while genuinely lost frames are still retried
-// promptly. Zero keeps the default cap (64 rounds); 1 re-sends every
-// round (damping off). The damper re-arms when a peer restarts (its
-// recovery epoch changes) and whenever the underlying row changes.
-func WithResendBackoff(capRounds int) Option {
-	return func(c *config) { c.site.Engine.ResendBackoffCap = capRounds }
-}
-
 // WithPersistence makes the node durable: every relevant mutator and
 // GGD event is appended to a write-ahead log under dir before it takes
 // effect, and the full site image is snapshotted periodically (the log
@@ -122,21 +101,6 @@ func WithPersistence(dir string) Option {
 // larger values reduce snapshot I/O.
 func WithSnapshotEvery(records int) Option {
 	return func(c *config) { c.snapshotEvery = records }
-}
-
-// WithNoSync disables fsync on the persistence layer: much faster, but
-// an OS crash may lose the unsynced WAL tail (a process crash may not).
-// Reserved for simulation and benchmarks.
-func WithNoSync() Option {
-	return func(c *config) { c.noSync = true }
-}
-
-// WithMaxBatchFrames caps how many wire frames a batch commit (or the
-// dispatch of a received envelope) coalesces into one envelope per
-// destination; larger groups flush in several envelopes. Zero keeps
-// the default (256). See Node.Batch and DESIGN.md §3.3.
-func WithMaxBatchFrames(frames int) Option {
-	return func(c *config) { c.site.MaxBatchFrames = frames }
 }
 
 // WithMonitor attaches a metrics monitor to the node: the monitor's
@@ -167,8 +131,8 @@ func WithMetricsAddr(addr string) Option {
 // WithShards stripes the node's heap, GGD engine and outbound
 // coalescer over n lock shards, keyed by cluster: commits against
 // clusters on different shards proceed under different locks instead
-// of serialising on one site mutex (see BenchmarkParallelCommit, and
-// the inmem-batch workload of bench/ for measured numbers). n < 1
+// of serialising on one site mutex (see the inmem-batch workload and
+// the site.sharded_applybatch64_ns_per_op probe of bench/). n < 1
 // picks runtime.GOMAXPROCS(0). Cross-shard operations ride a
 // deterministic ordered handoff queue and reuse the acknowledged-
 // retirement machinery, so every protocol invariant — journal-before-
@@ -190,16 +154,15 @@ func WithShards(n int) Option {
 // WithGroupCommit batches the write-ahead log's fsync across the
 // mutator's op stream: records are written immediately but synced only
 // once per window, cutting the per-operation durability tax an order of
-// magnitude for write-heavy workloads (see BenchmarkWALAppend). A
+// magnitude for write-heavy workloads (persist.append_* in bench/). A
 // process crash (kill -9 included) still loses nothing — page-cache
 // writes survive it, so kill-and-restart recovery is as strong as with
 // per-record fsync. An OS crash (power loss, kernel panic) may lose up
 // to one window of the newest records; since operations proceed before
 // the deferred sync, messages derived from those records may already
-// have reached peers, relaxing the journal-before-send invariant the
-// same way WithNoSync does — bounded to one window instead of
-// unbounded. Use it where that OS-crash exposure is acceptable. Zero
-// keeps per-record fsync; ignored under WithNoSync.
+// have reached peers, relaxing the journal-before-send invariant by at
+// most one window. Use it where that OS-crash exposure is acceptable.
+// Zero keeps per-record fsync.
 func WithGroupCommit(window time.Duration) Option {
 	return func(c *config) { c.groupCommit = window }
 }
@@ -276,7 +239,7 @@ func newNode(id SiteID, c config) (*Node, error) {
 		var err error
 		n.pst, err = site.OpenPersist(c.persistDir, site.PersistOptions{
 			SnapshotEvery: c.snapshotEvery,
-			Store:         persistStoreOptions(c),
+			Store:         persist.Options{GroupCommit: c.groupCommit},
 		})
 		if err == nil {
 			if n.rt, err = site.RecoverSharded(id, n.tr, c.site, n.pst, c.shards); err != nil {

@@ -43,7 +43,7 @@ type Options struct {
 	// records may already have escaped, weakening the write-ahead
 	// invariant exactly as NoSync does, just bounded to a window
 	// instead of unbounded. The trade buys an order of magnitude on the
-	// per-record durability tax (see BenchmarkWALAppend); reserve it
+	// per-record durability tax (persist.append_* in bench/); reserve it
 	// for deployments that accept the OS-crash exposure. Zero keeps
 	// per-record fsync; ignored when NoSync is set.
 	GroupCommit time.Duration

@@ -1,10 +1,6 @@
 package causalgc
 
-import (
-	"sync"
-
-	"causalgc/persist"
-)
+import "sync"
 
 // closeGate serialises Node.Close against in-flight operations:
 // operations hold the read side for their duration, Close takes the
@@ -37,8 +33,4 @@ func (g *closeGate) close() bool {
 	}
 	g.closed = true
 	return true
-}
-
-func persistStoreOptions(c config) persist.Options {
-	return persist.Options{NoSync: c.noSync, GroupCommit: c.groupCommit}
 }

@@ -213,7 +213,6 @@ func TestDurableClusterQuickstart(t *testing.T) {
 	mk := func() *causalgc.Cluster {
 		return causalgc.NewCluster(3,
 			causalgc.WithPersistence(dir),
-			causalgc.WithNoSync(),
 			causalgc.WithTransport(transport.NewDeterministic(transport.Faults{Seed: 5})),
 		)
 	}
