@@ -1,7 +1,7 @@
 // Package determcheck enforces determinism of the replayable packages:
 // the engine, heap, vector-clock, wire and simulator code must produce
 // identical behaviour for identical inputs, because WAL replay
-// (DESIGN.md §5) and the seeded simulator lanes depend on it. Three
+// (DESIGN.md §5) and the seeded simulator lanes depend on it. Four
 // nondeterminism sources are forbidden there:
 //
 //   - wall-clock reads (time.Now, time.Since),
@@ -10,7 +10,12 @@
 //     deterministic and allowed),
 //   - wire output performed directly inside a map iteration, whose
 //     order varies run to run (collect the keys and sort first, as
-//     flushCoalesceLocked does).
+//     flushCoalesceLocked does),
+//   - leaving a map iteration (break, return) after acting on the
+//     iteration variable: whichever element the runtime served first is
+//     an arbitrary victim, so a live run and its replay pick different
+//     ones (walk an ordered copy instead; a variable that only feeds a
+//     condition — an existence check — picks nothing and is allowed).
 //
 // Audited sites carry //causalgc:allow-wallclock,
 // //causalgc:allow-rand or //causalgc:allow-maporder with a
@@ -19,6 +24,7 @@ package determcheck
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
@@ -41,6 +47,7 @@ var Analyzer = New(Config{Packages: []string{
 	"causalgc/internal/vclock",
 	"causalgc/internal/wire",
 	"causalgc/internal/netsim",
+	"causalgc/internal/site",
 }})
 
 // wallclockFuncs are the time package functions that read the clock.
@@ -57,7 +64,7 @@ var seededRandFuncs = map[string]bool{
 func New(cfg Config) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name:        "determcheck",
-		Doc:         "deterministic packages must not read the wall clock, draw from the global rand source, or emit in map-iteration order",
+		Doc:         "deterministic packages must not read the wall clock, draw from the global rand source, emit in map-iteration order, or pick a map iteration's first element",
 		NonTestOnly: true,
 		Run: func(pass *analysis.Pass) error {
 			return run(pass, cfg)
@@ -160,6 +167,7 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 		return
 	}
+	checkArbitraryPick(pass, rng)
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -181,6 +189,65 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 		pass.Reportf(call.Pos(), "%s inside a map iteration emits in nondeterministic order; collect the keys, sort, then emit (or annotate //causalgc:allow-maporder)", name)
 		return true
 	})
+}
+
+// checkArbitraryPick flags a map iteration that is left early (break,
+// return) after a statement acted on its key or value — deleted it,
+// stored it, passed it to a call, returned it. The element reached first
+// varies run to run, so such a loop picks an arbitrary victim. A
+// condition only tests, and a := only names a derived local.
+func checkArbitraryPick(pass *analysis.Pass, rng *ast.RangeStmt) {
+	vars := map[types.Object]bool{}
+	for _, e := range []ast.Expr{rng.Key, rng.Value} {
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+			vars[pass.TypesInfo.Defs[id]] = true
+			vars[pass.TypesInfo.Uses[id]] = true
+		}
+	}
+	delete(vars, nil)
+	acts := func(s ast.Stmt) bool {
+		if a, ok := s.(*ast.AssignStmt); ok && a.Tok == token.DEFINE {
+			return false
+		}
+		found := false
+		ast.Inspect(s, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			found = found || ok && vars[pass.TypesInfo.Uses[id]]
+			return !found
+		})
+		return found
+	}
+	// In source order: once a statement has acted, every later exit from
+	// the loop is a pick. An unlabeled break inside a nested loop, switch
+	// or select belongs to that statement.
+	acted := false
+	var visit func(n ast.Node, breakLeaves bool)
+	visit = func(n ast.Node, breakLeaves bool) {
+		ast.Inspect(n, func(m ast.Node) bool {
+			leaves := false
+			switch m := m.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+				if m != n && breakLeaves {
+					visit(m, false)
+					return false
+				}
+			case *ast.AssignStmt, *ast.ExprStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.GoStmt, *ast.DeferStmt:
+				acted = acted || acts(m.(ast.Stmt))
+			case *ast.ReturnStmt:
+				acted = acted || acts(m)
+				leaves = true
+			case *ast.BranchStmt:
+				leaves = m.Tok == token.BREAK && (breakLeaves || m.Label != nil)
+			}
+			if leaves && acted && !pass.Allowed(m.Pos(), "maporder") {
+				pass.Reportf(m.Pos(), "leaving a map iteration after acting on its iteration variable picks an arbitrary element; walk a sorted or insertion-ordered copy (or annotate //causalgc:allow-maporder)")
+			}
+			return true
+		})
+	}
+	visit(rng.Body, true)
 }
 
 // emitsOutput reports whether a callee name looks like wire output:

@@ -71,3 +71,54 @@ func fanoutGood(o out, peers map[int]string) {
 		o.Send(k)
 	}
 }
+
+// evictBad is the dedup-set eviction that diverged a replay from its
+// live run: the first key the runtime serves is the victim.
+func evictBad(seen map[int]struct{}, bound int) {
+	if len(seen) >= bound {
+		for old := range seen {
+			delete(seen, old)
+			break // want "leaving a map iteration after acting on its iteration variable picks an arbitrary element"
+		}
+	}
+}
+
+func pickBad(rows map[int]bool) int {
+	for k, live := range rows {
+		if live {
+			return k // want "leaving a map iteration after acting on its iteration variable"
+		}
+	}
+	return 0
+}
+
+func evictAudited(seen map[int]struct{}) {
+	for old := range seen {
+		delete(seen, old)
+		break //causalgc:allow-maporder the set holds one element here
+	}
+}
+
+// retireGood is a full pass that only deletes: every matching row goes,
+// whatever the order.
+func retireGood(rows map[int]uint64, watermark uint64) int {
+	n := 0
+	for k, seq := range rows {
+		if seq <= watermark {
+			delete(rows, k)
+			n++
+		}
+	}
+	return n
+}
+
+// anyGood leaves early, but its variable only feeds the condition: an
+// existence check picks nothing.
+func anyGood(rows map[int]uint64, watermark uint64) bool {
+	for _, seq := range rows {
+		if seq <= watermark {
+			return true
+		}
+	}
+	return false
+}

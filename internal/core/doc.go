@@ -11,7 +11,10 @@
 //   - dependency-vector propagations (HandlePropagate, §3.3 step 3);
 //   - explicit refresh rounds (Refresh), the §5 recovery mechanism;
 //   - cumulative frame acknowledgements relayed by the site runtime
-//     (AckAsserts, AckDestroys, AckLegacy — DESIGN.md §3.2).
+//     (Ack — DESIGN.md §3.2), which retire rows of the engine's three
+//     Ledgers (ack.go): the assert journal, the destroyed-edge bundles
+//     and the finalisation bundles are one retained-row type, as is the
+//     site runtime's outbox.
 //
 // # Realisation of the paper's Fig 6
 //

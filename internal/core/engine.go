@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"causalgc/internal/ids"
 	"causalgc/internal/vclock"
@@ -164,27 +163,31 @@ type Engine struct {
 	pending map[ids.ClusterID][]delivery
 
 	// asserts is the re-send journal: every un-acknowledged edge-assert,
-	// keyed by (holder, target, introducer, forwarding-seq). Rows are
-	// retired exactly by the owner site's cumulative FrameAck (AckAsserts),
+	// keyed by (holder, target, introducer, forwarding-seq), holding the
+	// asserted stamp (zero for negative asserts) and walked in key order.
+	// Rows are retired exactly by the owner site's cumulative FrameAck,
 	// by the edge's destruction (the destroy bundle takes over
 	// resolution), or by the holder's removal; Refresh re-sends whatever
 	// remains, damped. Bounded: past maxAssertRows new rows are dropped
 	// (loss-equivalent — deterministic, so replay agrees — and counted in
 	// Stats.AssertRowsDropped).
-	asserts map[assertRow]*assertState
-	// destroys tracks the Ē bundle of every destroyed remote edge whose
-	// on-behalf row Refresh would re-ship: its stream sequence (stable
-	// across re-sends), whether the target site acknowledged it, and the
-	// damper. An entry is deleted when the edge re-forms (the fresh live
-	// stamp supersedes) and when its holder is removed (the finalisation
-	// path takes over).
-	destroys map[edgeKey]*destroyState
+	asserts *Ledger[assertRow, uint64]
+	// destroys holds the un-acknowledged Ē bundle of every destroyed
+	// remote edge whose on-behalf row Refresh would re-ship (the bundle
+	// itself is rebuilt from that row, so the ledger row carries no
+	// payload). A row leaves when the target site acknowledges it — the
+	// holder's process.acked remembers that — when the edge re-forms (the
+	// fresh live stamp supersedes) and when its holder is removed (the
+	// finalisation path takes over).
+	destroys *Ledger[edgeKey, struct{}]
+	// ackedDestroys counts the process.acked markers across processes.
+	ackedDestroys int
 	// legacy retains the finalisation destroy bundles of removed
 	// processes until the target site acknowledges them: once the process
 	// is gone its on-behalf rows can no longer re-ship them, yet they
 	// carry the records that resolve the successors' hints. Bounded by
 	// maxLegacy as a backstop (eviction is tolerated loss, counted).
-	legacy []*legacyDestroy
+	legacy *Ledger[edgeKey, DestroyMsg]
 	// round counts Refresh invocations: the damper's time base.
 	round uint64
 
@@ -195,14 +198,6 @@ type Engine struct {
 type assertRow struct {
 	holder, target, intro ids.ClusterID
 	seq                   uint64
-}
-
-// legacyDestroy is one retained finalisation destroy bundle.
-type legacyDestroy struct {
-	from, to ids.ClusterID
-	m        DestroyMsg
-	seq      uint64
-	bo       Backoff
 }
 
 const (
@@ -221,6 +216,10 @@ type process struct {
 	// acq is the paper's Acquaintances_i: the targets of the process's
 	// live out-edges in the global root graph, i.e. its remote successors.
 	acq ids.ClusterSet
+	// acked marks the destroyed edges to these targets whose Ē bundle the
+	// target site acknowledged: Refresh stops re-shipping them. Cleared
+	// when the edge re-forms; gone with the process. Nil until first use.
+	acked ids.ClusterSet
 	// active marks participation in a GGD episode: set when a destroy or
 	// a propagation arrives (§3.6: "GGD is only triggered when the edge
 	// ... is removed"). Edge-asserts received by inactive processes are
@@ -260,7 +259,7 @@ const (
 // every cluster the engine removes (the site runtime clears the heap's
 // entry table there) and may be nil.
 func New(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Options) *Engine {
-	return &Engine{
+	e := &Engine{
 		site:      site,
 		send:      send,
 		onRemove:  onRemove,
@@ -268,9 +267,16 @@ func New(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Option
 		procs:     make(map[ids.ClusterID]*process),
 		tombstone: make(map[ids.ClusterID]uint64),
 		pending:   make(map[ids.ClusterID][]delivery),
-		asserts:   make(map[assertRow]*assertState),
-		destroys:  make(map[edgeKey]*destroyState),
 	}
+	// At the bound the journal evicts a positive row when one exists, else
+	// the first negative row in re-send order (see journalAssert).
+	e.asserts = NewLedger[assertRow, uint64](maxAssertRows, func(ids.SiteID) { e.stats.AssertRowsDropped++ })
+	e.asserts.less = assertRowLess
+	e.asserts.spare = func(stamp uint64) bool { return stamp > 0 }
+	e.destroys = NewLedger[edgeKey, struct{}](0, nil)
+	e.destroys.retired = e.markDestroyAcked
+	e.legacy = NewLedger[edgeKey, DestroyMsg](maxLegacy, func(ids.SiteID) { e.stats.LegacyEvicted++ })
+	return e
 }
 
 // Stats returns a copy of the activity counters.
@@ -289,14 +295,17 @@ func (e *Engine) owns(cl ids.ClusterID) bool {
 // Retained reports the sizes of the engine's retained-state tables: the
 // depth gauges a monitor watches to confirm the metadata stays bounded
 // (the paper's §4 scalability argument made operational). DestroyRows
-// includes acknowledged Ē bundles that are kept until their holder is
-// removed or the edge re-forms, so it settles to the number of
-// destroyed-but-remembered edges rather than zero.
+// counts the destroyed edges the engine remembers — the outstanding Ē
+// bundles in the destroy ledger plus the acknowledged ones, whose marker
+// is kept until the holder is removed or the edge re-forms — so it
+// settles to the number of destroyed-but-remembered edges rather than
+// zero.
 type Retained struct {
 	// AssertRows is the number of un-acknowledged edge-asserts in the
 	// re-send journal.
 	AssertRows int
-	// DestroyRows is the number of tracked destroyed-edge Ē bundles.
+	// DestroyRows is the number of remembered destroyed-edge Ē bundles,
+	// outstanding and acknowledged.
 	DestroyRows int
 	// LegacyBundles is the number of retained finalisation destroy
 	// bundles of removed clusters.
@@ -313,9 +322,9 @@ func (e *Engine) Retained() Retained {
 		pend += len(q)
 	}
 	return Retained{
-		AssertRows:        len(e.asserts),
-		DestroyRows:       len(e.destroys),
-		LegacyBundles:     len(e.legacy),
+		AssertRows:        e.asserts.Len(),
+		DestroyRows:       e.destroys.Len() + e.ackedDestroys,
+		LegacyBundles:     e.legacy.Len(),
 		PendingDeliveries: pend,
 	}
 }
@@ -419,7 +428,10 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 	}
 	// The edge re-formed: any earlier Ē bundle is superseded by the fresh
 	// live stamp, so its retirement tracking is moot.
-	delete(e.destroys, edgeKey{holder, target})
+	e.destroys.drop(edgeKey{holder, target})
+	if p.acked.Remove(target) {
+		e.ackedDestroys--
+	}
 	if e.owns(target) {
 		if t, tok := e.procs[target]; tok {
 			t.log.Own().MergeEntry(holder, stamp)
@@ -462,20 +474,16 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 // admits it) and ships the assert under the row's stable stream
 // sequence.
 func (e *Engine) sendJournaledAssert(row assertRow, m AssertMsg) {
-	st := e.journalAssert(row, m.Stamp)
+	journaled := e.journalAssert(row, m.Stamp)
 	e.stats.AssertsSent++
-	var seq uint64
-	if st != nil {
-		seq = st.seq
-	}
-	seq = e.send.SendAssert(row.holder, row.target, m, seq)
-	if st != nil {
-		st.seq = seq
+	seq := e.send.SendAssert(row.holder, row.target, m, e.asserts.seq(row))
+	if journaled {
+		e.asserts.Put(row, row.target.Site, seq, m.Stamp)
 	}
 }
 
 // journalAssert records an un-acknowledged assert for Refresh re-send
-// and returns its state (nil when the bound dropped it). At the bound, a
+// and reports whether it did (not when the bound dropped it). At the bound, a
 // new positive row is dropped (loss-equivalent: its introduction sits in
 // the on-behalf Processed vector, so the edge's eventual destroy bundle
 // still resolves the hint), while a new negative row evicts an existing
@@ -485,46 +493,13 @@ func (e *Engine) sendJournaledAssert(row assertRow, m AssertMsg) {
 // deterministically-first negative row (the oldest in re-send order,
 // which has had the most delivery attempts). All choices are
 // deterministic, so WAL replay reconstructs the journal.
-func (e *Engine) journalAssert(row assertRow, stamp uint64) *assertState {
-	if st, ok := e.asserts[row]; ok {
-		st.stamp = stamp
-		return st
-	}
-	if len(e.asserts) >= maxAssertRows {
-		if stamp > 0 {
-			e.stats.AssertRowsDropped++
-			return nil
-		}
-		e.evictAssertRow()
-	}
-	st := &assertState{stamp: stamp}
-	e.asserts[row] = st
-	return st
-}
-
-// evictAssertRow removes the deterministically-first positive journal
-// row, falling back to the deterministically-first negative row when
-// the journal holds no positive ones.
-func (e *Engine) evictAssertRow() {
-	var posVictim, negVictim assertRow
-	posFound, negFound := false, false
-	for row, st := range e.asserts {
-		if st.stamp > 0 {
-			if !posFound || assertRowLess(row, posVictim) {
-				posVictim, posFound = row, true
-			}
-		} else if !negFound || assertRowLess(row, negVictim) {
-			negVictim, negFound = row, true
-		}
-	}
-	switch {
-	case posFound:
-		delete(e.asserts, posVictim)
+func (e *Engine) journalAssert(row assertRow, stamp uint64) bool {
+	if stamp > 0 && e.asserts.full() && e.asserts.rows[row] == nil {
 		e.stats.AssertRowsDropped++
-	case negFound:
-		delete(e.asserts, negVictim)
-		e.stats.AssertRowsDropped++
+		return false
 	}
+	e.asserts.Put(row, row.target.Site, 0, stamp)
+	return true
 }
 
 // retireAsserts drops the positive journal rows for edge holder→target:
@@ -535,11 +510,9 @@ func (e *Engine) evictAssertRow() {
 // expired introductions appear in no bundle, so only the owner's ack
 // may ever retire them.
 func (e *Engine) retireAsserts(holder, target ids.ClusterID) {
-	for row, st := range e.asserts {
-		if st.stamp > 0 && row.holder == holder && row.target == target {
-			delete(e.asserts, row)
-		}
-	}
+	e.asserts.dropIf(func(row assertRow, stamp uint64) bool {
+		return stamp > 0 && row.holder == holder && row.target == target
+	})
 }
 
 // SentRef records that the holder forwarded a reference denoting target
@@ -684,56 +657,58 @@ func (e *Engine) HandleAssertFrame(to, from ids.ClusterID, m AssertMsg, seq uint
 
 // --- Cumulative frame retirement (DESIGN.md §3.2) ------------------------
 
-// AckAsserts retires every journaled edge-assert addressed to peer whose
-// stream sequence the cumulative watermark covers, and reports how many.
-// Negative rows retire too: the watermark proves the owner's site
-// durably processed the expiry.
-func (e *Engine) AckAsserts(peer ids.SiteID, watermark uint64) int {
-	n := 0
-	for row, st := range e.asserts {
-		if row.target.Site == peer && st.seq != 0 && st.seq <= watermark {
-			delete(e.asserts, row)
-			n++
-		}
+// ledger returns the engine's ledger for stream s, or nil (the mutator
+// stream's is the site outbox).
+func (e *Engine) ledger(s Stream) interface {
+	Ack(peer ids.SiteID, watermark uint64) int
+	Floor(peer ids.SiteID) (uint64, bool)
+} {
+	switch s {
+	case StreamAssert:
+		return e.asserts
+	case StreamDestroy:
+		return e.destroys
+	case StreamLegacy:
+		return e.legacy
 	}
+	return nil
+}
+
+// Ack retires every retained row of stream s addressed to peer whose
+// sequence the cumulative watermark covers, and reports how many.
+// Negative assert rows retire too: the watermark proves the owner's site
+// durably processed the expiry. An acknowledged destroyed-edge bundle
+// stays remembered (process.acked), so Refresh stops re-shipping it; the
+// Ē stamp itself stays in the on-behalf row — it is authoritative log
+// state, not re-send state.
+func (e *Engine) Ack(peer ids.SiteID, s Stream, watermark uint64) int {
+	l := e.ledger(s)
+	if l == nil {
+		return 0
+	}
+	n := l.Ack(peer, watermark)
 	e.stats.RowsRetired += n
 	return n
 }
 
-// AckDestroys marks every tracked destroyed-edge bundle addressed to
-// peer and covered by the watermark as acknowledged: Refresh stops
-// re-shipping it. The Ē stamp itself stays in the on-behalf row — it is
-// authoritative log state, not re-send state.
+// AckDestroys is Ack on the destroy stream.
 func (e *Engine) AckDestroys(peer ids.SiteID, watermark uint64) int {
-	n := 0
-	for ek, st := range e.destroys {
-		if ek.target.Site == peer && !st.acked && st.seq != 0 && st.seq <= watermark {
-			st.acked = true
-			n++
-		}
-	}
-	e.stats.RowsRetired += n
-	return n
+	return e.Ack(peer, StreamDestroy, watermark)
 }
 
-// AckLegacy retires every retained finalisation bundle addressed to peer
-// and covered by the watermark.
-func (e *Engine) AckLegacy(peer ids.SiteID, watermark uint64) int {
-	kept := e.legacy[:0]
-	n := 0
-	for _, l := range e.legacy {
-		if l.to.Site == peer && l.seq != 0 && l.seq <= watermark {
-			n++
-			continue
-		}
-		kept = append(kept, l)
+// markDestroyAcked remembers that the target site acknowledged the Ē
+// bundle of the destroyed edge ek (the destroy ledger's retired hook).
+func (e *Engine) markDestroyAcked(ek edgeKey) {
+	p := e.procs[ek.holder]
+	if p == nil {
+		return
 	}
-	for i := len(kept); i < len(e.legacy); i++ {
-		e.legacy[i] = nil
+	if p.acked == nil {
+		p.acked = ids.NewClusterSet()
 	}
-	e.legacy = kept
-	e.stats.RowsRetired += n
-	return n
+	if p.acked.Add(ek.target) {
+		e.ackedDestroys++
+	}
 }
 
 // ResetPeerBackoff re-arms the re-send damper of every retained row
@@ -741,21 +716,9 @@ func (e *Engine) AckLegacy(peer ids.SiteID, watermark uint64) int {
 // and may have lost undurable state), so the next refresh round re-ships
 // everything it might be missing without waiting out the backoff.
 func (e *Engine) ResetPeerBackoff(peer ids.SiteID) {
-	for row, st := range e.asserts {
-		if row.target.Site == peer {
-			st.bo.Reset()
-		}
-	}
-	for ek, st := range e.destroys {
-		if ek.target.Site == peer {
-			st.bo.Reset()
-		}
-	}
-	for _, l := range e.legacy {
-		if l.to.Site == peer {
-			l.bo.Reset()
-		}
-	}
+	e.asserts.ResetPeer(peer)
+	e.destroys.ResetPeer(peer)
+	e.legacy.ResetPeer(peer)
 }
 
 // RetainedFloor returns the smallest stream sequence still retained for
@@ -764,37 +727,10 @@ func (e *Engine) ResetPeerBackoff(peer ids.SiteID) {
 // never be re-sent (rows retired through another path, evicted at a
 // bound), keeping cumulative watermarks from stalling on dead gaps.
 func (e *Engine) RetainedFloor(peer ids.SiteID, s Stream) (uint64, bool) {
-	var floor uint64
-	found := false
-	take := func(seq uint64) {
-		if seq == 0 {
-			return
-		}
-		if !found || seq < floor {
-			floor, found = seq, true
-		}
+	if l := e.ledger(s); l != nil {
+		return l.Floor(peer)
 	}
-	switch s {
-	case StreamAssert:
-		for row, st := range e.asserts {
-			if row.target.Site == peer {
-				take(st.seq)
-			}
-		}
-	case StreamDestroy:
-		for ek, st := range e.destroys {
-			if ek.target.Site == peer && !st.acked {
-				take(st.seq)
-			}
-		}
-	case StreamLegacy:
-		for _, l := range e.legacy {
-			if l.to.Site == peer {
-				take(l.seq)
-			}
-		}
-	}
-	return floor, found
+	return 0, false
 }
 
 // Drain processes queued deliveries until quiescence. Safe to call at any
@@ -1175,33 +1111,17 @@ func (e *Engine) remove(p *process) {
 		// records resolving the successor's hints. Refresh re-sends the
 		// un-acknowledged remainder under the same stream sequence.
 		e.stats.DestroysSent++
-		seq := e.send.SendLegacy(p.id, k, m, 0)
-		e.pushLegacy(&legacyDestroy{from: p.id, to: k, m: cloneDestroy(m), seq: seq})
+		e.legacy.Put(edgeKey{p.id, k}, k.Site, e.send.SendLegacy(p.id, k, m, 0), cloneDestroy(m))
 	}
 	// The process's on-behalf re-send loop is gone with it: drop the
 	// tracked destroyed-edge bundles it owned (pre-existing behavior —
 	// the finalisation path above takes over for its live edges).
-	for ek := range e.destroys {
-		if ek.holder == p.id {
-			delete(e.destroys, ek)
-		}
-	}
+	e.destroys.dropIf(func(ek edgeKey, _ struct{}) bool { return ek.holder == p.id })
+	e.ackedDestroys -= len(p.acked)
 	e.tombstone[p.id] = p.clock
 	if e.onRemove != nil {
 		e.onRemove(p.id)
 	}
-}
-
-// pushLegacy retains one finalisation bundle, evicting the oldest at the
-// hard cap (tolerated loss, counted).
-func (e *Engine) pushLegacy(l *legacyDestroy) {
-	if len(e.legacy) >= maxLegacy {
-		e.stats.LegacyEvicted++
-		copy(e.legacy, e.legacy[1:])
-		e.legacy[len(e.legacy)-1] = nil
-		e.legacy = e.legacy[:len(e.legacy)-1]
-	}
-	e.legacy = append(e.legacy, l)
 }
 
 // queueLocalDestroy delivers an edge-destruction to a same-site process
@@ -1212,18 +1132,13 @@ func (e *Engine) queueLocalDestroy(from, to ids.ClusterID, m DestroyMsg) {
 }
 
 // sendEdgeDestroy ships the Ē bundle for the destroyed remote edge
-// from→to in the destroy retirement stream, creating the edge's tracked
-// state on first use and keeping its stream sequence stable across
+// from→to in the destroy retirement stream, creating the edge's ledger
+// row on first use and keeping its stream sequence stable across
 // re-sends.
-func (e *Engine) sendEdgeDestroy(from, to ids.ClusterID, m DestroyMsg) *destroyState {
-	st := e.destroys[edgeKey{holder: from, target: to}]
-	if st == nil {
-		st = &destroyState{}
-		e.destroys[edgeKey{holder: from, target: to}] = st
-	}
+func (e *Engine) sendEdgeDestroy(from, to ids.ClusterID, m DestroyMsg) {
+	ek := edgeKey{from, to}
 	e.stats.DestroysSent++
-	st.seq = e.send.SendDestroy(from, to, m, st.seq)
-	return st
+	e.destroys.Put(ek, to.Site, e.send.SendDestroy(from, to, m, e.destroys.seq(ek)), struct{}{})
 }
 
 // --- Recovery (§5: residual garbage) ------------------------------------
@@ -1286,16 +1201,16 @@ func (e *Engine) Refresh() {
 				e.queueLocalDestroy(p.id, k, m)
 				continue
 			}
-			st := e.destroys[edgeKey{holder: p.id, target: k}]
-			if st != nil && st.acked {
+			if p.acked.Has(k) {
 				continue
 			}
-			if st != nil && !st.bo.Ready(e.round) {
+			ek := edgeKey{p.id, k}
+			if r := e.destroys.rows[ek]; r != nil && !r.bo.ready(e.round) {
 				e.stats.ResendsSuppressed++
 				continue
 			}
-			st = e.sendEdgeDestroy(p.id, k, m)
-			st.bo.Bump(e.round)
+			e.sendEdgeDestroy(p.id, k, m)
+			e.destroys.rows[ek].bo.bump(e.round)
 			e.stats.DestroyResends++
 		}
 		e.Drain()
@@ -1305,39 +1220,18 @@ func (e *Engine) Refresh() {
 	// the refresh round. Both are idempotent; receivers settle the
 	// frames (so the journal drains through cumulative acks) and merge
 	// bundles by stamp order.
-	rows := make([]assertRow, 0, len(e.asserts))
-	for row := range e.asserts {
-		rows = append(rows, row)
-	}
-	sortAssertRows(rows)
-	for _, row := range rows {
-		st := e.asserts[row]
-		if !st.bo.Ready(e.round) {
-			e.stats.ResendsSuppressed++
-			continue
-		}
-		e.stats.AssertResends++
-		st.seq = e.send.SendAssert(row.holder, row.target, AssertMsg{
-			Stamp: st.stamp, Intro: row.intro, IntroSeq: row.seq,
-		}, st.seq)
-		st.bo.Bump(e.round)
-	}
-	for _, l := range e.legacy {
-		if !l.bo.Ready(e.round) {
-			e.stats.ResendsSuppressed++
-			continue
-		}
-		e.stats.DestroysSent++
-		e.stats.LegacyResends++
-		l.seq = e.send.SendLegacy(l.from, l.to, cloneDestroy(l.m), l.seq)
-		l.bo.Bump(e.round)
-	}
+	sent, held := e.asserts.Due(e.round, func(row assertRow, stamp, seq uint64) uint64 {
+		return e.send.SendAssert(row.holder, row.target, AssertMsg{Stamp: stamp, Intro: row.intro, IntroSeq: row.seq}, seq)
+	})
+	e.stats.AssertResends += sent
+	e.stats.ResendsSuppressed += held
+	sent, held = e.legacy.Due(e.round, func(ek edgeKey, m DestroyMsg, seq uint64) uint64 {
+		return e.send.SendLegacy(ek.holder, ek.target, cloneDestroy(m), seq)
+	})
+	e.stats.DestroysSent += sent
+	e.stats.LegacyResends += sent
+	e.stats.ResendsSuppressed += held
 	e.Drain()
-}
-
-// sortAssertRows orders journal rows deterministically for re-send.
-func sortAssertRows(rows []assertRow) {
-	sort.Slice(rows, func(i, j int) bool { return assertRowLess(rows[i], rows[j]) })
 }
 
 // assertRowLess is the total order over journal rows.

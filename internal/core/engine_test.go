@@ -408,7 +408,7 @@ func TestEngineAssertJournaledAndResentUntilAck(t *testing.T) {
 	}
 	// The owner site's cumulative ack retires the journal row: no
 	// further re-sends.
-	if got := e.AckAsserts(rem.Site, first.seq); got != 1 {
+	if got := e.Ack(rem.Site, StreamAssert, first.seq); got != 1 {
 		t.Fatalf("AckAsserts retired %d rows, want 1", got)
 	}
 	n := len(fs.asserts)
@@ -537,7 +537,7 @@ func TestEngineResolveIntroductionDeadHolder(t *testing.T) {
 	if len(fs.asserts) != 2 {
 		t.Fatalf("negative assert not re-sent: %+v", fs.asserts)
 	}
-	if got := e.AckAsserts(rem.Site, fs.asserts[0].seq); got != 1 {
+	if got := e.Ack(rem.Site, StreamAssert, fs.asserts[0].seq); got != 1 {
 		t.Fatalf("AckAsserts retired %d rows, want 1", got)
 	}
 	e.Refresh()
@@ -649,27 +649,27 @@ func TestEngineJournalFullOfNegativesEvictsOldest(t *testing.T) {
 	e, _, _ := newEngine(t, Options{})
 	// Saturate the journal with negative rows.
 	for i := 0; i < maxAssertRows; i++ {
-		e.asserts[assertRow{holder: cA, target: rem, intro: cB, seq: uint64(i + 1)}] = &assertState{}
+		e.asserts.Put(assertRow{holder: cA, target: rem, intro: cB, seq: uint64(i + 1)}, rem.Site, 0, 0)
 	}
 	oldest := assertRow{holder: cA, target: rem, intro: cB, seq: 1}
 	fresh := assertRow{holder: cA, target: rem, intro: cB, seq: maxAssertRows + 1}
 	e.journalAssert(fresh, 0)
-	if len(e.asserts) != maxAssertRows {
-		t.Fatalf("journal size = %d, want %d", len(e.asserts), maxAssertRows)
+	if e.asserts.Len() != maxAssertRows {
+		t.Fatalf("journal size = %d, want %d", e.asserts.Len(), maxAssertRows)
 	}
-	if _, ok := e.asserts[fresh]; !ok {
+	if e.asserts.rows[fresh] == nil {
 		t.Fatal("fresh negative row dropped at the bound (would pin on one loss)")
 	}
-	if _, ok := e.asserts[oldest]; ok {
+	if e.asserts.rows[oldest] != nil {
 		t.Fatal("oldest negative row not the eviction victim")
 	}
 	// A positive victim is always preferred over a negative one.
 	pos := assertRow{holder: cA, target: rem, intro: cB, seq: 2}
-	e.asserts[pos] = &assertState{stamp: 7}
-	delete(e.asserts, assertRow{holder: cA, target: rem, intro: cB, seq: 3})
+	e.asserts.Put(pos, rem.Site, 0, 7)
+	e.asserts.drop(assertRow{holder: cA, target: rem, intro: cB, seq: 3})
 	e.journalAssert(assertRow{holder: cA, target: rem, intro: cB, seq: maxAssertRows + 2}, 0)
 	e.journalAssert(assertRow{holder: cA, target: rem, intro: cB, seq: maxAssertRows + 3}, 0)
-	if _, ok := e.asserts[pos]; ok {
+	if e.asserts.rows[pos] != nil {
 		t.Fatal("positive row survived while negatives were evicted")
 	}
 	if e.Stats().AssertRowsDropped == 0 {
@@ -765,7 +765,7 @@ func TestEngineAckAssertsRetiresCumulatively(t *testing.T) {
 		t.Fatalf("asserts = %+v, want 2", fs.asserts)
 	}
 	// The peer site's cumulative watermark 2 retires both rows at once.
-	if n := e.AckAsserts(2, 2); n != 2 {
+	if n := e.Ack(2, StreamAssert, 2); n != 2 {
 		t.Fatalf("AckAsserts retired %d rows, want 2", n)
 	}
 	e.Refresh()
@@ -849,7 +849,7 @@ func TestEngineAckLegacyRetiresBundle(t *testing.T) {
 	if len(fs.legacies) != 1 {
 		t.Fatalf("legacies = %+v, want 1", fs.legacies)
 	}
-	if n := e.AckLegacy(rem.Site, fs.legacies[0].seq); n != 1 {
+	if n := e.Ack(rem.Site, StreamLegacy, fs.legacies[0].seq); n != 1 {
 		t.Fatalf("AckLegacy retired %d, want 1", n)
 	}
 	e.Refresh()

@@ -25,7 +25,8 @@ type EngineImage struct {
 	// Destroys tracks the acknowledgement state of destroyed-edge
 	// bundles: losing an acked flag only costs redundant re-sends, but
 	// losing a stream sequence would orphan the receiver's watermark, so
-	// both are durable.
+	// both are durable. The outstanding rows come first, in ledger order;
+	// the acknowledged markers follow, by holder and target.
 	Destroys []DestroyImage
 	// Legacy holds the retained finalisation destroy bundles of removed
 	// processes, in retention order.
@@ -47,7 +48,8 @@ type AssertRowImage struct {
 // Ē bundle.
 type DestroyImage struct {
 	Holder, Target ids.ClusterID
-	// Seq is the bundle's sequence in the destroy retirement stream.
+	// Seq is the bundle's sequence in the destroy retirement stream
+	// (not kept once acknowledged: the bundle is never re-sent).
 	Seq uint64
 	// Acked records that the target site acknowledged the bundle:
 	// Refresh stops re-shipping it.
@@ -127,49 +129,24 @@ func (e *Engine) Export() (EngineImage, error) {
 			})
 		}
 	}
-	rows := make([]assertRow, 0, len(e.asserts))
-	for row := range e.asserts {
-		rows = append(rows, row)
-	}
-	sortAssertRows(rows)
-	for _, row := range rows {
-		st := e.asserts[row]
+	e.asserts.Each(func(row assertRow, stamp, seq uint64) {
 		img.Asserts = append(img.Asserts, AssertRowImage{
 			Holder: row.holder, Target: row.target, Intro: row.intro,
-			Seq: row.seq, Stamp: st.stamp, StreamSeq: st.seq,
+			Seq: row.seq, Stamp: stamp, StreamSeq: seq,
 		})
-	}
-	edges := make([]edgeKey, 0, len(e.destroys))
-	for ek := range e.destroys {
-		edges = append(edges, ek)
-	}
-	sortEdgeKeys(edges)
-	for _, ek := range edges {
-		st := e.destroys[ek]
-		img.Destroys = append(img.Destroys, DestroyImage{
-			Holder: ek.holder, Target: ek.target, Seq: st.seq, Acked: st.acked,
-		})
-	}
-	for _, l := range e.legacy {
-		img.Legacy = append(img.Legacy, LegacyImage{From: l.from, To: l.to, M: cloneDestroy(l.m), Seq: l.seq})
-	}
-	return img, nil
-}
-
-// sortEdgeKeys orders tracked edges deterministically for export.
-func sortEdgeKeys(edges []edgeKey) {
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0 && edgeKeyLess(edges[j], edges[j-1]); j-- {
-			edges[j], edges[j-1] = edges[j-1], edges[j]
+	})
+	e.destroys.Each(func(ek edgeKey, _ struct{}, seq uint64) {
+		img.Destroys = append(img.Destroys, DestroyImage{Holder: ek.holder, Target: ek.target, Seq: seq})
+	})
+	for _, p := range img.Procs {
+		for _, k := range e.procs[p.ID].acked.Sorted() {
+			img.Destroys = append(img.Destroys, DestroyImage{Holder: p.ID, Target: k, Acked: true})
 		}
 	}
-}
-
-func edgeKeyLess(a, b edgeKey) bool {
-	if a.holder != b.holder {
-		return a.holder.Less(b.holder)
-	}
-	return a.target.Less(b.target)
+	e.legacy.Each(func(ek edgeKey, m DestroyMsg, seq uint64) {
+		img.Legacy = append(img.Legacy, LegacyImage{From: ek.holder, To: ek.target, M: cloneDestroy(m), Seq: seq})
+	})
+	return img, nil
 }
 
 // Restore rebuilds an engine from an image. The callbacks mirror New;
@@ -201,17 +178,18 @@ func Restore(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Op
 		})
 	}
 	for _, ai := range img.Asserts {
-		e.asserts[assertRow{holder: ai.Holder, target: ai.Target, intro: ai.Intro, seq: ai.Seq}] = &assertState{
-			stamp: ai.Stamp, seq: ai.StreamSeq,
-		}
+		e.asserts.Put(assertRow{holder: ai.Holder, target: ai.Target, intro: ai.Intro, seq: ai.Seq}, ai.Target.Site, ai.StreamSeq, ai.Stamp)
 	}
 	for _, di := range img.Destroys {
-		e.destroys[edgeKey{holder: di.Holder, target: di.Target}] = &destroyState{
-			seq: di.Seq, acked: di.Acked,
+		ek := edgeKey{di.Holder, di.Target}
+		if di.Acked {
+			e.markDestroyAcked(ek)
+		} else {
+			e.destroys.Put(ek, di.Target.Site, di.Seq, struct{}{})
 		}
 	}
 	for _, li := range img.Legacy {
-		e.legacy = append(e.legacy, &legacyDestroy{from: li.From, to: li.To, m: cloneDestroy(li.M), seq: li.Seq})
+		e.legacy.Put(edgeKey{li.From, li.To}, li.To.Site, li.Seq, cloneDestroy(li.M))
 	}
 	return e, nil
 }

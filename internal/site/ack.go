@@ -6,6 +6,7 @@ import (
 
 	"causalgc/internal/core"
 	"causalgc/internal/ids"
+	"causalgc/internal/netsim"
 	"causalgc/internal/wire"
 )
 
@@ -320,21 +321,19 @@ func (r *shard) handleFrameAckLocked(peer ids.SiteID, m wire.FrameAck) {
 	st.mu.Unlock()
 	if restart {
 		r.engine.ResetPeerBackoff(peer)
-		for i := range r.outbox {
-			if r.outbox[i].to == peer {
-				r.outbox[i].bo.Reset()
-			}
-		}
+		r.outbox.ResetPeer(peer)
 	}
-	switch m.Stream {
-	case core.StreamMut:
-		r.retireOutboxLocked(peer, m.Seq)
-	case core.StreamAssert:
-		r.engine.AckAsserts(peer, m.Seq)
-	case core.StreamDestroy:
-		r.engine.AckDestroys(peer, m.Seq)
-	case core.StreamLegacy:
-		r.engine.AckLegacy(peer, m.Seq)
+	if m.Stream != core.StreamMut {
+		r.engine.Ack(peer, m.Stream, m.Seq)
+		return
+	}
+	if n := r.outbox.Ack(peer, m.Seq); n > 0 {
+		st.mu.Lock()
+		st.fstats.FramesRetired += n
+		st.mu.Unlock()
+		if ao, ok := r.site.opts.Observer.(AckObserver); ok {
+			ao.FrameRetired(r.site.id, peer, core.StreamMut, n)
+		}
 	}
 }
 
@@ -362,74 +361,22 @@ func (r *shard) handleAdvanceLocked(peer ids.SiteID, m wire.StreamAdvance) {
 	r.dirtyAcks[k] = struct{}{}
 }
 
-// retireOutboxLocked drops every outbox frame bound for peer covered by
-// the watermark. Caller holds r.mu.
-func (r *shard) retireOutboxLocked(peer ids.SiteID, watermark uint64) {
-	kept := r.outbox[:0]
-	n := 0
-	for _, f := range r.outbox {
-		if f.to == peer && f.seq <= watermark {
-			n++
-			continue
-		}
-		kept = append(kept, f)
-	}
-	for i := len(kept); i < len(r.outbox); i++ {
-		r.outbox[i] = outboundFrame{}
-	}
-	r.outbox = kept
-	if n > 0 {
-		r.site.st.mu.Lock()
-		r.site.st.fstats.FramesRetired += n
-		r.site.st.mu.Unlock()
-		if ao, ok := r.site.opts.Observer.(AckObserver); ok {
-			ao.FrameRetired(r.site.id, peer, core.StreamMut, n)
-		}
-	}
-}
-
 // resendOutboxLocked re-ships the unacknowledged, damper-due outbox
 // frames during a refresh round. Caller holds r.mu.
 func (r *shard) resendOutboxLocked() {
 	r.site.st.mu.Lock()
 	round := r.site.st.refreshRound
 	r.site.st.mu.Unlock()
-	resent, suppressed := 0, 0
-	for i := range r.outbox {
-		f := &r.outbox[i]
-		if !f.bo.Ready(round) {
-			suppressed++
-			continue
-		}
-		resent++
-		r.emitLocked(f.to, f.p)
-		f.bo.Bump(round)
-	}
+	resent, suppressed := r.outbox.Due(round, func(k outKey, p netsim.Payload, seq uint64) uint64 {
+		r.emitLocked(k.to, p)
+		return seq
+	})
 	if resent+suppressed > 0 {
 		r.site.st.mu.Lock()
 		r.site.st.fstats.OutboxResends += resent
 		r.site.st.fstats.ResendsSuppressed += suppressed
 		r.site.st.mu.Unlock()
 	}
-}
-
-// retainedFloorLocked reports the smallest sequence this shard still
-// retains on the (peer, kind) stream, or 0 when it retains nothing
-// there. Caller holds r.mu.
-func (r *shard) retainedFloorLocked(peer ids.SiteID, kind core.Stream) uint64 {
-	if kind == core.StreamMut {
-		var floor uint64
-		for _, f := range r.outbox {
-			if f.to == peer && (floor == 0 || f.seq < floor) {
-				floor = f.seq
-			}
-		}
-		return floor
-	}
-	if f, any := r.engine.RetainedFloor(peer, kind); any {
-		return f
-	}
-	return 0
 }
 
 // advanceFloors emits StreamAdvance advisories for every send stream
@@ -459,8 +406,12 @@ func (s *Site) advanceFloors() {
 	for _, r := range s.shards {
 		r.mu.Lock()
 		for i, k := range keys {
-			f := r.retainedFloorLocked(k.peer, k.kind)
-			if f != 0 && (floors[i] == 0 || f < floors[i]) {
+			// This shard's floor: the head of the stream's ledger rows.
+			f, ok := r.engine.RetainedFloor(k.peer, k.kind)
+			if k.kind == core.StreamMut {
+				f, ok = r.outbox.Floor(k.peer)
+			}
+			if ok && (floors[i] == 0 || f < floors[i]) {
 				floors[i] = f
 			}
 		}
@@ -501,7 +452,7 @@ func (s *Site) FrameStats() FrameStats {
 	fs.OutboxRetained = 0
 	for _, r := range s.shards {
 		r.mu.Lock()
-		fs.OutboxRetained += len(r.outbox)
+		fs.OutboxRetained += r.outbox.Len()
 		r.mu.Unlock()
 	}
 	return fs

@@ -29,8 +29,10 @@
 //     assigns retirement-stream sequences to every re-sendable frame,
 //     tracks cumulative receive watermarks, emits FrameAck and
 //     StreamAdvance, retains unacknowledged mutator frames in the
-//     outbox (hard-capped as a counted backstop), and re-ships
-//     damper-due state on Refresh. FrameStats and the optional
+//     outbox — a core.Ledger like the engine's three, so ack, floor,
+//     re-arm, re-send and the hard cap (a counted backstop) are the
+//     engine's code, not a copy — and re-ships damper-due state on
+//     Refresh. FrameStats and the optional
 //     AckObserver expose the retirement activity — including the
 //     tolerated loss the backstops used to swallow silently.
 package site

@@ -85,7 +85,8 @@ type Depths struct {
 	// AssertRows is the engine's un-acknowledged edge-assert journal
 	// size.
 	AssertRows int
-	// DestroyRows is the engine's tracked destroyed-edge bundle count.
+	// DestroyRows is the engine's remembered destroyed-edge bundle count:
+	// outstanding rows of the destroy ledger plus acknowledged markers.
 	DestroyRows int
 	// LegacyBundles is the engine's retained finalisation bundle count.
 	LegacyBundles int
@@ -124,7 +125,7 @@ func (s *Site) ShardDepths(i int) Depths {
 		prefs += len(q)
 	}
 	return Depths{
-		Outbox:            len(r.outbox),
+		Outbox:            r.outbox.Len(),
 		AssertRows:        ret.AssertRows,
 		DestroyRows:       ret.DestroyRows,
 		LegacyBundles:     ret.LegacyBundles,

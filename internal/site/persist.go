@@ -336,9 +336,7 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 		}
 		r.mu.Lock()
 		opened := r.beginCoalesceLocked()
-		for _, f := range r.outbox {
-			r.emitLocked(f.to, f.p)
-		}
+		r.outbox.Each(func(k outKey, p netsim.Payload, _ uint64) { r.emitLocked(k.to, p) })
 		if opened {
 			r.flushCoalesceLocked()
 		}
@@ -455,7 +453,7 @@ func (r *shard) restore(ss wire.ShardState) error {
 		r.seenOrder = append(r.seenOrder, k)
 	}
 	for _, f := range ss.Outbox {
-		r.outbox = append(r.outbox, outboundFrame{to: f.To, seq: f.Seq, p: f.Payload})
+		r.outbox.Put(outKey{f.To, f.Seq}, f.To, f.Seq, f.Payload)
 	}
 	return nil
 }
@@ -519,9 +517,9 @@ func (r *shard) exportShardStateLocked() (wire.ShardState, error) {
 	for _, k := range r.seenOrder {
 		ss.SeenIntro = append(ss.SeenIntro, wire.IntroImage{Intro: k.intro, Seq: k.seq})
 	}
-	for _, f := range r.outbox {
-		ss.Outbox = append(ss.Outbox, wire.FrameImage{To: f.to, Payload: f.p, Seq: f.seq})
-	}
+	r.outbox.Each(func(k outKey, p netsim.Payload, seq uint64) {
+		ss.Outbox = append(ss.Outbox, wire.FrameImage{To: k.to, Payload: p, Seq: seq})
+	})
 	return ss, nil
 }
 

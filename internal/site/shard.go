@@ -26,14 +26,11 @@ type introKey struct {
 	seq   uint64
 }
 
-// outboundFrame is one sent mutator frame retained until the receiving
-// site's cumulative FrameAck retires it (re-sent by crash recovery and
-// by damper-due refresh rounds).
-type outboundFrame struct {
+// outKey names one outbox row: a sent mutator frame, by destination site
+// and mutator-stream sequence.
+type outKey struct {
 	to  ids.SiteID
 	seq uint64
-	p   netsim.Payload
-	bo  core.Backoff
 }
 
 // maxOutbox is the hard-cap backstop on retained outbound mutator
@@ -93,9 +90,11 @@ type shard struct {
 	seenIntro map[introKey]struct{}
 	seenOrder []introKey
 	// outbox retains outbound mutator frames (populated only on a
-	// durable site) until the receiver acknowledges them; oldest first,
-	// hard-capped at maxOutbox as a documented backstop.
-	outbox []outboundFrame
+	// durable site) until the receiver's cumulative FrameAck retires
+	// them, re-sent by crash recovery and by damper-due refresh rounds:
+	// the mutator stream's ledger, oldest first, hard-capped at maxOutbox
+	// as a documented backstop.
+	outbox *core.Ledger[outKey, netsim.Payload]
 
 	// dirtyAcks are the streams whose watermark must be (re-)acked at
 	// the end of the current dispatch: the shard that settled a frame
@@ -118,12 +117,14 @@ type shard struct {
 // newShard allocates shard i of s without its heap and engine: the
 // caller builds those fresh (initFresh) or from an image (restore).
 func newShard(s *Site, i int) *shard {
-	return &shard{
+	r := &shard{
 		site:        s,
 		index:       i,
 		pendingRefs: make(map[ids.ObjectID][]pendingRef),
 		seenIntro:   make(map[introKey]struct{}),
 	}
+	r.outbox = core.NewLedger[outKey, netsim.Payload](maxOutbox, r.outboxEvictedLocked)
+	return r
 }
 
 // engineOptions are the site's engine options with this shard's routing
@@ -360,25 +361,26 @@ func (r *shard) assignMutSeqLocked(target ids.SiteID) uint64 {
 }
 
 // recordOutboundLocked retains a sent mutator frame until the receiver
-// acknowledges it, evicting the oldest past the maxOutbox backstop
-// (counted tolerated loss).
+// acknowledges it; past the maxOutbox backstop the ledger evicts the
+// oldest (outboxEvictedLocked).
 func (r *shard) recordOutboundLocked(to ids.SiteID, seq uint64, p netsim.Payload) {
 	if r.site.journal == nil || seq == 0 {
 		return
 	}
-	if len(r.outbox) >= maxOutbox {
-		victim := r.outbox[0]
-		copy(r.outbox, r.outbox[1:])
-		r.outbox = r.outbox[:len(r.outbox)-1]
-		st := r.site.st
-		st.mu.Lock()
-		st.fstats.OutboxEvicted++
-		st.mu.Unlock()
-		if ao, ok := r.site.opts.Observer.(AckObserver); ok {
-			ao.FrameEvicted(r.site.id, victim.to, core.StreamMut, 1)
-		}
+	r.outbox.Put(outKey{to, seq}, to, seq, p)
+}
+
+// outboxEvictedLocked counts an unacknowledged frame bound for peer
+// that the outbox cap dropped: tolerated loss, surfaced rather than
+// silent. Called by the outbox ledger, under r.mu like every outbox use.
+func (r *shard) outboxEvictedLocked(peer ids.SiteID) {
+	st := r.site.st
+	st.mu.Lock()
+	st.fstats.OutboxEvicted++
+	st.mu.Unlock()
+	if ao, ok := r.site.opts.Observer.(AckObserver); ok {
+		ao.FrameEvicted(r.site.id, peer, core.StreamMut, 1)
 	}
-	r.outbox = append(r.outbox, outboundFrame{to: to, seq: seq, p: p})
 }
 
 func (r *shard) handleCreate(m wire.Create) {

@@ -373,7 +373,7 @@ func TestShardedMergedFloorNeverRegresses(t *testing.T) {
 	// shard 0 still retains seq 1 unacknowledged.
 	r1 := s.shards[1]
 	r1.mu.Lock()
-	r1.outbox = nil
+	r1.outbox = core.NewLedger[outKey, netsim.Payload](maxOutbox, r1.outboxEvictedLocked)
 	r1.mu.Unlock()
 
 	if err := s.Refresh(); err != nil {
@@ -392,7 +392,7 @@ func TestShardedMergedFloorNeverRegresses(t *testing.T) {
 	// the abandoned gap (seq 1 was never acknowledged).
 	r0 := s.shards[0]
 	r0.mu.Lock()
-	r0.outbox = nil
+	r0.outbox = core.NewLedger[outKey, netsim.Payload](maxOutbox, r0.outboxEvictedLocked)
 	r0.mu.Unlock()
 	advances = nil
 	if err := s.Refresh(); err != nil {
@@ -495,15 +495,15 @@ func outboxFramesTo(s *Site, peer ids.SiteID) (map[uint64]ids.ObjectID, int) {
 	n := 0
 	for _, r := range s.shards {
 		r.mu.Lock()
-		for _, f := range r.outbox {
-			if f.to != peer {
-				continue
+		r.outbox.Each(func(k outKey, p netsim.Payload, seq uint64) {
+			if k.to != peer {
+				return
 			}
-			if c, ok := f.p.(wire.Create); ok {
+			if c, ok := p.(wire.Create); ok {
 				n++
-				out[f.seq] = c.Obj
+				out[seq] = c.Obj
 			}
-		}
+		})
 		r.mu.Unlock()
 	}
 	return out, n

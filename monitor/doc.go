@@ -47,7 +47,7 @@
 //	causalgc_deliveries_refused_total  counter  FRM  deliveries dropped unapplied: WAL append failed
 //	causalgc_outbox_depth              gauge    DEP  unacknowledged mutator frames retained
 //	causalgc_assert_journal_depth      gauge    DEP  un-acknowledged edge-asserts journaled
-//	causalgc_destroy_bundles_depth     gauge    DEP  destroyed-edge bundles tracked
+//	causalgc_destroy_bundles_depth     gauge    DEP  destroyed edges remembered: un-acked bundles + acked markers
 //	causalgc_legacy_bundles_depth      gauge    DEP  finalisation bundles retained
 //	causalgc_pending_refs_depth        gauge    DEP  buffered reference transfers
 //	causalgc_pending_deliveries_depth  gauge    DEP  control messages buffered pre-registration
