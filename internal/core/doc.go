@@ -16,6 +16,17 @@
 //     and the finalisation bundles are one retained-row type, as is the
 //     site runtime's outbox.
 //
+// # A process exists from its first mention
+//
+// Control frames and creation messages travel different channels, so a
+// frame may name an owned cluster before the cluster's Create arrives.
+// There is no waiting room for it: the engine creates the process unborn
+// and merges the frame at once — every merge is idempotent and
+// order-insensitive, so it commutes with the creation's. An unborn
+// process is never evaluated (it can be neither removed nor made to
+// propagate while the site has no heap shell for it); Register marks it
+// born and queues the one evaluation it is owed (DESIGN.md §3.2).
+//
 // # Realisation of the paper's Fig 6
 //
 // The scanned pseudo-code is OCR-lossy; this implementation follows the

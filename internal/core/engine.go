@@ -75,9 +75,9 @@ type Sender interface {
 	// propagations are regenerated each round, never retained).
 	SendPropagate(from, to ids.ClusterID, m Propagation)
 	// SettleFrame reports that a tracked frame from peer reached a final,
-	// replayable disposition (merged, durably buffered, or dropped as
-	// addressed to a tombstone). The site runtime advances the receive
-	// watermark and acknowledges cumulatively.
+	// replayable disposition (merged into a process, born or not, or
+	// dropped as addressed to a tombstone). The site runtime advances the
+	// receive watermark and acknowledges cumulatively.
 	SettleFrame(peer ids.SiteID, stream Stream, seq uint64)
 }
 
@@ -157,10 +157,9 @@ type Engine struct {
 
 	inbox    []delivery
 	draining bool
-	// pending buffers control messages that raced ahead of their target's
-	// creation message (reordered channels): replayed on Register. Bounded
-	// per cluster; overflow falls back to dropping (loss-equivalent, safe).
-	pending map[ids.ClusterID][]delivery
+	// unborn counts the processes in procs that were mentioned before their
+	// creation message arrived (process.born false).
+	unborn int
 
 	// asserts is the re-send journal: every un-acknowledged edge-assert,
 	// keyed by (holder, target, introducer, forwarding-seq), holding the
@@ -226,6 +225,12 @@ type process struct {
 	// plain bookkeeping and do not start propagation rounds, keeping pure
 	// mutation free of GGD fan-out.
 	active bool
+	// born is set by Register. A control frame may name an owned cluster
+	// before its creation message arrives (different channels): the process
+	// then exists unborn — frames merge into its log as usual, but it is
+	// never evaluated, so it can be neither removed nor made to propagate
+	// while the site has no heap shell for it (DESIGN.md §3.2).
+	born bool
 }
 
 // delivery is one queued control-message delivery. seq and stream carry
@@ -240,11 +245,6 @@ type delivery struct {
 	assert   AssertMsg
 	seq      uint64
 	stream   Stream
-	// settled marks a buffered delivery whose settlement was already
-	// reported: its sender may have retired the re-send state behind it,
-	// so it must never be evicted from the pending buffer (nothing would
-	// ever re-derive it).
-	settled bool
 }
 
 type deliveryKind int
@@ -253,6 +253,9 @@ const (
 	deliverDestroy deliveryKind = iota + 1
 	deliverPropagate
 	deliverAssert
+	// deliverBirth carries no message: it is the one evaluation Register
+	// queues for a process that was mentioned before it was born.
+	deliverBirth
 )
 
 // New creates an engine. send must not be nil; onRemove is invoked for
@@ -266,7 +269,6 @@ func New(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Option
 		opts:      opts,
 		procs:     make(map[ids.ClusterID]*process),
 		tombstone: make(map[ids.ClusterID]uint64),
-		pending:   make(map[ids.ClusterID][]delivery),
 	}
 	// At the bound the journal evicts a positive row when one exists, else
 	// the first negative row in re-send order (see journalAssert).
@@ -310,52 +312,69 @@ type Retained struct {
 	// LegacyBundles is the number of retained finalisation destroy
 	// bundles of removed clusters.
 	LegacyBundles int
-	// PendingDeliveries is the number of buffered control messages that
-	// raced ahead of their target's registration.
+	// PendingDeliveries is the number of unborn processes: clusters that
+	// control messages named ahead of their creation message, each one
+	// log that outlives its traffic until the creation arrives.
 	PendingDeliveries int
 }
 
 // Retained returns the current retained-state table sizes.
 func (e *Engine) Retained() Retained {
-	pend := 0
-	for _, q := range e.pending {
-		pend += len(q)
-	}
 	return Retained{
 		AssertRows:        e.asserts.Len(),
 		DestroyRows:       e.destroys.Len() + e.ackedDestroys,
 		LegacyBundles:     e.legacy.Len(),
-		PendingDeliveries: pend,
+		PendingDeliveries: e.unborn,
 	}
 }
 
-// Register creates the process for a local cluster. Registering an
-// existing or tombstoned process is a no-op (idempotent).
-func (e *Engine) Register(cl ids.ClusterID) {
-	if cl.Site != e.site {
-		panic(fmt.Sprintf("core %v: register foreign cluster %v", e.site, cl))
-	}
-	if _, ok := e.procs[cl]; ok {
-		return
+// local returns the process of the owned cluster cl, creating it unborn
+// on first mention, or nil when cl is tombstoned.
+func (e *Engine) local(cl ids.ClusterID) *process {
+	if p := e.procs[cl]; p != nil {
+		return p
 	}
 	if _, dead := e.tombstone[cl]; dead {
-		return
+		return nil
 	}
-	e.procs[cl] = &process{
+	p := &process{
 		id:  cl,
 		log: vclock.NewLog(cl),
 		acq: ids.NewClusterSet(),
 	}
-	if buffered := e.pending[cl]; len(buffered) > 0 {
-		delete(e.pending, cl)
-		e.inbox = append(e.inbox, buffered...)
+	e.procs[cl] = p
+	e.unborn++
+	return p
+}
+
+// Register gives a local cluster its process, born. Registering a born or
+// tombstoned process is a no-op (idempotent). A process that early frames
+// created unborn is due the verdict they could not trigger: exactly one
+// evaluation, queued rather than run here — the site materialises the
+// cluster's object between HandleCreate and its next Drain, and a removal
+// inside Register would tombstone a cluster whose heap shell does not
+// exist yet.
+func (e *Engine) Register(cl ids.ClusterID) {
+	if cl.Site != e.site {
+		panic(fmt.Sprintf("core %v: register foreign cluster %v", e.site, cl))
+	}
+	_, early := e.procs[cl]
+	p := e.local(cl)
+	if p == nil || p.born {
+		return
+	}
+	p.born = true
+	e.unborn--
+	if early {
+		e.inbox = append(e.inbox, delivery{to: cl, kind: deliverBirth})
 	}
 }
 
-// Registered reports whether cl has a live process.
+// Registered reports whether cl has a live, born process: its creation
+// was processed here (an unborn one's is still in flight).
 func (e *Engine) Registered(cl ids.ClusterID) bool {
-	_, ok := e.procs[cl]
-	return ok
+	p := e.procs[cl]
+	return p != nil && p.born
 }
 
 // Removed reports whether cl was detected as garbage and removed.
@@ -390,7 +409,8 @@ func (e *Engine) Acquaintances(cl ids.ClusterID) []ids.ClusterID {
 	return nil
 }
 
-// Processes returns the live local processes, sorted.
+// Processes returns the live local processes, unborn ones included,
+// sorted.
 func (e *Engine) Processes() []ids.ClusterID {
 	out := make([]ids.ClusterID, 0, len(e.procs))
 	for id := range e.procs {
@@ -408,7 +428,8 @@ func (e *Engine) Processes() []ids.ClusterID {
 // forwarded reference created the edge, and its forwarding sequence
 // number); they are zero for locally originated references.
 //
-// For a local target everything is written directly (same site, atomic).
+// For a local target everything is written directly (same site, atomic;
+// a target whose creation message is still in flight exists unborn).
 // For a remote target the holder records its authoritative stamp on
 // behalf of the target and, on a 0→1 transition, sends one deferred
 // idempotent edge-assert so the target can resolve the introduction.
@@ -432,34 +453,20 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 	if p.acked.Remove(target) {
 		e.ackedDestroys--
 	}
+	creation := introSeq == ids.CreationSeq
+	consumes := intro.Valid() && introSeq > 0 && !creation
 	if e.owns(target) {
-		if t, tok := e.procs[target]; tok {
+		if t := e.local(target); t != nil {
 			t.log.Own().MergeEntry(holder, stamp)
-			if intro.Valid() && introSeq > 0 && introSeq != ids.CreationSeq {
+			if consumes {
 				t.log.Hints().Clear(holder, intro, introSeq)
 			}
-		} else if _, dead := e.tombstone[target]; !dead {
-			// The target's creation message has not arrived yet
-			// (reordered channels): the authoritative stamp and the hint
-			// resolution must not be lost — route them through the
-			// pre-registration pending buffer as a self-delivered
-			// assert, replayed on Register. Dropping the Clear here
-			// would lose the resolution bound: the introducer's bundle
-			// later arms the hint with no carrier left to resolve it,
-			// pinning the target forever (local edges have no assert
-			// journal and no Processed record to re-derive from).
-			m := AssertMsg{Stamp: p.clock}
-			if intro.Valid() && introSeq > 0 && introSeq != ids.CreationSeq {
-				m.Intro, m.IntroSeq = intro, introSeq
-			}
-			e.inbox = append(e.inbox, delivery{to: target, from: holder, kind: deliverAssert, assert: m})
 		}
 		return
 	}
 	ob := p.log.OB(target)
 	ob.Auth.MergeEntry(holder, stamp)
-	creation := introSeq == ids.CreationSeq
-	if intro.Valid() && introSeq > 0 && !creation {
+	if consumes {
 		ob.Processed.MergeEntry(intro, vclock.At(introSeq))
 	}
 	// A creation needs no assert: the creation message itself carries the
@@ -544,18 +551,8 @@ func (e *Engine) SentRef(holder, target, dest ids.ClusterID) uint64 {
 		if e.opts.UnsafeNoHints {
 			return seq
 		}
-		if t, tok := e.procs[target]; tok {
+		if t := e.local(target); t != nil {
 			t.log.Hints().Arm(dest, holder, seq)
-		} else if _, dead := e.tombstone[target]; !dead {
-			// Pre-registration target: the conservative arm must not be
-			// lost (it is what blocks a verdict while the forwarded
-			// reference is in flight). A minimal hints-only destroy
-			// delivery through the pending buffer arms it on Register;
-			// its empty Auth vector merges nothing and bumps no clock.
-			e.inbox = append(e.inbox, delivery{
-				to: target, from: holder, kind: deliverDestroy,
-				destroy: DestroyMsg{Hints: vclock.Vector{dest: vclock.At(seq)}},
-			})
 		}
 		return seq
 	}
@@ -620,6 +617,11 @@ func (e *Engine) HandleCreate(cl, creator ids.ClusterID, stamp uint64) {
 	}
 	p.log.Own().MergeEntry(creator, vclock.At(stamp))
 }
+
+// NoteStale counts in Stats.StaleDeliveries a frame the site runtime
+// dropped before any entry point saw it (a creation message naming
+// another site's cluster or object).
+func (e *Engine) NoteStale() { e.stats.StaleDeliveries++ }
 
 // --- GGD message handling (§3.3, Fig 6) ---------------------------------
 
@@ -763,44 +765,36 @@ func (e *Engine) settle(d delivery) bool {
 
 // receive is the paper's Receive procedure (Fig 6).
 func (e *Engine) receive(d delivery) {
-	p, ok := e.procs[d.to]
-	if !ok {
-		if _, dead := e.tombstone[d.to]; !dead && e.owns(d.to) {
-			// The target's creation message has not arrived yet
-			// (reordered channels): buffer and replay on Register.
-			if len(e.pending[d.to]) < 64 {
-				// The buffered delivery is part of the durable image and
-				// replays on Register: a final, replayable disposition,
-				// so it settles now — and is marked so the overflow
-				// eviction below never picks it (the sender may already
-				// have retired the state that would re-derive it).
-				d.settled = e.settle(d)
-				e.pending[d.to] = append(e.pending[d.to], d)
-				return
-			}
-			if e.admitExpiry(d) {
-				return
-			}
-			// Overflow drop: genuine loss. Deliberately NOT settled — the
-			// sender's re-send journal exists to retry exactly this.
-			e.stats.StaleDeliveries++
-			return
-		}
-		if _, dead := e.tombstone[d.to]; dead {
-			// The target's word is final: the frame's purpose is moot, and
-			// without settlement the sender would re-ship it forever.
+	// The lookup comes first: owns is asked only on a miss (on a sharded
+	// site it is a routing-map load, and this is the hot path).
+	p := e.procs[d.to]
+	if p == nil && e.owns(d.to) {
+		// A frame may reach an owned cluster ahead of its creation message
+		// (reordered channels): the process exists from this first mention.
+		p = e.local(d.to)
+		if p == nil {
+			// Tombstoned: the target's word is final, the frame's purpose is
+			// moot, and without settlement the sender would re-ship it
+			// forever.
 			e.settle(d)
 		}
+	}
+	if p == nil {
 		// Stale traffic to a removed or unknown process: dropped. Message
 		// loss never compromises safety (§5), so neither does this.
 		e.stats.StaleDeliveries++
 		return
 	}
 	changed := false
-	if d.kind != deliverAssert {
+	if d.kind == deliverDestroy || d.kind == deliverPropagate {
 		p.active = true
 	}
 	switch d.kind {
+	case deliverBirth:
+		// Nothing to merge: the early frames already did. They may have
+		// changed the log, so the verdict below may propagate.
+		changed = true
+
 	case deliverDestroy:
 		own := p.log.Own()
 		prior := own.Get(d.from)
@@ -901,37 +895,6 @@ func (e *Engine) receive(d delivery) {
 	e.evaluate(p, changed)
 }
 
-// admitExpiry makes room in a full pre-registration pending buffer for
-// a self-delivered local assert — a hint expiry (ResolveIntroduction's
-// local-owner path) or a local-edge stamp/resolution (EdgeUp's
-// pre-registration path) — reporting whether it was admitted. These
-// deliveries are the one buffered kind with no other carrier: the
-// transfer that produced them is dedup-recorded and never re-arrives,
-// and local edges have no re-send journal, while an un-settled buffered
-// delivery is re-derivable (destroys via on-behalf/legacy re-send,
-// propagations via refresh, remote asserts via the sender's journal).
-// A delivery that already settled is NOT re-derivable — its sender may
-// have retired the journal row or bundle behind it on the resulting
-// acknowledgement — so settled entries are never eviction victims. The
-// oldest re-derivable delivery is evicted; if the buffer holds only
-// sole-carrier asserts and settled frames, the new one is dropped —
-// the bound is the bound.
-func (e *Engine) admitExpiry(d delivery) bool {
-	if d.kind != deliverAssert || !e.owns(d.from) {
-		return false
-	}
-	q := e.pending[d.to]
-	for i, old := range q {
-		if old.settled || (old.kind == deliverAssert && e.owns(old.from)) {
-			continue
-		}
-		copy(q[i:], q[i+1:])
-		q[len(q)-1] = d
-		return true
-	}
-	return false
-}
-
 // ResolveIntroduction resolves introduction (intro, seq) of the edge
 // holder→target when the forwarded reference was delivered to this site
 // and discarded without a slot write — the holder object is provably
@@ -946,7 +909,10 @@ func (e *Engine) admitExpiry(d delivery) bool {
 //     destroyed (its Ē-stamped bundle, re-sent by Refresh, supersedes),
 //     and no event of the cluster can ever consume this forwarding — a
 //     negative assert expires the hint at the owner.
-//   - the owner is local: the hint is expired directly.
+//   - the owner is local: the hint is expired directly (in its unborn
+//     process when its creation message is still in flight — the
+//     transfer's dedup record means it never re-arrives, so the expiry
+//     must not wait for anything).
 //
 // All emitted asserts are journaled and re-sent until acknowledged.
 func (e *Engine) ResolveIntroduction(holder, target, intro ids.ClusterID, seq uint64) {
@@ -954,23 +920,9 @@ func (e *Engine) ResolveIntroduction(holder, target, intro ids.ClusterID, seq ui
 		return
 	}
 	if e.owns(target) {
-		if t, ok := e.procs[target]; ok {
-			if t.log.Hints().Expire(holder, intro, seq) {
-				e.stats.HintsExpired++
-				e.evaluate(t, true)
-				e.Drain()
-			}
-		} else if _, dead := e.tombstone[target]; !dead {
-			// The owner's creation message has not arrived yet: route
-			// the expiry through the pre-registration pending buffer as
-			// a self-delivered negative assert, replayed on Register.
-			// Dropping it instead would pin the owner forever — the
-			// transfer's dedup record means it never re-arrives, so no
-			// later event could re-derive the expiry.
-			e.inbox = append(e.inbox, delivery{
-				to: target, from: holder, kind: deliverAssert,
-				assert: AssertMsg{Intro: intro, IntroSeq: seq},
-			})
+		if t := e.local(target); t != nil && t.log.Hints().Expire(holder, intro, seq) {
+			e.stats.HintsExpired++
+			e.evaluate(t, true)
 			e.Drain()
 		}
 		return
@@ -986,11 +938,15 @@ func (e *Engine) ResolveIntroduction(holder, target, intro ids.ClusterID, seq ui
 	e.sendJournaledAssert(assertRow{holder: holder, target: target, intro: intro, seq: seq}, m)
 }
 
-// evaluate runs ComputeV and acts on the outcome: removal when the
-// closure certifies garbage, propagation when the log changed (new
-// first-hand or relayed knowledge circulates onward for cycle-wide
-// convergence).
-func (e *Engine) evaluate(p *process, changed bool) {
+// verdict runs ComputeV on p and removes it when the closure certifies
+// garbage, reporting whether p may go on to propagate the closure it
+// returns. An unborn process is never evaluated — it merges, but can be
+// neither removed nor made to propagate; its Register queues the one
+// evaluation it is owed.
+func (e *Engine) verdict(p *process) (vclock.ClosureResult, bool) {
+	if !p.born {
+		return vclock.ClosureResult{}, false
+	}
 	e.stats.Evaluations++
 	res := p.log.Closure(p.clock)
 	if e.opts.UnsafeSkipConfirmation {
@@ -998,9 +954,16 @@ func (e *Engine) evaluate(p *process, changed bool) {
 	}
 	if res.Garbage() && !p.id.IsRoot() {
 		e.remove(p)
-		return
+		return res, false
 	}
-	if changed && p.active {
+	return res, true
+}
+
+// evaluate acts on the verdict: removal when the closure certifies
+// garbage, propagation when the log changed (new first-hand or relayed
+// knowledge circulates onward for cycle-wide convergence).
+func (e *Engine) evaluate(p *process, changed bool) {
+	if res, alive := e.verdict(p); alive && changed && p.active {
 		e.propagate(p, res)
 	}
 }
@@ -1167,13 +1130,8 @@ func (e *Engine) Refresh() {
 		if !ok {
 			continue // removed by an earlier iteration's cascade
 		}
-		e.stats.Evaluations++
-		res := p.log.Closure(p.clock)
-		if e.opts.UnsafeSkipConfirmation {
-			res.Complete = true
-		}
-		if res.Garbage() {
-			e.remove(p)
+		res, alive := e.verdict(p)
+		if !alive {
 			e.Drain()
 			continue
 		}

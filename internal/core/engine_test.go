@@ -620,17 +620,57 @@ func TestEngineNegativeRowSurvivesEdgeLifecycle(t *testing.T) {
 	}
 }
 
-func TestEngineOverflowDropDoesNotSettle(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	// Fill cA's pre-registration pending buffer to its bound.
-	for i := 0; i < 64; i++ {
-		e.HandleDestroy(cA, rem, DestroyMsg{Auth: vclock.Vector{rem: vclock.Eps(uint64(i + 1))}})
+// TestUnbornIsNeverRemovedNorPropagates pins the safety half of
+// merge-on-arrival: however many frames condemn a cluster ahead of its
+// creation message — far more than the buffer this replaced could hold —
+// its unborn process merges them all and is never evaluated, so it is
+// neither removed (the site has no heap shell to sweep) nor made to send
+// anything. Its creation queues the one verdict, through the inbox.
+func TestUnbornIsNeverRemovedNorPropagates(t *testing.T) {
+	e, fs, removed := newEngine(t, Options{})
+	for i := 0; i < 200; i++ {
+		e.HandleDestroyFrame(cA, rem, DestroyMsg{Auth: vclock.Vector{rem: vclock.Eps(uint64(i + 2))}}, uint64(i+1), false)
 	}
-	// An assert past the bound is dropped as loss — it must NOT settle,
-	// or the sender would retire a journal row that was never processed.
-	e.HandleAssertFrame(cA, rem, AssertMsg{Stamp: 5, Intro: cB, IntroSeq: 2}, 9)
-	if len(fs.settles) != 0 {
-		t.Fatalf("overflow-dropped assert settled: %+v", fs.settles)
+	for i := 0; i < 3; i++ {
+		e.Refresh()
+	}
+	if e.Removed(cA) || len(*removed) != 0 {
+		t.Fatalf("unborn process removed: %v", *removed)
+	}
+	if e.Registered(cA) {
+		t.Fatal("Registered reports an unborn process: its creation is still in flight")
+	}
+	if n := len(fs.destroys) + len(fs.props) + len(fs.asserts); n != 0 {
+		t.Fatalf("unborn process sent %d frames", n)
+	}
+	if st := e.Stats(); st.Evaluations != 0 || st.StaleDeliveries != 0 {
+		t.Fatalf("unborn process evaluated or its frames dropped: %+v", st)
+	}
+	if len(fs.settles) != 200 {
+		t.Fatalf("settled %d of 200 merged frames", len(fs.settles))
+	}
+	if got := e.Retained().PendingDeliveries; got != 1 {
+		t.Fatalf("unborn gauge = %d, want 1", got)
+	}
+	if got := e.LogSnapshot(cA).Own().Get(rem); got != vclock.Eps(201) {
+		t.Fatalf("own[rem] = %v, want the newest early stamp Ē201", got)
+	}
+	e.HandleCreate(cA, rem, 1)
+	if e.Removed(cA) {
+		t.Fatal("verdict ran inside Register: the site has not materialised the object yet")
+	}
+	if !e.Registered(cA) {
+		t.Fatal("created cluster not registered")
+	}
+	e.Drain()
+	if !e.Removed(cA) || len(*removed) != 1 {
+		t.Fatalf("garbage at birth not removed: %v", *removed)
+	}
+	if got := e.Stats().Evaluations; got != 1 {
+		t.Errorf("birth ran %d evaluations, want exactly 1", got)
+	}
+	if got := e.Retained().PendingDeliveries; got != 0 {
+		t.Errorf("unborn gauge = %d after birth, want 0", got)
 	}
 }
 

@@ -10,13 +10,12 @@ import (
 // EngineImage is the serialisable form of an Engine, used by the
 // durability subsystem's snapshots. It may only be taken at a quiescent
 // point (empty inbox): the site runtime snapshots after settling, so
-// every queued GGD delivery has been processed. Pre-registration
-// buffered deliveries (reordered control messages that raced ahead of
-// their target's creation) are part of the image.
+// every queued GGD delivery has been processed. Control messages that
+// raced ahead of their target's creation are in the image as what they
+// merged into: the target's unborn process.
 type EngineImage struct {
 	Procs      []ProcImage
 	Tombstones map[ids.ClusterID]uint64
-	Pending    []PendingImage
 	// Asserts is the re-send journal of un-acknowledged edge-asserts:
 	// losing it to a crash would silently re-open the hint leak, so it
 	// is part of the durable image, stream sequences included (a
@@ -69,25 +68,11 @@ type ProcImage struct {
 	ID     ids.ClusterID
 	Clock  uint64
 	Active bool
-	Acq    []ids.ClusterID
-	Log    vclock.LogImage
-}
-
-// PendingImage is one buffered pre-registration delivery. Seq and Stream
-// carry the delivery's retirement-stream identity so a replayed buffer
-// settles identically.
-type PendingImage struct {
-	To, From ids.ClusterID
-	Kind     int
-	Destroy  DestroyMsg
-	Prop     Propagation
-	Assert   AssertMsg
-	Seq      uint64
-	Stream   uint8
-	// Settled marks a delivery whose settlement was already reported to
-	// the sender; it survives restore so the eviction guard holds across
-	// recovery.
-	Settled bool
+	// Born is false for a process that exists only because control
+	// messages named it ahead of its creation message.
+	Born bool
+	Acq  []ids.ClusterID
+	Log  vclock.LogImage
 }
 
 // Export renders the engine as an image sharing no state with it. It
@@ -108,26 +93,13 @@ func (e *Engine) Export() (EngineImage, error) {
 			ID:     p.id,
 			Clock:  p.clock,
 			Active: p.active,
+			Born:   p.born,
 			Acq:    p.acq.Sorted(),
 			Log:    p.log.Export(),
 		})
 	}
 	for cl, clock := range e.tombstone {
 		img.Tombstones[cl] = clock
-	}
-	var pendingTo []ids.ClusterID
-	for to := range e.pending {
-		pendingTo = append(pendingTo, to)
-	}
-	ids.SortClusters(pendingTo)
-	for _, to := range pendingTo {
-		for _, d := range e.pending[to] {
-			img.Pending = append(img.Pending, PendingImage{
-				To: d.to, From: d.from, Kind: int(d.kind),
-				Destroy: cloneDestroy(d.destroy), Prop: cloneProp(d.prop), Assert: d.assert,
-				Seq: d.seq, Stream: uint8(d.stream), Settled: d.settled,
-			})
-		}
 	}
 	e.asserts.Each(func(row assertRow, stamp, seq uint64) {
 		img.Asserts = append(img.Asserts, AssertRowImage{
@@ -163,19 +135,16 @@ func Restore(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Op
 			id:     pi.ID,
 			clock:  pi.Clock,
 			active: pi.Active,
+			born:   pi.Born,
 			log:    vclock.RestoreLog(pi.ID, pi.Log),
 			acq:    ids.NewClusterSet(pi.Acq...),
+		}
+		if !pi.Born {
+			e.unborn++
 		}
 	}
 	for cl, clock := range img.Tombstones {
 		e.tombstone[cl] = clock
-	}
-	for _, di := range img.Pending {
-		e.pending[di.To] = append(e.pending[di.To], delivery{
-			to: di.To, from: di.From, kind: deliveryKind(di.Kind),
-			destroy: cloneDestroy(di.Destroy), prop: cloneProp(di.Prop), assert: di.Assert,
-			seq: di.Seq, stream: Stream(di.Stream), settled: di.Settled,
-		})
 	}
 	for _, ai := range img.Asserts {
 		e.asserts.Put(assertRow{holder: ai.Holder, target: ai.Target, intro: ai.Intro, seq: ai.Seq}, ai.Target.Site, ai.StreamSeq, ai.Stamp)

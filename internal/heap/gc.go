@@ -1,6 +1,10 @@
 package heap
 
-import "causalgc/internal/ids"
+import (
+	"slices"
+
+	"causalgc/internal/ids"
+)
 
 // CollectStats reports one local collection.
 type CollectStats struct {
@@ -71,7 +75,7 @@ func (h *Heap) Collect() CollectStats {
 	}
 	// Deterministic sweep order, so the destruction messages emitted by
 	// edge accounting are reproducible under a fixed seed.
-	sortObjectsByID(dead)
+	slices.SortFunc(dead, compareObjects)
 	for _, o := range dead {
 		for i, r := range o.slots {
 			if r.Valid() {
@@ -144,12 +148,4 @@ func (h *Heap) LocallyReachable(obj ids.ObjectID) bool {
 	}
 	_, ok := seen[obj]
 	return ok
-}
-
-func sortObjectsByID(os []*Object) {
-	for i := 1; i < len(os); i++ {
-		for j := i; j > 0 && os[j].id.Less(os[j-1].id); j-- {
-			os[j], os[j-1] = os[j-1], os[j]
-		}
-	}
 }

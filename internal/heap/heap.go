@@ -21,6 +21,7 @@ package heap
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"causalgc/internal/ids"
@@ -312,9 +313,11 @@ func (h *Heap) Objects() []*Object {
 	for _, o := range h.objects {
 		out = append(out, o)
 	}
-	sortObjectsByID(out)
+	slices.SortFunc(out, compareObjects)
 	return out
 }
+
+func compareObjects(a, b *Object) int { return a.id.Compare(b.id) }
 
 // Clusters returns the IDs of all clusters that still hold objects or
 // entries, sorted.

@@ -119,8 +119,8 @@ func RestoreShard(hooks Hooks, img Image, ctr *Counters, withRoot bool) (*Heap, 
 	return h, nil
 }
 
-// sortEdges uses sort.Slice: edge counts scale with the heap, unlike
-// the small per-process sets the ids-package insertion sorts serve.
+// sortEdges orders the exported edges by (From, To): edge counts scale
+// with the heap.
 func sortEdges(es []EdgeImage) {
 	sort.Slice(es, func(i, j int) bool {
 		if es[i].From != es[j].From {

@@ -9,7 +9,9 @@
 package ids
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -106,11 +108,14 @@ func (o ObjectID) String() string {
 func (o ObjectID) Valid() bool { return o.Site.Valid() }
 
 // Less imposes a total order for deterministic iteration.
-func (o ObjectID) Less(p ObjectID) bool {
-	if o.Site != p.Site {
-		return o.Site < p.Site
+func (o ObjectID) Less(p ObjectID) bool { return o.Compare(p) < 0 }
+
+// Compare returns -1, 0 or +1: by site, then sequence.
+func (o ObjectID) Compare(p ObjectID) int {
+	if c := cmp.Compare(o.Site, p.Site); c != 0 {
+		return c
 	}
-	return o.Seq < p.Seq
+	return cmp.Compare(o.Seq, p.Seq)
 }
 
 // ClusterSet is a set of cluster identifiers with deterministic snapshots.
@@ -155,7 +160,7 @@ func (s ClusterSet) Sorted() []ClusterID {
 	for id := range s {
 		out = append(out, id)
 	}
-	sortClusters(out)
+	SortClusters(out)
 	return out
 }
 
@@ -168,24 +173,11 @@ func (s ClusterSet) Clone() ClusterSet {
 	return out
 }
 
-func sortClusters(cs []ClusterID) {
-	// Insertion sort: sets are small (acquaintance lists); avoids pulling
-	// sort's interface boxing into hot paths and keeps allocation at zero.
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].Less(cs[j-1]); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
-}
-
 // SortClusters sorts a slice of cluster IDs in Less order, in place.
-func SortClusters(cs []ClusterID) { sortClusters(cs) }
+// Callers range from acquaintance lists to a site's whole process table:
+// slices.SortFunc is allocation-free and O(n log n) on both.
+func SortClusters(cs []ClusterID) { slices.SortFunc(cs, ClusterID.Compare) }
 
-// SortObjects sorts a slice of object IDs in Less order, in place.
-func SortObjects(os []ObjectID) {
-	for i := 1; i < len(os); i++ {
-		for j := i; j > 0 && os[j].Less(os[j-1]); j-- {
-			os[j], os[j-1] = os[j-1], os[j]
-		}
-	}
-}
+// SortObjects sorts a slice of object IDs in Less order, in place (heap-
+// sized inputs: every object of a site).
+func SortObjects(os []ObjectID) { slices.SortFunc(os, ObjectID.Compare) }

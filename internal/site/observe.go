@@ -93,8 +93,9 @@ type Depths struct {
 	// PendingRefs is the number of buffered reference transfers awaiting
 	// their holder object.
 	PendingRefs int
-	// PendingDeliveries is the engine's count of buffered control
-	// messages that raced ahead of their target's registration.
+	// PendingDeliveries is the engine's count of unborn processes:
+	// clusters that control messages named ahead of their creation
+	// message (zero again once every creation has arrived).
 	PendingDeliveries int
 }
 

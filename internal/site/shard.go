@@ -384,6 +384,15 @@ func (r *shard) outboxEvictedLocked(peer ids.SiteID) {
 }
 
 func (r *shard) handleCreate(m wire.Create) {
+	if id := r.site.id; m.Cluster.Site != id || m.Obj.Site != id {
+		// Frames are input from outside the program: a creation naming
+		// another site's cluster or object is dropped and counted.
+		// Register panics on a foreign cluster — a local caller's bug —
+		// and this delivery is already journaled, so letting it through
+		// would crash every recovery as well.
+		r.engine.NoteStale()
+		return
+	}
 	if r.engine.Removed(m.Cluster) {
 		// A duplicate or recovery-re-sent creation of a cluster GGD has
 		// already removed: applying it would resurrect a zombie object —

@@ -118,12 +118,12 @@ func TestRecordArity(t *testing.T) {
 	}
 }
 
-// TestSnapshotV4Pinned: the shard-partitioned snapshot format is v4 —
+// TestSnapshotV5Pinned: the shard-partitioned snapshot format is v5 —
 // the only version that decodes — re-encoded images round-trip, and
 // re-send state is always bare frames, never envelopes.
-func TestSnapshotV4Pinned(t *testing.T) {
-	if SnapshotVersion != 4 {
-		t.Fatalf("SnapshotVersion = %d; sharding pinned the format at v4", SnapshotVersion)
+func TestSnapshotV5Pinned(t *testing.T) {
+	if SnapshotVersion != 5 {
+		t.Fatalf("SnapshotVersion = %d; the unborn-process engine image pinned the format at v5", SnapshotVersion)
 	}
 	img := sampleImage()
 	data, err := EncodeSnapshot(img)

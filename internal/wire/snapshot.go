@@ -26,13 +26,15 @@ import (
 
 // SnapshotVersion is bumped when SiteImage changes incompatibly; a
 // recovery over any other version fails rather than misdecodes (no
-// migration code: there is one format). Version 4 is the shard layout
+// migration code: there is one format). The layout is the shard layout
 // — every site is n >= 1 shards (DESIGN.md §3.4), so the image is the
-// site-wide shared state plus one ShardState per shard. The number did
-// not move when shard 0 left the top-level fields for Shards[0]: no v4
-// image was ever deployed, and an image of the earlier draft decodes
-// to zero shards, which DecodeSnapshot refuses.
-const SnapshotVersion = 4
+// site-wide shared state plus one ShardState per shard. Version 5 is
+// the engine image in which a control frame that outran its target's
+// creation is held as what it merged into (an unborn process,
+// DESIGN.md §3.2). A v4 image could carry such frames as a buffer,
+// some already acknowledged to senders that retired their copies:
+// nothing would re-derive them, so v4 is refused, not half-read.
+const SnapshotVersion = 5
 
 // SiteImage is the full durable state of one site at a quiescent point:
 // the state the shards share at runtime (identity mint, retirement

@@ -42,6 +42,7 @@ func sampleImage() *SiteImage {
 				ID:     cl2,
 				Clock:  17,
 				Active: true,
+				Born:   true,
 				Acq:    []ids.ClusterID{cl3},
 				Log: vclock.LogImage{
 					Own:         vclock.Vector{root: vclock.At(3), cl3: vclock.Eps(5)},
@@ -54,12 +55,14 @@ func sampleImage() *SiteImage {
 						cl3: {Auth: vclock.Vector{cl2: vclock.At(9)}, Hints: vclock.Vector{root: vclock.At(4)}, Processed: vclock.Vector{root: vclock.At(2)}},
 					},
 				},
+			}, {
+				// An unborn process: a destroy that outran its creation.
+				ID:     ids.ClusterID{Site: 2, Seq: 9},
+				Clock:  1,
+				Active: true,
+				Log:    vclock.LogImage{Own: vclock.Vector{cl3: vclock.Eps(6)}},
 			}},
 			Tombstones: map[ids.ClusterID]uint64{{Site: 2, Seq: 3}: 21},
-			Pending: []core.PendingImage{{
-				To: cl2, From: cl3, Kind: 1,
-				Destroy: core.DestroyMsg{Auth: vclock.Vector{cl3: vclock.Eps(6)}},
-			}},
 			Asserts: []core.AssertRowImage{
 				{Holder: cl2, Target: cl3, Intro: root, Seq: 11, Stamp: 16},
 				{Holder: ids.ClusterID{Site: 2, Seq: 3}, Target: cl3, Intro: root, Seq: 12, Stamp: 0},
@@ -119,11 +122,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(got0.Heap.Objects) != 2 || got0.Heap.NextClu != 8 || got0.Heap.Objects[1].Slots[0] != img0.Heap.Objects[1].Slots[0] {
 		t.Fatalf("heap image mismatch: %+v", got0.Heap)
 	}
-	if len(got0.Engine.Procs) != 1 {
+	if len(got0.Engine.Procs) != 2 {
 		t.Fatalf("engine procs: %+v", got0.Engine.Procs)
 	}
 	p := got0.Engine.Procs[0]
-	if p.Clock != 17 || !p.Active || len(p.Acq) != 1 {
+	if p.Clock != 17 || !p.Active || !p.Born || len(p.Acq) != 1 {
 		t.Fatalf("proc mismatch: %+v", p)
 	}
 	if !p.Log.Own.Equal(img0.Engine.Procs[0].Log.Own) {
@@ -133,8 +136,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !row.Confirmed || !row.Auth.Equal(vclock.Vector{{Site: 2, Seq: 7}: vclock.At(9)}) {
 		t.Fatalf("vrow mismatch: %+v", row)
 	}
-	if len(got0.Engine.Pending) != 1 || got0.Engine.Pending[0].Kind != 1 {
-		t.Fatalf("pending mismatch: %+v", got0.Engine.Pending)
+	if u := got0.Engine.Procs[1]; u.Born || !u.Active || u.Log.Own[ids.ClusterID{Site: 3, Seq: 9}] != vclock.Eps(6) {
+		t.Fatalf("unborn proc mismatch: %+v", u)
 	}
 	if got0.Engine.Tombstones[ids.ClusterID{Site: 2, Seq: 3}] != 21 {
 		t.Fatalf("tombstones mismatch: %+v", got0.Engine.Tombstones)
@@ -239,7 +242,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 // decodes — there is no migration code — and any other is refused with
 // an error naming both versions, never misdecoded.
 func TestDecodeSnapshotRejectsOtherVersions(t *testing.T) {
-	for _, bad := range []int{0, 2, 3, SnapshotVersion + 1} {
+	for _, bad := range []int{0, 2, 3, 4, SnapshotVersion + 1} {
 		img := sampleImage()
 		img.Version = bad
 		var buf bytes.Buffer

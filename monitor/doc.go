@@ -50,7 +50,7 @@
 //	causalgc_destroy_bundles_depth     gauge    DEP  destroyed edges remembered: un-acked bundles + acked markers
 //	causalgc_legacy_bundles_depth      gauge    DEP  finalisation bundles retained
 //	causalgc_pending_refs_depth        gauge    DEP  buffered reference transfers
-//	causalgc_pending_deliveries_depth  gauge    DEP  control messages buffered pre-registration
+//	causalgc_pending_deliveries_depth  gauge    DEP  unborn processes: clusters named ahead of their creation
 //	causalgc_shards                    gauge    DEP  lock-stripe width (1 on a default node)
 //	causalgc_handoff_depth             gauge    DEP  cross-shard frames queued (zero at quiescence)
 //	causalgc_shard_outbox_depth{shard} gauge    DEP  per-shard share of causalgc_outbox_depth

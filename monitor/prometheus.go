@@ -80,7 +80,7 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 		snaps, func(s *Snapshot) int { return s.Depths.LegacyBundles })
 	p.igauge("causalgc_pending_refs_depth", "Reference transfers buffered awaiting their holder.",
 		snaps, func(s *Snapshot) int { return s.Depths.PendingRefs })
-	p.igauge("causalgc_pending_deliveries_depth", "Control messages buffered ahead of registration.",
+	p.igauge("causalgc_pending_deliveries_depth", "Unborn processes: clusters that control messages named ahead of their creation message.",
 		snaps, func(s *Snapshot) int { return s.Depths.PendingDeliveries })
 
 	if anyShards(snaps) {
