@@ -1,8 +1,7 @@
-// causalgc-bench regenerates the experiment tables of EXPERIMENTS.md
-// (E5–E9, A2) as plain text. Each experiment corresponds to a figure,
-// claim or comparison in the paper; see DESIGN.md §4 for the index. The
-// experiment logic lives in the causalgc/eval package; `go test -bench=.`
-// at the repository root reports the same quantities as benchmarks.
+// causalgc-bench regenerates the experiment tables (E5–E9, A2) as plain
+// text. Each experiment corresponds to a figure, claim or comparison in
+// the paper; see DESIGN.md §4 for the index. The experiment logic lives
+// in the causalgc/eval package.
 //
 // Usage:
 //

@@ -504,9 +504,9 @@ func (s *soak) quiescePhase() {
 	for i, m := range s.mons {
 		site := i + 1
 		snap := m.Snapshot()
-		if d := snap.Depths; d.Outbox != 0 || d.AssertRows != 0 || d.LegacyBundles != 0 {
-			s.violationf("site %d retained state not drained: outbox=%d assertRows=%d legacyBundles=%d",
-				site, d.Outbox, d.AssertRows, d.LegacyBundles)
+		if d := snap.Depths; d.Outbox != 0 || d.AssertRows != 0 || d.DestroyRows != 0 || d.LegacyBundles != 0 {
+			s.violationf("site %d retained state not drained: outbox=%d assertRows=%d destroyRows=%d legacyBundles=%d",
+				site, d.Outbox, d.AssertRows, d.DestroyRows, d.LegacyBundles)
 		}
 		// The aggregate gauge must decompose into per-shard zeros — a
 		// shard hiding retained state behind a sibling's negative
@@ -519,9 +519,9 @@ func (s *soak) quiescePhase() {
 		for si, d := range snap.ShardDepths {
 			shardOutbox += d.Outbox
 			shardAsserts += d.AssertRows
-			if d.Outbox != 0 || d.AssertRows != 0 || d.LegacyBundles != 0 {
-				s.violationf("site %d shard %d retained state not drained: outbox=%d assertRows=%d legacyBundles=%d",
-					site, si, d.Outbox, d.AssertRows, d.LegacyBundles)
+			if d.Outbox != 0 || d.AssertRows != 0 || d.DestroyRows != 0 || d.LegacyBundles != 0 {
+				s.violationf("site %d shard %d retained state not drained: outbox=%d assertRows=%d destroyRows=%d legacyBundles=%d",
+					site, si, d.Outbox, d.AssertRows, d.DestroyRows, d.LegacyBundles)
 			}
 		}
 		if shardOutbox != snap.Depths.Outbox || shardAsserts != snap.Depths.AssertRows {
@@ -569,7 +569,7 @@ func (s *soak) finalScrapeChecks() {
 	if ra != rb {
 		s.violationf("scraped causalgc_resends_total moved across a quiescent refresh: %v -> %v", rb, ra)
 	}
-	for _, gauge := range []string{"causalgc_outbox_depth", "causalgc_assert_journal_depth", "causalgc_legacy_bundles_depth", "causalgc_residual_garbage"} {
+	for _, gauge := range []string{"causalgc_outbox_depth", "causalgc_assert_journal_depth", "causalgc_destroy_bundles_depth", "causalgc_legacy_bundles_depth", "causalgc_residual_garbage"} {
 		total, n := sumMetric(after, gauge)
 		if n != s.cfg.sites {
 			s.violationf("scrape exports %d %s samples, want %d", n, gauge, s.cfg.sites)

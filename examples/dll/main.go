@@ -26,7 +26,7 @@ func main() {
 	fmt.Println("\npaper-guard reproduces the O(k) claim; the sound guard pays O(k²)")
 	fmt.Println("for all-pairs knowledge inside the subcycles. Schelvis is O(k²)")
 	fmt.Println("with a larger growth rate: run `causalgc-bench -exp E6` for the")
-	fmt.Println("three-way table (see EXPERIMENTS.md, E6).")
+	fmt.Println("three-way table (see DESIGN.md §4, E6).")
 }
 
 func causal(k int, paperGuard bool) int {

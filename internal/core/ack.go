@@ -25,8 +25,8 @@ const (
 	StreamMut Stream = iota + 1
 	// StreamAssert covers journaled edge-asserts (positive and negative).
 	StreamAssert
-	// StreamDestroy covers edge-destruction bundles held in on-behalf
-	// rows (own column Ē), re-shipped by Refresh until acknowledged.
+	// StreamDestroy covers the edge-destruction bundles (own column Ē) of
+	// destroyed edges, re-shipped by Refresh until acknowledged.
 	StreamDestroy
 	// StreamLegacy covers the retained finalisation bundles of removed
 	// processes.
@@ -92,8 +92,8 @@ func (b *damper) bump(round uint64) {
 //
 // Acknowledged is not outstanding: a row leaves the moment a watermark
 // covers it, so every operation costs what is outstanding, never what
-// the stream has carried; who must remember an acknowledgement keeps the
-// marker itself (retired). Walks (Due, Each, the cap's victim) run in
+// the stream has carried, and nothing remembers an acknowledgement — the
+// payload went with the row. Walks (Due, Each, the cap's victim) run in
 // retention order, oldest first, unless less orders the keys; both are
 // replay-exact, and Each exports what a Put per row restores. Not safe
 // for concurrent use.
@@ -102,7 +102,6 @@ type Ledger[K comparable, V any] struct {
 	evicted func(peer ids.SiteID) // told each row the cap drops
 	less    func(a, b K) bool     // walk order over keys, when not retention
 	spare   func(V) bool          // rows the cap evicts before any other
-	retired func(K)               // told each key a watermark retires
 
 	rows map[K]*row[K, V]
 	// peers rings each peer's rows by ascending sequence, unsent (zero)
@@ -222,8 +221,8 @@ func (l *Ledger[K, V]) remove(r *row[K, V]) {
 }
 
 // drop takes the row under key, if any, out of the ledger through a side
-// path (the edge re-formed, its holder was removed): no acknowledgement
-// is implied and nothing is counted.
+// path (the edge re-formed): no acknowledgement is implied and nothing
+// is counted.
 func (l *Ledger[K, V]) drop(key K) {
 	if r := l.rows[key]; r != nil {
 		l.remove(r)
@@ -248,9 +247,6 @@ func (l *Ledger[K, V]) Ack(peer ids.SiteID, watermark uint64) int {
 		for r := ring.above; r.seq != 0 && r.seq <= watermark; r = ring.above {
 			l.remove(r)
 			n++
-			if l.retired != nil {
-				l.retired(r.key)
-			}
 		}
 	}
 	return n

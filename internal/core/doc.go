@@ -14,7 +14,9 @@
 //     (Ack — DESIGN.md §3.2), which retire rows of the engine's three
 //     Ledgers (ack.go): the assert journal, the destroyed-edge bundles
 //     and the finalisation bundles are one retained-row type, as is the
-//     site runtime's outbox.
+//     site runtime's outbox. Each row carries what it re-ships and
+//     leaves when acknowledged; a destroyed edge's Ē bundle outlives
+//     its holder's removal.
 //
 // # A process exists from its first mention
 //
@@ -88,10 +90,10 @@
 //     bound does not cover.
 //   - Retained finalisation bundles: the destroy bundles a removed
 //     process sends carry the processed-introduction records that
-//     resolve its hints, but the process is gone — a lost bundle could
-//     not be re-shipped from its on-behalf rows. Removal therefore
-//     retains the bundles (bounded, acknowledged retirement) and
-//     Refresh re-sends the un-acknowledged remainder.
+//     resolve its hints, but the process is gone — nothing could
+//     rebuild a lost bundle. Removal therefore retains the bundles
+//     (bounded, acknowledged retirement) and Refresh re-sends the
+//     un-acknowledged remainder.
 //
 // Detection then proceeds exactly as in §3.6: GGD work starts when an
 // edge-destruction message arrives, first-hand vectors circulate along

@@ -98,7 +98,7 @@ type Stats struct {
 	// AssertResends counts journaled edge-asserts re-sent by Refresh.
 	AssertResends int
 	// DestroyResends counts destroyed-edge bundles re-sent by Refresh
-	// from on-behalf rows (subset of DestroysSent).
+	// from the destroy ledger (subset of DestroysSent).
 	DestroyResends int
 	// LegacyResends counts retained finalisation bundles re-sent by
 	// Refresh (subset of DestroysSent).
@@ -171,21 +171,16 @@ type Engine struct {
 	// (loss-equivalent — deterministic, so replay agrees — and counted in
 	// Stats.AssertRowsDropped).
 	asserts *Ledger[assertRow, uint64]
-	// destroys holds the un-acknowledged Ē bundle of every destroyed
-	// remote edge whose on-behalf row Refresh would re-ship (the bundle
-	// itself is rebuilt from that row, so the ledger row carries no
-	// payload). A row leaves when the target site acknowledges it — the
-	// holder's process.acked remembers that — when the edge re-forms (the
-	// fresh live stamp supersedes) and when its holder is removed (the
-	// finalisation path takes over).
-	destroys *Ledger[edgeKey, struct{}]
-	// ackedDestroys counts the process.acked markers across processes.
-	ackedDestroys int
+	// destroys retains the Ē bundle of every destroyed remote edge until
+	// the target site acknowledges it or the edge re-forms (the fresh live
+	// stamp supersedes). The holder's on-behalf row is frozen in between,
+	// so the bundle stays what a rebuild from it would give; the row
+	// outlives its holder's removal, which is no acknowledgement.
+	destroys *Ledger[edgeKey, DestroyMsg]
 	// legacy retains the finalisation destroy bundles of removed
-	// processes until the target site acknowledges them: once the process
-	// is gone its on-behalf rows can no longer re-ship them, yet they
-	// carry the records that resolve the successors' hints. Bounded by
-	// maxLegacy as a backstop (eviction is tolerated loss, counted).
+	// processes until the target site acknowledges them: they carry the
+	// records that resolve the successors' hints. Bounded by maxLegacy as
+	// a backstop (eviction is tolerated loss, counted).
 	legacy *Ledger[edgeKey, DestroyMsg]
 	// round counts Refresh invocations: the damper's time base.
 	round uint64
@@ -215,10 +210,6 @@ type process struct {
 	// acq is the paper's Acquaintances_i: the targets of the process's
 	// live out-edges in the global root graph, i.e. its remote successors.
 	acq ids.ClusterSet
-	// acked marks the destroyed edges to these targets whose Ē bundle the
-	// target site acknowledged: Refresh stops re-shipping them. Cleared
-	// when the edge re-forms; gone with the process. Nil until first use.
-	acked ids.ClusterSet
 	// active marks participation in a GGD episode: set when a destroy or
 	// a propagation arrives (§3.6: "GGD is only triggered when the edge
 	// ... is removed"). Edge-asserts received by inactive processes are
@@ -275,8 +266,7 @@ func New(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Option
 	e.asserts = NewLedger[assertRow, uint64](maxAssertRows, func(ids.SiteID) { e.stats.AssertRowsDropped++ })
 	e.asserts.less = assertRowLess
 	e.asserts.spare = func(stamp uint64) bool { return stamp > 0 }
-	e.destroys = NewLedger[edgeKey, struct{}](0, nil)
-	e.destroys.retired = e.markDestroyAcked
+	e.destroys = NewLedger[edgeKey, DestroyMsg](0, nil)
 	e.legacy = NewLedger[edgeKey, DestroyMsg](maxLegacy, func(ids.SiteID) { e.stats.LegacyEvicted++ })
 	return e
 }
@@ -296,18 +286,15 @@ func (e *Engine) owns(cl ids.ClusterID) bool {
 
 // Retained reports the sizes of the engine's retained-state tables: the
 // depth gauges a monitor watches to confirm the metadata stays bounded
-// (the paper's §4 scalability argument made operational). DestroyRows
-// counts the destroyed edges the engine remembers — the outstanding Ē
-// bundles in the destroy ledger plus the acknowledged ones, whose marker
-// is kept until the holder is removed or the edge re-forms — so it
-// settles to the number of destroyed-but-remembered edges rather than
-// zero.
+// (the paper's §4 scalability argument made operational). All four are
+// zero at quiescence.
 type Retained struct {
 	// AssertRows is the number of un-acknowledged edge-asserts in the
 	// re-send journal.
 	AssertRows int
-	// DestroyRows is the number of remembered destroyed-edge Ē bundles,
-	// outstanding and acknowledged.
+	// DestroyRows is the number of un-acknowledged destroyed-edge Ē
+	// bundles in the destroy ledger; a bundle toward a peer that never
+	// answers stays.
 	DestroyRows int
 	// LegacyBundles is the number of retained finalisation destroy
 	// bundles of removed clusters.
@@ -322,7 +309,7 @@ type Retained struct {
 func (e *Engine) Retained() Retained {
 	return Retained{
 		AssertRows:        e.asserts.Len(),
-		DestroyRows:       e.destroys.Len() + e.ackedDestroys,
+		DestroyRows:       e.destroys.Len(),
 		LegacyBundles:     e.legacy.Len(),
 		PendingDeliveries: e.unborn,
 	}
@@ -450,9 +437,6 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 	// The edge re-formed: any earlier Ē bundle is superseded by the fresh
 	// live stamp, so its retirement tracking is moot.
 	e.destroys.drop(edgeKey{holder, target})
-	if p.acked.Remove(target) {
-		e.ackedDestroys--
-	}
 	creation := introSeq == ids.CreationSeq
 	consumes := intro.Valid() && introSeq > 0 && !creation
 	if e.owns(target) {
@@ -512,10 +496,9 @@ func (e *Engine) journalAssert(row assertRow, stamp uint64) bool {
 // retireAsserts drops the positive journal rows for edge holder→target:
 // their introductions were recorded in the on-behalf Processed vector
 // when consumed, so the edge's destruction bundle (itself re-sent by
-// Refresh while the Ē stamp sits in the on-behalf row) takes over
-// resolving the hints. Negative rows (stamp zero) must survive — their
-// expired introductions appear in no bundle, so only the owner's ack
-// may ever retire them.
+// Refresh until acknowledged) takes over resolving the hints. Negative
+// rows (stamp zero) must survive — their expired introductions appear
+// in no bundle, so only the owner's ack may ever retire them.
 func (e *Engine) retireAsserts(holder, target ids.ClusterID) {
 	e.asserts.dropIf(func(row assertRow, stamp uint64) bool {
 		return stamp > 0 && row.holder == holder && row.target == target
@@ -588,9 +571,9 @@ func (e *Engine) EdgeDown(holder, target ids.ClusterID) {
 	}
 	ob := p.log.OB(target)
 	ob.Auth.MergeEntry(holder, vclock.Eps(p.clock))
-	// A fresh destruction gets a fresh tracked bundle: any older entry
-	// for the edge was deleted when the edge re-formed (EdgeUp), so the
-	// new Ē cannot inherit a stale acknowledgement.
+	// A fresh destruction gets a fresh tracked bundle: any older row for
+	// the edge was dropped when the edge re-formed (EdgeUp), so the new Ē
+	// draws a fresh sequence.
 	e.sendEdgeDestroy(holder, target, DestroyMsg{
 		Auth:      ob.Auth.Clone(),
 		Hints:     ob.Hints.Clone(),
@@ -680,9 +663,8 @@ func (e *Engine) ledger(s Stream) interface {
 // sequence the cumulative watermark covers, and reports how many.
 // Negative assert rows retire too: the watermark proves the owner's site
 // durably processed the expiry. An acknowledged destroyed-edge bundle
-// stays remembered (process.acked), so Refresh stops re-shipping it; the
-// Ē stamp itself stays in the on-behalf row — it is authoritative log
-// state, not re-send state.
+// leaves like any other row; the Ē stamp itself stays in the on-behalf
+// row — it is authoritative log state, not re-send state.
 func (e *Engine) Ack(peer ids.SiteID, s Stream, watermark uint64) int {
 	l := e.ledger(s)
 	if l == nil {
@@ -696,21 +678,6 @@ func (e *Engine) Ack(peer ids.SiteID, s Stream, watermark uint64) int {
 // AckDestroys is Ack on the destroy stream.
 func (e *Engine) AckDestroys(peer ids.SiteID, watermark uint64) int {
 	return e.Ack(peer, StreamDestroy, watermark)
-}
-
-// markDestroyAcked remembers that the target site acknowledged the Ē
-// bundle of the destroyed edge ek (the destroy ledger's retired hook).
-func (e *Engine) markDestroyAcked(ek edgeKey) {
-	p := e.procs[ek.holder]
-	if p == nil {
-		return
-	}
-	if p.acked == nil {
-		p.acked = ids.NewClusterSet()
-	}
-	if p.acked.Add(ek.target) {
-		e.ackedDestroys++
-	}
 }
 
 // ResetPeerBackoff re-arms the re-send damper of every retained row
@@ -1069,18 +1036,14 @@ func (e *Engine) remove(p *process) {
 			Hints:     ob.Hints.Clone(),
 			Processed: ob.Processed.Clone(),
 		}
-		// Retain the finalisation bundle: once the process is gone its
-		// on-behalf rows can no longer re-ship it, yet it carries the
-		// records resolving the successor's hints. Refresh re-sends the
+		// Retain the finalisation bundle: it carries the records
+		// resolving the successor's hints. Refresh re-sends the
 		// un-acknowledged remainder under the same stream sequence.
 		e.stats.DestroysSent++
 		e.legacy.Put(edgeKey{p.id, k}, k.Site, e.send.SendLegacy(p.id, k, m, 0), cloneDestroy(m))
 	}
-	// The process's on-behalf re-send loop is gone with it: drop the
-	// tracked destroyed-edge bundles it owned (pre-existing behavior —
-	// the finalisation path above takes over for its live edges).
-	e.destroys.dropIf(func(ek edgeKey, _ struct{}) bool { return ek.holder == p.id })
-	e.ackedDestroys -= len(p.acked)
+	// The un-acknowledged Ē bundles of edges p destroyed earlier stay in
+	// the destroy ledger: nobody else holds them.
 	e.tombstone[p.id] = p.clock
 	if e.onRemove != nil {
 		e.onRemove(p.id)
@@ -1095,13 +1058,12 @@ func (e *Engine) queueLocalDestroy(from, to ids.ClusterID, m DestroyMsg) {
 }
 
 // sendEdgeDestroy ships the Ē bundle for the destroyed remote edge
-// from→to in the destroy retirement stream, creating the edge's ledger
-// row on first use and keeping its stream sequence stable across
-// re-sends.
+// from→to in the destroy retirement stream and retains it until
+// acknowledged.
 func (e *Engine) sendEdgeDestroy(from, to ids.ClusterID, m DestroyMsg) {
-	ek := edgeKey{from, to}
 	e.stats.DestroysSent++
-	e.destroys.Put(ek, to.Site, e.send.SendDestroy(from, to, m, e.destroys.seq(ek)), struct{}{})
+	ek := edgeKey{from, to}
+	e.destroys.Put(ek, to.Site, e.send.SendDestroy(from, to, m, e.destroys.seq(ek)), cloneDestroy(m))
 }
 
 // --- Recovery (§5: residual garbage) ------------------------------------
@@ -1109,19 +1071,18 @@ func (e *Engine) sendEdgeDestroy(from, to ids.ClusterID, m DestroyMsg) {
 // Refresh re-evaluates every local process, re-propagates its current
 // state unconditionally, and re-ships the three kinds of retained
 // re-send state that have not been acknowledged (DESIGN.md §3.2):
-// the edge-destruction bundles of destroyed edges (on-behalf rows whose
-// own column carries Ē), the journaled edge-asserts, and the retained
-// finalisation bundles of removed processes. Each retained row is
-// damped by an exponential per-row backoff; acknowledged rows are never
-// re-shipped, so a quiescent, fault-free system's refresh rounds carry
-// propagations only.
+// the edge-destruction bundles of destroyed edges, the journaled
+// edge-asserts, and the retained finalisation bundles of removed
+// processes. Each retained row is damped by an exponential per-row
+// backoff; acknowledged rows are never re-shipped, so a quiescent,
+// fault-free system's refresh rounds carry propagations only.
 //
 // GGD messages are idempotent, so a refresh is always safe; it
 // re-detects residual garbage whose original detection traffic was
 // lost — including a lost destroy message itself, which propagation
 // alone can never recover: once the edge is gone the destroyer no
 // longer propagates towards its former target, so the Ē is marooned in
-// the on-behalf row until a refresh re-ships it (the crash-recovery
+// the destroy ledger until a refresh re-ships it (the crash-recovery
 // path depends on this, and E8's healing rounds improve with it).
 func (e *Engine) Refresh() {
 	e.round++
@@ -1137,48 +1098,21 @@ func (e *Engine) Refresh() {
 		}
 		p.active = true
 		e.propagate(p, res)
-		for _, k := range p.log.Processes() {
-			if k == p.id || p.acq.Has(k) {
-				continue
-			}
-			ob := p.log.PeekOB(k)
-			if ob == nil || !ob.Auth.Get(p.id).Eps {
-				continue
-			}
-			// The edge p→k was destroyed and not re-created: re-send the
-			// destruction bundle unless the target site has acknowledged
-			// it. Receivers merge it idempotently (a re-created edge's
-			// fresher live stamp supersedes the Ē), and stale copies to
-			// removed targets are dropped there.
-			m := DestroyMsg{
-				Auth:      ob.Auth.Clone(),
-				Hints:     ob.Hints.Clone(),
-				Processed: ob.Processed.Clone(),
-			}
-			if e.owns(k) {
-				e.queueLocalDestroy(p.id, k, m)
-				continue
-			}
-			if p.acked.Has(k) {
-				continue
-			}
-			ek := edgeKey{p.id, k}
-			if r := e.destroys.rows[ek]; r != nil && !r.bo.ready(e.round) {
-				e.stats.ResendsSuppressed++
-				continue
-			}
-			e.sendEdgeDestroy(p.id, k, m)
-			e.destroys.rows[ek].bo.bump(e.round)
-			e.stats.DestroyResends++
-		}
 		e.Drain()
 	}
-	// Re-ship the un-acknowledged edge-asserts and the retained
-	// finalisation bundles of removed processes: the resolution half of
-	// the refresh round. Both are idempotent; receivers settle the
-	// frames (so the journal drains through cumulative acks) and merge
-	// bundles by stamp order.
-	sent, held := e.asserts.Due(e.round, func(row assertRow, stamp, seq uint64) uint64 {
+	// Re-ship what is retained and un-acknowledged — Ē bundles, then
+	// edge-asserts, then the finalisation bundles of removed processes —
+	// each in its ledger's walk order. All are idempotent: receivers
+	// settle the frames (so the ledgers drain through cumulative acks)
+	// and merge bundles by stamp order (a re-created edge's fresher live
+	// stamp supersedes an Ē; copies to removed targets are dropped there).
+	sent, held := e.destroys.Due(e.round, func(ek edgeKey, m DestroyMsg, seq uint64) uint64 {
+		return e.send.SendDestroy(ek.holder, ek.target, cloneDestroy(m), seq)
+	})
+	e.stats.DestroysSent += sent
+	e.stats.DestroyResends += sent
+	e.stats.ResendsSuppressed += held
+	sent, held = e.asserts.Due(e.round, func(row assertRow, stamp, seq uint64) uint64 {
 		return e.send.SendAssert(row.holder, row.target, AssertMsg{Stamp: stamp, Intro: row.intro, IntroSeq: row.seq}, seq)
 	})
 	e.stats.AssertResends += sent

@@ -139,10 +139,8 @@ func runLedgerProgram(t *testing.T, keyOrder bool, seed int64) {
 	peerOf := func(key int) ids.SiteID { return ids.SiteID(key%peers + 1) }
 
 	var evictions []ids.SiteID
-	var retired []int
 	newLedger := func() *Ledger[int, uint64] {
 		l := NewLedger[int, uint64](bound, func(peer ids.SiteID) { evictions = append(evictions, peer) })
-		l.retired = func(key int) { retired = append(retired, key) }
 		if keyOrder {
 			l.less = func(a, b int) bool { return a < b }
 			l.spare = func(val uint64) bool { return val > 0 }
@@ -207,8 +205,16 @@ func runLedgerProgram(t *testing.T, keyOrder bool, seed int64) {
 			peer := ids.SiteID(rng.Intn(peers) + 1)
 			watermark := uint64(rng.Intn(int(next[peer]) + 2))
 			what = fmt.Sprintf("ack peer %d watermark %d", peer, watermark)
-			retired = nil
+			before := exportLedger(l)
 			n := l.Ack(peer, watermark)
+			left := make(map[int]bool)
+			l.Each(func(key int, _, _ uint64) { left[key] = true })
+			var retired []int
+			for _, r := range before {
+				if !left[r.key] {
+					retired = append(retired, r.key)
+				}
+			}
 			sort.Ints(retired)
 			if want := m.ack(peer, watermark); n != len(want) || !reflect.DeepEqual(retired, want) {
 				t.Fatalf("step %d (%s): retired %d %v, model %v", step, what, n, retired, want)
@@ -267,10 +273,9 @@ func runLedgerProgram(t *testing.T, keyOrder bool, seed int64) {
 }
 
 // TestAckedDestroyRowsLeaveTheLedger: an acknowledged destroyed-edge
-// bundle stays remembered (Retained counts it, Refresh never re-ships
-// it) but is no longer outstanding, so no ack, floor or re-arm walks it;
-// re-forming one of the edges forgets its marker and the next
-// destruction draws a fresh sequence.
+// bundle is gone — Retained stops counting it, Refresh never re-ships
+// it, no ack, floor or re-arm walks it — and re-destroying a re-formed
+// edge draws a fresh sequence.
 func TestAckedDestroyRowsLeaveTheLedger(t *testing.T) {
 	const edges = 20000
 	e, fs, _ := newEngine(t, Options{})
@@ -290,8 +295,8 @@ func TestAckedDestroyRowsLeaveTheLedger(t *testing.T) {
 	if n := e.AckDestroys(2, last); n != edges {
 		t.Fatalf("AckDestroys retired %d, want %d", n, edges)
 	}
-	if got := e.Retained().DestroyRows; got != edges {
-		t.Errorf("Retained().DestroyRows = %d, want %d remembered", got, edges)
+	if got := e.Retained().DestroyRows; got != 0 {
+		t.Errorf("Retained().DestroyRows after the ack = %d, want 0", got)
 	}
 	if got := e.destroys.Len(); got != 0 {
 		t.Errorf("outstanding destroy rows after the ack = %d, want 0", got)
@@ -306,8 +311,8 @@ func TestAckedDestroyRowsLeaveTheLedger(t *testing.T) {
 	}
 
 	e.EdgeUp(r1, target(7), true, cB, 5)
-	if got := e.Retained().DestroyRows; got != edges-1 {
-		t.Errorf("DestroyRows after the edge re-formed = %d, want %d", got, edges-1)
+	if got := e.Retained().DestroyRows; got != 0 {
+		t.Errorf("DestroyRows after the edge re-formed = %d, want 0", got)
 	}
 	e.EdgeDown(r1, target(7))
 	e.Drain()

@@ -21,11 +21,10 @@ type EngineImage struct {
 	// is part of the durable image, stream sequences included (a
 	// recovered re-send must fill the same receiver-side gap).
 	Asserts []AssertRowImage
-	// Destroys tracks the acknowledgement state of destroyed-edge
-	// bundles: losing an acked flag only costs redundant re-sends, but
-	// losing a stream sequence would orphan the receiver's watermark, so
-	// both are durable. The outstanding rows come first, in ledger order;
-	// the acknowledged markers follow, by holder and target.
+	// Destroys holds the un-acknowledged Ē bundles of destroyed edges, in
+	// retention order: the holder may be a tombstone, so the bundle is
+	// nowhere else, and losing a stream sequence would orphan the
+	// receiver's watermark.
 	Destroys []DestroyImage
 	// Legacy holds the retained finalisation destroy bundles of removed
 	// processes, in retention order.
@@ -43,16 +42,12 @@ type AssertRowImage struct {
 	StreamSeq uint64
 }
 
-// DestroyImage is the retirement state of one destroyed remote edge's
-// Ē bundle.
+// DestroyImage is one destroyed remote edge's un-acknowledged Ē bundle.
 type DestroyImage struct {
 	Holder, Target ids.ClusterID
-	// Seq is the bundle's sequence in the destroy retirement stream
-	// (not kept once acknowledged: the bundle is never re-sent).
+	M              DestroyMsg
+	// Seq is the bundle's sequence in the destroy retirement stream.
 	Seq uint64
-	// Acked records that the target site acknowledged the bundle:
-	// Refresh stops re-shipping it.
-	Acked bool
 }
 
 // LegacyImage is one retained finalisation destroy bundle.
@@ -107,14 +102,9 @@ func (e *Engine) Export() (EngineImage, error) {
 			Seq: row.seq, Stamp: stamp, StreamSeq: seq,
 		})
 	})
-	e.destroys.Each(func(ek edgeKey, _ struct{}, seq uint64) {
-		img.Destroys = append(img.Destroys, DestroyImage{Holder: ek.holder, Target: ek.target, Seq: seq})
+	e.destroys.Each(func(ek edgeKey, m DestroyMsg, seq uint64) {
+		img.Destroys = append(img.Destroys, DestroyImage{Holder: ek.holder, Target: ek.target, M: cloneDestroy(m), Seq: seq})
 	})
-	for _, p := range img.Procs {
-		for _, k := range e.procs[p.ID].acked.Sorted() {
-			img.Destroys = append(img.Destroys, DestroyImage{Holder: p.ID, Target: k, Acked: true})
-		}
-	}
 	e.legacy.Each(func(ek edgeKey, m DestroyMsg, seq uint64) {
 		img.Legacy = append(img.Legacy, LegacyImage{From: ek.holder, To: ek.target, M: cloneDestroy(m), Seq: seq})
 	})
@@ -150,12 +140,7 @@ func Restore(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Op
 		e.asserts.Put(assertRow{holder: ai.Holder, target: ai.Target, intro: ai.Intro, seq: ai.Seq}, ai.Target.Site, ai.StreamSeq, ai.Stamp)
 	}
 	for _, di := range img.Destroys {
-		ek := edgeKey{di.Holder, di.Target}
-		if di.Acked {
-			e.markDestroyAcked(ek)
-		} else {
-			e.destroys.Put(ek, di.Target.Site, di.Seq, struct{}{})
-		}
+		e.destroys.Put(edgeKey{di.Holder, di.Target}, di.Target.Site, di.Seq, cloneDestroy(di.M))
 	}
 	for _, li := range img.Legacy {
 		e.legacy.Put(edgeKey{li.From, li.To}, li.To.Site, li.Seq, cloneDestroy(li.M))

@@ -75,9 +75,7 @@ func (f fanout) FrameRetired(site ids.SiteID, peer ids.SiteID, stream core.Strea
 
 // Depths reports the sizes of a site's retained-state tables: the
 // gauges a monitor watches to confirm the protocol's metadata stays
-// bounded under churn. All but DestroyRows converge to zero at
-// quiescence; DestroyRows settles at the number of destroyed edges
-// still remembered against re-formation.
+// bounded under churn. All converge to zero at quiescence.
 type Depths struct {
 	// Outbox is the number of sent mutator frames retained awaiting
 	// cumulative acknowledgement.
@@ -85,8 +83,8 @@ type Depths struct {
 	// AssertRows is the engine's un-acknowledged edge-assert journal
 	// size.
 	AssertRows int
-	// DestroyRows is the engine's remembered destroyed-edge bundle count:
-	// outstanding rows of the destroy ledger plus acknowledged markers.
+	// DestroyRows is the engine's un-acknowledged destroyed-edge Ē bundle
+	// count; a bundle toward a peer that never answers stays.
 	DestroyRows int
 	// LegacyBundles is the engine's retained finalisation bundle count.
 	LegacyBundles int

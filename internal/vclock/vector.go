@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"sort"
 	"strings"
 
 	"causalgc/internal/ids"
@@ -181,15 +180,4 @@ func (v Vector) Render(order []ids.ClusterID) string {
 		parts[i] = v.Get(q).String()
 	}
 	return "(" + strings.Join(parts, ",") + ")"
-}
-
-// SortedByString returns the given vectors' String forms sorted; a test
-// helper for deterministic golden output.
-func SortedByString(vs []Vector) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.String()
-	}
-	sort.Strings(out)
-	return out
 }

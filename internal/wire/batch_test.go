@@ -118,12 +118,12 @@ func TestRecordArity(t *testing.T) {
 	}
 }
 
-// TestSnapshotV5Pinned: the shard-partitioned snapshot format is v5 —
+// TestSnapshotV6Pinned: the shard-partitioned snapshot format is v6 —
 // the only version that decodes — re-encoded images round-trip, and
 // re-send state is always bare frames, never envelopes.
-func TestSnapshotV5Pinned(t *testing.T) {
-	if SnapshotVersion != 5 {
-		t.Fatalf("SnapshotVersion = %d; the unborn-process engine image pinned the format at v5", SnapshotVersion)
+func TestSnapshotV6Pinned(t *testing.T) {
+	if SnapshotVersion != 6 {
+		t.Fatalf("SnapshotVersion = %d; the bundle-carrying destroy rows pinned the format at v6", SnapshotVersion)
 	}
 	img := sampleImage()
 	data, err := EncodeSnapshot(img)

@@ -28,13 +28,12 @@ import (
 // recovery over any other version fails rather than misdecodes (no
 // migration code: there is one format). The layout is the shard layout
 // — every site is n >= 1 shards (DESIGN.md §3.4), so the image is the
-// site-wide shared state plus one ShardState per shard. Version 5 is
-// the engine image in which a control frame that outran its target's
-// creation is held as what it merged into (an unborn process,
-// DESIGN.md §3.2). A v4 image could carry such frames as a buffer,
-// some already acknowledged to senders that retired their copies:
-// nothing would re-derive them, so v4 is refused, not half-read.
-const SnapshotVersion = 5
+// site-wide shared state plus one ShardState per shard. Version 6 is
+// the engine image whose destroyed-edge rows carry their Ē bundle
+// (DESIGN.md §3.2). A v5 row has no bundle to re-send and its
+// acknowledged markers mean nothing now, so v5 is refused, not
+// half-read.
+const SnapshotVersion = 6
 
 // SiteImage is the full durable state of one site at a quiescent point:
 // the state the shards share at runtime (identity mint, retirement

@@ -67,6 +67,14 @@ func sampleImage() *SiteImage {
 				{Holder: cl2, Target: cl3, Intro: root, Seq: 11, Stamp: 16},
 				{Holder: ids.ClusterID{Site: 2, Seq: 3}, Target: cl3, Intro: root, Seq: 12, Stamp: 0},
 			},
+			// An Ē bundle whose holder is already a tombstone.
+			Destroys: []core.DestroyImage{{
+				Holder: ids.ClusterID{Site: 2, Seq: 3}, Target: cl3, Seq: 4,
+				M: core.DestroyMsg{
+					Auth:  vclock.Vector{{Site: 2, Seq: 3}: vclock.Eps(19)},
+					Hints: vclock.Vector{root: vclock.At(18)},
+				},
+			}},
 			Legacy: []core.LegacyImage{{
 				From: ids.ClusterID{Site: 2, Seq: 3}, To: cl3,
 				M: core.DestroyMsg{
@@ -158,6 +166,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		got0.Engine.Asserts[1].Stamp != 0 {
 		t.Fatalf("assert journal mismatch: %+v", got0.Engine.Asserts)
 	}
+	if !reflect.DeepEqual(got0.Engine.Destroys, img0.Engine.Destroys) {
+		t.Fatalf("destroy bundles mismatch: %+v", got0.Engine.Destroys)
+	}
 	if len(got0.Engine.Legacy) != 1 ||
 		!got0.Engine.Legacy[0].M.Processed.Equal(img0.Engine.Legacy[0].M.Processed) {
 		t.Fatalf("legacy bundles mismatch: %+v", got0.Engine.Legacy)
@@ -242,7 +253,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 // decodes — there is no migration code — and any other is refused with
 // an error naming both versions, never misdecoded.
 func TestDecodeSnapshotRejectsOtherVersions(t *testing.T) {
-	for _, bad := range []int{0, 2, 3, 4, SnapshotVersion + 1} {
+	for _, bad := range []int{0, 2, 3, 4, 5, SnapshotVersion + 1} {
 		img := sampleImage()
 		img.Version = bad
 		var buf bytes.Buffer

@@ -47,7 +47,7 @@
 //	causalgc_deliveries_refused_total  counter  FRM  deliveries dropped unapplied: WAL append failed
 //	causalgc_outbox_depth              gauge    DEP  unacknowledged mutator frames retained
 //	causalgc_assert_journal_depth      gauge    DEP  un-acknowledged edge-asserts journaled
-//	causalgc_destroy_bundles_depth     gauge    DEP  destroyed edges remembered: un-acked bundles + acked markers
+//	causalgc_destroy_bundles_depth     gauge    DEP  un-acknowledged edge-destruction (Ē) bundles retained
 //	causalgc_legacy_bundles_depth      gauge    DEP  finalisation bundles retained
 //	causalgc_pending_refs_depth        gauge    DEP  buffered reference transfers
 //	causalgc_pending_deliveries_depth  gauge    DEP  unborn processes: clusters named ahead of their creation
@@ -79,8 +79,9 @@
 // node re-attaches and its ENG/FRM/WAL counters begin again); Prometheus
 // rate() handles the resets as usual. The depth gauges are the
 // boundedness story: under a steady workload with periodic Refresh,
-// everything but causalgc_destroy_bundles_depth must return to zero at
-// quiescence, and the backstop counters must stay flat. Every node is
+// every one of them must return to zero at quiescence (a bundle toward a
+// peer that never answers stays, which is what the gauges are for), and
+// the backstop counters must stay flat. Every node is
 // n >= 1 shards, so the shard series are always emitted: a node built
 // without WithShards exports causalgc_shards 1 and one shard="0" sample
 // per shard-labelled gauge.

@@ -74,7 +74,7 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 		snaps, func(s *Snapshot) int { return s.Depths.Outbox })
 	p.igauge("causalgc_assert_journal_depth", "Un-acknowledged edge-asserts journaled for re-send.",
 		snaps, func(s *Snapshot) int { return s.Depths.AssertRows })
-	p.igauge("causalgc_destroy_bundles_depth", "Destroyed edges remembered against re-formation: un-acknowledged bundles plus acknowledged markers.",
+	p.igauge("causalgc_destroy_bundles_depth", "Un-acknowledged edge-destruction bundles retained for re-send.",
 		snaps, func(s *Snapshot) int { return s.Depths.DestroyRows })
 	p.igauge("causalgc_legacy_bundles_depth", "Finalisation bundles of removed clusters retained.",
 		snaps, func(s *Snapshot) int { return s.Depths.LegacyBundles })
