@@ -409,6 +409,21 @@ func (e *Engine) Processes() []ids.ClusterID {
 
 // --- Lazy log-keeping (§3.4) -------------------------------------------
 
+// holder returns the process of a cluster the heap reports an event of:
+// an owned one whose creation is still in flight (the site built its
+// object from an early transfer) exists unborn from this mention on; a
+// foreign or tombstoned one is counted stale, and nil.
+func (e *Engine) holder(cl ids.ClusterID) *process {
+	p := e.procs[cl]
+	if p == nil && e.owns(cl) {
+		p = e.local(cl)
+	}
+	if p == nil {
+		e.stats.StaleDeliveries++
+	}
+	return p
+}
+
 // EdgeUp records the creation (or re-assertion) of the global-root-graph
 // edge holder→target, stamped in the holder's clock space. intro and
 // introSeq identify the introduction being consumed (the cluster whose
@@ -424,9 +439,8 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 	if holder == target {
 		return
 	}
-	p, ok := e.procs[holder]
-	if !ok {
-		e.stats.StaleDeliveries++
+	p := e.holder(holder)
+	if p == nil {
 		return
 	}
 	p.clock++
@@ -513,9 +527,8 @@ func (e *Engine) SentRef(holder, target, dest ids.ClusterID) uint64 {
 	if target == dest {
 		return 0
 	}
-	p, ok := e.procs[holder]
-	if !ok {
-		e.stats.StaleDeliveries++
+	p := e.holder(holder)
+	if p == nil {
 		return 0
 	}
 	p.clock++
@@ -552,9 +565,8 @@ func (e *Engine) EdgeDown(holder, target ids.ClusterID) {
 	if holder == target {
 		return
 	}
-	p, ok := e.procs[holder]
-	if !ok {
-		e.stats.StaleDeliveries++
+	p := e.holder(holder)
+	if p == nil {
 		return
 	}
 	p.clock++

@@ -306,19 +306,55 @@ func TestEngineDuplicateDestroyIdempotent(t *testing.T) {
 }
 
 func TestEngineStaleDeliveriesCounted(t *testing.T) {
-	e, _, _ := newEngine(t, Options{})
+	e, fs, _ := newEngine(t, Options{})
 	ghost := ids.ClusterID{Site: 2, Seq: 99}
 	// Foreign-site target: never buffered, dropped as stale.
 	e.HandleDestroy(ghost, r1, DestroyMsg{})
 	if got := e.Stats().StaleDeliveries; got != 1 {
 		t.Errorf("StaleDeliveries = %d, want 1", got)
 	}
-	// EdgeUp/SentRef/EdgeDown on unknown holders are stale too.
-	e.EdgeUp(cB, rem, true, ids.NoCluster, 0)
-	e.SentRef(cB, rem, cA)
-	e.EdgeDown(cB, rem)
+	// EdgeUp/SentRef/EdgeDown on unknown foreign holders are stale too.
+	e.EdgeUp(ghost, rem, true, ids.NoCluster, 0)
+	e.SentRef(ghost, rem, cA)
+	e.EdgeDown(ghost, rem)
 	if got := e.Stats().StaleDeliveries; got != 4 {
 		t.Errorf("StaleDeliveries = %d, want 4", got)
+	}
+	// An owned unknown holder is not stale: its creation message is still
+	// in flight (the site built its object from an early transfer), so the
+	// process exists unborn, the edge is stamped on it and the assert
+	// leaves at once.
+	e.EdgeUp(cB, rem, true, r1, 7)
+	if got := e.Stats().StaleDeliveries; got != 4 {
+		t.Errorf("StaleDeliveries = %d after an owned early holder's EdgeUp, want 4", got)
+	}
+	if e.Registered(cB) || e.Retained().PendingDeliveries != 1 {
+		t.Errorf("early holder: registered=%v unborn=%d, want one unborn process", e.Registered(cB), e.Retained().PendingDeliveries)
+	}
+	if acq := e.Acquaintances(cB); e.Clock(cB) != 1 || len(acq) != 1 || acq[0] != rem {
+		t.Errorf("early holder: clock %d, acquaintances %v; want the edge stamped at 1", e.Clock(cB), e.Acquaintances(cB))
+	}
+	want := sentAssert{from: cB, to: rem, m: AssertMsg{Stamp: 1, Intro: r1, IntroSeq: 7}, seq: 1}
+	if len(fs.asserts) != 1 || fs.asserts[0] != want {
+		t.Errorf("early holder's asserts = %+v, want %+v", fs.asserts, want)
+	}
+	// SentRef and EdgeDown reach an early holder the same way — even one
+	// whose first event is sending its own reference (no edge, no earlier
+	// mention): the hint protecting the pending edge must be armed.
+	early := ids.ClusterID{Site: 1, Seq: 9}
+	if seq := e.SentRef(early, early, rem); seq != 1 || e.Retained().PendingDeliveries != 2 {
+		t.Errorf("early holder's own reference: forwarding seq %d, unborn %d; want 1 and 2", seq, e.Retained().PendingDeliveries)
+	}
+	e.EdgeDown(cB, rem)
+	if got := e.Stats().StaleDeliveries; got != 4 || len(fs.destroys) != 1 {
+		t.Errorf("early holder's EdgeDown: StaleDeliveries %d, bundles sent %d; want 4 and 1", got, len(fs.destroys))
+	}
+	// A tombstoned holder stays stale.
+	e.Register(cA)
+	e.remove(e.procs[cA])
+	e.EdgeUp(cA, rem, true, ids.NoCluster, 0)
+	if got := e.Stats().StaleDeliveries; got != 5 {
+		t.Errorf("StaleDeliveries = %d after a removed holder's EdgeUp, want 5", got)
 	}
 }
 

@@ -92,7 +92,7 @@ type sendStream struct {
 }
 
 // maxRecvPending bounds the out-of-order set of one receive tracker; a
-// mark past the bound is dropped (the frame is re-sent later and marks
+// mark past the bound is refused (the frame is re-sent later and marks
 // again once the gap below it narrows).
 const maxRecvPending = 1 << 15
 
@@ -104,22 +104,25 @@ type recvTracker struct {
 	pending   map[uint64]struct{}
 }
 
-// mark records one settled sequence and advances the watermark over any
-// now-contiguous prefix.
-func (t *recvTracker) mark(seq uint64) {
+// mark records one settled sequence, advances the watermark over any
+// now-contiguous prefix, and reports whether seq was recorded now: not
+// if it had settled already (a floor advisory settles what it skips) or
+// the bound refused it. The next sequence in line is never refused — it
+// leaves the set at once, with the prefix it completes: a full set drains.
+func (t *recvTracker) mark(seq uint64) bool {
 	if seq <= t.watermark {
-		return
+		return false
+	}
+	if _, ok := t.pending[seq]; ok || (len(t.pending) >= maxRecvPending && seq != t.watermark+1) {
+		return false
 	}
 	if t.pending == nil {
 		t.pending = make(map[uint64]struct{})
 	}
-	if _, ok := t.pending[seq]; !ok && len(t.pending) >= maxRecvPending {
-		return
-	}
 	t.pending[seq] = struct{}{}
 	for {
 		if _, ok := t.pending[t.watermark+1]; !ok {
-			return
+			return true
 		}
 		t.watermark++
 		delete(t.pending, t.watermark)
@@ -237,11 +240,13 @@ func (r *shard) observeSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64) 
 
 // markRecvLocked records the settlement of one tracked inbound frame
 // and schedules a FrameAck flush for its stream — also on duplicates,
-// which re-sends the unchanged watermark and heals a lost ack. Caller
-// holds r.mu.
-func (r *shard) markRecvLocked(peer ids.SiteID, kind core.Stream, seq uint64) {
+// which re-sends the unchanged watermark and heals a lost ack. It
+// reports whether a mutator frame is to be applied: an untracked one
+// always (nothing ever re-sends it), a tracked one iff its sequence was
+// recorded now (DESIGN.md §3.2). Caller holds r.mu.
+func (r *shard) markRecvLocked(peer ids.SiteID, kind core.Stream, seq uint64) bool {
 	if seq == 0 || kind == 0 {
-		return
+		return true
 	}
 	k := streamKey{peer: peer, kind: kind}
 	st := r.site.st
@@ -251,12 +256,13 @@ func (r *shard) markRecvLocked(peer ids.SiteID, kind core.Stream, seq uint64) {
 		t = &recvTracker{}
 		st.recv[k] = t
 	}
-	t.mark(seq)
+	fresh := t.mark(seq)
 	st.mu.Unlock()
 	if r.dirtyAcks == nil {
 		r.dirtyAcks = make(map[streamKey]struct{})
 	}
 	r.dirtyAcks[k] = struct{}{}
+	return fresh
 }
 
 // flushAcksLocked emits one FrameAck per dirty stream, in deterministic

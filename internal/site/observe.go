@@ -88,12 +88,10 @@ type Depths struct {
 	DestroyRows int
 	// LegacyBundles is the engine's retained finalisation bundle count.
 	LegacyBundles int
-	// PendingRefs is the number of buffered reference transfers awaiting
-	// their holder object.
-	PendingRefs int
 	// PendingDeliveries is the engine's count of unborn processes:
-	// clusters that control messages named ahead of their creation
-	// message (zero again once every creation has arrived).
+	// clusters that control messages or reference transfers named ahead
+	// of their creation message (zero again once every creation has
+	// arrived).
 	PendingDeliveries int
 }
 
@@ -107,7 +105,6 @@ func (s *Site) Depths() Depths {
 		total.AssertRows += d.AssertRows
 		total.DestroyRows += d.DestroyRows
 		total.LegacyBundles += d.LegacyBundles
-		total.PendingRefs += d.PendingRefs
 		total.PendingDeliveries += d.PendingDeliveries
 	}
 	return total
@@ -119,16 +116,11 @@ func (s *Site) ShardDepths(i int) Depths {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ret := r.engine.Retained()
-	prefs := 0
-	for _, q := range r.pendingRefs {
-		prefs += len(q)
-	}
 	return Depths{
 		Outbox:            r.outbox.Len(),
 		AssertRows:        ret.AssertRows,
 		DestroyRows:       ret.DestroyRows,
 		LegacyBundles:     ret.LegacyBundles,
-		PendingRefs:       prefs,
 		PendingDeliveries: ret.PendingDeliveries,
 	}
 }

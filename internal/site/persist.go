@@ -238,11 +238,11 @@ func Recover(id ids.SiteID, net netsim.Network, opts Options, j *Persist) (*Site
 // RecoverSharded reconstructs a site from its journal and resumes the
 // protocol: load the latest snapshot, replay the WAL tail through the
 // regular commit and delivery paths (journaling suppressed — the
-// records are already durable), re-send the outboxes' mutator frames
-// (receivers deduplicate via their introduction records), and run one
-// journaled Refresh so peers re-converge. A fresh journal yields a
-// fresh site of the requested width with journaling enabled, so
-// RecoverSharded doubles as the persistent constructor.
+// records are already durable), and run one journaled Refresh, which
+// re-sends the outboxes' mutator frames (a receiver applies each once,
+// by its stream sequence) and lets peers re-converge. A fresh journal
+// yields a fresh site of the requested width with journaling enabled,
+// so RecoverSharded doubles as the persistent constructor.
 //
 // The stripe width is sticky per data directory: the snapshot's shard
 // count — or, before the first snapshot exists, the width stamped on
@@ -258,9 +258,9 @@ func Recover(id ids.SiteID, net netsim.Network, opts Options, j *Persist) (*Site
 // new event (the unsafety that would let an old Ē mask a live edge).
 // Site-wide OpCollect/OpRefresh records re-run the site-wide cycle.
 // Messages re-sent during replay are duplicates of pre-crash traffic:
-// GGD control messages are idempotent by merge, creations are dropped
-// as duplicates by the receiving heap, and reference transfers are
-// deduplicated by (introducer, forwarding-seq). Self-addressed frames
+// GGD control messages are idempotent by merge, and a creation or a
+// reference transfer applies iff its stream sequence is recorded at
+// that delivery (DESIGN.md §3.2). Self-addressed frames
 // are NOT re-routed during replay — the destination shard's own
 // Deliver records carry them — and a crash between the sender's journal
 // append and the receiver's is healed like any lost frame: outbox
@@ -317,13 +317,8 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 	for _, rec := range recs {
 		s.applyRecord(rec)
 	}
-	// End of replay: flip the flags, process the buffered live traffic
-	// through the journaled path, and re-send every shard's unconfirmed
-	// mutator frames — at-least-once delivery, deduplicated at the
-	// receivers. The re-sends go through the emitLocked coalescer (the
-	// only sanctioned send path — sendcheck enforces this) inside one
-	// coalescing window, so the recovery burst ships as one envelope per
-	// peer instead of a frame per row.
+	// End of replay: flip the flags and process the buffered live traffic
+	// through the journaled path.
 	s.replaying.Store(false)
 	for _, r := range s.shards {
 		r.mu.Lock()
@@ -334,17 +329,12 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 		for _, d := range buffered {
 			r.handle(d.from, d.p)
 		}
-		r.mu.Lock()
-		opened := r.beginCoalesceLocked()
-		r.outbox.Each(func(k outKey, p netsim.Payload, _ uint64) { r.emitLocked(k.to, p) })
-		if opened {
-			r.flushCoalesceLocked()
-		}
-		r.mu.Unlock()
 		s.drainHandoffs()
 	}
-	// One refresh re-propagates the recovered GGD state so detection
-	// resumes without waiting for new mutator activity.
+	// One refresh re-propagates the recovered GGD state, so detection
+	// resumes without waiting for new mutator activity, and re-sends every
+	// shard's unconfirmed mutator frames (restored dampers are due at
+	// once): at-least-once delivery, applied once at the receivers.
 	if err := s.Refresh(); err != nil {
 		return nil, fmt.Errorf("site %v: recover: %w", id, err)
 	}
@@ -427,9 +417,8 @@ func (s *Site) applyRecord(rec *wire.WALRecord) {
 }
 
 // restore rebuilds the shard's heap, engine and delivery state from its
-// durable state block. Outbox dampers reset on restore: the recovery
-// re-send covers the first attempt, and the first refresh retries
-// promptly.
+// durable state block. Outbox dampers reset on restore: recovery's
+// refresh round finds every restored row due.
 func (r *shard) restore(ss wire.ShardState) error {
 	s := r.site
 	var err error
@@ -442,16 +431,6 @@ func (r *shard) restore(ss wire.ShardState) error {
 		return err
 	}
 	r.removals = ss.Removals
-	for _, pr := range ss.PendingRefs {
-		r.pendingRefs[pr.Holder] = append(r.pendingRefs[pr.Holder], pendingRef{
-			target: pr.Target, intro: pr.Intro, introSeq: pr.IntroSeq,
-		})
-	}
-	for _, in := range ss.SeenIntro {
-		k := introKey{intro: in.Intro, seq: in.Seq}
-		r.seenIntro[k] = struct{}{}
-		r.seenOrder = append(r.seenOrder, k)
-	}
 	for _, f := range ss.Outbox {
 		r.outbox.Put(outKey{f.To, f.Seq}, f.To, f.Seq, f.Payload)
 	}
@@ -506,16 +485,6 @@ func (r *shard) exportShardStateLocked() (wire.ShardState, error) {
 		Heap:     r.heap.Export(),
 		Engine:   eng,
 		Removals: r.removals,
-	}
-	for _, holder := range sortedObjectKeys(r.pendingRefs) {
-		for _, pr := range r.pendingRefs[holder] {
-			ss.PendingRefs = append(ss.PendingRefs, wire.PendingRefImage{
-				Holder: holder, Target: pr.target, Intro: pr.intro, IntroSeq: pr.introSeq,
-			})
-		}
-	}
-	for _, k := range r.seenOrder {
-		ss.SeenIntro = append(ss.SeenIntro, wire.IntroImage{Intro: k.intro, Seq: k.seq})
 	}
 	r.outbox.Each(func(k outKey, p netsim.Payload, seq uint64) {
 		ss.Outbox = append(ss.Outbox, wire.FrameImage{To: k.to, Payload: p, Seq: seq})
@@ -589,13 +558,4 @@ func (s *Site) exportImageAllLocked() (*wire.SiteImage, error) {
 		}
 	}
 	return img, nil
-}
-
-func sortedObjectKeys(m map[ids.ObjectID][]pendingRef) []ids.ObjectID {
-	out := make([]ids.ObjectID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	ids.SortObjects(out)
-	return out
 }

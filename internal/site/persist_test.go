@@ -383,3 +383,57 @@ func TestRefusedDeliveryIsCounted(t *testing.T) {
 		t.Errorf("AcksSent = %d, want 1", got)
 	}
 }
+
+// TestRecoveryShipsSnapshotOutboxOnce: recovery re-sends an
+// unacknowledged mutator frame through its one journaled Refresh and
+// nowhere else. A frame held only in the snapshot's outbox ships exactly
+// once; one whose commit is still in the WAL tail ships twice — the
+// replay re-emits it, the refresh re-sends it. A hand-rolled outbox walk
+// between the two used to ship every row one more time.
+func TestRecoveryShipsSnapshotOutboxOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+		want       int
+	}{{"snapshot", true, 1}, {"WAL tail", false, 2}} {
+		net := netsim.NewSim(netsim.Faults{Seed: 1})
+		creates := map[uint64]int{} // by stream sequence; site 2 never acknowledges
+		net.Register(2, func(_ ids.SiteID, p netsim.Payload) {
+			frames := []netsim.Payload{p}
+			if env, ok := p.(wire.Envelope); ok {
+				frames = env.Frames
+			}
+			for _, f := range frames {
+				if c, ok := f.(wire.Create); ok {
+					creates[c.Seq]++
+				}
+			}
+		})
+		dir := t.TempDir()
+		p := openPersist(t, dir, 1000)
+		s1 := recoverSite(t, 1, net, p)
+		if _, err := s1.NewRemote(s1.Root().Obj, 2); err != nil {
+			t.Fatal(err)
+		}
+		run(t, net)
+		if len(creates) != 1 || creates[1] != 1 {
+			t.Fatalf("%s: live run shipped %v, want sequence 1 once", tc.name, creates)
+		}
+		if tc.checkpoint {
+			if err := s1.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		crash(t, net, 1, p)
+		p2 := openPersist(t, dir, 1000)
+		r1 := recoverSite(t, 1, net, p2)
+		run(t, net)
+		if got := creates[1] - 1; len(creates) != 1 || got != tc.want {
+			t.Errorf("%s: recovery shipped the unacknowledged creation %d times (%v), want %d", tc.name, got, creates, tc.want)
+		}
+		if got := r1.FrameStats().OutboxRetained; got != 1 {
+			t.Errorf("%s: %d outbox rows after recovery, want the one unacknowledged frame", tc.name, got)
+		}
+		p2.Close()
+	}
+}

@@ -11,21 +11,6 @@ import (
 	"causalgc/internal/wire"
 )
 
-// pendingRef is a buffered reference transfer awaiting its holder.
-type pendingRef struct {
-	target   heap.Ref
-	intro    ids.ClusterID
-	introSeq uint64
-}
-
-// introKey identifies one forwarding of a reference: the introducing
-// cluster and its forwarding sequence number. Forwarding seqs are drawn
-// from the introducer's event clock, so the pair is globally unique.
-type introKey struct {
-	intro ids.ClusterID
-	seq   uint64
-}
-
 // outKey names one outbox row: a sent mutator frame, by destination site
 // and mutator-stream sequence.
 type outKey struct {
@@ -43,12 +28,6 @@ type outKey struct {
 // FrameStats.OutboxEvicted and surfaced through AckObserver instead of
 // happening silently.
 const maxOutbox = 1024
-
-// maxSeenIntro bounds the receiver-side transfer dedup set (oldest
-// evicted first). Evicting an entry can at worst let a re-sent transfer
-// be applied twice, which adds a redundant slot — a leak risk, never a
-// safety violation.
-const maxSeenIntro = 1 << 16
 
 // bufDelivery is one live delivery buffered while a recovery replay is
 // in progress.
@@ -72,9 +51,6 @@ type shard struct {
 	heap   *heap.Heap
 	engine *core.Engine
 
-	// pendingRefs buffers reference transfers that arrived before the
-	// creation message of their holder object (cross-sender races).
-	pendingRefs map[ids.ObjectID][]pendingRef
 	// removals counts GGD removals since the last collection.
 	removals int
 
@@ -82,13 +58,6 @@ type shard struct {
 	// recovery replays the WAL.
 	replaying  bool
 	recoverBuf []bufDelivery
-	// seenIntro dedups received reference transfers by (introducer,
-	// forwarding-seq), making recovery resends idempotent. seenOrder
-	// lists its keys oldest first: past maxSeenIntro the oldest is
-	// evicted, and the snapshot keeps the order, so a replay evicts
-	// exactly what the live run evicted.
-	seenIntro map[introKey]struct{}
-	seenOrder []introKey
 	// outbox retains outbound mutator frames (populated only on a
 	// durable site) until the receiver's cumulative FrameAck retires
 	// them, re-sent by crash recovery and by damper-due refresh rounds:
@@ -117,12 +86,7 @@ type shard struct {
 // newShard allocates shard i of s without its heap and engine: the
 // caller builds those fresh (initFresh) or from an image (restore).
 func newShard(s *Site, i int) *shard {
-	r := &shard{
-		site:        s,
-		index:       i,
-		pendingRefs: make(map[ids.ObjectID][]pendingRef),
-		seenIntro:   make(map[introKey]struct{}),
-	}
+	r := &shard{site: s, index: i}
 	r.outbox = core.NewLedger[outKey, netsim.Payload](maxOutbox, r.outboxEvictedLocked)
 	return r
 }
@@ -293,14 +257,17 @@ func (r *shard) dispatchLocked(from ids.SiteID, p netsim.Payload) {
 func (r *shard) applyFrameLocked(from ids.SiteID, p netsim.Payload) {
 	switch m := p.(type) {
 	case wire.Create:
-		r.handleCreate(m)
-		// Mutator frames settle on any delivery: every disposition
-		// (applied, duplicate-dropped, zombie-dropped) is final and
-		// replayable.
-		r.markRecvLocked(from, core.StreamMut, m.Seq)
+		// A tracked mutator frame applies iff its stream sequence is
+		// recorded now — not a duplicate, not one the tracker's bound
+		// refused (that one applies when re-sent) — and then every
+		// disposition (applied, zombie- or foreign-dropped) is final.
+		if r.markRecvLocked(from, core.StreamMut, m.Seq) {
+			r.handleCreate(m)
+		}
 	case wire.RefTransfer:
-		r.handleRefTransfer(m)
-		r.markRecvLocked(from, core.StreamMut, m.Seq)
+		if r.markRecvLocked(from, core.StreamMut, m.Seq) {
+			r.handleRefTransfer(m)
+		}
 	case wire.Destroy:
 		r.engine.HandleDestroyFrame(m.To, m.From, m.M, m.Seq, m.Legacy)
 	case wire.Propagate:
@@ -404,53 +371,42 @@ func (r *shard) handleCreate(m wire.Create) {
 		return
 	}
 	r.engine.HandleCreate(m.Cluster, m.Creator, m.Stamp)
-	o, err := r.heap.NewObjectAt(m.Obj, m.Cluster)
-	if err != nil {
-		return // duplicate create: idempotent drop
+	r.materialise(m.Obj, m.Cluster)
+}
+
+// materialise creates the object a mutator frame names unless it exists
+// (a duplicate creation, or one whose holder an early transfer built: the
+// idempotent drop). Referenced from outside this heap partition from
+// birth, it is a global root. Caller holds r.mu; both identities are
+// this site's.
+func (r *shard) materialise(obj ids.ObjectID, cl ids.ClusterID) {
+	if o, err := r.heap.NewObjectAt(obj, cl); err == nil {
+		_ = r.heap.MarkEntry(o.ID())
 	}
-	// The object is referenced from outside this heap partition from
-	// birth (a remote site or a sibling shard): it is a global root.
-	_ = r.heap.MarkEntry(o.ID())
-	for _, pr := range r.pendingRefs[m.Obj] {
-		_, _ = r.heap.AddRefIntro(m.Obj, pr.target, pr.intro, pr.introSeq)
-	}
-	delete(r.pendingRefs, m.Obj)
 }
 
 func (r *shard) handleRefTransfer(m wire.RefTransfer) {
-	// Dedup by (introducer, forwarding-seq): forwarding seqs are unique
-	// per introducing cluster, so a re-sent transfer — a crashed sender
-	// re-playing its outbox, or a journaled delivery re-arriving after
-	// the sender's recovery — is applied exactly once.
-	if m.IntroSeq > 0 {
-		k := introKey{intro: m.FromCluster, seq: m.IntroSeq}
-		if _, dup := r.seenIntro[k]; dup {
+	if r.heap.Object(m.ToObj) == nil {
+		if id := r.site.id; m.ToCluster.Site != id || m.ToObj.Site != id {
+			// No holder, and none this site could create (a frame with no
+			// ToCluster fails the check too): dropped and counted.
+			r.engine.NoteStale()
 			return
 		}
-		if len(r.seenOrder) >= maxSeenIntro {
-			delete(r.seenIntro, r.seenOrder[0])
-			r.seenOrder = r.seenOrder[1:]
-		}
-		r.seenIntro[k] = struct{}{}
-		r.seenOrder = append(r.seenOrder, k)
-	}
-	if r.heap.Object(m.ToObj) == nil {
-		if m.ToCluster.Valid() && (r.engine.Registered(m.ToCluster) || r.engine.Removed(m.ToCluster)) {
+		if r.engine.Registered(m.ToCluster) || r.engine.Removed(m.ToCluster) {
 			// The holder's cluster is known here but the object is gone:
 			// an object can only be named after its creation was
 			// processed (which registers the cluster), so the holder was
 			// collected and this introduction can never form its edge.
-			// Expire it at the hint's owner instead of parking the frame
-			// forever.
+			// Expire it at the hint's owner.
 			r.engine.ResolveIntroduction(m.ToCluster, m.Target.Cluster, m.FromCluster, m.IntroSeq)
 			return
 		}
 		// The holder's creation message has not arrived yet (different
-		// sender): buffer and replay on creation.
-		r.pendingRefs[m.ToObj] = append(r.pendingRefs[m.ToObj], pendingRef{
-			target: m.Target, intro: m.FromCluster, introSeq: m.IntroSeq,
-		})
-		return
+		// sender): an object exists from its first mention. The edge
+		// below is stamped on the cluster's unborn process; the late
+		// creation finds the object and births it (DESIGN.md §3.2).
+		r.materialise(m.ToObj, m.ToCluster)
 	}
 	// AddRefIntro triggers EdgeUp: the receiver stamps the new edge in
 	// its own clock space — the authoritative lazy log-keeping record
@@ -542,7 +498,7 @@ func (r *shard) premintLocked(op *wire.OpRecord, pin bool) {
 // frame for a destination this shard owns, and no sequence for frames
 // SentRef gives no dedup identity (intra-cluster copies, where target
 // and destination share a cluster — a staged holder is always live,
-// hence its engine process registered). Caller holds r.mu.
+// hence has an engine process, born or not). Caller holds r.mu.
 func (r *shard) premintSendRefSeqLocked(to, target heap.Ref) uint64 {
 	if to.Obj.Site == r.site.id && r.owns(to.Cluster) {
 		return 0

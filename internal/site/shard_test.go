@@ -3,7 +3,6 @@ package site
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"causalgc/internal/ids"
 	"causalgc/internal/netsim"
 	"causalgc/internal/wire"
-	"causalgc/persist"
 )
 
 // mustRef wraps a (Ref, error) mutator result, failing the test on error.
@@ -751,109 +749,5 @@ func TestJournaledOpsCarryMints(t *testing.T) {
 		if !reflect.DeepEqual(commits, want) {
 			t.Errorf("width %d: journaled commits %v, want %v", width, commits, want)
 		}
-	}
-}
-
-// TestSeenIntroEvictionReplaysExactly pushes a shard's transfer dedup
-// set past maxSeenIntro — partly before a snapshot, partly in the WAL
-// tail — re-delivers the oldest transfers (a crashed sender replaying
-// its outbox), and recovers from the journal: the eviction victim is a
-// function of the replayed history (oldest first, the snapshot keeps
-// the order), so the recovered dedup set, buffered transfers and heap
-// equal the live run's. A victim drawn from map iteration order lets
-// the two disagree on which re-sent transfers apply.
-func TestSeenIntroEvictionReplaysExactly(t *testing.T) {
-	dir := t.TempDir()
-	popts := PersistOptions{SnapshotEvery: 1 << 30, Store: persist.Options{NoSync: true}}
-	p, err := OpenPersist(dir, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := netsim.NewSim(netsim.Faults{Seed: 1})
-	s, err := Recover(1, net, DefaultOptions(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const resent, overflow = 2000, 2000
-	intro := ids.ClusterID{Site: 2, Seq: 1}
-	parked := ids.ObjectID{Site: 1, Seq: 2<<32 | 1} // never created: its transfers stay buffered
-	deliver := func(seq uint64) {
-		// The transfers that will be re-sent land on the root object; the
-		// bulk that only fills the dedup set parks cheaply.
-		to := parked
-		if seq <= resent {
-			to = s.Root().Obj
-		}
-		target := ids.ClusterID{Site: 2, Seq: 1 + seq%64}
-		s.handleNet(2, wire.RefTransfer{
-			FromCluster: intro, IntroSeq: seq, ToObj: to,
-			Target: heap.Ref{Obj: ids.ObjectID{Site: 2, Seq: seq}, Cluster: target},
-		})
-	}
-	seq := uint64(1)
-	for ; seq <= maxSeenIntro-50; seq++ {
-		deliver(seq)
-	}
-	if err := s.Checkpoint(); err != nil { // the snapshot must keep the order
-		t.Fatal(err)
-	}
-	for ; seq <= maxSeenIntro+overflow; seq++ { // evicts in the WAL tail
-		deliver(seq)
-	}
-	for again := uint64(1); again <= resent; again++ { // evicted: applies again
-		deliver(again)
-	}
-	type state struct {
-		seen    []introKey
-		pending int
-		root    ids.ObjectID
-		objs    []ObjectSnapshot
-	}
-	capture := func(s *Site) state {
-		r := s.shards[0]
-		r.mu.Lock()
-		st := state{pending: len(r.pendingRefs[parked])}
-		for k := range r.seenIntro {
-			st.seen = append(st.seen, k)
-		}
-		r.mu.Unlock()
-		sort.Slice(st.seen, func(i, j int) bool { return st.seen[i].seq < st.seen[j].seq })
-		st.root, st.objs = s.Snapshot()
-		return st
-	}
-	want := capture(s)
-	if len(want.seen) != maxSeenIntro {
-		t.Fatalf("dedup set holds %d entries, want the cap %d", len(want.seen), maxSeenIntro)
-	}
-	if err := p.Close(); err != nil { // crash
-		t.Fatal(err)
-	}
-	net.Unregister(1)
-
-	p2, err := OpenPersist(dir, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	s2, err := Recover(1, net, DefaultOptions(), p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := capture(s2)
-	if !reflect.DeepEqual(got.seen, want.seen) {
-		diff := 0
-		for i := range want.seen {
-			if got.seen[i] != want.seen[i] {
-				diff++
-			}
-		}
-		t.Errorf("recovered dedup set differs from the live one at %d of %d positions", diff, len(want.seen))
-	}
-	if got.pending != want.pending {
-		t.Errorf("recovered site buffers %d transfers, the live one %d", got.pending, want.pending)
-	}
-	if got.root != want.root || !reflect.DeepEqual(got.objs, want.objs) {
-		t.Errorf("recovered heap differs from the live one: root holds %d slots, live %d",
-			len(got.objs[0].Slots), len(want.objs[0].Slots))
 	}
 }

@@ -118,12 +118,12 @@ func TestRecordArity(t *testing.T) {
 	}
 }
 
-// TestSnapshotV6Pinned: the shard-partitioned snapshot format is v6 —
+// TestSnapshotV7Pinned: the shard-partitioned snapshot format is v7 —
 // the only version that decodes — re-encoded images round-trip, and
 // re-send state is always bare frames, never envelopes.
-func TestSnapshotV6Pinned(t *testing.T) {
-	if SnapshotVersion != 6 {
-		t.Fatalf("SnapshotVersion = %d; the bundle-carrying destroy rows pinned the format at v6", SnapshotVersion)
+func TestSnapshotV7Pinned(t *testing.T) {
+	if SnapshotVersion != 7 {
+		t.Fatalf("SnapshotVersion = %d; dropping the transfer dedup set and the parked transfers pinned the format at v7", SnapshotVersion)
 	}
 	img := sampleImage()
 	data, err := EncodeSnapshot(img)

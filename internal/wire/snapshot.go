@@ -28,12 +28,14 @@ import (
 // recovery over any other version fails rather than misdecodes (no
 // migration code: there is one format). The layout is the shard layout
 // — every site is n >= 1 shards (DESIGN.md §3.4), so the image is the
-// site-wide shared state plus one ShardState per shard. Version 6 is
-// the engine image whose destroyed-edge rows carry their Ē bundle
-// (DESIGN.md §3.2). A v5 row has no bundle to re-send and its
-// acknowledged markers mean nothing now, so v5 is refused, not
-// half-read.
-const SnapshotVersion = 6
+// site-wide shared state plus one ShardState per shard. Version 7
+// dropped ShardState's transfer dedup set and parked-transfer list: a
+// tracked mutator frame applies once by its stream sequence
+// (RecvStreams) and a transfer that outruns its holder's creation
+// builds the holder (DESIGN.md §3.2). A v6 image's parked transfers
+// would be silently lost and its dedup entries mean nothing now, so v6
+// is refused, not half-read.
+const SnapshotVersion = 7
 
 // SiteImage is the full durable state of one site at a quiescent point:
 // the state the shards share at runtime (identity mint, retirement
@@ -79,19 +81,10 @@ type ShardState struct {
 	// Removals counts GGD removals since the last collection (non-zero
 	// only when AutoCollect is off).
 	Removals int
-	// PendingRefs are buffered reference transfers awaiting their
-	// holder's creation message.
-	PendingRefs []PendingRefImage
-	// SeenIntro is the receiver-side dedup record of processed reference
-	// transfers, keyed by (introducing cluster, forwarding seq): what
-	// makes re-sent mutator frames idempotent after a crash. Oldest
-	// first — the order the bounded set evicts in, which a recovered
-	// site must continue exactly.
-	SeenIntro []IntroImage
 	// Outbox holds the unacknowledged outbound mutator frames (bounded
 	// backstop); recovery and refresh rounds re-send them until the
-	// receiver's cumulative FrameAck retires them, and receivers dedup
-	// via their own SeenIntro state.
+	// receiver's cumulative FrameAck retires them, and receivers apply
+	// each once by its stream sequence (SiteImage.RecvStreams).
 	Outbox []FrameImage
 }
 
@@ -127,20 +120,6 @@ type FrameStatsImage struct {
 	AcksSent, AcksReceived, FramesRetired int
 	OutboxResends, OutboxEvicted          int
 	ResendsSuppressed, AdvancesSent       int
-}
-
-// PendingRefImage is one buffered reference transfer.
-type PendingRefImage struct {
-	Holder   ids.ObjectID
-	Target   heap.Ref
-	Intro    ids.ClusterID
-	IntroSeq uint64
-}
-
-// IntroImage identifies one processed introduction.
-type IntroImage struct {
-	Intro ids.ClusterID
-	Seq   uint64
 }
 
 // FrameImage is one outbound frame: destination site, the frame's

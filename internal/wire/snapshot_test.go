@@ -83,10 +83,6 @@ func sampleImage() *SiteImage {
 				},
 			}},
 		},
-		PendingRefs: []PendingRefImage{{
-			Holder: ids.ObjectID{Site: 2, Seq: 99}, Target: heap.Ref{Obj: obj, Cluster: cl2}, Intro: cl3, IntroSeq: 11,
-		}},
-		SeenIntro: []IntroImage{{Intro: cl3, Seq: 11}},
 		Outbox: []FrameImage{
 			{To: 3, Payload: Create{Creator: cl2, Stamp: 17, Obj: ids.ObjectID{Site: 3, Seq: 40}, Cluster: ids.ClusterID{Site: 3, Seq: 40}}},
 			{To: 3, Payload: RefTransfer{FromCluster: cl2, IntroSeq: 12, ToObj: ids.ObjectID{Site: 3, Seq: 2}, ToCluster: cl3, Target: heap.Ref{Obj: obj, Cluster: cl2}}},
@@ -149,9 +145,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if got0.Engine.Tombstones[ids.ClusterID{Site: 2, Seq: 3}] != 21 {
 		t.Fatalf("tombstones mismatch: %+v", got0.Engine.Tombstones)
-	}
-	if len(got0.SeenIntro) != 1 || got0.SeenIntro[0].Seq != 11 {
-		t.Fatalf("seenIntro mismatch: %+v", got0.SeenIntro)
 	}
 	if len(got0.Outbox) != 2 {
 		t.Fatalf("outbox mismatch: %+v", got0.Outbox)
@@ -253,7 +246,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 // decodes — there is no migration code — and any other is refused with
 // an error naming both versions, never misdecoded.
 func TestDecodeSnapshotRejectsOtherVersions(t *testing.T) {
-	for _, bad := range []int{0, 2, 3, 4, 5, SnapshotVersion + 1} {
+	for _, bad := range []int{0, 2, 3, 4, 5, 6, SnapshotVersion + 1} {
 		img := sampleImage()
 		img.Version = bad
 		var buf bytes.Buffer

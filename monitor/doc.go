@@ -49,13 +49,11 @@
 //	causalgc_assert_journal_depth      gauge    DEP  un-acknowledged edge-asserts journaled
 //	causalgc_destroy_bundles_depth     gauge    DEP  un-acknowledged edge-destruction (Ē) bundles retained
 //	causalgc_legacy_bundles_depth      gauge    DEP  finalisation bundles retained
-//	causalgc_pending_refs_depth        gauge    DEP  buffered reference transfers
-//	causalgc_pending_deliveries_depth  gauge    DEP  unborn processes: clusters named ahead of their creation
+//	causalgc_pending_deliveries_depth  gauge    DEP  unborn processes: clusters named ahead of their creation (an early transfer's holder included)
 //	causalgc_shards                    gauge    DEP  lock-stripe width (1 on a default node)
 //	causalgc_handoff_depth             gauge    DEP  cross-shard frames queued (zero at quiescence)
 //	causalgc_shard_outbox_depth{shard} gauge    DEP  per-shard share of causalgc_outbox_depth
 //	causalgc_shard_assert_journal_depth{shard} gauge DEP per-shard share of causalgc_assert_journal_depth
-//	causalgc_shard_pending_refs_depth{shard} gauge DEP per-shard share of causalgc_pending_refs_depth
 //	causalgc_collections_total         counter  COL  mark-sweep collections observed
 //	causalgc_collect_marked_total      counter  COL  objects marked, summed
 //	causalgc_collect_swept_total       counter  COL  objects reclaimed, summed
@@ -81,7 +79,10 @@
 // boundedness story: under a steady workload with periodic Refresh,
 // every one of them must return to zero at quiescence (a bundle toward a
 // peer that never answers stays, which is what the gauges are for), and
-// the backstop counters must stay flat. Every node is
+// the backstop counters must stay flat. A reference transfer that
+// outruns its holder's creation is not buffered: it creates the holder,
+// which shows up in causalgc_pending_deliveries_depth until the creation
+// arrives. Every node is
 // n >= 1 shards, so the shard series are always emitted: a node built
 // without WithShards exports causalgc_shards 1 and one shard="0" sample
 // per shard-labelled gauge.

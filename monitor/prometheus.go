@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strconv"
+
+	"causalgc/internal/site"
 )
 
 // WriteExposition renders snapshots in the Prometheus text exposition
@@ -78,9 +80,7 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 		snaps, func(s *Snapshot) int { return s.Depths.DestroyRows })
 	p.igauge("causalgc_legacy_bundles_depth", "Finalisation bundles of removed clusters retained.",
 		snaps, func(s *Snapshot) int { return s.Depths.LegacyBundles })
-	p.igauge("causalgc_pending_refs_depth", "Reference transfers buffered awaiting their holder.",
-		snaps, func(s *Snapshot) int { return s.Depths.PendingRefs })
-	p.igauge("causalgc_pending_deliveries_depth", "Unborn processes: clusters that control messages named ahead of their creation message.",
+	p.igauge("causalgc_pending_deliveries_depth", "Unborn processes: clusters that control messages or reference transfers named ahead of their creation message.",
 		snaps, func(s *Snapshot) int { return s.Depths.PendingDeliveries })
 
 	if anyShards(snaps) {
@@ -97,11 +97,9 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 			}
 		}
 		p.head("causalgc_shard_outbox_depth", "gauge", "Per-shard unacknowledged outbound mutator frames.")
-		p.shardDepth(snaps, "causalgc_shard_outbox_depth", func(d siteDepthsView) int { return d.Outbox })
+		p.shardDepth(snaps, "causalgc_shard_outbox_depth", func(d site.Depths) int { return d.Outbox })
 		p.head("causalgc_shard_assert_journal_depth", "gauge", "Per-shard un-acknowledged edge-assert journal size.")
-		p.shardDepth(snaps, "causalgc_shard_assert_journal_depth", func(d siteDepthsView) int { return d.AssertRows })
-		p.head("causalgc_shard_pending_refs_depth", "gauge", "Per-shard buffered reference transfers.")
-		p.shardDepth(snaps, "causalgc_shard_pending_refs_depth", func(d siteDepthsView) int { return d.PendingRefs })
+		p.shardDepth(snaps, "causalgc_shard_assert_journal_depth", func(d site.Depths) int { return d.AssertRows })
 	}
 
 	p.counter("causalgc_collections_total", "Local mark-sweep collections observed.",
@@ -248,23 +246,13 @@ func (p *promWriter) net(snaps []Snapshot, name, help string, get func(kindView)
 	}
 }
 
-// siteDepthsView mirrors site.Depths for the exposition writer's
-// signatures, like kindView does for netsim.KindStats.
-type siteDepthsView struct {
-	Outbox, AssertRows, DestroyRows, LegacyBundles, PendingRefs, PendingDeliveries int
-}
-
 // shardDepth writes one shard-labelled depth sample per shard of every
 // snapshot (shard="0" alone on a default node).
-func (p *promWriter) shardDepth(snaps []Snapshot, name string, get func(siteDepthsView) int) {
+func (p *promWriter) shardDepth(snaps []Snapshot, name string, get func(site.Depths) int) {
 	for i := range snaps {
 		s := &snaps[i]
 		for shard, d := range s.ShardDepths {
-			p.sample(name, s, `shard="`+strconv.Itoa(shard)+`"`, float64(get(siteDepthsView{
-				Outbox: d.Outbox, AssertRows: d.AssertRows, DestroyRows: d.DestroyRows,
-				LegacyBundles: d.LegacyBundles, PendingRefs: d.PendingRefs,
-				PendingDeliveries: d.PendingDeliveries,
-			})))
+			p.sample(name, s, `shard="`+strconv.Itoa(shard)+`"`, float64(get(d)))
 		}
 	}
 }

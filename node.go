@@ -290,11 +290,11 @@ func NewNode(id SiteID, opts ...Option) *Node {
 
 // Recover builds a durable node from its WithPersistence directory:
 // an empty directory starts a fresh journaled node; an existing one is
-// reconstructed — latest snapshot loaded, WAL tail replayed, unconfirmed
-// mutator frames re-sent (receivers deduplicate them), and one Refresh
-// round run so the cluster re-converges. Recovery needs no new wire
-// messages: everything it re-sends is idempotent under the protocol's
-// stamp ordering.
+// reconstructed — latest snapshot loaded, WAL tail replayed, and one
+// Refresh round run, which re-sends the unconfirmed mutator frames (a
+// receiver applies each once, by its stream sequence), so the cluster
+// re-converges. Recovery needs no new wire messages: everything it
+// re-sends is idempotent under the protocol's stamp ordering.
 func Recover(id SiteID, opts ...Option) (*Node, error) {
 	c := newConfig(opts)
 	if err := c.validate(); err != nil {
