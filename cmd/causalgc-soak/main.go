@@ -16,8 +16,7 @@
 //     zero dangling references;
 //   - the outbox, assert-journal and legacy-bundle depth gauges are
 //     back to zero and no hard-cap backstop ever fired — per shard
-//     (-shards) and in aggregate, with every cross-shard handoff queue
-//     empty;
+//     (-shards) and in aggregate;
 //   - every WAL fsync stayed within the latency budget.
 //
 // Any violation dumps the per-site structured event traces and exits
@@ -510,8 +509,7 @@ func (s *soak) quiescePhase() {
 		}
 		// The aggregate gauge must decompose into per-shard zeros — a
 		// shard hiding retained state behind a sibling's negative
-		// accounting would be a monitor bug — and nothing may sit in a
-		// cross-shard handoff queue at quiescence.
+		// accounting would be a monitor bug.
 		if snap.Shards != s.cfg.shards {
 			s.violationf("site %d reports %d shards, configured %d", site, snap.Shards, s.cfg.shards)
 		}
@@ -527,9 +525,6 @@ func (s *soak) quiescePhase() {
 		if shardOutbox != snap.Depths.Outbox || shardAsserts != snap.Depths.AssertRows {
 			s.violationf("site %d per-shard depths do not sum to the aggregate: outbox %d vs %d, assertRows %d vs %d",
 				site, shardOutbox, snap.Depths.Outbox, shardAsserts, snap.Depths.AssertRows)
-		}
-		if snap.Handoff != 0 {
-			s.violationf("site %d handoff queues hold %d frame(s) at quiescence", site, snap.Handoff)
 		}
 		if snap.Engine.AssertRowsDropped != 0 || snap.Engine.LegacyEvicted != 0 || snap.Frames.OutboxEvicted != 0 {
 			s.violationf("site %d backstop fired: assertRowsDropped=%d legacyEvicted=%d outboxEvicted=%d",
@@ -578,11 +573,8 @@ func (s *soak) finalScrapeChecks() {
 			s.violationf("scraped %s sums to %v at quiescence, want 0", gauge, total)
 		}
 	}
-	for _, gauge := range []string{"causalgc_shard_outbox_depth", "causalgc_shard_assert_journal_depth", "causalgc_handoff_depth"} {
-		samples := s.cfg.sites
-		if gauge != "causalgc_handoff_depth" {
-			samples *= s.cfg.shards
-		}
+	for _, gauge := range []string{"causalgc_shard_outbox_depth", "causalgc_shard_assert_journal_depth"} {
+		samples := s.cfg.sites * s.cfg.shards
 		total, n := sumMetric(after, gauge)
 		if n != samples {
 			s.violationf("scrape exports %d %s samples, want %d", n, gauge, samples)

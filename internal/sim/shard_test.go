@@ -176,9 +176,6 @@ func TestShardedConcurrentCommitters(t *testing.T) {
 		rep := oracle.Check(s)
 		t.Fatalf("NumObjects = %d after dropping all anchors, want 1 (oracle: %v)", got, rep)
 	}
-	if d := s.HandoffDepth(); d != 0 {
-		t.Errorf("handoff depth = %d at quiescence, want 0", d)
-	}
 	if rep := oracle.Check(s); !rep.Clean() {
 		t.Errorf("not clean at quiescence: %v", rep)
 	}

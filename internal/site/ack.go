@@ -441,7 +441,7 @@ func (s *Site) advanceFloors() {
 		advances++
 		r0.emitLocked(k.peer, wire.StreamAdvance{Stream: k.kind, Floor: floor})
 	}
-	r0.mu.Unlock()
+	s.unlock(r0)
 	if advances > 0 {
 		st.mu.Lock()
 		st.fstats.AdvancesSent += advances

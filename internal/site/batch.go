@@ -85,8 +85,8 @@ func (s *Site) commitOne(r *shard, op wire.OpRecord) (heap.Ref, error) {
 func (s *Site) commit(r *shard, ops []wire.BatchOp, refs []heap.Ref) error {
 	r.mu.Lock()
 	err := r.commitLocked(ops, refs)
-	r.mu.Unlock()
-	s.afterEvent()
+	s.unlock(r)
+	s.maybeCheckpoint()
 	return err
 }
 
@@ -416,9 +416,9 @@ type outFrame struct {
 // emitLocked routes one outbound frame: buffered into the coalescer
 // while a commit or envelope-dispatch window is open, sent directly
 // otherwise. A frame addressed to the own site is a cross-shard
-// message: it bypasses the coalescer and enters the ordered handoff
-// queue of its destination shard. During replay self-addressed frames
-// are dropped — the receiving shard's journaled delivery records
+// message: it bypasses the coalescer and waits in r.handoff for
+// whoever releases r.mu to deliver it. During replay self-addressed
+// frames are dropped — the receiving shard's journaled delivery records
 // already carry them, and re-routing would apply them twice; a crash
 // between the sender's journal append and the receiver's is healed like
 // any lost frame (outbox re-send, refresh). Caller holds r.mu.
@@ -426,7 +426,7 @@ func (r *shard) emitLocked(to ids.SiteID, p netsim.Payload) {
 	switch {
 	case to == r.site.id:
 		if !r.replaying {
-			r.site.enqueue(p)
+			r.handoff = append(r.handoff, p)
 		}
 	case r.coalescing:
 		r.coalesce = append(r.coalesce, outFrame{to: to, p: p})

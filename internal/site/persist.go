@@ -161,21 +161,19 @@ func (s *Site) maybeCheckpoint() {
 }
 
 // checkpointAll is the stop-the-world snapshot: acquire every shard
-// mutex in ascending order, drain the handoff queues by direct
-// dispatch under the held locks (a snapshot must not strand in-flight
-// cross-shard frames in a volatile queue), export the image, and write
-// it while still holding everything — Persist truncates the WAL on
-// snapshot, so no shard may append between build and write. onlyIfDue
-// re-checks Due under ckptMu: two drainers racing past
-// maybeCheckpoint's unlocked Due check serialise here, and the loser
-// — whose snapshot the winner just took, resetting the record count —
-// skips a redundant back-to-back stop-the-world pass.
+// mutex in ascending order, export the image, and write it while still
+// holding everything — Persist truncates the WAL on snapshot, so no
+// shard may append between build and write. onlyIfDue re-checks Due
+// under ckptMu: two goroutines racing past maybeCheckpoint's unlocked
+// Due check serialise here, and the loser — whose snapshot the winner
+// just took, resetting the record count — skips a redundant
+// back-to-back stop-the-world pass.
 //
-// A concurrent drainer holding a deliverMu may have popped a frame and
-// be blocked on a shard mutex we hold: that frame is in neither the
-// queues nor the image, which is safe — its journal record lands after
-// the truncation once the drainer resumes, exactly like any
-// post-snapshot delivery.
+// The world stops to export, not to drain: an own-site frame a
+// goroutine holds between releasing its sender's lock and taking its
+// receiver's is a post-snapshot delivery — its journal record lands
+// after the truncation — and a tracked one has its sender's outbox row
+// in the image.
 func (s *Site) checkpointAll(onlyIfDue bool) error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -190,32 +188,7 @@ func (s *Site) checkpointAll(onlyIfDue bool) error {
 			r.mu.Unlock()
 		}
 	}()
-	s.drainAllLocked()
 	return s.journal.ForceCheckpoint(s.exportImageAllLocked)
-}
-
-// drainAllLocked empties the handoff queues by direct dispatch while
-// every shard mutex is held (deliverMu is NOT taken: item order with a
-// concurrently blocked drainer is already commutative — the protocol
-// tolerates reordering; FIFO determinism is only promised for
-// single-threaded schedules, where no concurrent drainer exists).
-func (s *Site) drainAllLocked() {
-	for {
-		idle := true
-		for i, q := range s.queues {
-			for {
-				p, ok := q.pop()
-				if !ok {
-					break
-				}
-				idle = false
-				s.shards[i].deliverShardLocked(s.id, p)
-			}
-		}
-		if idle {
-			return
-		}
-	}
 }
 
 // Checkpoint forces a snapshot now (and truncates the WAL). A no-op on
@@ -271,9 +244,6 @@ func Recover(id ids.SiteID, net netsim.Network, opts Options, j *Persist) (*Site
 // stays a total order of each shard's events.
 func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist, shards int) (*Site, error) {
 	img, recs, err := j.Load()
-	if err == nil {
-		err = checkRecords(recs)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("site %v: recover: %w", id, err)
 	}
@@ -287,6 +257,9 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 		shards = recs[0].Width
 	}
 	s := newSite(id, net, opts, shards)
+	if err := checkRecords(recs, s.n); err != nil {
+		return nil, fmt.Errorf("site %v: recover: %w", id, err)
+	}
 	s.journal = j
 	if img == nil {
 		for _, r := range s.shards {
@@ -325,11 +298,10 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 		r.replaying = false
 		buffered := r.recoverBuf
 		r.recoverBuf = nil
-		r.mu.Unlock()
+		s.unlock(r)
 		for _, d := range buffered {
-			r.handle(d.from, d.p)
+			s.cascade(r.handle(d.from, d.p))
 		}
-		s.drainHandoffs()
 	}
 	// One refresh re-propagates the recovered GGD state, so detection
 	// resumes without waiting for new mutator activity, and re-sends every
@@ -372,14 +344,23 @@ func (s *Site) seedRouting(i int, ss wire.ShardState) {
 	}
 }
 
-// checkRecords rejects a WAL holding an Op record of any kind but the
-// two site-wide cycle markers: mutator commits are journaled as Batch
-// records, so such a record was not written by this code and replaying
-// a guess at its meaning would shift every later identity.
-func checkRecords(recs []*wire.WALRecord) error {
+// checkRecords rejects a WAL this code did not write at this width,
+// by record index — records are input from disk. An Op record of any
+// kind but the two site-wide cycle markers: mutator commits are
+// journaled as Batch records, and replaying a guess at its meaning
+// would shift every later identity. A shard tag outside [0, width), or
+// a stamped width other than the directory's: the tag and the fallback
+// routing hash mean something only at the width that wrote them.
+func checkRecords(recs []*wire.WALRecord, width int) error {
 	for i, rec := range recs {
 		if rec.Op != nil && rec.Op.Kind != wire.OpCollect && rec.Op.Kind != wire.OpRefresh {
 			return fmt.Errorf("wal record %d: Op record of kind %v: only Collect and Refresh are journaled as Op records", i, rec.Op.Kind)
+		}
+		if rec.Shard < 0 || rec.Shard >= width {
+			return fmt.Errorf("wal record %d: shard tag %d outside a %d-shard directory", i, rec.Shard, width)
+		}
+		if rec.Width != 0 && rec.Width != width {
+			return fmt.Errorf("wal record %d: written at width %d in a %d-shard directory", i, rec.Width, width)
 		}
 	}
 	return nil
@@ -399,10 +380,7 @@ func (s *Site) applyRecord(rec *wire.WALRecord) {
 		}
 		return
 	}
-	r := s.shards[0]
-	if rec.Shard > 0 && rec.Shard < s.n {
-		r = s.shards[rec.Shard]
-	}
+	r := s.shards[rec.Shard]
 	r.mu.Lock()
 	switch {
 	case rec.Deliver != nil:
@@ -412,8 +390,7 @@ func (s *Site) applyRecord(rec *wire.WALRecord) {
 	case rec.Batch != nil:
 		_ = r.commitLocked(rec.Batch.Ops, make([]heap.Ref, len(rec.Batch.Ops)))
 	}
-	r.mu.Unlock()
-	s.drainHandoffs()
+	r.mu.Unlock() // replay emits no own-site frame
 }
 
 // restore rebuilds the shard's heap, engine and delivery state from its
@@ -543,7 +520,7 @@ func (st *streams) exportInto(img *wire.SiteImage) {
 
 // exportImageAllLocked renders the site image: the shared state plus
 // one ShardState per shard. Caller holds every shard mutex with the
-// engines drained and the handoff queues empty.
+// engines drained.
 func (s *Site) exportImageAllLocked() (*wire.SiteImage, error) {
 	img := &wire.SiteImage{
 		Site:    s.id,

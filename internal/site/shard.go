@@ -77,6 +77,11 @@ type shard struct {
 	// steady-state window allocates nothing until it builds an envelope.
 	coalescing bool
 	coalesce   []outFrame
+	// handoff holds the own-site frames emitted during the current lock
+	// hold, in emit order. Whoever releases r.mu takes them and delivers
+	// them with no lock held (Site.unlock, handle): it is empty whenever
+	// the mutex is free.
+	handoff []netsim.Payload
 
 	// closed freezes the shard: deliveries are dropped (tolerated loss)
 	// so introspection keeps answering from an unchanging state.
@@ -197,29 +202,20 @@ func (r *shard) collectLocked() heap.CollectStats {
 // --- Delivery ------------------------------------------------------------
 
 // handle delivers one frame routed to this shard, from the network or
-// from a sibling's handoff queue.
-func (r *shard) handle(from ids.SiteID, p netsim.Payload) {
+// from a sibling, and returns the own-site frames the delivery emitted
+// for the caller to deliver (Site.cascade): handle never delivers them
+// itself, so a cross-shard cascade does not nest.
+func (r *shard) handle(from ids.SiteID, p netsim.Payload) (emitted []netsim.Payload) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.closed {
+		return nil
+	}
 	if r.replaying {
 		// A live delivery racing the recovery replay: buffered, then
 		// journaled and processed once the replay completes.
-		if !r.closed {
-			r.recoverBuf = append(r.recoverBuf, bufDelivery{from: from, p: p})
-		}
-		return
-	}
-	r.deliverShardLocked(from, p)
-}
-
-// deliverShardLocked journals and dispatches one delivery with r.mu
-// already held: the body of handle, also used by the stop-the-world
-// checkpoint, which drains the handoff queues while holding every
-// shard's lock. Caller holds r.mu (and never a sibling shard's lock
-// except on the all-locks checkpoint path).
-func (r *shard) deliverShardLocked(from ids.SiteID, p netsim.Payload) {
-	if r.closed {
-		return
+		r.recoverBuf = append(r.recoverBuf, bufDelivery{from: from, p: p})
+		return nil
 	}
 	if r.journaling() {
 		if err := r.appendLocked(&wire.WALRecord{Deliver: &wire.DeliverRecord{From: from, Payload: p}}); err != nil {
@@ -228,10 +224,12 @@ func (r *shard) deliverShardLocked(from ids.SiteID, p netsim.Payload) {
 			// messages this site sends. Dropping is safe — the protocol
 			// tolerates loss (§5) — and counted, not silent.
 			r.site.st.deliveryRefused()
-			return
+			return nil
 		}
 	}
 	r.dispatchLocked(from, p)
+	emitted, r.handoff = r.handoff, nil
+	return emitted
 }
 
 // dispatchLocked applies one delivery, settles the engine, and flushes
@@ -467,8 +465,8 @@ func (r *shard) premintLocked(op *wire.OpRecord, pin bool) {
 		cl := ids.ClusterID{Site: s.id, Seq: op.MintClu}
 		op.Place = s.placeCluster(cl, holderClu, r.index, pin)
 		if op.Place-1 != r.index {
-			// Cross-shard placement: the apply emits a Create through the
-			// handoff queue, addressed to the own site.
+			// Cross-shard placement: the apply emits a Create addressed
+			// to the own site.
 			op.MutSeq = r.assignMutSeqLocked(s.id)
 		}
 	case wire.OpNewLocalIn:
@@ -608,8 +606,8 @@ func (r *shard) applyNewRemoteLocked(op wire.OpRecord) (heap.Ref, error) {
 // createRemoteLocked creates the pre-minted object ref outside this
 // heap partition, referenced from holder: on another site (the paper's
 // "a root object 1 creates an object 2", §3.1), or on a sibling shard,
-// where target is the own site and the creation frame travels the
-// ordered handoff queue instead of the network — every invariant
+// where target is the own site and the creation frame is handed to
+// the sibling instead of the network — every invariant
 // (journal-before-send, outbox retention, FrameAck-to-self retirement,
 // zombie-drop at the owner) comes along for free. seq is the record's
 // pre-drawn stream sequence. Caller holds r.mu.

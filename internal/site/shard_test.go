@@ -1,8 +1,11 @@
 package site
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"causalgc/internal/ids"
 	"causalgc/internal/netsim"
 	"causalgc/internal/wire"
+	"causalgc/persist"
 )
 
 // mustRef wraps a (Ref, error) mutator result, failing the test on error.
@@ -26,7 +30,7 @@ func mustRef(t *testing.T) func(heap.Ref, error) heap.Ref {
 
 // settleSharded runs Collect+Refresh cycles until the live object
 // count stops changing (cross-shard GGD cascades take a few rounds of
-// assert/destroy exchange through the handoff queues).
+// assert/destroy exchange between the shards).
 func settleSharded(t *testing.T, s *Site, net *netsim.Sim) {
 	t.Helper()
 	prev := -1
@@ -93,9 +97,6 @@ func TestShardedLifecycle(t *testing.T) {
 	}
 	if !s.ClusterRemoved(a.Cluster) || !s.ClusterRemoved(b.Cluster) {
 		t.Error("GGD did not remove both clusters")
-	}
-	if d := s.HandoffDepth(); d != 0 {
-		t.Errorf("handoff depth = %d at quiescence, want 0", d)
 	}
 }
 
@@ -229,9 +230,8 @@ func openShardPersist(t *testing.T, dir string, every int) *Persist {
 }
 
 // TestShardedRecoveryDeterminism kills a 3-shard site twice and checks
-// every recovery replays the shard-tagged WAL to the same state: the
-// ordered-handoff guarantee (each shard's deliveries replay in its
-// journal order) made observable.
+// every recovery replays the shard-tagged WAL to the same state: each
+// shard's deliveries replay in its journal order.
 func TestShardedRecoveryDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	net := netsim.NewSim(netsim.Faults{Seed: 1})
@@ -278,9 +278,9 @@ func TestShardedRecoveryDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardCrashMidHandoff strands a cross-shard creation in the
-// handoff queue (the executing shard journaled and enqueued it, the
-// owning shard never saw it) and crashes: recovery must finish the
+// TestShardCrashMidHandoff strands a cross-shard creation in flight
+// (the executing shard journaled and emitted it, the owning shard
+// never saw it) and crashes: recovery must finish the
 // creation through the outbox re-send path, exactly like a lost
 // network frame.
 func TestShardCrashMidHandoff(t *testing.T) {
@@ -294,9 +294,9 @@ func TestShardCrashMidHandoff(t *testing.T) {
 	root := s.Root().Obj
 	_ = mustRef(t)(s.NewLocal(root)) // rr → shard 0 (local, drained)
 
-	// Bypass Site.commit: shard 0 journals the op and enqueues the Create
-	// for shard 1, but nothing drains the queue — the frame is in flight
-	// when the site dies.
+	// Bypass Site.commit: shard 0 journals the op and emits the Create
+	// for shard 1, but nobody delivers it — the frame is in flight when
+	// the site dies.
 	r0 := s.shards[0]
 	var one [1]heap.Ref
 	r0.mu.Lock()
@@ -309,13 +309,13 @@ func TestShardCrashMidHandoff(t *testing.T) {
 	if got := s.clusterShardIdx(ref.Cluster); got != 1 {
 		t.Fatalf("cluster placed on shard %d, want 1", got)
 	}
-	if s.HandoffDepth() == 0 {
-		t.Fatal("expected the creation frame stranded in the handoff queue")
+	if len(r0.handoff) != 1 {
+		t.Fatalf("%d frame(s) in flight, want the one creation frame", len(r0.handoff))
 	}
 	if shardHas(s, 1, ref.Obj) {
-		t.Fatal("object materialised without a drain")
+		t.Fatal("object materialised without a delivery")
 	}
-	if err := p.Close(); err != nil { // crash: queue contents are volatile
+	if err := p.Close(); err != nil { // crash: a frame in flight is volatile
 		t.Fatal(err)
 	}
 	net.Unregister(1)
@@ -334,8 +334,124 @@ func TestShardCrashMidHandoff(t *testing.T) {
 	if !shardHas(s2, 1, ref.Obj) {
 		t.Error("recovered object not on its owning shard")
 	}
-	if d := s2.HandoffDepth(); d != 0 {
-		t.Errorf("handoff depth = %d after recovery, want 0", d)
+}
+
+// TestShardCheckpointWithFrameInFlight takes a snapshot while a
+// goroutine holds a cross-shard creation between its sender's lock and
+// its receiver's: the checkpoint stops the world to export, not to
+// drain, because the frame's outbox row is in the image. After a crash
+// the object materialises on its owning shard from that row, and the
+// late original is then a settled duplicate.
+func TestShardCheckpointWithFrameInFlight(t *testing.T) {
+	dir := t.TempDir()
+	net := netsim.NewSim(netsim.Faults{Seed: 1})
+	p := openShardPersist(t, dir, 1000)
+	s, err := RecoverSharded(1, net, DefaultOptions(), p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := s.Root().Obj
+	_ = mustRef(t)(s.NewLocal(root)) // rr → shard 0
+
+	r0 := s.shards[0]
+	var one [1]heap.Ref
+	r0.mu.Lock()
+	err = r0.commitLocked([]wire.BatchOp{{Op: wire.OpRecord{Kind: wire.OpNewLocal, Holder: root}}}, one[:]) // rr → shard 1
+	inFlight := r0.handoff
+	r0.handoff = nil
+	r0.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := one[0]
+	if len(inFlight) != 1 || s.clusterShardIdx(ref.Cluster) != 1 {
+		t.Fatalf("%d frame(s) in flight toward shard %d, want one toward shard 1", len(inFlight), s.clusterShardIdx(ref.Cluster))
+	}
+	if err := s.Checkpoint(); err != nil { // truncates the WAL: only the image remembers the commit
+		t.Fatal(err)
+	}
+	if shardHas(s, 1, ref.Obj) {
+		t.Fatal("the checkpoint delivered a frame it does not hold")
+	}
+	if err := p.Close(); err != nil { // crash
+		t.Fatal(err)
+	}
+	net.Unregister(1)
+
+	p2 := openShardPersist(t, dir, 1000)
+	defer p2.Close()
+	s2, err := RecoverSharded(1, net, DefaultOptions(), p2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !shardHas(s2, 1, ref.Obj) {
+		t.Fatal("creation in flight at the checkpoint not recovered on its owning shard")
+	}
+	if fs := s2.FrameStats(); fs.OutboxResends != 1 || fs.OutboxRetained != 0 {
+		t.Fatalf("recovery re-sent %d outbox row(s) and retains %d, want the snapshot's one row re-sent and retired", fs.OutboxResends, fs.OutboxRetained)
+	}
+	_, want := s2.Snapshot()
+	s2.cascade(inFlight) // the goroutine finally delivers
+	if _, got := s2.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the late original was applied a second time:\n want %+v\n got  %+v", want, got)
+	}
+}
+
+// stackDepth is an Observer recording the deepest call stack any
+// ClusterRemoved callback ran at.
+type stackDepth struct{ deepest int }
+
+func (d *stackDepth) ClusterRemoved(ids.SiteID, ids.ClusterID) {
+	pcs := make([]uintptr, 4096)
+	if n := runtime.Callers(0, pcs); n > d.deepest {
+		d.deepest = n
+	}
+}
+func (d *stackDepth) Collected(ids.SiteID, heap.CollectStats) {}
+
+// TestShardCascadeConstantStack pins the own-site cascade as a
+// worklist: reclaiming a chain whose links alternate between the two
+// shards of a site hands a frame to the sibling once per link, and the
+// removal of the last link must run no deeper in the stack than the
+// removal of the tenth.
+func TestShardCascadeConstantStack(t *testing.T) {
+	deepest := func(k int) int {
+		obs := &stackDepth{}
+		opts := DefaultOptions()
+		opts.Observer = obs
+		s := NewSharded(1, netsim.NewSim(netsim.Faults{Seed: 1}), opts, 2)
+		root := s.Root().Obj
+		// Every link is born under the root (rr placement alternates the
+		// shards), handed to its predecessor and dropped by the root.
+		head := mustRef(t)(s.NewLocal(root))
+		prev := head
+		for i := 1; i < k; i++ {
+			next := mustRef(t)(s.NewLocal(root))
+			if s.clusterShardIdx(next.Cluster) == s.clusterShardIdx(prev.Cluster) {
+				t.Fatalf("links %d and %d share a shard", i-1, i)
+			}
+			if err := s.SendRef(root, prev, next); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.DropRefs(root, next); err != nil {
+				t.Fatal(err)
+			}
+			prev = next
+		}
+		if got := s.NumObjects(); got != k+1 {
+			t.Fatalf("k=%d: %d objects before the drop, want %d", k, got, k+1)
+		}
+		obs.deepest = 0
+		if err := s.DropRefs(root, head); err != nil { // one op unwinds the whole chain
+			t.Fatal(err)
+		}
+		if got := s.NumObjects(); got != 1 {
+			t.Fatalf("k=%d: %d objects after dropping the head, want 1", k, got)
+		}
+		return obs.deepest
+	}
+	if short, long := deepest(10), deepest(1000); short != long || short == 0 {
+		t.Fatalf("deepest removal stack: %d frames at k=10, %d at k=1000", short, long)
 	}
 }
 
@@ -644,6 +760,101 @@ func TestRecoverStickyWidth(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRecoverRefusesForeignShardTag: WAL records are input from disk. A
+// record tagged with a shard the directory's width does not have, or
+// stamped with another width, is refused by index — not replayed on
+// shard 0.
+func TestRecoverRefusesForeignShardTag(t *testing.T) {
+	for name, rec := range map[string]*wire.WALRecord{
+		"shard past the width": {Shard: 2, Width: 2, Batch: &wire.BatchRecord{}},
+		"negative shard":       {Shard: -1, Width: 2, Batch: &wire.BatchRecord{}},
+		"another width":        {Shard: 1, Width: 4, Batch: &wire.BatchRecord{}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			net := netsim.NewSim(netsim.Faults{Seed: 1})
+			p := openShardPersist(t, dir, 1<<20)
+			s, err := RecoverSharded(1, net, DefaultOptions(), p, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = mustRef(t)(s.NewLocal(s.Root().Obj)) // WAL record 1, after recovery's own Refresh marker
+			if err := p.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			net.Unregister(1)
+
+			p2 := openShardPersist(t, dir, 1<<20)
+			defer p2.Close()
+			_, err = RecoverSharded(1, net, DefaultOptions(), p2, 2)
+			if err == nil || !strings.Contains(err.Error(), "wal record 2") {
+				t.Fatalf("recovery of a foreign shard tag: %v, want a refusal naming wal record 2", err)
+			}
+		})
+	}
+}
+
+// TestUnjournaledCycleRunsOnNoShard: a site-wide cycle whose marker
+// shard 0 cannot journal must not run on the sibling shards either — a
+// sweep of a last proxy advances that engine's clock and ships an Ē
+// stamp no replay will reproduce.
+func TestUnjournaledCycleRunsOnNoShard(t *testing.T) {
+	net := netsim.NewSim(netsim.Faults{Seed: 1})
+	net.Register(2, func(ids.SiteID, netsim.Payload) {}) // never answers: shard 1 keeps a row to re-send
+	p := openShardPersist(t, t.TempDir(), 1<<20)
+	s, err := RecoverSharded(1, net, Options{}, p, 2) // AutoCollect off: only a cycle sweeps
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := s.Root().Obj
+	_ = mustRef(t)(s.NewLocal(root))  // rr → shard 0
+	b := mustRef(t)(s.NewLocal(root)) // rr → shard 1
+	y := mustRef(t)(s.NewLocalIn(b.Obj, b.Cluster))
+	_ = mustRef(t)(s.NewRemote(y.Obj, 2))
+	// y is local garbage in a live cluster of shard 1, holding the
+	// cluster's last proxy of a remote object: sweeping it is an edge
+	// destruction.
+	if err := s.DropRefs(b.Obj, y); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !shardHas(s, 1, y.Obj) {
+		t.Fatal("y is not on shard 1 awaiting a collection")
+	}
+	if err := p.Close(); err != nil { // the journal fails from here on
+		t.Fatal(err)
+	}
+
+	type state struct {
+		objs   []ObjectSnapshot
+		clocks [2]uint64
+		sent   int
+	}
+	observe := func() state {
+		_, objs := s.Snapshot()
+		return state{objs, [2]uint64{s.Clock(s.Root().Cluster), s.Clock(b.Cluster)}, net.Stats().TotalSent()}
+	}
+	want := observe()
+	if _, err := s.Collect(); !errors.Is(err, persist.ErrClosed) {
+		t.Fatalf("Collect with the journal closed: %v", err)
+	}
+	if got := observe(); !reflect.DeepEqual(got, want) {
+		t.Errorf("the unjournaled Collect ran:\n want %+v\n got  %+v", want, got)
+	}
+	want = observe()
+	if err := s.Refresh(); !errors.Is(err, persist.ErrClosed) {
+		t.Fatalf("Refresh with the journal closed: %v", err)
+	}
+	if got := observe(); !reflect.DeepEqual(got, want) {
+		t.Errorf("the unjournaled Refresh ran:\n want %+v\n got  %+v", want, got)
 	}
 }
 

@@ -48,11 +48,13 @@ func DefaultOptions() Options {
 // — behind one site identity. The shards share the identity mint
 // (heap.Counters plus the remote-creation mint), the retirement-stream
 // table (streams) and one Persist journal; they interact only through
-// the ordered cross-shard handoff queues, where a sibling shard is
-// addressed exactly like a reliable remote peer: frames are journaled
-// before they enter a queue, retained in the sending shard's outbox,
-// and retired by the ordinary FrameAck path. A one-shard site has no
-// siblings and its queue stays empty.
+// own-site frames, where a sibling shard is addressed exactly like a
+// remote peer: a tracked frame is journaled before it is emitted,
+// retained in the sending shard's outbox and retired by the ordinary
+// FrameAck path, and the goroutine that emitted it delivers it once it
+// has released the sender's lock (unlock) — in no promised order, which
+// the protocol never needed (DESIGN.md §3.4). A one-shard site has no
+// siblings and emits no such frame.
 //
 // Routing rule: a local cluster belongs to the shard recorded at its
 // placement (round-robin for clusters minted under the root cluster,
@@ -61,7 +63,7 @@ func DefaultOptions() Options {
 // follow their cluster and never migrate.
 //
 // Lock order: ckptMu → shards[0].mu → … → shards[n-1].mu → st.mu /
-// Persist.mu / handoff listMu (leaves). A single operation holds ONE
+// Persist.mu (leaves). A single operation holds ONE
 // shard lock; only the stop-the-world checkpoint holds them all, in
 // ascending index order.
 //
@@ -75,7 +77,6 @@ type Site struct {
 	shards []*shard
 	st     *streams
 	ctr    *heap.Counters
-	queues []*handoffQueue
 
 	// journal is the site's Persist (nil for a volatile site). Shards
 	// append to it directly; snapshots go through the stop-the-world
@@ -144,11 +145,9 @@ func newSite(id ids.SiteID, net netsim.Network, opts Options, n int) *Site {
 		shards: make([]*shard, n),
 		st:     newStreams(),
 		ctr:    heap.NewCounters(),
-		queues: make([]*handoffQueue, n),
 	}
 	for i := range s.shards {
 		s.shards[i] = newShard(s, i)
-		s.queues[i] = &handoffQueue{}
 	}
 	return s
 }
@@ -239,171 +238,97 @@ func (s *Site) placeCluster(newClu, holderClu ids.ClusterID, executing int, pin 
 	return idx + 1
 }
 
-// frameShardIdx answers the destination shard of one frame by its
-// destination cluster (mutator frames by the target object's cluster,
-// GGD control frames by the To cluster).
-func (s *Site) frameShardIdx(p netsim.Payload) int {
+// frameShards answers the destination shards of one frame as the index
+// range [lo, hi): one shard by the destination cluster (mutator frames
+// by the target object's cluster, GGD control frames by the To
+// cluster), except acknowledgements and floor advisories, which fan
+// out to every shard — the shared stream watermark is cumulative
+// across shards and retirement is idempotent, so each shard retires
+// its own covered rows.
+func (s *Site) frameShards(p netsim.Payload) (lo, hi int) {
+	i := 0
 	switch m := p.(type) {
+	case wire.FrameAck, wire.StreamAdvance:
+		return 0, s.n
 	case wire.Create:
-		return s.clusterShardIdx(m.Cluster)
+		i = s.clusterShardIdx(m.Cluster)
 	case wire.RefTransfer:
 		if m.ToCluster.Valid() {
-			return s.clusterShardIdx(m.ToCluster)
+			i = s.clusterShardIdx(m.ToCluster)
+		} else {
+			i = s.shardFor(m.ToObj).index
 		}
-		return s.shardFor(m.ToObj).index
 	case wire.Destroy:
-		return s.clusterShardIdx(m.To)
+		i = s.clusterShardIdx(m.To)
 	case wire.Assert:
-		return s.clusterShardIdx(m.To)
+		i = s.clusterShardIdx(m.To)
 	case wire.Propagate:
-		return s.clusterShardIdx(m.To)
+		i = s.clusterShardIdx(m.To)
 	}
-	return 0
+	return i, i + 1
 }
 
-// --- Cross-shard handoff -------------------------------------------------
+// --- Delivery ------------------------------------------------------------
 
-// handoffQueue is the ordered cross-shard delivery queue of one
-// destination shard. listMu guards the item list and is a leaf lock
-// (enqueues happen under the sending shard's mutex); deliverMu
-// serialises drainers so the destination shard processes its queue in
-// FIFO order: within one queue, frames are delivered in the order the
-// causal stamps were assigned by their senders.
-type handoffQueue struct {
-	listMu    sync.Mutex
-	items     []netsim.Payload
-	deliverMu sync.Mutex
-}
-
-func (q *handoffQueue) push(p netsim.Payload) {
-	q.listMu.Lock()
-	q.items = append(q.items, p)
-	q.listMu.Unlock()
-}
-
-func (q *handoffQueue) pop() (netsim.Payload, bool) {
-	q.listMu.Lock()
-	defer q.listMu.Unlock()
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	p := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
-	return p, true
-}
-
-func (q *handoffQueue) depth() int {
-	q.listMu.Lock()
-	defer q.listMu.Unlock()
-	return len(q.items)
-}
-
-// enqueue routes one self-addressed frame into the handoff queues.
-// Acknowledgement frames fan out to every shard — the shared stream
-// watermark is cumulative across shards, and retirement is idempotent,
-// so each shard retires its own covered rows. Called under the sending
-// shard's mutex (listMu is a leaf).
-func (s *Site) enqueue(p netsim.Payload) {
-	switch p.(type) {
-	case wire.FrameAck, wire.StreamAdvance:
-		for _, q := range s.queues {
-			q.push(p)
-		}
-	default:
-		s.queues[s.frameShardIdx(p)].push(p)
-	}
-}
-
-// drainHandoffs delivers queued cross-shard frames until every queue
-// is empty. Each queue drains under its deliverMu with no other lock
-// held, so two drainers never deadlock: a drainer blocks only on one
-// deliverMu or one shard mutex at a time, and frame delivery never
-// acquires a deliverMu. Cascades terminate — delivering an ack emits
-// nothing, and mutator/control cascades bottom out in the engines.
-func (s *Site) drainHandoffs() {
-	for {
-		idle := true
-		for i, q := range s.queues {
-			if s.drainQueue(i, q) {
-				idle = false
-			}
-		}
-		if idle {
-			return
-		}
-	}
-}
-
-func (s *Site) drainQueue(i int, q *handoffQueue) bool {
-	q.deliverMu.Lock()
-	defer q.deliverMu.Unlock()
-	drained := false
-	for {
-		p, ok := q.pop()
-		if !ok {
-			return drained
-		}
-		drained = true
-		s.shards[i].handle(s.id, p)
-	}
-}
-
-// afterEvent runs after every public operation and network delivery,
-// outside all shard locks: flush the cross-shard handoffs, then take a
-// snapshot if the journal says one is due.
-func (s *Site) afterEvent() {
-	s.drainHandoffs()
+// handleNet is the transport entry point.
+func (s *Site) handleNet(from ids.SiteID, p netsim.Payload) {
+	s.cascade(s.route(from, p))
 	s.maybeCheckpoint()
 }
 
-// --- Network delivery ----------------------------------------------------
-
-// handleNet is the transport entry point: split and route the frames
-// to their destination shards, then settle cross-shard effects.
-func (s *Site) handleNet(from ids.SiteID, p netsim.Payload) {
-	s.deliverNet(from, p)
-	s.afterEvent()
+// unlock releases r.mu and delivers the own-site frames emitted under
+// it: what leaves a shard when its lock is released goes through here.
+// The caller locked r.mu in its own body.
+func (s *Site) unlock(r *shard) {
+	work := r.handoff
+	r.handoff = nil
+	r.mu.Unlock()
+	s.cascade(work)
 }
 
-// deliverNet routes one inbound payload. An envelope splits into one
-// sub-envelope per destination shard (inner order preserved within
-// each shard — the only order the receiver's streams depend on); acks
-// and floor advisories fan out to every shard, like on the handoff
-// path.
-func (s *Site) deliverNet(from ids.SiteID, p netsim.Payload) {
-	if env, ok := p.(wire.Envelope); ok && s.n > 1 {
-		parts := make([][]netsim.Payload, s.n)
-		for _, f := range env.Frames {
-			switch f.(type) {
-			case wire.FrameAck, wire.StreamAdvance:
-				for i := range parts {
-					parts[i] = append(parts[i], f)
-				}
-			default:
-				i := s.frameShardIdx(f)
-				parts[i] = append(parts[i], f)
-			}
-		}
-		for i, frames := range parts {
-			switch len(frames) {
-			case 0:
-			case 1:
-				s.shards[i].handle(from, frames[0])
-			default:
-				s.shards[i].handle(from, wire.Envelope{Frames: frames})
-			}
-		}
-		return
+// cascade delivers own-site frames, and the own-site frames those
+// deliveries emit in turn, as a worklist with no shard lock held: a
+// cross-shard chain of any length runs in constant stack. It
+// terminates — delivering an ack emits nothing, and mutator and
+// control cascades bottom out in the engines.
+func (s *Site) cascade(work []netsim.Payload) {
+	for len(work) > 0 {
+		p := work[0]
+		work[0] = nil
+		work = append(work[1:], s.route(s.id, p)...)
 	}
-	switch p.(type) {
-	case wire.FrameAck, wire.StreamAdvance:
-		for _, r := range s.shards {
-			r.handle(from, p)
+}
+
+// route delivers one payload, from the network or from a sibling, to
+// the shards it addresses and returns the own-site frames those
+// deliveries emitted. An envelope splits into one sub-envelope per
+// destination shard (inner order preserved within each shard).
+func (s *Site) route(from ids.SiteID, p netsim.Payload) (emitted []netsim.Payload) {
+	env, ok := p.(wire.Envelope)
+	if !ok || s.n == 1 {
+		lo, hi := s.frameShards(p)
+		for _, r := range s.shards[lo:hi] {
+			emitted = append(emitted, r.handle(from, p)...)
 		}
-	default:
-		s.shards[s.frameShardIdx(p)].handle(from, p)
+		return emitted
 	}
+	parts := make([][]netsim.Payload, s.n)
+	for _, f := range env.Frames {
+		lo, hi := s.frameShards(f)
+		for i := lo; i < hi; i++ {
+			parts[i] = append(parts[i], f)
+		}
+	}
+	for i, part := range parts {
+		switch len(part) {
+		case 0:
+		case 1:
+			emitted = append(emitted, s.shards[i].handle(from, part[0])...)
+		default:
+			emitted = append(emitted, s.shards[i].handle(from, wire.Envelope{Frames: part})...)
+		}
+	}
+	return emitted
 }
 
 // --- Mutator API ---------------------------------------------------------
@@ -435,7 +360,7 @@ func (s *Site) Close() {
 // NewLocal creates an object in a fresh cluster on this site, referenced
 // from holder (often the root object), and returns a reference to it.
 // The placement policy may put the new cluster on a sibling of the
-// holder's shard, reached through the handoff queue.
+// holder's shard, reached by an own-site Create frame.
 func (s *Site) NewLocal(holder ids.ObjectID) (heap.Ref, error) {
 	return s.Apply(wire.OpRecord{Kind: wire.OpNewLocal, Holder: holder})
 }
@@ -498,27 +423,27 @@ func (s *Site) ClearSlot(holder ids.ObjectID, slot int) error {
 
 // Collect runs local collections until no further GGD cascade fires, on
 // every shard. One site-wide OpCollect is journaled through shard 0
-// (replay intercepts it and re-runs the site-wide cycle); cross-shard
-// cascades settle through the handoff queues between shard sweeps.
+// (replay intercepts it and re-runs the site-wide cycle) and a cycle
+// whose marker cannot be journaled runs on no shard: a sweep no replay
+// reproduces would re-issue its stamps (DESIGN.md §5). Cross-shard
+// cascades settle as each shard's lock is released.
 func (s *Site) Collect() (heap.CollectStats, error) {
 	s.cycleMu.Lock()
 	defer s.cycleMu.Unlock()
 	var total heap.CollectStats
-	var firstErr error
 	for i, r := range s.shards {
 		r.mu.Lock()
 		stats, err := r.collectShardLocked(i == 0)
-		r.mu.Unlock()
+		s.unlock(r)
+		if err != nil {
+			return total, err
+		}
 		total.Marked += stats.Marked
 		total.Swept += stats.Swept
 		total.Roots += stats.Roots
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		s.drainHandoffs()
 	}
 	s.maybeCheckpoint()
-	return total, firstErr
+	return total, nil
 }
 
 // Refresh is the recovery round that re-detects residual garbage after
@@ -526,30 +451,27 @@ func (s *Site) Collect() (heap.CollectStats, error) {
 // processes' vectors and re-ships its unacknowledged retained state,
 // then peers are advised of any stream floors so cumulative watermarks
 // cannot stall on abandoned gaps. One site-wide OpRefresh is journaled
-// through shard 0 and the damper round is bumped once for the whole
-// site.
+// through shard 0 — like Collect, an unjournaled round runs on no
+// shard — and the damper round is bumped once for the whole site.
 func (s *Site) Refresh() error {
 	s.cycleMu.Lock()
 	defer s.cycleMu.Unlock()
 	s.st.mu.Lock()
 	s.st.refreshRound++
 	s.st.mu.Unlock()
-	var firstErr error
 	for i, r := range s.shards {
 		r.mu.Lock()
 		err := r.refreshShardLocked(i == 0)
-		r.mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
+		s.unlock(r)
+		if err != nil {
+			return err
 		}
-		s.drainHandoffs()
 	}
 	if !s.replaying.Load() {
 		s.advanceFloors()
-		s.drainHandoffs()
 	}
 	s.maybeCheckpoint()
-	return firstErr
+	return nil
 }
 
 // --- Introspection -------------------------------------------------------
@@ -632,16 +554,6 @@ func (s *Site) EngineStats() core.Stats {
 		total.LegacyEvicted += st.LegacyEvicted
 		total.HintsExpired += st.HintsExpired
 		total.StaleDeliveries += st.StaleDeliveries
-	}
-	return total
-}
-
-// HandoffDepth returns the number of queued cross-shard frames (zero
-// at quiescence: afterEvent drains before returning).
-func (s *Site) HandoffDepth() int {
-	total := 0
-	for _, q := range s.queues {
-		total += q.depth()
 	}
 	return total
 }

@@ -51,7 +51,6 @@
 //	causalgc_legacy_bundles_depth      gauge    DEP  finalisation bundles retained
 //	causalgc_pending_deliveries_depth  gauge    DEP  unborn processes: clusters named ahead of their creation (an early transfer's holder included)
 //	causalgc_shards                    gauge    DEP  lock-stripe width (1 on a default node)
-//	causalgc_handoff_depth             gauge    DEP  cross-shard frames queued (zero at quiescence)
 //	causalgc_shard_outbox_depth{shard} gauge    DEP  per-shard share of causalgc_outbox_depth
 //	causalgc_shard_assert_journal_depth{shard} gauge DEP per-shard share of causalgc_assert_journal_depth
 //	causalgc_collections_total         counter  COL  mark-sweep collections observed
@@ -85,5 +84,8 @@
 // arrives. Every node is
 // n >= 1 shards, so the shard series are always emitted: a node built
 // without WithShards exports causalgc_shards 1 and one shard="0" sample
-// per shard-labelled gauge.
+// per shard-labelled gauge. Sibling shards keep no queue between them —
+// a cross-shard frame waiting for its acknowledgement is a row of its
+// sender's causalgc_shard_outbox_depth — so there is no handoff gauge,
+// and /metrics.json has no "handoff" field.
 package monitor

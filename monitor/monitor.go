@@ -41,8 +41,6 @@ type Sources struct {
 	// ShardDepths returns one shard's retained-state table sizes. Valid
 	// indices are 0..Shards()-1.
 	ShardDepths func(i int) site.Depths
-	// Handoff returns the queued cross-shard frame count.
-	Handoff func() int
 }
 
 // Event is one structured trace entry: an Observer or AckObserver
@@ -149,9 +147,6 @@ type Snapshot struct {
 	// ShardDepths is each shard's retained-state table sizes, in shard
 	// order. The site-wide Depths above is their sum.
 	ShardDepths []site.Depths `json:"shard_depths,omitempty"`
-	// Handoff is the queued cross-shard frame count (zero at
-	// quiescence, and always on a one-shard node).
-	Handoff int `json:"handoff,omitempty"`
 	// Residual is the oracle-reported residual garbage object count;
 	// nil until SetResidual is called (production deployments have no
 	// oracle).
@@ -328,9 +323,6 @@ func (m *Monitor) Snapshot() Snapshot {
 				s.ShardDepths[i] = src.ShardDepths(i)
 			}
 		}
-	}
-	if src.Handoff != nil {
-		s.Handoff = src.Handoff()
 	}
 	if src.Persist != nil {
 		ps := src.Persist()

@@ -90,12 +90,6 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 				p.sample("causalgc_shards", s, "", float64(s.Shards))
 			}
 		}
-		p.head("causalgc_handoff_depth", "gauge", "Cross-shard frames queued in the ordered handoff.")
-		for i := range snaps {
-			if s := &snaps[i]; s.Shards > 0 {
-				p.sample("causalgc_handoff_depth", s, "", float64(s.Handoff))
-			}
-		}
 		p.head("causalgc_shard_outbox_depth", "gauge", "Per-shard unacknowledged outbound mutator frames.")
 		p.shardDepth(snaps, "causalgc_shard_outbox_depth", func(d site.Depths) int { return d.Outbox })
 		p.head("causalgc_shard_assert_journal_depth", "gauge", "Per-shard un-acknowledged edge-assert journal size.")

@@ -75,7 +75,7 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	}
 	// Every node is n >= 1 shards: default nodes export the shard series
 	// too, as one shard="0" sample.
-	for _, s := range []string{`causalgc_shards{site="s1"} 1`, `causalgc_handoff_depth{site="s2"} 0`, `causalgc_shard_outbox_depth{site="s3",shard="0"} 0`} {
+	for _, s := range []string{`causalgc_shards{site="s1"} 1`, `causalgc_shard_outbox_depth{site="s3",shard="0"} 0`} {
 		if !strings.Contains(body, s) {
 			t.Errorf("/metrics missing %q", s)
 		}

@@ -133,8 +133,8 @@ func WithMetricsAddr(addr string) Option {
 // clusters on different shards proceed under different locks instead
 // of serialising on one site mutex (see the inmem-batch workload and
 // the site.sharded_applybatch64_ns_per_op probe of bench/). n < 1
-// picks runtime.GOMAXPROCS(0). Cross-shard operations ride a
-// deterministic ordered handoff queue and reuse the acknowledged-
+// picks runtime.GOMAXPROCS(0). A cross-shard operation addresses the
+// sibling shard like a remote peer and reuses the acknowledged-
 // retirement machinery, so every protocol invariant — journal-before-
 // send included — survives striping (DESIGN.md §3.4).
 //
@@ -204,7 +204,6 @@ func attachMonitor(m *monitor.Monitor, rt *site.Site, pst *site.Persist, tr tran
 		Depths:      rt.Depths,
 		Shards:      rt.ShardCount,
 		ShardDepths: rt.ShardDepths,
-		Handoff:     rt.HandoffDepth,
 	}
 	if pst != nil {
 		src.Persist = pst.Store().Stats
