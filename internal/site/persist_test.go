@@ -1,7 +1,10 @@
 package site_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"strings"
 	"testing"
 
 	"causalgc/internal/heap"
@@ -10,6 +13,7 @@ import (
 	"causalgc/internal/oracle"
 	"causalgc/internal/site"
 	"causalgc/internal/wire"
+	"causalgc/persist"
 )
 
 // openPersist opens a journal for one site under the test's temp dir.
@@ -435,5 +439,67 @@ func TestRecoveryShipsSnapshotOutboxOnce(t *testing.T) {
 			t.Errorf("%s: %d outbox rows after recovery, want the one unacknowledged frame", tc.name, got)
 		}
 		p2.Close()
+	}
+}
+
+// TestRecoverRefusesGobJournal: a journal written before the binary
+// record codec — the same records, gob-encoded — is refused at Load
+// with an error naming the codec version, never misparsed into a
+// different history.
+func TestRecoverRefusesGobJournal(t *testing.T) {
+	dir := t.TempDir()
+	net := netsim.NewSim(netsim.Faults{Seed: 1})
+	p := openPersist(t, dir, 1_000_000)
+	s1 := recoverSite(t, 1, net, p)
+	a, err := s1.NewLocal(s1.Root().Obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.DropRefs(s1.Root().Obj, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, net, 1, p)
+
+	// Transcode the journal record by record into a second directory.
+	src, err := persist.Open(dir, persist.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	gobDir := t.TempDir()
+	dst, err := persist.Open(gobDir, persist.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(src.WAL()) < 3 {
+		t.Fatalf("journal holds %d records, want at least the three ops", len(src.WAL()))
+	}
+	for _, data := range src.WAL() {
+		rec, err := wire.DecodeRecord(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Append(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gp := openPersist(t, gobDir, 1_000_000)
+	defer gp.Close()
+	if _, _, err := gp.Load(); err == nil || !strings.Contains(err.Error(), "wal record 0") || !strings.Contains(err.Error(), "codec version") {
+		t.Fatalf("Load of a gob journal: err = %v, want a codec-version refusal of record 0", err)
+	}
+	if _, err := site.Recover(1, netsim.NewSim(netsim.Faults{Seed: 1}), site.DefaultOptions(), gp); err == nil {
+		t.Fatal("a site recovered from a gob journal")
 	}
 }

@@ -1,12 +1,13 @@
-// The codec: the one place in the module that knows how wire values
-// become bytes. Snapshots, WAL records and the addressed frames a socket
-// transport carries all go through the functions below, and nothing
-// outside this file imports the encoding — replacing it is a change to
-// this file alone.
+// The codec: the entry points through which wire values become bytes.
+// Frames a socket transport carries and WAL records are binary, in the
+// versioned format binary.go defines: a handful of bytes per value and
+// no codec state, so a reader resynchronises per value and a
+// reconnecting sender starts clean. The payload set is closed — a
+// payload of any type this package does not define fails to encode.
 //
-// Encoding is gob, one self-contained stream per value: a reader can
-// resynchronise per value and a reconnecting sender needs no codec
-// state.
+// Snapshots stay gob, one self-contained stream per image, until
+// SiteImage settles: this file is the module's only non-test importer
+// of encoding/gob, and only the snapshot pair below calls it.
 
 package wire
 
@@ -20,21 +21,16 @@ import (
 	"causalgc/internal/netsim"
 )
 
+// The snapshot codec carries payloads behind FrameImage.Payload, so gob
+// must know their concrete types.
 func init() {
 	for _, p := range []netsim.Payload{
 		Create{}, RefTransfer{}, Destroy{}, Assert{},
 		FrameAck{}, StreamAdvance{}, Propagate{}, Envelope{},
 	} {
-		RegisterPayload(p)
+		gob.Register(p)
 	}
 }
-
-// RegisterPayload makes a payload's concrete type known to the codec,
-// which carries payloads behind netsim.Payload fields. The wire
-// messages of this package are registered already; a process that
-// sends any other payload type over a socket transport, or journals
-// it, registers it first — in every process that may decode it.
-func RegisterPayload(p netsim.Payload) { gob.Register(p) }
 
 // Frame is the addressed unit a socket transport carries: one payload
 // with its source and destination sites.
@@ -44,39 +40,33 @@ type Frame struct {
 	Payload netsim.Payload
 }
 
-// encode writes v to w as one self-contained stream.
-func encode(w io.Writer, what string, v any) error {
-	if err := gob.NewEncoder(w).Encode(v); err != nil {
-		return fmt.Errorf("wire: encode %s: %w", what, err)
-	}
-	return nil
-}
-
-// decode parses one stream written by encode into v.
-func decode(data []byte, what string, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode %s: %w", what, err)
-	}
-	return nil
-}
-
 // EncodeFrame writes the encoding of f to w. Delimiting frames on a
 // stream (length prefix, size cap) is the transport's business.
-func EncodeFrame(w io.Writer, f *Frame) error { return encode(w, "frame", f) }
+func EncodeFrame(w io.Writer, f *Frame) error {
+	e := encoder{b: make([]byte, 0, 64)}
+	if err := e.frame(f); err != nil {
+		return fmt.Errorf("wire: encode frame: %w", err)
+	}
+	_, err := w.Write(e.b)
+	return err
+}
 
 // DecodeFrame parses one frame body.
 func DecodeFrame(data []byte) (Frame, error) {
-	var f Frame
-	err := decode(data, "frame", &f)
-	return f, err
+	d := decoder{b: data}
+	f := d.frame()
+	if d.err != nil {
+		return Frame{}, fmt.Errorf("wire: decode frame: %w", d.err)
+	}
+	return f, nil
 }
 
 // EncodeSnapshot renders a SiteImage for persist.Store.WriteSnapshot.
 func EncodeSnapshot(img *SiteImage) ([]byte, error) {
 	img.Version = SnapshotVersion
 	var buf bytes.Buffer
-	if err := encode(&buf, "snapshot", img); err != nil {
-		return nil, err
+	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+		return nil, fmt.Errorf("wire: encode snapshot: %w", err)
 	}
 	return buf.Bytes(), nil
 }
@@ -85,8 +75,8 @@ func EncodeSnapshot(img *SiteImage) ([]byte, error) {
 // and only an image that records at least one shard.
 func DecodeSnapshot(data []byte) (*SiteImage, error) {
 	var img SiteImage
-	if err := decode(data, "snapshot", &img); err != nil {
-		return nil, err
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
+		return nil, fmt.Errorf("wire: decode snapshot: %w", err)
 	}
 	if img.Version != SnapshotVersion {
 		return nil, fmt.Errorf("wire: snapshot version %d, want %d", img.Version, SnapshotVersion)
@@ -118,21 +108,27 @@ func EncodeRecord(rec *WALRecord) ([]byte, error) {
 	if recordArity(rec) != 1 {
 		return nil, fmt.Errorf("wire: record must set exactly one of Op/Deliver/Batch")
 	}
-	var buf bytes.Buffer
-	if err := encode(&buf, "record", rec); err != nil {
-		return nil, err
+	// One allocation for the common record: an op or a small delivery
+	// fits 48 bytes, a batch op takes about 23.
+	size := 48
+	if rec.Batch != nil {
+		size += 24 * len(rec.Batch.Ops)
 	}
-	return buf.Bytes(), nil
+	e := encoder{b: make([]byte, 0, size)}
+	if err := e.record(rec); err != nil {
+		return nil, fmt.Errorf("wire: encode record: %w", err)
+	}
+	return e.b, nil
 }
 
-// DecodeRecord parses one WAL record.
+// DecodeRecord parses one WAL record. A record of another codec version
+// — a journal written by a gob-era build among them — is refused with
+// an error naming the version.
 func DecodeRecord(data []byte) (*WALRecord, error) {
-	var rec WALRecord
-	if err := decode(data, "record", &rec); err != nil {
-		return nil, err
+	d := decoder{b: data}
+	rec := d.record()
+	if d.err != nil {
+		return nil, fmt.Errorf("wire: decode record: %w", d.err)
 	}
-	if recordArity(&rec) != 1 {
-		return nil, fmt.Errorf("wire: record must set exactly one of Op/Deliver/Batch")
-	}
-	return &rec, nil
+	return rec, nil
 }

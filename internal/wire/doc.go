@@ -39,6 +39,11 @@
 //
 // # Codec
 //
-// codec.go is the one place where any of the above becomes bytes, the
-// addressed Frame of a socket transport included; see its header.
+// codec.go holds the entry points through which any of the above
+// becomes bytes, the addressed Frame of a socket transport included.
+// Frames and WAL records are binary — a codec-version byte, one tag per
+// payload kind, varints — in the format binary.go defines; the payload
+// set is closed, so a payload of a type this package does not define
+// fails to encode. Snapshots stay gob until the snapshot layout settles,
+// and codec.go is the module's only non-test importer of encoding/gob.
 package wire

@@ -10,8 +10,9 @@
 // image deterministically reconstructs the site (see internal/site and
 // DESIGN.md §5).
 //
-// Encoding lives in codec.go: the same codec the TCP backend's frames
-// go through, so a snapshot can embed any payload a transport can carry.
+// Encoding lives in codec.go: records in the binary format the TCP
+// backend's frames use, snapshots in gob (which knows every wire
+// payload type, so an image can embed any payload a transport carries).
 
 package wire
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,11 +21,9 @@ import (
 // corrupted stream and close the connection.
 const maxFrame = 16 << 20
 
-// RegisterPayload registers a custom payload's concrete type with the
-// frame codec (internal/wire owns it). The built-in wire messages are
-// pre-registered; call this in both peer processes for any additional
-// payload types.
-func RegisterPayload(p transport.Payload) { wire.RegisterPayload(p) }
+// readChunk bounds the body buffer readFrame allocates ahead of the
+// bytes that arrive: a length prefix is a claim, not a reservation.
+const readChunk = 64 << 10
 
 // Config configures a process-wide TCP transport.
 type Config struct {
@@ -552,9 +551,30 @@ func readFrame(r io.Reader) (wire.Frame, error) {
 	if size == 0 || size > maxFrame {
 		return wire.Frame{}, fmt.Errorf("tcp: bad frame size %d", size)
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(size))
+	if err != nil {
 		return wire.Frame{}, err
 	}
 	return wire.DecodeFrame(body)
+}
+
+// readBody reads exactly size bytes. The buffer starts at readChunk at
+// most and doubles only once full, so a peer that claims a large frame
+// and then stalls or hangs up costs what it sent, not what it claimed.
+func readBody(r io.Reader, size int) ([]byte, error) {
+	body := make([]byte, 0, min(size, readChunk))
+	for len(body) < size {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(size-len(body), len(body)))
+		}
+		n, err := io.ReadFull(r, body[len(body):min(size, cap(body))])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a body
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
 }

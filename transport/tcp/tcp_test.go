@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"causalgc"
+	"causalgc/internal/wire"
+	"causalgc/transport"
 	"causalgc/transport/tcp"
 )
 
@@ -110,6 +112,36 @@ func TestLoopbackCycleReclaimed(t *testing.T) {
 	// The cycle really crossed sockets: both transports carried traffic.
 	if netA.Stats().TotalSent() == 0 || netB.Stats().TotalSent() == 0 {
 		t.Error("no socket traffic recorded")
+	}
+}
+
+// foreign is a payload type the wire codec does not define.
+type foreign struct{}
+
+func (foreign) Kind() string    { return "foreign" }
+func (foreign) ApproxSize() int { return 1 }
+
+// TestForeignPayloadDropped: the wire payload set is closed. A payload
+// of any other type cannot be encoded for a socket, so Send counts it as
+// dropped, and the connection carries the next wire frame as usual.
+func TestForeignPayloadDropped(t *testing.T) {
+	netA, netB := pair(t)
+	got := make(chan transport.Payload, 2)
+	netB.Register(2, func(_ transport.SiteID, p transport.Payload) { got <- p })
+
+	netA.Send(1, 2, foreign{})
+	if sent, _, dropped, _, _ := netA.Stats().Kind("foreign"); sent != 1 || dropped != 1 {
+		t.Fatalf("foreign payload: sent %d dropped %d, want 1 and 1", sent, dropped)
+	}
+	ack := wire.FrameAck{Stream: 1, Seq: 3}
+	netA.Send(1, 2, ack)
+	select {
+	case p := <-got:
+		if p != transport.Payload(ack) {
+			t.Fatalf("delivered %#v, want %#v", p, ack)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the wire frame after the foreign one never arrived")
 	}
 }
 
