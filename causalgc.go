@@ -82,13 +82,12 @@ type FrameStats = site.FrameStats
 type Stream = core.Stream
 
 // The retirement streams: retained outbound mutator frames, journaled
-// edge-asserts, destroyed-edge bundles, and retained finalisation
-// bundles of removed clusters.
+// edge-asserts, and edge-destruction bundles (destroyed edges' and
+// removed clusters' finalisation bundles alike).
 const (
 	StreamMut     = core.StreamMut
 	StreamAssert  = core.StreamAssert
 	StreamDestroy = core.StreamDestroy
-	StreamLegacy  = core.StreamLegacy
 )
 
 // Check runs the global reachability oracle over the given nodes: ground

@@ -90,14 +90,22 @@ func startNode(t *testing.T, name, bin string, args ...string) *proc {
 	return p
 }
 
-// waitLine blocks until a stdout line contains substr.
-func (p *proc) waitLine(substr string, timeout time.Duration) bool {
+// waitLine blocks until a stdout line contains every one of substrs.
+func (p *proc) waitLine(timeout time.Duration, substrs ...string) bool {
 	deadline := time.Now().Add(timeout)
 	seen := 0
+	has := func(line string) bool {
+		for _, s := range substrs {
+			if !strings.Contains(line, s) {
+				return false
+			}
+		}
+		return true
+	}
 	for time.Now().Before(deadline) {
 		p.mu.Lock()
 		for ; seen < len(p.lines); seen++ {
-			if strings.Contains(p.lines[seen], substr) {
+			if has(p.lines[seen]) {
 				p.mu.Unlock()
 				return true
 			}
@@ -152,7 +160,10 @@ func (p *proc) dump() string {
 //
 // B restarts from its persistence directory in serve mode; A's demo
 // must still complete (sites 1 and 3 reclaim b and c), and B's status
-// line must reach objects=1 (site 2 reclaimed a).
+// line must reach objects=1 (site 2 reclaimed a) with retained=0: every
+// bundle site 2 sent, a's finalisation bundles included, acknowledged.
+// A journals too, so its sites can come back in serve mode to answer
+// bundles that reached them only after the demo process had exited.
 func TestE2ECrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives real processes")
@@ -160,12 +171,14 @@ func TestE2ECrashRecovery(t *testing.T) {
 	bin := buildNode(t)
 	addrA, addrB := freePort(t), freePort(t)
 	persistDir := filepath.Join(t.TempDir(), "site2-durability")
+	persistA := filepath.Join(t.TempDir(), "sites13-durability")
 
 	procA := startNode(t, "A", bin,
 		"-sites", "1,3",
 		"-listen", addrA,
 		"-peers", "2="+addrB,
 		"-demo", "-timeout", "90s",
+		"-persist", persistA,
 	)
 	defer func() { procA.kill9() }()
 
@@ -179,7 +192,7 @@ func TestE2ECrashRecovery(t *testing.T) {
 	)
 	// The kill point: the third-party transfer has been issued, cycle
 	// collection has not run.
-	if !procB1.waitLine("built cycle", 30*time.Second) {
+	if !procB1.waitLine(30*time.Second, "built cycle") {
 		procB1.kill9()
 		t.Fatalf("B never built the cycle:\n%s", procB1.dump())
 	}
@@ -198,7 +211,7 @@ func TestE2ECrashRecovery(t *testing.T) {
 		"-metrics-addr", metricsAddr,
 	)
 	defer func() { procB2.kill9() }()
-	if !procB2.waitLine("recovered from", 15*time.Second) {
+	if !procB2.waitLine(15*time.Second, "recovered from") {
 		t.Fatalf("B2 did not recover:\n%s", procB2.dump())
 	}
 
@@ -212,19 +225,34 @@ func TestE2ECrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("driver process failed: %v\nA:\n%s\nB2:\n%s", err, procA.dump(), procB2.dump())
 	}
-	if !procA.waitLine("demo complete", time.Second) {
+	if !procA.waitLine(time.Second, "demo complete") {
 		t.Fatalf("driver exited without completing the demo:\n%s", procA.dump())
 	}
 
-	// And site 2 itself reclaims a: its status line reaches objects=1.
-	if !procB2.waitLine("status objects=1 ", 30*time.Second) {
-		t.Fatalf("recovered site 2 never reclaimed the cycle head:\n%s", procB2.dump())
+	// The demo process exits as soon as its own sites are reclaimed,
+	// possibly before it acknowledged a's finalisation bundles: those stay
+	// retained at site 2, as any bundle toward a peer that does not
+	// answer does, until their target sites answer again. A restarted in
+	// serve mode recovers b and c as tombstones, settles the bundles
+	// site 2's refresh rounds re-ship, and acknowledges them.
+	procA2 := startNode(t, "A2", bin,
+		"-sites", "1,3",
+		"-listen", addrA,
+		"-peers", "2="+addrB,
+		"-persist", persistA,
+	)
+	defer func() { procA2.kill9() }()
+
+	// And site 2 itself reclaims a: its status line reaches objects=1,
+	// and nothing stays retained.
+	if !procB2.waitLine(30*time.Second, "status objects=1 ", " retained=0") {
+		t.Fatalf("recovered site 2 never reclaimed the cycle head and drained its retained state:\n%s", procB2.dump())
 	}
 
 	// The metrics endpoint serves the same state over HTTP: site 2 is
 	// back to its root alone, the WAL replayed on recovery, and GGD's
 	// removal counter advanced during this node session.
-	if !procB2.waitLine("metrics on", 5*time.Second) {
+	if !procB2.waitLine(5*time.Second, "metrics on") {
 		t.Fatalf("B2 never announced its metrics endpoint:\n%s", procB2.dump())
 	}
 	resp, err := http.Get("http://" + metricsAddr + "/metrics")

@@ -184,7 +184,7 @@ func serve(nodes map[causalgc.SiteID]*causalgc.Node) error {
 			objects += snap.Objects
 			removed += snap.Engine.Removed
 			collections += snap.Collect.Collections
-			retained += snap.Depths.Outbox + snap.Depths.AssertRows + snap.Depths.LegacyBundles
+			retained += snap.Depths.Outbox + snap.Depths.AssertRows + snap.Depths.DestroyRows
 		}
 		fmt.Printf("status objects=%d removed=%d collections=%d retained=%d\n",
 			objects, removed, collections, retained)

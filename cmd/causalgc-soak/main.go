@@ -14,7 +14,7 @@
 //     scrapes straddling an extra refresh round);
 //   - the global reachability oracle finds zero residual garbage and
 //     zero dangling references;
-//   - the outbox, assert-journal and legacy-bundle depth gauges are
+//   - the outbox, assert-journal and destroy-bundle depth gauges are
 //     back to zero and no hard-cap backstop ever fired — per shard
 //     (-shards) and in aggregate;
 //   - every WAL fsync stayed within the latency budget.
@@ -441,7 +441,7 @@ func (s *soak) resendTotals() int {
 	for _, n := range s.nodes {
 		es := n.Stats()
 		fs := n.FrameStats()
-		total += es.AssertResends + es.DestroyResends + es.LegacyResends + es.ResendsSuppressed
+		total += es.AssertResends + es.DestroyResends + es.ResendsSuppressed
 		total += fs.OutboxResends + fs.ResendsSuppressed
 	}
 	return total
@@ -503,9 +503,9 @@ func (s *soak) quiescePhase() {
 	for i, m := range s.mons {
 		site := i + 1
 		snap := m.Snapshot()
-		if d := snap.Depths; d.Outbox != 0 || d.AssertRows != 0 || d.DestroyRows != 0 || d.LegacyBundles != 0 {
-			s.violationf("site %d retained state not drained: outbox=%d assertRows=%d destroyRows=%d legacyBundles=%d",
-				site, d.Outbox, d.AssertRows, d.DestroyRows, d.LegacyBundles)
+		if d := snap.Depths; d.Outbox != 0 || d.AssertRows != 0 || d.DestroyRows != 0 {
+			s.violationf("site %d retained state not drained: outbox=%d assertRows=%d destroyRows=%d",
+				site, d.Outbox, d.AssertRows, d.DestroyRows)
 		}
 		// The aggregate gauge must decompose into per-shard zeros — a
 		// shard hiding retained state behind a sibling's negative
@@ -517,18 +517,18 @@ func (s *soak) quiescePhase() {
 		for si, d := range snap.ShardDepths {
 			shardOutbox += d.Outbox
 			shardAsserts += d.AssertRows
-			if d.Outbox != 0 || d.AssertRows != 0 || d.DestroyRows != 0 || d.LegacyBundles != 0 {
-				s.violationf("site %d shard %d retained state not drained: outbox=%d assertRows=%d destroyRows=%d legacyBundles=%d",
-					site, si, d.Outbox, d.AssertRows, d.DestroyRows, d.LegacyBundles)
+			if d.Outbox != 0 || d.AssertRows != 0 || d.DestroyRows != 0 {
+				s.violationf("site %d shard %d retained state not drained: outbox=%d assertRows=%d destroyRows=%d",
+					site, si, d.Outbox, d.AssertRows, d.DestroyRows)
 			}
 		}
 		if shardOutbox != snap.Depths.Outbox || shardAsserts != snap.Depths.AssertRows {
 			s.violationf("site %d per-shard depths do not sum to the aggregate: outbox %d vs %d, assertRows %d vs %d",
 				site, shardOutbox, snap.Depths.Outbox, shardAsserts, snap.Depths.AssertRows)
 		}
-		if snap.Engine.AssertRowsDropped != 0 || snap.Engine.LegacyEvicted != 0 || snap.Frames.OutboxEvicted != 0 {
-			s.violationf("site %d backstop fired: assertRowsDropped=%d legacyEvicted=%d outboxEvicted=%d",
-				site, snap.Engine.AssertRowsDropped, snap.Engine.LegacyEvicted, snap.Frames.OutboxEvicted)
+		if snap.Engine.AssertRowsDropped != 0 || snap.Frames.OutboxEvicted != 0 {
+			s.violationf("site %d backstop fired: assertRowsDropped=%d outboxEvicted=%d",
+				site, snap.Engine.AssertRowsDropped, snap.Frames.OutboxEvicted)
 		}
 		if snap.Persist == nil {
 			s.violationf("site %d exports no persistence stats on a durable run", site)
@@ -564,7 +564,7 @@ func (s *soak) finalScrapeChecks() {
 	if ra != rb {
 		s.violationf("scraped causalgc_resends_total moved across a quiescent refresh: %v -> %v", rb, ra)
 	}
-	for _, gauge := range []string{"causalgc_outbox_depth", "causalgc_assert_journal_depth", "causalgc_destroy_bundles_depth", "causalgc_legacy_bundles_depth", "causalgc_residual_garbage"} {
+	for _, gauge := range []string{"causalgc_outbox_depth", "causalgc_assert_journal_depth", "causalgc_destroy_bundles_depth", "causalgc_residual_garbage"} {
 		total, n := sumMetric(after, gauge)
 		if n != s.cfg.sites {
 			s.violationf("scrape exports %d %s samples, want %d", n, gauge, s.cfg.sites)

@@ -337,7 +337,7 @@ func e9(w io.Writer) Result {
 // the acknowledged-retirement protocol (DESIGN.md §3.2): after a
 // fault-free workload settles and its FrameAcks drain, each further
 // refresh round must re-ship ZERO retained rows — journaled asserts,
-// destroyed-edge bundles, legacy finalisation bundles, outbox frames —
+// edge-destruction bundles, outbox frames —
 // and its destroy/assert wire traffic must be zero bytes. Before the
 // protocol every round re-shipped the full journal and bundle set, so
 // steady-state refresh traffic grew with history; now it converges. It
@@ -369,7 +369,7 @@ func e9SteadyState(w io.Writer) (lastRows, lastBytes int, ok bool) {
 		n := 0
 		for _, s := range wd.Sites() {
 			es := s.EngineStats()
-			n += es.AssertResends + es.DestroyResends + es.LegacyResends
+			n += es.AssertResends + es.DestroyResends
 			n += s.FrameStats().OutboxResends
 		}
 		return n

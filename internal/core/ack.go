@@ -11,13 +11,12 @@ import (
 // sequence number drawn from the per-(destination, stream) counter of its
 // sender; the receiver acknowledges cumulatively per (sender-site,
 // stream) with a FrameAck watermark, and the sender retires the retained
-// state covered by the watermark — outbox frames, assert-journal rows,
-// destroyed-edge bundles and legacy finalisation bundles stop being
-// re-shipped exactly, instead of being re-sent forever or silently
-// evicted.
+// state covered by the watermark — outbox frames, assert-journal rows
+// and edge-destruction bundles stop being re-shipped exactly, instead of
+// being re-sent forever or silently evicted.
 type Stream uint8
 
-// The four retirement streams. Stream zero means "untracked": local
+// The three retirement streams. Stream zero means "untracked": local
 // deliveries and frames from senders that retain nothing.
 const (
 	// StreamMut covers the retained outbound mutator frames of the site
@@ -26,11 +25,9 @@ const (
 	// StreamAssert covers journaled edge-asserts (positive and negative).
 	StreamAssert
 	// StreamDestroy covers the edge-destruction bundles (own column Ē) of
-	// destroyed edges, re-shipped by Refresh until acknowledged.
+	// destroyed edges, finalisation bundles included, re-shipped by
+	// Refresh until acknowledged.
 	StreamDestroy
-	// StreamLegacy covers the retained finalisation bundles of removed
-	// processes.
-	StreamLegacy
 )
 
 // String names the stream for diagnostics and observer callbacks.
@@ -42,8 +39,6 @@ func (s Stream) String() string {
 		return "assert"
 	case StreamDestroy:
 		return "destroy"
-	case StreamLegacy:
-		return "legacy"
 	}
 	return "untracked"
 }
@@ -87,8 +82,8 @@ func (b *damper) bump(round uint64) {
 // not yet covered by the peer's cumulative FrameAck — each with its key,
 // payload, destination peer, stream sequence (stable across re-sends, so
 // a re-send fills the same receiver-side gap) and re-send damper. The
-// engine holds three (asserts, destroyed-edge bundles, legacy bundles),
-// each site shard one (the outbox).
+// engine holds two (asserts, edge-destruction bundles), each site shard
+// one (the outbox).
 //
 // Acknowledged is not outstanding: a row leaves the moment a watermark
 // covers it, so every operation costs what is outstanding, never what

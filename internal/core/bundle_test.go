@@ -34,8 +34,8 @@ func TestDestroyBundleOutlivesItsHolder(t *testing.T) {
 	if !e.Removed(cA) {
 		t.Fatal("the holder was not removed")
 	}
-	if len(fs.legacies) != 0 {
-		t.Fatalf("legacies = %+v: the holder had no live remote edge", fs.legacies)
+	if len(fs.destroys) != 1 {
+		t.Fatalf("destroys = %+v: the holder had no live remote edge to finalise", fs.destroys)
 	}
 	if got := e.Retained().DestroyRows; got != 1 {
 		t.Fatalf("DestroyRows after the holder's removal = %d, want 1", got)

@@ -11,11 +11,11 @@
 //   - dependency-vector propagations (HandlePropagate, §3.3 step 3);
 //   - explicit refresh rounds (Refresh), the §5 recovery mechanism;
 //   - cumulative frame acknowledgements relayed by the site runtime
-//     (Ack — DESIGN.md §3.2), which retire rows of the engine's three
-//     Ledgers (ack.go): the assert journal, the destroyed-edge bundles
-//     and the finalisation bundles are one retained-row type, as is the
-//     site runtime's outbox. Each row carries what it re-ships and
-//     leaves when acknowledged; a destroyed edge's Ē bundle outlives
+//     (Ack — DESIGN.md §3.2), which retire rows of the engine's two
+//     Ledgers (ack.go): the assert journal and the edge-destruction
+//     bundles (finalisation bundles included) are one retained-row type,
+//     as is the site runtime's outbox. Each row carries what it re-ships
+//     and leaves when acknowledged; a destroyed edge's Ē bundle outlives
 //     its holder's removal.
 //
 // # A process exists from its first mention
@@ -91,9 +91,9 @@
 //   - Retained finalisation bundles: the destroy bundles a removed
 //     process sends carry the processed-introduction records that
 //     resolve its hints, but the process is gone — nothing could
-//     rebuild a lost bundle. Removal therefore retains the bundles
-//     (bounded, acknowledged retirement) and Refresh re-sends the
-//     un-acknowledged remainder.
+//     rebuild a lost bundle. Removal therefore retains them in the
+//     destroy ledger like any Ē (acknowledged retirement) and Refresh
+//     re-sends the un-acknowledged remainder.
 //
 // Detection then proceeds exactly as in §3.6: GGD work starts when an
 // edge-destruction message arrives, first-hand vectors circulate along

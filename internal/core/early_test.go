@@ -24,12 +24,6 @@ func (tp *tape) SendDestroy(from, to ids.ClusterID, m DestroyMsg, seq uint64) ui
 	return seq
 }
 
-func (tp *tape) SendLegacy(from, to ids.ClusterID, m DestroyMsg, seq uint64) uint64 {
-	seq = tp.fakeSender.SendLegacy(from, to, m, seq)
-	tp.sent = append(tp.sent, fmt.Sprintf("legacy %v>%v #%d %v", from, to, seq, m))
-	return seq
-}
-
 func (tp *tape) SendAssert(from, to ids.ClusterID, m AssertMsg, seq uint64) uint64 {
 	seq = tp.fakeSender.SendAssert(from, to, m, seq)
 	tp.sent = append(tp.sent, fmt.Sprintf("assert %v>%v #%d %v", from, to, seq, m))
@@ -126,14 +120,9 @@ func genEarlyProgram(seed int64, wellFormed bool) earlyProgram {
 			}
 			m.Processed.MergeEntry(h.intro, vclock.At(h.seq))
 		}
-		legacy := rng.Intn(8) == 0
-		stream := StreamDestroy
-		if legacy {
-			stream = StreamLegacy
-		}
-		seq := track(q, stream)
+		seq := track(q, StreamDestroy)
 		delete(live, q)
-		add(func(e *Engine) { e.HandleDestroyFrame(earlyT, q, cloneDestroy(m), seq, legacy) })
+		add(func(e *Engine) { e.HandleDestroyFrame(earlyT, q, cloneDestroy(m), seq, false) })
 	}
 	assertFrom := func(q ids.ClusterID, positive bool) {
 		var m AssertMsg

@@ -59,16 +59,14 @@ type AssertMsg struct {
 // retirement-stream sequence numbers of DESIGN.md §3.2. The site runtime
 // implements it on top of the network; local deliveries never touch it.
 //
-// SendDestroy, SendLegacy and SendAssert take the frame's stream
-// sequence: zero means "assign a fresh one" (first send); non-zero means
-// "re-send under the same sequence", so a re-sent frame fills the same
-// receiver-side gap instead of opening a new one. Both return the
-// sequence the frame was shipped with.
+// SendDestroy and SendAssert take the frame's stream sequence: zero
+// means "assign a fresh one" (first send); non-zero means "re-send under
+// the same sequence", so a re-sent frame fills the same receiver-side gap
+// instead of opening a new one. Both return the sequence the frame was
+// shipped with.
 type Sender interface {
 	// SendDestroy ships an edge-destruction bundle in StreamDestroy.
 	SendDestroy(from, to ids.ClusterID, m DestroyMsg, seq uint64) uint64
-	// SendLegacy ships a retained finalisation bundle in StreamLegacy.
-	SendLegacy(from, to ids.ClusterID, m DestroyMsg, seq uint64) uint64
 	// SendAssert ships an edge-assert in StreamAssert.
 	SendAssert(from, to ids.ClusterID, m AssertMsg, seq uint64) uint64
 	// SendPropagate ships a dependency-vector propagation (untracked:
@@ -97,25 +95,22 @@ type Stats struct {
 	AssertsSent int
 	// AssertResends counts journaled edge-asserts re-sent by Refresh.
 	AssertResends int
-	// DestroyResends counts destroyed-edge bundles re-sent by Refresh
-	// from the destroy ledger (subset of DestroysSent).
+	// DestroyResends counts edge-destruction bundles, finalisation ones
+	// included, re-sent by Refresh (subset of DestroysSent).
 	DestroyResends int
-	// LegacyResends counts retained finalisation bundles re-sent by
-	// Refresh (subset of DestroysSent).
+	// Deprecated: always zero (finalisation re-sends count in
+	// DestroyResends); kept only while the frozen benchmark reads it.
 	LegacyResends int
 	// ResendsSuppressed counts re-sends the exponential damper held back
 	// (the row stays retained; it is re-shipped when its interval lapses).
 	ResendsSuppressed int
-	// RowsRetired counts retained rows (asserts, destroyed-edge bundles,
-	// legacy bundles) retired by cumulative frame acknowledgements.
+	// RowsRetired counts retained rows (asserts, edge-destruction
+	// bundles) retired by cumulative frame acknowledgements.
 	RowsRetired int
 	// AssertRowsDropped counts journal rows lost to the maxAssertRows
 	// bound (dropped new positives plus evicted victims): tolerated loss,
 	// surfaced so operators can see the backstop fire.
 	AssertRowsDropped int
-	// LegacyEvicted counts retained finalisation bundles lost to the
-	// maxLegacy bound before acknowledgement: tolerated loss.
-	LegacyEvicted int
 	// HintsExpired counts introduction hints expired as provably stale
 	// (negative asserts processed, local expiries included).
 	HintsExpired int
@@ -171,17 +166,13 @@ type Engine struct {
 	// (loss-equivalent — deterministic, so replay agrees — and counted in
 	// Stats.AssertRowsDropped).
 	asserts *Ledger[assertRow, uint64]
-	// destroys retains the Ē bundle of every destroyed remote edge until
+	// destroys retains the bundle of every destroyed remote edge — a
+	// dropped one's Ē, or a removed holder's finalisation bundle — until
 	// the target site acknowledges it or the edge re-forms (the fresh live
 	// stamp supersedes). The holder's on-behalf row is frozen in between,
 	// so the bundle stays what a rebuild from it would give; the row
 	// outlives its holder's removal, which is no acknowledgement.
 	destroys *Ledger[edgeKey, DestroyMsg]
-	// legacy retains the finalisation destroy bundles of removed
-	// processes until the target site acknowledges them: they carry the
-	// records that resolve the successors' hints. Bounded by maxLegacy as
-	// a backstop (eviction is tolerated loss, counted).
-	legacy *Ledger[edgeKey, DestroyMsg]
 	// round counts Refresh invocations: the damper's time base.
 	round uint64
 
@@ -194,12 +185,8 @@ type assertRow struct {
 	seq                   uint64
 }
 
-const (
-	// maxAssertRows bounds the assert re-send journal.
-	maxAssertRows = 4096
-	// maxLegacy bounds the retained finalisation bundles.
-	maxLegacy = 1024
-)
+// maxAssertRows bounds the assert re-send journal.
+const maxAssertRows = 4096
 
 // process is the per-global-root state: the paper's "each global root
 // appears as a process" (§3.1).
@@ -267,7 +254,6 @@ func New(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Option
 	e.asserts.less = assertRowLess
 	e.asserts.spare = func(stamp uint64) bool { return stamp > 0 }
 	e.destroys = NewLedger[edgeKey, DestroyMsg](0, nil)
-	e.legacy = NewLedger[edgeKey, DestroyMsg](maxLegacy, func(ids.SiteID) { e.stats.LegacyEvicted++ })
 	return e
 }
 
@@ -286,19 +272,16 @@ func (e *Engine) owns(cl ids.ClusterID) bool {
 
 // Retained reports the sizes of the engine's retained-state tables: the
 // depth gauges a monitor watches to confirm the metadata stays bounded
-// (the paper's §4 scalability argument made operational). All four are
+// (the paper's §4 scalability argument made operational). All three are
 // zero at quiescence.
 type Retained struct {
 	// AssertRows is the number of un-acknowledged edge-asserts in the
 	// re-send journal.
 	AssertRows int
-	// DestroyRows is the number of un-acknowledged destroyed-edge Ē
+	// DestroyRows is the number of un-acknowledged edge-destruction
 	// bundles in the destroy ledger; a bundle toward a peer that never
 	// answers stays.
 	DestroyRows int
-	// LegacyBundles is the number of retained finalisation destroy
-	// bundles of removed clusters.
-	LegacyBundles int
 	// PendingDeliveries is the number of unborn processes: clusters that
 	// control messages named ahead of their creation message, each one
 	// log that outlives its traffic until the creation arrives.
@@ -310,7 +293,6 @@ func (e *Engine) Retained() Retained {
 	return Retained{
 		AssertRows:        e.asserts.Len(),
 		DestroyRows:       e.destroys.Len(),
-		LegacyBundles:     e.legacy.Len(),
 		PendingDeliveries: e.unborn,
 	}
 }
@@ -628,14 +610,11 @@ func (e *Engine) HandleDestroy(to, from ids.ClusterID, m DestroyMsg) {
 
 // HandleDestroyFrame processes an incoming edge-destruction control
 // message carrying its retirement-stream identity: seq is the frame's
-// sequence in the sender site's destroy (or, with legacy set, legacy)
-// stream — zero for untracked frames.
-func (e *Engine) HandleDestroyFrame(to, from ids.ClusterID, m DestroyMsg, seq uint64, legacy bool) {
-	stream := StreamDestroy
-	if legacy {
-		stream = StreamLegacy
-	}
-	e.inbox = append(e.inbox, delivery{to: to, from: from, kind: deliverDestroy, destroy: m, seq: seq, stream: stream})
+// sequence in the sender site's destroy stream — zero for untracked
+// frames. The ignored last argument stays while the frozen benchmark
+// passes it.
+func (e *Engine) HandleDestroyFrame(to, from ids.ClusterID, m DestroyMsg, seq uint64, _ bool) {
+	e.inbox = append(e.inbox, delivery{to: to, from: from, kind: deliverDestroy, destroy: m, seq: seq, stream: StreamDestroy})
 	e.Drain()
 }
 
@@ -665,8 +644,6 @@ func (e *Engine) ledger(s Stream) interface {
 		return e.asserts
 	case StreamDestroy:
 		return e.destroys
-	case StreamLegacy:
-		return e.legacy
 	}
 	return nil
 }
@@ -699,7 +676,6 @@ func (e *Engine) AckDestroys(peer ids.SiteID, watermark uint64) int {
 func (e *Engine) ResetPeerBackoff(peer ids.SiteID) {
 	e.asserts.ResetPeer(peer)
 	e.destroys.ResetPeer(peer)
-	e.legacy.ResetPeer(peer)
 }
 
 // RetainedFloor returns the smallest stream sequence still retained for
@@ -1041,21 +1017,16 @@ func (e *Engine) remove(p *process) {
 			})
 			continue
 		}
+		// The finalisation bundle is a destroy like any other, retained
+		// (as are the Ē of edges p destroyed earlier) until acknowledged.
 		ob := p.log.OB(k)
 		ob.Auth.MergeEntry(p.id, vclock.Eps(p.clock))
-		m := DestroyMsg{
+		e.sendEdgeDestroy(p.id, k, DestroyMsg{
 			Auth:      ob.Auth.Clone(),
 			Hints:     ob.Hints.Clone(),
 			Processed: ob.Processed.Clone(),
-		}
-		// Retain the finalisation bundle: it carries the records
-		// resolving the successor's hints. Refresh re-sends the
-		// un-acknowledged remainder under the same stream sequence.
-		e.stats.DestroysSent++
-		e.legacy.Put(edgeKey{p.id, k}, k.Site, e.send.SendLegacy(p.id, k, m, 0), cloneDestroy(m))
+		})
 	}
-	// The un-acknowledged Ē bundles of edges p destroyed earlier stay in
-	// the destroy ledger: nobody else holds them.
 	e.tombstone[p.id] = p.clock
 	if e.onRemove != nil {
 		e.onRemove(p.id)
@@ -1069,9 +1040,8 @@ func (e *Engine) queueLocalDestroy(from, to ids.ClusterID, m DestroyMsg) {
 	e.inbox = append(e.inbox, delivery{to: to, from: from, kind: deliverDestroy, destroy: m})
 }
 
-// sendEdgeDestroy ships the Ē bundle for the destroyed remote edge
-// from→to in the destroy retirement stream and retains it until
-// acknowledged.
+// sendEdgeDestroy ships the bundle for the destroyed remote edge from→to
+// in the destroy retirement stream and retains it until acknowledged.
 func (e *Engine) sendEdgeDestroy(from, to ids.ClusterID, m DestroyMsg) {
 	e.stats.DestroysSent++
 	ek := edgeKey{from, to}
@@ -1081,13 +1051,12 @@ func (e *Engine) sendEdgeDestroy(from, to ids.ClusterID, m DestroyMsg) {
 // --- Recovery (§5: residual garbage) ------------------------------------
 
 // Refresh re-evaluates every local process, re-propagates its current
-// state unconditionally, and re-ships the three kinds of retained
-// re-send state that have not been acknowledged (DESIGN.md §3.2):
-// the edge-destruction bundles of destroyed edges, the journaled
-// edge-asserts, and the retained finalisation bundles of removed
-// processes. Each retained row is damped by an exponential per-row
-// backoff; acknowledged rows are never re-shipped, so a quiescent,
-// fault-free system's refresh rounds carry propagations only.
+// state unconditionally, and re-ships the retained re-send state that
+// has not been acknowledged (DESIGN.md §3.2): edge-destruction bundles
+// (finalisation bundles included) and journaled edge-asserts. Each
+// retained row is damped by an exponential per-row backoff; acknowledged
+// rows are never re-shipped, so a quiescent, fault-free system's refresh
+// rounds carry propagations only.
 //
 // GGD messages are idempotent, so a refresh is always safe; it
 // re-detects residual garbage whose original detection traffic was
@@ -1112,12 +1081,12 @@ func (e *Engine) Refresh() {
 		e.propagate(p, res)
 		e.Drain()
 	}
-	// Re-ship what is retained and un-acknowledged — Ē bundles, then
-	// edge-asserts, then the finalisation bundles of removed processes —
-	// each in its ledger's walk order. All are idempotent: receivers
-	// settle the frames (so the ledgers drain through cumulative acks)
-	// and merge bundles by stamp order (a re-created edge's fresher live
-	// stamp supersedes an Ē; copies to removed targets are dropped there).
+	// Re-ship what is retained and un-acknowledged — edge-destruction
+	// bundles in retention order, then edge-asserts in key order. All are
+	// idempotent: receivers settle the frames (so the ledgers drain
+	// through cumulative acks) and merge bundles by stamp order (a
+	// re-created edge's fresher live stamp supersedes an Ē; copies to
+	// removed targets are dropped there).
 	sent, held := e.destroys.Due(e.round, func(ek edgeKey, m DestroyMsg, seq uint64) uint64 {
 		return e.send.SendDestroy(ek.holder, ek.target, cloneDestroy(m), seq)
 	})
@@ -1128,12 +1097,6 @@ func (e *Engine) Refresh() {
 		return e.send.SendAssert(row.holder, row.target, AssertMsg{Stamp: stamp, Intro: row.intro, IntroSeq: row.seq}, seq)
 	})
 	e.stats.AssertResends += sent
-	e.stats.ResendsSuppressed += held
-	sent, held = e.legacy.Due(e.round, func(ek edgeKey, m DestroyMsg, seq uint64) uint64 {
-		return e.send.SendLegacy(ek.holder, ek.target, cloneDestroy(m), seq)
-	})
-	e.stats.DestroysSent += sent
-	e.stats.LegacyResends += sent
 	e.stats.ResendsSuppressed += held
 	e.Drain()
 }

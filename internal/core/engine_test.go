@@ -13,7 +13,6 @@ import (
 // care).
 type fakeSender struct {
 	destroys []sentDestroy
-	legacies []sentDestroy
 	props    []sentMsg
 	asserts  []sentAssert
 	settles  []settledFrame
@@ -55,16 +54,6 @@ func (f *fakeSender) assign(s Stream, seq uint64) uint64 {
 
 func (f *fakeSender) SendDestroy(from, to ids.ClusterID, m DestroyMsg, seq uint64) uint64 {
 	seq = f.assign(StreamDestroy, seq)
-	f.destroys = append(f.destroys, sentDestroy{from, to, m, seq})
-	return seq
-}
-
-// SendLegacy records into destroys as well: a legacy frame is an
-// edge-destruction bundle on the wire, and the assertions below count
-// destruction traffic regardless of stream.
-func (f *fakeSender) SendLegacy(from, to ids.ClusterID, m DestroyMsg, seq uint64) uint64 {
-	seq = f.assign(StreamLegacy, seq)
-	f.legacies = append(f.legacies, sentDestroy{from, to, m, seq})
 	f.destroys = append(f.destroys, sentDestroy{from, to, m, seq})
 	return seq
 }
@@ -914,7 +903,10 @@ func TestEngineEdgeReformInvalidatesDestroyAck(t *testing.T) {
 	}
 }
 
-func TestEngineAckLegacyRetiresBundle(t *testing.T) {
+// TestEngineAckRetiresFinalisationBundle: a removed process's
+// finalisation bundle is a destroy-ledger row in the destroy stream, and
+// the target site's ack on that stream retires it.
+func TestEngineAckRetiresFinalisationBundle(t *testing.T) {
 	e, fs, _ := newEngine(t, Options{})
 	e.Register(cA)
 	e.EdgeUp(cA, rem, true, ids.NoCluster, 0)
@@ -922,15 +914,18 @@ func TestEngineAckLegacyRetiresBundle(t *testing.T) {
 	if !e.Removed(cA) {
 		t.Fatal("cA not removed")
 	}
-	if len(fs.legacies) != 1 {
-		t.Fatalf("legacies = %+v, want 1", fs.legacies)
+	if len(fs.destroys) != 1 || fs.destroys[0].from != cA || fs.destroys[0].to != rem {
+		t.Fatalf("destroys = %+v, want cA's one finalisation bundle", fs.destroys)
 	}
-	if n := e.Ack(rem.Site, StreamLegacy, fs.legacies[0].seq); n != 1 {
-		t.Fatalf("AckLegacy retired %d, want 1", n)
+	if got := e.Retained().DestroyRows; got != 1 {
+		t.Fatalf("DestroyRows = %d, want the finalisation bundle", got)
+	}
+	if n := e.Ack(rem.Site, StreamDestroy, fs.destroys[0].seq); n != 1 {
+		t.Fatalf("Ack retired %d, want 1", n)
 	}
 	e.Refresh()
-	if got := e.Stats().LegacyResends; got != 0 {
-		t.Errorf("acked legacy bundle re-sent: LegacyResends = %d", got)
+	if got := e.Stats().DestroyResends; got != 0 {
+		t.Errorf("acked finalisation bundle re-sent: DestroyResends = %d", got)
 	}
 }
 

@@ -21,15 +21,12 @@ type EngineImage struct {
 	// is part of the durable image, stream sequences included (a
 	// recovered re-send must fill the same receiver-side gap).
 	Asserts []AssertRowImage
-	// Destroys holds the un-acknowledged Ē bundles of destroyed edges, in
+	// Destroys holds the un-acknowledged edge-destruction bundles, in
 	// retention order: the holder may be a tombstone, so the bundle is
 	// nowhere else, and losing a stream sequence would orphan the
 	// receiver's watermark.
 	Destroys []DestroyImage
-	// Legacy holds the retained finalisation destroy bundles of removed
-	// processes, in retention order.
-	Legacy []LegacyImage
-	Stats  Stats
+	Stats    Stats
 }
 
 // AssertRowImage is one journaled edge-assert awaiting acknowledgement.
@@ -42,19 +39,11 @@ type AssertRowImage struct {
 	StreamSeq uint64
 }
 
-// DestroyImage is one destroyed remote edge's un-acknowledged Ē bundle.
+// DestroyImage is one destroyed remote edge's un-acknowledged bundle.
 type DestroyImage struct {
 	Holder, Target ids.ClusterID
 	M              DestroyMsg
 	// Seq is the bundle's sequence in the destroy retirement stream.
-	Seq uint64
-}
-
-// LegacyImage is one retained finalisation destroy bundle.
-type LegacyImage struct {
-	From, To ids.ClusterID
-	M        DestroyMsg
-	// Seq is the bundle's sequence in the legacy retirement stream.
 	Seq uint64
 }
 
@@ -105,9 +94,6 @@ func (e *Engine) Export() (EngineImage, error) {
 	e.destroys.Each(func(ek edgeKey, m DestroyMsg, seq uint64) {
 		img.Destroys = append(img.Destroys, DestroyImage{Holder: ek.holder, Target: ek.target, M: cloneDestroy(m), Seq: seq})
 	})
-	e.legacy.Each(func(ek edgeKey, m DestroyMsg, seq uint64) {
-		img.Legacy = append(img.Legacy, LegacyImage{From: ek.holder, To: ek.target, M: cloneDestroy(m), Seq: seq})
-	})
 	return img, nil
 }
 
@@ -141,9 +127,6 @@ func Restore(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Op
 	}
 	for _, di := range img.Destroys {
 		e.destroys.Put(edgeKey{di.Holder, di.Target}, di.Target.Site, di.Seq, cloneDestroy(di.M))
-	}
-	for _, li := range img.Legacy {
-		e.legacy.Put(edgeKey{li.From, li.To}, li.To.Site, li.Seq, cloneDestroy(li.M))
 	}
 	return e, nil
 }

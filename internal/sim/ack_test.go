@@ -148,8 +148,9 @@ func TestAckDropCannotRetireUndelivered(t *testing.T) {
 // TestRefreshQuiescentReshipsNothing is the steady-state acceptance
 // criterion of the acknowledged-retirement protocol: after a fault-free
 // workload settles and its acks drain, further refresh rounds re-ship
-// ZERO journal rows, destroyed-edge bundles, legacy bundles and outbox
-// frames — refresh traffic no longer grows with history.
+// ZERO journal rows, edge-destruction bundles (finalisation bundles
+// included) and outbox frames — refresh traffic no longer grows with
+// history.
 func TestRefreshQuiescentReshipsNothing(t *testing.T) {
 	w, err := NewDurableWorld(4, netsim.Faults{Seed: 11}, site.DefaultOptions(), t.TempDir(), 64)
 	if err != nil {
@@ -172,14 +173,13 @@ func TestRefreshQuiescentReshipsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type counters struct{ asserts, destroys, legacy, outbox int }
+	type counters struct{ asserts, destroys, outbox int }
 	snap := func() counters {
 		var c counters
 		for _, s := range w.Sites() {
 			es := s.EngineStats()
 			c.asserts += es.AssertResends
 			c.destroys += es.DestroyResends
-			c.legacy += es.LegacyResends
 			c.outbox += s.FrameStats().OutboxResends
 		}
 		return c

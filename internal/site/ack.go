@@ -303,9 +303,12 @@ func (r *shard) flushAcksLocked() {
 // and may have lost undurable state), and the watermark retires the
 // covered retained state of THIS shard exactly. The shared ackedTo
 // floor only ever rises; retirement itself is idempotent, so the same
-// ack fans out to every shard and each retires its own rows. Caller
-// holds r.mu.
+// ack fans out to every shard and each retires its own rows. An ack of
+// the untracked stream covers nothing. Caller holds r.mu.
 func (r *shard) handleFrameAckLocked(peer ids.SiteID, m wire.FrameAck) {
+	if m.Stream == 0 {
+		return
+	}
 	st := r.site.st
 	st.mu.Lock()
 	if r.index == 0 {

@@ -83,11 +83,9 @@ type Depths struct {
 	// AssertRows is the engine's un-acknowledged edge-assert journal
 	// size.
 	AssertRows int
-	// DestroyRows is the engine's un-acknowledged destroyed-edge Ē bundle
+	// DestroyRows is the engine's un-acknowledged edge-destruction bundle
 	// count; a bundle toward a peer that never answers stays.
 	DestroyRows int
-	// LegacyBundles is the engine's retained finalisation bundle count.
-	LegacyBundles int
 	// PendingDeliveries is the engine's count of unborn processes:
 	// clusters that control messages or reference transfers named ahead
 	// of their creation message (zero again once every creation has
@@ -104,7 +102,6 @@ func (s *Site) Depths() Depths {
 		total.Outbox += d.Outbox
 		total.AssertRows += d.AssertRows
 		total.DestroyRows += d.DestroyRows
-		total.LegacyBundles += d.LegacyBundles
 		total.PendingDeliveries += d.PendingDeliveries
 	}
 	return total
@@ -120,7 +117,6 @@ func (s *Site) ShardDepths(i int) Depths {
 		Outbox:            r.outbox.Len(),
 		AssertRows:        ret.AssertRows,
 		DestroyRows:       ret.DestroyRows,
-		LegacyBundles:     ret.LegacyBundles,
 		PendingDeliveries: ret.PendingDeliveries,
 	}
 }

@@ -154,13 +154,6 @@ func (s *sender) SendDestroy(from, to ids.ClusterID, m core.DestroyMsg, seq uint
 	return seq
 }
 
-func (s *sender) SendLegacy(from, to ids.ClusterID, m core.DestroyMsg, seq uint64) uint64 {
-	r := (*shard)(s)
-	seq = r.assignSeqLocked(to.Site, core.StreamLegacy, seq)                              //causalgc:allow-locked-call engine callbacks run under r.mu
-	r.emitLocked(to.Site, wire.Destroy{From: from, To: to, M: m, Seq: seq, Legacy: true}) //causalgc:allow-locked-call engine callbacks run under r.mu
-	return seq
-}
-
 func (s *sender) SendAssert(from, to ids.ClusterID, m core.AssertMsg, seq uint64) uint64 {
 	r := (*shard)(s)
 	seq = r.assignSeqLocked(to.Site, core.StreamAssert, seq)               //causalgc:allow-locked-call engine callbacks run under r.mu
@@ -267,7 +260,7 @@ func (r *shard) applyFrameLocked(from ids.SiteID, p netsim.Payload) {
 			r.handleRefTransfer(m)
 		}
 	case wire.Destroy:
-		r.engine.HandleDestroyFrame(m.To, m.From, m.M, m.Seq, m.Legacy)
+		r.engine.HandleDestroyFrame(m.To, m.From, m.M, m.Seq, false)
 	case wire.Propagate:
 		r.engine.HandlePropagate(m.To, m.From, m.M)
 	case wire.Assert:

@@ -563,6 +563,24 @@ func TestShardedAckCountedOncePerDelivery(t *testing.T) {
 	}
 }
 
+// TestUntrackedStreamOpensNothing: stream zero is core's untracked
+// stream, which the codec lets through. A FrameAck or StreamAdvance
+// naming it covers nothing, so it must open no send or receive stream —
+// state the site would otherwise ack back and write into every later
+// snapshot.
+func TestUntrackedStreamOpensNothing(t *testing.T) {
+	net := netsim.NewSim(netsim.Faults{Seed: 1})
+	s := NewSharded(1, net, DefaultOptions(), 2)
+	s.handleNet(2, wire.FrameAck{Seq: 5, Epoch: 1})
+	s.handleNet(2, wire.StreamAdvance{Floor: 3})
+	if _, err := net.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.st.send) != 0 || len(s.st.recv) != 0 {
+		t.Fatalf("untracked stream opened state: send %v, recv %v", s.st.send, s.st.recv)
+	}
+}
+
 // TestCheckpointAllSkipsWhenNotDue: two drainers racing past
 // maybeCheckpoint's unlocked Due check serialise on ckptMu; the loser
 // must skip the redundant stop-the-world snapshot the winner just took.

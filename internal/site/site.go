@@ -547,11 +547,9 @@ func (s *Site) EngineStats() core.Stats {
 		total.AssertsSent += st.AssertsSent
 		total.AssertResends += st.AssertResends
 		total.DestroyResends += st.DestroyResends
-		total.LegacyResends += st.LegacyResends
 		total.ResendsSuppressed += st.ResendsSuppressed
 		total.RowsRetired += st.RowsRetired
 		total.AssertRowsDropped += st.AssertRowsDropped
-		total.LegacyEvicted += st.LegacyEvicted
 		total.HintsExpired += st.HintsExpired
 		total.StaleDeliveries += st.StaleDeliveries
 	}

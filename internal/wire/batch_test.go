@@ -118,12 +118,12 @@ func TestRecordArity(t *testing.T) {
 	}
 }
 
-// TestSnapshotV7Pinned: the shard-partitioned snapshot format is v7 —
+// TestSnapshotV8Pinned: the shard-partitioned snapshot format is v8 —
 // the only version that decodes — re-encoded images round-trip, and
 // re-send state is always bare frames, never envelopes.
-func TestSnapshotV7Pinned(t *testing.T) {
-	if SnapshotVersion != 7 {
-		t.Fatalf("SnapshotVersion = %d; dropping the transfer dedup set and the parked transfers pinned the format at v7", SnapshotVersion)
+func TestSnapshotV8Pinned(t *testing.T) {
+	if SnapshotVersion != 8 {
+		t.Fatalf("SnapshotVersion = %d; folding the legacy bundles into the destroy ledger pinned the format at v8", SnapshotVersion)
 	}
 	img := sampleImage()
 	data, err := EncodeSnapshot(img)

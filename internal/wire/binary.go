@@ -18,8 +18,8 @@
 //
 // Decoding trusts nothing: every count is checked against the bytes
 // left (at the entry kind's minimum encoded size) before anything is
-// allocated, and an unknown version or tag, a bool other than 0 or 1,
-// an id out of range, a repeated map key or a trailing byte is an
+// allocated, and an unknown version, tag or stream, a bool other than 0
+// or 1, an id out of range, a repeated map key or a trailing byte is an
 // error.
 
 package wire
@@ -40,8 +40,9 @@ import (
 // codecVersion leads every encoded frame and record. No gob stream
 // starts with this byte (gob opens with the length of a type
 // definition), so a gob-era journal is refused by version, not
-// misparsed.
-const codecVersion = 1
+// misparsed. Version 2 dropped Destroy's finalisation-stream flag, so a
+// v1 journal, whose frames may name the retired stream, is refused.
+const codecVersion = 2
 
 // Payload tags.
 const (
@@ -189,7 +190,6 @@ func (e *encoder) payload(p netsim.Payload, inner bool) error {
 		e.cluster(p.To)
 		e.destroyMsg(&p.M)
 		e.uvarint(p.Seq)
-		e.flag(p.Legacy)
 	case Assert:
 		e.u8(tagAssert)
 		e.cluster(p.From)
@@ -343,6 +343,16 @@ func (d *decoder) flag() bool {
 	}
 }
 
+// stream reads a retirement stream, refusing any above the last: a site
+// would keep, ack and snapshot state for it. Zero (untracked) passes.
+func (d *decoder) stream() core.Stream {
+	s := core.Stream(d.u8())
+	if d.err == nil && s > core.StreamDestroy {
+		d.fail("unknown stream %d", s)
+	}
+	return s
+}
+
 // count reads a slice's length.
 func (d *decoder) count(size int) int { return d.fit(d.uvarint(), size) }
 
@@ -474,15 +484,15 @@ func (d *decoder) payload(inner bool) netsim.Payload {
 		return RefTransfer{FromCluster: d.cluster(), IntroSeq: d.uvarint(), ToObj: d.object(),
 			ToCluster: d.cluster(), Target: d.ref(), Seq: d.uvarint()}
 	case tagDestroy:
-		return Destroy{From: d.cluster(), To: d.cluster(), M: d.destroyMsg(), Seq: d.uvarint(), Legacy: d.flag()}
+		return Destroy{From: d.cluster(), To: d.cluster(), M: d.destroyMsg(), Seq: d.uvarint()}
 	case tagAssert:
 		return Assert{From: d.cluster(), To: d.cluster(),
 			M:   core.AssertMsg{Stamp: d.uvarint(), Intro: d.cluster(), IntroSeq: d.uvarint()},
 			Seq: d.uvarint()}
 	case tagFrameAck:
-		return FrameAck{Stream: core.Stream(d.u8()), Seq: d.uvarint(), Epoch: d.uvarint()}
+		return FrameAck{Stream: d.stream(), Seq: d.uvarint(), Epoch: d.uvarint()}
 	case tagStreamAdvance:
-		return StreamAdvance{Stream: core.Stream(d.u8()), Floor: d.uvarint()}
+		return StreamAdvance{Stream: d.stream(), Floor: d.uvarint()}
 	case tagPropagate:
 		return Propagate{From: d.cluster(), To: d.cluster(), M: d.propagation()}
 	case tagEnvelope:

@@ -90,6 +90,12 @@ func (g gen) clusters() []ids.ClusterID {
 	return cs
 }
 
+// stream draws one of the retirement streams: the decoder refuses any
+// other byte.
+func (g gen) stream() core.Stream {
+	return core.StreamMut + core.Stream(g.r.Intn(int(core.StreamDestroy)))
+}
+
 // payloadKinds is the number of payload kinds payloadOf draws from.
 const payloadKinds = 8
 
@@ -105,15 +111,15 @@ func (g gen) payloadOf(kind int) netsim.Payload {
 	case 2:
 		return Destroy{From: g.cluster(), To: g.cluster(),
 			M:   core.DestroyMsg{Auth: g.vector(), Hints: g.vector(), Processed: g.vector()},
-			Seq: g.u64(), Legacy: g.r.Intn(2) == 0}
+			Seq: g.u64()}
 	case 3:
 		return Assert{From: g.cluster(), To: g.cluster(),
 			M:   core.AssertMsg{Stamp: g.u64(), Intro: g.cluster(), IntroSeq: g.u64()},
 			Seq: g.u64()}
 	case 4:
-		return FrameAck{Stream: core.Stream(g.r.Intn(256)), Seq: g.u64(), Epoch: g.u64()}
+		return FrameAck{Stream: g.stream(), Seq: g.u64(), Epoch: g.u64()}
 	case 5:
-		return StreamAdvance{Stream: core.Stream(g.r.Intn(256)), Floor: g.u64()}
+		return StreamAdvance{Stream: g.stream(), Floor: g.u64()}
 	case 6:
 		m := core.Propagation{Clock: g.u64(), Auth: g.vector(), HintCols: g.clusters()}
 		// n < 0 leaves a row map nil; 0 makes it empty.
@@ -224,8 +230,8 @@ func edgeRecords() []*WALRecord {
 	ebar := vclock.Vector{root: vclock.Eps(math.MaxUint64), {Site: 1, Seq: 2}: vclock.Eps(1)}
 	env := Envelope{Frames: []netsim.Payload{
 		Create{Creator: root, Stamp: math.MaxUint64, Seq: math.MaxUint64},
-		Destroy{From: root, M: core.DestroyMsg{Auth: ebar, Hints: vclock.Vector{}, Processed: ebar}, Legacy: true},
-		FrameAck{Stream: core.StreamLegacy, Seq: math.MaxUint64, Epoch: 1},
+		Destroy{From: root, M: core.DestroyMsg{Auth: ebar, Hints: vclock.Vector{}, Processed: ebar}},
+		FrameAck{Stream: core.StreamDestroy, Seq: math.MaxUint64, Epoch: 1},
 		Propagate{M: core.Propagation{Rows: map[ids.ClusterID]core.RowGossip{root: {}}}},
 	}}
 	return []*WALRecord{
@@ -276,7 +282,8 @@ func (foreign) Kind() string    { return "foreign" }
 func (foreign) ApproxSize() int { return 1 }
 
 // TestCodecRefusesMalformed: the payload set is closed and every
-// malformed input is an error — an unknown version or tag, a nested
+// malformed input is an error — an unknown version (the retired v1
+// included), tag or stream (the retired legacy stream 4, 255), a nested
 // envelope, a count larger than the bytes left, a non-0/1 bool, a
 // truncated value, trailing bytes.
 func TestCodecRefusesMalformed(t *testing.T) {
@@ -295,7 +302,9 @@ func TestCodecRefusesMalformed(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := EncodeFrame(&buf, &Frame{From: 1, To: 2, Payload: Destroy{Legacy: true}}); err != nil {
+	// One Ē stamp: byte 8 is the Auth count and byte 12 the stamp's Eps.
+	auth := vclock.Vector{{Site: 1}: vclock.Eps(1)}
+	if err := EncodeFrame(&buf, &Frame{From: 1, To: 2, Payload: Destroy{M: core.DestroyMsg{Auth: auth}}}); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -305,13 +314,18 @@ func TestCodecRefusesMalformed(t *testing.T) {
 		want string
 	}{
 		"version":  {mutate(func(b []byte) []byte { b[0] = codecVersion + 1; return b }), "codec version"},
+		"v1":       {mutate(func(b []byte) []byte { b[0] = 1; return b }), "codec version 1, want 2"},
 		"tag":      {mutate(func(b []byte) []byte { b[3] = 99; return b }), "unknown payload tag 99"},
-		"bool":     {mutate(func(b []byte) []byte { b[len(b)-1] = 2; return b }), "bool byte 2"},
+		"bool":     {mutate(func(b []byte) []byte { b[12] = 2; return b }), "bool byte 2"},
 		"count":    {mutate(func(b []byte) []byte { b[8] = 100; return b }), "exceeds"},
 		"trailing": {append(mutate(func(b []byte) []byte { return b }), 0), "trailing"},
 		"short":    {good[:len(good)-1], "truncated"},
 		"nested":   {[]byte{codecVersion, 1, 2, tagEnvelope, 1, tagEnvelope, 0, 0, 0}, "nests"},
 		"empty":    {nil, "truncated"},
+		"ack4":     {[]byte{codecVersion, 1, 2, tagFrameAck, 4, 1, 1}, "unknown stream 4"},
+		"ack255":   {[]byte{codecVersion, 1, 2, tagFrameAck, 255, 1, 1}, "unknown stream 255"},
+		"adv4":     {[]byte{codecVersion, 1, 2, tagStreamAdvance, 4, 1}, "unknown stream 4"},
+		"adv255":   {[]byte{codecVersion, 1, 2, tagStreamAdvance, 255, 1}, "unknown stream 255"},
 	} {
 		_, err := DecodeFrame(tc.data)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -320,6 +334,14 @@ func TestCodecRefusesMalformed(t *testing.T) {
 	}
 	if _, err := DecodeRecord([]byte{codecVersion, 0, 0, 9}); err == nil || !strings.Contains(err.Error(), "unknown record tag 9") {
 		t.Errorf("record tag: err = %v", err)
+	}
+	rec, err := EncodeRecord(&WALRecord{Op: &OpRecord{Kind: OpCollect}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec[0] = 1
+	if _, err := DecodeRecord(rec); err == nil || !strings.Contains(err.Error(), "codec version 1, want 2") {
+		t.Errorf("v1 record: err = %v", err)
 	}
 }
 

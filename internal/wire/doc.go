@@ -16,9 +16,9 @@
 // # Retirement streams
 //
 // Every frame whose sender retains re-send state — mutator frames of a
-// durable site's outbox, edge-asserts, edge-destruction bundles, legacy
-// finalisation bundles — carries a Seq: its position in the sender
-// site's per-(destination, stream) retirement stream (DESIGN.md §3.2).
+// durable site's outbox, edge-asserts, edge-destruction bundles — carries
+// a Seq: its position in the sender site's per-(destination, stream)
+// retirement stream (DESIGN.md §3.2).
 // Receivers acknowledge cumulatively with FrameAck once a frame reaches
 // a final, replayable disposition, letting the sender retire the
 // retained state exactly; StreamAdvance advisories let receivers skip

@@ -29,14 +29,12 @@ import (
 // recovery over any other version fails rather than misdecodes (no
 // migration code: there is one format). The layout is the shard layout
 // — every site is n >= 1 shards (DESIGN.md §3.4), so the image is the
-// site-wide shared state plus one ShardState per shard. Version 7
-// dropped ShardState's transfer dedup set and parked-transfer list: a
-// tracked mutator frame applies once by its stream sequence
-// (RecvStreams) and a transfer that outruns its holder's creation
-// builds the holder (DESIGN.md §3.2). A v6 image's parked transfers
-// would be silently lost and its dedup entries mean nothing now, so v6
-// is refused, not half-read.
-const SnapshotVersion = 7
+// site-wide shared state plus one ShardState per shard. Version 8
+// folded the engine image's finalisation bundles into its destroy rows
+// (core.EngineImage.Destroys): a v7 image's separate table would be
+// lost and its retired stream's counters mean nothing, so v7 is
+// refused, not half-read.
+const SnapshotVersion = 8
 
 // SiteImage is the full durable state of one site at a quiescent point:
 // the state the shards share at runtime (identity mint, retirement

@@ -91,7 +91,8 @@ func (RefTransfer) ApproxSize() int { return 80 }
 
 // Destroy is the edge-destruction control message (§3.4): sent when the
 // last reference from From's cluster to To's cluster is destroyed, and by
-// the finalisation of detected garbage (§3.2). It carries the row kept by
+// the finalisation of detected garbage (§3.2), in one retirement stream.
+// It carries the row kept by
 // the sender on behalf of To: authoritative stamps with the sender's
 // column replaced by Ē(clock), the bundled third-party edge-creation
 // hints, and the processed-introduction record.
@@ -99,12 +100,10 @@ type Destroy struct {
 	From ids.ClusterID
 	To   ids.ClusterID
 	M    core.DestroyMsg
-	// Seq is the frame's sequence in the sender site's destroy (or,
-	// with Legacy set, legacy) retirement stream to the destination
-	// (DESIGN.md §3.2); zero for untracked frames.
+	// Seq is the frame's sequence in the sender site's destroy
+	// retirement stream to the destination (DESIGN.md §3.2); zero for
+	// untracked frames.
 	Seq uint64
-	// Legacy marks a retained finalisation bundle of a removed process.
-	Legacy bool
 }
 
 // Kind implements netsim.Payload.
@@ -139,8 +138,8 @@ func (Assert) ApproxSize() int { return 64 }
 // final, replayable disposition for every frame of the named stream
 // from the destination site with sequence ≤ Seq. The destination
 // retires the covered retained state exactly — outbox frames,
-// assert-journal rows, destroyed-edge bundles, legacy finalisation
-// bundles — instead of re-shipping it every refresh round. Acks are
+// assert-journal rows, edge-destruction bundles — instead of
+// re-shipping it every refresh round. Acks are
 // GGD-plane traffic: idempotent (watermarks merge by max) and
 // loss-tolerant (a re-delivered frame re-sends the current watermark).
 type FrameAck struct {

@@ -34,10 +34,10 @@
 //	causalgc_propagations_sent_total   counter  ENG  dependency vectors sent
 //	causalgc_destroys_sent_total       counter  ENG  edge-destruction messages sent
 //	causalgc_asserts_sent_total        counter  ENG  edge-asserts sent
-//	causalgc_resends_total{stream}     counter  ENG/FRM refresh re-sends: assert, destroy, legacy, outbox
+//	causalgc_resends_total{stream}     counter  ENG/FRM refresh re-sends: assert, destroy, outbox
 //	causalgc_resends_suppressed_total{layer} counter ENG/FRM re-sends the damper held back
 //	causalgc_rows_retired_total        counter  ENG  rows retired by cumulative acks
-//	causalgc_backstop_drops_total{table} counter ENG/FRM hard-cap losses: assert_journal, legacy, outbox
+//	causalgc_backstop_drops_total{table} counter ENG/FRM hard-cap losses: assert_journal, outbox
 //	causalgc_hints_expired_total       counter  ENG  introduction hints expired
 //	causalgc_stale_deliveries_total    counter  ENG  messages to removed/unknown processes
 //	causalgc_acks_sent_total           counter  FRM  FrameAcks sent
@@ -47,8 +47,7 @@
 //	causalgc_deliveries_refused_total  counter  FRM  deliveries dropped unapplied: WAL append failed
 //	causalgc_outbox_depth              gauge    DEP  unacknowledged mutator frames retained
 //	causalgc_assert_journal_depth      gauge    DEP  un-acknowledged edge-asserts journaled
-//	causalgc_destroy_bundles_depth     gauge    DEP  un-acknowledged edge-destruction (Ē) bundles retained
-//	causalgc_legacy_bundles_depth      gauge    DEP  finalisation bundles retained
+//	causalgc_destroy_bundles_depth     gauge    DEP  un-acknowledged edge-destruction bundles retained: dropped edges' Ē and removed clusters' finalisation bundles
 //	causalgc_pending_deliveries_depth  gauge    DEP  unborn processes: clusters named ahead of their creation (an early transfer's holder included)
 //	causalgc_shards                    gauge    DEP  lock-stripe width (1 on a default node)
 //	causalgc_shard_outbox_depth{shard} gauge    DEP  per-shard share of causalgc_outbox_depth

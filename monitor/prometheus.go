@@ -38,7 +38,6 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 		s := &snaps[i]
 		p.sample("causalgc_resends_total", s, `stream="assert"`, float64(s.Engine.AssertResends))
 		p.sample("causalgc_resends_total", s, `stream="destroy"`, float64(s.Engine.DestroyResends))
-		p.sample("causalgc_resends_total", s, `stream="legacy"`, float64(s.Engine.LegacyResends))
 		p.sample("causalgc_resends_total", s, `stream="outbox"`, float64(s.Frames.OutboxResends))
 	}
 	p.head("causalgc_resends_suppressed_total", "counter", "Re-sends the exponential damper held back.")
@@ -53,7 +52,6 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 	for i := range snaps {
 		s := &snaps[i]
 		p.sample("causalgc_backstop_drops_total", s, `table="assert_journal"`, float64(s.Engine.AssertRowsDropped))
-		p.sample("causalgc_backstop_drops_total", s, `table="legacy"`, float64(s.Engine.LegacyEvicted))
 		p.sample("causalgc_backstop_drops_total", s, `table="outbox"`, float64(s.Frames.OutboxEvicted))
 	}
 	p.counter("causalgc_hints_expired_total", "Introduction hints expired as provably stale.",
@@ -76,10 +74,8 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 		snaps, func(s *Snapshot) int { return s.Depths.Outbox })
 	p.igauge("causalgc_assert_journal_depth", "Un-acknowledged edge-asserts journaled for re-send.",
 		snaps, func(s *Snapshot) int { return s.Depths.AssertRows })
-	p.igauge("causalgc_destroy_bundles_depth", "Un-acknowledged edge-destruction bundles retained for re-send.",
+	p.igauge("causalgc_destroy_bundles_depth", "Un-acknowledged edge-destruction bundles (finalisation bundles included) retained for re-send.",
 		snaps, func(s *Snapshot) int { return s.Depths.DestroyRows })
-	p.igauge("causalgc_legacy_bundles_depth", "Finalisation bundles of removed clusters retained.",
-		snaps, func(s *Snapshot) int { return s.Depths.LegacyBundles })
 	p.igauge("causalgc_pending_deliveries_depth", "Unborn processes: clusters that control messages or reference transfers named ahead of their creation message.",
 		snaps, func(s *Snapshot) int { return s.Depths.PendingDeliveries })
 
