@@ -201,6 +201,26 @@ func TestOptionValidation(t *testing.T) {
 		}()
 		NewCluster(2, WithGroupCommit(-2))
 	}()
+	// EngineOptions.Owns is the site's shard routing rule: a caller's
+	// predicate is refused by every constructor, not silently replaced.
+	owns := WithEngineOptions(EngineOptions{Owns: func(ClusterID) bool { return true }})
+	if _, err := Recover(1, WithPersistence(t.TempDir()), owns); !errors.Is(err, ErrBadOption) {
+		t.Fatalf("EngineOptions.Owns via Recover: %v, want ErrBadOption", err)
+	}
+	for name, build := range map[string]func(){
+		"NewNode":    func() { NewNode(1, owns) },
+		"NewCluster": func() { NewCluster(2, owns) },
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !errors.Is(err, ErrBadOption) {
+					t.Fatalf("%s with EngineOptions.Owns: panic = %v, want ErrBadOption error", name, err)
+				}
+			}()
+			build()
+		}()
+	}
 	// Valid configurations still construct.
 	n := NewNode(1, WithSnapshotEvery(8), WithGroupCommit(time.Millisecond))
 	if err := n.Close(); err != nil {

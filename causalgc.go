@@ -39,7 +39,8 @@ type EngineStats = core.Stats
 // EngineOptions tune the GGD engine. The zero value is the sound
 // production configuration; the Unsafe fields reproduce the paper's
 // literal (racy) removal guard for ablation studies, and RemoveObserver
-// exposes each removed process's final log for tracing.
+// exposes each removed process's final log for tracing. Owns belongs to
+// the node's shard routing: setting it is refused with ErrBadOption.
 type EngineOptions = core.Options
 
 // Log is the two-dimensional dependency-vector log a global root keeps;
@@ -58,9 +59,8 @@ type Observer = site.Observer
 
 // AckObserver is an optional extension of Observer: an Observer that
 // also implements it receives acknowledged-retirement events — frames
-// retired exactly by a peer's cumulative FrameAck, and frames dropped
-// at a hard-cap backstop (tolerated loss that would otherwise be
-// silent). Same callback rules as Observer.
+// retired exactly by a peer's cumulative FrameAck. Same callback rules
+// as Observer.
 type AckObserver = site.AckObserver
 
 // FanoutObserver composes observers into one: every lifecycle event is
@@ -72,8 +72,8 @@ type AckObserver = site.AckObserver
 func FanoutObserver(obs ...Observer) Observer { return site.Fanout(obs...) }
 
 // FrameStats counts a node's acknowledged-retirement activity: the
-// outbox gauge and its backstop evictions, FrameAck traffic, retired
-// frames, damper suppressions and floor advisories. See Node.FrameStats.
+// outbox gauge, FrameAck traffic, retired frames, damper suppressions
+// and floor advisories. See Node.FrameStats.
 type FrameStats = site.FrameStats
 
 // Stream identifies one acknowledged-retirement stream between a pair

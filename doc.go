@@ -62,10 +62,11 @@
 // cumulative FrameAck, at which point it is retired exactly
 // (DESIGN.md §3.2). An exponential per-row damper (capped at 64 rounds)
 // keeps long-lived systems from re-shipping the same rows every round,
-// and after quiescence a refresh round re-ships nothing at all. The
-// hard caps that bound the retained state are backstops only: when one
-// fires, the tolerated loss is counted (Node.FrameStats) and surfaced
-// through the optional AckObserver instead of happening silently.
+// and after quiescence a refresh round re-ships nothing at all. There
+// is no cap: a row leaves only when it is acknowledged, so nothing
+// retained is ever lost, and state held for a peer that does not answer
+// shows in the monitor's depth gauges (causalgc_outbox_depth and its
+// siblings) until it does.
 //
 // # Structure
 //

@@ -13,7 +13,7 @@ import (
 // stream) with a FrameAck watermark, and the sender retires the retained
 // state covered by the watermark — outbox frames, assert-journal rows
 // and edge-destruction bundles stop being re-shipped exactly, instead of
-// being re-sent forever or silently evicted.
+// being re-sent forever.
 type Stream uint8
 
 // The three retirement streams. Stream zero means "untracked": local
@@ -88,15 +88,14 @@ func (b *damper) bump(round uint64) {
 // Acknowledged is not outstanding: a row leaves the moment a watermark
 // covers it, so every operation costs what is outstanding, never what
 // the stream has carried, and nothing remembers an acknowledgement — the
-// payload went with the row. Walks (Due, Each, the cap's victim) run in
+// payload went with the row. Outstanding is retained: there is no cap,
+// so a row toward a peer that never answers stays until it does (the
+// depth gauges show it), and nothing is lost. Walks (Due, Each) run in
 // retention order, oldest first, unless less orders the keys; both are
 // replay-exact, and Each exports what a Put per row restores. Not safe
 // for concurrent use.
 type Ledger[K comparable, V any] struct {
-	cap     int                   // hard bound on rows; zero: unbounded
-	evicted func(peer ids.SiteID) // told each row the cap drops
-	less    func(a, b K) bool     // walk order over keys, when not retention
-	spare   func(V) bool          // rows the cap evicts before any other
+	less func(a, b K) bool // walk order over keys, when not retention
 
 	rows map[K]*row[K, V]
 	// peers rings each peer's rows by ascending sequence, unsent (zero)
@@ -117,21 +116,13 @@ type row[K comparable, V any] struct {
 	below, above *row[K, V]
 }
 
-// NewLedger creates an empty ledger of at most cap rows (zero: unbounded);
-// evicted hears the peer of every row the cap drops: tolerated loss, which
-// the owner counts.
-func NewLedger[K comparable, V any](cap int, evicted func(peer ids.SiteID)) *Ledger[K, V] {
-	return &Ledger[K, V]{
-		cap: cap, evicted: evicted,
-		rows: make(map[K]*row[K, V]), peers: make(map[ids.SiteID]*row[K, V]),
-	}
+// NewLedger creates an empty ledger.
+func NewLedger[K comparable, V any]() *Ledger[K, V] {
+	return &Ledger[K, V]{rows: make(map[K]*row[K, V]), peers: make(map[ids.SiteID]*row[K, V])}
 }
 
 // Len is the number of outstanding rows.
 func (l *Ledger[K, V]) Len() int { return len(l.rows) }
-
-// full reports whether the next new row evicts one.
-func (l *Ledger[K, V]) full() bool { return l.cap > 0 && len(l.rows) >= l.cap }
 
 // seq is the sequence the row under key ships with: zero (draw a fresh
 // one) when there is no row or it was never sent.
@@ -144,9 +135,7 @@ func (l *Ledger[K, V]) seq(key K) uint64 {
 
 // Put retains val under key as shipped to peer under stream sequence seq
 // (zero: not sent yet). A key already retained keeps its place and
-// damper — and its sequence, once it has one — and takes the payload. A
-// new row into a full ledger first evicts one: the first in walk order,
-// among the spare rows if there are any.
+// damper — and its sequence, once it has one — and takes the payload.
 func (l *Ledger[K, V]) Put(key K, peer ids.SiteID, seq uint64, val V) {
 	r := l.rows[key]
 	if r != nil {
@@ -157,14 +146,6 @@ func (l *Ledger[K, V]) Put(key K, peer ids.SiteID, seq uint64, val V) {
 		l.remove(r) // re-linked below, under its first sequence
 		r.seq = seq
 	} else {
-		if l.full() {
-			victim := l.first(l.spare)
-			if victim == nil {
-				victim = l.first(nil)
-			}
-			l.remove(victim)
-			l.evicted(victim.peer)
-		}
 		l.born++
 		r = &row[K, V]{key: key, val: val, peer: peer, seq: seq, born: l.born}
 	}
@@ -178,17 +159,6 @@ func (l *Ledger[K, V]) before(a, b *row[K, V]) bool {
 		return l.less(a.key, b.key)
 	}
 	return a.born < b.born
-}
-
-// first returns the first row in walk order among those ok admits (nil:
-// all), or nil.
-func (l *Ledger[K, V]) first(ok func(V) bool) (f *row[K, V]) {
-	for _, r := range l.rows {
-		if (ok == nil || ok(r.val)) && (f == nil || l.before(r, f)) {
-			f = r
-		}
-	}
-	return f
 }
 
 // link inserts r into its peer's ring, searching from the high end:

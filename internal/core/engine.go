@@ -107,10 +107,6 @@ type Stats struct {
 	// RowsRetired counts retained rows (asserts, edge-destruction
 	// bundles) retired by cumulative frame acknowledgements.
 	RowsRetired int
-	// AssertRowsDropped counts journal rows lost to the maxAssertRows
-	// bound (dropped new positives plus evicted victims): tolerated loss,
-	// surfaced so operators can see the backstop fire.
-	AssertRowsDropped int
 	// HintsExpired counts introduction hints expired as provably stale
 	// (negative asserts processed, local expiries included).
 	HintsExpired int
@@ -162,9 +158,7 @@ type Engine struct {
 	// Rows are retired exactly by the owner site's cumulative FrameAck,
 	// by the edge's destruction (the destroy bundle takes over
 	// resolution), or by the holder's removal; Refresh re-sends whatever
-	// remains, damped. Bounded: past maxAssertRows new rows are dropped
-	// (loss-equivalent — deterministic, so replay agrees — and counted in
-	// Stats.AssertRowsDropped).
+	// remains, damped.
 	asserts *Ledger[assertRow, uint64]
 	// destroys retains the bundle of every destroyed remote edge — a
 	// dropped one's Ē, or a removed holder's finalisation bundle — until
@@ -184,9 +178,6 @@ type assertRow struct {
 	holder, target, intro ids.ClusterID
 	seq                   uint64
 }
-
-// maxAssertRows bounds the assert re-send journal.
-const maxAssertRows = 4096
 
 // process is the per-global-root state: the paper's "each global root
 // appears as a process" (§3.1).
@@ -248,12 +239,9 @@ func New(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Option
 		procs:     make(map[ids.ClusterID]*process),
 		tombstone: make(map[ids.ClusterID]uint64),
 	}
-	// At the bound the journal evicts a positive row when one exists, else
-	// the first negative row in re-send order (see journalAssert).
-	e.asserts = NewLedger[assertRow, uint64](maxAssertRows, func(ids.SiteID) { e.stats.AssertRowsDropped++ })
+	e.asserts = NewLedger[assertRow, uint64]()
 	e.asserts.less = assertRowLess
-	e.asserts.spare = func(stamp uint64) bool { return stamp > 0 }
-	e.destroys = NewLedger[edgeKey, DestroyMsg](0, nil)
+	e.destroys = NewLedger[edgeKey, DestroyMsg]()
 	return e
 }
 
@@ -457,36 +445,13 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 	}
 }
 
-// sendJournaledAssert journals the assert row (if the journal bound
-// admits it) and ships the assert under the row's stable stream
-// sequence.
+// sendJournaledAssert ships the assert under the row's stable stream
+// sequence and journals the row for Refresh re-send until the owner's
+// site acknowledges it.
 func (e *Engine) sendJournaledAssert(row assertRow, m AssertMsg) {
-	journaled := e.journalAssert(row, m.Stamp)
 	e.stats.AssertsSent++
 	seq := e.send.SendAssert(row.holder, row.target, m, e.asserts.seq(row))
-	if journaled {
-		e.asserts.Put(row, row.target.Site, seq, m.Stamp)
-	}
-}
-
-// journalAssert records an un-acknowledged assert for Refresh re-send
-// and reports whether it did (not when the bound dropped it). At the bound, a
-// new positive row is dropped (loss-equivalent: its introduction sits in
-// the on-behalf Processed vector, so the edge's eventual destroy bundle
-// still resolves the hint), while a new negative row evicts an existing
-// one — an expired introduction appears in no bundle, so dropping the
-// freshly-sent row would pin the owner's hint on a single message loss.
-// The victim is a positive row when one exists, else the
-// deterministically-first negative row (the oldest in re-send order,
-// which has had the most delivery attempts). All choices are
-// deterministic, so WAL replay reconstructs the journal.
-func (e *Engine) journalAssert(row assertRow, stamp uint64) bool {
-	if stamp > 0 && e.asserts.full() && e.asserts.rows[row] == nil {
-		e.stats.AssertRowsDropped++
-		return false
-	}
-	e.asserts.Put(row, row.target.Site, 0, stamp)
-	return true
+	e.asserts.Put(row, row.target.Site, seq, m.Stamp)
 }
 
 // retireAsserts drops the positive journal rows for edge holder→target:
@@ -681,8 +646,8 @@ func (e *Engine) ResetPeerBackoff(peer ids.SiteID) {
 // RetainedFloor returns the smallest stream sequence still retained for
 // (peer, stream) and whether any tracked row is retained at all. The
 // site runtime uses it to advance receivers past sequences that will
-// never be re-sent (rows retired through another path, evicted at a
-// bound), keeping cumulative watermarks from stalling on dead gaps.
+// never be re-sent (rows retired through another path), keeping
+// cumulative watermarks from stalling on dead gaps.
 func (e *Engine) RetainedFloor(peer ids.SiteID, s Stream) (uint64, bool) {
 	if l := e.ledger(s); l != nil {
 		return l.Floor(peer)

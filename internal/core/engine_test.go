@@ -710,35 +710,15 @@ func TestEngineBufferedFrameSettles(t *testing.T) {
 	}
 }
 
-func TestEngineJournalFullOfNegativesEvictsOldest(t *testing.T) {
+// TestEngineJournalRetainsEveryRow: the assert journal has no cap —
+// every journaled row stays until the owner's site acknowledges it.
+func TestEngineJournalRetainsEveryRow(t *testing.T) {
 	e, _, _ := newEngine(t, Options{})
-	// Saturate the journal with negative rows.
-	for i := 0; i < maxAssertRows; i++ {
-		e.asserts.Put(assertRow{holder: cA, target: rem, intro: cB, seq: uint64(i + 1)}, rem.Site, 0, 0)
+	for i := uint64(1); i <= 5000; i++ {
+		e.sendJournaledAssert(assertRow{holder: cA, target: rem, intro: cB, seq: i}, AssertMsg{Intro: cB, IntroSeq: i})
 	}
-	oldest := assertRow{holder: cA, target: rem, intro: cB, seq: 1}
-	fresh := assertRow{holder: cA, target: rem, intro: cB, seq: maxAssertRows + 1}
-	e.journalAssert(fresh, 0)
-	if e.asserts.Len() != maxAssertRows {
-		t.Fatalf("journal size = %d, want %d", e.asserts.Len(), maxAssertRows)
-	}
-	if e.asserts.rows[fresh] == nil {
-		t.Fatal("fresh negative row dropped at the bound (would pin on one loss)")
-	}
-	if e.asserts.rows[oldest] != nil {
-		t.Fatal("oldest negative row not the eviction victim")
-	}
-	// A positive victim is always preferred over a negative one.
-	pos := assertRow{holder: cA, target: rem, intro: cB, seq: 2}
-	e.asserts.Put(pos, rem.Site, 0, 7)
-	e.asserts.drop(assertRow{holder: cA, target: rem, intro: cB, seq: 3})
-	e.journalAssert(assertRow{holder: cA, target: rem, intro: cB, seq: maxAssertRows + 2}, 0)
-	e.journalAssert(assertRow{holder: cA, target: rem, intro: cB, seq: maxAssertRows + 3}, 0)
-	if e.asserts.rows[pos] != nil {
-		t.Fatal("positive row survived while negatives were evicted")
-	}
-	if e.Stats().AssertRowsDropped == 0 {
-		t.Error("journal-bound evictions not counted as tolerated loss")
+	if got := e.Retained().AssertRows; got != 5000 {
+		t.Fatalf("journal holds %d rows, want all 5000", got)
 	}
 }
 

@@ -11,13 +11,12 @@ import (
 )
 
 // scanModel is the specification the Ledger was derived from: one flat
-// table and a full scan per question, as AckAsserts, RetainedFloor,
-// ResetPeerBackoff and the cap evictions were written before the ledger.
+// table and a full scan per question, as AckAsserts, RetainedFloor and
+// ResetPeerBackoff were written before the ledger.
 type scanModel struct {
 	rows     map[int]*scanRow
 	born     uint64
-	cap      int
-	keyOrder bool // walk by key, evict positive values first (the assert journal)
+	keyOrder bool // walk by key (the assert journal)
 }
 
 type scanRow struct {
@@ -71,30 +70,16 @@ func (m *scanModel) walk() []*scanRow {
 	return rows
 }
 
-// put returns the peer of the row it evicted at the cap (zero: none).
-func (m *scanModel) put(key int, peer ids.SiteID, seq, val uint64) (evicted ids.SiteID) {
+func (m *scanModel) put(key int, peer ids.SiteID, seq, val uint64) {
 	if r := m.rows[key]; r != nil {
 		r.val = val
 		if r.seq == 0 {
 			r.seq = seq
 		}
-		return 0
-	}
-	if m.cap > 0 && len(m.rows) >= m.cap {
-		rows := m.walk()
-		victim := rows[0]
-		for _, r := range rows {
-			if m.keyOrder && r.val > 0 {
-				victim = r
-				break
-			}
-		}
-		delete(m.rows, victim.key)
-		evicted = victim.peer
+		return
 	}
 	m.born++
 	m.rows[key] = &scanRow{key: key, val: val, peer: peer, seq: seq, born: m.born}
-	return evicted
 }
 
 type exportedRow struct {
@@ -118,7 +103,7 @@ func exportLedger(l *Ledger[int, uint64]) []exportedRow {
 
 // TestLedgerMatchesScanModel runs one seeded random program against the
 // ledger and against the scan model and demands they agree after every
-// step: retired keys, floors, due walks, eviction victims, exported rows.
+// step: retired keys, floors, due walks, exported rows.
 func TestLedgerMatchesScanModel(t *testing.T) {
 	for _, keyOrder := range []bool{false, true} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -132,23 +117,20 @@ func TestLedgerMatchesScanModel(t *testing.T) {
 func runLedgerProgram(t *testing.T, keyOrder bool, seed int64) {
 	const (
 		keys  = 48
-		bound = 24
 		peers = 4
 	)
 	rng := rand.New(rand.NewSource(seed))
 	peerOf := func(key int) ids.SiteID { return ids.SiteID(key%peers + 1) }
 
-	var evictions []ids.SiteID
 	newLedger := func() *Ledger[int, uint64] {
-		l := NewLedger[int, uint64](bound, func(peer ids.SiteID) { evictions = append(evictions, peer) })
+		l := NewLedger[int, uint64]()
 		if keyOrder {
 			l.less = func(a, b int) bool { return a < b }
-			l.spare = func(val uint64) bool { return val > 0 }
 		}
 		return l
 	}
 	l := newLedger()
-	m := &scanModel{rows: make(map[int]*scanRow), cap: bound, keyOrder: keyOrder}
+	m := &scanModel{rows: make(map[int]*scanRow), keyOrder: keyOrder}
 
 	// Sequences interleave across peers and are not always drawn in
 	// order: a draw sometimes skips one ahead and a later draw fills it.
@@ -178,15 +160,8 @@ func runLedgerProgram(t *testing.T, keyOrder bool, seed int64) {
 				seq = draw(peerOf(key))
 			}
 			what = fmt.Sprintf("put key %d seq %d val %d", key, seq, val)
-			evictions = nil
 			l.Put(key, peerOf(key), seq, val)
-			var want []ids.SiteID
-			if peer := m.put(key, peerOf(key), seq, val); peer != 0 {
-				want = append(want, peer)
-			}
-			if !reflect.DeepEqual(evictions, want) {
-				t.Fatalf("step %d (%s): evicted toward %v, model %v", step, what, evictions, want)
-			}
+			m.put(key, peerOf(key), seq, val)
 		case op < 11:
 			key := rng.Intn(keys)
 			what = fmt.Sprintf("drop key %d", key)

@@ -202,12 +202,13 @@ func TestRefreshQuiescentReshipsNothing(t *testing.T) {
 	}
 }
 
-// TestOutboxHardCapSurfacesEviction drives a durable site against a
-// dead peer until the outbox backstop fires, and checks the eviction is
-// counted in FrameStats and delivered to the AckObserver — the loss
-// used to be silent.
-func TestOutboxHardCapSurfacesEviction(t *testing.T) {
-	watcher := &capWatcher{}
+// TestOutboxRetainsEveryFrameForCrashedPeer drives a durable site
+// against a dead peer well past a thousand unacknowledged frames: the
+// outbox has no cap, so every frame stays retained until the recovered
+// peer acknowledges it, and each retirement reaches the AckObserver.
+func TestOutboxRetainsEveryFrameForCrashedPeer(t *testing.T) {
+	const frames = 1100
+	watcher := &ackWatcher{}
 	opts := site.DefaultOptions()
 	opts.Observer = watcher
 	w, err := NewDurableWorld(2, netsim.Faults{Seed: 5}, opts, t.TempDir(), 4096)
@@ -215,32 +216,31 @@ func TestOutboxHardCapSurfacesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	s1 := w.Site(1)
+	// Each Create has its own holder: one holder of every remote object
+	// would have each refresh round ship its 1 100-row log to all 1 100
+	// of them, quadratic in memory.
+	holders := make([]heap.Ref, frames)
+	for i := range holders {
+		h, err := s1.NewLocal(s1.Root().Obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holders[i] = h
+	}
 	if err := w.Crash(2); err != nil {
 		t.Fatal(err)
 	}
-	s1 := w.Site(1)
-	// Every NewRemote to the dead peer retains a frame; past the cap the
-	// oldest is evicted.
-	for i := 0; i < 1100; i++ {
-		if _, err := s1.NewRemote(s1.Root().Obj, 2); err != nil {
+	for _, h := range holders {
+		if _, err := s1.NewRemote(h.Obj, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s1.FrameStats()
-	if st.OutboxEvicted == 0 {
-		t.Fatal("outbox hard cap fired without counting evictions")
-	}
-	if st.OutboxRetained != 1024 {
-		t.Errorf("OutboxRetained = %d, want the 1024 cap", st.OutboxRetained)
-	}
-	watcher.mu.Lock()
-	evicted := watcher.evicted
-	watcher.mu.Unlock()
-	if evicted != st.OutboxEvicted {
-		t.Errorf("observer saw %d evictions, stats count %d", evicted, st.OutboxEvicted)
+	if got := s1.FrameStats().OutboxRetained; got != frames {
+		t.Fatalf("OutboxRetained = %d toward the dead peer, want all %d", got, frames)
 	}
 	// The peer recovers: its acks retire what it processes, and the
-	// dedup layer keeps the re-sends idempotent.
+	// stream sequences keep the re-sends idempotent.
 	if err := w.Restart(2); err != nil {
 		t.Fatal(err)
 	}
@@ -254,33 +254,106 @@ func TestOutboxHardCapSurfacesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep := w.Check(); !rep.Safe() {
-		t.Fatalf("unsafe after backstop + recovery: %v", rep)
+		t.Fatalf("unsafe after the peer recovered: %v", rep)
+	}
+	if got := s1.FrameStats().OutboxRetained; got != 0 {
+		t.Errorf("OutboxRetained = %d after the peer acknowledged, want 0", got)
+	}
+	watcher.mu.Lock()
+	retired := watcher.retired
+	watcher.mu.Unlock()
+	if retired != frames {
+		t.Errorf("observer saw %d frames retired, want %d", retired, frames)
 	}
 }
 
-// capWatcher counts AckObserver events.
-type capWatcher struct {
+// TestNegativeAssertsRetainedThroughPartition: the assert journal has
+// no cap. Thousands of transfers reach a dead holder while its site is
+// cut off from the targets' owner, so every negative assert expiring
+// those introductions is lost to the partition. Each must stay
+// journaled — an expired introduction appears in no destroy bundle, so
+// a row dropped from the journal pins its target forever — and reach
+// the owner once the partition heals.
+func TestNegativeAssertsRetainedThroughPartition(t *testing.T) {
+	const targets = 4100
+	w := NewWorld(3, netsim.Faults{Seed: 1}, site.DefaultOptions())
+	s1, s2 := w.Site(1), w.Site(2)
+	root := s1.Root().Obj
+	h, err := s1.NewRemote(root, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := make([]heap.Ref, targets)
+	for i := range ts {
+		if ts[i], err = s1.NewRemote(root, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.DropRefs(root, h); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if !s2.ClusterRemoved(h.Cluster) {
+		t.Fatal("H not collected before the transfers")
+	}
+
+	w.Net().SetPartition(func(from, to ids.SiteID) bool { return from == 2 && to == 3 })
+	for _, tgt := range ts {
+		if err := s1.SendRef(root, h, tgt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Depths().AssertRows; got != targets {
+		t.Fatalf("site 2 journals %d negative asserts under the partition, want all %d", got, targets)
+	}
+	for _, tgt := range ts {
+		if err := s1.DropRefs(root, tgt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Net().SetPartition(nil)
+
+	rounds := 0
+	for ; rounds < 4 && !w.Check().Clean(); rounds++ {
+		if err := w.RefreshAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Settle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := w.Check(); !rep.Clean() {
+		t.Fatalf("not clean after %d refresh rounds (a lost negative assert pins its target): %v", rounds, rep)
+	}
+	if got := s2.Depths().AssertRows; got != 0 {
+		t.Errorf("site 2 AssertRows = %d after the owner acknowledged, want 0", got)
+	}
+}
+
+// ackWatcher counts AckObserver retirements.
+type ackWatcher struct {
 	mu      sync.Mutex
-	evicted int
 	retired int
 }
 
-func (c *capWatcher) ClusterRemoved(ids.SiteID, ids.ClusterID) {}
-func (c *capWatcher) Collected(ids.SiteID, heap.CollectStats)  {}
+func (c *ackWatcher) ClusterRemoved(ids.SiteID, ids.ClusterID) {}
+func (c *ackWatcher) Collected(ids.SiteID, heap.CollectStats)  {}
 
-func (c *capWatcher) FrameEvicted(_ ids.SiteID, _ ids.SiteID, _ core.Stream, n int) {
-	c.mu.Lock()
-	c.evicted += n
-	c.mu.Unlock()
-}
-
-func (c *capWatcher) FrameRetired(_ ids.SiteID, _ ids.SiteID, _ core.Stream, n int) {
+func (c *ackWatcher) FrameRetired(_ ids.SiteID, _ ids.SiteID, _ core.Stream, n int) {
 	c.mu.Lock()
 	c.retired += n
 	c.mu.Unlock()
 }
 
 var (
-	_ site.Observer    = (*capWatcher)(nil)
-	_ site.AckObserver = (*capWatcher)(nil)
+	_ site.Observer    = (*ackWatcher)(nil)
+	_ site.AckObserver = (*ackWatcher)(nil)
 )

@@ -25,16 +25,13 @@ import (
 // frames.
 
 // FrameStats counts the site-level retirement activity: the operator's
-// view of how much re-send state is outstanding, how it drains, and —
-// crucially — whether the hard-capped backstops ever dropped state
-// (tolerated loss that used to be silent).
+// view of how much re-send state is outstanding and how it drains.
 type FrameStats struct {
 	// OutboxRetained is the current number of unacknowledged outbound
 	// mutator frames (gauge).
 	OutboxRetained int
-	// OutboxEvicted counts frames dropped at the outbox hard cap before
-	// acknowledgement: tolerated loss, surfaced here and through the
-	// optional AckObserver.
+	// Deprecated: always zero (the outbox retains every frame until it
+	// is acknowledged); kept only while the frozen benchmark reads it.
 	OutboxEvicted int
 	// OutboxResends counts outbox frames re-shipped by Refresh.
 	OutboxResends int
@@ -60,9 +57,6 @@ type FrameStats struct {
 // callbacks, these run with a shard mutex held and must not call back
 // into the Site.
 type AckObserver interface {
-	// FrameEvicted fires when the outbox hard cap drops an
-	// unacknowledged mutator frame bound for peer: tolerated loss.
-	FrameEvicted(site ids.SiteID, peer ids.SiteID, stream core.Stream, frames int)
 	// FrameRetired fires when a cumulative FrameAck from peer retires
 	// outbox frames exactly.
 	FrameRetired(site ids.SiteID, peer ids.SiteID, stream core.Stream, frames int)
@@ -163,6 +157,10 @@ type streams struct {
 	// cumulative settle watermarks on the receive side (DESIGN.md §3.2).
 	send map[streamKey]*sendStream
 	recv map[streamKey]*recvTracker
+	// dirty are the receive streams whose watermark must be (re-)acked:
+	// site-wide like the watermarks, so a delivery that reaches several
+	// shards is acknowledged once, by whichever shard flushes next.
+	dirty map[streamKey]struct{}
 	// peerEpoch is the last seen recovery epoch per peer; a change
 	// re-arms the re-send dampers for that peer.
 	peerEpoch map[ids.SiteID]uint64
@@ -180,8 +178,21 @@ func newStreams() *streams {
 	return &streams{
 		send:      make(map[streamKey]*sendStream),
 		recv:      make(map[streamKey]*recvTracker),
+		dirty:     make(map[streamKey]struct{}),
 		peerEpoch: make(map[ids.SiteID]uint64),
 	}
+}
+
+// dirtyRecv returns (creating if needed) the receive-side tracker of
+// stream k and marks the stream for acknowledgement. Caller holds st.mu.
+func (st *streams) dirtyRecv(k streamKey) *recvTracker {
+	t := st.recv[k]
+	if t == nil {
+		t = &recvTracker{}
+		st.recv[k] = t
+	}
+	st.dirty[k] = struct{}{}
+	return t
 }
 
 // deliveryRefused counts one delivery dropped because its write-ahead
@@ -248,53 +259,39 @@ func (r *shard) markRecvLocked(peer ids.SiteID, kind core.Stream, seq uint64) bo
 	if seq == 0 || kind == 0 {
 		return true
 	}
-	k := streamKey{peer: peer, kind: kind}
 	st := r.site.st
 	st.mu.Lock()
-	t := st.recv[k]
-	if t == nil {
-		t = &recvTracker{}
-		st.recv[k] = t
-	}
-	fresh := t.mark(seq)
+	fresh := st.dirtyRecv(streamKey{peer: peer, kind: kind}).mark(seq)
 	st.mu.Unlock()
-	if r.dirtyAcks == nil {
-		r.dirtyAcks = make(map[streamKey]struct{})
-	}
-	r.dirtyAcks[k] = struct{}{}
 	return fresh
 }
 
 // flushAcksLocked emits one FrameAck per dirty stream, in deterministic
-// order. The dirty set is per shard — the shard that settled a frame
-// acknowledges it — while the watermarks are shared, so an ack emitted
-// here may also cover settlements a sibling shard just made: harmless,
-// acks are cumulative and receivers ignore stale ones. Caller holds
-// r.mu.
+// order. The dirty set is site-wide, like the watermarks, so the flush
+// acknowledges what sibling shards settled too: a delivery that reaches
+// several shards draws one ack per stream, not one per shard. Caller
+// holds r.mu.
 func (r *shard) flushAcksLocked() {
-	if len(r.dirtyAcks) == 0 {
+	st := r.site.st
+	st.mu.Lock()
+	if len(st.dirty) == 0 {
+		st.mu.Unlock()
 		return
 	}
-	keys := make([]streamKey, 0, len(r.dirtyAcks))
-	for k := range r.dirtyAcks {
+	keys := make([]streamKey, 0, len(st.dirty))
+	for k := range st.dirty {
 		keys = append(keys, k)
 	}
-	r.dirtyAcks = nil
+	clear(st.dirty)
 	sort.Slice(keys, func(i, j int) bool { return streamKeyLess(keys[i], keys[j]) })
-	st := r.site.st
-	for _, k := range keys {
-		st.mu.Lock()
-		t := st.recv[k]
-		var ack wire.FrameAck
-		ok := t != nil
-		if ok {
-			st.fstats.AcksSent++
-			ack = wire.FrameAck{Stream: k.kind, Seq: t.watermark, Epoch: st.epoch}
-		}
-		st.mu.Unlock()
-		if ok {
-			r.emitLocked(k.peer, ack)
-		}
+	acks := make([]wire.FrameAck, len(keys))
+	for i, k := range keys {
+		acks[i] = wire.FrameAck{Stream: k.kind, Seq: st.recv[k].watermark, Epoch: st.epoch}
+	}
+	st.fstats.AcksSent += len(acks)
+	st.mu.Unlock()
+	for i, k := range keys {
+		r.emitLocked(k.peer, acks[i])
 	}
 }
 
@@ -354,20 +351,10 @@ func (r *shard) handleAdvanceLocked(peer ids.SiteID, m wire.StreamAdvance) {
 	if m.Stream == 0 || m.Floor == 0 {
 		return
 	}
-	k := streamKey{peer: peer, kind: m.Stream}
 	st := r.site.st
 	st.mu.Lock()
-	t := st.recv[k]
-	if t == nil {
-		t = &recvTracker{}
-		st.recv[k] = t
-	}
-	t.advance(m.Floor)
+	st.dirtyRecv(streamKey{peer: peer, kind: m.Stream}).advance(m.Floor)
 	st.mu.Unlock()
-	if r.dirtyAcks == nil {
-		r.dirtyAcks = make(map[streamKey]struct{})
-	}
-	r.dirtyAcks[k] = struct{}{}
 }
 
 // resendOutboxLocked re-ships the unacknowledged, damper-due outbox

@@ -53,16 +53,6 @@ func (f fanout) Collected(site ids.SiteID, stats heap.CollectStats) {
 	}
 }
 
-// FrameEvicted forwards the eviction event to the children implementing
-// AckObserver.
-func (f fanout) FrameEvicted(site ids.SiteID, peer ids.SiteID, stream core.Stream, frames int) {
-	for _, o := range f {
-		if a, ok := o.(AckObserver); ok {
-			a.FrameEvicted(site, peer, stream, frames)
-		}
-	}
-}
-
 // FrameRetired forwards the retirement event to the children
 // implementing AckObserver.
 func (f fanout) FrameRetired(site ids.SiteID, peer ids.SiteID, stream core.Stream, frames int) {

@@ -300,7 +300,7 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 		r.recoverBuf = nil
 		s.unlock(r)
 		for _, d := range buffered {
-			s.cascade(r.handle(d.from, d.p))
+			s.cascade(r.handle(d.from, d.p, true))
 		}
 	}
 	// One refresh re-propagates the recovered GGD state, so detection
@@ -386,7 +386,7 @@ func (s *Site) applyRecord(rec *wire.WALRecord) {
 	case rec.Deliver != nil:
 		// Dispatched directly, bypassing the recoverBuf (which is for
 		// *live* traffic racing the replay).
-		r.dispatchLocked(rec.Deliver.From, rec.Deliver.Payload)
+		r.dispatchLocked(rec.Deliver.From, rec.Deliver.Payload, true)
 	case rec.Batch != nil:
 		_ = r.commitLocked(rec.Batch.Ops, make([]heap.Ref, len(rec.Batch.Ops)))
 	}
@@ -444,8 +444,7 @@ func restoreFrameStats(f wire.FrameStatsImage) FrameStats {
 	return FrameStats{
 		AcksSent: f.AcksSent, AcksReceived: f.AcksReceived,
 		FramesRetired: f.FramesRetired, OutboxResends: f.OutboxResends,
-		OutboxEvicted: f.OutboxEvicted, ResendsSuppressed: f.ResendsSuppressed,
-		AdvancesSent: f.AdvancesSent,
+		ResendsSuppressed: f.ResendsSuppressed, AdvancesSent: f.AdvancesSent,
 	}
 }
 
@@ -480,8 +479,7 @@ func (st *streams) exportInto(img *wire.SiteImage) {
 	img.Frames = wire.FrameStatsImage{
 		AcksSent: st.fstats.AcksSent, AcksReceived: st.fstats.AcksReceived,
 		FramesRetired: st.fstats.FramesRetired, OutboxResends: st.fstats.OutboxResends,
-		OutboxEvicted: st.fstats.OutboxEvicted, ResendsSuppressed: st.fstats.ResendsSuppressed,
-		AdvancesSent: st.fstats.AdvancesSent,
+		ResendsSuppressed: st.fstats.ResendsSuppressed, AdvancesSent: st.fstats.AdvancesSent,
 	}
 	keys := make([]streamKey, 0, len(st.send)+len(st.recv))
 	for k := range st.send {

@@ -196,6 +196,73 @@ func TestRecoveryResumesDetection(t *testing.T) {
 	}
 }
 
+// downNet is a simulator whose Send discards every payload addressed to
+// a down site, as a peer process that is not running does over TCP: the
+// Sim alone never drops application payloads.
+type downNet struct {
+	*netsim.Sim
+	down map[ids.SiteID]bool
+}
+
+func (n *downNet) Send(from, to ids.SiteID, p netsim.Payload) {
+	if n.down[to] {
+		n.Stats().RecordDropped(p)
+		return
+	}
+	n.Sim.Send(from, to, p)
+}
+
+// TestRetainedOutboxSurvivesDownPeer: a durable site retains every
+// Create it sends toward a down peer — the outbox has no cap — so once
+// the peer is back, refresh rounds deliver all of them. A Create lost
+// from the outbox would leave the creator holding a reference to an
+// object that never exists.
+func TestRetainedOutboxSurvivesDownPeer(t *testing.T) {
+	const creates = 1100
+	net := &downNet{Sim: netsim.NewSim(netsim.Faults{Seed: 1}), down: make(map[ids.SiteID]bool)}
+	p := openPersist(t, t.TempDir(), 4096)
+	defer p.Close()
+	s1 := recoverSite(t, 1, net, p)
+	s2 := site.New(2, net, site.DefaultOptions())
+	// Each Create has its own holder: one holder of every remote object
+	// would have each refresh round ship its 1 100-row log to all 1 100
+	// of them, quadratic in memory.
+	holders := make([]heap.Ref, creates)
+	for i := range holders {
+		h, err := s1.NewLocal(s1.Root().Obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holders[i] = h
+	}
+
+	net.down[2] = true
+	for _, h := range holders {
+		if _, err := s1.NewRemote(h.Obj, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(t, net.Sim)
+	net.down[2] = false
+	for round := 0; round < 2; round++ {
+		for _, s := range []*site.Site{s1, s2} {
+			if err := s.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run(t, net.Sim)
+	}
+	if got := s2.NumObjects(); got != creates+1 {
+		t.Errorf("site 2 holds %d objects, want %d", got, creates+1)
+	}
+	if rep := oracle.Check(s1, s2); !rep.Clean() {
+		t.Errorf("not clean once the peer is back: %v", rep)
+	}
+	if got := s1.FrameStats().OutboxRetained; got != 0 {
+		t.Errorf("OutboxRetained = %d after the peer acknowledged, want 0", got)
+	}
+}
+
 // TestRecoverDedupsResentTransfers: a transfer the receiver already
 // processed is re-sent by the sender's recovery; the receiver must not
 // grow a second slot.

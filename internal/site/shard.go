@@ -18,17 +18,6 @@ type outKey struct {
 	seq uint64
 }
 
-// maxOutbox is the hard-cap backstop on retained outbound mutator
-// frames. Under the acknowledged-retirement protocol the outbox trims
-// its acknowledged prefix and stays near-empty in steady state; the cap
-// only fires against a peer that never acknowledges (down forever,
-// partitioned). Evicting an unacknowledged frame is tolerated loss —
-// the GGD plane survives it; an undelivered mutator frame costs at
-// worst residual garbage, never safety — and is counted in
-// FrameStats.OutboxEvicted and surfaced through AckObserver instead of
-// happening silently.
-const maxOutbox = 1024
-
 // bufDelivery is one live delivery buffered while a recovery replay is
 // in progress.
 type bufDelivery struct {
@@ -61,14 +50,10 @@ type shard struct {
 	// outbox retains outbound mutator frames (populated only on a
 	// durable site) until the receiver's cumulative FrameAck retires
 	// them, re-sent by crash recovery and by damper-due refresh rounds:
-	// the mutator stream's ledger, oldest first, hard-capped at maxOutbox
-	// as a documented backstop.
+	// the mutator stream's ledger, oldest first. A frame toward a peer
+	// that never answers stays (FrameStats.OutboxRetained): dropping it
+	// would lose a Create or RefTransfer, and with it safety.
 	outbox *core.Ledger[outKey, netsim.Payload]
-
-	// dirtyAcks are the streams whose watermark must be (re-)acked at
-	// the end of the current dispatch: the shard that settled a frame
-	// sends the ack.
-	dirtyAcks map[streamKey]struct{}
 
 	// coalescing, when set, buffers outbound frames instead of sending
 	// them: open during every commit and during the dispatch of a
@@ -91,9 +76,7 @@ type shard struct {
 // newShard allocates shard i of s without its heap and engine: the
 // caller builds those fresh (initFresh) or from an image (restore).
 func newShard(s *Site, i int) *shard {
-	r := &shard{site: s, index: i}
-	r.outbox = core.NewLedger[outKey, netsim.Payload](maxOutbox, r.outboxEvictedLocked)
-	return r
+	return &shard{site: s, index: i, outbox: core.NewLedger[outKey, netsim.Payload]()}
 }
 
 // engineOptions are the site's engine options with this shard's routing
@@ -197,8 +180,10 @@ func (r *shard) collectLocked() heap.CollectStats {
 // handle delivers one frame routed to this shard, from the network or
 // from a sibling, and returns the own-site frames the delivery emitted
 // for the caller to deliver (Site.cascade): handle never delivers them
-// itself, so a cross-shard cascade does not nest.
-func (r *shard) handle(from ids.SiteID, p netsim.Payload) (emitted []netsim.Payload) {
+// itself, so a cross-shard cascade does not nest. flush is set on the
+// last shard a routed payload reaches: that dispatch acknowledges what
+// every shard settled for it (Site.route).
+func (r *shard) handle(from ids.SiteID, p netsim.Payload, flush bool) (emitted []netsim.Payload) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -220,24 +205,27 @@ func (r *shard) handle(from ids.SiteID, p netsim.Payload) (emitted []netsim.Payl
 			return nil
 		}
 	}
-	r.dispatchLocked(from, p)
+	r.dispatchLocked(from, p, flush)
 	emitted, r.handoff = r.handoff, nil
 	return emitted
 }
 
-// dispatchLocked applies one delivery, settles the engine, and flushes
-// any acknowledgements the delivery earned. A received wire.Envelope is
-// applied frame by frame but settled and acknowledged once, and the
-// responses it provokes (FrameAcks, asserts, cascade traffic) are
-// themselves coalesced into one envelope per peer. Caller holds r.mu.
-func (r *shard) dispatchLocked(from ids.SiteID, p netsim.Payload) {
+// dispatchLocked applies one delivery, settles the engine, and — when
+// flush is set — sends the acknowledgements the site owes. A received
+// wire.Envelope is applied frame by frame but settled and acknowledged
+// once, and the responses it provokes (FrameAcks, asserts, cascade
+// traffic) are themselves coalesced into one envelope per peer. Caller
+// holds r.mu.
+func (r *shard) dispatchLocked(from ids.SiteID, p netsim.Payload, flush bool) {
 	opened := false
 	if _, ok := p.(wire.Envelope); ok {
 		opened = r.beginCoalesceLocked()
 	}
 	r.applyFrameLocked(from, p)
 	r.settleLocked()
-	r.flushAcksLocked()
+	if flush {
+		r.flushAcksLocked()
+	}
 	if opened {
 		r.flushCoalesceLocked()
 	}
@@ -319,26 +307,12 @@ func (r *shard) assignMutSeqLocked(target ids.SiteID) uint64 {
 }
 
 // recordOutboundLocked retains a sent mutator frame until the receiver
-// acknowledges it; past the maxOutbox backstop the ledger evicts the
-// oldest (outboxEvictedLocked).
+// acknowledges it.
 func (r *shard) recordOutboundLocked(to ids.SiteID, seq uint64, p netsim.Payload) {
 	if r.site.journal == nil || seq == 0 {
 		return
 	}
 	r.outbox.Put(outKey{to, seq}, to, seq, p)
-}
-
-// outboxEvictedLocked counts an unacknowledged frame bound for peer
-// that the outbox cap dropped: tolerated loss, surfaced rather than
-// silent. Called by the outbox ledger, under r.mu like every outbox use.
-func (r *shard) outboxEvictedLocked(peer ids.SiteID) {
-	st := r.site.st
-	st.mu.Lock()
-	st.fstats.OutboxEvicted++
-	st.mu.Unlock()
-	if ao, ok := r.site.opts.Observer.(AckObserver); ok {
-		ao.FrameEvicted(r.site.id, peer, core.StreamMut, 1)
-	}
 }
 
 func (r *shard) handleCreate(m wire.Create) {

@@ -487,7 +487,7 @@ func TestShardedMergedFloorNeverRegresses(t *testing.T) {
 	// shard 0 still retains seq 1 unacknowledged.
 	r1 := s.shards[1]
 	r1.mu.Lock()
-	r1.outbox = core.NewLedger[outKey, netsim.Payload](maxOutbox, r1.outboxEvictedLocked)
+	r1.outbox = core.NewLedger[outKey, netsim.Payload]()
 	r1.mu.Unlock()
 
 	if err := s.Refresh(); err != nil {
@@ -506,7 +506,7 @@ func TestShardedMergedFloorNeverRegresses(t *testing.T) {
 	// the abandoned gap (seq 1 was never acknowledged).
 	r0 := s.shards[0]
 	r0.mu.Lock()
-	r0.outbox = core.NewLedger[outKey, netsim.Payload](maxOutbox, r0.outboxEvictedLocked)
+	r0.outbox = core.NewLedger[outKey, netsim.Payload]()
 	r0.mu.Unlock()
 	advances = nil
 	if err := s.Refresh(); err != nil {
@@ -522,6 +522,68 @@ func TestShardedMergedFloorNeverRegresses(t *testing.T) {
 		if adv.Floor != 3 {
 			t.Errorf("floor = %d, want 3 (one past the last assigned seq)", adv.Floor)
 		}
+	}
+}
+
+// TestShardedDeliveryAcksOnce: the receive watermarks are site-wide, and
+// so is the set of streams owed an acknowledgement. A delivery that
+// reaches several shards — an envelope split over them, or a floor
+// advisory, which fans out to all — draws one FrameAck per stream, not
+// one per shard it reached.
+func TestShardedDeliveryAcksOnce(t *testing.T) {
+	// acksFrom delivers p from site 2 to a fresh site of the given width
+	// and returns the FrameAcks site 2 gets back, by stream.
+	acksFrom := func(width int, build func(s *Site) netsim.Payload) map[core.Stream][]uint64 {
+		net := netsim.NewSim(netsim.Faults{Seed: 1})
+		s := NewSharded(1, net, DefaultOptions(), width)
+		acks := make(map[core.Stream][]uint64)
+		var collect func(netsim.Payload)
+		collect = func(p netsim.Payload) {
+			switch m := p.(type) {
+			case wire.FrameAck:
+				acks[m.Stream] = append(acks[m.Stream], m.Seq)
+			case wire.Envelope:
+				for _, f := range m.Frames {
+					collect(f)
+				}
+			}
+		}
+		net.Register(2, func(_ ids.SiteID, p netsim.Payload) { collect(p) })
+		net.Send(2, 1, build(s))
+		if _, err := net.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return acks
+	}
+
+	// One envelope: a Create for each of two shards on the mutator
+	// stream, and a floor advisory on the assert stream.
+	got := acksFrom(2, func(s *Site) netsim.Payload {
+		var frames []netsim.Payload
+		for seq, want := uint64(1), 0; want < 2; seq++ {
+			cl := ids.ClusterID{Site: 1, Seq: seq}
+			if s.clusterShardIdx(cl) != want {
+				continue
+			}
+			frames = append(frames, wire.Create{
+				Creator: ids.ClusterID{Site: 2, Seq: 1}, Stamp: 1,
+				Obj: ids.ObjectID{Site: 1, Seq: seq}, Cluster: cl, Seq: uint64(want + 1),
+			})
+			want++
+		}
+		return wire.Envelope{Frames: append(frames, wire.StreamAdvance{Stream: core.StreamAssert, Floor: 4})}
+	})
+	want := map[core.Stream][]uint64{core.StreamMut: {2}, core.StreamAssert: {3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("envelope over 2 shards drew acks %v, want one per stream %v", got, want)
+	}
+
+	got = acksFrom(4, func(*Site) netsim.Payload {
+		return wire.StreamAdvance{Stream: core.StreamDestroy, Floor: 5}
+	})
+	want = map[core.Stream][]uint64{core.StreamDestroy: {4}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("floor advisory to 4 shards drew acks %v, want %v", got, want)
 	}
 }
 

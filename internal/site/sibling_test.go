@@ -146,7 +146,7 @@ func deliverFIFO(h *siblingRun, work []netsim.Payload) {
 				queues[i] = queues[i][1:]
 				depth--
 				h.frames++
-				push(s.shards[i].handle(s.id, f))
+				push(s.shards[i].handle(s.id, f, true))
 			}
 		}
 	}

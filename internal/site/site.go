@@ -302,30 +302,34 @@ func (s *Site) cascade(work []netsim.Payload) {
 // route delivers one payload, from the network or from a sibling, to
 // the shards it addresses and returns the own-site frames those
 // deliveries emitted. An envelope splits into one sub-envelope per
-// destination shard (inner order preserved within each shard).
+// destination shard (inner order preserved within each shard). Only the
+// last shard reached flushes acknowledgements, so the payload draws one
+// FrameAck per stream however many shards settled it.
 func (s *Site) route(from ids.SiteID, p netsim.Payload) (emitted []netsim.Payload) {
 	env, ok := p.(wire.Envelope)
 	if !ok || s.n == 1 {
 		lo, hi := s.frameShards(p)
-		for _, r := range s.shards[lo:hi] {
-			emitted = append(emitted, r.handle(from, p)...)
+		for i := lo; i < hi; i++ {
+			emitted = append(emitted, s.shards[i].handle(from, p, i == hi-1)...)
 		}
 		return emitted
 	}
 	parts := make([][]netsim.Payload, s.n)
+	last := -1 // an envelope is input from outside: it may be empty
 	for _, f := range env.Frames {
 		lo, hi := s.frameShards(f)
 		for i := lo; i < hi; i++ {
 			parts[i] = append(parts[i], f)
 		}
+		last = max(last, hi-1)
 	}
 	for i, part := range parts {
 		switch len(part) {
 		case 0:
 		case 1:
-			emitted = append(emitted, s.shards[i].handle(from, part[0])...)
+			emitted = append(emitted, s.shards[i].handle(from, part[0], i == last)...)
 		default:
-			emitted = append(emitted, s.shards[i].handle(from, wire.Envelope{Frames: part})...)
+			emitted = append(emitted, s.shards[i].handle(from, wire.Envelope{Frames: part}, i == last)...)
 		}
 	}
 	return emitted
@@ -549,7 +553,6 @@ func (s *Site) EngineStats() core.Stats {
 		total.DestroyResends += st.DestroyResends
 		total.ResendsSuppressed += st.ResendsSuppressed
 		total.RowsRetired += st.RowsRetired
-		total.AssertRowsDropped += st.AssertRowsDropped
 		total.HintsExpired += st.HintsExpired
 		total.StaleDeliveries += st.StaleDeliveries
 	}

@@ -22,9 +22,9 @@
 // Receivers acknowledge cumulatively with FrameAck once a frame reaches
 // a final, replayable disposition, letting the sender retire the
 // retained state exactly; StreamAdvance advisories let receivers skip
-// gaps that will never fill (rows retired through another path, frames
-// evicted at a hard cap). Both are GGD-plane traffic: idempotent and
-// loss-tolerant.
+// gaps that will never fill (rows retired through another path,
+// pre-drawn sequences whose op failed). Both are GGD-plane traffic:
+// idempotent and loss-tolerant.
 //
 // # Durable images
 //

@@ -80,8 +80,8 @@ type ShardState struct {
 	// Removals counts GGD removals since the last collection (non-zero
 	// only when AutoCollect is off).
 	Removals int
-	// Outbox holds the unacknowledged outbound mutator frames (bounded
-	// backstop); recovery and refresh rounds re-send them until the
+	// Outbox holds the unacknowledged outbound mutator frames, all of
+	// them; recovery and refresh rounds re-send them until the
 	// receiver's cumulative FrameAck retires them, and receivers apply
 	// each once by its stream sequence (SiteImage.RecvStreams).
 	Outbox []FrameImage
@@ -117,8 +117,8 @@ type PeerEpochImage struct {
 // FrameStatsImage persists the site-level frame/retirement counters.
 type FrameStatsImage struct {
 	AcksSent, AcksReceived, FramesRetired int
-	OutboxResends, OutboxEvicted          int
-	ResendsSuppressed, AdvancesSent       int
+	OutboxResends, ResendsSuppressed      int
+	AdvancesSent                          int
 }
 
 // FrameImage is one outbound frame: destination site, the frame's

@@ -285,7 +285,7 @@ func TestSnapshotRoundTripStreams(t *testing.T) {
 		{Peer: 4, Kind: core.StreamDestroy, Watermark: 9, Pending: []uint64{11, 12}},
 	}
 	img.PeerEpochs = []PeerEpochImage{{Peer: 3, Epoch: 2}}
-	img.Frames = FrameStatsImage{AcksSent: 7, OutboxEvicted: 1, FramesRetired: 12}
+	img.Frames = FrameStatsImage{AcksSent: 7, ResendsSuppressed: 1, FramesRetired: 12}
 	img.Shards[0].Outbox = []FrameImage{{To: 3, Seq: 16, Payload: Create{Creator: ids.ClusterID{Site: 2, Seq: 7}, Stamp: 3, Seq: 16}}}
 	data, err := EncodeSnapshot(img)
 	if err != nil {

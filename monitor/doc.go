@@ -7,9 +7,8 @@
 // A Monitor attaches to one node and reads through closures (Sources),
 // so a snapshot always reflects the node's live counters; it also plugs
 // into the node's observer slot — composed with any user observer by the
-// site-level fanout — to record removals, collections, retirements and
-// backstop evictions into a fixed-depth ring with sequence numbers and
-// wall-clock stamps. Wiring is one option: causalgc.WithMonitor hands a
+// site-level fanout — to record removals, collections and retirements
+// into a fixed-depth ring with sequence numbers and wall-clock stamps. Wiring is one option: causalgc.WithMonitor hands a
 // Monitor to a Node, causalgc.WithMetricsAddr additionally serves it
 // (one Server per Node, or one per Cluster covering all its nodes), and
 // cmd/causalgc-node exposes the same via -metrics-addr. The
@@ -37,7 +36,6 @@
 //	causalgc_resends_total{stream}     counter  ENG/FRM refresh re-sends: assert, destroy, outbox
 //	causalgc_resends_suppressed_total{layer} counter ENG/FRM re-sends the damper held back
 //	causalgc_rows_retired_total        counter  ENG  rows retired by cumulative acks
-//	causalgc_backstop_drops_total{table} counter ENG/FRM hard-cap losses: assert_journal, outbox
 //	causalgc_hints_expired_total       counter  ENG  introduction hints expired
 //	causalgc_stale_deliveries_total    counter  ENG  messages to removed/unknown processes
 //	causalgc_acks_sent_total           counter  FRM  FrameAcks sent
@@ -75,12 +73,13 @@
 // node re-attaches and its ENG/FRM/WAL counters begin again); Prometheus
 // rate() handles the resets as usual. The depth gauges are the
 // boundedness story: under a steady workload with periodic Refresh,
-// every one of them must return to zero at quiescence (a bundle toward a
-// peer that never answers stays, which is what the gauges are for), and
-// the backstop counters must stay flat. A reference transfer that
-// outruns its holder's creation is not buffered: it creates the holder,
-// which shows up in causalgc_pending_deliveries_depth until the creation
-// arrives. Every node is
+// every one of them must return to zero at quiescence. Nothing retained
+// is ever dropped: a frame, assert or bundle toward a peer that never
+// answers stays until the peer acknowledges it, which is what the gauges
+// are for. A reference transfer that outruns its holder's creation is
+// not buffered: it creates the holder, which shows up in
+// causalgc_pending_deliveries_depth until the creation arrives. Every
+// node is
 // n >= 1 shards, so the shard series are always emitted: a node built
 // without WithShards exports causalgc_shards 1 and one shard="0" sample
 // per shard-labelled gauge. Sibling shards keep no queue between them —

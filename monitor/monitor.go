@@ -53,8 +53,8 @@ type Event struct {
 	Time time.Time `json:"time"`
 	// Site is the observed site.
 	Site ids.SiteID `json:"site"`
-	// Kind discriminates the event: "removal", "collection",
-	// "frame_retired" or "frame_evicted".
+	// Kind discriminates the event: "removal", "collection" or
+	// "frame_retired".
 	Kind string `json:"kind"`
 	// Cluster is the removed cluster ("removal" events).
 	Cluster string `json:"cluster,omitempty"`
@@ -66,13 +66,11 @@ type Event struct {
 	// Roots is the root-set size used ("collection" events).
 	Roots int `json:"roots,omitempty"`
 	// Peer is the remote site of a retirement-stream event
-	// ("frame_retired"/"frame_evicted").
+	// ("frame_retired").
 	Peer ids.SiteID `json:"peer,omitempty"`
-	// Stream names the retirement stream ("frame_retired"/
-	// "frame_evicted").
+	// Stream names the retirement stream ("frame_retired").
 	Stream string `json:"stream,omitempty"`
-	// Frames is the number of outbox frames retired or evicted
-	// ("frame_retired"/"frame_evicted").
+	// Frames is the number of outbox frames retired ("frame_retired").
 	Frames int `json:"frames,omitempty"`
 }
 
@@ -86,9 +84,6 @@ const (
 	// EventFrameRetired records outbox frames retired by a cumulative
 	// acknowledgement.
 	EventFrameRetired = "frame_retired"
-	// EventFrameEvicted records outbox frames dropped at the hard cap:
-	// tolerated loss.
-	EventFrameEvicted = "frame_evicted"
 )
 
 // CollectTotals accumulates local mark-sweep collections observed since
@@ -247,12 +242,6 @@ func (m *Monitor) Collected(siteID ids.SiteID, stats heap.CollectStats) {
 	m.collect.Swept += stats.Swept
 	m.mu.Unlock()
 	m.record(Event{Kind: EventCollection, Marked: stats.Marked, Swept: stats.Swept, Roots: stats.Roots})
-}
-
-// FrameEvicted implements the AckObserver hook: it traces the backstop
-// eviction.
-func (m *Monitor) FrameEvicted(siteID ids.SiteID, peer ids.SiteID, stream core.Stream, frames int) {
-	m.record(Event{Kind: EventFrameEvicted, Peer: peer, Stream: stream.String(), Frames: frames})
 }
 
 // FrameRetired implements the AckObserver hook: it traces the

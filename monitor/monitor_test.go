@@ -87,13 +87,12 @@ func TestObserverHooksRecordKinds(t *testing.T) {
 	m.Collected(3, heap.CollectStats{Marked: 5, Swept: 2, Roots: 4})
 	m.Collected(3, heap.CollectStats{Marked: 1, Swept: 1, Roots: 1})
 	m.FrameRetired(3, 1, core.StreamMut, 6)
-	m.FrameEvicted(3, 2, core.StreamAssert, 1)
 	evs := m.Events(0)
 	kinds := make([]string, len(evs))
 	for i, e := range evs {
 		kinds[i] = e.Kind
 	}
-	want := []string{EventCollection, EventCollection, EventFrameRetired, EventFrameEvicted}
+	want := []string{EventCollection, EventCollection, EventFrameRetired}
 	if fmt.Sprint(kinds) != fmt.Sprint(want) {
 		t.Fatalf("kinds = %v, want %v", kinds, want)
 	}

@@ -48,12 +48,6 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 	}
 	p.counter("causalgc_rows_retired_total", "Engine rows retired by cumulative frame acknowledgements.",
 		snaps, func(s *Snapshot) int { return s.Engine.RowsRetired })
-	p.head("causalgc_backstop_drops_total", "counter", "Retained state dropped at a hard cap: tolerated loss.")
-	for i := range snaps {
-		s := &snaps[i]
-		p.sample("causalgc_backstop_drops_total", s, `table="assert_journal"`, float64(s.Engine.AssertRowsDropped))
-		p.sample("causalgc_backstop_drops_total", s, `table="outbox"`, float64(s.Frames.OutboxEvicted))
-	}
 	p.counter("causalgc_hints_expired_total", "Introduction hints expired as provably stale.",
 		snaps, func(s *Snapshot) int { return s.Engine.HintsExpired })
 	p.counter("causalgc_stale_deliveries_total", "Messages addressed to removed or unknown processes.",

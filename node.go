@@ -50,14 +50,18 @@ func newConfig(opts []Option) config {
 
 // validate rejects nonsensical option values with typed errors
 // (ErrBadOption): a negative snapshot cadence or group-commit window
-// has no meaning, and accepting one silently would misconfigure the
-// node.
+// has no meaning, and EngineOptions.Owns is the site's own routing rule
+// — a caller's predicate would be silently replaced — so accepting any
+// of them would misconfigure the node.
 func (c config) validate() error {
 	if c.snapshotEvery < 0 {
 		return fmt.Errorf("%w: WithSnapshotEvery(%d) must be non-negative", ErrBadOption, c.snapshotEvery)
 	}
 	if c.groupCommit < 0 {
 		return fmt.Errorf("%w: WithGroupCommit(%v) must be non-negative", ErrBadOption, c.groupCommit)
+	}
+	if c.site.Engine.Owns != nil {
+		return fmt.Errorf("%w: WithEngineOptions: Owns is set by the site's shard routing, not by the caller", ErrBadOption)
 	}
 	return nil
 }
@@ -501,8 +505,8 @@ func (n *Node) ClusterRemoved(cl ClusterID) bool { return n.rt.ClusterRemoved(cl
 func (n *Node) Stats() EngineStats { return n.rt.EngineStats() }
 
 // FrameStats returns the node's acknowledged-retirement counters: how
-// much re-send state is outstanding, how it drains through cumulative
-// acks, and whether a hard-cap backstop ever dropped frames.
+// much re-send state is outstanding and how it drains through
+// cumulative acks.
 func (n *Node) FrameStats() FrameStats { return n.rt.FrameStats() }
 
 // LogSnapshot returns a deep copy of a local global root's
