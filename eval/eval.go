@@ -91,7 +91,7 @@ func e6(w io.Writer) Result {
 		r.Metrics[fmt.Sprintf("causal_sound_k%d", k)] = float64(b)
 		r.Metrics[fmt.Sprintf("schelvis_k%d", k)] = float64(c)
 	}
-	fmt.Fprintln(w, "shape: paper-guard O(k); sound O(k²) (smaller constant); schelvis O(k²)")
+	fmt.Fprintln(w, "shape: paper-guard O(k); sound O(k²), above schelvis at every k; schelvis O(k²)")
 	fmt.Fprintln(w)
 	r.Pass = ok
 	return r

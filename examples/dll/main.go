@@ -2,9 +2,10 @@
 // to collect a detached doubly-linked list of k elements under the
 // paper's literal removal guard (which reproduces the O(k) claim) and
 // under the sound guard (which pays O(k²) for all-pairs knowledge inside
-// the subcycles). Programs against the public causalgc API only; the
-// three-way comparison including Schelvis's eager timestamp packets is
-// produced by `causalgc-bench -exp E6` (package causalgc/eval).
+// the subcycles, and more messages than Schelvis's eager timestamp
+// packets at every k E6 measures). Programs against the public causalgc
+// API only; the three-way comparison including Schelvis is produced by
+// `causalgc-bench -exp E6` (package causalgc/eval).
 //
 //	go run ./examples/dll
 package main
@@ -24,9 +25,9 @@ func main() {
 		fmt.Printf("%6d %22d %14d\n", k, causal(k, true), causal(k, false))
 	}
 	fmt.Println("\npaper-guard reproduces the O(k) claim; the sound guard pays O(k²)")
-	fmt.Println("for all-pairs knowledge inside the subcycles. Schelvis is O(k²)")
-	fmt.Println("with a larger growth rate: run `causalgc-bench -exp E6` for the")
-	fmt.Println("three-way table (see DESIGN.md §4, E6).")
+	fmt.Println("for all-pairs knowledge inside the subcycles. Schelvis is O(k²) too,")
+	fmt.Println("with fewer messages than the sound guard at every k: run")
+	fmt.Println("`causalgc-bench -exp E6` for the three-way table (see DESIGN.md §4, E6).")
 }
 
 func causal(k int, paperGuard bool) int {

@@ -31,7 +31,8 @@ import (
 // counters every heap of the site draws from. The shards of a site
 // share one instance, so the identities an n-shard run mints are
 // exactly those the 1-shard run would (DESIGN.md §3.4). Atomic, because
-// shards mint concurrently.
+// the shards of a volatile site mint concurrently (a durable site runs
+// one journaled event at a time, so it mints in journal order).
 type Counters struct {
 	obj atomic.Uint64
 	clu atomic.Uint64
@@ -40,15 +41,16 @@ type Counters struct {
 // NewCounters returns a zeroed identity mint.
 func NewCounters() *Counters { return &Counters{} }
 
-// MintObj draws the next object sequence. Exported so the sharded
-// runtime can pre-mint at stage time and journal the drawn value.
+// MintObj draws the next object sequence. Exported because the site
+// draws at apply, before it knows which shard's heap materialises the
+// object: a create placed on a sibling shard travels there by frame.
 func (c *Counters) MintObj() uint64 { return c.obj.Add(1) }
 
 // MintClu draws the next cluster sequence.
 func (c *Counters) MintClu() uint64 { return c.clu.Add(1) }
 
-// ObserveObj raises the object counter to at least seq (replay and
-// snapshot restore: recorded mints must never be re-drawn).
+// ObserveObj raises the object counter to at least seq (snapshot
+// restore: the image's mints must never be re-drawn).
 func (c *Counters) ObserveObj(seq uint64) { observeMax(&c.obj, seq) }
 
 // ObserveClu raises the cluster counter to at least seq.

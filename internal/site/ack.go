@@ -161,13 +161,8 @@ type streams struct {
 	// site-wide like the watermarks, so a delivery that reaches several
 	// shards is acknowledged once, by whichever shard flushes next.
 	dirty map[streamKey]struct{}
-	// peerEpoch is the last seen recovery epoch per peer; a change
-	// re-arms the re-send dampers for that peer.
-	peerEpoch map[ids.SiteID]uint64
 	// epoch counts this site's recoveries, piggybacked on FrameAcks.
 	epoch uint64
-	// refreshRound is the damper time base for outbox re-sends.
-	refreshRound uint64
 	// mint numbers identities created by this site on behalf of others.
 	mint uint64
 	// fstats counts the retirement activity.
@@ -176,10 +171,9 @@ type streams struct {
 
 func newStreams() *streams {
 	return &streams{
-		send:      make(map[streamKey]*sendStream),
-		recv:      make(map[streamKey]*recvTracker),
-		dirty:     make(map[streamKey]struct{}),
-		peerEpoch: make(map[ids.SiteID]uint64),
+		send:  make(map[streamKey]*sendStream),
+		recv:  make(map[streamKey]*recvTracker),
+		dirty: make(map[streamKey]struct{}),
 	}
 }
 
@@ -231,24 +225,6 @@ func (r *shard) assignSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64) u
 	return seq
 }
 
-// observeSeqLocked raises the (peer, kind) send counter to at least
-// seq: applying a record's pre-drawn sequence (OpRecord.MutSeq) must
-// keep the shared counter ahead of every recorded draw, or a
-// post-replay draw would re-issue a sequence the peer already settled
-// (a no-op on the live path, which drew it). Caller holds r.mu.
-func (r *shard) observeSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64) {
-	if seq == 0 {
-		return // a volatile site or a frameless op drew nothing
-	}
-	st := r.site.st
-	st.mu.Lock()
-	s := st.sendStream(peer, kind)
-	if s.nextSeq < seq {
-		s.nextSeq = seq
-	}
-	st.mu.Unlock()
-}
-
 // markRecvLocked records the settlement of one tracked inbound frame
 // and schedules a FrameAck flush for its stream — also on duplicates,
 // which re-sends the unchanged watermark and heals a lost ack. It
@@ -296,12 +272,13 @@ func (r *shard) flushAcksLocked() {
 }
 
 // handleFrameAckLocked processes a cumulative acknowledgement from
-// peer: epoch changes re-arm the re-send dampers (the peer restarted
-// and may have lost undurable state), and the watermark retires the
-// covered retained state of THIS shard exactly. The shared ackedTo
-// floor only ever rises; retirement itself is idempotent, so the same
-// ack fans out to every shard and each retires its own rows. An ack of
-// the untracked stream covers nothing. Caller holds r.mu.
+// peer: an epoch change (by THIS shard's view) re-arms this shard's
+// re-send dampers toward the peer (it restarted and may have lost
+// undurable state), and the watermark retires the covered retained
+// state of this shard exactly. The shared ackedTo floor only ever
+// rises; the same ack fans out to every shard and each re-arms and
+// retires its own rows. An ack of the untracked stream covers nothing.
+// Caller holds r.mu.
 func (r *shard) handleFrameAckLocked(peer ids.SiteID, m wire.FrameAck) {
 	if m.Stream == 0 {
 		return
@@ -313,21 +290,19 @@ func (r *shard) handleFrameAckLocked(peer ids.SiteID, m wire.FrameAck) {
 		// the network delivery once, not once per shard.
 		st.fstats.AcksReceived++
 	}
-	restart := false
-	if last, ok := st.peerEpoch[peer]; !ok || last != m.Epoch {
-		st.peerEpoch[peer] = m.Epoch
-		// A genuine restart (not first contact): re-arm everything
-		// bound for the peer.
-		restart = ok
-	}
 	s := st.sendStream(peer, m.Stream)
 	if m.Seq > s.ackedTo {
 		s.ackedTo = m.Seq
 	}
 	st.mu.Unlock()
-	if restart {
-		r.engine.ResetPeerBackoff(peer)
-		r.outbox.ResetPeer(peer)
+	if last, ok := r.peerEpoch[peer]; !ok || last != m.Epoch {
+		r.peerEpoch[peer] = m.Epoch
+		if ok {
+			// A genuine restart (not first contact): re-arm everything
+			// this shard holds bound for the peer.
+			r.engine.ResetPeerBackoff(peer)
+			r.outbox.ResetPeer(peer)
+		}
 	}
 	if m.Stream != core.StreamMut {
 		r.engine.Ack(peer, m.Stream, m.Seq)
@@ -358,12 +333,9 @@ func (r *shard) handleAdvanceLocked(peer ids.SiteID, m wire.StreamAdvance) {
 }
 
 // resendOutboxLocked re-ships the unacknowledged, damper-due outbox
-// frames during a refresh round. Caller holds r.mu.
+// frames during this shard's refresh round. Caller holds r.mu.
 func (r *shard) resendOutboxLocked() {
-	r.site.st.mu.Lock()
-	round := r.site.st.refreshRound
-	r.site.st.mu.Unlock()
-	resent, suppressed := r.outbox.Due(round, func(k outKey, p netsim.Payload, seq uint64) uint64 {
+	resent, suppressed := r.outbox.Due(r.round, func(k outKey, p netsim.Payload, seq uint64) uint64 {
 		r.emitLocked(k.to, p)
 		return seq
 	})
@@ -414,6 +386,7 @@ func (s *Site) advanceFloors() {
 		r.mu.Unlock()
 	}
 	r0 := s.shards[0]
+	s.lockEvent()
 	r0.mu.Lock()
 	advances := 0
 	for i, k := range keys {

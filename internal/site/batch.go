@@ -14,19 +14,18 @@ import (
 // commit is a group of n >= 1 operations — the singleton Site methods
 // commit groups of one — and follows ONE sequence under ONE lock
 // acquisition: stage (an illegal group is rejected before anything is
-// journaled), pre-mint (the drawn identities, placements and stream
-// sequences are recorded on the ops), ONE write-ahead journal append (a
-// single wire.BatchRecord — one fsync, or one group-commit window
-// share, for the whole group), then apply inside one coalescing window
-// (one transport send per peer; a single frame ships bare). The
-// journal-before-send invariant holds per commit: the group record is
-// durable before any frame the group produced leaves the site.
-// Retirement semantics are per frame — every coalesced mutator frame
-// keeps its own stream sequence and outbox row; only the transport
-// framing is grouped. Replay feeds the journaled group back through the
-// same function with staging, pre-minting and journaling suppressed:
-// apply never draws, so a replay rebuilds exactly what the live commit
-// built whatever the WAL interleaving.
+// journaled), ONE write-ahead journal append (a single wire.BatchRecord
+// — one fsync, or one group-commit window share, for the whole group),
+// then apply inside one coalescing window (one transport send per peer;
+// a single frame ships bare). The journal-before-send invariant holds
+// per commit: the group record is durable before any frame the group
+// produced leaves the site. Retirement semantics are per frame — every
+// coalesced mutator frame keeps its own stream sequence and outbox row;
+// only the transport framing is grouped. Apply draws the identities,
+// placements and stream sequences; a durable site commits under its
+// event lock, so its journal order is its execution order, and replay
+// — the journaled group fed back through the same function with
+// staging and journaling suppressed — draws the same values.
 
 // ApplyBatch commits a group of mutator operations atomically with
 // respect to staging: the whole group is validated against a staged
@@ -41,13 +40,8 @@ import (
 // The batch commits on the shard owning its first concrete holder
 // (staging requires every concrete holder to live there; fresh clusters
 // minted by a multi-op batch pin to that shard, so the whole group
-// stays local — see premintBatchLocked).
-//
-// ApplyBatch owns ops for the duration of the call: the commit writes
-// each op's draws (MintObj, MintClu, Place, MutSeq) into it in place
-// instead of copying the group. The caller must not share it with a
-// concurrent call; it may resubmit it afterwards (every commit re-draws
-// all four fields).
+// stays local — a deferred reference to a cross-shard creation would
+// name an object the executing shard never materialises).
 //
 // The returned slice has one Ref per op: the minted reference for
 // creates, the zero Ref otherwise.
@@ -83,6 +77,7 @@ func (s *Site) commitOne(r *shard, op wire.OpRecord) (heap.Ref, error) {
 // commit commits ops on shard r, filling refs (one per op), and settles
 // the commit's cross-shard effects.
 func (s *Site) commit(r *shard, ops []wire.BatchOp, refs []heap.Ref) error {
+	s.lockEvent()
 	r.mu.Lock()
 	err := r.commitLocked(ops, refs)
 	s.unlock(r)
@@ -90,17 +85,16 @@ func (s *Site) commit(r *shard, ops []wire.BatchOp, refs []heap.Ref) error {
 	return err
 }
 
-// commitLocked is the one commit sequence — stage, pre-mint, one journal
-// append, apply — for a group of n >= 1 ops; refs receives one Ref per
-// op. During replay the group is a journaled record: it was staged and
-// pre-minted before it was appended, so only the apply runs. Caller
-// holds r.mu.
+// commitLocked is the one commit sequence — stage, one journal append,
+// apply — for a group of n >= 1 ops; refs receives one Ref per op.
+// During replay the group is a journaled record: it was staged before
+// it was appended, so only the apply runs. Caller holds r.mu (under the
+// event lock).
 func (r *shard) commitLocked(ops []wire.BatchOp, refs []heap.Ref) error {
 	if !r.replaying {
 		if err := r.stageBatchLocked(ops); err != nil {
 			return err
 		}
-		r.premintBatchLocked(ops)
 		if r.journaling() {
 			// The record takes a copy, so ops never escapes: a volatile
 			// site's group of one stays on the caller's stack.
@@ -111,11 +105,12 @@ func (r *shard) commitLocked(ops []wire.BatchOp, refs []heap.Ref) error {
 		}
 	}
 	opened := r.beginCoalesceLocked()
+	pin := len(ops) > 1
 	var firstErr error
 	for i := range ops {
 		op, err := resolveBatchOp(&ops[i], refs[:i])
 		if err == nil {
-			refs[i], err = r.applyOpLocked(op)
+			refs[i], err = r.applyOpLocked(op, pin)
 		}
 		if err != nil && firstErr == nil {
 			if len(ops) > 1 {
@@ -131,65 +126,6 @@ func (r *shard) commitLocked(ops []wire.BatchOp, refs []heap.Ref) error {
 		r.flushCoalesceLocked()
 	}
 	return firstErr
-}
-
-// premintBatchLocked pre-mints a staged group in place: the drawn
-// identities, placements and stream sequences ride the journaled
-// BatchRecord, so replay reproduces them exactly (see premintLocked).
-// Fresh clusters are pinned to the executing shard for multi-op groups
-// — a deferred reference to a cross-shard creation would name an object
-// the executing shard will never materialise — while a group of one
-// keeps the full placement policy. Deferred arguments are resolved
-// against the refs the group's own earlier pre-mints predict, only for
-// the duration of each op's pre-mint — the journaled record keeps its
-// deferred form, and resolveBatchOp re-derives the same refs at apply
-// (and replay) time. Caller holds r.mu.
-func (r *shard) premintBatchLocked(ops []wire.BatchOp) {
-	pin := len(ops) > 1
-	id := r.site.id
-	for i := range ops {
-		bop := &ops[i]
-		op := &bop.Op
-		holder, to, target := op.Holder, op.To, op.Target
-		if bop.HolderFrom > 0 {
-			op.Holder = predictedRef(id, &ops[bop.HolderFrom-1].Op).Obj
-		}
-		if bop.ToFrom > 0 {
-			op.To = predictedRef(id, &ops[bop.ToFrom-1].Op)
-		}
-		if bop.TargetFrom > 0 {
-			op.Target = predictedRef(id, &ops[bop.TargetFrom-1].Op)
-		}
-		r.premintLocked(op, pin)
-		op.Holder, op.To, op.Target = holder, to, target
-	}
-}
-
-// predictedRef computes the Ref a pre-minted create will return when it
-// applies — the resolution context for later ops' deferred arguments
-// during pre-mint. Non-creates (and ops that mint nothing) predict the
-// zero Ref, matching resolveBatchOp's treatment of a failed deferred
-// source.
-func predictedRef(id ids.SiteID, op *wire.OpRecord) heap.Ref {
-	switch op.Kind {
-	case wire.OpNewLocal:
-		return heap.Ref{
-			Obj:     ids.ObjectID{Site: id, Seq: op.MintObj},
-			Cluster: ids.ClusterID{Site: id, Seq: op.MintClu},
-		}
-	case wire.OpNewLocalIn:
-		return heap.Ref{
-			Obj:     ids.ObjectID{Site: id, Seq: op.MintObj},
-			Cluster: op.Clu,
-		}
-	case wire.OpNewRemote:
-		seq := uint64(id)<<32 | op.MintObj
-		return heap.Ref{
-			Obj:     ids.ObjectID{Site: op.Site, Seq: seq},
-			Cluster: ids.ClusterID{Site: op.Site, Seq: seq},
-		}
-	}
-	return heap.NilRef
 }
 
 // resolveBatchOp substitutes deferred arguments with the Refs minted by

@@ -210,7 +210,7 @@ func TestRecoverRejectsMutatorOpRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Record 0 is the recovery's own Refresh marker; forge record 1.
-	if err := j.Append(&wire.WALRecord{Width: 1, Op: &wire.OpRecord{Kind: wire.OpNewRemote, Holder: s1.Root().Obj, Site: 2, MintObj: 1}}); err != nil {
+	if err := j.Append(&wire.WALRecord{Width: 1, Op: &wire.OpRecord{Kind: wire.OpNewRemote, Holder: s1.Root().Obj, Site: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

@@ -10,21 +10,24 @@
 // each shard owns a partition of the site's clusters — heap rows, engine
 // processes, outbox — under its own mutex, which models the paper's
 // single mutator/collector interleaving per partition. There is one
-// commit path (commitLocked: stage, pre-mint, one journal append,
-// apply — for a group of n >= 1 operations; the singleton methods
-// commit groups of one and WAL replay feeds journaled groups back
-// through it), one recovery (RecoverSharded; Recover and New are its
-// one-shard spellings) and one snapshot format, whatever the width.
-// Site methods are safe for concurrent use.
+// commit path (commitLocked: stage, one journal append, apply — for a
+// group of n >= 1 operations; the singleton methods commit groups of
+// one and WAL replay feeds journaled groups back through it), one
+// recovery (RecoverSharded; Recover and New are its one-shard
+// spellings) and one snapshot format, whatever the width. A durable
+// site runs one journaled event at a time under its event lock, so its
+// journal order is its execution order and apply draws identities,
+// placements and stream sequences: replay, applying in journal order,
+// draws the same. Site methods are safe for concurrent use.
 //
 // Beyond the mutator surface the site owns two protocol planes:
 //
 //   - Durability (persist.go, DESIGN.md §5): with a Persist journal
 //     attached, every relevant event is written ahead to a WAL — a
 //     mutator commit as one Batch record, an inbound frame as a Deliver
-//     record, a site-wide Collect or Refresh as an Op marker — and the
-//     full site image is snapshotted periodically; RecoverSharded
-//     reconstructs the site and resumes the protocol.
+//     record, each shard's part of a Collect or Refresh as an Op
+//     marker — and the full site image is snapshotted periodically;
+//     RecoverSharded reconstructs the site and resumes the protocol.
 //   - Acknowledged retirement (ack.go, DESIGN.md §3.2): the site
 //     assigns retirement-stream sequences to every re-sendable frame,
 //     tracks cumulative receive watermarks, emits FrameAck and

@@ -2,6 +2,8 @@ package site
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -224,12 +226,12 @@ func Recover(id ids.SiteID, net netsim.Network, opts Options, j *Persist) (*Site
 // wrote them.
 //
 // Replay is exact: every record goes back to the shard that journaled
-// it and carries the identities, placement and stream sequence its
-// commit drew, deliveries re-apply in each shard's journaled order, and
-// every engine-clock-advancing entry point is itself journaled — which
+// it, in journal order — a durable site's execution order, so every
+// identity, placement and stream sequence apply draws comes out as the
+// live run's — and every engine-clock-advancing entry point is itself
+// journaled, a shard's part of a Collect or Refresh included — which
 // is why a recovered site never re-issues an already-used stamp for a
 // new event (the unsafety that would let an old Ē mask a live edge).
-// Site-wide OpCollect/OpRefresh records re-run the site-wide cycle.
 // Messages re-sent during replay are duplicates of pre-crash traffic:
 // GGD control messages are idempotent by merge, and a creation or a
 // reference transfer applies iff its stream sequence is recorded at
@@ -274,7 +276,7 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 			s.seedRouting(i, ss)
 		}
 		for i, ss := range img.Shards {
-			if err := s.shards[i].restore(ss); err != nil {
+			if err := s.shards[i].restore(ss, img.PeerEpochs); err != nil {
 				return nil, fmt.Errorf("site %v: recover: shard %d: %w", id, i, err)
 			}
 		}
@@ -294,6 +296,7 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 	// through the journaled path.
 	s.replaying.Store(false)
 	for _, r := range s.shards {
+		s.lockEvent()
 		r.mu.Lock()
 		r.replaying = false
 		buffered := r.recoverBuf
@@ -346,7 +349,7 @@ func (s *Site) seedRouting(i int, ss wire.ShardState) {
 
 // checkRecords rejects a WAL this code did not write at this width,
 // by record index — records are input from disk. An Op record of any
-// kind but the two site-wide cycle markers: mutator commits are
+// kind but the two cycle markers: mutator commits are
 // journaled as Batch records, and replaying a guess at its meaning
 // would shift every later identity. A shard tag outside [0, width), or
 // a stamped width other than the directory's: the tag and the fallback
@@ -366,23 +369,20 @@ func checkRecords(recs []*wire.WALRecord, width int) error {
 	return nil
 }
 
-// applyRecord replays one WAL record (checkRecords passed): a mutator
-// commit or a delivery on the shard that journaled it, a site-wide
-// cycle marker by re-running the site-wide cycle. Errors are ignored: a
-// record that failed when first applied fails identically on replay
-// (replay determinism), and a delivery can never fail.
+// applyRecord replays one WAL record (checkRecords passed) on the shard
+// that journaled it: a mutator commit, a delivery, or that shard's part
+// of a cycle. Errors are ignored: a record that failed when first
+// applied fails identically on replay (replay determinism), and a
+// delivery can never fail.
 func (s *Site) applyRecord(rec *wire.WALRecord) {
-	if rec.Op != nil {
-		if rec.Op.Kind == wire.OpCollect {
-			_, _ = s.Collect()
-		} else {
-			_ = s.Refresh()
-		}
-		return
-	}
 	r := s.shards[rec.Shard]
+	s.lockEvent()
 	r.mu.Lock()
 	switch {
+	case rec.Op != nil && rec.Op.Kind == wire.OpCollect:
+		_, _ = r.collectShardLocked()
+	case rec.Op != nil:
+		_ = r.refreshShardLocked()
 	case rec.Deliver != nil:
 		// Dispatched directly, bypassing the recoverBuf (which is for
 		// *live* traffic racing the replay).
@@ -391,12 +391,14 @@ func (s *Site) applyRecord(rec *wire.WALRecord) {
 		_ = r.commitLocked(rec.Batch.Ops, make([]heap.Ref, len(rec.Batch.Ops)))
 	}
 	r.mu.Unlock() // replay emits no own-site frame
+	s.unlockEvent()
 }
 
 // restore rebuilds the shard's heap, engine and delivery state from its
-// durable state block. Outbox dampers reset on restore: recovery's
-// refresh round finds every restored row due.
-func (r *shard) restore(ss wire.ShardState) error {
+// durable state block, and its view of the peers' epochs from the
+// site's. Outbox dampers reset on restore: recovery's refresh round
+// finds every restored row due.
+func (r *shard) restore(ss wire.ShardState, peers []wire.PeerEpochImage) error {
 	s := r.site
 	var err error
 	r.engine, err = core.Restore(s.id, (*sender)(r), r.onRemove, r.engineOptions(), ss.Engine)
@@ -410,6 +412,9 @@ func (r *shard) restore(ss wire.ShardState) error {
 	r.removals = ss.Removals
 	for _, f := range ss.Outbox {
 		r.outbox.Put(outKey{f.To, f.Seq}, f.To, f.Seq, f.Payload)
+	}
+	for _, pe := range peers {
+		r.peerEpoch[pe.Peer] = pe.Epoch
 	}
 	return nil
 }
@@ -433,9 +438,6 @@ func restoreStreams(st *streams, img *wire.SiteImage) {
 			}
 		}
 		st.recv[streamKey{peer: s.Peer, kind: s.Kind}] = t
-	}
-	for _, pe := range img.PeerEpochs {
-		st.peerEpoch[pe.Peer] = pe.Epoch
 	}
 }
 
@@ -506,14 +508,6 @@ func (st *streams) exportInto(img *wire.SiteImage) {
 		sort.Slice(ri.Pending, func(i, j int) bool { return ri.Pending[i] < ri.Pending[j] })
 		img.RecvStreams = append(img.RecvStreams, ri)
 	}
-	peers := make([]ids.SiteID, 0, len(st.peerEpoch))
-	for p := range st.peerEpoch {
-		peers = append(peers, p)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	for _, p := range peers {
-		img.PeerEpochs = append(img.PeerEpochs, wire.PeerEpochImage{Peer: p, Epoch: st.peerEpoch[p]})
-	}
 }
 
 // exportImageAllLocked renders the site image: the shared state plus
@@ -526,6 +520,12 @@ func (s *Site) exportImageAllLocked() (*wire.SiteImage, error) {
 		Shards:  make([]wire.ShardState, s.n),
 	}
 	s.st.exportInto(img)
+	// Every shard sees every FrameAck, so shard 0's view of the peers'
+	// epochs stands for the site's.
+	epochs := s.shards[0].peerEpoch
+	for _, p := range slices.Sorted(maps.Keys(epochs)) {
+		img.PeerEpochs = append(img.PeerEpochs, wire.PeerEpochImage{Peer: p, Epoch: epochs[p]})
+	}
 	for i, r := range s.shards {
 		var err error
 		if img.Shards[i], err = r.exportShardStateLocked(); err != nil {

@@ -54,6 +54,11 @@ type shard struct {
 	// that never answers stays (FrameStats.OutboxRetained): dropping it
 	// would lose a Create or RefTransfer, and with it safety.
 	outbox *core.Ledger[outKey, netsim.Payload]
+	// round counts this shard's refresh rounds, its outbox dampers'
+	// time base; peerEpoch is its view of each peer's recovery epoch
+	// (handleFrameAckLocked).
+	round     uint64
+	peerEpoch map[ids.SiteID]uint64
 
 	// coalescing, when set, buffers outbound frames instead of sending
 	// them: open during every commit and during the dispatch of a
@@ -76,7 +81,8 @@ type shard struct {
 // newShard allocates shard i of s without its heap and engine: the
 // caller builds those fresh (initFresh) or from an image (restore).
 func newShard(s *Site, i int) *shard {
-	return &shard{site: s, index: i, outbox: core.NewLedger[outKey, netsim.Payload]()}
+	return &shard{site: s, index: i, outbox: core.NewLedger[outKey, netsim.Payload](),
+		peerEpoch: make(map[ids.SiteID]uint64)}
 }
 
 // engineOptions are the site's engine options with this shard's routing
@@ -184,6 +190,8 @@ func (r *shard) collectLocked() heap.CollectStats {
 // last shard a routed payload reaches: that dispatch acknowledges what
 // every shard settled for it (Site.route).
 func (r *shard) handle(from ids.SiteID, p netsim.Payload, flush bool) (emitted []netsim.Payload) {
+	r.site.lockEvent()
+	defer r.site.unlockEvent()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -282,10 +290,10 @@ func (r *shard) appendLocked(rec *wire.WALRecord) error {
 	return r.site.journal.Append(rec)
 }
 
-// journalCycleLocked durably records a site-wide cycle marker
-// (wire.OpCollect or wire.OpRefresh) before the cycle runs: the only
-// Op records a site writes — a mutator commit is a Batch record
-// (commitLocked). Caller holds r.mu.
+// journalCycleLocked durably records this shard's cycle marker
+// (wire.OpCollect or wire.OpRefresh) right before its part of the
+// cycle runs: the only Op records a site writes — a mutator commit is
+// a Batch record (commitLocked). Caller holds r.mu.
 func (r *shard) journalCycleLocked(kind wire.OpKind) error {
 	if !r.journaling() {
 		return nil
@@ -296,10 +304,10 @@ func (r *shard) journalCycleLocked(kind wire.OpKind) error {
 	return nil
 }
 
-// assignMutSeqLocked draws the next mutator-stream sequence for a frame
+// mutatorSeqLocked draws the next mutator-stream sequence for a frame
 // bound to target, or zero for volatile sites (no journal → no outbox →
 // nothing to acknowledge).
-func (r *shard) assignMutSeqLocked(target ids.SiteID) uint64 {
+func (r *shard) mutatorSeqLocked(target ids.SiteID) uint64 {
 	if r.site.journal == nil {
 		return 0
 	}
@@ -394,113 +402,36 @@ func (r *shard) settleLocked() {
 	}
 }
 
-// --- Commit sequence: per-op stages ---------------------------------------
+// --- Commit sequence: the apply stage ------------------------------------
 
-// The commit sequence itself — stage, pre-mint, journal, apply, once
-// per group of n >= 1 ops — is commitLocked (batch.go); below are the
-// pre-mint and apply stages of one op.
+// The commit sequence itself — stage, journal, apply, once per group of
+// n >= 1 ops — is commitLocked (batch.go); below is the apply of one op.
 
-// premintLocked draws the identities op will mint and records them
-// (plus the placement shard of the created object's cluster and the
-// mutator-stream sequence of any frame the op emits) on the record
-// before it is journaled. Shards commit concurrently, so the WAL append
-// order need not match the live mint (or seq-draw) order: replaying the
-// counters in WAL order would shift identities and rebind frame
-// sequences, and the recorded values are what makes replay exact (they
-// are authoritative there: commitLocked never pre-mints a replayed
-// group). All four draw fields are overwritten, so a resubmitted op
-// carries nothing over from an earlier commit. pin forces fresh
-// clusters onto the executing shard (multi-op groups). Caller holds
-// r.mu; the op has passed staging, and its deferred arguments are
-// resolved against the group's own predicted mints (premintBatchLocked).
-//
-// A pre-drawn sequence whose op later fails to apply (or whose journal
-// append fails) leaves a gap in the stream, exactly like a pre-minted
-// identity that is never materialised: the next Refresh's floor
-// advisory walks the peer's watermark over it.
-func (r *shard) premintLocked(op *wire.OpRecord, pin bool) {
-	op.MintObj, op.MintClu, op.Place, op.MutSeq = 0, 0, 0, 0
+// applyOpLocked applies one resolved mutator operation: validation,
+// then the draws (identities, placement, stream sequences: a failed op
+// draws nothing), mutation, sends (through emitLocked, so the commit's
+// window coalesces them) and the settle cascade — everything except
+// locking and journaling, which commitLocked owns. pin forces fresh
+// clusters onto the executing shard (multi-op groups). For OpNewCluster
+// the returned Ref carries only the minted cluster. Caller holds r.mu.
+func (r *shard) applyOpLocked(op wire.OpRecord, pin bool) (heap.Ref, error) {
 	s := r.site
 	switch op.Kind {
-	case wire.OpNewLocal:
-		op.MintClu = s.ctr.MintClu()
-		op.MintObj = s.ctr.MintObj()
-		holderClu := ids.NoCluster
-		if ho := r.heap.Object(op.Holder); ho != nil {
-			holderClu = ho.Cluster()
-		}
-		cl := ids.ClusterID{Site: s.id, Seq: op.MintClu}
-		op.Place = s.placeCluster(cl, holderClu, r.index, pin)
-		if op.Place-1 != r.index {
-			// Cross-shard placement: the apply emits a Create addressed
-			// to the own site.
-			op.MutSeq = r.assignMutSeqLocked(s.id)
-		}
-	case wire.OpNewLocalIn:
-		op.MintObj = s.ctr.MintObj()
-		op.Place = s.clusterShardIdx(op.Clu) + 1
-		if op.Place-1 != r.index {
-			op.MutSeq = r.assignMutSeqLocked(s.id)
-		}
+	case wire.OpNewLocal, wire.OpNewLocalIn:
+		return r.applyCreateLocked(op, pin)
 	case wire.OpNewCluster:
-		op.MintClu = s.ctr.MintClu()
-		cl := ids.ClusterID{Site: s.id, Seq: op.MintClu}
-		op.Place = s.placeCluster(cl, ids.NoCluster, r.index, true)
-	case wire.OpNewRemote:
-		s.st.mu.Lock()
-		s.st.mint++
-		op.MintObj = s.st.mint
-		s.st.mu.Unlock()
-		op.MutSeq = r.assignMutSeqLocked(op.Site)
-	case wire.OpSendRef:
-		op.MutSeq = r.premintSendRefSeqLocked(op.To, op.Target)
-	}
-}
-
-// premintSendRefSeqLocked pre-draws the mutator-stream sequence of the
-// RefTransfer a SendRef will emit, mirroring the apply-time conditions
-// exactly (same lock hold, so the state cannot change in between): no
-// frame for a destination this shard owns, and no sequence for frames
-// SentRef gives no dedup identity (intra-cluster copies, where target
-// and destination share a cluster — a staged holder is always live,
-// hence has an engine process, born or not). Caller holds r.mu.
-func (r *shard) premintSendRefSeqLocked(to, target heap.Ref) uint64 {
-	if to.Obj.Site == r.site.id && r.owns(to.Cluster) {
-		return 0
-	}
-	if target.Cluster == to.Cluster {
-		return 0
-	}
-	return r.assignMutSeqLocked(to.Obj.Site)
-}
-
-// applyOpLocked applies one resolved, pre-minted mutator operation:
-// validation, mutation, sends (through emitLocked, so the commit's
-// window coalesces them) and the settle cascade — everything except
-// locking and journaling, which commitLocked owns. For
-// OpNewCluster the returned Ref carries only the minted cluster. Caller
-// holds r.mu.
-func (r *shard) applyOpLocked(op wire.OpRecord) (heap.Ref, error) {
-	switch op.Kind {
-	case wire.OpNewLocal:
-		cl := ids.ClusterID{Site: r.site.id, Seq: op.MintClu}
-		r.site.ctr.ObserveClu(op.MintClu)
-		return r.applyCreateLocked("NewLocal", op, cl)
-	case wire.OpNewLocalIn:
-		if op.Clu.Site != r.site.id {
-			return heap.NilRef, fmt.Errorf("site %v: NewLocalIn %v: %w", r.site.id, op.Clu, heap.ErrForeignCluster)
-		}
-		return r.applyCreateLocked("NewLocalIn", op, op.Clu)
-	case wire.OpNewCluster:
-		cl := ids.ClusterID{Site: r.site.id, Seq: op.MintClu}
-		r.site.ctr.ObserveClu(op.MintClu)
-		r.site.setClusterShard(cl, op.Place-1)
+		// Bare clusters pin to the executing shard, which NewCluster
+		// chose by the placement cursor: advancing it here rotates the
+		// next one.
+		s.rr.Add(1)
+		cl := ids.ClusterID{Site: s.id, Seq: s.ctr.MintClu()}
+		s.setClusterShard(cl, r.index)
 		r.engine.Register(cl)
 		return heap.Ref{Cluster: cl}, nil
 	case wire.OpNewRemote:
 		return r.applyNewRemoteLocked(op)
 	case wire.OpSendRef:
-		return heap.NilRef, r.applySendRefLocked(op.Holder, op.To, op.Target, op.MutSeq)
+		return heap.NilRef, r.applySendRefLocked(op.Holder, op.To, op.Target)
 	case wire.OpAddRef:
 		_, err := r.heap.AddRef(op.Holder, op.Target)
 		r.settleLocked()
@@ -514,31 +445,40 @@ func (r *shard) applyOpLocked(op wire.OpRecord) (heap.Ref, error) {
 		r.settleLocked()
 		return heap.NilRef, err
 	}
-	return heap.NilRef, fmt.Errorf("site %v: apply %v: unknown op", r.site.id, op.Kind)
+	return heap.NilRef, fmt.Errorf("site %v: apply %v: unknown op", s.id, op.Kind)
 }
 
-// applyCreateLocked is the shared body of NewLocal and NewLocalIn:
-// materialise the pre-minted object op.MintObj in cl (fresh for
-// NewLocal, existing for NewLocalIn) and reference it from op.Holder.
-// The live path stored a fresh cluster's placement at pre-mint; replay
-// repopulates the routing map here (the re-store is idempotent).
-func (r *shard) applyCreateLocked(opName string, op wire.OpRecord, cl ids.ClusterID) (heap.Ref, error) {
-	if r.heap.Object(op.Holder) == nil {
-		return heap.NilRef, fmt.Errorf("site %v: %s holder %v: %w", r.site.id, opName, op.Holder, heap.ErrNoSuchObject)
+// applyCreateLocked is the shared body of NewLocal and NewLocalIn: mint
+// the object — in a fresh cluster placed by the placement policy for
+// NewLocal, in the existing op.Clu for NewLocalIn — materialise it on
+// the shard its cluster routes to and reference it from op.Holder.
+func (r *shard) applyCreateLocked(op wire.OpRecord, pin bool) (heap.Ref, error) {
+	s := r.site
+	if op.Kind == wire.OpNewLocalIn && op.Clu.Site != s.id {
+		return heap.NilRef, fmt.Errorf("site %v: NewLocalIn %v: %w", s.id, op.Clu, heap.ErrForeignCluster)
 	}
-	obj := ids.ObjectID{Site: r.site.id, Seq: op.MintObj}
-	r.site.ctr.ObserveObj(op.MintObj)
-	r.site.setClusterShard(cl, op.Place-1)
-	if op.Place-1 != r.index {
+	ho := r.heap.Object(op.Holder)
+	if ho == nil {
+		return heap.NilRef, fmt.Errorf("site %v: %v holder %v: %w", s.id, op.Kind, op.Holder, heap.ErrNoSuchObject)
+	}
+	cl := op.Clu
+	var idx int
+	if op.Kind == wire.OpNewLocal {
+		cl = ids.ClusterID{Site: s.id, Seq: s.ctr.MintClu()}
+		idx = s.placeCluster(cl, ho.Cluster(), r.index, pin)
+	} else {
+		idx = s.clusterShardIdx(cl)
+	}
+	ref := heap.Ref{Obj: ids.ObjectID{Site: s.id, Seq: s.ctr.MintObj()}, Cluster: cl}
+	if idx != r.index {
 		// The cluster lives on a sibling shard: create the object there
 		// through the self-as-peer handoff path.
-		return r.createRemoteLocked(op.Holder, r.site.id, heap.Ref{Obj: obj, Cluster: cl}, op.MutSeq)
+		return r.createRemoteLocked(op.Holder, s.id, ref)
 	}
 	r.engine.Register(cl)
-	if _, err := r.heap.NewObjectAt(obj, cl); err != nil {
+	if _, err := r.heap.NewObjectAt(ref.Obj, cl); err != nil {
 		return heap.NilRef, err
 	}
-	ref := heap.Ref{Obj: obj, Cluster: cl}
 	if _, err := r.heap.AddRef(op.Holder, ref); err != nil {
 		return heap.NilRef, err
 	}
@@ -554,31 +494,28 @@ func (r *shard) applyNewRemoteLocked(op wire.OpRecord) (heap.Ref, error) {
 	if op.Site == id {
 		return heap.NilRef, fmt.Errorf("site %v: NewRemote: %w", id, ErrRemoteSelf)
 	}
-	// Keep the shared counter at least as far along as the recorded draw
-	// (replay; a no-op on the live path, which drew it).
+	// The on-behalf mint: the target site's identity, unique by the
+	// creator's site in the high half.
 	st := r.site.st
 	st.mu.Lock()
-	if st.mint < op.MintObj {
-		st.mint = op.MintObj
-	}
+	st.mint++
+	seq := uint64(id)<<32 | st.mint
 	st.mu.Unlock()
-	seq := uint64(id)<<32 | op.MintObj
 	ref := heap.Ref{
 		Obj:     ids.ObjectID{Site: op.Site, Seq: seq},
 		Cluster: ids.ClusterID{Site: op.Site, Seq: seq},
 	}
-	return r.createRemoteLocked(op.Holder, op.Site, ref, op.MutSeq)
+	return r.createRemoteLocked(op.Holder, op.Site, ref)
 }
 
-// createRemoteLocked creates the pre-minted object ref outside this
+// createRemoteLocked creates the freshly minted object ref outside this
 // heap partition, referenced from holder: on another site (the paper's
 // "a root object 1 creates an object 2", §3.1), or on a sibling shard,
 // where target is the own site and the creation frame is handed to
 // the sibling instead of the network — every invariant
 // (journal-before-send, outbox retention, FrameAck-to-self retirement,
-// zombie-drop at the owner) comes along for free. seq is the record's
-// pre-drawn stream sequence. Caller holds r.mu.
-func (r *shard) createRemoteLocked(holder ids.ObjectID, target ids.SiteID, ref heap.Ref, seq uint64) (heap.Ref, error) {
+// zombie-drop at the owner) comes along for free. Caller holds r.mu.
+func (r *shard) createRemoteLocked(holder ids.ObjectID, target ids.SiteID, ref heap.Ref) (heap.Ref, error) {
 	ho := r.heap.Object(holder)
 	// Order matters: AddRefIntro fires EdgeUp, which bumps the creator's
 	// clock for the creation event; the stamp shipped with the message is
@@ -588,21 +525,20 @@ func (r *shard) createRemoteLocked(holder ids.ObjectID, target ids.SiteID, ref h
 	if _, err := r.heap.AddRefIntro(holder, ref, ids.NoCluster, ids.CreationSeq); err != nil {
 		return heap.NilRef, err
 	}
-	r.observeSeqLocked(target, core.StreamMut, seq)
 	create := wire.Create{
 		Creator: ho.Cluster(),
 		Stamp:   r.engine.RemoteCreationStamp(ho.Cluster()),
 		Obj:     ref.Obj,
 		Cluster: ref.Cluster,
-		Seq:     seq,
+		Seq:     r.mutatorSeqLocked(target),
 	}
 	r.emitLocked(target, create)
-	r.recordOutboundLocked(target, seq, create)
+	r.recordOutboundLocked(target, create.Seq, create)
 	r.settleLocked()
 	return ref, nil
 }
 
-func (r *shard) applySendRefLocked(fromObj ids.ObjectID, to heap.Ref, target heap.Ref, preSeq uint64) error {
+func (r *shard) applySendRefLocked(fromObj ids.ObjectID, to heap.Ref, target heap.Ref) error {
 	id := r.site.id
 	fo := r.heap.Object(fromObj)
 	if fo == nil {
@@ -645,8 +581,7 @@ func (r *shard) applySendRefLocked(fromObj ids.ObjectID, to heap.Ref, target hea
 	// of the retirement stream and the outbox — losing one to a crash is
 	// loss-equivalent, which the protocol tolerates.
 	if seq != 0 {
-		r.observeSeqLocked(to.Obj.Site, core.StreamMut, preSeq)
-		xfer.Seq = preSeq
+		xfer.Seq = r.mutatorSeqLocked(to.Obj.Site)
 	}
 	r.emitLocked(to.Obj.Site, xfer)
 	r.recordOutboundLocked(to.Obj.Site, xfer.Seq, xfer)
@@ -668,16 +603,15 @@ func (r *shard) holds(o *heap.Object, target heap.Ref) bool {
 
 // --- GGD cycles ----------------------------------------------------------
 
-// collectShardLocked is this shard's part of a site-wide Collect.
-// Collections are journaled — sweeping the last proxy of a remote
-// cluster advances the engine clock and emits destruction messages, so
-// replay must reproduce them — once per site: journal is set on shard 0
-// only. Caller holds r.mu and no other shard's lock.
-func (r *shard) collectShardLocked(journal bool) (heap.CollectStats, error) {
-	if journal {
-		if err := r.journalCycleLocked(wire.OpCollect); err != nil {
-			return heap.CollectStats{}, err
-		}
+// collectShardLocked is this shard's part of a site-wide Collect, one
+// event: its OpCollect marker is journaled first — sweeping the last
+// proxy of a remote cluster advances the engine clock and emits
+// destruction messages, so replay must sweep this shard at this point
+// of its journal. Caller holds r.mu (under the event lock) and no other
+// shard's lock.
+func (r *shard) collectShardLocked() (heap.CollectStats, error) {
+	if err := r.journalCycleLocked(wire.OpCollect); err != nil {
+		return heap.CollectStats{}, err
 	}
 	stats := r.collectLocked()
 	r.engine.Drain()
@@ -685,19 +619,19 @@ func (r *shard) collectShardLocked(journal bool) (heap.CollectStats, error) {
 	return stats, nil
 }
 
-// refreshShardLocked is this shard's part of a site-wide Refresh:
-// re-propagate every local process's vector and re-ship the
-// unacknowledged retained state — the engine's journal rows and bundles
-// plus the outbox frames, each under its re-send damper. The round bump
-// and the StreamAdvance floor pass are the site's (Site.Refresh): one
-// shard's retained floor says nothing about a sibling's. journal is set
-// on shard 0 only. Caller holds r.mu and no other shard's lock.
-func (r *shard) refreshShardLocked(journal bool) error {
-	if journal {
-		if err := r.journalCycleLocked(wire.OpRefresh); err != nil {
-			return err
-		}
+// refreshShardLocked is this shard's part of a site-wide Refresh, one
+// event journaled by its own OpRefresh marker: advance this shard's
+// damper round, re-propagate every local process's vector and re-ship
+// the unacknowledged retained state — the engine's journal rows and
+// bundles plus the outbox frames, each under its re-send damper. The
+// StreamAdvance floor pass is the site's (Site.Refresh): one shard's
+// retained floor says nothing about a sibling's. Caller holds r.mu
+// (under the event lock) and no other shard's lock.
+func (r *shard) refreshShardLocked() error {
+	if err := r.journalCycleLocked(wire.OpRefresh); err != nil {
+		return err
 	}
+	r.round++
 	r.engine.Refresh()
 	r.resendOutboxLocked()
 	r.settleLocked()

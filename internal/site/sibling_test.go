@@ -187,9 +187,9 @@ func (h *siblingRun) commit(op wire.OpRecord) heap.Ref {
 
 func (h *siblingRun) collect() {
 	h.t.Helper()
-	for i, r := range h.s.shards {
+	for _, r := range h.s.shards {
 		r.mu.Lock()
-		_, err := r.collectShardLocked(i == 0)
+		_, err := r.collectShardLocked()
 		h.unlock(r)
 		if err != nil {
 			h.t.Fatal(err)
@@ -201,13 +201,9 @@ func (h *siblingRun) collect() {
 // traffic only) leave through the site's own unlock.
 func (h *siblingRun) refresh() {
 	h.t.Helper()
-	st := h.s.st
-	st.mu.Lock()
-	st.refreshRound++
-	st.mu.Unlock()
-	for i, r := range h.s.shards {
+	for _, r := range h.s.shards {
 		r.mu.Lock()
-		err := r.refreshShardLocked(i == 0)
+		err := r.refreshShardLocked()
 		h.unlock(r)
 		if err != nil {
 			h.t.Fatal(err)

@@ -46,8 +46,11 @@ func DefaultOptions() Options {
 // Site is one site of the distributed system: n >= 1 shards — each a
 // heap partition and a GGD engine under its own mutex (DESIGN.md §3.4)
 // — behind one site identity. The shards share the identity mint
-// (heap.Counters plus the remote-creation mint), the retirement-stream
-// table (streams) and one Persist journal; they interact only through
+// (heap.Counters plus the remote-creation mint), the placement cursor,
+// the retirement-stream table (streams) and one Persist journal. A
+// durable site runs one journaled event at a time (lockEvent), so its
+// journal order is its execution order: apply draws, and replay draws
+// the same. The shards interact only through
 // own-site frames, where a sibling shard is addressed exactly like a
 // remote peer: a tracked frame is journaled before it is emitted,
 // retained in the sending shard's outbox and retired by the ordinary
@@ -62,10 +65,11 @@ func DefaultOptions() Options {
 // shard 0; an unknown local cluster hashes deterministically. Objects
 // follow their cluster and never migrate.
 //
-// Lock order: ckptMu → shards[0].mu → … → shards[n-1].mu → st.mu /
-// Persist.mu (leaves). A single operation holds ONE
-// shard lock; only the stop-the-world checkpoint holds them all, in
-// ascending index order.
+// Lock order: ckptMu → evMu → shards[0].mu → … → shards[n-1].mu →
+// st.mu / Persist.mu (leaves). A single operation holds ONE shard lock,
+// on a durable site under evMu, which it releases before it delivers
+// the own-site frames it emitted (unlock); only the stop-the-world
+// checkpoint holds every shard lock, in ascending index order.
 //
 // Methods are safe for concurrent use.
 type Site struct {
@@ -94,14 +98,14 @@ type Site struct {
 	cluMap sync.Map
 
 	// rr is the round-robin placement cursor for clusters minted under
-	// the root cluster (persisted as SiteImage.PlaceRR).
+	// the root cluster and for bare clusters (persisted as
+	// SiteImage.PlaceRR).
 	rr atomic.Uint64
 
-	// ckptMu serialises stop-the-world checkpoints; cycleMu serialises
-	// the site-wide Collect/Refresh cycles (their journal records must
-	// not interleave with each other's shard sweeps).
-	ckptMu  sync.Mutex
-	cycleMu sync.Mutex
+	// ckptMu serialises stop-the-world checkpoints; evMu is a durable
+	// site's event lock (lockEvent).
+	ckptMu sync.Mutex
+	evMu   sync.Mutex
 
 	// replaying is set while recovery replays the WAL (the shards carry
 	// their own flag under their mutex): no checkpoints, no floor
@@ -223,19 +227,18 @@ func hashCluster(cl ids.ClusterID) uint64 {
 }
 
 // placeCluster decides and records the placement of a freshly minted
-// local cluster, returning the 1-based shard journaled as
-// OpRecord.Place. Clusters minted under the root cluster spread
-// round-robin (they are the anchors parallel mutators fan out from);
-// everything else stays with the executing shard for locality. pin
-// forces the executing shard (multi-op batches, where a cross-shard
-// create would strand the batch's deferred references).
+// local cluster, returning its shard. Clusters minted under the root
+// cluster spread round-robin (they are the anchors parallel mutators
+// fan out from); everything else stays with the executing shard for
+// locality. pin forces the executing shard (multi-op batches, where a
+// cross-shard create would strand the batch's deferred references).
 func (s *Site) placeCluster(newClu, holderClu ids.ClusterID, executing int, pin bool) int {
 	idx := executing
 	if !pin && holderClu.Root {
 		idx = int(s.rr.Add(1)-1) % s.n
 	}
 	s.setClusterShard(newClu, idx)
-	return idx + 1
+	return idx
 }
 
 // frameShards answers the destination shards of one frame as the index
@@ -276,13 +279,32 @@ func (s *Site) handleNet(from ids.SiteID, p netsim.Payload) {
 	s.maybeCheckpoint()
 }
 
-// unlock releases r.mu and delivers the own-site frames emitted under
-// it: what leaves a shard when its lock is released goes through here.
-// The caller locked r.mu in its own body.
+// lockEvent takes a durable site's event lock, before the shard lock of
+// every path that may append — a commit, a delivery, a shard's part of
+// a cycle — so one journaled event runs at a time and the journal order
+// is the execution order. A volatile site takes nothing.
+func (s *Site) lockEvent() {
+	if s.journal != nil {
+		s.evMu.Lock()
+	}
+}
+
+// unlockEvent releases what lockEvent took.
+func (s *Site) unlockEvent() {
+	if s.journal != nil {
+		s.evMu.Unlock()
+	}
+}
+
+// unlock releases r.mu and the event lock, then delivers the own-site
+// frames emitted under them: what leaves a shard when its lock is
+// released goes through here. Each delivery is an event of its own. The
+// caller took lockEvent and r.mu in its own body.
 func (s *Site) unlock(r *shard) {
 	work := r.handoff
 	r.handoff = nil
 	r.mu.Unlock()
+	s.unlockEvent()
 	s.cascade(work)
 }
 
@@ -375,11 +397,12 @@ func (s *Site) NewLocalIn(holder ids.ObjectID, cl ids.ClusterID) (heap.Ref, erro
 	return s.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: holder, Clu: cl})
 }
 
-// NewCluster mints a fresh local cluster identity (for NewLocalIn),
-// rotating the executing — and owning: bare clusters pin to their
-// executing shard — shard.
+// NewCluster mints a fresh local cluster identity (for NewLocalIn) on
+// the shard the placement cursor names — bare clusters pin to their
+// executing shard, which owns them — and the apply advances the cursor,
+// so successive bare clusters rotate over the shards.
 func (s *Site) NewCluster() (ids.ClusterID, error) {
-	r := s.shards[int(s.rr.Add(1)-1)%s.n]
+	r := s.shards[int(s.rr.Load())%s.n]
 	ref, err := s.commitOne(r, wire.OpRecord{Kind: wire.OpNewCluster})
 	return ref.Cluster, err
 }
@@ -426,18 +449,18 @@ func (s *Site) ClearSlot(holder ids.ObjectID, slot int) error {
 // --- GGD cycles ----------------------------------------------------------
 
 // Collect runs local collections until no further GGD cascade fires, on
-// every shard. One site-wide OpCollect is journaled through shard 0
-// (replay intercepts it and re-runs the site-wide cycle) and a cycle
-// whose marker cannot be journaled runs on no shard: a sweep no replay
+// every shard in turn. Each shard's part is one event: the shard
+// journals its own OpCollect marker right before it sweeps, and replay
+// sweeps that shard there. A part whose marker cannot be journaled does
+// not run, and neither do the parts after it: a sweep no replay
 // reproduces would re-issue its stamps (DESIGN.md §5). Cross-shard
 // cascades settle as each shard's lock is released.
 func (s *Site) Collect() (heap.CollectStats, error) {
-	s.cycleMu.Lock()
-	defer s.cycleMu.Unlock()
 	var total heap.CollectStats
-	for i, r := range s.shards {
+	for _, r := range s.shards {
+		s.lockEvent()
 		r.mu.Lock()
-		stats, err := r.collectShardLocked(i == 0)
+		stats, err := r.collectShardLocked()
 		s.unlock(r)
 		if err != nil {
 			return total, err
@@ -454,18 +477,14 @@ func (s *Site) Collect() (heap.CollectStats, error) {
 // message loss (§5, DESIGN.md §3.2): every shard re-propagates its
 // processes' vectors and re-ships its unacknowledged retained state,
 // then peers are advised of any stream floors so cumulative watermarks
-// cannot stall on abandoned gaps. One site-wide OpRefresh is journaled
-// through shard 0 — like Collect, an unjournaled round runs on no
-// shard — and the damper round is bumped once for the whole site.
+// cannot stall on abandoned gaps. Like Collect, each shard journals its
+// own OpRefresh marker right before its part, and a part whose marker
+// cannot be journaled runs on no shard, nor do the parts after it.
 func (s *Site) Refresh() error {
-	s.cycleMu.Lock()
-	defer s.cycleMu.Unlock()
-	s.st.mu.Lock()
-	s.st.refreshRound++
-	s.st.mu.Unlock()
-	for i, r := range s.shards {
+	for _, r := range s.shards {
+		s.lockEvent()
 		r.mu.Lock()
-		err := r.refreshShardLocked(i == 0)
+		err := r.refreshShardLocked()
 		s.unlock(r)
 		if err != nil {
 			return err

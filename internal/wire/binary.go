@@ -7,7 +7,7 @@
 // fields in declaration order; an Envelope's body is a count and that
 // many tagged payloads, none of them an Envelope. Unsigned integers,
 // ids, sequences and stamps are uvarints; the signed Shard, Width,
-// Slot, Place and *From fields zigzag varints; bools and the one-byte
+// Slot and *From fields zigzag varints; bools and the one-byte
 // enums (OpKind, core.Stream) one byte. A ClusterID is
 // uvarint(Site<<1 | Root) then uvarint(Seq). A map (a vector or a
 // propagation's row map) is uvarint(len+1), 0 for a nil map, followed
@@ -42,7 +42,9 @@ import (
 // definition), so a gob-era journal is refused by version, not
 // misparsed. Version 2 dropped Destroy's finalisation-stream flag, so a
 // v1 journal, whose frames may name the retired stream, is refused.
-const codecVersion = 2
+// Version 3 dropped the draws an op record carried (apply draws), so a
+// v2 journal, whose ops would decode misaligned, is refused.
+const codecVersion = 3
 
 // Payload tags.
 const (
@@ -68,13 +70,13 @@ const (
 // id and a stamp (uvarint + bool), a row-map entry a cluster id and two
 // counts, a payload a tag and at least two one-byte fields, and a batch
 // op an OpRecord (kind byte, object id, site, cluster id, two refs,
-// five integers) plus three varints.
+// one integer) plus three varints.
 const (
 	minCluster = 2
 	minEntry   = minCluster + 2
 	minRow     = minCluster + 2
 	minPayload = 3
-	minOp      = 1 + 2 + 1 + minCluster + 2*(2+minCluster) + 5 + 3
+	minOp      = 1 + 2 + 1 + minCluster + 2*(2+minCluster) + 1 + 3
 )
 
 var errNestedEnvelope = errors.New("an Envelope never nests another Envelope")
@@ -237,10 +239,6 @@ func (e *encoder) op(op *OpRecord) {
 	e.ref(op.To)
 	e.ref(op.Target)
 	e.varint(op.Slot)
-	e.uvarint(op.MintObj)
-	e.uvarint(op.MintClu)
-	e.varint(op.Place)
-	e.uvarint(op.MutSeq)
 }
 
 func (e *encoder) frame(f *Frame) error {
@@ -518,7 +516,6 @@ func (d *decoder) op() OpRecord {
 	return OpRecord{
 		Kind: OpKind(d.u8()), Holder: d.object(), Site: d.site(), Clu: d.cluster(),
 		To: d.ref(), Target: d.ref(), Slot: d.varint(),
-		MintObj: d.uvarint(), MintClu: d.uvarint(), Place: d.varint(), MutSeq: d.uvarint(),
 	}
 }
 

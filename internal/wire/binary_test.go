@@ -155,7 +155,6 @@ func (g gen) op() OpRecord {
 	return OpRecord{
 		Kind: OpKind(1 + g.r.Intn(int(OpRefresh))), Holder: g.object(), Site: g.site(), Clu: g.cluster(),
 		To: g.ref(), Target: g.ref(), Slot: g.int(),
-		MintObj: g.u64(), MintClu: g.u64(), Place: g.int(), MutSeq: g.u64(),
 	}
 }
 
@@ -237,7 +236,7 @@ func edgeRecords() []*WALRecord {
 	return []*WALRecord{
 		{Deliver: &DeliverRecord{From: math.MaxUint32, Payload: env}},
 		{Op: &OpRecord{Kind: OpClearSlot, Slot: -3}, Shard: -1, Width: math.MaxInt},
-		{Batch: &BatchRecord{Ops: []BatchOp{{Op: OpRecord{Kind: OpNewLocal, Place: -1}, HolderFrom: -7}}}},
+		{Batch: &BatchRecord{Ops: []BatchOp{{Op: OpRecord{Kind: OpNewLocal, Slot: -1}, HolderFrom: -7}}}},
 	}
 }
 
@@ -314,7 +313,8 @@ func TestCodecRefusesMalformed(t *testing.T) {
 		want string
 	}{
 		"version":  {mutate(func(b []byte) []byte { b[0] = codecVersion + 1; return b }), "codec version"},
-		"v1":       {mutate(func(b []byte) []byte { b[0] = 1; return b }), "codec version 1, want 2"},
+		"v1":       {mutate(func(b []byte) []byte { b[0] = 1; return b }), "codec version 1, want 3"},
+		"v2":       {mutate(func(b []byte) []byte { b[0] = 2; return b }), "codec version 2, want 3"},
 		"tag":      {mutate(func(b []byte) []byte { b[3] = 99; return b }), "unknown payload tag 99"},
 		"bool":     {mutate(func(b []byte) []byte { b[12] = 2; return b }), "bool byte 2"},
 		"count":    {mutate(func(b []byte) []byte { b[8] = 100; return b }), "exceeds"},
@@ -340,7 +340,7 @@ func TestCodecRefusesMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec[0] = 1
-	if _, err := DecodeRecord(rec); err == nil || !strings.Contains(err.Error(), "codec version 1, want 2") {
+	if _, err := DecodeRecord(rec); err == nil || !strings.Contains(err.Error(), "codec version 1, want 3") {
 		t.Errorf("v1 record: err = %v", err)
 	}
 }

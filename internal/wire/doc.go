@@ -22,8 +22,8 @@
 // Receivers acknowledge cumulatively with FrameAck once a frame reaches
 // a final, replayable disposition, letting the sender retire the
 // retained state exactly; StreamAdvance advisories let receivers skip
-// gaps that will never fill (rows retired through another path,
-// pre-drawn sequences whose op failed). Both are GGD-plane traffic:
+// gaps that will never fill (rows retired through another path before
+// their acknowledgement). Both are GGD-plane traffic:
 // idempotent and loss-tolerant.
 //
 // # Durable images
@@ -33,7 +33,7 @@
 // watermarks, recovery epoch) plus one ShardState per shard. Exactly
 // one SnapshotVersion decodes; there is no migration code. WALRecord is
 // one journaled event — a mutator commit (Batch, n >= 1 ops), an
-// inbound delivery (Deliver) or a site-wide cycle marker (Op: Collect
+// inbound delivery (Deliver) or one shard's cycle marker (Op: Collect
 // or Refresh) — tagged with the shard that journaled it and
 // replayed against the image to reconstruct the site (DESIGN.md §5).
 //

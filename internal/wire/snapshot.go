@@ -5,7 +5,7 @@
 // runtime bookkeeping and the bounded outbox of unconfirmed mutator
 // frames. A WALRecord is one relevant event appended between
 // snapshots: a mutator commit (BatchRecord), an incoming message
-// delivery (DeliverRecord) or a site-wide cycle marker (OpRecord of
+// delivery (DeliverRecord) or one shard's cycle marker (OpRecord of
 // kind OpCollect or OpRefresh). Replaying the records against the
 // image deterministically reconstructs the site (see internal/site and
 // DESIGN.md §5).
@@ -133,8 +133,9 @@ type FrameImage struct {
 // WALRecord is one durable event. Exactly one of Op, Deliver and Batch
 // is set, and the three have disjoint meaning.
 type WALRecord struct {
-	// Op is a site-wide cycle marker: an OpRecord of kind OpCollect or
-	// OpRefresh and nothing else (recovery refuses any other kind).
+	// Op is one shard's cycle marker, journaled right before its part
+	// of the cycle: an OpRecord of kind OpCollect or OpRefresh and
+	// nothing else (recovery refuses any other kind).
 	Op *OpRecord
 	// Deliver is one inbound frame.
 	Deliver *DeliverRecord
@@ -158,9 +159,8 @@ type WALRecord struct {
 // BatchRecord is the journaled form of one mutator commit.
 // Replay applies the ops in order through the same code path as the
 // live commit, resolving deferred references from the results of
-// earlier ops of the same batch; every op carries its pre-minted draws,
-// so a recovered site rebuilds the identities the original commit
-// minted.
+// earlier ops of the same batch. The ops carry no draws: replay, in
+// journal order, draws the identities the original commit drew.
 type BatchRecord struct {
 	Ops []BatchOp
 }
@@ -232,15 +232,14 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-// OpRecord is one operation with its arguments and the draws its commit
-// made: the element of a BatchRecord (BatchOp.Op) for the mutator
-// kinds, and on its own — Kind alone set — the Collect/Refresh marker
-// of WALRecord.Op. Shards journal concurrently, so WAL order need not
-// equal mint order: the executing shard pre-mints at commit time and
-// records the drawn counter values (MintObj/MintClu), the placement
-// decision (Place) and the drawn mutator-stream sequence (MutSeq), and
-// replay reproduces the exact identities, routing and frame sequences
-// regardless of interleaving. Apply never draws.
+// OpRecord is one operation with its arguments: the element of a
+// BatchRecord (BatchOp.Op) for the mutator kinds, and on its own —
+// Kind alone set — the Collect/Refresh marker of WALRecord.Op, which a
+// shard journals right before its own part of the cycle. It records no
+// draw: a durable site runs one journaled event at a time, so its
+// journal order is its execution order, and apply draws identities,
+// placements and stream sequences — replay, applying the records in
+// journal order, draws the same values.
 type OpRecord struct {
 	Kind   OpKind
 	Holder ids.ObjectID  // NewLocal, NewLocalIn, NewRemote, SendRef (sender), AddRef, DropRefs, ClearSlot
@@ -249,21 +248,6 @@ type OpRecord struct {
 	To     heap.Ref      // SendRef destination
 	Target heap.Ref      // SendRef, AddRef, DropRefs target
 	Slot   int           // ClearSlot index
-	// MintObj is the pre-minted object counter value (creates), MintClu
-	// the pre-minted cluster counter value (NewLocal, NewCluster), and
-	// Place the 1-based shard the created object's cluster lives on.
-	MintObj uint64
-	MintClu uint64
-	Place   int
-	// MutSeq is the pre-drawn mutator-stream sequence of the frame this
-	// op emits (NewRemote's Create toward Site, a cross-shard create
-	// toward the own site, SendRef's sequenced RefTransfer toward To's
-	// site). Sequences come from the shared per-(peer, stream) counter,
-	// so a replay that re-drew in WAL order could bind different
-	// sequences to the rebuilt outbox frames than the live run sent — a
-	// journaled FrameAck would then retire a frame the peer never
-	// received. Zero on volatile sites and frameless ops.
-	MutSeq uint64
 }
 
 // DeliverRecord is one incoming message delivery.

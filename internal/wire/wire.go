@@ -161,8 +161,8 @@ func (FrameAck) ApproxSize() int { return 25 }
 // StreamAdvance is the sender-side floor advisory of the retirement
 // protocol: every frame of the named stream with sequence < Floor is
 // either already acknowledged or permanently abandoned (its retained
-// row was retired through another path, or its pre-drawn sequence was
-// never sent), so the receiver may advance its cumulative watermark to
+// row was retired through another path before the peer acknowledged
+// it), so the receiver may advance its cumulative watermark to
 // Floor-1 and stop waiting for gaps that will never fill. Idempotent
 // and loss-tolerant; sent during Refresh only while the sender observes
 // its acknowledged watermark trailing its floor.
