@@ -81,7 +81,6 @@ func (s *Site) commit(r *shard, ops []wire.BatchOp, refs []heap.Ref) error {
 	r.mu.Lock()
 	err := r.commitLocked(ops, refs)
 	s.unlock(r)
-	s.maybeCheckpoint()
 	return err
 }
 
@@ -91,7 +90,7 @@ func (s *Site) commit(r *shard, ops []wire.BatchOp, refs []heap.Ref) error {
 // it was appended, so only the apply runs. Caller holds r.mu (under the
 // event lock).
 func (r *shard) commitLocked(ops []wire.BatchOp, refs []heap.Ref) error {
-	if !r.replaying {
+	if !r.site.replaying {
 		if err := r.stageBatchLocked(ops); err != nil {
 			return err
 		}
@@ -361,7 +360,7 @@ type outFrame struct {
 func (r *shard) emitLocked(to ids.SiteID, p netsim.Payload) {
 	switch {
 	case to == r.site.id:
-		if !r.replaying {
+		if !r.site.replaying {
 			r.handoff = append(r.handoff, p)
 		}
 	case r.coalescing:

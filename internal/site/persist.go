@@ -5,7 +5,6 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"sync"
 
 	"causalgc/internal/core"
 	"causalgc/internal/heap"
@@ -32,11 +31,11 @@ func (o PersistOptions) withDefaults() PersistOptions {
 }
 
 // Persist is a site's journal: wire-encoded records over a
-// persist.Store, with a snapshot every SnapshotEvery records. Safe for
-// concurrent appenders: the shards of a site share one Persist (one WAL
-// and one snapshot per site), serialised by the internal mutex.
+// persist.Store, with a snapshot every SnapshotEvery records. The
+// shards of a site share one Persist (one WAL and one snapshot per
+// site). It is not safe for concurrent use: the site calls Append, Due
+// and ForceCheckpoint only under its event lock.
 type Persist struct {
-	mu       sync.Mutex
 	store    *persist.Store
 	opts     PersistOptions
 	appended int
@@ -92,8 +91,6 @@ func (p *Persist) Append(rec *wire.WALRecord) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.sticky != nil {
 		return p.sticky
 	}
@@ -105,27 +102,23 @@ func (p *Persist) Append(rec *wire.WALRecord) error {
 }
 
 // Due reports whether enough records accumulated since the last
-// snapshot to warrant one. The site polls it outside the shard locks
-// and runs the stop-the-world checkpoint when it trips.
+// snapshot to warrant one. The site asks at the end of every event,
+// still under its event lock, and runs the stop-the-world checkpoint
+// as the event's tail when it trips.
 func (p *Persist) Due() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.appended >= p.opts.SnapshotEvery
 }
 
 // ForceCheckpoint snapshots unconditionally and truncates the WAL. The
-// build callback runs outside the Persist mutex (it holds the site's
-// own locks); the caller must guarantee no append lands between build
-// and the snapshot write — the site holds every shard's lock across
-// the whole call.
+// caller must guarantee no append lands between build and the snapshot
+// write: the site calls it under its event lock, holding every shard's
+// lock across the whole call.
 func (p *Persist) ForceCheckpoint(build func() (*wire.SiteImage, error)) error {
 	img, err := build()
 	var data []byte
 	if err == nil {
 		data, err = wire.EncodeSnapshot(img)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if err == nil {
 		err = p.store.WriteSnapshot(data)
 	}
@@ -152,36 +145,17 @@ func (p *Persist) Close() error { return p.store.Close() }
 
 // --- Checkpointing -------------------------------------------------------
 
-func (s *Site) maybeCheckpoint() {
-	if s.journal == nil || s.replaying.Load() || !s.journal.Due() {
-		return
-	}
-	// Failures are sticky inside Persist (the next Append surfaces
-	// them); the completed operation itself is already durable in the
-	// WAL.
-	_ = s.checkpointAll(true)
-}
-
-// checkpointAll is the stop-the-world snapshot: acquire every shard
-// mutex in ascending order, export the image, and write it while still
-// holding everything — Persist truncates the WAL on snapshot, so no
-// shard may append between build and write. onlyIfDue re-checks Due
-// under ckptMu: two goroutines racing past maybeCheckpoint's unlocked
-// Due check serialise here, and the loser — whose snapshot the winner
-// just took, resetting the record count — skips a redundant
-// back-to-back stop-the-world pass.
+// checkpointEvent is the stop-the-world snapshot, run under evMu (no
+// event can append meanwhile): acquire every shard mutex in ascending
+// order, export the image, and write it while still holding everything
+// — readers take a shard lock without evMu.
 //
 // The world stops to export, not to drain: an own-site frame a
 // goroutine holds between releasing its sender's lock and taking its
 // receiver's is a post-snapshot delivery — its journal record lands
 // after the truncation — and a tracked one has its sender's outbox row
 // in the image.
-func (s *Site) checkpointAll(onlyIfDue bool) error {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	if onlyIfDue && !s.journal.Due() {
-		return nil
-	}
+func (s *Site) checkpointEvent() error {
 	for _, r := range s.shards {
 		r.mu.Lock()
 	}
@@ -199,7 +173,9 @@ func (s *Site) Checkpoint() error {
 	if s.journal == nil {
 		return nil
 	}
-	return s.checkpointAll(false)
+	s.evMu.Lock()
+	defer s.evMu.Unlock()
+	return s.checkpointEvent()
 }
 
 // --- Recovery ------------------------------------------------------------
@@ -241,9 +217,11 @@ func Recover(id ids.SiteID, net netsim.Network, opts Options, j *Persist) (*Site
 // append and the receiver's is healed like any lost frame: outbox
 // re-send, refresh.
 //
-// Live traffic arriving during replay is buffered per shard and
-// processed (and journaled) after the replay completes, so the WAL
-// stays a total order of each shard's events.
+// The replay is one event: recovery takes the event lock before it
+// registers on the network and holds it across the whole WAL, so live
+// traffic arriving meanwhile waits on the lock (the transport's
+// delivery goroutine blocks) and is journaled after the replayed
+// records — the WAL stays the site's execution order.
 func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist, shards int) (*Site, error) {
 	img, recs, err := j.Load()
 	if err != nil {
@@ -282,30 +260,16 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 		}
 	}
 	s.trackObjects()
-	for _, r := range s.shards {
-		r.replaying = true
-	}
-	s.replaying.Store(true)
-	// Register before replay: frames from already-running peers buffer
-	// per shard in recoverBuf instead of being dropped by the transport.
+	s.lockEvent()
+	s.replaying = true
+	// Register before replay: frames from already-running peers wait on
+	// the event lock instead of being dropped by the transport.
 	net.Register(id, s.handleNet)
 	for _, rec := range recs {
 		s.applyRecord(rec)
 	}
-	// End of replay: flip the flags and process the buffered live traffic
-	// through the journaled path.
-	s.replaying.Store(false)
-	for _, r := range s.shards {
-		s.lockEvent()
-		r.mu.Lock()
-		r.replaying = false
-		buffered := r.recoverBuf
-		r.recoverBuf = nil
-		s.unlock(r)
-		for _, d := range buffered {
-			s.cascade(r.handle(d.from, d.p, true))
-		}
-	}
+	s.replaying = false
+	s.unlockEvent()
 	// One refresh re-propagates the recovered GGD state, so detection
 	// resumes without waiting for new mutator activity, and re-sends every
 	// shard's unconfirmed mutator frames (restored dampers are due at
@@ -319,7 +283,7 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 		// restore the same pre-bump snapshot and re-use the epoch, and
 		// peers would skip the damper reset for the second restart. The
 		// forced snapshot also bounds the next replay.
-		if err := s.checkpointAll(false); err != nil {
+		if err := s.Checkpoint(); err != nil {
 			return nil, fmt.Errorf("site %v: recover: checkpoint: %w", id, err)
 		}
 	}
@@ -373,10 +337,9 @@ func checkRecords(recs []*wire.WALRecord, width int) error {
 // that journaled it: a mutator commit, a delivery, or that shard's part
 // of a cycle. Errors are ignored: a record that failed when first
 // applied fails identically on replay (replay determinism), and a
-// delivery can never fail.
+// delivery can never fail. Caller holds evMu for the whole replay.
 func (s *Site) applyRecord(rec *wire.WALRecord) {
 	r := s.shards[rec.Shard]
-	s.lockEvent()
 	r.mu.Lock()
 	switch {
 	case rec.Op != nil && rec.Op.Kind == wire.OpCollect:
@@ -384,14 +347,11 @@ func (s *Site) applyRecord(rec *wire.WALRecord) {
 	case rec.Op != nil:
 		_ = r.refreshShardLocked()
 	case rec.Deliver != nil:
-		// Dispatched directly, bypassing the recoverBuf (which is for
-		// *live* traffic racing the replay).
 		r.dispatchLocked(rec.Deliver.From, rec.Deliver.Payload, true)
 	case rec.Batch != nil:
 		_ = r.commitLocked(rec.Batch.Ops, make([]heap.Ref, len(rec.Batch.Ops)))
 	}
 	r.mu.Unlock() // replay emits no own-site frame
-	s.unlockEvent()
 }
 
 // restore rebuilds the shard's heap, engine and delivery state from its

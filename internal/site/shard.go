@@ -18,13 +18,6 @@ type outKey struct {
 	seq uint64
 }
 
-// bufDelivery is one live delivery buffered while a recovery replay is
-// in progress.
-type bufDelivery struct {
-	from ids.SiteID
-	p    netsim.Payload
-}
-
 // shard is one lock stripe of a Site: a heap partition, a GGD engine
 // over the clusters the site routes to it, and the delivery-side state
 // of those clusters, all under one mutex. The site identity, the
@@ -43,10 +36,6 @@ type shard struct {
 	// removals counts GGD removals since the last collection.
 	removals int
 
-	// replaying suppresses journaling and buffers live deliveries while
-	// recovery replays the WAL.
-	replaying  bool
-	recoverBuf []bufDelivery
 	// outbox retains outbound mutator frames (populated only on a
 	// durable site) until the receiver's cumulative FrameAck retires
 	// them, re-sent by crash recovery and by damper-due refresh rounds:
@@ -197,12 +186,6 @@ func (r *shard) handle(from ids.SiteID, p netsim.Payload, flush bool) (emitted [
 	if r.closed {
 		return nil
 	}
-	if r.replaying {
-		// A live delivery racing the recovery replay: buffered, then
-		// journaled and processed once the replay completes.
-		r.recoverBuf = append(r.recoverBuf, bufDelivery{from: from, p: p})
-		return nil
-	}
 	if r.journaling() {
 		if err := r.appendLocked(&wire.WALRecord{Deliver: &wire.DeliverRecord{From: from, Payload: p}}); err != nil {
 			// An unjournalable delivery must not take effect: acting on
@@ -277,7 +260,7 @@ func (r *shard) applyFrameLocked(from ids.SiteID, p netsim.Payload) {
 // check it before building a record, so a volatile site allocates none.
 // Caller holds r.mu.
 func (r *shard) journaling() bool {
-	return r.site.journal != nil && !r.replaying
+	return r.site.journal != nil && !r.site.replaying
 }
 
 // appendLocked journals one record, tagged with this shard and the

@@ -643,9 +643,10 @@ func TestUntrackedStreamOpensNothing(t *testing.T) {
 	}
 }
 
-// TestCheckpointAllSkipsWhenNotDue: two drainers racing past
-// maybeCheckpoint's unlocked Due check serialise on ckptMu; the loser
-// must skip the redundant stop-the-world snapshot the winner just took.
+// TestCheckpointAllSkipsWhenNotDue: the checkpoint is the tail of the
+// event that made it due, so an event that leaves the journal below
+// SnapshotEvery takes no snapshot, and the public Checkpoint still
+// snapshots on demand.
 func TestCheckpointAllSkipsWhenNotDue(t *testing.T) {
 	dir := t.TempDir()
 	net := netsim.NewSim(netsim.Faults{Seed: 1})
@@ -662,21 +663,189 @@ func TestCheckpointAllSkipsWhenNotDue(t *testing.T) {
 	if base == 0 {
 		t.Fatal("expected at least one due checkpoint after 6 appends at SnapshotEvery=4")
 	}
-	// The losing racer: it observed Due before ckptMu, the winner
-	// snapshotted meanwhile and reset the record count.
-	if err := s.checkpointAll(true); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Store().Stats().Snapshots; got != base {
-		t.Fatalf("redundant stop-the-world snapshot: %d → %d", base, got)
-	}
-	// The unconditional path (public Checkpoint, recovery) still
-	// snapshots on demand.
-	if err := s.checkpointAll(false); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Store().Stats().Snapshots; got != base+1 {
 		t.Fatalf("forced checkpoint skipped: snapshots %d, want %d", got, base+1)
+	}
+	if err := s.AddRef(root, s.Root()); err != nil { // one append, below the threshold
+		t.Fatal(err)
+	}
+	if got := p.Store().Stats().Snapshots; got != base+1 {
+		t.Fatalf("an event that left the journal below SnapshotEvery snapshotted: %d, want %d", got, base+1)
+	}
+}
+
+// liveNet is a network that starts peer traffic toward a site the
+// moment the site registers: frames that race the recovery replay the
+// site runs right after registering. They go through the inner
+// network, so its per-site mailbox goroutine delivers them.
+type liveNet struct {
+	netsim.Network
+	frames []netsim.Payload
+	done   chan struct{}
+}
+
+func (n *liveNet) Register(id ids.SiteID, h netsim.Handler) {
+	n.Network.Register(id, h)
+	go func() {
+		defer close(n.done)
+		for _, p := range n.frames {
+			n.Send(2, id, p)
+		}
+	}()
+}
+
+// objectSet lists the IDs of every object on the site, failing the test
+// if any object lives on two shards.
+func objectSet(t *testing.T, s *Site) []ids.ObjectID {
+	t.Helper()
+	_, objs := s.Snapshot()
+	out := make([]ids.ObjectID, len(objs))
+	for i, o := range objs {
+		if i > 0 && o.ID == objs[i-1].ID {
+			t.Fatalf("object %v exists twice", o.ID)
+		}
+		out[i] = o.ID
+	}
+	return out
+}
+
+// recvWatermark reads the site's receive watermark for (peer, stream).
+func recvWatermark(s *Site, peer ids.SiteID, stream core.Stream) uint64 {
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	if t := s.st.recv[streamKey{peer: peer, kind: stream}]; t != nil {
+		return t.watermark
+	}
+	return 0
+}
+
+// TestRecoverWithLiveTraffic recovers a durable width-2 site from a
+// snapshot-free WAL of thousands of records while peer 2 delivers K
+// tracked creations, each twice, and one FrameAck, starting the moment
+// the site registers: live traffic racing the replay. Each creation
+// applies exactly once, the mutator watermark from the peer reaches K,
+// and a second crash recovers the same object set — the live
+// deliveries were journaled after the replayed records, not lost or
+// interleaved with them.
+func TestRecoverWithLiveTraffic(t *testing.T) {
+	const K = 64
+	dir := t.TempDir()
+	net := netsim.NewAsync(netsim.Faults{Seed: 1})
+	p, err := OpenPersist(dir, nosyncPersist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := RecoverSharded(1, net, DefaultOptions(), p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := s.Root().Obj
+	a := mustRef(t)(s.NewLocal(root)) // rr → shard 0
+	b := mustRef(t)(s.NewLocal(root)) // rr → shard 1
+	// Cheap records on both shards: a slot added and cleared on the
+	// root, and a self-reference inside b's cluster.
+	for i := 0; i < 700; i++ {
+		if err := s.AddRef(root, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ClearSlot(root, 2+i); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddRef(b.Obj, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = mustRef(t)(s.NewRemote(root, 2)) // a mutator row for the live FrameAck to retire
+	net.Quiesce()
+	if err := p.Close(); err != nil { // crash
+		t.Fatal(err)
+	}
+	net.Close()
+
+	var frames []netsim.Payload
+	creator := ids.ClusterID{Site: 2, Seq: 1, Root: true}
+	for n := uint64(1); n <= K; n++ {
+		ref := mintedBy(2, n)
+		c := wire.Create{Creator: creator, Stamp: n, Obj: ref.Obj, Cluster: ref.Cluster, Seq: n}
+		frames = append(frames, c, c)
+	}
+	frames = append(frames, wire.FrameAck{Stream: core.StreamMut, Seq: 1, Epoch: 1})
+	inner := netsim.NewAsync(netsim.Faults{Seed: 2})
+	defer inner.Close()
+	live := &liveNet{Network: inner, frames: frames, done: make(chan struct{})}
+	p2, err := OpenPersist(dir, nosyncPersist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p2.Store().WAL()); n < 2000 {
+		t.Fatalf("WAL holds %d records, want a replay of at least 2000", n)
+	}
+	s2, err := RecoverSharded(1, live, DefaultOptions(), p2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-live.done
+	inner.Quiesce()
+
+	for n := uint64(1); n <= K; n++ {
+		obj := mintedBy(2, n).Obj
+		if shardHas(s2, 0, obj) == shardHas(s2, 1, obj) {
+			t.Fatalf("creation %d: object on %v/%v shards, want exactly one", n, shardHas(s2, 0, obj), shardHas(s2, 1, obj))
+		}
+	}
+	if got := recvWatermark(s2, 2, core.StreamMut); got != K {
+		t.Fatalf("mutator watermark from peer 2 is %d, want %d", got, K)
+	}
+	if fs := s2.FrameStats(); fs.OutboxRetained != 0 {
+		t.Fatalf("%d outbox rows retained after the live FrameAck", fs.OutboxRetained)
+	}
+	want := objectSet(t, s2)
+	if err := p2.Close(); err != nil { // second crash
+		t.Fatal(err)
+	}
+
+	net3 := netsim.NewSim(netsim.Faults{Seed: 3})
+	p3, err := OpenPersist(dir, nosyncPersist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p3.Close()
+	s3, err := RecoverSharded(1, net3, DefaultOptions(), p3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := objectSet(t, s3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second recovery rebuilt %d objects, want the %d the first one ended with", len(got), len(want))
+	}
+	if got := recvWatermark(s3, 2, core.StreamMut); got != K {
+		t.Fatalf("second recovery: mutator watermark %d, want %d", got, K)
+	}
+}
+
+// TestStreamAdvanceJournaledOnce: a floor advisory touches only the
+// site's shared stream table, so a durable site dispatches it to one
+// shard — one WAL append, not one per shard.
+func TestStreamAdvanceJournaledOnce(t *testing.T) {
+	net := netsim.NewSim(netsim.Faults{Seed: 1})
+	p, err := OpenPersist(t.TempDir(), nosyncPersist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	s, err := RecoverSharded(1, net, DefaultOptions(), p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.Store().Stats().Appends
+	s.handleNet(2, wire.StreamAdvance{Stream: core.StreamMut, Floor: 5})
+	if got := p.Store().Stats().Appends - before; got != 1 {
+		t.Fatalf("one StreamAdvance at width %d made %d WAL appends, want 1", s.ShardCount(), got)
+	}
+	if got := recvWatermark(s, 2, core.StreamMut); got != 4 {
+		t.Fatalf("receive watermark %d after a floor-5 advisory, want 4", got)
 	}
 }
 

@@ -65,11 +65,15 @@ func DefaultOptions() Options {
 // shard 0; an unknown local cluster hashes deterministically. Objects
 // follow their cluster and never migrate.
 //
-// Lock order: ckptMu → evMu → shards[0].mu → … → shards[n-1].mu →
-// st.mu / Persist.mu (leaves). A single operation holds ONE shard lock,
-// on a durable site under evMu, which it releases before it delivers
-// the own-site frames it emitted (unlock); only the stop-the-world
-// checkpoint holds every shard lock, in ascending index order.
+// Lock order: evMu → shards[0].mu → … → shards[n-1].mu → st.mu (leaf).
+// On a durable site evMu is the only thing that orders journaled work:
+// a commit, a delivery, a shard's part of a cycle, the whole recovery
+// replay and the checkpoint that ends an event all run under it. A
+// single operation holds ONE shard lock, which it releases before it
+// delivers the own-site frames it emitted (unlock); only the
+// stop-the-world checkpoint holds every shard lock, in ascending index
+// order, because readers (NumObjects, ShardDepths) take a shard lock
+// without evMu.
 //
 // Methods are safe for concurrent use.
 type Site struct {
@@ -102,15 +106,13 @@ type Site struct {
 	// SiteImage.PlaceRR).
 	rr atomic.Uint64
 
-	// ckptMu serialises stop-the-world checkpoints; evMu is a durable
-	// site's event lock (lockEvent).
-	ckptMu sync.Mutex
-	evMu   sync.Mutex
+	// evMu is a durable site's event lock (lockEvent).
+	evMu sync.Mutex
 
-	// replaying is set while recovery replays the WAL (the shards carry
-	// their own flag under their mutex): no checkpoints, no floor
-	// advisories.
-	replaying atomic.Bool
+	// replaying is set while recovery replays the WAL: staging,
+	// journaling and own-site frames are suppressed. Written only
+	// under evMu, by recovery.
+	replaying bool
 }
 
 // Instance is the handle the layers above hold on a site.
@@ -244,14 +246,15 @@ func (s *Site) placeCluster(newClu, holderClu ids.ClusterID, executing int, pin 
 // frameShards answers the destination shards of one frame as the index
 // range [lo, hi): one shard by the destination cluster (mutator frames
 // by the target object's cluster, GGD control frames by the To
-// cluster), except acknowledgements and floor advisories, which fan
-// out to every shard — the shared stream watermark is cumulative
-// across shards and retirement is idempotent, so each shard retires
-// its own covered rows.
+// cluster), except acknowledgements, which fan out to every shard —
+// the shared stream watermark is cumulative across shards and
+// retirement is idempotent, so each shard retires its own covered
+// rows. A floor advisory touches only the shared receive watermark,
+// so it goes to shard 0 alone: one journal record, not one per shard.
 func (s *Site) frameShards(p netsim.Payload) (lo, hi int) {
 	i := 0
 	switch m := p.(type) {
-	case wire.FrameAck, wire.StreamAdvance:
+	case wire.FrameAck:
 		return 0, s.n
 	case wire.Create:
 		i = s.clusterShardIdx(m.Cluster)
@@ -276,7 +279,6 @@ func (s *Site) frameShards(p netsim.Payload) (lo, hi int) {
 // handleNet is the transport entry point.
 func (s *Site) handleNet(from ids.SiteID, p netsim.Payload) {
 	s.cascade(s.route(from, p))
-	s.maybeCheckpoint()
 }
 
 // lockEvent takes a durable site's event lock, before the shard lock of
@@ -289,11 +291,19 @@ func (s *Site) lockEvent() {
 	}
 }
 
-// unlockEvent releases what lockEvent took.
+// unlockEvent ends the event lockEvent began: when the event's appends
+// made a snapshot due, the checkpoint runs as the event's tail, still
+// under evMu, and only then is the lock released. A failed checkpoint
+// is sticky inside Persist (the next append surfaces it); the event
+// itself is already durable in the WAL.
 func (s *Site) unlockEvent() {
-	if s.journal != nil {
-		s.evMu.Unlock()
+	if s.journal == nil {
+		return
 	}
+	if s.journal.Due() {
+		_ = s.checkpointEvent()
+	}
+	s.evMu.Unlock()
 }
 
 // unlock releases r.mu and the event lock, then delivers the own-site
@@ -469,7 +479,6 @@ func (s *Site) Collect() (heap.CollectStats, error) {
 		total.Swept += stats.Swept
 		total.Roots += stats.Roots
 	}
-	s.maybeCheckpoint()
 	return total, nil
 }
 
@@ -490,10 +499,7 @@ func (s *Site) Refresh() error {
 			return err
 		}
 	}
-	if !s.replaying.Load() {
-		s.advanceFloors()
-	}
-	s.maybeCheckpoint()
+	s.advanceFloors()
 	return nil
 }
 

@@ -361,8 +361,12 @@ func TestNodeRecoverOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if got := r2.NumObjects(); got != 2 {
-		t.Fatalf("recovered site 2 has %d objects, want 2 (root + a)", got)
+	// Recovery restored a — though the cycle detection its own refresh
+	// starts may already have removed it. Only a born process gets a
+	// tombstone, and volatile site 1 never re-sends a's creation, so
+	// either way only recovery can have given a its process.
+	if !r2.HasObject(a.Obj) && !r2.ClusterRemoved(a.Cluster) {
+		t.Fatalf("recovered site 2 has neither a nor its tombstone (%d objects)", r2.NumObjects())
 	}
 
 	// Drive all three sites until the cycle is gone everywhere.
