@@ -18,6 +18,18 @@
 //     and leaves when acknowledged; a destroyed edge's Ē bundle outlives
 //     its holder's removal.
 //
+// # Log-keeping and gossip
+//
+// A delivery changes a log in one place, merge, which never sends.
+// Sending has five homes: evaluate (the verdict — remove, or propagate
+// when the log changed), propagate (one payload, shared by every
+// out-edge and the local inbox), destroyEdge (one Ē, for a dropped edge
+// and a removal's finalisation alike), sendJournaledAssert, and
+// Refresh's ledger walks; a refresh round runs the same evaluate as a
+// delivery. A payload is immutable once built, merged by value and
+// never retained, so one value serves every recipient and the destroy
+// ledger (DESIGN.md §3).
+//
 // # A process exists from its first mention
 //
 // Control frames and creation messages travel different channels, so a

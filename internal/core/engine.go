@@ -504,10 +504,9 @@ func (e *Engine) SentRef(holder, target, dest ids.ClusterID) uint64 {
 }
 
 // EdgeDown records the destruction of the last reference behind the edge
-// holder→target and emits the edge-destruction control message (§3.4):
-// the authoritative stamps with the holder's column replaced by Ē, the
-// bundled forwarding hints, and the processed-introduction record. The
-// delivery is queued; callers run Drain at a safe point.
+// holder→target and emits its edge-destruction control message (§3.4)
+// through destroyEdge. The delivery is queued; callers run Drain at a
+// safe point.
 func (e *Engine) EdgeDown(holder, target ids.ClusterID) {
 	if holder == target {
 		return
@@ -516,28 +515,8 @@ func (e *Engine) EdgeDown(holder, target ids.ClusterID) {
 	if p == nil {
 		return
 	}
-	p.clock++
 	p.acq.Remove(target)
-	e.retireAsserts(holder, target)
-	if e.owns(target) {
-		// Local destruction: deliver a minimal destroy so the receive path
-		// merges, evaluates and propagates uniformly. Hints and processed
-		// records were already written directly at forward/acquire time.
-		e.queueLocalDestroy(holder, target, DestroyMsg{
-			Auth: vclock.Vector{holder: vclock.Eps(p.clock)},
-		})
-		return
-	}
-	ob := p.log.OB(target)
-	ob.Auth.MergeEntry(holder, vclock.Eps(p.clock))
-	// A fresh destruction gets a fresh tracked bundle: any older row for
-	// the edge was dropped when the edge re-formed (EdgeUp), so the new Ē
-	// draws a fresh sequence.
-	e.sendEdgeDestroy(holder, target, DestroyMsg{
-		Auth:      ob.Auth.Clone(),
-		Hints:     ob.Hints.Clone(),
-		Processed: ob.Processed.Clone(),
-	})
+	e.destroyEdge(p, target)
 }
 
 // RemoteCreationStamp returns the holder's current clock, the stamp to
@@ -566,12 +545,6 @@ func (e *Engine) HandleCreate(cl, creator ids.ClusterID, stamp uint64) {
 func (e *Engine) NoteStale() { e.stats.StaleDeliveries++ }
 
 // --- GGD message handling (§3.3, Fig 6) ---------------------------------
-
-// HandleDestroy processes an untracked edge-destruction control message
-// (tests; live traffic uses HandleDestroyFrame).
-func (e *Engine) HandleDestroy(to, from ids.ClusterID, m DestroyMsg) {
-	e.HandleDestroyFrame(to, from, m, 0, false)
-}
 
 // HandleDestroyFrame processes an incoming edge-destruction control
 // message carrying its retirement-stream identity: seq is the frame's
@@ -673,17 +646,15 @@ func (e *Engine) Drain() {
 
 // settle reports a tracked remote frame's final disposition to the site
 // runtime, which advances the cumulative receive watermark for the
-// sender's stream, and reports whether it did. Local and untracked
-// deliveries settle nothing.
-func (e *Engine) settle(d delivery) bool {
-	if d.seq == 0 || d.stream == 0 || e.owns(d.from) {
-		return false
+// sender's stream. Local and untracked deliveries settle nothing.
+func (e *Engine) settle(d delivery) {
+	if d.seq != 0 && d.stream != 0 && !e.owns(d.from) {
+		e.send.SettleFrame(d.from.Site, d.stream, d.seq)
 	}
-	e.send.SettleFrame(d.from.Site, d.stream, d.seq)
-	return true
 }
 
-// receive is the paper's Receive procedure (Fig 6).
+// receive is the paper's Receive procedure (Fig 6): merge the delivery
+// into its process's log, settle it, and evaluate.
 func (e *Engine) receive(d delivery) {
 	// The lookup comes first: owns is asked only on a miss (on a sharded
 	// site it is a routing-map load, and this is the hot path).
@@ -705,59 +676,58 @@ func (e *Engine) receive(d delivery) {
 		e.stats.StaleDeliveries++
 		return
 	}
-	changed := false
 	if d.kind == deliverDestroy || d.kind == deliverPropagate {
 		p.active = true
 	}
+	changed := e.merge(p, d)
+	e.settle(d)
+	e.evaluate(p, changed)
+}
+
+// merge is log-keeping, the one place a delivery changes a log: it
+// folds d into p's log and clock, counts in stats, and reports whether
+// anything changed. It sends nothing and queues nothing.
+func (e *Engine) merge(p *process, d delivery) (changed bool) {
 	switch d.kind {
 	case deliverBirth:
 		// Nothing to merge: the early frames already did. They may have
-		// changed the log, so the verdict below may propagate.
-		changed = true
+		// changed the log, so the verdict may propagate.
+		return true
 
 	case deliverDestroy:
 		own := p.log.Own()
-		prior := own.Get(d.from)
-		if prior.Merge(d.destroy.Auth.Get(d.from)) != prior {
+		if prior := own.Get(d.from); prior.Merge(d.destroy.Auth.Get(d.from)) != prior {
 			// A genuine (non-duplicate) destruction is a log-keeping
 			// event: bump the clock (§3.1).
 			p.clock++
 			changed = true
 		}
-		if own.MergeAll(d.destroy.Auth) {
-			changed = true
-		}
-		// The bundled third-party introductions (§3.4): arm hints with
-		// the sender as introducer; the introductions the sender already
+		changed = own.MergeAll(d.destroy.Auth) || changed
+		// The bundled third-party introductions (§3.4) arm hints with the
+		// sender as introducer; the introductions the sender already
 		// processed for its own edge resolve the matching hints.
+		changed = e.armHints(p, d.from, d.destroy.Hints) || changed
 		if !e.opts.UnsafeNoHints {
-			for col, s := range d.destroy.Hints {
-				if p.log.Hints().Arm(col, d.from, s.Seq) {
-					changed = true
-				}
-			}
 			for intro, s := range d.destroy.Processed {
-				if p.log.Hints().Clear(d.from, intro, s.Seq) {
-					changed = true
-				}
+				changed = p.log.Hints().Clear(d.from, intro, s.Seq) || changed
 			}
 		}
 
 	case deliverAssert:
-		if d.assert.Stamp > 0 && p.log.Own().MergeEntry(d.from, vclock.At(d.assert.Stamp)) {
-			changed = true
+		m := d.assert
+		if m.Stamp > 0 {
+			changed = p.log.Own().MergeEntry(d.from, vclock.At(m.Stamp))
 		}
-		if d.assert.Intro.Valid() && d.assert.IntroSeq > 0 {
-			if d.assert.Stamp == 0 {
-				// Negative assert: the introduction is provably dead at
-				// the source's site — expire it.
-				if p.log.Hints().Expire(d.from, d.assert.Intro, d.assert.IntroSeq) {
-					e.stats.HintsExpired++
-					changed = true
-				}
-			} else if p.log.Hints().Clear(d.from, d.assert.Intro, d.assert.IntroSeq) {
-				changed = true
-			}
+		if !m.Intro.Valid() || m.IntroSeq == 0 {
+			break
+		}
+		if m.Stamp > 0 {
+			changed = p.log.Hints().Clear(d.from, m.Intro, m.IntroSeq) || changed
+		} else if p.log.Hints().Expire(d.from, m.Intro, m.IntroSeq) {
+			// Negative assert: the introduction is provably dead at the
+			// source's site — expire it.
+			e.stats.HintsExpired++
+			changed = true
 		}
 
 	case deliverPropagate:
@@ -766,18 +736,11 @@ func (e *Engine) receive(d delivery) {
 		// refresh the own vector's column for the sender: the propagation
 		// travelled the live edge sender→me, re-asserting it with the
 		// sender's current clock.
-		if p.log.MergeVRow(d.from, m.Auth, m.HintCols, true, true) {
-			changed = true
-		}
-		if p.log.Own().MergeEntry(d.from, vclock.At(m.Clock)) {
-			changed = true
-		}
+		changed = p.log.MergeVRow(d.from, m.Auth, m.HintCols, true, true)
+		changed = p.log.Own().MergeEntry(d.from, vclock.At(m.Clock)) || changed
 		for owner, row := range m.Rows {
-			if owner == d.to {
-				continue // relayed copies of my own vector are subsets
-			}
-			if p.log.MergeVRow(owner, row.Auth, row.HintCols, false, true) {
-				changed = true
+			if owner != d.to { // relayed copies of my own vector are subsets
+				changed = p.log.MergeVRow(owner, row.Auth, row.HintCols, false, true) || changed
 			}
 		}
 		for target, ob := range m.OBs {
@@ -785,34 +748,29 @@ func (e *Engine) receive(d delivery) {
 				// First-hand on-behalf entries about me: authoritative
 				// stamps merge into the own vector; forwarding hints arm
 				// with the sender as introducer.
-				if p.log.Own().MergeAll(ob.Auth) {
-					changed = true
-				}
-				if !e.opts.UnsafeNoHints {
-					for col, s := range ob.Hints {
-						if p.log.Hints().Arm(col, d.from, s.Seq) {
-							changed = true
-						}
-					}
-				}
+				changed = p.log.Own().MergeAll(ob.Auth) || changed
+				changed = e.armHints(p, d.from, ob.Hints) || changed
 				continue
 			}
 			// Knowledge about a third process folds into its row as
 			// relayed, attribution-free data: authoritative stamps by
 			// value, hints as conservative live columns.
-			hintCols := make([]ids.ClusterID, 0, len(ob.Hints))
-			for col, s := range ob.Hints {
-				if s.Live() {
-					hintCols = append(hintCols, col)
-				}
-			}
-			if p.log.MergeVRow(target, ob.Auth, hintCols, false, false) {
-				changed = true
-			}
+			changed = p.log.MergeVRow(target, ob.Auth, ob.Hints.LiveColumns(), false, false) || changed
 		}
 	}
-	e.settle(d)
-	e.evaluate(p, changed)
+	return changed
+}
+
+// armHints arms p's hint for every forwarding in hints, with from as the
+// introducer, and reports whether any was new.
+func (e *Engine) armHints(p *process, from ids.ClusterID, hints vclock.Vector) (changed bool) {
+	if e.opts.UnsafeNoHints {
+		return false
+	}
+	for col, s := range hints {
+		changed = p.log.Hints().Arm(col, from, s.Seq) || changed
+	}
+	return changed
 }
 
 // ResolveIntroduction resolves introduction (intro, seq) of the edge
@@ -858,14 +816,15 @@ func (e *Engine) ResolveIntroduction(holder, target, intro ids.ClusterID, seq ui
 	e.sendJournaledAssert(assertRow{holder: holder, target: target, intro: intro, seq: seq}, m)
 }
 
-// verdict runs ComputeV on p and removes it when the closure certifies
-// garbage, reporting whether p may go on to propagate the closure it
-// returns. An unborn process is never evaluated — it merges, but can be
-// neither removed nor made to propagate; its Register queues the one
-// evaluation it is owed.
-func (e *Engine) verdict(p *process) (vclock.ClosureResult, bool) {
+// evaluate runs ComputeV on p and acts on the verdict: removal when the
+// closure certifies garbage, else propagation when the log changed and p
+// takes part in an episode (new first-hand or relayed knowledge
+// circulates onward for cycle-wide convergence). An unborn process is
+// never evaluated — it merges, but can be neither removed nor made to
+// propagate; its Register queues the one evaluation it is owed.
+func (e *Engine) evaluate(p *process, changed bool) {
 	if !p.born {
-		return vclock.ClosureResult{}, false
+		return
 	}
 	e.stats.Evaluations++
 	res := p.log.Closure(p.clock)
@@ -874,16 +833,7 @@ func (e *Engine) verdict(p *process) (vclock.ClosureResult, bool) {
 	}
 	if res.Garbage() && !p.id.IsRoot() {
 		e.remove(p)
-		return res, false
-	}
-	return res, true
-}
-
-// evaluate acts on the verdict: removal when the closure certifies
-// garbage, propagation when the log changed (new first-hand or relayed
-// knowledge circulates onward for cycle-wide convergence).
-func (e *Engine) evaluate(p *process, changed bool) {
-	if res, alive := e.verdict(p); alive && changed && p.active {
+	} else if changed && p.active {
 		e.propagate(p, res)
 	}
 }
@@ -927,7 +877,9 @@ func (e *Engine) assemble(p *process, res vclock.ClosureResult) Propagation {
 	return m
 }
 
-// propagate sends the payload along every out-edge (§3.3 step 3).
+// propagate sends one payload along every out-edge (§3.3 step 3). It is
+// built once and shared by every edge and the local inbox: immutable
+// once built, merged by value, never retained.
 func (e *Engine) propagate(p *process, res vclock.ClosureResult) {
 	acq := p.acq.Sorted()
 	if len(acq) == 0 {
@@ -937,31 +889,11 @@ func (e *Engine) propagate(p *process, res vclock.ClosureResult) {
 	for _, k := range acq {
 		e.stats.PropagationsSent++
 		if e.owns(k) {
-			e.inbox = append(e.inbox, delivery{to: k, from: p.id, kind: deliverPropagate, prop: cloneProp(m)})
+			e.inbox = append(e.inbox, delivery{to: k, from: p.id, kind: deliverPropagate, prop: m})
 		} else {
-			e.send.SendPropagate(p.id, k, cloneProp(m))
+			e.send.SendPropagate(p.id, k, m)
 		}
 	}
-}
-
-func cloneProp(m Propagation) Propagation {
-	out := Propagation{Clock: m.Clock, Auth: m.Auth.Clone()}
-	out.HintCols = append(out.HintCols, m.HintCols...)
-	if m.Rows != nil {
-		out.Rows = make(map[ids.ClusterID]RowGossip, len(m.Rows))
-		for k, v := range m.Rows {
-			g := RowGossip{Auth: v.Auth.Clone()}
-			g.HintCols = append(g.HintCols, v.HintCols...)
-			out.Rows[k] = g
-		}
-	}
-	if m.OBs != nil {
-		out.OBs = make(map[ids.ClusterID]OBGossip, len(m.OBs))
-		for k, v := range m.OBs {
-			out.OBs[k] = OBGossip{Auth: v.Auth.Clone(), Hints: v.Hints.Clone()}
-		}
-	}
-	return out
 }
 
 // remove finalises a garbage process: the paper's "remove" action plus the
@@ -974,23 +906,7 @@ func (e *Engine) remove(p *process) {
 	delete(e.procs, p.id)
 	e.stats.Removed++
 	for _, k := range p.acq.Sorted() {
-		p.clock++
-		e.retireAsserts(p.id, k)
-		if e.owns(k) {
-			e.queueLocalDestroy(p.id, k, DestroyMsg{
-				Auth: vclock.Vector{p.id: vclock.Eps(p.clock)},
-			})
-			continue
-		}
-		// The finalisation bundle is a destroy like any other, retained
-		// (as are the Ē of edges p destroyed earlier) until acknowledged.
-		ob := p.log.OB(k)
-		ob.Auth.MergeEntry(p.id, vclock.Eps(p.clock))
-		e.sendEdgeDestroy(p.id, k, DestroyMsg{
-			Auth:      ob.Auth.Clone(),
-			Hints:     ob.Hints.Clone(),
-			Processed: ob.Processed.Clone(),
-		})
+		e.destroyEdge(p, k)
 	}
 	e.tombstone[p.id] = p.clock
 	if e.onRemove != nil {
@@ -998,19 +914,30 @@ func (e *Engine) remove(p *process) {
 	}
 }
 
-// queueLocalDestroy delivers an edge-destruction to a same-site process
-// through the inbox (no wire frame, no retirement tracking).
-func (e *Engine) queueLocalDestroy(from, to ids.ClusterID, m DestroyMsg) {
+// destroyEdge is p's event of destroying its edge to k — a dropped
+// reference, or p's removal — and emits the edge-destruction control
+// message (§3.4). A local target gets a minimal destroy through the
+// inbox: hints and processed records were written directly at
+// forward/acquire time. A remote target's on-behalf row takes the Ē, and
+// the bundle built from it ships and stays in the destroy ledger as one
+// value until the target site acknowledges it; any older row for the
+// edge went when the edge re-formed (EdgeUp), so it draws a fresh
+// sequence.
+func (e *Engine) destroyEdge(p *process, k ids.ClusterID) {
+	p.clock++
+	e.retireAsserts(p.id, k)
 	e.stats.DestroysSent++
-	e.inbox = append(e.inbox, delivery{to: to, from: from, kind: deliverDestroy, destroy: m})
-}
-
-// sendEdgeDestroy ships the bundle for the destroyed remote edge from→to
-// in the destroy retirement stream and retains it until acknowledged.
-func (e *Engine) sendEdgeDestroy(from, to ids.ClusterID, m DestroyMsg) {
-	e.stats.DestroysSent++
-	ek := edgeKey{from, to}
-	e.destroys.Put(ek, to.Site, e.send.SendDestroy(from, to, m, e.destroys.seq(ek)), cloneDestroy(m))
+	if e.owns(k) {
+		e.inbox = append(e.inbox, delivery{to: k, from: p.id, kind: deliverDestroy, destroy: DestroyMsg{
+			Auth: vclock.Vector{p.id: vclock.Eps(p.clock)},
+		}})
+		return
+	}
+	ob := p.log.OB(k)
+	ob.Auth.MergeEntry(p.id, vclock.Eps(p.clock))
+	m := DestroyMsg{Auth: ob.Auth.Clone(), Hints: ob.Hints.Clone(), Processed: ob.Processed.Clone()}
+	ek := edgeKey{p.id, k}
+	e.destroys.Put(ek, k.Site, e.send.SendDestroy(p.id, k, m, e.destroys.seq(ek)), m)
 }
 
 // --- Recovery (§5: residual garbage) ------------------------------------
@@ -1033,17 +960,12 @@ func (e *Engine) sendEdgeDestroy(from, to ids.ClusterID, m DestroyMsg) {
 func (e *Engine) Refresh() {
 	e.round++
 	for _, id := range e.Processes() {
-		p, ok := e.procs[id]
-		if !ok {
-			continue // removed by an earlier iteration's cascade
+		// A process an earlier iteration's cascade removed is gone; an
+		// unborn one is not evaluated, so it stays out of the episode.
+		if p, ok := e.procs[id]; ok && p.born {
+			p.active = true
+			e.evaluate(p, true)
 		}
-		res, alive := e.verdict(p)
-		if !alive {
-			e.Drain()
-			continue
-		}
-		p.active = true
-		e.propagate(p, res)
 		e.Drain()
 	}
 	// Re-ship what is retained and un-acknowledged — edge-destruction
@@ -1053,7 +975,7 @@ func (e *Engine) Refresh() {
 	// re-created edge's fresher live stamp supersedes an Ē; copies to
 	// removed targets are dropped there).
 	sent, held := e.destroys.Due(e.round, func(ek edgeKey, m DestroyMsg, seq uint64) uint64 {
-		return e.send.SendDestroy(ek.holder, ek.target, cloneDestroy(m), seq)
+		return e.send.SendDestroy(ek.holder, ek.target, m, seq)
 	})
 	e.stats.DestroysSent += sent
 	e.stats.DestroyResends += sent
@@ -1078,12 +1000,4 @@ func assertRowLess(a, b assertRow) bool {
 		return a.intro.Less(b.intro)
 	}
 	return a.seq < b.seq
-}
-
-// Evaluate forces one evaluation of a single process (test hook).
-func (e *Engine) Evaluate(cl ids.ClusterID) {
-	if p, ok := e.procs[cl]; ok {
-		e.evaluate(p, false)
-		e.Drain()
-	}
 }
