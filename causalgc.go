@@ -36,12 +36,13 @@ type CollectStats = heap.CollectStats
 // EngineStats counts GGD engine activity on one node.
 type EngineStats = core.Stats
 
-// EngineOptions tune the GGD engine. The zero value is the sound
-// production configuration; the Unsafe fields reproduce the paper's
-// literal (racy) removal guard for ablation studies, and RemoveObserver
-// exposes each removed process's final log for tracing. Owns belongs to
-// the node's shard routing: setting it is refused with ErrBadOption.
-type EngineOptions = core.Options
+// EngineOptions tune the GGD engine. The engine is always the sound
+// production configuration; the one option traces removals.
+type EngineOptions struct {
+	// RemoveObserver, when non-nil, is called with each removed
+	// process's final log and clock just before its removal.
+	RemoveObserver func(ClusterID, *Log, uint64)
+}
 
 // Log is the two-dimensional dependency-vector log a global root keeps;
 // exposed read-only for diagnostics (Node.LogSnapshot, RemoveObserver).

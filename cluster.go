@@ -28,7 +28,6 @@ type Cluster struct {
 	det   *transport.Deterministic // non-nil for the deterministic substrate
 	ownTr bool
 	nodes []*Node
-	msrv  *monitor.Server // one server covering every node (WithMetricsAddr)
 }
 
 // NewCluster builds n nodes over a shared transport. The options are
@@ -51,32 +50,16 @@ func NewCluster(n int, opts ...Option) *Cluster {
 	}
 	c := &Cluster{tr: cfg.tr, ownTr: ownTr}
 	c.det, _ = cfg.tr.(*transport.Deterministic)
-	// Monitoring is per node: with WithMetricsAddr or WithMonitor each
-	// site gets its own monitor (the caller's monitor serves site 1, the
-	// rest are fresh), and one cluster-owned server covers them all.
-	monitored := cfg.metricsAddr != "" || cfg.monitor != nil
-	if cfg.metricsAddr != "" {
-		srv, err := monitor.NewServer(cfg.metricsAddr)
-		if err != nil {
-			closeOwnedTransport(ownTr, cfg.tr, nil)
-			panic(fmt.Sprintf("causalgc: NewCluster: %v", err))
-		}
-		c.msrv = srv
-	}
 	for i := 1; i <= n; i++ {
 		id := SiteID(i)
-		var mon *monitor.Monitor
-		if monitored {
-			if mon = cfg.monitor; i > 1 || mon == nil {
-				mon = monitor.New(0)
-			}
-		}
 		// One construction path for every node: the shared transport, a
-		// per-site persistence subdirectory, the per-node monitor, and no
-		// metrics address (the cluster serves).
+		// per-site persistence subdirectory, and with WithMonitor a
+		// per-node monitor (the caller's serves site 1, the rest are
+		// fresh).
 		nodeCfg := cfg
-		nodeCfg.monitor = mon
-		nodeCfg.metricsAddr = ""
+		if cfg.monitor != nil && i > 1 {
+			nodeCfg.monitor = monitor.New(0)
+		}
 		if cfg.persistDir != "" {
 			nodeCfg.persistDir = filepath.Join(cfg.persistDir, fmt.Sprintf("site-%d", i))
 		}
@@ -86,9 +69,6 @@ func NewCluster(n int, opts ...Option) *Cluster {
 			panic(fmt.Sprintf("causalgc: NewCluster site %v: %v", id, err))
 		}
 		c.nodes = append(c.nodes, node)
-		if c.msrv != nil {
-			c.msrv.Attach(mon)
-		}
 	}
 	return c
 }
@@ -108,27 +88,12 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 // Transport returns the shared transport (statistics, fault control).
 func (c *Cluster) Transport() transport.Transport { return c.tr }
 
-// MetricsAddr returns the bound address of the cluster's metrics server
-// (WithMetricsAddr, with any ephemeral port resolved), or "" when the
-// cluster serves none. The one server covers every node: /metrics
-// exposes all sites, distinguished by the site label.
-func (c *Cluster) MetricsAddr() string {
-	if c.msrv == nil {
-		return ""
-	}
-	return c.msrv.Addr()
-}
-
 // Close releases the cluster's resources: every node is closed (which
 // closes its persistence journal, if any), and the transport is closed
 // if the cluster owns it (deterministic default: a no-op beyond
 // bookkeeping; async: joins the delivery goroutines).
 func (c *Cluster) Close() error {
 	var first error
-	if c.msrv != nil {
-		first = c.msrv.Close()
-		c.msrv = nil
-	}
 	for _, n := range c.nodes {
 		if err := n.Close(); err != nil && first == nil {
 			first = err

@@ -15,16 +15,6 @@ import (
 	"causalgc/internal/site"
 )
 
-// Run executes one experiment by identifier (E5, E6, E7, E8, E9, A2) or
-// all of them ("all", case-insensitive), writing tables to w. It
-// reports whether every executed experiment met its expectation; an
-// unknown identifier runs nothing and reports failure. RunResults is the
-// structured-output form.
-func Run(w io.Writer, which string) bool {
-	_, ok := RunResults(w, which)
-	return ok
-}
-
 // fail finishes an experiment's Result after an unexpected error.
 func fail(w io.Writer, r Result, err error) Result {
 	fmt.Fprintln(w, "error:", err)
@@ -32,10 +22,8 @@ func fail(w io.Writer, r Result, err error) Result {
 	return r
 }
 
-// E5 regenerates Fig 3/8: collecting the paper's distributed cycle
+// e5 regenerates Fig 3/8: collecting the paper's distributed cycle
 // {2,3,4}. It reports success iff the cycle is fully reclaimed.
-func E5(w io.Writer) bool { return e5(w).Pass }
-
 func e5(w io.Writer) Result {
 	r := Result{Experiment: "E5", Metrics: map[string]float64{}}
 	fmt.Fprintln(w, "== E5: Fig 3/8 — collecting the distributed cycle {2,3,4} ==")
@@ -71,11 +59,9 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// E6 regenerates the §4 comparison: messages to collect a detached
+// e6 regenerates the §4 comparison: messages to collect a detached
 // doubly-linked list, for the causal algorithm under the paper's literal
 // guard and the sound guard, versus Schelvis's eager timestamp packets.
-func E6(w io.Writer) bool { return e6(w).Pass }
-
 func e6(w io.Writer) Result {
 	r := Result{Experiment: "E6", Metrics: map[string]float64{}}
 	fmt.Fprintln(w, "== E6: §4 — messages to collect a detached doubly-linked list ==")
@@ -152,10 +138,8 @@ func DLLSchelvisCost(k int) int {
 	return net.Stats().TotalSent() - base
 }
 
-// E7 regenerates the §1/§2.4 contrast: distributed tracing pays per live
+// e7 regenerates the §1/§2.4 contrast: distributed tracing pays per live
 // object each epoch, the causal GGD pays per garbage object.
-func E7(w io.Writer) bool { return e7(w).Pass }
-
 func e7(w io.Writer) Result {
 	r := Result{Experiment: "E7", Metrics: map[string]float64{}}
 	fmt.Fprintln(w, "== E7: §1/§2.4 — tracing pays per live object; causal pays per garbage ==")
@@ -224,11 +208,9 @@ func e7Causal(live, garbage int) int {
 	return st.TotalSent() - base
 }
 
-// E8 regenerates the §1/§5 robustness claims: message loss never
+// e8 regenerates the §1/§5 robustness claims: message loss never
 // violates safety; it only leaves residual garbage that refresh rounds
 // recover once the network heals.
-func E8(w io.Writer) bool { return e8(w).Pass }
-
 func e8(w io.Writer) Result {
 	r := Result{Experiment: "E8", Metrics: map[string]float64{}}
 	fmt.Fprintln(w, "== E8: §1/§5 — robustness under control-message loss ==")
@@ -269,7 +251,7 @@ func e8Run(drop float64) (residual, recovered, dangling int) {
 	return residual, recovered, dangling
 }
 
-// E9 exercises the durability subsystem's crash-recovery guarantee and
+// e9 exercises the durability subsystem's crash-recovery guarantee and
 // the hint-resolution protocol's convergence-to-zero claim: randomised
 // churn over durable sites (write-ahead log + snapshots, DESIGN.md §5)
 // interleaved with process kills and recoveries at random points, plus
@@ -280,8 +262,6 @@ func e8Run(drop float64) (residual, recovered, dangling int) {
 // the crashes land — AND residual garbage must reach zero after bounded
 // refresh rounds: with assert re-send, hint expiry and retained
 // finalisation bundles, a crash or loss costs rounds, never a leak.
-func E9(w io.Writer) bool { return e9(w).Pass }
-
 func e9(w io.Writer) Result {
 	r := Result{Experiment: "E9", Metrics: map[string]float64{}}
 	fmt.Fprintln(w, "== E9: durability & hint resolution — safety unconditional, residual → 0 ==")
@@ -580,11 +560,9 @@ func e9Run(seed int64) (r e9Result, err error) {
 	return r, nil
 }
 
-// A2 regenerates the ablation that motivates the sound removal guard:
+// a2 regenerates the ablation that motivates the sound removal guard:
 // the paper's literal guard produces dangling references on randomised
 // churn; the sound configuration never does.
-func A2(w io.Writer) bool { return a2(w).Pass }
-
 func a2(w io.Writer) Result {
 	r := Result{Experiment: "A2", Metrics: map[string]float64{}}
 	fmt.Fprintln(w, "== A2: ablation — the paper's literal removal guard is unsound ==")

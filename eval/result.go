@@ -21,10 +21,11 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// RunResults executes experiments like Run — one identifier or "all" —
-// writing the human tables to w and returning the structured results in
-// execution order, plus the overall verdict. An unknown identifier
-// returns no results and false.
+// RunResults executes one experiment by identifier (E5, E6, E7, E8, E9,
+// A2) or all of them ("all", case-insensitive), writing the human tables
+// to w and returning the structured results in execution order, plus
+// whether every executed experiment met its expectation. An unknown
+// identifier runs nothing and returns no results and false.
 func RunResults(w io.Writer, which string) ([]Result, bool) {
 	which = strings.ToUpper(which)
 	any := which == "ALL"

@@ -19,9 +19,9 @@
 // # The pieces
 //
 //   - Stamp: one edge-keyed record — a sequence in the source's clock
-//     space plus the Ē bit — with the two merge operators of DESIGN.md
-//     interpretation #3 (Merge supersedes within an edge; JoinPath lets
-//     a live path win across edges).
+//     space plus the Ē bit — with the one merge operator of DESIGN.md
+//     interpretation #3: Merge supersedes within an edge. Across paths
+//     nothing merges; the closure walks, so a live path wins.
 //   - Vector: a sparse column map of stamps with per-entry merging.
 //   - HintSet: the pending introduction hints and their sequence-bounded
 //     resolution records (Clear/Expire), the soundness repair for the
@@ -31,8 +31,7 @@
 //   - Log: one process's two-dimensional log — its own first-hand
 //     vector and hints, relayed rows of other processes (with the
 //     Confirmed flag of interpretation #4), and the lazily created
-//     on-behalf rows — plus the Closure computation behind the removal
-//     guard.
+//     on-behalf rows — plus the Closure walk behind the removal guard.
 //
 // Everything here is single-threaded by design; the site runtime
 // serialises access, and LogImage/Export/RestoreLog provide the durable

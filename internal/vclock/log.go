@@ -154,75 +154,67 @@ func (l *Log) Processes() []ids.ClusterID {
 	return set.Sorted()
 }
 
-// liveColsOf collects the live predecessor columns of process q as seen
+// liveColsOf visits the live predecessor columns of process q as seen
 // from this log: the union of q's row (auth live or hinted) and the
-// owner's on-behalf knowledge of edges into q.
-func (l *Log) liveColsOf(q ids.ClusterID, visit func(col ids.ClusterID, s Stamp, live bool)) {
+// owner's on-behalf knowledge of edges into q. A column may be visited
+// more than once; the closure expands it once.
+func (l *Log) liveColsOf(q ids.ClusterID, visit func(col ids.ClusterID)) {
 	if q == l.owner {
-		for col, s := range l.own {
-			visit(col, s, s.Live() || l.ownHints.Has(col))
-		}
-		for _, col := range l.ownHints.Cols() {
-			if _, ok := l.own[col]; !ok {
-				visit(col, Zero, true)
-			}
+		visitLive(l.own, visit)
+		for col := range l.ownHints.pending {
+			visit(col)
 		}
 		return
 	}
-	seen := map[ids.ClusterID]bool{}
 	if r := l.vrows[q]; r != nil {
-		for col, s := range r.Auth {
-			live := s.Live() || r.HintCols.Has(col)
-			seen[col] = true
-			visit(col, s, live)
-		}
+		visitLive(r.Auth, visit)
 		for col := range r.HintCols {
-			if !seen[col] {
-				seen[col] = true
-				visit(col, Zero, true)
-			}
+			visit(col)
 		}
 	}
 	if ob := l.ob[q]; ob != nil {
-		for col, s := range ob.Auth {
-			visit(col, s, s.Live())
-		}
-		for col, s := range ob.Hints {
-			// A forwarding hint names the edge col→q the owner brokered.
-			visit(col, s, s.Live())
+		visitLive(ob.Auth, visit)
+		// A forwarding hint names the edge col→q the owner brokered.
+		visitLive(ob.Hints, visit)
+	}
+}
+
+// visitLive visits the columns of v that hold a live stamp.
+func visitLive(v Vector, visit func(col ids.ClusterID)) {
+	for col, s := range v {
+		if s.Live() {
+			visit(col)
 		}
 	}
 }
 
 // Closure computes the owner's view of its causal ancestry: the paper's
-// ComputeV (Fig 6) as an iterative fixpoint over the locally held rows —
+// ComputeV (Fig 6) as a reachability walk over the locally held rows —
 // "recursive invocations do not involve any remote invocation" (§3.3).
 //
-// Expansion starts from the owner's direct predecessors (live or hinted
+// The walk starts from the owner's direct predecessors (live or hinted
 // columns of the own vector) and follows live per-edge stamps backwards
-// through the predecessor vectors held locally. Expansion through Ē or
-// zero stamps is cut off, implementing the Λ test ("treated as if no edge
-// creation event had ever been sent", §3.2). Actual roots are terminal.
+// through the predecessor rows held locally. A column is expanded when
+// any row holds a live or hinted stamp for it, so across paths live
+// wins: one path's Ē never masks another path's live edge (DESIGN.md
+// interpretation #3). Expansion through Ē or zero stamps is cut off,
+// implementing the Λ test ("treated as if no edge creation event had
+// ever been sent", §3.2). Actual roots are terminal.
 //
 // The result records whether any live actual-root column was reached and
 // whether every expanded non-root process was backed by a confirmed
-// vector row; only a complete closure may certify garbage.
-func (l *Log) Closure(selfClock uint64) ClosureResult {
+// vector row; only a complete closure may certify garbage. The ignored
+// clock argument stays while the frozen benchmark passes it.
+func (l *Log) Closure(_ uint64) ClosureResult {
 	res := ClosureResult{
-		V:        NewVector(),
 		Complete: true,
-		Expanded: ids.NewClusterSet(),
+		Expanded: ids.NewClusterSet(l.owner),
+		// The owner itself may be an actual root: alive by fiat.
+		LiveRoot: l.owner.IsRoot(),
 	}
-	res.V.Set(l.owner, At(selfClock))
-	res.Expanded.Add(l.owner)
-	if l.owner.IsRoot() {
-		// The owner itself is an actual root: alive by fiat.
-		res.LiveRoot = true
-	}
-
 	var work []ids.ClusterID
-	expand := func(q ids.ClusterID) {
-		if q == l.owner || !res.Expanded.Add(q) {
+	visit := func(q ids.ClusterID) {
+		if !res.Expanded.Add(q) {
 			return
 		}
 		if q.IsRoot() {
@@ -234,16 +226,6 @@ func (l *Log) Closure(selfClock uint64) ClosureResult {
 		}
 		work = append(work, q)
 	}
-	visit := func(col ids.ClusterID, s Stamp, live bool) {
-		if col == l.owner {
-			return
-		}
-		res.V.JoinPathEntry(col, s)
-		if live {
-			expand(col)
-		}
-	}
-
 	l.liveColsOf(l.owner, visit)
 	for len(work) > 0 {
 		q := work[len(work)-1]
@@ -253,12 +235,9 @@ func (l *Log) Closure(selfClock uint64) ClosureResult {
 	return res
 }
 
-// ClosureResult is the outcome of Log.Closure.
+// ClosureResult is the outcome of Log.Closure: the removal test's
+// verdict and the rows it consulted.
 type ClosureResult struct {
-	// V renders the closure as a vector time: per process, the superseding
-	// stamp over all paths (JoinPath). Used for the Fig 5 / Fig 8
-	// reproductions and diagnostics; decisions use LiveRoot and Complete.
-	V Vector
 	// LiveRoot reports that a live edge from an actual root was reached:
 	// ∃k: ¬Λ(V[k]) ∧ root(k).
 	LiveRoot bool

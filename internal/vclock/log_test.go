@@ -79,8 +79,8 @@ func TestLogClosureCycleScenario(t *testing.T) {
 	if res.Garbage() {
 		t.Fatal("incomplete closure must never certify garbage")
 	}
-	if res.V.Get(r1) != Eps(1) {
-		t.Errorf("V[r1] = %v, want Ē1", res.V.Get(r1))
+	if res.LiveRoot || res.Expanded.Has(r1) {
+		t.Errorf("the destroyed root edge Ē1 must not be walked: expanded %v", res.Expanded.Sorted())
 	}
 
 	// GGD circulation confirms the cycle's rows: no root anywhere.
@@ -91,16 +91,16 @@ func TestLogClosureCycleScenario(t *testing.T) {
 		t.Fatalf("closure must be complete once all live rows are confirmed:\n%v", l)
 	}
 	if !res.Garbage() {
-		t.Fatalf("cycle with destroyed root edge must be garbage; V=%v", res.V)
+		t.Fatalf("cycle with destroyed root edge must be garbage:\n%v", l)
 	}
-	if res.V.Get(c3) == Zero {
+	if !res.Expanded.Has(c3) {
 		t.Error("closure must pick up transitive predecessor 3 via 4's row")
 	}
 }
 
 func TestLogClosureLiveRootThroughCycle(t *testing.T) {
 	// 1 → 4 → 2 and a destroyed 1 → 2: 2 is live via 4 even though its
-	// own direct root edge is destroyed (JoinPath).
+	// own direct root edge is destroyed: across paths, live wins.
 	l := NewLog(c2)
 	l.Own().Set(r1, Eps(1))
 	l.Own().Set(c4, At(1))
@@ -113,8 +113,8 @@ func TestLogClosureLiveRootThroughCycle(t *testing.T) {
 	if res.Garbage() {
 		t.Fatal("2 must not be garbage: live root path via 4")
 	}
-	if got := res.V.Get(r1); !got.Live() {
-		t.Errorf("V[r1] = %v, want live (JoinPath)", got)
+	if !res.LiveRoot || !res.Expanded.Has(c4) {
+		t.Errorf("root must be reached over the live path via 4: expanded %v", res.Expanded.Sorted())
 	}
 }
 
@@ -135,12 +135,16 @@ func TestLogClosureRootColumnTerminal(t *testing.T) {
 func TestLogClosureSelfColumnNotOverridden(t *testing.T) {
 	l := NewLog(c2)
 	l.Own().Set(c3, At(1))
-	// 3's row claims something about 2 (a stale relayed value); the
-	// closure must keep the owner's clock.
+	// 3's row claims an edge from 2 (a stale relayed value); the owner
+	// is the walk's start, so the claim neither re-expands it nor makes
+	// the closure incomplete.
 	l.MergeVRow(c3, Vector{c3: At(1), c2: At(99)}, nil, true, true)
 	res := l.Closure(5)
-	if got := res.V.Get(c2); got != At(5) {
-		t.Errorf("V[self] = %v, want own clock 5", got)
+	if len(res.Expanded) != 2 || !res.Expanded.Has(c2) || !res.Expanded.Has(c3) {
+		t.Errorf("expanded %v, want exactly the owner and 3", res.Expanded.Sorted())
+	}
+	if !res.Garbage() {
+		t.Errorf("rootless 2 ⇄ 3 must be garbage:\n%v", l)
 	}
 }
 
@@ -170,7 +174,10 @@ func TestLogClosureDeadEdgeNotExpanded(t *testing.T) {
 		t.Fatal("closure must be complete: no live columns at all")
 	}
 	if !res.Garbage() {
-		t.Fatalf("destroyed edge must not transmit root liveness; V=%v", res.V)
+		t.Fatalf("destroyed edge must not transmit root liveness:\n%v", l)
+	}
+	if res.Expanded.Has(c3) {
+		t.Error("3 must not be expanded over the destroyed edge")
 	}
 }
 
@@ -183,10 +190,10 @@ func TestLogClosureOnBehalfEntriesExpand(t *testing.T) {
 	l.MergeVRow(c4, Vector{c4: At(1)}, nil, true, true)
 	l.MergeVRow(c3, Vector{c3: At(1), r1: At(1)}, nil, true, true)
 	res := l.Closure(2)
-	if got := res.V.Get(c3); !got.Live() {
-		t.Fatalf("V[c3] = %v, want live via on-behalf entry", got)
+	if !res.Expanded.Has(c3) {
+		t.Fatalf("3 must be expanded via the on-behalf entry: expanded %v", res.Expanded.Sorted())
 	}
-	if got := res.V.Get(r1); !got.Live() {
+	if !res.LiveRoot {
 		t.Fatal("root liveness must flow through the on-behalf edge")
 	}
 	if res.Garbage() {
@@ -203,8 +210,8 @@ func TestLogClosureLateLiveReexpansion(t *testing.T) {
 	l.MergeVRow(c3, Vector{c3: At(1), c4: At(1)}, nil, true, true)
 	l.MergeVRow(c4, Vector{c4: At(1), r1: At(1)}, nil, true, true)
 	res := l.Closure(3)
-	if got := res.V.Get(r1); !got.Live() {
-		t.Fatalf("root liveness must flow through the live 4-path; V=%v", res.V)
+	if !res.LiveRoot || !res.Expanded.Has(c4) {
+		t.Fatalf("root must be reached over the live 4-path: expanded %v", res.Expanded.Sorted())
 	}
 	if res.Garbage() {
 		t.Fatal("must not be garbage")
@@ -271,5 +278,32 @@ func TestClosureResultGarbage(t *testing.T) {
 				t.Errorf("Garbage() = %t, want %t", got, tt.want)
 			}
 		})
+	}
+}
+
+// TestClosureAllocs bounds the allocations of the removal test on a
+// confirmed, rootless 8-ring: the expanded set and the work stack. A
+// closure that also renders a vector time over every path costs 5.
+func TestClosureAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	const n = 8
+	ring := make([]ids.ClusterID, n)
+	for i := range ring {
+		ring[i] = ids.ClusterID{Site: ids.SiteID(i + 1), Seq: 1}
+	}
+	l := NewLog(ring[0])
+	l.Own().Set(ring[n-1], At(1))
+	for i := 1; i < n; i++ {
+		l.MergeVRow(ring[i], Vector{ring[i-1]: At(1)}, nil, true, true)
+	}
+	if res := l.Closure(1); !res.Garbage() || len(res.Expanded) != n {
+		t.Fatalf("rootless ring: garbage %t, expanded %v", res.Garbage(), res.Expanded.Sorted())
+	}
+	got := testing.AllocsPerRun(100, func() { l.Closure(1) })
+	t.Logf("one closure of a confirmed 8-ring: %.0f allocations", got)
+	if got > 3 {
+		t.Fatalf("one closure of a confirmed 8-ring allocates %.0f times, want <= 3", got)
 	}
 }

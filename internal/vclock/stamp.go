@@ -59,23 +59,6 @@ func (s Stamp) Merge(o Stamp) Stamp {
 	return s
 }
 
-// JoinPath combines stamps for the same column contributed by different
-// rows of a log, i.e. by different paths of the global root graph. A live
-// stamp on any path proves a (potentially) live path, so live beats Ē
-// regardless of sequence; between two live or two dead stamps the
-// superseding one wins. See DESIGN.md interpretation #3.
-func (s Stamp) JoinPath(o Stamp) Stamp {
-	sl, ol := s.Live(), o.Live()
-	switch {
-	case sl && !ol:
-		return s
-	case ol && !sl:
-		return o
-	default:
-		return s.Merge(o)
-	}
-}
-
 // String renders "0", "17" or "Ē17".
 func (s Stamp) String() string {
 	if s.Eps {

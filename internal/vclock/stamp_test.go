@@ -95,50 +95,6 @@ func TestStampMergeProperties(t *testing.T) {
 	}
 }
 
-func TestStampJoinPath(t *testing.T) {
-	tests := []struct {
-		a, b, want Stamp
-	}{
-		{At(1), Eps(9), At(1)}, // live path survives a destroyed parallel path
-		{Eps(9), At(1), At(1)},
-		{At(1), At(3), At(3)},
-		{Eps(2), Eps(5), Eps(5)},
-		{Zero, Eps(5), Eps(5)},
-		{Zero, At(5), At(5)},
-		{Zero, Zero, Zero},
-	}
-	for _, tt := range tests {
-		if got := tt.a.JoinPath(tt.b); got != tt.want {
-			t.Errorf("%v.JoinPath(%v) = %v, want %v", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
-func TestStampJoinPathProperties(t *testing.T) {
-	commutative := func(a, b Stamp) bool { return a.JoinPath(b) == b.JoinPath(a) }
-	associative := func(a, b, c Stamp) bool {
-		return a.JoinPath(b).JoinPath(c) == a.JoinPath(b.JoinPath(c))
-	}
-	idempotent := func(a Stamp) bool { return a.JoinPath(a) == a }
-	liveDominates := func(a, b Stamp) bool {
-		j := a.JoinPath(b)
-		if a.Live() || b.Live() {
-			return j.Live()
-		}
-		return j.Dead()
-	}
-	for name, f := range map[string]interface{}{
-		"commutative":   commutative,
-		"associative":   associative,
-		"idempotent":    idempotent,
-		"liveDominates": liveDominates,
-	} {
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("JoinPath %s: %v", name, err)
-		}
-	}
-}
-
 func TestStampString(t *testing.T) {
 	tests := []struct {
 		s    Stamp

@@ -40,18 +40,6 @@ func (v Vector) MergeEntry(q ids.ClusterID, s Stamp) bool {
 	return true
 }
 
-// JoinPathEntry merges s into column q with Stamp.JoinPath and reports
-// whether the column changed.
-func (v Vector) JoinPathEntry(q ids.ClusterID, s Stamp) bool {
-	old := v[q]
-	m := old.JoinPath(s)
-	if m == old {
-		return false
-	}
-	v[q] = m
-	return true
-}
-
 // MergeAll merges every entry of o into v (Stamp.Merge per column) and
 // reports whether anything changed. This is the "for all k: DV[m][k] =
 // max(DV[m][k], v[k])" loop of the paper's Receive procedure.

@@ -71,17 +71,6 @@ func TestVectorMergeEntry(t *testing.T) {
 	}
 }
 
-func TestVectorJoinPathEntry(t *testing.T) {
-	v := NewVector()
-	v.Set(c2, Eps(9))
-	if !v.JoinPathEntry(c2, At(1)) {
-		t.Error("JoinPathEntry live-over-dead should change")
-	}
-	if got := v.Get(c2); got != At(1) {
-		t.Errorf("entry = %v, want 1 (live path wins)", got)
-	}
-}
-
 func TestVectorMergeAllIdempotentCommutativeMonotone(t *testing.T) {
 	idempotent := func(a qvec) bool {
 		v := a.V.Clone()

@@ -8,10 +8,12 @@
 // so a snapshot always reflects the node's live counters; it also plugs
 // into the node's observer slot — composed with any user observer by the
 // site-level fanout — to record removals, collections and retirements
-// into a fixed-depth ring with sequence numbers and wall-clock stamps. Wiring is one option: causalgc.WithMonitor hands a
-// Monitor to a Node, causalgc.WithMetricsAddr additionally serves it
-// (one Server per Node, or one per Cluster covering all its nodes), and
-// cmd/causalgc-node exposes the same via -metrics-addr. The
+// into a fixed-depth ring with sequence numbers and wall-clock stamps.
+// Wiring is one option and one server: causalgc.WithMonitor hands a
+// Monitor to a Node, and NewServer(addr, mons...) serves a fixed set of
+// monitors — one node's, or every node's of a Cluster on one endpoint.
+// cmd/causalgc-node serves its sites' monitors that way via
+// -metrics-addr. The
 // cmd/causalgc-soak harness is the reference consumer: it polls
 // /metrics during a long fault-injected run and asserts the steady-state
 // invariants the paper's scalability argument promises.

@@ -145,7 +145,7 @@ func TestExpositionOmitsAbsentSurfaces(t *testing.T) {
 	m := New(0)
 	m.Attach(1, Sources{Objects: func() int { return 1 }})
 	var b strings.Builder
-	if err := m.WritePrometheus(&b); err != nil {
+	if err := WriteExposition(&b, m.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -168,12 +168,11 @@ func TestServerEndpoints(t *testing.T) {
 	m2.Attach(2, Sources{Objects: func() int { return 42 }})
 	m2.ClusterRemoved(2, ids.ClusterID{Site: 2, Seq: 9})
 
-	srv, err := NewServer("127.0.0.1:0", m1)
+	srv, err := NewServer("127.0.0.1:0", m1, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.Attach(m2)
 
 	get := func(path string) (int, string) {
 		resp, err := http.Get("http://" + srv.Addr() + path)

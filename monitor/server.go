@@ -3,21 +3,13 @@ package monitor
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
-// WritePrometheus renders this monitor's current snapshot in the
-// Prometheus text exposition format.
-func (m *Monitor) WritePrometheus(w io.Writer) error {
-	return WriteExposition(w, m.Snapshot())
-}
-
-// Server exposes one or more monitors over HTTP:
+// Server exposes a fixed set of monitors over HTTP:
 //
 //	GET /metrics       Prometheus text exposition of every monitor
 //	GET /metrics.json  JSON array of snapshots
@@ -30,7 +22,6 @@ func (m *Monitor) WritePrometheus(w io.Writer) error {
 // ephemeral port immediately (Addr returns it). Close stops the server;
 // it does not touch the monitors.
 type Server struct {
-	mu   sync.Mutex
 	mons []*Monitor
 	ln   net.Listener
 	srv  *http.Server
@@ -38,8 +29,7 @@ type Server struct {
 }
 
 // NewServer binds addr (host:port; an empty host binds all interfaces,
-// port 0 picks an ephemeral one) and serves the given monitors. More
-// monitors can join later via Attach.
+// port 0 picks an ephemeral one) and serves the given monitors.
 func NewServer(addr string, mons ...*Monitor) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -62,13 +52,6 @@ func NewServer(addr string, mons ...*Monitor) (*Server, error) {
 // Addr returns the server's bound address (with the resolved port).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Attach adds a monitor to the served set.
-func (s *Server) Attach(m *Monitor) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mons = append(s.mons, m)
-}
-
 // Close stops the HTTP server and joins its goroutine.
 func (s *Server) Close() error {
 	err := s.srv.Close()
@@ -76,16 +59,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) monitors() []*Monitor {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Monitor(nil), s.mons...)
-}
-
 func (s *Server) snapshots() []Snapshot {
-	mons := s.monitors()
-	snaps := make([]Snapshot, 0, len(mons))
-	for _, m := range mons {
+	snaps := make([]Snapshot, 0, len(s.mons))
+	for _, m := range s.mons {
 		snaps = append(snaps, m.Snapshot())
 	}
 	return snaps
@@ -115,7 +91,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		max = n
 	}
 	events := make([]Event, 0, 64)
-	for _, m := range s.monitors() {
+	for _, m := range s.mons {
 		if siteFilter != "" && m.Site().String() != siteFilter {
 			continue
 		}
@@ -133,5 +109,5 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "causalgc monitor: %d site(s)\n/metrics\n/metrics.json\n/trace\n", len(s.monitors()))
+	fmt.Fprintf(w, "causalgc monitor: %d site(s)\n/metrics\n/metrics.json\n/trace\n", len(s.mons))
 }

@@ -1,6 +1,7 @@
 package causalgc_test
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -37,17 +38,35 @@ type tallyObserver struct {
 func (o *tallyObserver) ClusterRemoved(causalgc.SiteID, causalgc.ClusterID) { o.removed++ }
 func (o *tallyObserver) Collected(causalgc.SiteID, causalgc.CollectStats)   { o.collected++ }
 
+// serve starts one metrics server over the given monitors and closes it
+// when the test ends.
+func serve(t *testing.T, mons ...*monitor.Monitor) string {
+	t.Helper()
+	srv, err := monitor.NewServer("127.0.0.1:0", mons...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv.Addr()
+}
+
 func TestClusterMetricsEndpoint(t *testing.T) {
 	user := &tallyObserver{}
 	c := causalgc.NewCluster(3,
-		causalgc.WithMetricsAddr("127.0.0.1:0"),
+		causalgc.WithMonitor(monitor.New(0)),
 		causalgc.WithObserver(user),
 	)
 	defer c.Close()
-	addr := c.MetricsAddr()
-	if addr == "" {
-		t.Fatal("Cluster.MetricsAddr is empty with WithMetricsAddr set")
+	// One endpoint covers every site: serve each node's monitor, as the
+	// CLIs do.
+	var mons []*monitor.Monitor
+	for _, n := range c.Nodes() {
+		if n.Monitor() == nil {
+			t.Fatalf("site %v has no monitor on a monitored cluster", n.ID())
+		}
+		mons = append(mons, n.Monitor())
 	}
+	addr := serve(t, mons...)
 
 	n1 := c.Node(1)
 	a, err := n1.NewRemote(n1.Root().Obj, 2)
@@ -92,12 +111,8 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 		t.Errorf("user observer displaced: removed=%d collected=%d", user.removed, user.collected)
 	}
 	// And the monitor recorded the same events into its trace.
-	mon := c.Node(2).Monitor()
-	if mon == nil {
-		t.Fatal("Node.Monitor is nil on a monitored cluster")
-	}
 	found := false
-	for _, e := range mon.Events(0) {
+	for _, e := range c.Node(2).Monitor().Events(0) {
 		if e.Kind == monitor.EventRemoval {
 			found = true
 		}
@@ -115,10 +130,12 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 func TestNodeMetricsEndpointAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	mon := monitor.New(0)
+	// The server outlives the node sessions: it serves the monitor, and
+	// the monitor re-attaches to each recovered node.
+	addr := serve(t, mon)
 	n, err := causalgc.Recover(1,
 		causalgc.WithPersistence(dir),
 		causalgc.WithMonitor(mon),
-		causalgc.WithMetricsAddr("127.0.0.1:0"),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -129,34 +146,47 @@ func TestNodeMetricsEndpointAndRecovery(t *testing.T) {
 	if _, err := n.NewLocal(n.Root().Obj); err != nil {
 		t.Fatal(err)
 	}
-	body := scrape(t, n.MetricsAddr(), "/metrics")
+	if _, err := n.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	body := scrape(t, addr, "/metrics")
 	if !strings.Contains(body, `causalgc_objects{site="s1"} 2`) {
 		t.Errorf("/metrics missing object gauge:\n%s", body)
 	}
 	if !strings.Contains(body, `causalgc_wal_appends_total{site="s1"}`) {
 		t.Errorf("/metrics missing WAL counters on a persistent node:\n%s", body)
 	}
+	before := mon.Events(0)
+	if len(before) == 0 {
+		t.Fatal("no event traced before the restart")
+	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Same monitor across a crash-equivalent restart: sources re-attach,
-	// the endpoint serves again on a fresh port.
+	// Same monitor across a crash-equivalent restart: sources re-attach
+	// and the trace carries across.
 	n2, err := causalgc.Recover(1,
 		causalgc.WithPersistence(dir),
 		causalgc.WithMonitor(mon),
-		causalgc.WithMetricsAddr("127.0.0.1:0"),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n2.Close()
-	body = scrape(t, n2.MetricsAddr(), "/metrics")
+	body = scrape(t, addr, "/metrics")
 	if !strings.Contains(body, `causalgc_objects{site="s1"} 2`) {
 		t.Errorf("post-recovery /metrics wrong object gauge:\n%s", body)
 	}
 	if !strings.Contains(body, `causalgc_wal_recovered_records{site="s1"}`) {
 		t.Errorf("post-recovery /metrics missing recovery counters:\n%s", body)
+	}
+	var after []monitor.Event
+	if err := json.Unmarshal([]byte(scrape(t, addr, "/trace")), &after); err != nil {
+		t.Fatal(err)
+	}
+	if len(after) < len(before) || after[0].Seq != before[0].Seq || after[0].Kind != before[0].Kind {
+		t.Errorf("post-recovery /trace lost the pre-restart trace: before %+v, after %+v", before, after)
 	}
 }
 

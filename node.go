@@ -23,18 +23,13 @@ type config struct {
 	snapshotEvery int
 	groupCommit   time.Duration
 	monitor       *monitor.Monitor
-	metricsAddr   string
 	shards        int
 }
 
 // setupMonitor composes the configured monitor into the node's observer
-// slot — creating one when a metrics address was given without a
-// monitor — so it records events alongside any user observer. Must run
+// slot, so it records events alongside any user observer. Must run
 // before the runtime is built.
 func (c *config) setupMonitor() {
-	if c.metricsAddr != "" && c.monitor == nil {
-		c.monitor = monitor.New(0)
-	}
 	if c.monitor != nil {
 		c.site.Observer = site.Fanout(c.monitor, c.site.Observer)
 	}
@@ -50,9 +45,7 @@ func newConfig(opts []Option) config {
 
 // validate rejects nonsensical option values with typed errors
 // (ErrBadOption): a negative snapshot cadence or group-commit window
-// has no meaning, and EngineOptions.Owns is the site's own routing rule
-// — a caller's predicate would be silently replaced — so accepting any
-// of them would misconfigure the node.
+// has no meaning, so accepting either would misconfigure the node.
 func (c config) validate() error {
 	if c.snapshotEvery < 0 {
 		return fmt.Errorf("%w: WithSnapshotEvery(%d) must be non-negative", ErrBadOption, c.snapshotEvery)
@@ -60,16 +53,13 @@ func (c config) validate() error {
 	if c.groupCommit < 0 {
 		return fmt.Errorf("%w: WithGroupCommit(%v) must be non-negative", ErrBadOption, c.groupCommit)
 	}
-	if c.site.Engine.Owns != nil {
-		return fmt.Errorf("%w: WithEngineOptions: Owns is set by the site's shard routing, not by the caller", ErrBadOption)
-	}
 	return nil
 }
 
-// WithEngineOptions tunes the node's GGD engine: the unsafe ablation
-// switches and the removal trace observer.
+// WithEngineOptions tunes the node's GGD engine: the removal trace
+// observer.
 func WithEngineOptions(e EngineOptions) Option {
-	return func(c *config) { c.site.Engine = e }
+	return func(c *config) { c.site.Engine.RemoveObserver = e.RemoveObserver }
 }
 
 // WithTransport attaches the node to an existing transport instead of a
@@ -111,25 +101,12 @@ func WithSnapshotEvery(records int) Option {
 // event recorder joins the observer slot (composed with any WithObserver
 // observer via the event fanout, displacing neither) and its snapshot
 // sources are bound to the node's stats surfaces. The caller keeps the
-// monitor — serve it with monitor.NewServer, or let WithMetricsAddr do
-// so. When passed to NewCluster, the supplied monitor serves site 1 and
+// monitor — serve it with monitor.NewServer. When passed to NewCluster, the supplied monitor serves site 1 and
 // the remaining sites get fresh ones; read them back with Node.Monitor.
 // A monitor handed to a recovered node re-attaches: its trace carries
 // across the restart while per-session counters restart.
 func WithMonitor(m *monitor.Monitor) Option {
 	return func(c *config) { c.monitor = m }
-}
-
-// WithMetricsAddr serves the node's monitor over HTTP at addr
-// (host:port; port 0 picks an ephemeral one, read back with
-// Node.MetricsAddr): Prometheus text at /metrics, JSON snapshots at
-// /metrics.json, the structured event trace at /trace. A monitor is
-// created if WithMonitor supplied none. The node owns the server and
-// closes it in Close. On NewCluster the cluster starts one server
-// covering every node instead (read its address with
-// Cluster.MetricsAddr). An empty addr disables serving.
-func WithMetricsAddr(addr string) Option {
-	return func(c *config) { c.metricsAddr = addr }
 }
 
 // WithShards stripes the node's heap, GGD engine and outbound
@@ -193,7 +170,6 @@ type Node struct {
 	ownTr bool
 	pst   *site.Persist
 	mon   *monitor.Monitor
-	msrv  *monitor.Server // owned metrics server (WithMetricsAddr), or nil
 
 	gate closeGate
 }
@@ -257,14 +233,6 @@ func newNode(id SiteID, c config) (*Node, error) {
 	if n.mon != nil {
 		attachMonitor(n.mon, n.rt, n.pst, n.tr)
 	}
-	if c.metricsAddr != "" {
-		srv, err := monitor.NewServer(c.metricsAddr, n.mon)
-		if err != nil {
-			n.Close()
-			return nil, err
-		}
-		n.msrv = srv
-	}
 	return n, nil
 }
 
@@ -325,18 +293,8 @@ func (n *Node) Shards() int { return n.rt.ShardCount() }
 func (n *Node) Transport() transport.Transport { return n.tr }
 
 // Monitor returns the node's attached metrics monitor, or nil when the
-// node was built without WithMonitor/WithMetricsAddr.
+// node was built without WithMonitor.
 func (n *Node) Monitor() *monitor.Monitor { return n.mon }
-
-// MetricsAddr returns the bound address of the node's own metrics
-// server (WithMetricsAddr, with any ephemeral port resolved), or ""
-// when the node serves none.
-func (n *Node) MetricsAddr() string {
-	if n.msrv == nil {
-		return ""
-	}
-	return n.msrv.Addr()
-}
 
 // Close releases the node's resources: the persistence journal is
 // closed (crash-equivalent — no final snapshot is forced; call
@@ -350,14 +308,9 @@ func (n *Node) Close() error {
 		return nil
 	}
 	var err error
-	if n.msrv != nil {
-		err = n.msrv.Close() // stop scrapes before the state freezes
-	}
 	n.rt.Close() // freeze: drop further deliveries from shared transports
 	if n.pst != nil {
-		if perr := n.pst.Close(); err == nil {
-			err = perr
-		}
+		err = n.pst.Close()
 	}
 	return closeOwnedTransport(n.ownTr, n.tr, err)
 }
