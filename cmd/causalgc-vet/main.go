@@ -93,10 +93,19 @@ func main() {
 	}
 }
 
-// vet expands the package patterns, loads each package through one
-// shared Loader (so dependencies type-check once) and runs the
-// selected analyzers.
+// vet loads the packages the patterns name and runs the selected
+// analyzers over them.
 func vet(patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	units, err := load(patterns)
+	if err != nil {
+		return nil, err
+	}
+	return analysis.Run(units, analyzers)
+}
+
+// load expands the package patterns and loads each package through one
+// shared Loader, so dependencies type-check once.
+func load(patterns []string) ([]*analysis.Unit, error) {
 	root, modPath, err := findModule()
 	if err != nil {
 		return nil, err
@@ -122,7 +131,7 @@ func vet(patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnost
 		}
 		units = append(units, us...)
 	}
-	return analysis.Run(units, analyzers)
+	return units, nil
 }
 
 // findModule locates go.mod upward from the working directory and

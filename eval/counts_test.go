@@ -36,6 +36,8 @@ var pinnedCounts = map[string]map[string]float64{
 	},
 	"A2": {
 		"dangling_sound": 0, "dangling_paper_guard": 75,
+		"dangling_skip_confirmation": 0, "dangling_no_hints": 75,
+		"pinned_dangling_sound": 0, "pinned_dangling_skip_confirmation": 1,
 	},
 }
 

@@ -560,27 +560,46 @@ func e9Run(seed int64) (r e9Result, err error) {
 	return r, nil
 }
 
-// a2 regenerates the ablation that motivates the sound removal guard:
-// the paper's literal guard produces dangling references on randomised
-// churn; the sound configuration never does.
+// a2 regenerates the ablation of the sound removal guard's two halves,
+// row confirmation and introduction hints, each switched off on its own
+// and both together (the paper's literal guard). Randomised churn
+// reaches the hint race only: it finds no hole with confirmation alone
+// off. The pinned lane is the deterministic schedule that does need
+// confirmation. The sound configuration never dangles in either lane.
 func a2(w io.Writer) Result {
 	r := Result{Experiment: "A2", Metrics: map[string]float64{}}
-	fmt.Fprintln(w, "== A2: ablation — the paper's literal removal guard is unsound ==")
-	sound := a2Run(false)
-	unsafe := a2Run(true)
+	fmt.Fprintln(w, "== A2: ablation — each half of the sound removal guard closes its own race ==")
+	sound := a2Run(false, false)
+	unsafe := a2Run(true, true)
+	skipConf := a2Run(true, false)
+	noHints := a2Run(false, true)
 	fmt.Fprintf(w, "dangling references over 10 churn seeds: sound=%d paper-guard=%d\n", sound, unsafe)
-	fmt.Fprintln(w, "(the row-confirmation guard and introduction hints close the race)")
+	fmt.Fprintf(w, "  one half off: skip-confirmation=%d no-hints=%d (churn reaches the hint race only)\n", skipConf, noHints)
+	pinnedSound, err := a2Pinned(false)
+	if err != nil {
+		return fail(w, r, err)
+	}
+	pinnedSkip, err := a2Pinned(true)
+	if err != nil {
+		return fail(w, r, err)
+	}
+	fmt.Fprintf(w, "pinned confirmation counterexample (4 sites): sound=%d skip-confirmation=%d\n", pinnedSound, pinnedSkip)
+	fmt.Fprintln(w, "(introduction hints close the churn race; row confirmation closes the pinned one)")
 	fmt.Fprintln(w)
-	r.Pass = sound == 0
+	r.Pass = sound == 0 && pinnedSound == 0
 	r.Metrics["dangling_sound"] = float64(sound)
 	r.Metrics["dangling_paper_guard"] = float64(unsafe)
+	r.Metrics["dangling_skip_confirmation"] = float64(skipConf)
+	r.Metrics["dangling_no_hints"] = float64(noHints)
+	r.Metrics["pinned_dangling_sound"] = float64(pinnedSound)
+	r.Metrics["pinned_dangling_skip_confirmation"] = float64(pinnedSkip)
 	return r
 }
 
-func a2Run(unsafeGuard bool) int {
+func a2Run(skipConfirmation, noHints bool) int {
 	opts := site.DefaultOptions()
-	opts.Engine.UnsafeSkipConfirmation = unsafeGuard
-	opts.Engine.UnsafeNoHints = unsafeGuard
+	opts.Engine.UnsafeSkipConfirmation = skipConfirmation
+	opts.Engine.UnsafeNoHints = noHints
 	dangling := 0
 	for seed := int64(1); seed <= 10; seed++ {
 		wd := sim.NewWorld(6, netsim.Faults{Seed: seed}, opts)
@@ -589,4 +608,46 @@ func a2Run(unsafeGuard bool) int {
 		dangling += len(wd.Check().Dangling)
 	}
 	return dangling
+}
+
+// a2Pinned runs the confirmation counterexample on four sites: root₁
+// creates x on site 2, x creates y on site 3, root₁ creates z on site
+// 4, x forwards y to z and root₁ drops z. Z's removal sends Ē(Z→Y);
+// Y's closure expands X, whose row Y has never received, so without
+// confirmation Y removes itself under x→y. It returns the dangling
+// references once the world settles.
+func a2Pinned(skipConfirmation bool) (int, error) {
+	opts := site.DefaultOptions()
+	opts.Engine.UnsafeSkipConfirmation = skipConfirmation
+	wd := sim.NewWorld(4, netsim.Faults{Seed: 1}, opts)
+	s1, s2 := wd.Site(1), wd.Site(2)
+	root := s1.Root().Obj
+	x, err := s1.NewRemote(root, 2)
+	if err != nil {
+		return 0, err
+	}
+	if err := wd.Run(); err != nil {
+		return 0, err
+	}
+	y, err := s2.NewRemote(x.Obj, 3)
+	if err != nil {
+		return 0, err
+	}
+	z, err := s1.NewRemote(root, 4)
+	if err != nil {
+		return 0, err
+	}
+	if err := wd.Run(); err != nil {
+		return 0, err
+	}
+	if err := s2.SendRef(x.Obj, z, y); err != nil {
+		return 0, err
+	}
+	if err := s1.DropRefs(root, z); err != nil {
+		return 0, err
+	}
+	if err := wd.Settle(); err != nil {
+		return 0, err
+	}
+	return len(wd.Check().Dangling), nil
 }

@@ -107,12 +107,6 @@ func New(site ids.SiteID, net netsim.Network, horizon int, onRemove func(ids.Clu
 // Removed returns the number of vertices detected as garbage.
 func (d *Detector) Removed() int { return d.removed }
 
-// IsDead reports whether the vertex was collected.
-func (d *Detector) IsDead(id ids.ClusterID) bool {
-	v, ok := d.vertices[id]
-	return ok && v.dead
-}
-
 // AddVertex registers a local vertex (metric 0 for actual roots).
 func (d *Detector) AddVertex(id ids.ClusterID) {
 	if id.Site != d.site {

@@ -48,7 +48,7 @@ func buildDLL(t *testing.T, k int) (*netsim.Sim, []*Detector, ids.ClusterID, []i
 func TestSchelvisKeepsLiveDLL(t *testing.T) {
 	_, dets, _, elems := buildDLL(t, 6)
 	for i, e := range elems {
-		if dets[i+1].IsDead(e) {
+		if dets[i+1].Removed() != 0 {
 			t.Fatalf("live element %v collected", e)
 		}
 	}
@@ -94,14 +94,14 @@ func TestSchelvisCollectsCycle(t *testing.T) {
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if d2.IsDead(a) || d3.IsDead(b) {
+	if d2.Removed() != 0 || d3.Removed() != 0 {
 		t.Fatal("live cycle collected")
 	}
 	d1.DestroyEdge(root, a)
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if !d2.IsDead(a) || !d3.IsDead(b) {
+	if d2.Removed() != 1 || d3.Removed() != 1 {
 		t.Fatal("detached cycle not collected (Schelvis is comprehensive)")
 	}
 }

@@ -75,10 +75,8 @@ type Collector struct {
 	roots []ids.ObjectID
 
 	sent, received int
-	// Stats of the last epoch.
-	LastLive    int
-	LastGarbage []ids.ObjectID
-	Epochs      int
+	// Epochs counts the epochs run so far.
+	Epochs int
 }
 
 // New creates a collector over the given sites and network. The collector
@@ -144,17 +142,12 @@ func (c *Collector) RunEpoch(drive func()) []ids.ObjectID {
 
 	// Phase 3: sweep — everything unmarked is garbage.
 	var garbage []ids.ObjectID
-	live := 0
 	for id := range c.objs {
-		if c.marked[id] {
-			live++
-		} else {
+		if !c.marked[id] {
 			garbage = append(garbage, id)
 		}
 	}
 	ids.SortObjects(garbage)
-	c.LastLive = live
-	c.LastGarbage = garbage
 	return garbage
 }
 

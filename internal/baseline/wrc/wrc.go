@@ -80,12 +80,6 @@ func New(id ids.SiteID, net netsim.Network, onRemove func(ids.ClusterID)) *Site 
 // Removed returns the number of objects collected.
 func (s *Site) Removed() int { return s.removed }
 
-// IsDead reports whether the object was collected.
-func (s *Site) IsDead(id ids.ClusterID) bool {
-	o, ok := s.objects[id]
-	return ok && o.dead
-}
-
 // NewObject creates a local object and returns the initial reference,
 // rooted locally when rooted is set.
 func (s *Site) NewObject(id ids.ClusterID, rooted bool) WRef {
@@ -145,14 +139,6 @@ func (s *Site) Drop(holder, target ids.ClusterID) error {
 	delete(h.held, target)
 	s.returnWeight(target, w)
 	return nil
-}
-
-// Unroot removes the local-root mark, then re-checks collectibility.
-func (s *Site) Unroot(id ids.ClusterID) {
-	if o, ok := s.objects[id]; ok {
-		o.rooted = false
-		s.check(o)
-	}
 }
 
 func (s *Site) returnWeight(target ids.ClusterID, w int64) {

@@ -25,7 +25,7 @@ func TestWRCAcyclicCollection(t *testing.T) {
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if s2.IsDead(b) {
+	if s2.Removed() != 0 {
 		t.Fatal("live object collected")
 	}
 
@@ -36,7 +36,7 @@ func TestWRCAcyclicCollection(t *testing.T) {
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if !s2.IsDead(b) {
+	if s2.Removed() != 1 {
 		t.Fatal("acyclic garbage not collected")
 	}
 	if n := net.Stats().Sent("wrc.return"); n != 1 {
@@ -80,7 +80,7 @@ func TestWRCCopyNoMessages(t *testing.T) {
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if s2.IsDead(b) {
+	if s2.Removed() != 0 {
 		t.Fatal("collected with outstanding weight (UNSAFE)")
 	}
 	if err := s3.Drop(c, b); err != nil {
@@ -89,7 +89,7 @@ func TestWRCCopyNoMessages(t *testing.T) {
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if !s2.IsDead(b) {
+	if s2.Removed() != 1 {
 		t.Fatal("not collected after all weight returned")
 	}
 }
@@ -134,11 +134,8 @@ func TestWRCLeaksCycle(t *testing.T) {
 
 	// The cycle is garbage but WRC can never collect it: a's weight is
 	// held by b and vice versa.
-	if s2.IsDead(a) || s3.IsDead(b) {
-		t.Fatal("WRC collected a cycle?!")
-	}
 	if s1.Removed()+s2.Removed()+s3.Removed() != 0 {
-		t.Fatal("unexpected removals")
+		t.Fatal("WRC collected a cycle?!")
 	}
 }
 
@@ -165,23 +162,28 @@ func TestWRCWeightExhaustion(t *testing.T) {
 	}
 }
 
+// TestWRCUnroot: once all weight is home, the local-root mark alone
+// decides collection.
 func TestWRCUnroot(t *testing.T) {
 	net := netsim.NewSim(netsim.Faults{Seed: 1})
-	s1 := New(1, net, nil)
+	var collected []ids.ClusterID
+	s1 := New(1, net, func(id ids.ClusterID) { collected = append(collected, id) })
 	a := ids.ClusterID{Site: 1, Seq: 1}
-	ref := s1.NewObject(a, true)
-	// The minted reference was never given to anyone: return it.
-	if err := s1.Give(a, ref); err != nil { // a holds itself
-		t.Fatal(err)
+	b := ids.ClusterID{Site: 1, Seq: 2}
+	for _, o := range []struct {
+		id     ids.ClusterID
+		rooted bool
+	}{{a, true}, {b, false}} {
+		ref := s1.NewObject(o.id, o.rooted)
+		// The minted reference was never given to anyone: return it.
+		if err := s1.Give(o.id, ref); err != nil { // the object holds itself
+			t.Fatal(err)
+		}
+		if err := s1.Drop(o.id, o.id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s1.Drop(a, a); err != nil {
-		t.Fatal(err)
-	}
-	if s1.IsDead(a) {
-		t.Fatal("rooted object collected")
-	}
-	s1.Unroot(a)
-	if !s1.IsDead(a) {
-		t.Fatal("unrooted, fully-returned object not collected")
+	if len(collected) != 1 || collected[0] != b {
+		t.Fatalf("collected %v, want only the unrooted %v", collected, b)
 	}
 }

@@ -358,14 +358,6 @@ func (e *Engine) LogSnapshot(cl ids.ClusterID) *vclock.Log {
 	return nil
 }
 
-// Acquaintances returns the process's current successors, sorted.
-func (e *Engine) Acquaintances(cl ids.ClusterID) []ids.ClusterID {
-	if p := e.procs[cl]; p != nil {
-		return p.acq.Sorted()
-	}
-	return nil
-}
-
 // Processes returns the live local processes, unborn ones included,
 // sorted.
 func (e *Engine) Processes() []ids.ClusterID {

@@ -16,6 +16,14 @@ func (e *Engine) Evaluate(cl ids.ClusterID) {
 	}
 }
 
+// Acquaintances returns the process's current successors, sorted.
+func (e *Engine) Acquaintances(cl ids.ClusterID) []ids.ClusterID {
+	if p := e.procs[cl]; p != nil {
+		return p.acq.Sorted()
+	}
+	return nil
+}
+
 // cloneProp deep-copies a propagation payload, so a test can hand one
 // payload to several engines.
 func cloneProp(m Propagation) Propagation {

@@ -1,10 +1,6 @@
 package heap
 
-import (
-	"slices"
-
-	"causalgc/internal/ids"
-)
+import "slices"
 
 // CollectStats reports one local collection.
 type CollectStats struct {
@@ -103,49 +99,4 @@ func (h *Heap) Collect() CollectStats {
 		o.marked = false
 	}
 	return stats
-}
-
-// LocallyReachable reports whether obj is reachable from the current root
-// set without running a collection (a read-only mark). Used by tests and
-// the oracle.
-func (h *Heap) LocallyReachable(obj ids.ObjectID) bool {
-	seen := make(map[ids.ObjectID]struct{})
-	var stack []ids.ObjectID
-	push := func(id ids.ObjectID) {
-		if _, ok := seen[id]; ok {
-			return
-		}
-		if _, ok := h.objects[id]; !ok {
-			return
-		}
-		seen[id] = struct{}{}
-		stack = append(stack, id)
-	}
-	if rc := h.clusters[h.rootClu]; rc != nil {
-		for id := range rc.objects {
-			push(id)
-		}
-	}
-	for _, c := range h.clusters {
-		if c.removed || c.id == h.rootClu {
-			continue
-		}
-		for id := range c.entries {
-			push(id)
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if id == obj {
-			return true
-		}
-		for _, r := range h.objects[id].slots {
-			if r.Valid() && r.Obj.Site == h.site {
-				push(r.Obj)
-			}
-		}
-	}
-	_, ok := seen[obj]
-	return ok
 }

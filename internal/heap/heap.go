@@ -132,17 +132,6 @@ func (o *Object) ID() ids.ObjectID { return o.id }
 // Cluster returns the owning cluster.
 func (o *Object) Cluster() ids.ClusterID { return o.cluster }
 
-// NumSlots returns the number of reference slots.
-func (o *Object) NumSlots() int { return len(o.slots) }
-
-// Slot returns the reference in slot i (NilRef when out of range).
-func (o *Object) Slot(i int) Ref {
-	if i < 0 || i >= len(o.slots) {
-		return NilRef
-	}
-	return o.slots[i]
-}
-
 // Slots returns a copy of the slot array.
 func (o *Object) Slots() []Ref {
 	out := make([]Ref, len(o.slots))
@@ -208,9 +197,6 @@ func NewShard(site ids.SiteID, hooks Hooks, ctr *Counters, withRoot bool) *Heap 
 	}
 	return h
 }
-
-// Counters returns the identity mint this heap draws from.
-func (h *Heap) Counters() *Counters { return h.ctr }
 
 // SetObjectTracker registers fn, called with (id, true) when an object
 // materialises in this heap and (id, false) when the sweep reclaims
@@ -478,23 +464,6 @@ func (h *Heap) refDropped(o *Object, ref Ref) {
 	if n-1 == 0 {
 		h.hooks.EdgeDown(o.cluster, ref.Cluster)
 	}
-}
-
-// EdgeCount returns the reference count of the (from, to) edge.
-func (h *Heap) EdgeCount(from, to ids.ClusterID) int {
-	return h.edges[edge{from: from, to: to}]
-}
-
-// OutEdges returns the targets of cluster from's live edges, sorted.
-func (h *Heap) OutEdges(from ids.ClusterID) []ids.ClusterID {
-	var out []ids.ClusterID
-	for e, n := range h.edges {
-		if e.from == from && n > 0 {
-			out = append(out, e.to)
-		}
-	}
-	ids.SortClusters(out)
-	return out
 }
 
 // RemoveCluster implements the GGD verdict: the cluster's entry table is

@@ -61,18 +61,12 @@ func TestHeapNewObjectAndSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := h.Object(h.RootObject())
-	if root.Slot(idx) != ref {
-		t.Errorf("Slot(%d) = %v, want %v", idx, root.Slot(idx), ref)
-	}
-	if root.Slot(99) != NilRef || root.Slot(-1) != NilRef {
-		t.Error("out-of-range Slot must be NilRef")
-	}
-	if root.NumSlots() != 1 {
-		t.Errorf("NumSlots = %d", root.NumSlots())
-	}
 	slots := root.Slots()
+	if len(slots) != 1 || slots[idx] != ref {
+		t.Errorf("Slots = %v, want [%v]", slots, ref)
+	}
 	slots[0] = NilRef // must not alias
-	if root.Slot(idx) != ref {
+	if root.slots[idx] != ref {
 		t.Error("Slots() must copy")
 	}
 }
@@ -86,8 +80,8 @@ func TestHeapEdgeAccounting(t *testing.T) {
 	if _, err := h.AddRef(h.RootObject(), ref); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.EdgeCount(rootCl, o.Cluster()); got != 1 {
-		t.Errorf("EdgeCount = %d, want 1", got)
+	if got := h.edges[edge{rootCl, o.Cluster()}]; got != 1 {
+		t.Errorf("edge count = %d, want 1", got)
 	}
 	if len(rec.ups) != 1 || !rec.ups[0].first {
 		t.Fatalf("ups = %+v, want one first=true", rec.ups)
@@ -96,8 +90,8 @@ func TestHeapEdgeAccounting(t *testing.T) {
 	if _, err := h.AddRef(h.RootObject(), ref); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.EdgeCount(rootCl, o.Cluster()); got != 2 {
-		t.Errorf("EdgeCount = %d, want 2", got)
+	if got := h.edges[edge{rootCl, o.Cluster()}]; got != 2 {
+		t.Errorf("edge count = %d, want 2", got)
 	}
 	if len(rec.ups) != 2 || rec.ups[1].first {
 		t.Fatalf("ups = %+v, want second first=false", rec.ups)
@@ -106,15 +100,11 @@ func TestHeapEdgeAccounting(t *testing.T) {
 	if err := h.DropRefs(h.RootObject(), o.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.EdgeCount(rootCl, o.Cluster()); got != 0 {
-		t.Errorf("EdgeCount = %d, want 0", got)
+	if got := h.edges[edge{rootCl, o.Cluster()}]; got != 0 {
+		t.Errorf("edge count = %d, want 0", got)
 	}
 	if len(rec.downs) != 1 {
 		t.Fatalf("downs = %+v, want exactly one", rec.downs)
-	}
-	out := h.OutEdges(rootCl)
-	if len(out) != 0 {
-		t.Errorf("OutEdges = %v, want none", out)
 	}
 }
 
@@ -129,7 +119,7 @@ func TestHeapIntraClusterRefsNotEdges(t *testing.T) {
 	if len(rec.ups) != 0 {
 		t.Errorf("intra-cluster reference fired EdgeUp: %+v", rec.ups)
 	}
-	if got := h.EdgeCount(cl, cl); got != 0 {
+	if got := h.edges[edge{cl, cl}]; got != 0 {
 		t.Errorf("self-edge count = %d", got)
 	}
 }
@@ -159,17 +149,17 @@ func TestHeapSetSlotGrowsAndSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := h.Object(h.RootObject())
-	if root.NumSlots() != 4 {
-		t.Errorf("NumSlots = %d, want 4 (grown)", root.NumSlots())
+	if len(root.slots) != 4 {
+		t.Errorf("slots = %d, want 4 (grown)", len(root.slots))
 	}
 	// Overwrite: drops refA's edge, creates refB's.
 	if err := h.SetSlot(h.RootObject(), 3, refB); err != nil {
 		t.Fatal(err)
 	}
-	if h.EdgeCount(h.RootCluster(), a.Cluster()) != 0 {
+	if h.edges[edge{h.RootCluster(), a.Cluster()}] != 0 {
 		t.Error("old edge not dropped")
 	}
-	if h.EdgeCount(h.RootCluster(), b.Cluster()) != 1 {
+	if h.edges[edge{h.RootCluster(), b.Cluster()}] != 1 {
 		t.Error("new edge not created")
 	}
 	if len(rec.downs) != 1 {
@@ -178,7 +168,7 @@ func TestHeapSetSlotGrowsAndSwaps(t *testing.T) {
 	if err := h.ClearSlot(h.RootObject(), 3); err != nil {
 		t.Fatal(err)
 	}
-	if h.EdgeCount(h.RootCluster(), b.Cluster()) != 0 {
+	if h.edges[edge{h.RootCluster(), b.Cluster()}] != 0 {
 		t.Error("ClearSlot did not drop the edge")
 	}
 	if err := h.SetSlot(h.RootObject(), -1, refA); err == nil {
@@ -297,9 +287,6 @@ func TestCollectEntriesAreRoots(t *testing.T) {
 	if stats := h.Collect(); stats.Swept != 0 {
 		t.Errorf("entry object swept: %+v", stats)
 	}
-	if !h.LocallyReachable(o.ID()) {
-		t.Error("entry must be locally reachable (it is a root)")
-	}
 
 	// GGD removes the cluster: the entry table is cleared and the next
 	// collection reclaims the object.
@@ -344,17 +331,21 @@ func TestRemoveClusterSuppressesEdgeEvents(t *testing.T) {
 	}
 }
 
+// TestLocallyReachable checks that the collector keeps exactly what the
+// root reaches when no entry is marked.
 func TestLocallyReachable(t *testing.T) {
 	h, _ := newHeap(t)
 	a := h.NewObject(h.NewCluster())
-	if h.LocallyReachable(a.ID()) {
-		t.Error("unattached object reported reachable")
-	}
+	b := h.NewObject(h.NewCluster())
 	if _, err := h.AddRef(h.RootObject(), Ref{Obj: a.ID(), Cluster: a.Cluster()}); err != nil {
 		t.Fatal(err)
 	}
-	if !h.LocallyReachable(a.ID()) {
-		t.Error("attached object reported unreachable")
+	h.Collect()
+	if h.Object(a.ID()) == nil {
+		t.Error("attached object swept")
+	}
+	if h.Object(b.ID()) != nil {
+		t.Error("unattached object survived the collection")
 	}
 }
 

@@ -54,7 +54,7 @@ func TestSimDropsOnlyControlPayloads(t *testing.T) {
 	if controls != 0 {
 		t.Errorf("delivered %d control payloads under DropProb=1, want 0", controls)
 	}
-	if got := sim.Stats().Delivered(wire.KindCreate); got != n {
+	if _, got, _, _, _ := sim.Stats().Kind(wire.KindCreate); got != n {
 		t.Errorf("stats: %d creates delivered, want %d", got, n)
 	}
 	if _, _, dropped, _, _ := sim.Stats().Kind(wire.KindPropagate); dropped != n {

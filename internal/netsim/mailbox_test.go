@@ -73,7 +73,7 @@ func TestMailboxFIFOAcrossHandlerSwap(t *testing.T) {
 	g.step(t)
 	g.box.Close()
 	g.wg.Wait()
-	if got := g.stats.Delivered("ping"); got != 3 {
+	if _, got, _, _, _ := g.stats.Kind("ping"); got != 3 {
 		t.Errorf("delivered = %d, want 3", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestMailboxCloseDrainsThenStops(t *testing.T) {
 	g.expect(t, "a3")
 	g.step(t)
 	g.wg.Wait() // the delivery goroutine exits once the queue is empty
-	if got := g.stats.Delivered("ping"); got != 3 {
+	if _, got, _, _, _ := g.stats.Kind("ping"); got != 3 {
 		t.Errorf("delivered = %d, want 3 (the late enqueue must not be delivered)", got)
 	}
 	if !g.cut.Idle() {

@@ -244,12 +244,6 @@ func (s *Stats) Sent(kind string) int {
 	return sent
 }
 
-// Delivered returns the number of deliveries for one kind.
-func (s *Stats) Delivered(kind string) int {
-	_, delivered, _, _, _ := s.Kind(kind)
-	return delivered
-}
-
 // TotalSent sums sends over all kinds.
 func (s *Stats) TotalSent() int {
 	s.mu.Lock()
@@ -257,17 +251,6 @@ func (s *Stats) TotalSent() int {
 	n := 0
 	for _, k := range s.kinds {
 		n += k.sent
-	}
-	return n
-}
-
-// TotalBytes sums payload bytes over all kinds.
-func (s *Stats) TotalBytes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, k := range s.kinds {
-		n += k.bytes
 	}
 	return n
 }

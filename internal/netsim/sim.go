@@ -24,7 +24,6 @@ type Sim struct {
 	faults   Faults
 	stats    *Stats
 	inFlight int
-	delivers int
 }
 
 type channel struct {
@@ -104,9 +103,6 @@ func (s *Sim) removeChannel(ch channel) {
 // Pending returns the number of queued, undelivered messages.
 func (s *Sim) Pending() int { return s.inFlight }
 
-// Deliveries returns the number of messages delivered so far.
-func (s *Sim) Deliveries() int { return s.delivers }
-
 // Step delivers one message, chosen pseudo-randomly among the non-empty
 // channels (FIFO within a channel unless Faults.Reorder). It reports
 // whether a message was delivered.
@@ -129,7 +125,6 @@ func (s *Sim) Step() bool {
 		s.queues[ch] = q
 	}
 	s.inFlight--
-	s.delivers++
 	h := s.handlers[ch.to]
 	if h == nil {
 		// Unregistered destination: the message is lost (e.g. a straggler
@@ -208,10 +203,6 @@ func (s *Sim) DropPendingTo(site ids.SiteID) int {
 	}
 	return dropped
 }
-
-// Rand exposes the simulator's seeded source so workloads can share it and
-// stay reproducible.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // SetPartition replaces the partition predicate at runtime (nil heals).
 func (s *Sim) SetPartition(f func(from, to ids.SiteID) bool) {

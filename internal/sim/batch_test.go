@@ -192,7 +192,7 @@ func makeBatchPlan(seed int64, sites, rounds int) []batchPlanGroup {
 func execBatchPlan(t *testing.T, plan []batchPlanGroup, seed int64, sites int, dir string, batched bool, shards int) (*World, []heap.Ref) {
 	t.Helper()
 	faults := netsim.Faults{Seed: seed, DropProb: 0.15, DupProb: 0.05, Reorder: true}
-	w, err := NewDurableShardedWorld(sites, faults, site.DefaultOptions(), dir, 32, shards)
+	w, err := newWorld(sites, faults, site.DefaultOptions(), dir, 32, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func execBatchPlan(t *testing.T, plan []batchPlanGroup, seed int64, sites int, d
 				case wire.OpSendRef:
 					err = rt.SendRef(op.Holder, op.To, op.Target)
 				case wire.OpAddRef:
-					err = rt.AddRef(op.Holder, op.Target)
+					_, err = rt.Apply(op)
 				case wire.OpDropRefs:
 					err = rt.DropRefs(op.Holder, op.Target)
 				}

@@ -103,7 +103,7 @@ func crashRestartFuzz(t *testing.T, shards int) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		w, err := NewDurableShardedWorld(4, netsim.Faults{Seed: seed, Reorder: true}, site.DefaultOptions(), t.TempDir(), 16, shards)
+		w, err := newWorld(4, netsim.Faults{Seed: seed, Reorder: true}, site.DefaultOptions(), t.TempDir(), 16, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestCrashAtEveryPoint(t *testing.T) {
 func crashAtEveryPoint(t *testing.T, shards int) {
 	// The scripted workload has 6 operations; crash after each.
 	for point := 0; point < 6; point++ {
-		w, err := NewDurableShardedWorld(3, netsim.Faults{Seed: int64(point + 1)}, site.DefaultOptions(), t.TempDir(), 4, shards)
+		w, err := newWorld(3, netsim.Faults{Seed: int64(point + 1)}, site.DefaultOptions(), t.TempDir(), 4, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,7 +112,7 @@ func TestRecoverResendsBundleOfRemovedHolder(t *testing.T) {
 				name = "finalisation," + name
 			}
 			t.Run(name, func(t *testing.T) {
-				w, err := NewDurableShardedWorld(3, netsim.Faults{Seed: 5}, site.DefaultOptions(), t.TempDir(), 8, shards)
+				w, err := newWorld(3, netsim.Faults{Seed: 5}, site.DefaultOptions(), t.TempDir(), 8, shards)
 				if err != nil {
 					t.Fatal(err)
 				}

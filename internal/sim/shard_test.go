@@ -8,6 +8,7 @@ import (
 	"causalgc/internal/netsim"
 	"causalgc/internal/oracle"
 	"causalgc/internal/site"
+	"causalgc/internal/wire"
 )
 
 // This file is the multi-shard equivalence lane: a striped site must be
@@ -116,7 +117,7 @@ func TestShardedConcurrentCommitters(t *testing.T) {
 						last = heap.NilRef
 					}
 				default:
-					ref, err := s.NewLocalIn(cur, anchor.Cluster)
+					ref, err := s.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: cur, Clu: anchor.Cluster})
 					if err != nil {
 						t.Error(err)
 						return
@@ -124,7 +125,7 @@ func TestShardedConcurrentCommitters(t *testing.T) {
 					cur = ref.Obj
 					// Keep the chain reachable from the anchor directly
 					// too, so SendRef below always holds its target.
-					if err := s.AddRef(anchor.Obj, ref); err != nil {
+					if _, err := s.Apply(wire.OpRecord{Kind: wire.OpAddRef, Holder: anchor.Obj, Target: ref}); err != nil {
 						t.Error(err)
 						return
 					}

@@ -44,7 +44,6 @@ type durableSite struct {
 	every    int
 	journal  *site.Persist
 	crashed  bool
-	restarts int
 	replayed int
 }
 
@@ -68,13 +67,6 @@ func NewShardedWorld(n int, faults netsim.Faults, opts site.Options, shards int)
 // page-cache contents, so fsync would only slow the schedule search.
 func NewDurableWorld(n int, faults netsim.Faults, opts site.Options, dir string, every int) (*World, error) {
 	return newWorld(n, faults, opts, dir, every, 1)
-}
-
-// NewDurableShardedWorld is NewDurableWorld with every site striped
-// over the given number of lock shards (the width is sticky in each
-// journal across Crash/Restart).
-func NewDurableShardedWorld(n int, faults netsim.Faults, opts site.Options, dir string, every, shards int) (*World, error) {
-	return newWorld(n, faults, opts, dir, every, shards)
 }
 
 // newWorld is the one constructor body: n sites of the given width,
@@ -153,7 +145,6 @@ func (w *World) Restart(id ids.SiteID) error {
 		return err
 	}
 	d.crashed = false
-	d.restarts++
 	d.replayed += d.journal.Store().Stats().RecoveredRecords
 	w.sites[int(id)-1] = s
 	return nil

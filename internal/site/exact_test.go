@@ -178,7 +178,7 @@ func TestShardedCycleReplayExact(t *testing.T) {
 			done <- nil
 		}()
 		for i := 0; i < ops; i++ {
-			x := mustRef(t)(s.NewLocalIn(a.Obj, a.Cluster))
+			x := mustRef(t)(s.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: a.Obj, Clu: a.Cluster}))
 			if err := s.DropRefs(a.Obj, x); err != nil {
 				t.Fatal(err)
 			}

@@ -173,7 +173,7 @@ func TestShardedSoloEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := mustRef(t)(s.NewLocalIn(root, cl))
+		d := mustRef(t)(s.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: root, Clu: cl}))
 		if err := s.SendRef(root, a, b); err != nil { // a acquires b
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestShardedRecoveryDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = mustRef(t)(s.NewLocalIn(root, cl))
+	_ = mustRef(t)(s.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: root, Clu: cl}))
 	if err := s.DropRefs(root, b); err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +669,7 @@ func TestCheckpointAllSkipsWhenNotDue(t *testing.T) {
 	if got := p.Store().Stats().Snapshots; got != base+1 {
 		t.Fatalf("forced checkpoint skipped: snapshots %d, want %d", got, base+1)
 	}
-	if err := s.AddRef(root, s.Root()); err != nil { // one append, below the threshold
+	if _, err := s.Apply(wire.OpRecord{Kind: wire.OpAddRef, Holder: root, Target: s.Root()}); err != nil { // one append, below the threshold
 		t.Fatal(err)
 	}
 	if got := p.Store().Stats().Snapshots; got != base+1 {
@@ -748,13 +748,13 @@ func TestRecoverWithLiveTraffic(t *testing.T) {
 	// Cheap records on both shards: a slot added and cleared on the
 	// root, and a self-reference inside b's cluster.
 	for i := 0; i < 700; i++ {
-		if err := s.AddRef(root, a); err != nil {
+		if _, err := s.Apply(wire.OpRecord{Kind: wire.OpAddRef, Holder: root, Target: a}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.ClearSlot(root, 2+i); err != nil {
+		if _, err := s.Apply(wire.OpRecord{Kind: wire.OpClearSlot, Holder: root, Slot: 2 + i}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.AddRef(b.Obj, b); err != nil {
+		if _, err := s.Apply(wire.OpRecord{Kind: wire.OpAddRef, Holder: b.Obj, Target: b}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1064,7 +1064,7 @@ func TestUnjournaledCycleRunsOnNoShard(t *testing.T) {
 	root := s.Root().Obj
 	_ = mustRef(t)(s.NewLocal(root))  // rr → shard 0
 	b := mustRef(t)(s.NewLocal(root)) // rr → shard 1
-	y := mustRef(t)(s.NewLocalIn(b.Obj, b.Cluster))
+	y := mustRef(t)(s.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: b.Obj, Clu: b.Cluster}))
 	_ = mustRef(t)(s.NewRemote(y.Obj, 2))
 	// y is local garbage in a live cluster of shard 1, holding the
 	// cluster's last proxy of a remote object: sweeping it is an edge
@@ -1126,7 +1126,7 @@ func TestJournaledCommitsAreBatchRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = mustRef(t)(s.NewLocalIn(root, cl))
+		_ = mustRef(t)(s.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: root, Clu: cl}))
 		rem := mustRef(t)(s.NewRemote(a.Obj, 2))
 		if err := s.SendRef(a.Obj, rem, a); err != nil { // a sends its own reference
 			t.Fatal(err)

@@ -401,13 +401,7 @@ func (s *Site) NewLocal(holder ids.ObjectID) (heap.Ref, error) {
 	return s.Apply(wire.OpRecord{Kind: wire.OpNewLocal, Holder: holder})
 }
 
-// NewLocalIn creates an object in an existing local cluster, referenced
-// from holder. Used by coarse clustering policies (§3.5).
-func (s *Site) NewLocalIn(holder ids.ObjectID, cl ids.ClusterID) (heap.Ref, error) {
-	return s.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: holder, Clu: cl})
-}
-
-// NewCluster mints a fresh local cluster identity (for NewLocalIn) on
+// NewCluster mints a fresh local cluster identity (for OpNewLocalIn) on
 // the shard the placement cursor names — bare clusters pin to their
 // executing shard, which owns them — and the apply advances the cursor,
 // so successive bare clusters rotate over the shards.
@@ -437,22 +431,10 @@ func (s *Site) SendRef(fromObj ids.ObjectID, to heap.Ref, target heap.Ref) error
 	return err
 }
 
-// AddRef stores target into a new slot of holder (a local mutation).
-func (s *Site) AddRef(holder ids.ObjectID, target heap.Ref) error {
-	_, err := s.Apply(wire.OpRecord{Kind: wire.OpAddRef, Holder: holder, Target: target})
-	return err
-}
-
 // DropRefs clears every slot of holder that references target.Obj: the
 // mutator destroys its edge(s) to that object.
 func (s *Site) DropRefs(holder ids.ObjectID, target heap.Ref) error {
 	_, err := s.Apply(wire.OpRecord{Kind: wire.OpDropRefs, Holder: holder, Target: target})
-	return err
-}
-
-// ClearSlot drops one slot of holder.
-func (s *Site) ClearSlot(holder ids.ObjectID, slot int) error {
-	_, err := s.Apply(wire.OpRecord{Kind: wire.OpClearSlot, Holder: holder, Slot: slot})
 	return err
 }
 

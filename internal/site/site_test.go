@@ -8,6 +8,7 @@ import (
 	"causalgc/internal/ids"
 	"causalgc/internal/netsim"
 	"causalgc/internal/site"
+	"causalgc/internal/wire"
 )
 
 func twoSites(t *testing.T) (*netsim.Sim, *site.Site, *site.Site) {
@@ -48,18 +49,18 @@ func TestSiteNewLocalIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s1.NewLocalIn(s1.Root().Obj, cl)
+	a, err := s1.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: s1.Root().Obj, Clu: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s1.NewLocalIn(s1.Root().Obj, cl)
+	b, err := s1.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: s1.Root().Obj, Clu: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Cluster != cl || b.Cluster != cl {
 		t.Error("objects not in the requested cluster")
 	}
-	if _, err := s1.NewLocalIn(s1.Root().Obj, ids.ClusterID{Site: 9, Seq: 1}); err == nil {
+	if _, err := s1.Apply(wire.OpRecord{Kind: wire.OpNewLocalIn, Holder: s1.Root().Obj, Clu: ids.ClusterID{Site: 9, Seq: 1}}); err == nil {
 		t.Error("foreign cluster must error")
 	}
 }
@@ -165,7 +166,7 @@ func TestSiteClearSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The root's slot 0 holds ref.
-	if err := s1.ClearSlot(s1.Root().Obj, 0); err != nil {
+	if _, err := s1.Apply(wire.OpRecord{Kind: wire.OpClearSlot, Holder: s1.Root().Obj, Slot: 0}); err != nil {
 		t.Fatal(err)
 	}
 	run(t, net)

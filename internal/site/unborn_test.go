@@ -466,7 +466,10 @@ func genEarlyTransfers(seed int64, local heap.Ref) []func(*Site) error {
 		case k == 5:
 			x := held()
 			slots = append(slots, x)
-			steps = append(steps, func(s *Site) error { return s.AddRef(earlyHolder.Obj, x) })
+			steps = append(steps, func(s *Site) error {
+				_, err := s.Apply(wire.OpRecord{Kind: wire.OpAddRef, Holder: earlyHolder.Obj, Target: x})
+				return err
+			})
 		case k == 6:
 			x := held()
 			keep := slots[:0:0]

@@ -1,9 +1,9 @@
 // Package vclock implements the timestamp machinery of the paper:
 // per-process event stamps, sparse dependency vectors (DDVs), the Ē
 // ("epsilon") destruction stamps of §3.1–§3.2, the Λ predicate, vector
-// comparison in the Schwarz–Mattern partial order, and the two-dimensional
-// per-root logs (DV_i) of §3.3 with the merge operations used by the GGD
-// Receive/ComputeV procedures.
+// merging (the join of the Schwarz–Mattern partial order), and the
+// two-dimensional per-root logs (DV_i) of §3.3 with the merge operations
+// used by the GGD Receive/ComputeV procedures.
 //
 // # Stamp spaces
 //

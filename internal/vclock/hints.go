@@ -106,23 +106,10 @@ func (h *HintSet) Expire(col, intro ids.ClusterID, seq uint64) bool {
 	return h.Clear(col, intro, seq)
 }
 
-// ResolvedThrough returns the resolution bound recorded for (col,
-// intro): the highest forwarding sequence known consumed or expired
-// (zero if none).
-func (h *HintSet) ResolvedThrough(col, intro ids.ClusterID) uint64 {
-	if c := h.cleared[col]; c != nil {
-		return c.Get(intro).Seq
-	}
-	return 0
-}
-
 // Has reports whether any hint is pending for col.
 func (h *HintSet) Has(col ids.ClusterID) bool {
 	return len(h.pending[col]) > 0
 }
-
-// Pending returns the pending introducer vector for col (nil if none).
-func (h *HintSet) Pending(col ids.ClusterID) Vector { return h.pending[col] }
 
 // Cols returns the columns with pending hints, sorted.
 func (h *HintSet) Cols() []ids.ClusterID {

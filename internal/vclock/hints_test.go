@@ -19,7 +19,7 @@ func TestHintSetArmAndClear(t *testing.T) {
 	if !h.Has(c3) || h.Empty() {
 		t.Error("hint not pending")
 	}
-	if got := h.Pending(c3).Get(c2); got != At(5) {
+	if got := h.pending[c3].Get(c2); got != At(5) {
 		t.Errorf("pending = %v", got)
 	}
 
@@ -91,9 +91,6 @@ func TestHintSetExpire(t *testing.T) {
 	if h.Has(c3) {
 		t.Error("expired hint still pending")
 	}
-	if got := h.ResolvedThrough(c3, c2); got != 5 {
-		t.Errorf("ResolvedThrough = %d, want 5", got)
-	}
 	// The expiry bound suppresses stale re-arms exactly like Clear.
 	if h.Arm(c3, c2, 4) || h.Has(c3) {
 		t.Error("stale re-arm not suppressed by the expiry bound")
@@ -110,9 +107,6 @@ func TestHintSetExpireBeforeArm(t *testing.T) {
 	// issued the moment the dead transfer is delivered, the arming bundle
 	// can arrive later): the bound must already suppress it.
 	h := NewHintSet()
-	if h.ResolvedThrough(c3, c2) != 0 {
-		t.Fatal("fresh set has a bound")
-	}
 	h.Expire(c3, c2, 5)
 	if h.Arm(c3, c2, 5) || h.Has(c3) {
 		t.Error("arming after expiry not suppressed")

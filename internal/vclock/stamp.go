@@ -1,9 +1,6 @@
 package vclock
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Stamp is one entry of a dependency vector: the index of a log-keeping
 // event, plus the Ē marker for edge-destruction events (§3.1). The zero
@@ -66,6 +63,3 @@ func (s Stamp) String() string {
 	}
 	return strconv.FormatUint(s.Seq, 10)
 }
-
-// GoString makes %#v readable in test failures.
-func (s Stamp) GoString() string { return fmt.Sprintf("vclock.Stamp{Seq:%d,Eps:%t}", s.Seq, s.Eps) }

@@ -82,25 +82,6 @@ func (v Vector) semanticEqual(o Vector) bool {
 	return true
 }
 
-// LEq reports v ≤ o in the Schwarz–Mattern partial order (§3.2), comparing
-// stamps with the Less/Merge order per column.
-func (v Vector) LEq(o Vector) bool {
-	for q, s := range v {
-		os := o.Get(q)
-		if os.Less(s) {
-			return false
-		}
-	}
-	return true
-}
-
-// Before reports v < o: v ≤ o and v ≠ o. By Schwarz & Mattern, for events
-// a → b (causally related), V(a) < V(b).
-func (v Vector) Before(o Vector) bool { return v.LEq(o) && !v.Equal(o) }
-
-// Concurrent reports that neither vector precedes the other.
-func (v Vector) Concurrent(o Vector) bool { return !v.LEq(o) && !o.LEq(v) }
-
 // Clone returns an independent copy.
 func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))
@@ -120,17 +101,6 @@ func (v Vector) LiveColumns() []ids.ClusterID {
 	}
 	ids.SortClusters(out)
 	return out
-}
-
-// HasLiveRoot reports whether any actual root has a live stamp in v: the
-// paper's reachability test ∃k: ¬Λ(V[k]) ∧ root(k) (§3.3).
-func (v Vector) HasLiveRoot() bool {
-	for q, s := range v {
-		if q.IsRoot() && s.Live() {
-			return true
-		}
-	}
-	return false
 }
 
 // Columns returns every process mentioned in v, sorted.

@@ -87,7 +87,7 @@ func TestVectorMergeAllIdempotentCommutativeMonotone(t *testing.T) {
 	upperBound := func(a, b qvec) bool {
 		x := a.V.Clone()
 		x.MergeAll(b.V)
-		return a.V.LEq(x) && b.V.LEq(x)
+		return leq(a.V, x) && leq(b.V, x)
 	}
 	for name, f := range map[string]interface{}{
 		"idempotent": idempotent, "commutative": commutative, "upperBound": upperBound,
@@ -98,37 +98,43 @@ func TestVectorMergeAllIdempotentCommutativeMonotone(t *testing.T) {
 	}
 }
 
+// leq is the order MergeAll's join induces: v ≤ o when merging v into o
+// changes nothing.
+func leq(v, o Vector) bool { return !o.Clone().MergeAll(v) }
+
+// TestVectorPartialOrder checks that the join induces the Schwarz–Mattern
+// partial order of §3.2.
 func TestVectorPartialOrder(t *testing.T) {
 	a := Vector{r1: At(1), c2: At(1), c3: At(2), c4: At(2)} // V(e4,2)
 	b := Vector{r1: At(1), c2: At(2), c3: At(2), c4: At(2)} // V(e2,2)
 	// Paper §3.2: V(e4,2) < V(e2,2), i.e. (1,1,2,2) < (1,2,2,2).
-	if !a.Before(b) {
+	if !leq(a, b) || a.Equal(b) {
 		t.Errorf("want %v < %v (paper §3.2 example)", a, b)
 	}
-	if b.Before(a) {
+	if leq(b, a) {
 		t.Errorf("want !(%v < %v)", b, a)
 	}
-	if !a.LEq(a) || a.Before(a) {
-		t.Error("LEq must be reflexive, Before irreflexive")
+	if !leq(a, a) {
+		t.Error("the order must be reflexive")
 	}
 
 	x := Vector{c2: At(3)}
 	y := Vector{c3: At(1)}
-	if !x.Concurrent(y) {
+	if leq(x, y) || leq(y, x) {
 		t.Errorf("want %v || %v", x, y)
 	}
 }
 
 func TestVectorPartialOrderProperties(t *testing.T) {
 	antisymmetric := func(a, b qvec) bool {
-		if a.V.LEq(b.V) && b.V.LEq(a.V) {
+		if leq(a.V, b.V) && leq(b.V, a.V) {
 			return a.V.Equal(b.V)
 		}
 		return true
 	}
 	transitive := func(a, b, c qvec) bool {
-		if a.V.LEq(b.V) && b.V.LEq(c.V) {
-			return a.V.LEq(c.V)
+		if leq(a.V, b.V) && leq(b.V, c.V) {
+			return leq(a.V, c.V)
 		}
 		return true
 	}
@@ -136,11 +142,14 @@ func TestVectorPartialOrderProperties(t *testing.T) {
 		"antisymmetric": antisymmetric, "transitive": transitive,
 	} {
 		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("LEq %s: %v", name, err)
+			t.Errorf("order %s: %v", name, err)
 		}
 	}
 }
 
+// TestVectorHasLiveRoot checks the paper's reachability test ∃k:
+// ¬Λ(V[k]) ∧ root(k) (§3.3) on one vector, as the closure applies it to
+// its owner's own vector when no other row is held.
 func TestVectorHasLiveRoot(t *testing.T) {
 	tests := []struct {
 		name string
@@ -156,8 +165,10 @@ func TestVectorHasLiveRoot(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.v.HasLiveRoot(); got != tt.want {
-				t.Errorf("HasLiveRoot(%v) = %t, want %t", tt.v, got, tt.want)
+			l := NewLog(c4)
+			l.own = tt.v
+			if got := l.Closure(0).LiveRoot; got != tt.want {
+				t.Errorf("closure of own vector %v: LiveRoot = %t, want %t", tt.v, got, tt.want)
 			}
 		})
 	}
