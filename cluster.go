@@ -36,7 +36,9 @@ type Cluster struct {
 // WithPersistence(dir) each node journals under dir/site-<id> — fresh
 // directories start journaling, existing ones are recovered — and
 // NewCluster panics on a persistence I/O error (build nodes with
-// Recover directly to handle errors).
+// Recover directly to handle errors) and on an invalid option value
+// (ErrBadOption); either panic value is an error wrapping the cause, so
+// a recover() can match it with errors.Is.
 func NewCluster(n int, opts ...Option) *Cluster {
 	cfg := newConfig(opts)
 	if err := cfg.validate(); err != nil {
@@ -66,7 +68,7 @@ func NewCluster(n int, opts ...Option) *Cluster {
 		node, err := newNode(id, nodeCfg)
 		if err != nil {
 			c.Close()
-			panic(fmt.Sprintf("causalgc: NewCluster site %v: %v", id, err))
+			panic(fmt.Errorf("causalgc: NewCluster site %v: %w", id, err))
 		}
 		c.nodes = append(c.nodes, node)
 	}

@@ -54,6 +54,8 @@ var retired = []struct {
 		"causalgc.EngineOptions carries the removal observer only: the ablations are eval's, set through site.Options.Engine"},
 	{"nothing computed that nothing reads", regexp.MustCompile(`Unsafe|Owns`), examples,
 		"causalgc.EngineOptions carries the removal observer only: the ablations are eval's, set through site.Options.Engine"},
+	{"retained means retained, with no exceptions", regexp.MustCompile(`StreamAdvance|tagStreamAdvance|advanceFloors|handleAdvanceLocked|RetainedFloor|retireAsserts|causalgc_advances_sent_total`), outsideBench,
+		"a ledger row leaves only when it is acknowledged, so no sequence is abandoned: the floor advisories and the side-path drops are gone"},
 }
 
 // TestRetiredNamesStayGone fails on any line of a .go file that a

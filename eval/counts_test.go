@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// pinnedCounts is every metric E5, E6, E7, E8 and A2 report, as the
+// pinnedCounts is every metric E5, E6, E7, E8, E9 and A2 report, as the
 // current message schedule produces it. Each is an exact count on the
 // deterministic simulator at a fixed seed, so the gate needs no quiet
 // machine: a refactor that claims to leave detection alone must leave
@@ -33,6 +33,13 @@ var pinnedCounts = map[string]map[string]float64{
 		"drop00_residual": 0, "drop00_after_refresh": 0, "drop00_dangling": 0,
 		"drop10_residual": 13, "drop10_after_refresh": 0, "drop10_dangling": 0,
 		"drop30_residual": 32, "drop30_after_refresh": 0, "drop30_dangling": 0,
+	},
+	"E9": {
+		"leak_live_residual": 0, "leak_live_after_refresh": 0, "leak_live_dangling": 0,
+		"leak_crashed_residual": 1, "leak_crashed_after_refresh": 0, "leak_crashed_dangling": 0,
+		"churn_crashes": 25, "churn_replayed": 154,
+		"churn_residual": 0, "churn_after_refresh": 0, "churn_dangling": 0,
+		"e9b_last_reshipped": 0, "e9b_last_ctl_bytes": 0,
 	},
 	"A2": {
 		"dangling_sound": 0, "dangling_paper_guard": 75,

@@ -80,27 +80,27 @@ func (b *damper) bump(round uint64) {
 // Ledger is the sender half of acknowledged retirement (DESIGN.md §3.2),
 // written once: the retained rows of one stream that are outstanding —
 // not yet covered by the peer's cumulative FrameAck — each with its key,
-// payload, destination peer, stream sequence (stable across re-sends, so
-// a re-send fills the same receiver-side gap) and re-send damper. The
-// engine holds two (asserts, edge-destruction bundles), each site shard
-// one (the outbox).
+// payload, destination peer, stream sequence (drawn by its first send
+// and stable across re-sends, so a re-send fills the same receiver-side
+// gap) and re-send damper. The engine holds two (asserts,
+// edge-destruction bundles), each site shard one (the outbox).
 //
-// Acknowledged is not outstanding: a row leaves the moment a watermark
-// covers it, so every operation costs what is outstanding, never what
-// the stream has carried, and nothing remembers an acknowledgement — the
-// payload went with the row. Outstanding is retained: there is no cap,
-// so a row toward a peer that never answers stays until it does (the
-// depth gauges show it), and nothing is lost. Walks (Due, Each) run in
-// retention order, oldest first, unless less orders the keys; both are
-// replay-exact, and Each exports what a Put per row restores. Not safe
-// for concurrent use.
+// A row is put once and leaves only when a watermark covers it: no
+// other path takes a row out, so no sequence a peer waits for is ever
+// abandoned. Acknowledged is not outstanding: every operation costs what
+// is outstanding, never what the stream has carried, and nothing
+// remembers an acknowledgement — the payload went with the row.
+// Outstanding is retained: there is no cap, so a row toward a peer that
+// never answers stays until it does (the depth gauges show it), and
+// nothing is lost. Walks (Due, Each) run in retention order, oldest
+// first, unless less orders the keys; both are replay-exact, and Each
+// exports what a Put per row restores. Not safe for concurrent use.
 type Ledger[K comparable, V any] struct {
 	less func(a, b K) bool // walk order over keys, when not retention
 
 	rows map[K]*row[K, V]
-	// peers rings each peer's rows by ascending sequence, unsent (zero)
-	// ones last, through a sentinel kept once the peer is known: its
-	// above is the retained floor.
+	// peers rings each peer's rows by ascending sequence through a
+	// sentinel kept once the peer is known: its above is the oldest.
 	peers map[ids.SiteID]*row[K, V]
 	born  uint64 // retention counter
 }
@@ -110,7 +110,7 @@ type row[K comparable, V any] struct {
 	key          K
 	val          V
 	peer         ids.SiteID
-	seq          uint64 // zero until the first send
+	seq          uint64 // drawn by the first send, never zero
 	bo           damper
 	born         uint64
 	below, above *row[K, V]
@@ -124,31 +124,12 @@ func NewLedger[K comparable, V any]() *Ledger[K, V] {
 // Len is the number of outstanding rows.
 func (l *Ledger[K, V]) Len() int { return len(l.rows) }
 
-// seq is the sequence the row under key ships with: zero (draw a fresh
-// one) when there is no row or it was never sent.
-func (l *Ledger[K, V]) seq(key K) uint64 {
-	if r := l.rows[key]; r != nil {
-		return r.seq
-	}
-	return 0
-}
-
-// Put retains val under key as shipped to peer under stream sequence seq
-// (zero: not sent yet). A key already retained keeps its place and
-// damper — and its sequence, once it has one — and takes the payload.
+// Put retains val under key as shipped to peer under the non-zero
+// stream sequence seq its first send drew. A key is put once: the row
+// it makes leaves only through Ack.
 func (l *Ledger[K, V]) Put(key K, peer ids.SiteID, seq uint64, val V) {
-	r := l.rows[key]
-	if r != nil {
-		r.val = val
-		if r.seq != 0 || seq == 0 {
-			return
-		}
-		l.remove(r) // re-linked below, under its first sequence
-		r.seq = seq
-	} else {
-		l.born++
-		r = &row[K, V]{key: key, val: val, peer: peer, seq: seq, born: l.born}
-	}
+	l.born++
+	r := &row[K, V]{key: key, val: val, peer: peer, seq: seq, born: l.born}
 	l.rows[key] = r
 	l.link(r)
 }
@@ -163,7 +144,7 @@ func (l *Ledger[K, V]) before(a, b *row[K, V]) bool {
 
 // link inserts r into its peer's ring, searching from the high end:
 // sequences are drawn from a counter, so a new row almost always belongs
-// there. seq-1 ranks the unsent zero above every drawn sequence.
+// there.
 func (l *Ledger[K, V]) link(r *row[K, V]) {
 	ring := l.peers[r.peer]
 	if ring == nil {
@@ -172,7 +153,7 @@ func (l *Ledger[K, V]) link(r *row[K, V]) {
 		l.peers[r.peer] = ring
 	}
 	at := ring.below
-	for at != ring && at.seq-1 > r.seq-1 {
+	for at != ring && at.seq > r.seq {
 		at = at.below
 	}
 	r.below, r.above = at, at.above
@@ -183,24 +164,6 @@ func (l *Ledger[K, V]) link(r *row[K, V]) {
 func (l *Ledger[K, V]) remove(r *row[K, V]) {
 	delete(l.rows, r.key)
 	r.below.above, r.above.below = r.above, r.below
-}
-
-// drop takes the row under key, if any, out of the ledger through a side
-// path (the edge re-formed): no acknowledgement is implied and nothing
-// is counted.
-func (l *Ledger[K, V]) drop(key K) {
-	if r := l.rows[key]; r != nil {
-		l.remove(r)
-	}
-}
-
-// dropIf drops every row gone reports true for.
-func (l *Ledger[K, V]) dropIf(gone func(K, V) bool) {
-	for _, r := range l.rows {
-		if gone(r.key, r.val) {
-			l.remove(r)
-		}
-	}
 }
 
 // Ack retires every row bound for peer whose sequence the cumulative
@@ -215,15 +178,6 @@ func (l *Ledger[K, V]) Ack(peer ids.SiteID, watermark uint64) int {
 		}
 	}
 	return n
-}
-
-// Floor returns the smallest sequence still outstanding toward peer and
-// whether there is one: sequences below it will never be re-sent.
-func (l *Ledger[K, V]) Floor(peer ids.SiteID) (uint64, bool) {
-	if ring := l.peers[peer]; ring != nil && ring.above.seq != 0 {
-		return ring.above.seq, true
-	}
-	return 0, false
 }
 
 // ResetPeer re-arms the damper of every row bound for peer, so the next
@@ -248,17 +202,17 @@ func (l *Ledger[K, V]) walk() []*row[K, V] {
 }
 
 // Due is one refresh round's re-send walk: every row whose damper allows
-// a re-send at round is handed to send — which ships it under seq and
-// returns the sequence it went out with — and damped further; the rest
-// are held back. It reports both counts.
-func (l *Ledger[K, V]) Due(round uint64, send func(key K, val V, seq uint64) uint64) (sent, held int) {
+// a re-send at round is handed to send, which ships it under its
+// sequence, and damped further; the rest are held back. It reports both
+// counts.
+func (l *Ledger[K, V]) Due(round uint64, send func(key K, val V, seq uint64)) (sent, held int) {
 	for _, r := range l.walk() {
 		if !r.bo.ready(round) {
 			held++
 			continue
 		}
 		sent++
-		l.Put(r.key, r.peer, send(r.key, r.val, r.seq), r.val)
+		send(r.key, r.val, r.seq)
 		r.bo.bump(round)
 	}
 	return sent, held
@@ -272,9 +226,13 @@ func (l *Ledger[K, V]) Each(visit func(key K, val V, seq uint64)) {
 	}
 }
 
-// edgeKey identifies one edge of the global root graph: a destroyed edge
-// whose Ē bundle is re-shipped until the target site acknowledges it, or
-// a removed holder's edge whose finalisation bundle is.
+// edgeKey identifies one destruction of an edge of the global root
+// graph: a dropped edge whose Ē bundle is re-shipped until the target
+// site acknowledges it, or a removed holder's edge whose finalisation
+// bundle is. seq is the bundle's destroy-stream sequence, so an edge
+// destroyed, re-formed and destroyed again holds one row per
+// destruction until each is acknowledged.
 type edgeKey struct {
 	holder, target ids.ClusterID
+	seq            uint64
 }

@@ -15,8 +15,10 @@
 //     Ledgers (ack.go): the assert journal and the edge-destruction
 //     bundles (finalisation bundles included) are one retained-row type,
 //     as is the site runtime's outbox. Each row carries what it re-ships
-//     and leaves when acknowledged; a destroyed edge's Ē bundle outlives
-//     its holder's removal.
+//     under the sequence its first send drew and leaves only when
+//     acknowledged, so no stream sequence is ever abandoned; a destroyed
+//     edge's Ē bundle outlives the edge's re-formation and its holder's
+//     removal.
 //
 // # Log-keeping and gossip
 //

@@ -153,19 +153,21 @@ type Engine struct {
 	unborn int
 
 	// asserts is the re-send journal: every un-acknowledged edge-assert,
-	// keyed by (holder, target, introducer, forwarding-seq), holding the
-	// asserted stamp (zero for negative asserts) and walked in key order.
-	// Rows are retired exactly by the owner site's cumulative FrameAck,
-	// by the edge's destruction (the destroy bundle takes over
-	// resolution), or by the holder's removal; Refresh re-sends whatever
-	// remains, damped.
+	// keyed by (holder, target, introducer, forwarding-seq, stream seq),
+	// holding the asserted stamp (zero for negative asserts) and walked
+	// in key order. Rows are retired by the owner site's cumulative
+	// FrameAck and by nothing else; Refresh re-sends whatever remains,
+	// damped.
 	asserts *Ledger[assertRow, uint64]
-	// destroys retains the bundle of every destroyed remote edge — a
-	// dropped one's Ē, or a removed holder's finalisation bundle — until
-	// the target site acknowledges it or the edge re-forms (the fresh live
-	// stamp supersedes). The holder's on-behalf row is frozen in between,
-	// so the bundle stays what a rebuild from it would give; the row
-	// outlives its holder's removal, which is no acknowledgement.
+	// destroys retains the bundle of every destruction of a remote edge —
+	// a dropped one's Ē, or a removed holder's finalisation bundle —
+	// until the target site acknowledges it. An edge that re-forms and is
+	// destroyed again holds a row per destruction: the older one is a
+	// late duplicate the fresher stamps dominate (DESIGN.md §3.2). The
+	// holder's on-behalf row is frozen from a destruction until the edge
+	// re-forms, so the edge's newest bundle stays what a rebuild from it
+	// would give; rows outlive their holder's removal, which is no
+	// acknowledgement.
 	destroys *Ledger[edgeKey, DestroyMsg]
 	// round counts Refresh invocations: the damper's time base.
 	round uint64
@@ -173,10 +175,11 @@ type Engine struct {
 	stats Stats
 }
 
-// assertRow identifies one journaled edge-assert.
+// assertRow identifies one journaled edge-assert: the introduction it
+// resolves (intro, seq) and the assert-stream sequence its send drew.
 type assertRow struct {
 	holder, target, intro ids.ClusterID
-	seq                   uint64
+	seq, streamSeq        uint64
 }
 
 // process is the per-global-root state: the paper's "each global root
@@ -410,9 +413,6 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 	if first {
 		p.acq.Add(target)
 	}
-	// The edge re-formed: any earlier Ē bundle is superseded by the fresh
-	// live stamp, so its retirement tracking is moot.
-	e.destroys.drop(edgeKey{holder, target})
 	creation := introSeq == ids.CreationSeq
 	consumes := intro.Valid() && introSeq > 0 && !creation
 	if e.owns(target) {
@@ -437,25 +437,13 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 	}
 }
 
-// sendJournaledAssert ships the assert under the row's stable stream
-// sequence and journals the row for Refresh re-send until the owner's
-// site acknowledges it.
+// sendJournaledAssert ships the assert under a fresh stream sequence and
+// journals the row under it for Refresh re-send until the owner's site
+// acknowledges it.
 func (e *Engine) sendJournaledAssert(row assertRow, m AssertMsg) {
 	e.stats.AssertsSent++
-	seq := e.send.SendAssert(row.holder, row.target, m, e.asserts.seq(row))
-	e.asserts.Put(row, row.target.Site, seq, m.Stamp)
-}
-
-// retireAsserts drops the positive journal rows for edge holder→target:
-// their introductions were recorded in the on-behalf Processed vector
-// when consumed, so the edge's destruction bundle (itself re-sent by
-// Refresh until acknowledged) takes over resolving the hints. Negative
-// rows (stamp zero) must survive — their expired introductions appear
-// in no bundle, so only the owner's ack may ever retire them.
-func (e *Engine) retireAsserts(holder, target ids.ClusterID) {
-	e.asserts.dropIf(func(row assertRow, stamp uint64) bool {
-		return stamp > 0 && row.holder == holder && row.target == target
-	})
+	row.streamSeq = e.send.SendAssert(row.holder, row.target, m, 0)
+	e.asserts.Put(row, row.target.Site, row.streamSeq, m.Stamp)
 }
 
 // SentRef records that the holder forwarded a reference denoting target
@@ -563,33 +551,21 @@ func (e *Engine) HandleAssertFrame(to, from ids.ClusterID, m AssertMsg, seq uint
 
 // --- Cumulative frame retirement (DESIGN.md §3.2) ------------------------
 
-// ledger returns the engine's ledger for stream s, or nil (the mutator
-// stream's is the site outbox).
-func (e *Engine) ledger(s Stream) interface {
-	Ack(peer ids.SiteID, watermark uint64) int
-	Floor(peer ids.SiteID) (uint64, bool)
-} {
+// Ack retires every retained row of stream s addressed to peer whose
+// sequence the cumulative watermark covers, and reports how many (none
+// on the mutator stream, whose ledger is the site outbox). Negative
+// assert rows retire too: the watermark proves the owner's site durably
+// processed the expiry. An acknowledged destroyed-edge bundle leaves
+// like any other row; the Ē stamp itself stays in the on-behalf row —
+// it is authoritative log state, not re-send state.
+func (e *Engine) Ack(peer ids.SiteID, s Stream, watermark uint64) int {
+	n := 0
 	switch s {
 	case StreamAssert:
-		return e.asserts
+		n = e.asserts.Ack(peer, watermark)
 	case StreamDestroy:
-		return e.destroys
+		n = e.destroys.Ack(peer, watermark)
 	}
-	return nil
-}
-
-// Ack retires every retained row of stream s addressed to peer whose
-// sequence the cumulative watermark covers, and reports how many.
-// Negative assert rows retire too: the watermark proves the owner's site
-// durably processed the expiry. An acknowledged destroyed-edge bundle
-// leaves like any other row; the Ē stamp itself stays in the on-behalf
-// row — it is authoritative log state, not re-send state.
-func (e *Engine) Ack(peer ids.SiteID, s Stream, watermark uint64) int {
-	l := e.ledger(s)
-	if l == nil {
-		return 0
-	}
-	n := l.Ack(peer, watermark)
 	e.stats.RowsRetired += n
 	return n
 }
@@ -606,18 +582,6 @@ func (e *Engine) AckDestroys(peer ids.SiteID, watermark uint64) int {
 func (e *Engine) ResetPeerBackoff(peer ids.SiteID) {
 	e.asserts.ResetPeer(peer)
 	e.destroys.ResetPeer(peer)
-}
-
-// RetainedFloor returns the smallest stream sequence still retained for
-// (peer, stream) and whether any tracked row is retained at all. The
-// site runtime uses it to advance receivers past sequences that will
-// never be re-sent (rows retired through another path), keeping
-// cumulative watermarks from stalling on dead gaps.
-func (e *Engine) RetainedFloor(peer ids.SiteID, s Stream) (uint64, bool) {
-	if l := e.ledger(s); l != nil {
-		return l.Floor(peer)
-	}
-	return 0, false
 }
 
 // Drain processes queued deliveries until quiescence. Safe to call at any
@@ -911,13 +875,12 @@ func (e *Engine) remove(p *process) {
 // message (§3.4). A local target gets a minimal destroy through the
 // inbox: hints and processed records were written directly at
 // forward/acquire time. A remote target's on-behalf row takes the Ē, and
-// the bundle built from it ships and stays in the destroy ledger as one
-// value until the target site acknowledges it; any older row for the
-// edge went when the edge re-formed (EdgeUp), so it draws a fresh
-// sequence.
+// the bundle built from it ships under a fresh sequence and stays in the
+// destroy ledger as one value until the target site acknowledges it.
+// The edge's assert rows stay too: each leaves on its own ack, and the
+// Ē dominates their stamps wherever they arrive.
 func (e *Engine) destroyEdge(p *process, k ids.ClusterID) {
 	p.clock++
-	e.retireAsserts(p.id, k)
 	e.stats.DestroysSent++
 	if e.owns(k) {
 		e.inbox = append(e.inbox, delivery{to: k, from: p.id, kind: deliverDestroy, destroy: DestroyMsg{
@@ -928,8 +891,8 @@ func (e *Engine) destroyEdge(p *process, k ids.ClusterID) {
 	ob := p.log.OB(k)
 	ob.Auth.MergeEntry(p.id, vclock.Eps(p.clock))
 	m := DestroyMsg{Auth: ob.Auth.Clone(), Hints: ob.Hints.Clone(), Processed: ob.Processed.Clone()}
-	ek := edgeKey{p.id, k}
-	e.destroys.Put(ek, k.Site, e.send.SendDestroy(p.id, k, m, e.destroys.seq(ek)), m)
+	seq := e.send.SendDestroy(p.id, k, m, 0)
+	e.destroys.Put(edgeKey{p.id, k, seq}, k.Site, seq, m)
 }
 
 // --- Recovery (§5: residual garbage) ------------------------------------
@@ -966,14 +929,14 @@ func (e *Engine) Refresh() {
 	// through cumulative acks) and merge bundles by stamp order (a
 	// re-created edge's fresher live stamp supersedes an Ē; copies to
 	// removed targets are dropped there).
-	sent, held := e.destroys.Due(e.round, func(ek edgeKey, m DestroyMsg, seq uint64) uint64 {
-		return e.send.SendDestroy(ek.holder, ek.target, m, seq)
+	sent, held := e.destroys.Due(e.round, func(ek edgeKey, m DestroyMsg, seq uint64) {
+		e.send.SendDestroy(ek.holder, ek.target, m, seq)
 	})
 	e.stats.DestroysSent += sent
 	e.stats.DestroyResends += sent
 	e.stats.ResendsSuppressed += held
-	sent, held = e.asserts.Due(e.round, func(row assertRow, stamp, seq uint64) uint64 {
-		return e.send.SendAssert(row.holder, row.target, AssertMsg{Stamp: stamp, Intro: row.intro, IntroSeq: row.seq}, seq)
+	sent, held = e.asserts.Due(e.round, func(row assertRow, stamp, seq uint64) {
+		e.send.SendAssert(row.holder, row.target, AssertMsg{Stamp: stamp, Intro: row.intro, IntroSeq: row.seq}, seq)
 	})
 	e.stats.AssertResends += sent
 	e.stats.ResendsSuppressed += held
@@ -991,5 +954,8 @@ func assertRowLess(a, b assertRow) bool {
 	if a.intro != b.intro {
 		return a.intro.Less(b.intro)
 	}
-	return a.seq < b.seq
+	if a.seq != b.seq {
+		return a.seq < b.seq
+	}
+	return a.streamSeq < b.streamSeq
 }

@@ -443,18 +443,38 @@ func TestEngineAssertJournaledAndResentUntilAck(t *testing.T) {
 	}
 }
 
-func TestEngineAssertJournalRetiredByEdgeDown(t *testing.T) {
+// TestEngineAssertJournalRetainedUntilAcked: an edge's destruction does
+// not retire its assert row. The row stays, is re-sent under its own
+// sequence (the Ē that followed dominates its stamp at the owner), and
+// leaves only when the owner's site acknowledges it.
+func TestEngineAssertJournalRetainedUntilAcked(t *testing.T) {
 	e, fs, _ := newEngine(t, Options{})
+	e.Register(r1)
 	e.Register(cA)
+	e.EdgeUp(r1, cA, true, ids.NoCluster, 0) // keep cA alive
 	e.EdgeUp(cA, rem, true, cB, 3)
 	e.EdgeDown(cA, rem)
 	e.Drain()
-	// The destroy bundle (re-sent by Refresh from the Ē-stamped OB row)
-	// now owns resolution; the assert journal must not re-ship.
-	n := len(fs.asserts)
+	if len(fs.asserts) != 1 {
+		t.Fatalf("asserts = %+v, want 1", fs.asserts)
+	}
+	first := fs.asserts[0]
 	e.Refresh()
+	if got := len(fs.asserts); got != 2 || fs.asserts[1] != first {
+		t.Fatalf("asserts after refresh = %+v, want %+v re-sent once", fs.asserts, first)
+	}
+	if got := e.Retained().AssertRows; got != 1 {
+		t.Fatalf("AssertRows = %d after the edge's destruction, want 1", got)
+	}
+	if n := e.Ack(rem.Site, StreamAssert, first.seq); n != 1 {
+		t.Fatalf("Ack retired %d rows, want 1", n)
+	}
+	n := len(fs.asserts)
+	for i := 0; i < 4; i++ {
+		e.Refresh()
+	}
 	if len(fs.asserts) != n {
-		t.Fatalf("assert re-sent after edge destruction: %+v", fs.asserts[n:])
+		t.Fatalf("acknowledged assert re-sent: %+v", fs.asserts[n:])
 	}
 }
 
@@ -628,8 +648,8 @@ func TestEngineNegativeRowSurvivesEdgeLifecycle(t *testing.T) {
 		t.Fatalf("asserts = %+v, want trailing negative", fs.asserts)
 	}
 	// cA later forms a genuine edge to rem (different introduction) and
-	// destroys it: the destroy bundle covers only the consumed
-	// introduction, so the negative row must survive the retirement.
+	// destroys it: the negative row is still unacknowledged, so it
+	// survives the edge's lifecycle and is re-sent.
 	e.EdgeUp(cA, rem, true, cB, 9)
 	e.EdgeDown(cA, rem)
 	e.Drain()
@@ -864,9 +884,8 @@ func TestEngineEdgeReformInvalidatesDestroyAck(t *testing.T) {
 	e.EdgeDown(cA, rem)
 	e.Drain()
 	firstSeq := fs.destroys[0].seq
-	// The edge re-forms, then is destroyed again: the second Ē must ship
-	// under a fresh stream sequence, and a stale ack of the first frame
-	// must not retire it.
+	// The edge re-forms, then is destroyed again: the second Ē ships
+	// under a fresh stream sequence, and the first row stays beside it.
 	e.EdgeUp(cA, rem, true, cB, 5)
 	e.EdgeDown(cA, rem)
 	e.Drain()
@@ -874,12 +893,20 @@ func TestEngineEdgeReformInvalidatesDestroyAck(t *testing.T) {
 	if second.seq == firstSeq {
 		t.Fatalf("re-destroyed edge reused stream seq %d", firstSeq)
 	}
-	if n := e.AckDestroys(rem.Site, firstSeq); n != 0 {
-		t.Fatalf("stale watermark retired the fresh bundle (%d rows)", n)
+	if got := e.Retained().DestroyRows; got != 2 {
+		t.Fatalf("DestroyRows = %d, want both destructions retained", got)
 	}
+	// A stale ack of the first frame retires exactly the first row.
+	if n := e.AckDestroys(rem.Site, firstSeq); n != 1 {
+		t.Fatalf("stale watermark retired %d rows, want the first one", n)
+	}
+	n := len(fs.destroys)
 	e.Refresh()
 	if got := e.Stats().DestroyResends; got != 1 {
 		t.Errorf("fresh Ē bundle not re-sent after stale ack: resends = %d", got)
+	}
+	if re := fs.destroys[n:]; len(re) != 1 || re[0].seq != second.seq || !sameBundle(re[0].m, second.m) {
+		t.Errorf("refresh re-sent %+v, want the fresh bundle %+v", re, second)
 	}
 }
 
@@ -957,31 +984,6 @@ func TestEngineResetPeerBackoffReArms(t *testing.T) {
 	if len(fs.asserts) != n+1 {
 		t.Errorf("reset damper did not re-send on the next round")
 	}
-}
-
-func TestEngineRetainedFloor(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(r1)
-	e.Register(cA)
-	e.EdgeUp(r1, cA, true, ids.NoCluster, 0)
-	e.Drain()
-	rem2 := ids.ClusterID{Site: 2, Seq: 4}
-	e.EdgeUp(cA, rem, true, cB, 7)  // assert seq 1
-	e.EdgeUp(cA, rem2, true, cB, 8) // assert seq 2
-	if floor, any := e.RetainedFloor(2, StreamAssert); !any || floor != 1 {
-		t.Fatalf("floor = %d/%v, want 1/true", floor, any)
-	}
-	// Retiring the older row through another path (edge destruction)
-	// moves the floor up: the receiver may skip the dead gap.
-	e.EdgeDown(cA, rem)
-	e.Drain()
-	if floor, any := e.RetainedFloor(2, StreamAssert); !any || floor != 2 {
-		t.Fatalf("floor after retire = %d/%v, want 2/true", floor, any)
-	}
-	if _, any := e.RetainedFloor(3, StreamAssert); any {
-		t.Error("floor reported for a peer with nothing retained")
-	}
-	_ = fs
 }
 
 func TestEngineSettledBufferedFrameNotEvicted(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 )
 
 // scanModel is the specification the Ledger was derived from: one flat
-// table and a full scan per question, as AckAsserts, RetainedFloor and
+// table and a full scan per question, as AckAsserts and
 // ResetPeerBackoff were written before the ledger.
 type scanModel struct {
 	rows     map[int]*scanRow
@@ -29,22 +29,13 @@ type scanRow struct {
 
 func (m *scanModel) ack(peer ids.SiteID, watermark uint64) (retired []int) {
 	for k, r := range m.rows {
-		if r.peer == peer && r.seq != 0 && r.seq <= watermark {
+		if r.peer == peer && r.seq <= watermark {
 			delete(m.rows, k)
 			retired = append(retired, k)
 		}
 	}
 	sort.Ints(retired)
 	return retired
-}
-
-func (m *scanModel) floor(peer ids.SiteID) (floor uint64, found bool) {
-	for _, r := range m.rows {
-		if r.peer == peer && r.seq != 0 && (!found || r.seq < floor) {
-			floor, found = r.seq, true
-		}
-	}
-	return floor, found
 }
 
 func (m *scanModel) resetPeer(peer ids.SiteID) {
@@ -71,13 +62,6 @@ func (m *scanModel) walk() []*scanRow {
 }
 
 func (m *scanModel) put(key int, peer ids.SiteID, seq, val uint64) {
-	if r := m.rows[key]; r != nil {
-		r.val = val
-		if r.seq == 0 {
-			r.seq = seq
-		}
-		return
-	}
 	m.born++
 	m.rows[key] = &scanRow{key: key, val: val, peer: peer, seq: seq, born: m.born}
 }
@@ -103,7 +87,7 @@ func exportLedger(l *Ledger[int, uint64]) []exportedRow {
 
 // TestLedgerMatchesScanModel runs one seeded random program against the
 // ledger and against the scan model and demands they agree after every
-// step: retired keys, floors, due walks, exported rows.
+// step: retired keys, due walks, exported rows.
 func TestLedgerMatchesScanModel(t *testing.T) {
 	for _, keyOrder := range []bool{false, true} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -153,29 +137,15 @@ func runLedgerProgram(t *testing.T, keyOrder bool, seed int64) {
 	for step := 0; step < 4000; step++ {
 		what := ""
 		switch op := rng.Intn(20); {
-		case op < 9: // put, re-put of a retained key included
+		case op < 10: // put a key not retained now
 			key, val := rng.Intn(keys), uint64(rng.Intn(3))
-			seq := uint64(0)
-			if rng.Intn(8) != 0 {
-				seq = draw(peerOf(key))
+			if m.rows[key] != nil {
+				continue
 			}
+			seq := draw(peerOf(key))
 			what = fmt.Sprintf("put key %d seq %d val %d", key, seq, val)
 			l.Put(key, peerOf(key), seq, val)
 			m.put(key, peerOf(key), seq, val)
-		case op < 11:
-			key := rng.Intn(keys)
-			what = fmt.Sprintf("drop key %d", key)
-			l.drop(key)
-			delete(m.rows, key)
-		case op < 12:
-			what = "drop the odd-valued multiples of five"
-			gone := func(key int, val uint64) bool { return key%5 == 0 && val%2 == 1 }
-			l.dropIf(gone)
-			for k, r := range m.rows {
-				if gone(k, r.val) {
-					delete(m.rows, k)
-				}
-			}
 		case op < 16:
 			peer := ids.SiteID(rng.Intn(peers) + 1)
 			watermark := uint64(rng.Intn(int(next[peer]) + 2))
@@ -213,13 +183,11 @@ func runLedgerProgram(t *testing.T, keyOrder bool, seed int64) {
 				r.bo.bump(round)
 			}
 			var got []int
-			sent, held := l.Due(round, func(key int, val, seq uint64) uint64 {
+			sent, held := l.Due(round, func(key int, val, seq uint64) {
 				got = append(got, key)
-				if seq == 0 {
-					seq = draw(peerOf(key))
-					m.rows[key].seq = seq
+				if seq != m.rows[key].seq {
+					t.Fatalf("step %d (%s): key %d re-sent under seq %d, put under %d", step, what, key, seq, m.rows[key].seq)
 				}
-				return seq
 			})
 			if sent != len(want) || held != wantHeld || !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d (%s): sent %d %v held %d, model %v held %d", step, what, sent, got, held, want, wantHeld)
@@ -237,20 +205,13 @@ func runLedgerProgram(t *testing.T, keyOrder bool, seed int64) {
 		if got, want := exportLedger(l), m.export(); l.Len() != len(want) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d (%s): rows\n ledger %v\n model  %v", step, what, got, want)
 		}
-		for peer := ids.SiteID(1); peer <= peers; peer++ {
-			gf, gok := l.Floor(peer)
-			wf, wok := m.floor(peer)
-			if gf != wf || gok != wok {
-				t.Fatalf("step %d (%s): floor toward %d = %d/%v, model %d/%v", step, what, peer, gf, gok, wf, wok)
-			}
-		}
 	}
 }
 
 // TestAckedDestroyRowsLeaveTheLedger: an acknowledged destroyed-edge
 // bundle is gone — Retained stops counting it, Refresh never re-ships
-// it, no ack, floor or re-arm walks it — and re-destroying a re-formed
-// edge draws a fresh sequence.
+// it, no ack or re-arm walks it — and re-destroying a re-formed edge
+// draws a fresh sequence.
 func TestAckedDestroyRowsLeaveTheLedger(t *testing.T) {
 	const edges = 20000
 	e, fs, _ := newEngine(t, Options{})
@@ -275,9 +236,6 @@ func TestAckedDestroyRowsLeaveTheLedger(t *testing.T) {
 	}
 	if got := e.destroys.Len(); got != 0 {
 		t.Errorf("outstanding destroy rows after the ack = %d, want 0", got)
-	}
-	if _, any := e.RetainedFloor(2, StreamDestroy); any {
-		t.Error("a floor is reported with nothing outstanding")
 	}
 	sent := len(fs.destroys)
 	e.Refresh()

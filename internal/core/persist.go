@@ -35,11 +35,12 @@ type AssertRowImage struct {
 	Seq                   uint64
 	Stamp                 uint64
 	// StreamSeq is the row's sequence in the assert retirement stream to
-	// Target's site (zero if the row predates its first send).
+	// Target's site, drawn by its first send.
 	StreamSeq uint64
 }
 
-// DestroyImage is one destroyed remote edge's un-acknowledged bundle.
+// DestroyImage is the un-acknowledged bundle of one destruction of a
+// remote edge.
 type DestroyImage struct {
 	Holder, Target ids.ClusterID
 	M              DestroyMsg
@@ -85,14 +86,14 @@ func (e *Engine) Export() (EngineImage, error) {
 	for cl, clock := range e.tombstone {
 		img.Tombstones[cl] = clock
 	}
-	e.asserts.Each(func(row assertRow, stamp, seq uint64) {
+	e.asserts.Each(func(row assertRow, stamp, _ uint64) {
 		img.Asserts = append(img.Asserts, AssertRowImage{
 			Holder: row.holder, Target: row.target, Intro: row.intro,
-			Seq: row.seq, Stamp: stamp, StreamSeq: seq,
+			Seq: row.seq, Stamp: stamp, StreamSeq: row.streamSeq,
 		})
 	})
-	e.destroys.Each(func(ek edgeKey, m DestroyMsg, seq uint64) {
-		img.Destroys = append(img.Destroys, DestroyImage{Holder: ek.holder, Target: ek.target, M: cloneDestroy(m), Seq: seq})
+	e.destroys.Each(func(ek edgeKey, m DestroyMsg, _ uint64) {
+		img.Destroys = append(img.Destroys, DestroyImage{Holder: ek.holder, Target: ek.target, M: cloneDestroy(m), Seq: ek.seq})
 	})
 	return img, nil
 }
@@ -123,10 +124,10 @@ func Restore(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Op
 		e.tombstone[cl] = clock
 	}
 	for _, ai := range img.Asserts {
-		e.asserts.Put(assertRow{holder: ai.Holder, target: ai.Target, intro: ai.Intro, seq: ai.Seq}, ai.Target.Site, ai.StreamSeq, ai.Stamp)
+		e.asserts.Put(assertRow{holder: ai.Holder, target: ai.Target, intro: ai.Intro, seq: ai.Seq, streamSeq: ai.StreamSeq}, ai.Target.Site, ai.StreamSeq, ai.Stamp)
 	}
 	for _, di := range img.Destroys {
-		e.destroys.Put(edgeKey{di.Holder, di.Target}, di.Target.Site, di.Seq, cloneDestroy(di.M))
+		e.destroys.Put(edgeKey{di.Holder, di.Target, di.Seq}, di.Target.Site, di.Seq, cloneDestroy(di.M))
 	}
 	return e, nil
 }

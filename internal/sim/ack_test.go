@@ -15,12 +15,11 @@ import (
 
 // TestChurnAckDropSchedules is the fuzz lane for the acknowledged-
 // retirement protocol itself: randomised churn under reordering while
-// most FrameAcks and StreamAdvance advisories are dropped. Losing the
-// retirement plane must cost only redundant re-sends — never safety,
-// and never convergence: after the ack channel heals, bounded refresh
-// rounds must reclaim every residual object AND drain the re-send
-// state, because the protocol may retire a row only on an ack that
-// really covers it.
+// most FrameAcks are dropped. Losing the retirement plane must cost
+// only redundant re-sends — never safety, and never convergence: after
+// the ack channel heals, bounded refresh rounds must reclaim every
+// residual object AND drain the re-send state, because the protocol
+// may retire a row only on an ack that really covers it.
 func TestChurnAckDropSchedules(t *testing.T) {
 	seeds := int64(15)
 	if testing.Short() {
@@ -32,7 +31,6 @@ func TestChurnAckDropSchedules(t *testing.T) {
 			Reorder: true,
 			DropKindProb: map[string]float64{
 				wire.KindFrameAck: 0.8,
-				wire.KindAdvance:  0.8,
 			},
 		}, site.DefaultOptions())
 		if _, err := mutator.Churn(w, mutator.ChurnConfig{
@@ -52,7 +50,6 @@ func TestChurnAckDropSchedules(t *testing.T) {
 
 		// Heal the retirement plane and recover.
 		w.Net().SetDropKindProb(wire.KindFrameAck, 0)
-		w.Net().SetDropKindProb(wire.KindAdvance, 0)
 		for i := 0; i < 4; i++ {
 			if err := w.RefreshAll(); err != nil {
 				t.Fatalf("seed %d: refresh: %v", seed, err)
@@ -82,7 +79,6 @@ func TestAckDropCannotRetireUndelivered(t *testing.T) {
 		DropKindProb: map[string]float64{
 			wire.KindAssert:   1,
 			wire.KindFrameAck: 1,
-			wire.KindAdvance:  1,
 		},
 	}, site.DefaultOptions())
 	s1 := w.Site(1)
@@ -117,7 +113,6 @@ func TestAckDropCannotRetireUndelivered(t *testing.T) {
 	// Heal; one refresh resolves and the acks drain the journal.
 	w.Net().SetDropKindProb(wire.KindAssert, 0)
 	w.Net().SetDropKindProb(wire.KindFrameAck, 0)
-	w.Net().SetDropKindProb(wire.KindAdvance, 0)
 	if err := w.RefreshAll(); err != nil {
 		t.Fatal(err)
 	}

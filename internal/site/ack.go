@@ -14,8 +14,8 @@ import (
 // protocol (DESIGN.md §3.2). The engine decides *what* is retained and
 // re-sent; the site owns the wire-level bookkeeping: per-(peer, stream)
 // sequence counters on the send side, cumulative watermarks on the
-// receive side, FrameAck emission, StreamAdvance floor advisories, and
-// the outbox of unacknowledged mutator frames.
+// receive side, FrameAck emission, and the outbox of unacknowledged
+// mutator frames.
 //
 // The stream state lives in a streams table shared by every shard of
 // the site (DESIGN.md §3.4): a remote peer tracks ONE cumulative
@@ -42,7 +42,9 @@ type FrameStats struct {
 	// FramesRetired counts outbox frames retired by cumulative acks
 	// (engine-side rows are counted in EngineStats.RowsRetired).
 	FramesRetired int
-	// AdvancesSent counts StreamAdvance floor advisories.
+	// Deprecated: always zero (a retained row leaves only on an ack, so
+	// no floor is ever advised); kept only while the frozen benchmark
+	// reads it.
 	AdvancesSent int
 	// DeliveriesRefused counts incoming deliveries dropped unapplied and
 	// unacknowledged because their write-ahead append failed: tolerated
@@ -68,21 +70,13 @@ type streamKey struct {
 	kind core.Stream
 }
 
-// streamKeyLess orders stream keys deterministically (ack flushes and
-// floor advisories must send in a reproducible order under the
-// deterministic simulator).
+// streamKeyLess orders stream keys deterministically (ack flushes must
+// send in a reproducible order under the deterministic simulator).
 func streamKeyLess(a, b streamKey) bool {
 	if a.peer != b.peer {
 		return a.peer < b.peer
 	}
 	return a.kind < b.kind
-}
-
-// sendStream is the sender side of one stream: the sequence counter and
-// the peer's highest cumulative acknowledgement.
-type sendStream struct {
-	nextSeq uint64
-	ackedTo uint64
 }
 
 // maxRecvPending bounds the out-of-order set of one receive tracker; a
@@ -100,9 +94,9 @@ type recvTracker struct {
 
 // mark records one settled sequence, advances the watermark over any
 // now-contiguous prefix, and reports whether seq was recorded now: not
-// if it had settled already (a floor advisory settles what it skips) or
-// the bound refused it. The next sequence in line is never refused — it
-// leaves the set at once, with the prefix it completes: a full set drains.
+// if it had settled already or the bound refused it. The next sequence
+// in line is never refused — it leaves the set at once, with the prefix
+// it completes: a full set drains.
 func (t *recvTracker) mark(seq uint64) bool {
 	if seq <= t.watermark {
 		return false
@@ -123,29 +117,6 @@ func (t *recvTracker) mark(seq uint64) bool {
 	}
 }
 
-// advance raises the watermark to floor-1 (a StreamAdvance advisory:
-// everything below floor is acknowledged-or-abandoned at the sender)
-// and prunes the out-of-order set.
-func (t *recvTracker) advance(floor uint64) bool {
-	if floor == 0 || floor-1 <= t.watermark {
-		return false
-	}
-	t.watermark = floor - 1
-	for seq := range t.pending {
-		if seq <= t.watermark {
-			delete(t.pending, seq)
-		}
-	}
-	// The advance may have made pending sequences contiguous.
-	for {
-		if _, ok := t.pending[t.watermark+1]; !ok {
-			return true
-		}
-		t.watermark++
-		delete(t.pending, t.watermark)
-	}
-}
-
 // streams is the per-site retirement-stream state: one instance per
 // site, shared by every shard. Its mutex is a leaf in the lock
 // order (shard r.mu → st.mu): nothing is called while holding it, so
@@ -153,9 +124,9 @@ func (t *recvTracker) advance(floor uint64) bool {
 type streams struct {
 	mu sync.Mutex
 	// send and recv are the per-(peer, stream) retirement-stream states:
-	// sequence counters and acknowledged watermarks on the send side,
-	// cumulative settle watermarks on the receive side (DESIGN.md §3.2).
-	send map[streamKey]*sendStream
+	// the last assigned sequence on the send side, cumulative settle
+	// watermarks on the receive side (DESIGN.md §3.2).
+	send map[streamKey]uint64
 	recv map[streamKey]*recvTracker
 	// dirty are the receive streams whose watermark must be (re-)acked:
 	// site-wide like the watermarks, so a delivery that reaches several
@@ -171,7 +142,7 @@ type streams struct {
 
 func newStreams() *streams {
 	return &streams{
-		send:  make(map[streamKey]*sendStream),
+		send:  make(map[streamKey]uint64),
 		recv:  make(map[streamKey]*recvTracker),
 		dirty: make(map[streamKey]struct{}),
 	}
@@ -197,18 +168,6 @@ func (st *streams) deliveryRefused() {
 	st.fstats.DeliveriesRefused++
 }
 
-// sendStream returns (creating if needed) the send-side stream state.
-// Caller holds st.mu.
-func (st *streams) sendStream(peer ids.SiteID, kind core.Stream) *sendStream {
-	k := streamKey{peer: peer, kind: kind}
-	s := st.send[k]
-	if s == nil {
-		s = &sendStream{}
-		st.send[k] = s
-	}
-	return s
-}
-
 // assignSeqLocked returns seq unchanged when non-zero (a re-send under
 // its original sequence) and otherwise assigns the next sequence of the
 // (peer, kind) stream. Caller holds r.mu.
@@ -217,10 +176,10 @@ func (r *shard) assignSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64) u
 		return seq
 	}
 	st := r.site.st
+	k := streamKey{peer: peer, kind: kind}
 	st.mu.Lock()
-	s := st.sendStream(peer, kind)
-	s.nextSeq++
-	seq = s.nextSeq
+	st.send[k]++
+	seq = st.send[k]
 	st.mu.Unlock()
 	return seq
 }
@@ -275,26 +234,21 @@ func (r *shard) flushAcksLocked() {
 // peer: an epoch change (by THIS shard's view) re-arms this shard's
 // re-send dampers toward the peer (it restarted and may have lost
 // undurable state), and the watermark retires the covered retained
-// state of this shard exactly. The shared ackedTo floor only ever
-// rises; the same ack fans out to every shard and each re-arms and
-// retires its own rows. An ack of the untracked stream covers nothing.
-// Caller holds r.mu.
+// state of this shard exactly. The same ack fans out to every shard and
+// each re-arms and retires its own rows. An ack of the untracked stream
+// covers nothing. Caller holds r.mu.
 func (r *shard) handleFrameAckLocked(peer ids.SiteID, m wire.FrameAck) {
 	if m.Stream == 0 {
 		return
 	}
 	st := r.site.st
-	st.mu.Lock()
 	if r.index == 0 {
 		// fstats is shared and the ack fans out to every shard: count
 		// the network delivery once, not once per shard.
+		st.mu.Lock()
 		st.fstats.AcksReceived++
+		st.mu.Unlock()
 	}
-	s := st.sendStream(peer, m.Stream)
-	if m.Seq > s.ackedTo {
-		s.ackedTo = m.Seq
-	}
-	st.mu.Unlock()
 	if last, ok := r.peerEpoch[peer]; !ok || last != m.Epoch {
 		r.peerEpoch[peer] = m.Epoch
 		if ok {
@@ -318,97 +272,17 @@ func (r *shard) handleFrameAckLocked(peer ids.SiteID, m wire.FrameAck) {
 	}
 }
 
-// handleAdvanceLocked processes a sender's floor advisory: sequences
-// below the floor will never be (re-)sent, so the watermark skips the
-// dead gap, and the refreshed watermark is acknowledged back. Caller
-// holds r.mu.
-func (r *shard) handleAdvanceLocked(peer ids.SiteID, m wire.StreamAdvance) {
-	if m.Stream == 0 || m.Floor == 0 {
-		return
-	}
-	st := r.site.st
-	st.mu.Lock()
-	st.dirtyRecv(streamKey{peer: peer, kind: m.Stream}).advance(m.Floor)
-	st.mu.Unlock()
-}
-
 // resendOutboxLocked re-ships the unacknowledged, damper-due outbox
 // frames during this shard's refresh round. Caller holds r.mu.
 func (r *shard) resendOutboxLocked() {
-	resent, suppressed := r.outbox.Due(r.round, func(k outKey, p netsim.Payload, seq uint64) uint64 {
+	resent, suppressed := r.outbox.Due(r.round, func(k outKey, p netsim.Payload, _ uint64) {
 		r.emitLocked(k.to, p)
-		return seq
 	})
 	if resent+suppressed > 0 {
 		r.site.st.mu.Lock()
 		r.site.st.fstats.OutboxResends += resent
 		r.site.st.fstats.ResendsSuppressed += suppressed
 		r.site.st.mu.Unlock()
-	}
-}
-
-// advanceFloors emits StreamAdvance advisories for every send stream
-// whose acknowledged watermark trails the smallest sequence the site
-// still retains: the gap below the floor is acknowledged-or-abandoned
-// and would otherwise stall the peer's cumulative watermark forever. A
-// stream's floor is the minimum over every shard's retained floor — no
-// single shard knows what its siblings still retain, and a floor past a
-// sibling's retained row would let the peer retire it undelivered.
-// Advisories go out through shard 0. A sequence assigned concurrently
-// with the pass is always above the snapshotted nextSeq, hence above
-// any floor emitted here — the advisory can never cover it.
-func (s *Site) advanceFloors() {
-	st := s.st
-	st.mu.Lock()
-	keys := make([]streamKey, 0, len(st.send))
-	for k := range st.send {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return streamKeyLess(keys[i], keys[j]) })
-	snaps := make([]sendStream, len(keys))
-	for i, k := range keys {
-		snaps[i] = *st.send[k]
-	}
-	st.mu.Unlock()
-	floors := make([]uint64, len(keys))
-	for _, r := range s.shards {
-		r.mu.Lock()
-		for i, k := range keys {
-			// This shard's floor: the head of the stream's ledger rows.
-			f, ok := r.engine.RetainedFloor(k.peer, k.kind)
-			if k.kind == core.StreamMut {
-				f, ok = r.outbox.Floor(k.peer)
-			}
-			if ok && (floors[i] == 0 || f < floors[i]) {
-				floors[i] = f
-			}
-		}
-		r.mu.Unlock()
-	}
-	r0 := s.shards[0]
-	s.lockEvent()
-	r0.mu.Lock()
-	advances := 0
-	for i, k := range keys {
-		sn := snaps[i]
-		if sn.nextSeq == 0 {
-			continue
-		}
-		floor := floors[i]
-		if floor == 0 {
-			floor = sn.nextSeq + 1
-		}
-		if floor-1 <= sn.ackedTo {
-			continue
-		}
-		advances++
-		r0.emitLocked(k.peer, wire.StreamAdvance{Stream: k.kind, Floor: floor})
-	}
-	s.unlock(r0)
-	if advances > 0 {
-		st.mu.Lock()
-		st.fstats.AdvancesSent += advances
-		st.mu.Unlock()
 	}
 }
 

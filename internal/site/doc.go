@@ -30,12 +30,13 @@
 //     RecoverSharded reconstructs the site and resumes the protocol.
 //   - Acknowledged retirement (ack.go, DESIGN.md §3.2): the site
 //     assigns retirement-stream sequences to every re-sendable frame,
-//     tracks cumulative receive watermarks, emits FrameAck and
-//     StreamAdvance, retains unacknowledged mutator frames in the
-//     outbox — a core.Ledger like the engine's two, so ack, floor,
-//     re-arm and re-send are the engine's code, not a copy — and
-//     re-ships damper-due state on Refresh. A row leaves only when the
-//     peer acknowledges it: nothing is evicted, and a peer that never
+//     tracks cumulative receive watermarks, emits FrameAck, retains
+//     unacknowledged mutator frames in the outbox — a core.Ledger like
+//     the engine's two, so ack, re-arm and re-send are the engine's
+//     code, not a copy — and re-ships damper-due state on Refresh. A
+//     row leaves only when the peer acknowledges it: nothing is
+//     evicted or abandoned, so every receive watermark reaches its
+//     sender's last sequence by acks alone, and a peer that never
 //     answers shows in the depth gauges (Depths). FrameStats and the
 //     optional AckObserver expose the retirement activity.
 package site

@@ -245,9 +245,9 @@ func TestPeerRestartRearmsEveryShard(t *testing.T) {
 			run()
 			for i, r := range s.shards {
 				r.mu.Lock()
-				_, ok := r.engine.RetainedFloor(2, core.StreamDestroy)
+				rows := r.engine.Retained().DestroyRows
 				r.mu.Unlock()
-				if !ok {
+				if rows == 0 {
 					t.Fatalf("shard %d retains no destroy row toward the peer", i)
 				}
 			}

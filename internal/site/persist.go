@@ -387,7 +387,7 @@ func restoreStreams(st *streams, img *wire.SiteImage) {
 	st.epoch = img.Epoch + 1
 	st.fstats = restoreFrameStats(img.Frames)
 	for _, s := range img.SendStreams {
-		st.send[streamKey{peer: s.Peer, kind: s.Kind}] = &sendStream{nextSeq: s.NextSeq, ackedTo: s.AckedTo}
+		st.send[streamKey{peer: s.Peer, kind: s.Kind}] = s.NextSeq
 	}
 	for _, s := range img.RecvStreams {
 		t := &recvTracker{watermark: s.Watermark}
@@ -406,7 +406,7 @@ func restoreFrameStats(f wire.FrameStatsImage) FrameStats {
 	return FrameStats{
 		AcksSent: f.AcksSent, AcksReceived: f.AcksReceived,
 		FramesRetired: f.FramesRetired, OutboxResends: f.OutboxResends,
-		ResendsSuppressed: f.ResendsSuppressed, AdvancesSent: f.AdvancesSent,
+		ResendsSuppressed: f.ResendsSuppressed,
 	}
 }
 
@@ -441,7 +441,7 @@ func (st *streams) exportInto(img *wire.SiteImage) {
 	img.Frames = wire.FrameStatsImage{
 		AcksSent: st.fstats.AcksSent, AcksReceived: st.fstats.AcksReceived,
 		FramesRetired: st.fstats.FramesRetired, OutboxResends: st.fstats.OutboxResends,
-		ResendsSuppressed: st.fstats.ResendsSuppressed, AdvancesSent: st.fstats.AdvancesSent,
+		ResendsSuppressed: st.fstats.ResendsSuppressed,
 	}
 	keys := make([]streamKey, 0, len(st.send)+len(st.recv))
 	for k := range st.send {
@@ -449,10 +449,7 @@ func (st *streams) exportInto(img *wire.SiteImage) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return streamKeyLess(keys[i], keys[j]) })
 	for _, k := range keys {
-		s := st.send[k]
-		img.SendStreams = append(img.SendStreams, wire.SendStreamImage{
-			Peer: k.peer, Kind: k.kind, NextSeq: s.nextSeq, AckedTo: s.ackedTo,
-		})
+		img.SendStreams = append(img.SendStreams, wire.SendStreamImage{Peer: k.peer, Kind: k.kind, NextSeq: st.send[k]})
 	}
 	keys = keys[:0]
 	for k := range st.recv {

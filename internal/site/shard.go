@@ -246,8 +246,6 @@ func (r *shard) applyFrameLocked(from ids.SiteID, p netsim.Payload) {
 		r.engine.HandleAssertFrame(m.To, m.From, m.M, m.Seq)
 	case wire.FrameAck:
 		r.handleFrameAckLocked(from, m)
-	case wire.StreamAdvance:
-		r.handleAdvanceLocked(from, m)
 	case wire.Envelope:
 		for _, f := range m.Frames {
 			r.applyFrameLocked(from, f)
@@ -606,10 +604,8 @@ func (r *shard) collectShardLocked() (heap.CollectStats, error) {
 // event journaled by its own OpRefresh marker: advance this shard's
 // damper round, re-propagate every local process's vector and re-ship
 // the unacknowledged retained state — the engine's journal rows and
-// bundles plus the outbox frames, each under its re-send damper. The
-// StreamAdvance floor pass is the site's (Site.Refresh): one shard's
-// retained floor says nothing about a sibling's. Caller holds r.mu
-// (under the event lock) and no other shard's lock.
+// bundles plus the outbox frames, each under its re-send damper. Caller
+// holds r.mu (under the event lock) and no other shard's lock.
 func (r *shard) refreshShardLocked() error {
 	if err := r.journalCycleLocked(wire.OpRefresh); err != nil {
 		return err

@@ -455,81 +455,10 @@ func TestShardCascadeConstantStack(t *testing.T) {
 	}
 }
 
-// TestShardedMergedFloorNeverRegresses pins the ack-watermark-merge
-// rule: a Refresh floor advisory must never exceed the smallest
-// sequence ANY shard still retains toward the peer — one shard
-// retaining nothing must not advance the floor past a sibling's
-// unacknowledged frame (the peer would retire it undelivered).
-func TestShardedMergedFloorNeverRegresses(t *testing.T) {
-	dir := t.TempDir()
-	net := netsim.NewSim(netsim.Faults{Seed: 1})
-	p := openShardPersist(t, dir, 1000)
-	s, err := RecoverSharded(1, net, DefaultOptions(), p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var advances []wire.StreamAdvance
-	net.Register(2, func(from ids.SiteID, pl netsim.Payload) {
-		if adv, ok := pl.(wire.StreamAdvance); ok && adv.Stream == core.StreamMut {
-			advances = append(advances, adv)
-		}
-	})
-	root := s.Root().Obj
-	a := mustRef(t)(s.NewLocal(root)) // shard 0
-	b := mustRef(t)(s.NewLocal(root)) // shard 1
-	if got := s.clusterShardIdx(b.Cluster); got != 1 {
-		t.Fatalf("b placed on shard %d, want 1", got)
-	}
-	_ = mustRef(t)(s.NewRemote(a.Obj, 2)) // mut seq 1 to peer, retained by shard 0
-	_ = mustRef(t)(s.NewRemote(b.Obj, 2)) // mut seq 2 to peer, retained by shard 1
-
-	// Shard 1's frame is retired through another path (simulated);
-	// shard 0 still retains seq 1 unacknowledged.
-	r1 := s.shards[1]
-	r1.mu.Lock()
-	r1.outbox = core.NewLedger[outKey, netsim.Payload]()
-	r1.mu.Unlock()
-
-	if err := s.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	for _, adv := range advances {
-		if adv.Floor > 1 {
-			t.Fatalf("floor advisory %d past sibling's retained seq 1", adv.Floor)
-		}
-	}
-
-	// Once no shard retains anything, the merged floor advances past
-	// the abandoned gap (seq 1 was never acknowledged).
-	r0 := s.shards[0]
-	r0.mu.Lock()
-	r0.outbox = core.NewLedger[outKey, netsim.Payload]()
-	r0.mu.Unlock()
-	advances = nil
-	if err := s.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(advances) == 0 {
-		t.Fatal("no floor advisory once nothing is retained")
-	}
-	for _, adv := range advances {
-		if adv.Floor != 3 {
-			t.Errorf("floor = %d, want 3 (one past the last assigned seq)", adv.Floor)
-		}
-	}
-}
-
 // TestShardedDeliveryAcksOnce: the receive watermarks are site-wide, and
 // so is the set of streams owed an acknowledgement. A delivery that
-// reaches several shards — an envelope split over them, or a floor
-// advisory, which fans out to all — draws one FrameAck per stream, not
-// one per shard it reached.
+// reaches several shards — an envelope split over them — draws one
+// FrameAck per stream, not one per shard it reached.
 func TestShardedDeliveryAcksOnce(t *testing.T) {
 	// acksFrom delivers p from site 2 to a fresh site of the given width
 	// and returns the FrameAcks site 2 gets back, by stream.
@@ -557,7 +486,7 @@ func TestShardedDeliveryAcksOnce(t *testing.T) {
 	}
 
 	// One envelope: a Create for each of two shards on the mutator
-	// stream, and a floor advisory on the assert stream.
+	// stream, and an edge-assert to the first on the assert stream.
 	got := acksFrom(2, func(s *Site) netsim.Payload {
 		var frames []netsim.Payload
 		for seq, want := uint64(1), 0; want < 2; seq++ {
@@ -571,19 +500,12 @@ func TestShardedDeliveryAcksOnce(t *testing.T) {
 			})
 			want++
 		}
-		return wire.Envelope{Frames: append(frames, wire.StreamAdvance{Stream: core.StreamAssert, Floor: 4})}
+		assert := wire.Assert{From: ids.ClusterID{Site: 2, Seq: 1}, To: frames[0].(wire.Create).Cluster, M: core.AssertMsg{Stamp: 1}, Seq: 1}
+		return wire.Envelope{Frames: append(frames, assert)}
 	})
-	want := map[core.Stream][]uint64{core.StreamMut: {2}, core.StreamAssert: {3}}
+	want := map[core.Stream][]uint64{core.StreamMut: {2}, core.StreamAssert: {1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("envelope over 2 shards drew acks %v, want one per stream %v", got, want)
-	}
-
-	got = acksFrom(4, func(*Site) netsim.Payload {
-		return wire.StreamAdvance{Stream: core.StreamDestroy, Floor: 5}
-	})
-	want = map[core.Stream][]uint64{core.StreamDestroy: {4}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("floor advisory to 4 shards drew acks %v, want %v", got, want)
 	}
 }
 
@@ -626,15 +548,13 @@ func TestShardedAckCountedOncePerDelivery(t *testing.T) {
 }
 
 // TestUntrackedStreamOpensNothing: stream zero is core's untracked
-// stream, which the codec lets through. A FrameAck or StreamAdvance
-// naming it covers nothing, so it must open no send or receive stream —
-// state the site would otherwise ack back and write into every later
-// snapshot.
+// stream, which the codec lets through. A FrameAck naming it covers
+// nothing, so it must open no send or receive stream — state the site
+// would otherwise ack back and write into every later snapshot.
 func TestUntrackedStreamOpensNothing(t *testing.T) {
 	net := netsim.NewSim(netsim.Faults{Seed: 1})
 	s := NewSharded(1, net, DefaultOptions(), 2)
 	s.handleNet(2, wire.FrameAck{Seq: 5, Epoch: 1})
-	s.handleNet(2, wire.StreamAdvance{Floor: 3})
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -822,30 +742,6 @@ func TestRecoverWithLiveTraffic(t *testing.T) {
 	}
 	if got := recvWatermark(s3, 2, core.StreamMut); got != K {
 		t.Fatalf("second recovery: mutator watermark %d, want %d", got, K)
-	}
-}
-
-// TestStreamAdvanceJournaledOnce: a floor advisory touches only the
-// site's shared stream table, so a durable site dispatches it to one
-// shard — one WAL append, not one per shard.
-func TestStreamAdvanceJournaledOnce(t *testing.T) {
-	net := netsim.NewSim(netsim.Faults{Seed: 1})
-	p, err := OpenPersist(t.TempDir(), nosyncPersist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	s, err := RecoverSharded(1, net, DefaultOptions(), p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := p.Store().Stats().Appends
-	s.handleNet(2, wire.StreamAdvance{Stream: core.StreamMut, Floor: 5})
-	if got := p.Store().Stats().Appends - before; got != 1 {
-		t.Fatalf("one StreamAdvance at width %d made %d WAL appends, want 1", s.ShardCount(), got)
-	}
-	if got := recvWatermark(s, 2, core.StreamMut); got != 4 {
-		t.Fatalf("receive watermark %d after a floor-5 advisory, want 4", got)
 	}
 }
 

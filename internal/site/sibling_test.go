@@ -197,8 +197,7 @@ func (h *siblingRun) collect() {
 	}
 }
 
-// refresh is Site.Refresh; the floor advisories (acknowledgement
-// traffic only) leave through the site's own unlock.
+// refresh is Site.Refresh.
 func (h *siblingRun) refresh() {
 	h.t.Helper()
 	for _, r := range h.s.shards {
@@ -209,7 +208,6 @@ func (h *siblingRun) refresh() {
 			h.t.Fatal(err)
 		}
 	}
-	h.s.advanceFloors()
 }
 
 func (h *siblingRun) step(st siblingStep) {

@@ -249,8 +249,7 @@ func (s *Site) placeCluster(newClu, holderClu ids.ClusterID, executing int, pin 
 // cluster), except acknowledgements, which fan out to every shard —
 // the shared stream watermark is cumulative across shards and
 // retirement is idempotent, so each shard retires its own covered
-// rows. A floor advisory touches only the shared receive watermark,
-// so it goes to shard 0 alone: one journal record, not one per shard.
+// rows.
 func (s *Site) frameShards(p netsim.Payload) (lo, hi int) {
 	i := 0
 	switch m := p.(type) {
@@ -466,11 +465,10 @@ func (s *Site) Collect() (heap.CollectStats, error) {
 
 // Refresh is the recovery round that re-detects residual garbage after
 // message loss (§5, DESIGN.md §3.2): every shard re-propagates its
-// processes' vectors and re-ships its unacknowledged retained state,
-// then peers are advised of any stream floors so cumulative watermarks
-// cannot stall on abandoned gaps. Like Collect, each shard journals its
-// own OpRefresh marker right before its part, and a part whose marker
-// cannot be journaled runs on no shard, nor do the parts after it.
+// processes' vectors and re-ships its unacknowledged retained state.
+// Like Collect, each shard journals its own OpRefresh marker right
+// before its part, and a part whose marker cannot be journaled runs on
+// no shard, nor do the parts after it.
 func (s *Site) Refresh() error {
 	for _, r := range s.shards {
 		s.lockEvent()
@@ -481,7 +479,6 @@ func (s *Site) Refresh() error {
 			return err
 		}
 	}
-	s.advanceFloors()
 	return nil
 }
 

@@ -20,8 +20,8 @@ import (
 // replaced — an unbounded set of (introducer, forwarding-seq) pairs — is
 // the specification, and lives on here as the oracle.
 
-// trackedDelivery is one step of a trackedProgram: a frame (or a floor
-// advisory) from one of the two sender sites.
+// trackedDelivery is one step of a trackedProgram: a frame from one of
+// the two sender sites.
 type trackedDelivery struct {
 	from ids.SiteID
 	p    netsim.Payload
@@ -29,9 +29,8 @@ type trackedDelivery struct {
 
 // trackedProgram is one seeded schedule of tracked mutator frames toward
 // site 1: what the two senders ever drew (frames, by sender and stream
-// sequence) and the order site 1 hears it in — out of order, with
-// duplicates, and with one StreamAdvance that abandons a sender's oldest
-// undelivered frames.
+// sequence) and the order site 1 hears it in — out of order and with
+// duplicates.
 type trackedProgram struct {
 	frames map[ids.SiteID][]netsim.Payload // index = sequence-1
 	order  []trackedDelivery
@@ -92,27 +91,20 @@ func genTrackedProgram(seed int64, root heap.Ref) trackedProgram {
 		}
 	}
 	rng.Shuffle(len(prog.order), func(i, j int) { prog.order[i], prog.order[j] = prog.order[j], prog.order[i] })
-	// One floor advisory somewhere: the sender abandons what it says.
-	from := trackedSenders[rng.Intn(len(trackedSenders))]
-	adv := trackedDelivery{from, wire.StreamAdvance{Stream: core.StreamMut, Floor: uint64(2 + rng.Intn(len(prog.frames[from])))}}
-	at := rng.Intn(len(prog.order) + 1)
-	prog.order = append(prog.order[:at], append([]trackedDelivery{adv}, prog.order[at:]...)...)
 	return prog
 }
 
 // trackedOracle is the specification: an unbounded set of the (sender,
 // sequence) pairs delivered so far — for a transfer the same thing as
-// its (introducer, forwarding-seq) pair, the program draws them equal —
-// plus each sender's advertised floor. A delivery applies iff its pair
-// is new and not below the floor.
+// its (introducer, forwarding-seq) pair, the program draws them equal.
+// A delivery applies iff its pair is new.
 type trackedOracle struct {
 	seen    map[ids.SiteID]map[uint64]bool
-	floor   map[ids.SiteID]uint64
 	applied map[ids.SiteID]map[uint64]bool
 }
 
 func newTrackedOracle() *trackedOracle {
-	o := &trackedOracle{seen: map[ids.SiteID]map[uint64]bool{}, floor: map[ids.SiteID]uint64{}, applied: map[ids.SiteID]map[uint64]bool{}}
+	o := &trackedOracle{seen: map[ids.SiteID]map[uint64]bool{}, applied: map[ids.SiteID]map[uint64]bool{}}
 	for _, from := range trackedSenders {
 		o.seen[from], o.applied[from] = map[uint64]bool{}, map[uint64]bool{}
 	}
@@ -122,17 +114,12 @@ func newTrackedOracle() *trackedOracle {
 func (o *trackedOracle) deliver(d trackedDelivery) {
 	var seq uint64
 	switch m := d.p.(type) {
-	case wire.StreamAdvance:
-		if m.Floor > o.floor[d.from] {
-			o.floor[d.from] = m.Floor
-		}
-		return
 	case wire.Create:
 		seq = m.Seq
 	case wire.RefTransfer:
 		seq = m.Seq
 	}
-	if o.seen[d.from][seq] || seq < o.floor[d.from] {
+	if o.seen[d.from][seq] {
 		return
 	}
 	o.seen[d.from][seq] = true
@@ -140,10 +127,9 @@ func (o *trackedOracle) deliver(d trackedDelivery) {
 }
 
 // tracker is the receive tracker the oracle implies for one sender:
-// everything seen or below the floor is settled.
+// everything seen is settled.
 func (o *trackedOracle) tracker(from ids.SiteID) (watermark uint64, pending []uint64) {
-	settled := func(seq uint64) bool { return o.seen[from][seq] || seq < o.floor[from] }
-	for settled(watermark + 1) {
+	for o.seen[from][watermark+1] {
 		watermark++
 	}
 	for seq := range o.seen[from] {
@@ -234,7 +220,7 @@ func checkTrackedAgainstOracle(t *testing.T, s *Site, prog trackedProgram, o *tr
 
 // TestTrackedFrameAppliesOnce: seeded programs of tracked Create and
 // RefTransfer deliveries — duplicated, out of order, transfers ahead of
-// their holder's creation, a floor advisory, some inside envelopes — run
+// their holder's creation, some inside envelopes — run
 // on a durable site that checkpoints (or not), crashes and recovers in
 // the middle and hears re-sends afterwards, and on a site that never
 // crashed. Each (introducer, seq) pair reaches the heap exactly once,
@@ -283,13 +269,9 @@ func trackedPrograms(t *testing.T) {
 			live.handleNet(ds[0].from, p)
 			crashed.handleNet(ds[0].from, p)
 		}
-		// A floor advisory travels bare: a striped site hands an envelope's
-		// advisory to every shard, ahead of the frames of later shards, and
-		// no sender puts a frame below its own floor in front of it.
-		bare := func(d trackedDelivery) bool { _, adv := d.p.(wire.StreamAdvance); return adv }
 		play := func(order []trackedDelivery) {
 			for i := 0; i < len(order); i++ {
-				if i+1 < len(order) && order[i].from == order[i+1].from && !bare(order[i]) && !bare(order[i+1]) && rng.Intn(4) == 0 {
+				if i+1 < len(order) && order[i].from == order[i+1].from && rng.Intn(4) == 0 {
 					deliver(order[i], order[i+1])
 					i++
 					continue
@@ -330,7 +312,7 @@ func trackedPrograms(t *testing.T) {
 		// sent, then the rest of the program arrives.
 		var resent []trackedDelivery
 		for _, d := range prog.order[:cut] {
-			if !bare(d) && rng.Intn(3) == 0 {
+			if rng.Intn(3) == 0 {
 				resent = append(resent, d)
 			}
 		}

@@ -43,8 +43,11 @@ import (
 // misparsed. Version 2 dropped Destroy's finalisation-stream flag, so a
 // v1 journal, whose frames may name the retired stream, is refused.
 // Version 3 dropped the draws an op record carried (apply draws), so a
-// v2 journal, whose ops would decode misaligned, is refused.
-const codecVersion = 3
+// v2 journal, whose ops would decode misaligned, is refused. Version 4
+// dropped the floor-advisory payload, which renumbered the tags after
+// it, so a v3 journal, whose propagations and envelopes would decode
+// under the wrong tag, is refused.
+const codecVersion = 4
 
 // Payload tags.
 const (
@@ -53,7 +56,6 @@ const (
 	tagDestroy
 	tagAssert
 	tagFrameAck
-	tagStreamAdvance
 	tagPropagate
 	tagEnvelope
 )
@@ -205,10 +207,6 @@ func (e *encoder) payload(p netsim.Payload, inner bool) error {
 		e.u8(byte(p.Stream))
 		e.uvarint(p.Seq)
 		e.uvarint(p.Epoch)
-	case StreamAdvance:
-		e.u8(tagStreamAdvance)
-		e.u8(byte(p.Stream))
-		e.uvarint(p.Floor)
 	case Propagate:
 		e.u8(tagPropagate)
 		e.cluster(p.From)
@@ -489,8 +487,6 @@ func (d *decoder) payload(inner bool) netsim.Payload {
 			Seq: d.uvarint()}
 	case tagFrameAck:
 		return FrameAck{Stream: d.stream(), Seq: d.uvarint(), Epoch: d.uvarint()}
-	case tagStreamAdvance:
-		return StreamAdvance{Stream: d.stream(), Floor: d.uvarint()}
 	case tagPropagate:
 		return Propagate{From: d.cluster(), To: d.cluster(), M: d.propagation()}
 	case tagEnvelope:

@@ -97,7 +97,7 @@ func (g gen) stream() core.Stream {
 }
 
 // payloadKinds is the number of payload kinds payloadOf draws from.
-const payloadKinds = 8
+const payloadKinds = 7
 
 // payloadOf draws a payload of the given kind (0..payloadKinds-1; the
 // last is Envelope, whose frames are of the other kinds).
@@ -119,8 +119,6 @@ func (g gen) payloadOf(kind int) netsim.Payload {
 	case 4:
 		return FrameAck{Stream: g.stream(), Seq: g.u64(), Epoch: g.u64()}
 	case 5:
-		return StreamAdvance{Stream: g.stream(), Floor: g.u64()}
-	case 6:
 		m := core.Propagation{Clock: g.u64(), Auth: g.vector(), HintCols: g.clusters()}
 		// n < 0 leaves a row map nil; 0 makes it empty.
 		if n := g.r.Intn(5) - 1; n >= 0 {
@@ -313,8 +311,9 @@ func TestCodecRefusesMalformed(t *testing.T) {
 		want string
 	}{
 		"version":  {mutate(func(b []byte) []byte { b[0] = codecVersion + 1; return b }), "codec version"},
-		"v1":       {mutate(func(b []byte) []byte { b[0] = 1; return b }), "codec version 1, want 3"},
-		"v2":       {mutate(func(b []byte) []byte { b[0] = 2; return b }), "codec version 2, want 3"},
+		"v1":       {mutate(func(b []byte) []byte { b[0] = 1; return b }), "codec version 1, want 4"},
+		"v2":       {mutate(func(b []byte) []byte { b[0] = 2; return b }), "codec version 2, want 4"},
+		"v3":       {mutate(func(b []byte) []byte { b[0] = 3; return b }), "codec version 3, want 4"},
 		"tag":      {mutate(func(b []byte) []byte { b[3] = 99; return b }), "unknown payload tag 99"},
 		"bool":     {mutate(func(b []byte) []byte { b[12] = 2; return b }), "bool byte 2"},
 		"count":    {mutate(func(b []byte) []byte { b[8] = 100; return b }), "exceeds"},
@@ -324,8 +323,6 @@ func TestCodecRefusesMalformed(t *testing.T) {
 		"empty":    {nil, "truncated"},
 		"ack4":     {[]byte{codecVersion, 1, 2, tagFrameAck, 4, 1, 1}, "unknown stream 4"},
 		"ack255":   {[]byte{codecVersion, 1, 2, tagFrameAck, 255, 1, 1}, "unknown stream 255"},
-		"adv4":     {[]byte{codecVersion, 1, 2, tagStreamAdvance, 4, 1}, "unknown stream 4"},
-		"adv255":   {[]byte{codecVersion, 1, 2, tagStreamAdvance, 255, 1}, "unknown stream 255"},
 	} {
 		_, err := DecodeFrame(tc.data)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -340,7 +337,7 @@ func TestCodecRefusesMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec[0] = 1
-	if _, err := DecodeRecord(rec); err == nil || !strings.Contains(err.Error(), "codec version 1, want 3") {
+	if _, err := DecodeRecord(rec); err == nil || !strings.Contains(err.Error(), "codec version 1, want 4") {
 		t.Errorf("v1 record: err = %v", err)
 	}
 }
@@ -350,10 +347,8 @@ func TestCodecRefusesMalformed(t *testing.T) {
 func seedFrames() []*Frame {
 	g := gen{rand.New(rand.NewSource(2))}
 	var fs []*Frame
-	for kind := range payloadKinds {
-		for range 3 {
-			fs = append(fs, &Frame{From: g.site(), To: g.site(), Payload: g.payloadOf(kind)})
-		}
+	for i := range 24 {
+		fs = append(fs, &Frame{From: g.site(), To: g.site(), Payload: g.payloadOf(i % payloadKinds)})
 	}
 	return fs
 }

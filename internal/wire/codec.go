@@ -26,7 +26,7 @@ import (
 func init() {
 	for _, p := range []netsim.Payload{
 		Create{}, RefTransfer{}, Destroy{}, Assert{},
-		FrameAck{}, StreamAdvance{}, Propagate{}, Envelope{},
+		FrameAck{}, Propagate{}, Envelope{},
 	} {
 		gob.Register(p)
 	}

@@ -21,10 +21,10 @@
 // retirement stream (DESIGN.md §3.2).
 // Receivers acknowledge cumulatively with FrameAck once a frame reaches
 // a final, replayable disposition, letting the sender retire the
-// retained state exactly; StreamAdvance advisories let receivers skip
-// gaps that will never fill (rows retired through another path before
-// their acknowledgement). Both are GGD-plane traffic:
-// idempotent and loss-tolerant.
+// retained state exactly. A sender retires a row on nothing else, so
+// no sequence is abandoned and a watermark never waits on a gap that
+// will not fill. FrameAck is GGD-plane traffic: idempotent and
+// loss-tolerant.
 //
 // # Durable images
 //

@@ -1,0 +1,6 @@
+//go:build !race
+
+package wire
+
+// raceEnabled reports a -race build, whose allocation counts are inflated.
+const raceEnabled = false

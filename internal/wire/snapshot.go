@@ -48,11 +48,10 @@ type SiteImage struct {
 	// Epoch counts this site's recoveries; FrameAcks carry it so peers
 	// detect the restart and re-arm their re-send dampers.
 	Epoch uint64
-	// SendStreams are the per-(peer, stream) sequence counters and
-	// acknowledged watermarks of the sender side. Losing a counter to a
-	// crash would let a recovered site re-use sequences the peer already
-	// settled, silently retiring un-delivered state — so they are
-	// durable.
+	// SendStreams are the per-(peer, stream) sequence counters of the
+	// sender side. Losing a counter to a crash would let a recovered
+	// site re-use sequences the peer already settled, silently retiring
+	// un-delivered state — so they are durable.
 	SendStreams []SendStreamImage
 	// RecvStreams are the receiver-side cumulative watermarks (plus any
 	// out-of-order sequences above them). Losing one would make this
@@ -93,8 +92,6 @@ type SendStreamImage struct {
 	Kind core.Stream
 	// NextSeq is the last assigned sequence.
 	NextSeq uint64
-	// AckedTo is the highest cumulative watermark received from Peer.
-	AckedTo uint64
 }
 
 // RecvStreamImage is one receiver-side retirement stream.
@@ -118,7 +115,6 @@ type PeerEpochImage struct {
 type FrameStatsImage struct {
 	AcksSent, AcksReceived, FramesRetired int
 	OutboxResends, ResendsSuppressed      int
-	AdvancesSent                          int
 }
 
 // FrameImage is one outbound frame: destination site, the frame's

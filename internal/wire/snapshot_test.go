@@ -278,8 +278,8 @@ func TestSnapshotRoundTripStreams(t *testing.T) {
 	img := sampleImage()
 	img.Epoch = 4
 	img.SendStreams = []SendStreamImage{
-		{Peer: 3, Kind: core.StreamMut, NextSeq: 17, AckedTo: 15},
-		{Peer: 3, Kind: core.StreamAssert, NextSeq: 5, AckedTo: 5},
+		{Peer: 3, Kind: core.StreamMut, NextSeq: 17},
+		{Peer: 3, Kind: core.StreamAssert, NextSeq: 5},
 	}
 	img.RecvStreams = []RecvStreamImage{
 		{Peer: 4, Kind: core.StreamDestroy, Watermark: 9, Pending: []uint64{11, 12}},

@@ -17,8 +17,11 @@ const (
 	KindPropagate = "ggd.prop"
 	KindAssert    = "ggd.assert"
 	KindFrameAck  = "ggd.frameack"
-	KindAdvance   = "ggd.advance"
-	KindEnvelope  = "mut.envelope"
+	// Deprecated: no payload has this kind (a retained row leaves only
+	// on an ack, so no floor is ever advised); kept only while the
+	// frozen benchmark names it.
+	KindAdvance  = "ggd.advance"
+	KindEnvelope = "mut.envelope"
 )
 
 // Create asks the destination site to materialise a new object referenced
@@ -158,28 +161,6 @@ func (FrameAck) Kind() string { return KindFrameAck }
 // ApproxSize implements netsim.Payload.
 func (FrameAck) ApproxSize() int { return 25 }
 
-// StreamAdvance is the sender-side floor advisory of the retirement
-// protocol: every frame of the named stream with sequence < Floor is
-// either already acknowledged or permanently abandoned (its retained
-// row was retired through another path before the peer acknowledged
-// it), so the receiver may advance its cumulative watermark to
-// Floor-1 and stop waiting for gaps that will never fill. Idempotent
-// and loss-tolerant; sent during Refresh only while the sender observes
-// its acknowledged watermark trailing its floor.
-type StreamAdvance struct {
-	// Stream names the retirement stream.
-	Stream core.Stream
-	// Floor is the smallest sequence the sender still retains (or one
-	// past its last assigned sequence when it retains nothing).
-	Floor uint64
-}
-
-// Kind implements netsim.Payload.
-func (StreamAdvance) Kind() string { return KindAdvance }
-
-// ApproxSize implements netsim.Payload.
-func (StreamAdvance) ApproxSize() int { return 17 }
-
 // Envelope is the wire-level coalescing frame of the batched mutator
 // API (DESIGN.md §3.3): every payload a batch commit (or the dispatch
 // of a received envelope) produced for one destination site, carried in
@@ -266,7 +247,6 @@ var (
 	_ netsim.Payload     = Propagate{}
 	_ netsim.Payload     = Assert{}
 	_ netsim.Payload     = FrameAck{}
-	_ netsim.Payload     = StreamAdvance{}
 	_ netsim.Payload     = Envelope{}
 	_ netsim.Application = Create{}
 	_ netsim.Application = RefTransfer{}

@@ -20,7 +20,6 @@ func TestKinds(t *testing.T) {
 		{Propagate{}, KindPropagate},
 		{Assert{}, KindAssert},
 		{FrameAck{}, KindFrameAck},
-		{StreamAdvance{}, KindAdvance},
 	}
 	for _, tt := range tests {
 		if got := tt.p.Kind(); got != tt.kind {
@@ -44,7 +43,7 @@ func TestMutatorTrafficIsApplication(t *testing.T) {
 	// GGD control traffic is fault-eligible: that is where the paper's
 	// robustness claims live. FrameAck included — a lost ack only costs a
 	// redundant re-send.
-	for _, p := range []netsim.Payload{Destroy{}, Propagate{}, Assert{}, FrameAck{}, StreamAdvance{}} {
+	for _, p := range []netsim.Payload{Destroy{}, Propagate{}, Assert{}, FrameAck{}} {
 		if !netsim.FaultEligible(p) {
 			t.Errorf("%T must be fault-eligible", p)
 		}

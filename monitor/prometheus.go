@@ -59,8 +59,6 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 		snaps, func(s *Snapshot) int { return s.Frames.AcksReceived })
 	p.counter("causalgc_frames_retired_total", "Outbox frames retired by cumulative acknowledgements.",
 		snaps, func(s *Snapshot) int { return s.Frames.FramesRetired })
-	p.counter("causalgc_advances_sent_total", "StreamAdvance floor advisories sent.",
-		snaps, func(s *Snapshot) int { return s.Frames.AdvancesSent })
 	p.counter("causalgc_deliveries_refused_total", "Deliveries dropped unapplied because their write-ahead append failed.",
 		snaps, func(s *Snapshot) int { return s.Frames.DeliveriesRefused })
 

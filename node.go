@@ -244,7 +244,9 @@ func newNode(id SiteID, c config) (*Node, error) {
 // With WithPersistence the node is recovered from (or started in) the
 // directory exactly as by Recover, and NewNode panics on a persistence
 // I/O error; call Recover directly to handle the error. NewNode also
-// panics on an invalid option value (ErrBadOption).
+// panics on an invalid option value (ErrBadOption). Either panic value
+// is an error wrapping the cause, so a recover() can match it with
+// errors.Is (persist.ErrCorrupt, ErrBadOption).
 func NewNode(id SiteID, opts ...Option) *Node {
 	c := newConfig(opts)
 	if err := c.validate(); err != nil {
@@ -254,7 +256,7 @@ func NewNode(id SiteID, opts ...Option) *Node {
 	}
 	n, err := newNode(id, c)
 	if err != nil {
-		panic(fmt.Sprintf("causalgc: NewNode(%v): %v (use Recover to handle persistence errors)", id, err))
+		panic(fmt.Errorf("causalgc: NewNode(%v): %w (use Recover to handle persistence errors)", id, err))
 	}
 	return n
 }

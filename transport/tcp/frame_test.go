@@ -47,6 +47,7 @@ func TestReadFrameRoundTrip(t *testing.T) {
 	}
 	for _, p := range []netsim.Payload{
 		wire.FrameAck{Stream: 1, Seq: 7, Epoch: 2},
+		wire.Assert{Seq: 9},
 		wire.Envelope{Frames: []netsim.Payload{wire.Create{Obj: ids.ObjectID{Site: 2, Seq: 9}, Seq: 3}, wire.Assert{Seq: 4}}},
 		big,
 	} {
@@ -73,7 +74,7 @@ func TestReadFrameRoundTrip(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	for _, p := range []netsim.Payload{
 		wire.FrameAck{Stream: 1, Seq: 7, Epoch: 2},
-		wire.StreamAdvance{Stream: 3, Floor: 9},
+		wire.Assert{Seq: 9},
 		wire.Envelope{Frames: []netsim.Payload{wire.Create{Seq: 1}, wire.RefTransfer{IntroSeq: 2}}},
 	} {
 		buf, err := encodeFrame(wire.Frame{From: 1, To: 2, Payload: p})

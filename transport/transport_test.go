@@ -26,7 +26,6 @@ var wirePayloads = []struct {
 	{"propagate", wire.Propagate{}, true},
 	{"assert", wire.Assert{}, true},
 	{"frameack", wire.FrameAck{}, true},
-	{"advance", wire.StreamAdvance{}, true},
 	{"envelope-mut", wire.Envelope{Frames: []transport.Payload{wire.Create{}}}, false},
 	{"envelope-ctl", wire.Envelope{Frames: []transport.Payload{wire.FrameAck{}}}, true},
 }
