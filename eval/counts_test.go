@@ -24,6 +24,8 @@ var pinnedCounts = map[string]map[string]float64{
 		"causal_paper_k4": 22, "causal_paper_k8": 47, "causal_paper_k16": 128, "causal_paper_k32": 230,
 		"causal_sound_k4": 42, "causal_sound_k8": 224, "causal_sound_k16": 1019, "causal_sound_k32": 4423,
 		"schelvis_k4": 34, "schelvis_k8": 101, "schelvis_k16": 516, "schelvis_k32": 2030,
+		"causal_paper_bytes_k4": 1572, "causal_paper_bytes_k8": 3164, "causal_paper_bytes_k16": 11212, "causal_paper_bytes_k32": 18364,
+		"causal_sound_bytes_k4": 4660, "causal_sound_bytes_k8": 39476, "causal_sound_bytes_k16": 215692, "causal_sound_bytes_k32": 1017436,
 	},
 	"E7": {
 		"tracing_l50_g5": 62, "tracing_l100_g5": 112, "tracing_l200_g5": 212, "tracing_l50_g50": 62,

@@ -61,48 +61,62 @@ func b2f(b bool) float64 {
 
 // e6 regenerates the §4 comparison: messages to collect a detached
 // doubly-linked list, for the causal algorithm under the paper's literal
-// guard and the sound guard, versus Schelvis's eager timestamp packets.
+// guard and the sound guard, versus Schelvis's eager timestamp packets,
+// and the bytes both causal guards send doing it.
 func e6(w io.Writer) Result {
 	r := Result{Experiment: "E6", Metrics: map[string]float64{}}
 	fmt.Fprintln(w, "== E6: §4 — messages to collect a detached doubly-linked list ==")
-	fmt.Fprintf(w, "%6s %20s %14s %10s\n", "k", "causal(paper-guard)", "causal(sound)", "schelvis")
+	fmt.Fprintf(w, "%6s %20s %14s %10s %14s %14s\n", "k", "causal(paper-guard)", "causal(sound)", "schelvis", "paper bytes", "sound bytes")
 	ok := true
 	for _, k := range []int{4, 8, 16, 32} {
-		a, ok1 := DLLCausalCost(k, true)
-		b, ok2 := DLLCausalCost(k, false)
+		a, aBytes, ok1 := DLLCausalCost(k, true)
+		b, bBytes, ok2 := DLLCausalCost(k, false)
 		c := DLLSchelvisCost(k)
 		ok = ok && ok1 && ok2
-		fmt.Fprintf(w, "%6d %20d %14d %10d\n", k, a, b, c)
+		fmt.Fprintf(w, "%6d %20d %14d %10d %14d %14d\n", k, a, b, c, aBytes, bBytes)
 		r.Metrics[fmt.Sprintf("causal_paper_k%d", k)] = float64(a)
 		r.Metrics[fmt.Sprintf("causal_sound_k%d", k)] = float64(b)
 		r.Metrics[fmt.Sprintf("schelvis_k%d", k)] = float64(c)
+		r.Metrics[fmt.Sprintf("causal_paper_bytes_k%d", k)] = float64(aBytes)
+		r.Metrics[fmt.Sprintf("causal_sound_bytes_k%d", k)] = float64(bBytes)
 	}
-	fmt.Fprintln(w, "shape: paper-guard O(k); sound O(k²), above schelvis at every k; schelvis O(k²)")
+	fmt.Fprintln(w, "shape: paper-guard O(k); sound O(k²), above schelvis at every k; schelvis O(k²); sound bytes O(k²): a row crosses each edge once")
 	fmt.Fprintln(w)
 	r.Pass = ok
 	return r
 }
 
-// DLLCausalCost returns the number of messages the causal algorithm
-// sends to collect a detached k-element doubly-linked list, and whether
-// collection completed. With paperGuard the paper's literal removal test
-// (no row confirmation) is used.
-func DLLCausalCost(k int, paperGuard bool) (int, bool) {
+// DLLCausalCost returns the number of messages and the approximate bytes
+// the causal algorithm sends to collect a detached k-element
+// doubly-linked list, and whether collection completed. With paperGuard
+// the paper's literal removal test (no row confirmation) is used.
+func DLLCausalCost(k int, paperGuard bool) (msgs, bytes int, ok bool) {
 	opts := site.DefaultOptions()
 	opts.Engine.UnsafeSkipConfirmation = paperGuard
 	wd := sim.NewWorld(k+1, netsim.Faults{Seed: 1}, opts)
 	dll, err := mutator.BuildDLL(wd, k)
 	if err != nil {
-		return 0, false
+		return 0, 0, false
 	}
-	base := wd.Net().Stats().TotalSent()
+	baseMsgs, baseBytes := traffic(wd.Net().Stats())
 	if err := dll.Detach(); err != nil {
-		return 0, false
+		return 0, 0, false
 	}
 	if err := wd.Settle(); err != nil {
-		return 0, false
+		return 0, 0, false
 	}
-	return wd.Net().Stats().TotalSent() - base, wd.Check().Clean()
+	msgs, bytes = traffic(wd.Net().Stats())
+	return msgs - baseMsgs, bytes - baseBytes, wd.Check().Clean()
+}
+
+// traffic sums the sends and their approximate bytes over every payload
+// kind.
+func traffic(st *netsim.Stats) (msgs, bytes int) {
+	for _, k := range st.Snapshot() {
+		msgs += k.Sent
+		bytes += k.Bytes
+	}
+	return msgs, bytes
 }
 
 // DLLSchelvisCost returns the number of messages Schelvis's algorithm

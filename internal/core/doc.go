@@ -24,13 +24,15 @@
 //
 // A delivery changes a log in one place, merge, which never sends.
 // Sending has five homes: evaluate (the verdict — remove, or propagate
-// when the log changed), propagate (one payload, shared by every
-// out-edge and the local inbox), destroyEdge (one Ē, for a dropped edge
-// and a removal's finalisation alike), sendJournaledAssert, and
+// when the log changed), propagate (one payload, assembled once for
+// every out-edge and the local inbox), destroyEdge (one Ē, for a dropped
+// edge and a removal's finalisation alike), sendJournaledAssert, and
 // Refresh's ledger walks; a refresh round runs the same evaluate as a
 // delivery. A payload is immutable once built, merged by value and
 // never retained, so one value serves every recipient and the destroy
-// ledger (DESIGN.md §3).
+// ledger (DESIGN.md §3). A row crosses an edge once: an edge that has
+// carried a propagation gets only the rows of a later version, and a
+// refresh round ships in full, which heals any that a lost one carried.
 //
 // # A process exists from its first mention
 //

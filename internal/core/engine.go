@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"causalgc/internal/ids"
 	"causalgc/internal/vclock"
@@ -189,8 +190,9 @@ type process struct {
 	clock uint64
 	log   *vclock.Log
 	// acq is the paper's Acquaintances_i: the targets of the process's
-	// live out-edges in the global root graph, i.e. its remote successors.
-	acq ids.ClusterSet
+	// live out-edges in the global root graph, i.e. its remote successors,
+	// each with the log version its last propagation carried.
+	acq outEdges
 	// active marks participation in a GGD episode: set when a destroy or
 	// a propagation arrives (§3.6: "GGD is only triggered when the edge
 	// ... is removed"). Edge-asserts received by inactive processes are
@@ -203,6 +205,44 @@ type process struct {
 	// never evaluated, so it can be neither removed nor made to propagate
 	// while the site has no heap shell for it (DESIGN.md §3.2).
 	born bool
+}
+
+// outEdges maps each out-edge's target to the log version the edge's
+// last propagation carried: 0 when it has carried none since it formed,
+// since a refresh round began for its process, or since its target's
+// site restarted — the next propagation on it ships the full payload.
+type outEdges map[ids.ClusterID]uint64
+
+// sorted returns the targets in order.
+func (o outEdges) sorted() []ids.ClusterID {
+	out := make([]ids.ClusterID, 0, len(o))
+	for k := range o {
+		out = append(out, k)
+	}
+	ids.SortClusters(out)
+	return out
+}
+
+// has reports whether o holds an edge to k.
+func (o outEdges) has(k ids.ClusterID) bool {
+	_, ok := o[k]
+	return ok
+}
+
+// floor is the lowest mark: every row above it is owed to some edge.
+func (o outEdges) floor() uint64 {
+	low := uint64(math.MaxUint64)
+	for _, mark := range o {
+		low = min(low, mark)
+	}
+	return low
+}
+
+// unmark makes every edge's next propagation ship the full payload.
+func (o outEdges) unmark() {
+	for k := range o {
+		o[k] = 0
+	}
 }
 
 // delivery is one queued control-message delivery. seq and stream carry
@@ -300,7 +340,7 @@ func (e *Engine) local(cl ids.ClusterID) *process {
 	p := &process{
 		id:  cl,
 		log: vclock.NewLog(cl),
-		acq: ids.NewClusterSet(),
+		acq: make(outEdges),
 	}
 	e.procs[cl] = p
 	e.unborn++
@@ -411,7 +451,7 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 	p.clock++
 	stamp := vclock.At(p.clock)
 	if first {
-		p.acq.Add(target)
+		p.acq[target] = 0
 	}
 	creation := introSeq == ids.CreationSeq
 	consumes := intro.Valid() && introSeq > 0 && !creation
@@ -495,7 +535,7 @@ func (e *Engine) EdgeDown(holder, target ids.ClusterID) {
 	if p == nil {
 		return
 	}
-	p.acq.Remove(target)
+	delete(p.acq, target)
 	e.destroyEdge(p, target)
 }
 
@@ -576,12 +616,21 @@ func (e *Engine) AckDestroys(peer ids.SiteID, watermark uint64) int {
 }
 
 // ResetPeerBackoff re-arms the re-send damper of every retained row
-// addressed to peer: called when the peer's epoch changes (it restarted
-// and may have lost undurable state), so the next refresh round re-ships
-// everything it might be missing without waiting out the backoff.
+// addressed to peer and unmarks every out-edge into it: called when the
+// peer's epoch changes (it restarted and may have lost undurable state),
+// so the next refresh round re-ships everything it might be missing
+// without waiting out the backoff, and the next propagation on each such
+// edge ships the full payload.
 func (e *Engine) ResetPeerBackoff(peer ids.SiteID) {
 	e.asserts.ResetPeer(peer)
 	e.destroys.ResetPeer(peer)
+	for _, p := range e.procs {
+		for k := range p.acq {
+			if k.Site == peer {
+				p.acq[k] = 0
+			}
+		}
+	}
 }
 
 // Drain processes queued deliveries until quiescence. Safe to call at any
@@ -762,7 +811,7 @@ func (e *Engine) ResolveIntroduction(holder, target, intro ids.ClusterID, seq ui
 		return
 	}
 	m := AssertMsg{Intro: intro, IntroSeq: seq}
-	if p, ok := e.procs[holder]; ok && p.acq.Has(target) {
+	if p, ok := e.procs[holder]; ok && p.acq.has(target) {
 		p.clock++
 		m.Stamp = p.clock
 		ob := p.log.OB(target)
@@ -797,19 +846,23 @@ func (e *Engine) evaluate(p *process, changed bool) {
 // assemble builds the propagation payload: the own first-hand state, the
 // confirmed rows of the closure's expanded ancestry, and the first-hand
 // on-behalf entries — the "increasingly accurate approximations"
-// circulated along the paths of the global root graph (§3.3).
-func (e *Engine) assemble(p *process, res vclock.ClosureResult) Propagation {
+// circulated along the paths of the global root graph (§3.3). Rows and
+// entries at or below floor are left out: every edge has carried them.
+// Every confirmed row of the ancestry still goes through Ship, so a row
+// that enters the set draws a version above every edge's mark.
+func (e *Engine) assemble(p *process, res vclock.ClosureResult, floor uint64) Propagation {
 	m := Propagation{
 		Clock:    p.clock,
 		Auth:     p.log.Own().Clone(),
 		HintCols: p.log.Hints().Cols(),
 	}
+	p.log.NextShipment()
 	for _, q := range res.Expanded.Sorted() {
 		if q == p.id || q.IsRoot() {
 			continue
 		}
 		r := p.log.PeekVRow(q)
-		if r == nil || !r.Confirmed {
+		if r == nil || !r.Confirmed || p.log.Ship(r) <= floor {
 			continue
 		}
 		if m.Rows == nil {
@@ -822,7 +875,7 @@ func (e *Engine) assemble(p *process, res vclock.ClosureResult) Propagation {
 			continue
 		}
 		ob := p.log.PeekOB(x)
-		if ob == nil || (len(ob.Auth) == 0 && len(ob.Hints) == 0) {
+		if ob == nil || (len(ob.Auth) == 0 && len(ob.Hints) == 0) || ob.Ver <= floor {
 			continue
 		}
 		if m.OBs == nil {
@@ -833,16 +886,26 @@ func (e *Engine) assemble(p *process, res vclock.ClosureResult) Propagation {
 	return m
 }
 
-// propagate sends one payload along every out-edge (§3.3 step 3). It is
-// built once and shared by every edge and the local inbox: immutable
-// once built, merged by value, never retained.
+// propagate sends p's state along every out-edge (§3.3 step 3). The
+// payload is assembled once. An edge without a mark gets all of it; a
+// marked edge gets the own state and only the rows and on-behalf entries
+// of a later version than its mark, never its receiver's own row. Every
+// payload shares the assembled maps where it can: immutable once built,
+// merged by value, never retained — an edge keeps only the version it
+// carried.
 func (e *Engine) propagate(p *process, res vclock.ClosureResult) {
-	acq := p.acq.Sorted()
+	acq := p.acq.sorted()
 	if len(acq) == 0 {
 		return
 	}
-	m := e.assemble(p, res)
+	full := e.assemble(p, res, p.acq.floor())
+	ver := p.log.Version()
 	for _, k := range acq {
+		m := full
+		if mark := p.acq[k]; mark != 0 {
+			m = since(p.log, full, k, mark)
+		}
+		p.acq[k] = ver
 		e.stats.PropagationsSent++
 		if e.owns(k) {
 			e.inbox = append(e.inbox, delivery{to: k, from: p.id, kind: deliverPropagate, prop: m})
@@ -850,6 +913,41 @@ func (e *Engine) propagate(p *process, res vclock.ClosureResult) {
 			e.send.SendPropagate(p.id, k, m)
 		}
 	}
+}
+
+// since is the part of full that an edge to k whose last propagation
+// carried mark has not carried: the own state, and the rows and
+// on-behalf entries of a later version — never k's own row, which k
+// discards on arrival.
+func since(l *vclock.Log, full Propagation, k ids.ClusterID, mark uint64) Propagation {
+	m := full
+	m.Rows = pick(full.Rows, func(q ids.ClusterID) bool { return q != k && l.PeekVRow(q).Ver > mark })
+	m.OBs = pick(full.OBs, func(x ids.ClusterID) bool { return l.PeekOB(x).Ver > mark })
+	return m
+}
+
+// pick returns the entries of full that keep admits, full itself when it
+// admits them all: the edges that need the whole map share it.
+func pick[V any](full map[ids.ClusterID]V, keep func(ids.ClusterID) bool) map[ids.ClusterID]V {
+	n := 0
+	for q := range full {
+		if keep(q) {
+			n++
+		}
+	}
+	switch n {
+	case len(full):
+		return full
+	case 0:
+		return nil
+	}
+	out := make(map[ids.ClusterID]V, n)
+	for q, v := range full {
+		if keep(q) {
+			out[q] = v
+		}
+	}
+	return out
 }
 
 // remove finalises a garbage process: the paper's "remove" action plus the
@@ -861,7 +959,7 @@ func (e *Engine) remove(p *process) {
 	}
 	delete(e.procs, p.id)
 	e.stats.Removed++
-	for _, k := range p.acq.Sorted() {
+	for _, k := range p.acq.sorted() {
 		e.destroyEdge(p, k)
 	}
 	e.tombstone[p.id] = p.clock
@@ -898,8 +996,10 @@ func (e *Engine) destroyEdge(p *process, k ids.ClusterID) {
 // --- Recovery (§5: residual garbage) ------------------------------------
 
 // Refresh re-evaluates every local process, re-propagates its current
-// state unconditionally, and re-ships the retained re-send state that
-// has not been acknowledged (DESIGN.md §3.2): edge-destruction bundles
+// state unconditionally and in full (a row a lost propagation carried
+// reaches its receiver again only here: later ones carry only newer
+// rows), and re-ships the retained re-send state that has not been
+// acknowledged (DESIGN.md §3.2): edge-destruction bundles
 // (finalisation bundles included) and journaled edge-asserts. Each
 // retained row is damped by an exponential per-row backoff; acknowledged
 // rows are never re-shipped, so a quiescent, fault-free system's refresh
@@ -919,6 +1019,7 @@ func (e *Engine) Refresh() {
 		// unborn one is not evaluated, so it stays out of the episode.
 		if p, ok := e.procs[id]; ok && p.born {
 			p.active = true
+			p.acq.unmark()
 			e.evaluate(p, true)
 		}
 		e.Drain()

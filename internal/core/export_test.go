@@ -19,7 +19,7 @@ func (e *Engine) Evaluate(cl ids.ClusterID) {
 // Acquaintances returns the process's current successors, sorted.
 func (e *Engine) Acquaintances(cl ids.ClusterID) []ids.ClusterID {
 	if p := e.procs[cl]; p != nil {
-		return p.acq.Sorted()
+		return p.acq.sorted()
 	}
 	return nil
 }

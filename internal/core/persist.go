@@ -79,7 +79,7 @@ func (e *Engine) Export() (EngineImage, error) {
 			Clock:  p.clock,
 			Active: p.active,
 			Born:   p.born,
-			Acq:    p.acq.Sorted(),
+			Acq:    p.acq.sorted(),
 			Log:    p.log.Export(),
 		})
 	}
@@ -108,13 +108,17 @@ func Restore(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Op
 		if pi.ID.Site != site {
 			return nil, fmt.Errorf("core %v: restore foreign process %v", site, pi.ID)
 		}
+		acq := make(outEdges, len(pi.Acq))
+		for _, k := range pi.Acq {
+			acq[k] = 0
+		}
 		e.procs[pi.ID] = &process{
 			id:     pi.ID,
 			clock:  pi.Clock,
 			active: pi.Active,
 			born:   pi.Born,
 			log:    vclock.RestoreLog(pi.ID, pi.Log),
-			acq:    ids.NewClusterSet(pi.Acq...),
+			acq:    acq,
 		}
 		if !pi.Born {
 			e.unborn++

@@ -77,21 +77,32 @@ func TestPropagationSharedAcrossEdges(t *testing.T) {
 }
 
 // TestPropagateAllocs bounds the allocations of one evaluation that
-// propagates along eight remote out-edges. The payload is assembled once
-// and shared, so the count does not grow with the fan-out: the closure
-// and one assembly cost 36 allocations here, where a deep copy of the
-// payload per edge made it 262 and a closure that also built a vector
-// time made it 38. The bound fails if either returns.
+// propagates along eight remote out-edges, with every edge unmarked and
+// again with every edge marked and nothing new. The full payload is
+// assembled once and shared, so its count does not grow with the
+// fan-out: the closure and one assembly cost 36 allocations here, where
+// a deep copy of the payload per edge made it 262 and a closure that
+// also built a vector time made it 38. A repeat with nothing new clones
+// no on-behalf entry and all eight sends share the own state: 10
+// allocations, the closure, the own state's clone and the sorted key
+// lists. The bounds fail if any of these returns.
 func TestPropagateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
 	}
 	e := New(1, nopSender{}, nil, Options{})
 	p := fanOut(e, 8, false)
-	got := testing.AllocsPerRun(100, func() { e.evaluate(p, true) })
-	t.Logf("one evaluate at fan-out 8: %.0f allocations", got)
-	if got > 36 {
-		t.Fatalf("one evaluate at fan-out 8 allocates %.0f times, want <= 36", got)
+	full := testing.AllocsPerRun(100, func() {
+		p.acq.unmark()
+		e.evaluate(p, true)
+	})
+	delta := testing.AllocsPerRun(100, func() { e.evaluate(p, true) })
+	t.Logf("one evaluate at fan-out 8: %.0f allocations unmarked, %.0f marked with nothing new", full, delta)
+	if full > 36 {
+		t.Fatalf("an unmarked evaluate at fan-out 8 allocates %.0f times, want <= 36", full)
+	}
+	if delta > 10 {
+		t.Fatalf("a repeat evaluate at fan-out 8 allocates %.0f times, want <= 10", delta)
 	}
 }
 

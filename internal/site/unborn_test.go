@@ -502,7 +502,7 @@ type earlyTransferOutcome struct {
 	objs     []ObjectSnapshot
 	engines  []core.EngineImage
 	sent     map[ids.SiteID][]string // every mutator frame, assert and Ē bundle, per peer in send order
-	gossip   map[string]string       // the closing refresh round's last propagation along each edge
+	gossip   map[string]string       // what the closing refresh round's propagations teach each edge's receiver
 	acked    map[string]uint64       // last cumulative watermark heard, per peer and stream
 	trackers []string
 	errs     []string
@@ -515,6 +515,7 @@ type earlyTransferOutcome struct {
 func runEarlyTransfers(t *testing.T, seed int64, width, createAt int) (earlyTransferOutcome, int) {
 	t.Helper()
 	out := earlyTransferOutcome{sent: map[ids.SiteID][]string{}, acked: map[string]uint64{}, gossip: map[string]string{}}
+	folds := map[string]*core.Propagation{}
 	net := netsim.NewSim(netsim.Faults{Seed: 1})
 	for _, peer := range []ids.SiteID{2, 3} {
 		peer := peer
@@ -528,7 +529,11 @@ func runEarlyTransfers(t *testing.T, seed int64, width, createAt int) (earlyTran
 				case wire.FrameAck:
 					out.acked[fmt.Sprintf("%v %v", peer, m.Stream)] = m.Seq
 				case wire.Propagate:
-					out.gossip[fmt.Sprintf("%v>%v", m.From, m.To)] = fmt.Sprintf("%+v", m.M)
+					edge := fmt.Sprintf("%v>%v", m.From, m.To)
+					if folds[edge] == nil {
+						folds[edge] = &core.Propagation{}
+					}
+					foldPropagation(folds[edge], m.To, m.M)
 				default:
 					out.sent[peer] = append(out.sent[peer], fmt.Sprintf("%+v", m))
 				}
@@ -578,14 +583,20 @@ func runEarlyTransfers(t *testing.T, seed int64, width, createAt int) (earlyTran
 	}
 	// An unborn process reaches no verdict, so it spreads none: the
 	// propagations a born holder sends mid-program are the one thing the
-	// race run lacks. They are gossip, idempotent by merge; what the runs
-	// must agree on is the closing round's last word along each edge: the
-	// word of the state they end in.
-	clear(out.gossip)
+	// race run lacks. They are gossip, idempotent by merge, and they set
+	// what later propagations leave out: a propagation carries only what
+	// its edge has not carried. What the runs must agree on is what the
+	// closing round teaches each edge's receiver, the fold of every
+	// propagation it sends along the edge: the state they end in. The
+	// round ships in full, so no earlier gossip shows in the fold.
+	clear(folds)
 	if err := s.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	flush()
+	for edge, m := range folds {
+		out.gossip[edge] = fmt.Sprintf("%+v", *m)
+	}
 	out.root, out.objs = s.Snapshot()
 	for _, r := range s.shards {
 		r.mu.Lock()
@@ -607,6 +618,49 @@ func runEarlyTransfers(t *testing.T, seed int64, width, createAt int) (earlyTran
 	sort.Strings(out.trackers)
 	out.depths = s.Depths()
 	return out, len(steps)
+}
+
+// foldPropagation merges m into acc the way its receiver to merges it
+// into its log: clocks and stamps by per-entry merge, the sender's hint
+// columns replaced by the latest word, relayed hint columns unioned, and
+// the receiver's own row, which it discards, left out.
+func foldPropagation(acc *core.Propagation, to ids.ClusterID, m core.Propagation) {
+	acc.Clock = max(acc.Clock, m.Clock)
+	acc.Auth = mergeInto(acc.Auth, m.Auth)
+	acc.HintCols = m.HintCols
+	for q, r := range m.Rows {
+		if q == to {
+			continue
+		}
+		if acc.Rows == nil {
+			acc.Rows = map[ids.ClusterID]core.RowGossip{}
+		}
+		g := acc.Rows[q]
+		g.Auth = mergeInto(g.Auth, r.Auth)
+		cols := ids.NewClusterSet(g.HintCols...)
+		for _, c := range r.HintCols {
+			cols.Add(c)
+		}
+		g.HintCols = cols.Sorted()
+		acc.Rows[q] = g
+	}
+	for x, ob := range m.OBs {
+		if acc.OBs == nil {
+			acc.OBs = map[ids.ClusterID]core.OBGossip{}
+		}
+		g := acc.OBs[x]
+		g.Auth, g.Hints = mergeInto(g.Auth, ob.Auth), mergeInto(g.Hints, ob.Hints)
+		acc.OBs[x] = g
+	}
+}
+
+// mergeInto merges v into acc, which it allocates on first use.
+func mergeInto(acc, v vclock.Vector) vclock.Vector {
+	if acc == nil {
+		acc = vclock.NewVector()
+	}
+	acc.MergeAll(v)
+	return acc
 }
 
 // TestEarlyTransferCommutes is the specification as the oracle, one level
@@ -649,7 +703,7 @@ func TestEarlyTransferCommutes(t *testing.T) {
 				t.Fatalf("seed %d, creation before step %d of %d: frames sent differ\nrace: %q\nspecification: %q", seed, createAt, n, race.sent, spec.sent)
 			}
 			if !reflect.DeepEqual(race.gossip, spec.gossip) {
-				t.Fatalf("seed %d, creation before step %d of %d: last propagations differ\nrace: %q\nspecification: %q", seed, createAt, n, race.gossip, spec.gossip)
+				t.Fatalf("seed %d, creation before step %d of %d: what the closing propagations teach differs\nrace: %q\nspecification: %q", seed, createAt, n, race.gossip, spec.gossip)
 			}
 			if !reflect.DeepEqual(race.acked, spec.acked) || !reflect.DeepEqual(race.trackers, spec.trackers) {
 				t.Fatalf("seed %d, creation before step %d of %d: settlements differ\nrace: %v %v\nspecification: %v %v", seed, createAt, n, race.acked, race.trackers, spec.acked, spec.trackers)

@@ -27,12 +27,23 @@ import (
 //     introducer = owner), and the introductions it has processed for its
 //     own edge (Processed: intro → seq), shipped with the destruction
 //     bundle so the target can resolve the corresponding hints.
+//
+// Every row carries a version drawn from the log's counter: the one at
+// which it last changed or entered the shipped set (Ship). A sender that
+// remembers, per receiver, the log version of its last send ships only
+// the rows above it (DESIGN.md §3, "Rows cross an edge once"). Versions
+// are send-side bookkeeping, never persisted: a restored log draws them
+// afresh (RestoreLog, Ship).
 type Log struct {
 	owner    ids.ClusterID
 	own      Vector
 	ownHints *HintSet
 	vrows    map[ids.ClusterID]*VRow
 	ob       map[ids.ClusterID]*OBRow
+	// version is the last version a row drew.
+	version uint64
+	// shipment numbers the shipped sets NextShipment opened.
+	shipment uint64
 }
 
 // VRow is a copy of another process's first-hand state.
@@ -40,6 +51,11 @@ type VRow struct {
 	Auth      Vector
 	HintCols  ids.ClusterSet
 	Confirmed bool
+	// Ver is the log version at which the row last changed or entered
+	// the shipped set.
+	Ver uint64
+	// shipped is the shipment that last included the row (0: none).
+	shipped uint64
 }
 
 // OBRow is the on-behalf record kept for one remote process.
@@ -53,6 +69,8 @@ type OBRow struct {
 	// Processed records introductions the owner consumed for its own
 	// edge: intro → seq.
 	Processed Vector
+	// Ver is the log version of the row's last OB call.
+	Ver uint64
 }
 
 // NewLog creates an empty log for the given owner.
@@ -76,13 +94,40 @@ func (l *Log) Own() Vector { return l.own }
 func (l *Log) Hints() *HintSet { return l.ownHints }
 
 // OB returns the on-behalf row for process p, creating it on first use.
+// Callers use it only to write the row, so every call draws the row a
+// fresh version; PeekOB reads.
 func (l *Log) OB(p ids.ClusterID) *OBRow {
 	r, ok := l.ob[p]
 	if !ok {
 		r = &OBRow{Auth: NewVector(), Hints: NewVector(), Processed: NewVector()}
 		l.ob[p] = r
 	}
+	r.Ver = l.bump()
 	return r
+}
+
+// bump draws the next log version.
+func (l *Log) bump() uint64 {
+	l.version++
+	return l.version
+}
+
+// Version returns the last version a row drew. A send that carries the
+// log as it stands carries every row at or below it.
+func (l *Log) Version() uint64 { return l.version }
+
+// NextShipment opens a new shipped set; Ship names its members.
+func (l *Log) NextShipment() { l.shipment++ }
+
+// Ship records r as a member of the current shipped set and returns its
+// version. A row the previous set did not include enters at a fresh
+// version, so every receiver's mark is below it whatever the row's age.
+func (l *Log) Ship(r *VRow) uint64 {
+	if r.shipped == 0 || r.shipped+1 != l.shipment {
+		r.Ver = l.bump()
+	}
+	r.shipped = l.shipment
+	return r.Ver
 }
 
 // PeekOB returns the on-behalf row for p, or nil.
@@ -105,7 +150,8 @@ func (l *Log) PeekVRow(p ids.ClusterID) *VRow { return l.vrows[p] }
 // MergeVRow merges first-hand state of process p into its row: auth
 // stamps merge per edge; hint columns replace when the data came directly
 // from p (p is the authority on its own pending hints) and union when
-// relayed. confirm marks the row confirmed. Reports change.
+// relayed. confirm marks the row confirmed. Reports change; a changed row
+// draws a fresh version.
 func (l *Log) MergeVRow(p ids.ClusterID, auth Vector, hintCols []ids.ClusterID, direct, confirm bool) bool {
 	r := l.VRow(p)
 	changed := r.Auth.MergeAll(auth)
@@ -132,6 +178,9 @@ func (l *Log) MergeVRow(p ids.ClusterID, auth Vector, hintCols []ids.ClusterID, 
 	if confirm && !r.Confirmed {
 		r.Confirmed = true
 		changed = true
+	}
+	if changed {
+		r.Ver = l.bump()
 	}
 	return changed
 }
@@ -304,16 +353,18 @@ func (l *Log) Render(order []ids.ClusterID) string {
 	return b.String()
 }
 
-// Clone returns a deep copy of the log (snapshot/trace tooling only).
+// Clone returns a deep copy of the log, versions included
+// (snapshot/trace tooling only).
 func (l *Log) Clone() *Log {
 	out := NewLog(l.owner)
 	out.own = l.own.Clone()
 	out.ownHints = l.ownHints.Clone()
+	out.version, out.shipment = l.version, l.shipment
 	for p, r := range l.vrows {
-		out.vrows[p] = &VRow{Auth: r.Auth.Clone(), HintCols: r.HintCols.Clone(), Confirmed: r.Confirmed}
+		out.vrows[p] = &VRow{Auth: r.Auth.Clone(), HintCols: r.HintCols.Clone(), Confirmed: r.Confirmed, Ver: r.Ver, shipped: r.shipped}
 	}
 	for p, r := range l.ob {
-		out.ob[p] = &OBRow{Auth: r.Auth.Clone(), Hints: r.Hints.Clone(), Processed: r.Processed.Clone()}
+		out.ob[p] = &OBRow{Auth: r.Auth.Clone(), Hints: r.Hints.Clone(), Processed: r.Processed.Clone(), Ver: r.Ver}
 	}
 	return out
 }

@@ -307,3 +307,49 @@ func TestClosureAllocs(t *testing.T) {
 		t.Fatalf("one closure of a confirmed 8-ring allocates %.0f times, want <= 3", got)
 	}
 }
+
+// Row versions: a change draws a fresh one, a merge that changes nothing
+// does not, every OB call does, and a row that the previous shipment did
+// not include draws one when it is shipped again. A clone keeps every
+// version; a restored log gives its on-behalf rows a fresh one, and its
+// rows draw one when first shipped.
+func TestRowVersions(t *testing.T) {
+	l := NewLog(c2)
+	l.MergeVRow(c3, Vector{c4: At(1)}, nil, true, true)
+	v := l.PeekVRow(c3).Ver
+	if v == 0 || v != l.Version() {
+		t.Fatalf("a changed row has version %d, log version %d", v, l.Version())
+	}
+	if l.MergeVRow(c3, Vector{c4: At(1)}, nil, true, true) || l.PeekVRow(c3).Ver != v {
+		t.Fatal("a merge that changed nothing drew a version")
+	}
+	if ob := l.OB(c4); ob.Ver != l.Version() || ob.Ver <= v {
+		t.Fatalf("OB drew version %d, log version %d", ob.Ver, l.Version())
+	}
+
+	r := l.PeekVRow(c3)
+	l.NextShipment()
+	first := l.Ship(r)
+	l.NextShipment()
+	if got := l.Ship(r); got != first {
+		t.Fatalf("a row in consecutive shipments moved from version %d to %d", first, got)
+	}
+	l.NextShipment() // r left out
+	l.NextShipment()
+	if got := l.Ship(r); got <= first {
+		t.Fatalf("a row re-entering the shipped set kept version %d, want above %d", got, first)
+	}
+
+	c := l.Clone()
+	if c.Version() != l.Version() || c.PeekVRow(c3).Ver != r.Ver || c.PeekOB(c4).Ver != l.PeekOB(c4).Ver {
+		t.Fatal("a clone changed a version")
+	}
+	back := RestoreLog(c2, l.Export())
+	if back.PeekOB(c4).Ver == 0 {
+		t.Fatal("a restored on-behalf row has version 0, at or below every mark")
+	}
+	back.NextShipment()
+	if got := back.Ship(back.PeekVRow(c3)); got == 0 {
+		t.Fatal("a restored row entered the shipped set at version 0")
+	}
+}

@@ -56,9 +56,11 @@ func (l *Log) Export() LogImage {
 }
 
 // RestoreLog rebuilds a Log from an image. The log shares no state with
-// the image.
+// the image. Its on-behalf rows share one fresh version, so the first
+// propagation on an unmarked edge carries them.
 func RestoreLog(owner ids.ClusterID, img LogImage) *Log {
 	l := NewLog(owner)
+	ver := l.bump()
 	l.own = cloneOrNew(img.Own)
 	for col, v := range img.HintPending {
 		l.ownHints.pending[col] = v.Clone()
@@ -70,7 +72,7 @@ func RestoreLog(owner ids.ClusterID, img LogImage) *Log {
 		l.vrows[p] = &VRow{Auth: cloneOrNew(r.Auth), HintCols: ids.NewClusterSet(r.HintCols...), Confirmed: r.Confirmed}
 	}
 	for p, r := range img.OBs {
-		l.ob[p] = &OBRow{Auth: cloneOrNew(r.Auth), Hints: cloneOrNew(r.Hints), Processed: cloneOrNew(r.Processed)}
+		l.ob[p] = &OBRow{Auth: cloneOrNew(r.Auth), Hints: cloneOrNew(r.Hints), Processed: cloneOrNew(r.Processed), Ver: ver}
 	}
 	return l
 }
