@@ -56,6 +56,10 @@ var retired = []struct {
 		"causalgc.EngineOptions carries the removal observer only: the ablations are eval's, set through site.Options.Engine"},
 	{"retained means retained, with no exceptions", regexp.MustCompile(`StreamAdvance|tagStreamAdvance|advanceFloors|handleAdvanceLocked|RetainedFloor|retireAsserts|causalgc_advances_sent_total`), outsideBench,
 		"a ledger row leaves only when it is acknowledged, so no sequence is abandoned: the floor advisories and the side-path drops are gone"},
+	{"durable state is protocol state", regexp.MustCompile(`frameShards|handleFrameAckLocked`), outsideBench,
+		"a FrameAck is applied once per site, to every shard, by applyAck and journaled by none: the per-frame shard range and the per-shard ack delivery are gone"},
+	{"durable state is protocol state", regexp.MustCompile(`PeerEpochImage|FrameStatsImage|restoreFrameStats|EdgeImage|sortEdges`), outsideBench,
+		"the snapshot holds only what replay must reproduce: peer epochs, counters and edge counts are rebuilt by recovery, not imaged"},
 }
 
 // TestRetiredNamesStayGone fails on any line of a .go file that a

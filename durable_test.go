@@ -2,6 +2,7 @@ package causalgc_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -75,42 +76,53 @@ func TestConstructorPanicsMatchably(t *testing.T) {
 // TestDurableClusterFsyncCount pins the journal cost of one fixed
 // program on a durable two-node cluster over the deterministic default
 // transport: 64 remote creations each dropped at once, then Run and
-// CollectAll. Every journaled event is one append and one fsync of its
-// own — no timer batches them — so each node's counts are exact, and
-// Syncs equals Appends.
+// CollectAll, at widths 1 and 2. Every journaled event is one append
+// and one fsync of its own — no timer batches them — so each node's
+// counts are exact, and Syncs equals Appends. A received FrameAck is
+// applied and never journaled, so site 1, which receives the acks for
+// its 128 commits, pays no fsync for them.
 func TestDurableClusterFsyncCount(t *testing.T) {
-	mon := monitor.New(0)
-	c := causalgc.NewCluster(2, causalgc.WithPersistence(t.TempDir()), causalgc.WithMonitor(mon))
-	defer c.Close()
-	n1 := c.Node(1)
-	root := n1.Root().Obj
-	for i := 0; i < 64; i++ {
-		ref, err := n1.NewRemote(root, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n1.DropRefs(root, ref); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CollectAll(); err != nil {
-		t.Fatal(err)
-	}
-	want := map[causalgc.SiteID][2]int{1: {258, 258}, 2: {130, 130}}
-	for _, n := range c.Nodes() {
-		ps := n.Monitor().Snapshot().Persist
-		if ps == nil {
-			t.Fatalf("node %v reports no persistence counters", n.ID())
-		}
-		t.Logf("node %v: %d appends, %d syncs", n.ID(), ps.Appends, ps.Syncs)
-		if ps.Syncs != ps.Appends {
-			t.Errorf("node %v: %d fsyncs for %d appends, want one per append", n.ID(), ps.Syncs, ps.Appends)
-		}
-		if w := want[n.ID()]; ps.Appends != w[0] || ps.Syncs != w[1] {
-			t.Errorf("node %v: %d appends and %d fsyncs, pinned %d and %d", n.ID(), ps.Appends, ps.Syncs, w[0], w[1])
-		}
+	for _, c := range []struct {
+		shards int
+		want   map[causalgc.SiteID][2]int
+	}{
+		{1, map[causalgc.SiteID][2]int{1: {130, 130}, 2: {130, 130}}},
+		{2, map[causalgc.SiteID][2]int{1: {132, 132}, 2: {132, 132}}},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", c.shards), func(t *testing.T) {
+			mon := monitor.New(0)
+			cl := causalgc.NewCluster(2, causalgc.WithPersistence(t.TempDir()), causalgc.WithMonitor(mon), causalgc.WithShards(c.shards))
+			defer cl.Close()
+			n1 := cl.Node(1)
+			root := n1.Root().Obj
+			for i := 0; i < 64; i++ {
+				ref, err := n1.NewRemote(root, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := n1.DropRefs(root, ref); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cl.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.CollectAll(); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range cl.Nodes() {
+				ps := n.Monitor().Snapshot().Persist
+				if ps == nil {
+					t.Fatalf("node %v reports no persistence counters", n.ID())
+				}
+				t.Logf("node %v: %d appends, %d syncs", n.ID(), ps.Appends, ps.Syncs)
+				if ps.Syncs != ps.Appends {
+					t.Errorf("node %v: %d fsyncs for %d appends, want one per append", n.ID(), ps.Syncs, ps.Appends)
+				}
+				if w := c.want[n.ID()]; ps.Appends != w[0] || ps.Syncs != w[1] {
+					t.Errorf("node %v: %d appends and %d fsyncs, pinned %d and %d", n.ID(), ps.Appends, ps.Syncs, w[0], w[1])
+				}
+			}
+		})
 	}
 }

@@ -39,7 +39,7 @@ var pinnedCounts = map[string]map[string]float64{
 	"E9": {
 		"leak_live_residual": 0, "leak_live_after_refresh": 0, "leak_live_dangling": 0,
 		"leak_crashed_residual": 1, "leak_crashed_after_refresh": 0, "leak_crashed_dangling": 0,
-		"churn_crashes": 25, "churn_replayed": 154,
+		"churn_crashes": 25, "churn_replayed": 172,
 		"churn_residual": 0, "churn_after_refresh": 0, "churn_dangling": 0,
 		"e9b_last_reshipped": 0, "e9b_last_ctl_bytes": 0,
 	},

@@ -309,7 +309,6 @@ func runEarly(t *testing.T, prog earlyProgram, createFirst bool) earlyOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img.Stats.Evaluations = 0 // the one counter the two orders legitimately disagree on
 	out.settles, out.sent, out.image = tp.settles, tp.sent, img
 	return out
 }

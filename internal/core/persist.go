@@ -8,11 +8,12 @@ import (
 )
 
 // EngineImage is the serialisable form of an Engine, used by the
-// durability subsystem's snapshots. It may only be taken at a quiescent
-// point (empty inbox): the site runtime snapshots after settling, so
-// every queued GGD delivery has been processed. Control messages that
-// raced ahead of their target's creation are in the image as what they
-// merged into: the target's unborn process.
+// durability subsystem's snapshots. It carries no Stats: the counters
+// are per session and restart with a restored engine. It may only be
+// taken at a quiescent point (empty inbox): the site runtime snapshots
+// after settling, so every queued GGD delivery has been processed.
+// Control messages that raced ahead of their target's creation are in
+// the image as what they merged into: the target's unborn process.
 type EngineImage struct {
 	Procs      []ProcImage
 	Tombstones map[ids.ClusterID]uint64
@@ -26,7 +27,6 @@ type EngineImage struct {
 	// nowhere else, and losing a stream sequence would orphan the
 	// receiver's watermark.
 	Destroys []DestroyImage
-	Stats    Stats
 }
 
 // AssertRowImage is one journaled edge-assert awaiting acknowledgement.
@@ -70,7 +70,6 @@ func (e *Engine) Export() (EngineImage, error) {
 	}
 	img := EngineImage{
 		Tombstones: make(map[ids.ClusterID]uint64, len(e.tombstone)),
-		Stats:      e.stats,
 	}
 	for _, id := range e.Processes() {
 		p := e.procs[id]
@@ -103,7 +102,6 @@ func (e *Engine) Export() (EngineImage, error) {
 // recovered site re-ships everything once so peers re-converge.
 func Restore(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Options, img EngineImage) (*Engine, error) {
 	e := New(site, send, onRemove, opts)
-	e.stats = img.Stats
 	for _, pi := range img.Procs {
 		if pi.ID.Site != site {
 			return nil, fmt.Errorf("core %v: restore foreign process %v", site, pi.ID)

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"reflect"
 	"testing"
 
 	"causalgc/internal/ids"
@@ -375,5 +376,57 @@ func TestObjectsSnapshotSorted(t *testing.T) {
 	cls := h.Clusters()
 	if len(cls) != 3 {
 		t.Fatalf("Clusters = %v", cls)
+	}
+}
+
+// TestSnapshotRestoreRecountsEdges: the image carries no edge counts,
+// because the slots determine them. A restored heap recounts every slot
+// that crosses a cluster boundary and skips removed clusters, whose
+// edges removal zeroed — and so holds the counts the live heap holds,
+// and fires the same EdgeUp/EdgeDown the live heap would.
+func TestSnapshotRestoreRecountsEdges(t *testing.T) {
+	h, _ := newHeap(t)
+	a := h.NewObject(h.NewCluster())
+	b := h.NewObject(h.NewCluster())
+	gone := h.NewObject(h.NewCluster())
+	remote := Ref{Obj: ids.ObjectID{Site: 2, Seq: 1}, Cluster: ids.ClusterID{Site: 2, Seq: 1}}
+	ref := func(o *Object) Ref { return Ref{Obj: o.ID(), Cluster: o.Cluster()} }
+	for _, add := range []struct {
+		holder *Object
+		target Ref
+	}{
+		{h.Object(h.RootObject()), ref(a)},
+		{h.Object(h.RootObject()), ref(gone)},
+		{a, ref(b)}, {a, ref(b)}, // two slots, one edge of count 2
+		{a, remote},
+		{b, ref(b)}, // intra-cluster: no edge
+		{gone, remote}, {gone, ref(a)},
+	} {
+		if _, err := h.AddRef(add.holder.ID(), add.target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.RemoveCluster(gone.Cluster()); err != nil {
+		t.Fatal(err)
+	}
+	rec := &recorder{}
+	got, err := RestoreShard(rec, h.Export(), NewCounters(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.edges, h.edges) {
+		t.Fatalf("restored edge counts %v, live %v", got.edges, h.edges)
+	}
+	if err := got.DropRefs(a.ID(), b.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.downs) != 1 || rec.downs[0] != (edgeEvent{holder: a.Cluster(), target: b.Cluster()}) {
+		t.Fatalf("dropping both slots of the restored count-2 edge fired %+v, want one EdgeDown", rec.downs)
+	}
+	if _, err := got.AddRef(a.ID(), remote); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.ups) != 1 || rec.ups[0].first {
+		t.Fatalf("a second slot on the restored remote edge fired %+v, want one EdgeUp with first=false", rec.ups)
 	}
 }

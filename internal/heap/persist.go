@@ -2,14 +2,14 @@ package heap
 
 import (
 	"fmt"
-	"sort"
 
 	"causalgc/internal/ids"
 )
 
 // Image is the serialisable form of a Heap, used by the durability
 // subsystem's snapshots. Export is deterministic (sorted), so snapshot
-// bytes are reproducible for a given state.
+// bytes are reproducible for a given state. It carries no edge counts:
+// the slots determine them, and RestoreShard recounts.
 type Image struct {
 	Site        ids.SiteID
 	RootCluster ids.ClusterID
@@ -18,7 +18,6 @@ type Image struct {
 	NextClu     uint64
 	Objects     []ObjectImage
 	Clusters    []ClusterImage
-	Edges       []EdgeImage
 }
 
 // ObjectImage is one object's state.
@@ -33,12 +32,6 @@ type ClusterImage struct {
 	ID      ids.ClusterID
 	Entries []ids.ObjectID
 	Removed bool
-}
-
-// EdgeImage is one global-root-graph edge's reference count.
-type EdgeImage struct {
-	From, To ids.ClusterID
-	Count    int
 }
 
 // Export renders the heap as an image sharing no state with it. The
@@ -61,10 +54,6 @@ func (h *Heap) Export() Image {
 		c := h.clusters[id]
 		img.Clusters = append(img.Clusters, ClusterImage{ID: id, Entries: h.Entries(id), Removed: c.removed})
 	}
-	for e, n := range h.edges {
-		img.Edges = append(img.Edges, EdgeImage{From: e.from, To: e.to, Count: n})
-	}
-	sortEdges(img.Edges)
 	return img
 }
 
@@ -72,8 +61,10 @@ func (h *Heap) Export() Image {
 // site's shared identity mint, without firing any Hooks notifications:
 // the image already reflects every edge transition, and the engine
 // state restored alongside it reflects the notifications the live heap
-// issued. withRoot=false accepts a rootless image (every shard but
-// shard 0). The image's counter fields are max-observed into ctr, never
+// issued. Each edge is recounted from the slots that cross a cluster
+// boundary, skipping removed clusters, whose edges removal zeroed.
+// withRoot=false accepts a rootless image (every shard but shard 0).
+// The image's counter fields are max-observed into ctr, never
 // overwritten: shards restore in any order.
 func RestoreShard(hooks Hooks, img Image, ctr *Counters, withRoot bool) (*Heap, error) {
 	if !img.Site.Valid() {
@@ -90,7 +81,7 @@ func RestoreShard(hooks Hooks, img Image, ctr *Counters, withRoot bool) (*Heap, 
 		ctr:      ctr,
 		objects:  make(map[ids.ObjectID]*Object, len(img.Objects)),
 		clusters: make(map[ids.ClusterID]*cluster, len(img.Clusters)),
-		edges:    make(map[edge]int, len(img.Edges)),
+		edges:    make(map[edge]int),
 		rootClu:  img.RootCluster,
 		rootObj:  img.RootObject,
 	}
@@ -109,23 +100,17 @@ func RestoreShard(hooks Hooks, img Image, ctr *Counters, withRoot bool) (*Heap, 
 		o := &Object{id: oi.ID, cluster: oi.Cluster, slots: append([]Ref(nil), oi.Slots...)}
 		h.objects[o.id] = o
 		c.objects[o.id] = o
+		if c.removed {
+			continue
+		}
+		for _, r := range o.slots {
+			if r.Valid() && r.Cluster != o.cluster {
+				h.edges[edge{from: o.cluster, to: r.Cluster}]++
+			}
+		}
 	}
 	if withRoot && h.objects[h.rootObj] == nil {
 		return nil, fmt.Errorf("heap: restore: root object %v missing", h.rootObj)
 	}
-	for _, ei := range img.Edges {
-		h.edges[edge{from: ei.From, to: ei.To}] = ei.Count
-	}
 	return h, nil
-}
-
-// sortEdges orders the exported edges by (From, To): edge counts scale
-// with the heap.
-func sortEdges(es []EdgeImage) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From.Less(es[j].From)
-		}
-		return es[i].To.Less(es[j].To)
-	})
 }

@@ -229,3 +229,61 @@ func crashAtEveryPoint(t *testing.T, shards int) {
 		w.Close()
 	}
 }
+
+// TestCrashHealsLostRetirements: a site journals no acknowledgement,
+// so a crash forgets every retirement since its last snapshot. The
+// retired rows come back retained, recovery's own refresh round
+// re-sends them, and the peer settles each as a duplicate and
+// acknowledges it again — the lost-ack path of DESIGN.md §3.2 — leaving
+// both sites where they were.
+func TestCrashHealsLostRetirements(t *testing.T) {
+	w, err := NewDurableWorld(2, netsim.Faults{Seed: 1}, site.DefaultOptions(), t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s1 := w.Site(1)
+	root := s1.Root().Obj
+	for i := 0; i < 64; i++ {
+		ref, err := s1.NewRemote(root, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.DropRefs(root, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range w.Sites() {
+		if d := s.Depths(); d != (site.Depths{}) {
+			t.Fatalf("site %v before the crash: %+v retained, want every row acknowledged", s.ID(), d)
+		}
+	}
+	objects := w.Site(2).NumObjects()
+
+	if err := w.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	if d := w.Site(1).Depths(); d.Outbox != 64 || d.DestroyRows != 64 {
+		t.Fatalf("right after the restart site 1 retains %+v, want the 64 creations and 64 destroys whose acks the crash forgot", d)
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range w.Sites() {
+		if d := s.Depths(); d != (site.Depths{}) {
+			t.Errorf("site %v after the re-sends: %+v retained, want 0", s.ID(), d)
+		}
+	}
+	if got := w.Site(2).NumObjects(); got != objects {
+		t.Errorf("site 2 holds %d objects after the re-sends, %d before the crash", got, objects)
+	}
+	if rep := w.Check(); !rep.Clean() {
+		t.Fatalf("oracle: %v", rep)
+	}
+}

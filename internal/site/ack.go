@@ -25,7 +25,8 @@ import (
 // frames.
 
 // FrameStats counts the site-level retirement activity: the operator's
-// view of how much re-send state is outstanding and how it drains.
+// view of how much re-send state is outstanding and how it drains, per
+// session: no snapshot carries a counter.
 type FrameStats struct {
 	// OutboxRetained is the current number of unacknowledged outbound
 	// mutator frames (gauge).
@@ -49,8 +50,7 @@ type FrameStats struct {
 	// DeliveriesRefused counts incoming deliveries dropped unapplied and
 	// unacknowledged because their write-ahead append failed: tolerated
 	// loss (the sender re-ships what it retains), but a failing disk
-	// makes the site a black hole, so it is counted. Per session: not
-	// part of the snapshot.
+	// makes the site a black hole, so it is counted.
 	DeliveriesRefused int
 }
 
@@ -134,6 +134,9 @@ type streams struct {
 	dirty map[streamKey]struct{}
 	// epoch counts this site's recoveries, piggybacked on FrameAcks.
 	epoch uint64
+	// peerEpoch is the site's view of each peer's recovery epoch, from
+	// the FrameAcks it received; volatile (DESIGN.md §3.2).
+	peerEpoch map[ids.SiteID]uint64
 	// mint numbers identities created by this site on behalf of others.
 	mint uint64
 	// fstats counts the retirement activity.
@@ -142,9 +145,10 @@ type streams struct {
 
 func newStreams() *streams {
 	return &streams{
-		send:  make(map[streamKey]uint64),
-		recv:  make(map[streamKey]*recvTracker),
-		dirty: make(map[streamKey]struct{}),
+		send:      make(map[streamKey]uint64),
+		recv:      make(map[streamKey]*recvTracker),
+		dirty:     make(map[streamKey]struct{}),
+		peerEpoch: make(map[ids.SiteID]uint64),
 	}
 }
 
@@ -230,39 +234,47 @@ func (r *shard) flushAcksLocked() {
 	}
 }
 
-// handleFrameAckLocked processes a cumulative acknowledgement from
-// peer: an epoch change (by THIS shard's view) re-arms this shard's
-// re-send dampers toward the peer (it restarted and may have lost
-// undurable state), and the watermark retires the covered retained
-// state of this shard exactly. The same ack fans out to every shard and
-// each re-arms and retires its own rows. An ack of the untracked stream
-// covers nothing. Caller holds r.mu.
-func (r *shard) handleFrameAckLocked(peer ids.SiteID, m wire.FrameAck) {
-	if m.Stream == 0 {
-		return
-	}
-	st := r.site.st
-	if r.index == 0 {
-		// fstats is shared and the ack fans out to every shard: count
-		// the network delivery once, not once per shard.
-		st.mu.Lock()
-		st.fstats.AcksReceived++
-		st.mu.Unlock()
-	}
-	if last, ok := r.peerEpoch[peer]; !ok || last != m.Epoch {
-		r.peerEpoch[peer] = m.Epoch
-		if ok {
-			// A genuine restart (not first contact): re-arm everything
-			// this shard holds bound for the peer.
-			r.engine.ResetPeerBackoff(peer)
-			r.outbox.ResetPeer(peer)
+// applyAck applies one cumulative acknowledgement from peer, bare or
+// out of an envelope: counted once, checked against the site's view of
+// the peer's epoch (a change is a restart; first contact is not), then
+// applied to every open shard in index order, one shard lock at a time.
+// It takes the event lock, so it never interleaves with a replay or a
+// checkpoint, and journals nothing: an ack changes only re-send
+// bookkeeping, and a crash that forgets it is a lost ack (DESIGN.md
+// §3.2).
+func (s *Site) applyAck(peer ids.SiteID, m wire.FrameAck) {
+	s.lockEvent()
+	defer s.unlockEvent()
+	s.st.mu.Lock()
+	s.st.fstats.AcksReceived++
+	last, seen := s.st.peerEpoch[peer]
+	s.st.peerEpoch[peer] = m.Epoch
+	s.st.mu.Unlock()
+	restarted := seen && last != m.Epoch
+	for _, r := range s.shards {
+		r.mu.Lock()
+		if !r.closed {
+			r.applyAckLocked(peer, m, restarted)
 		}
+		r.mu.Unlock()
+	}
+}
+
+// applyAckLocked is this shard's part of applyAck: a peer restart
+// re-arms every row this shard holds bound for the peer, and the
+// watermark retires the covered rows exactly. An ack of the untracked
+// stream covers nothing. Caller holds r.mu.
+func (r *shard) applyAckLocked(peer ids.SiteID, m wire.FrameAck, restarted bool) {
+	if restarted {
+		r.engine.ResetPeerBackoff(peer)
+		r.outbox.ResetPeer(peer)
 	}
 	if m.Stream != core.StreamMut {
 		r.engine.Ack(peer, m.Stream, m.Seq)
 		return
 	}
 	if n := r.outbox.Ack(peer, m.Seq); n > 0 {
+		st := r.site.st
 		st.mu.Lock()
 		st.fstats.FramesRetired += n
 		st.mu.Unlock()

@@ -1,0 +1,51 @@
+package site
+
+import (
+	"testing"
+
+	"causalgc/internal/ids"
+	"causalgc/internal/netsim"
+	"causalgc/internal/wire"
+)
+
+// chainBatch is one commit of 32 chained NewLocal ops under holder,
+// then a DropRefs of the chain's head: the chain becomes garbage in the
+// same commit and the settle cascade reclaims it.
+func chainBatch(holder ids.ObjectID) []wire.BatchOp {
+	ops := make([]wire.BatchOp, 0, 33)
+	ops = append(ops, wire.BatchOp{Op: wire.OpRecord{Kind: wire.OpNewLocal, Holder: holder}})
+	for i := 1; i < 32; i++ {
+		ops = append(ops, wire.BatchOp{Op: wire.OpRecord{Kind: wire.OpNewLocal}, HolderFrom: i})
+	}
+	return append(ops, wire.BatchOp{Op: wire.OpRecord{Kind: wire.OpDropRefs, Holder: holder}, TargetFrom: 1})
+}
+
+// TestApplyBatchAllocs bounds the allocations of one batch commit
+// through ApplyBatch on a volatile one-shard site at steady state:
+// create a 32-object chain, drop it, and let the cascade reclaim it. It
+// measured 814 allocations when the gate was set; the bound leaves 16
+// for the amortised growth of the engine's tombstone map, less than one
+// extra allocation per op of the batch.
+func TestApplyBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	s := New(1, netsim.NewSim(netsim.Faults{Seed: 1}), DefaultOptions())
+	ops := chainBatch(s.Root().Obj)
+	commit := func() {
+		if _, err := s.ApplyBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ { // steady state: the maps have grown
+		commit()
+	}
+	got := testing.AllocsPerRun(200, commit)
+	t.Logf("one 33-op batch commit: %.0f allocations", got)
+	if n := s.NumObjects(); n != 1 {
+		t.Fatalf("the chains were not reclaimed: %d objects", n)
+	}
+	if got > 814+16 {
+		t.Fatalf("one 33-op batch commit allocates %.0f times, want <= %d", got, 814+16)
+	}
+}

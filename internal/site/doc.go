@@ -26,11 +26,14 @@
 //     attached, every relevant event is written ahead to a WAL — a
 //     mutator commit as one Batch record, an inbound frame as a Deliver
 //     record, each shard's part of a Collect or Refresh as an Op
-//     marker — and the full site image is snapshotted periodically;
+//     marker — and the site image is snapshotted periodically;
 //     RecoverSharded reconstructs the site and resumes the protocol.
+//     Both hold only what replay must reproduce: no FrameAck is
+//     journaled, and no peer epoch, counter or edge count is imaged.
 //   - Acknowledged retirement (ack.go, DESIGN.md §3.2): the site
 //     assigns retirement-stream sequences to every re-sendable frame,
-//     tracks cumulative receive watermarks, emits FrameAck, retains
+//     tracks cumulative receive watermarks, emits FrameAck and applies
+//     each one it receives once per site, to every shard, retains
 //     unacknowledged mutator frames in the outbox — a core.Ledger like
 //     the engine's two, so ack, re-arm and re-send are the engine's
 //     code, not a copy — and re-ships damper-due state on Refresh. A

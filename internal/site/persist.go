@@ -2,8 +2,6 @@ package site
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 
 	"causalgc/internal/core"
@@ -254,7 +252,7 @@ func RecoverSharded(id ids.SiteID, net netsim.Network, opts Options, j *Persist,
 			s.seedRouting(i, ss)
 		}
 		for i, ss := range img.Shards {
-			if err := s.shards[i].restore(ss, img.PeerEpochs); err != nil {
+			if err := s.shards[i].restore(ss); err != nil {
 				return nil, fmt.Errorf("site %v: recover: shard %d: %w", id, i, err)
 			}
 		}
@@ -354,11 +352,10 @@ func (s *Site) applyRecord(rec *wire.WALRecord) {
 	r.mu.Unlock() // replay emits no own-site frame
 }
 
-// restore rebuilds the shard's heap, engine and delivery state from its
-// durable state block, and its view of the peers' epochs from the
-// site's. Outbox dampers reset on restore: recovery's refresh round
-// finds every restored row due.
-func (r *shard) restore(ss wire.ShardState, peers []wire.PeerEpochImage) error {
+// restore rebuilds the shard's heap, engine and outbox from its durable
+// state block. Outbox dampers reset on restore: recovery's refresh
+// round finds every restored row due.
+func (r *shard) restore(ss wire.ShardState) error {
 	s := r.site
 	var err error
 	r.engine, err = core.Restore(s.id, (*sender)(r), r.onRemove, r.engineOptions(), ss.Engine)
@@ -369,12 +366,8 @@ func (r *shard) restore(ss wire.ShardState, peers []wire.PeerEpochImage) error {
 	if err != nil {
 		return err
 	}
-	r.removals = ss.Removals
 	for _, f := range ss.Outbox {
 		r.outbox.Put(outKey{f.To, f.Seq}, f.To, f.Seq, f.Payload)
-	}
-	for _, pe := range peers {
-		r.peerEpoch[pe.Peer] = pe.Epoch
 	}
 	return nil
 }
@@ -385,7 +378,6 @@ func (r *shard) restore(ss wire.ShardState, peers []wire.PeerEpochImage) error {
 func restoreStreams(st *streams, img *wire.SiteImage) {
 	st.mint = img.Mint
 	st.epoch = img.Epoch + 1
-	st.fstats = restoreFrameStats(img.Frames)
 	for _, s := range img.SendStreams {
 		st.send[streamKey{peer: s.Peer, kind: s.Kind}] = s.NextSeq
 	}
@@ -401,29 +393,15 @@ func restoreStreams(st *streams, img *wire.SiteImage) {
 	}
 }
 
-// restoreFrameStats rebuilds the site counters from their image.
-func restoreFrameStats(f wire.FrameStatsImage) FrameStats {
-	return FrameStats{
-		AcksSent: f.AcksSent, AcksReceived: f.AcksReceived,
-		FramesRetired: f.FramesRetired, OutboxResends: f.OutboxResends,
-		ResendsSuppressed: f.ResendsSuppressed,
-	}
-}
-
 // exportShardStateLocked renders this shard's partition of the site
-// state: heap, engine, and delivery-side buffers — everything except
-// the shared stream table. Caller holds r.mu at a quiescent point
-// (engine drained).
+// state: heap, engine and outbox — everything except the shared stream
+// table. Caller holds r.mu at a quiescent point (engine drained).
 func (r *shard) exportShardStateLocked() (wire.ShardState, error) {
 	eng, err := r.engine.Export()
 	if err != nil {
 		return wire.ShardState{}, err
 	}
-	ss := wire.ShardState{
-		Heap:     r.heap.Export(),
-		Engine:   eng,
-		Removals: r.removals,
-	}
+	ss := wire.ShardState{Heap: r.heap.Export(), Engine: eng}
 	r.outbox.Each(func(k outKey, p netsim.Payload, seq uint64) {
 		ss.Outbox = append(ss.Outbox, wire.FrameImage{To: k.to, Payload: p, Seq: seq})
 	})
@@ -438,11 +416,6 @@ func (st *streams) exportInto(img *wire.SiteImage) {
 	defer st.mu.Unlock()
 	img.Mint = st.mint
 	img.Epoch = st.epoch
-	img.Frames = wire.FrameStatsImage{
-		AcksSent: st.fstats.AcksSent, AcksReceived: st.fstats.AcksReceived,
-		FramesRetired: st.fstats.FramesRetired, OutboxResends: st.fstats.OutboxResends,
-		ResendsSuppressed: st.fstats.ResendsSuppressed,
-	}
 	keys := make([]streamKey, 0, len(st.send)+len(st.recv))
 	for k := range st.send {
 		keys = append(keys, k)
@@ -477,12 +450,6 @@ func (s *Site) exportImageAllLocked() (*wire.SiteImage, error) {
 		Shards:  make([]wire.ShardState, s.n),
 	}
 	s.st.exportInto(img)
-	// Every shard sees every FrameAck, so shard 0's view of the peers'
-	// epochs stands for the site's.
-	epochs := s.shards[0].peerEpoch
-	for _, p := range slices.Sorted(maps.Keys(epochs)) {
-		img.PeerEpochs = append(img.PeerEpochs, wire.PeerEpochImage{Peer: p, Epoch: epochs[p]})
-	}
 	for i, r := range s.shards {
 		var err error
 		if img.Shards[i], err = r.exportShardStateLocked(); err != nil {

@@ -44,10 +44,8 @@ type shard struct {
 	// would lose a Create or RefTransfer, and with it safety.
 	outbox *core.Ledger[outKey, netsim.Payload]
 	// round counts this shard's refresh rounds, its outbox dampers'
-	// time base; peerEpoch is its view of each peer's recovery epoch
-	// (handleFrameAckLocked).
-	round     uint64
-	peerEpoch map[ids.SiteID]uint64
+	// time base.
+	round uint64
 
 	// coalescing, when set, buffers outbound frames instead of sending
 	// them: open during every commit and during the dispatch of a
@@ -70,8 +68,7 @@ type shard struct {
 // newShard allocates shard i of s without its heap and engine: the
 // caller builds those fresh (initFresh) or from an image (restore).
 func newShard(s *Site, i int) *shard {
-	return &shard{site: s, index: i, outbox: core.NewLedger[outKey, netsim.Payload](),
-		peerEpoch: make(map[ids.SiteID]uint64)}
+	return &shard{site: s, index: i, outbox: core.NewLedger[outKey, netsim.Payload]()}
 }
 
 // engineOptions are the site's engine options with this shard's routing
@@ -223,7 +220,10 @@ func (r *shard) dispatchLocked(from ids.SiteID, p netsim.Payload, flush bool) {
 }
 
 // applyFrameLocked applies one wire frame (an envelope's inner frames
-// recursively, in order). Caller holds r.mu.
+// recursively, in order). A FrameAck never reaches it live — route
+// hands acks to applyAck — and one replayed from a journal written
+// before acks stopped being journaled applies as nothing: a lost ack.
+// Caller holds r.mu.
 func (r *shard) applyFrameLocked(from ids.SiteID, p netsim.Payload) {
 	switch m := p.(type) {
 	case wire.Create:
@@ -244,8 +244,6 @@ func (r *shard) applyFrameLocked(from ids.SiteID, p netsim.Payload) {
 		r.engine.HandlePropagate(m.To, m.From, m.M)
 	case wire.Assert:
 		r.engine.HandleAssertFrame(m.To, m.From, m.M, m.Seq)
-	case wire.FrameAck:
-		r.handleFrameAckLocked(from, m)
 	case wire.Envelope:
 		for _, f := range m.Frames {
 			r.applyFrameLocked(from, f)

@@ -124,13 +124,19 @@ func (h *siblingRun) inFlight(n int) {
 // deliverFIFO is the discipline the site used to implement and now only
 // behaves like: one queue per destination shard, each drained in
 // arrival order, the shards visited in index order until all are empty.
+// An acknowledgement is queued on every shard, each copy retiring that
+// shard's rows.
 func deliverFIFO(h *siblingRun, work []netsim.Payload) {
 	s := h.s
 	queues := make([][]netsim.Payload, s.n)
 	depth := 0
 	push := func(frames []netsim.Payload) {
 		for _, f := range frames {
-			lo, hi := s.frameShards(f)
+			lo, hi := 0, s.n
+			if _, ok := f.(wire.FrameAck); !ok {
+				lo = s.frameShard(f)
+				hi = lo + 1
+			}
 			for i := lo; i < hi; i++ {
 				queues[i] = append(queues[i], f)
 				depth++
@@ -140,13 +146,19 @@ func deliverFIFO(h *siblingRun, work []netsim.Payload) {
 	}
 	push(work)
 	for depth > 0 {
-		for i := range queues {
+		for i, r := range s.shards {
 			for len(queues[i]) > 0 {
 				f := queues[i][0]
 				queues[i] = queues[i][1:]
 				depth--
 				h.frames++
-				push(s.shards[i].handle(s.id, f, true))
+				if m, ok := f.(wire.FrameAck); ok {
+					r.mu.Lock()
+					r.applyAckLocked(s.id, m, false)
+					r.mu.Unlock()
+					continue
+				}
+				push(r.handle(s.id, f, true))
 			}
 		}
 	}

@@ -243,34 +243,27 @@ func (s *Site) placeCluster(newClu, holderClu ids.ClusterID, executing int, pin 
 	return idx
 }
 
-// frameShards answers the destination shards of one frame as the index
-// range [lo, hi): one shard by the destination cluster (mutator frames
-// by the target object's cluster, GGD control frames by the To
-// cluster), except acknowledgements, which fan out to every shard —
-// the shared stream watermark is cumulative across shards and
-// retirement is idempotent, so each shard retires its own covered
-// rows.
-func (s *Site) frameShards(p netsim.Payload) (lo, hi int) {
-	i := 0
+// frameShard answers the destination shard of one frame by its
+// destination cluster: mutator frames by the target object's cluster,
+// GGD control frames by the To cluster. (A FrameAck goes to every
+// shard, through applyAck.)
+func (s *Site) frameShard(p netsim.Payload) int {
 	switch m := p.(type) {
-	case wire.FrameAck:
-		return 0, s.n
 	case wire.Create:
-		i = s.clusterShardIdx(m.Cluster)
+		return s.clusterShardIdx(m.Cluster)
 	case wire.RefTransfer:
 		if m.ToCluster.Valid() {
-			i = s.clusterShardIdx(m.ToCluster)
-		} else {
-			i = s.shardFor(m.ToObj).index
+			return s.clusterShardIdx(m.ToCluster)
 		}
+		return s.shardFor(m.ToObj).index
 	case wire.Destroy:
-		i = s.clusterShardIdx(m.To)
+		return s.clusterShardIdx(m.To)
 	case wire.Assert:
-		i = s.clusterShardIdx(m.To)
+		return s.clusterShardIdx(m.To)
 	case wire.Propagate:
-		i = s.clusterShardIdx(m.To)
+		return s.clusterShardIdx(m.To)
 	}
-	return i, i + 1
+	return 0
 }
 
 // --- Delivery ------------------------------------------------------------
@@ -330,34 +323,37 @@ func (s *Site) cascade(work []netsim.Payload) {
 	}
 }
 
-// route delivers one payload, from the network or from a sibling, to
-// the shards it addresses and returns the own-site frames those
-// deliveries emitted. An envelope splits into one sub-envelope per
-// destination shard (inner order preserved within each shard). Only the
-// last shard reached flushes acknowledgements, so the payload draws one
-// FrameAck per stream however many shards settled it.
+// route delivers one payload, from the network or from a sibling, and
+// returns the own-site frames the deliveries emitted. A FrameAck, bare
+// or enveloped, goes to applyAck; an envelope's other frames split into
+// one sub-envelope per frameShard (inner order kept; a lone frame on a
+// striped site goes bare), so an envelope with nothing else journals
+// nothing. Only the last shard reached flushes acknowledgements: one
+// FrameAck per stream however many shards settled the payload.
 func (s *Site) route(from ids.SiteID, p netsim.Payload) (emitted []netsim.Payload) {
 	env, ok := p.(wire.Envelope)
-	if !ok || s.n == 1 {
-		lo, hi := s.frameShards(p)
-		for i := lo; i < hi; i++ {
-			emitted = append(emitted, s.shards[i].handle(from, p, i == hi-1)...)
+	if !ok {
+		if m, ok := p.(wire.FrameAck); ok {
+			s.applyAck(from, m)
+			return nil
 		}
-		return emitted
+		return s.shards[s.frameShard(p)].handle(from, p, true)
 	}
 	parts := make([][]netsim.Payload, s.n)
-	last := -1 // an envelope is input from outside: it may be empty
+	last := -1
 	for _, f := range env.Frames {
-		lo, hi := s.frameShards(f)
-		for i := lo; i < hi; i++ {
-			parts[i] = append(parts[i], f)
+		if m, ok := f.(wire.FrameAck); ok {
+			s.applyAck(from, m)
+			continue
 		}
-		last = max(last, hi-1)
+		i := s.frameShard(f)
+		parts[i] = append(parts[i], f)
+		last = max(last, i)
 	}
 	for i, part := range parts {
-		switch len(part) {
-		case 0:
-		case 1:
+		switch {
+		case len(part) == 0:
+		case len(part) == 1 && s.n > 1:
 			emitted = append(emitted, s.shards[i].handle(from, part[0], i == last)...)
 		default:
 			emitted = append(emitted, s.shards[i].handle(from, wire.Envelope{Frames: part}, i == last)...)

@@ -605,9 +605,6 @@ func runEarlyTransfers(t *testing.T, seed int64, width, createAt int) (earlyTran
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The two counters the orders legitimately disagree on: the birth
-		// evaluation, and the gossip an unborn holder did not spread.
-		img.Stats.Evaluations, img.Stats.PropagationsSent = 0, 0
 		out.engines = append(out.engines, img)
 	}
 	s.st.mu.Lock()

@@ -118,12 +118,13 @@ func TestRecordArity(t *testing.T) {
 	}
 }
 
-// TestSnapshotV8Pinned: the shard-partitioned snapshot format is v8 —
-// the only version that decodes — re-encoded images round-trip, and
-// re-send state is always bare frames, never envelopes.
-func TestSnapshotV8Pinned(t *testing.T) {
-	if SnapshotVersion != 8 {
-		t.Fatalf("SnapshotVersion = %d; folding the legacy bundles into the destroy ledger pinned the format at v8", SnapshotVersion)
+// TestSnapshotV9Pinned: the shard-partitioned snapshot format is v9 —
+// the only version that decodes (a v8 image is refused:
+// TestDecodeSnapshotRejectsOtherVersions) — re-encoded images
+// round-trip, and re-send state is always bare frames, never envelopes.
+func TestSnapshotV9Pinned(t *testing.T) {
+	if SnapshotVersion != 9 {
+		t.Fatalf("SnapshotVersion = %d; dropping what recovery rebuilds (peer epochs, counters, edge counts) pinned the format at v9", SnapshotVersion)
 	}
 	img := sampleImage()
 	data, err := EncodeSnapshot(img)

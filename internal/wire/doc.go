@@ -28,14 +28,14 @@
 //
 // # Durable images
 //
-// A SiteImage is the full durable state of one site: the state its
-// shards share (identity mint, retirement streams' counters and
+// A SiteImage is what replay must reproduce of one site: the state its
+// shards share (identity mint, retirement streams' sequences and
 // watermarks, recovery epoch) plus one ShardState per shard. Exactly
 // one SnapshotVersion decodes; there is no migration code. WALRecord is
 // one journaled event — a mutator commit (Batch, n >= 1 ops), an
-// inbound delivery (Deliver) or one shard's cycle marker (Op: Collect
-// or Refresh) — tagged with the shard that journaled it and
-// replayed against the image to reconstruct the site (DESIGN.md §5).
+// inbound delivery other than a FrameAck (Deliver) or one shard's cycle
+// marker (Op: Collect or Refresh) — tagged with the shard that
+// journaled it and replayed against the image (DESIGN.md §5).
 //
 // # Codec
 //

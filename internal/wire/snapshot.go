@@ -1,14 +1,14 @@
 // Snapshot and WAL record types of the durability subsystem: the typed
 // layer between the site runtime and the byte-oriented persist.Store.
 //
-// A SiteImage is the full durable image of one site — heap, engine,
-// runtime bookkeeping and the bounded outbox of unconfirmed mutator
-// frames. A WALRecord is one relevant event appended between
-// snapshots: a mutator commit (BatchRecord), an incoming message
-// delivery (DeliverRecord) or one shard's cycle marker (OpRecord of
-// kind OpCollect or OpRefresh). Replaying the records against the
-// image deterministically reconstructs the site (see internal/site and
-// DESIGN.md §5).
+// A SiteImage is what replay must reproduce of one site — identities,
+// sequences, heaps, logs, clocks, retained rows, receive watermarks —
+// and nothing recovery rebuilds. A WALRecord is one relevant event
+// appended between snapshots: a mutator commit (BatchRecord), an
+// incoming delivery other than an ack (DeliverRecord) or one shard's
+// cycle marker (OpRecord of kind OpCollect or OpRefresh). Replaying the
+// records against the image deterministically reconstructs the site
+// (see internal/site and DESIGN.md §5).
 //
 // Encoding lives in codec.go: records in the binary format the TCP
 // backend's frames use, snapshots in gob (which knows every wire
@@ -29,17 +29,16 @@ import (
 // recovery over any other version fails rather than misdecodes (no
 // migration code: there is one format). The layout is the shard layout
 // — every site is n >= 1 shards (DESIGN.md §3.4), so the image is the
-// site-wide shared state plus one ShardState per shard. Version 8
-// folded the engine image's finalisation bundles into its destroy rows
-// (core.EngineImage.Destroys): a v7 image's separate table would be
-// lost and its retired stream's counters mean nothing, so v7 is
-// refused, not half-read.
-const SnapshotVersion = 8
+// site-wide shared state plus one ShardState per shard. Version 9
+// dropped what recovery rebuilds: the peer epochs, the site and engine
+// counters, the shard's pending-removal count and the heap's edge
+// counts. A v8 image carries them, so it is refused like every other
+// version, not half-read.
+const SnapshotVersion = 9
 
-// SiteImage is the full durable state of one site at a quiescent point:
-// the state the shards share at runtime (identity mint, retirement
-// streams, recovery epoch, counters, placement cursor) and one
-// ShardState per shard.
+// SiteImage is the durable state of one site at a quiescent point: the
+// state the shards share at runtime (identity mint, retirement streams,
+// recovery epoch, placement cursor) and one ShardState per shard.
 type SiteImage struct {
 	Version int
 	Site    ids.SiteID
@@ -58,10 +57,6 @@ type SiteImage struct {
 	// site re-acknowledge from zero, never again covering the peer's
 	// outstanding rows.
 	RecvStreams []RecvStreamImage
-	// PeerEpochs are the last seen recovery epochs per peer.
-	PeerEpochs []PeerEpochImage
-	// Frames are the site-level retirement statistics.
-	Frames FrameStatsImage
 	// PlaceRR is the round-robin placement cursor for clusters minted
 	// under the root cluster (the shard-spreading policy).
 	PlaceRR uint64
@@ -76,9 +71,6 @@ type SiteImage struct {
 type ShardState struct {
 	Heap   heap.Image
 	Engine core.EngineImage
-	// Removals counts GGD removals since the last collection (non-zero
-	// only when AutoCollect is off).
-	Removals int
 	// Outbox holds the unacknowledged outbound mutator frames, all of
 	// them; recovery and refresh rounds re-send them until the
 	// receiver's cumulative FrameAck retires them, and receivers apply
@@ -105,18 +97,6 @@ type RecvStreamImage struct {
 	Pending []uint64
 }
 
-// PeerEpochImage is the last seen recovery epoch of one peer.
-type PeerEpochImage struct {
-	Peer  ids.SiteID
-	Epoch uint64
-}
-
-// FrameStatsImage persists the site-level frame/retirement counters.
-type FrameStatsImage struct {
-	AcksSent, AcksReceived, FramesRetired int
-	OutboxResends, ResendsSuppressed      int
-}
-
 // FrameImage is one outbound frame: destination site, the frame's
 // sequence in the mutator retirement stream to that site, and the
 // payload (which carries the same sequence on the wire).
@@ -133,7 +113,7 @@ type WALRecord struct {
 	// of the cycle: an OpRecord of kind OpCollect or OpRefresh and
 	// nothing else (recovery refuses any other kind).
 	Op *OpRecord
-	// Deliver is one inbound frame.
+	// Deliver is one inbound frame (never a FrameAck).
 	Deliver *DeliverRecord
 	// Batch is a mutator commit: a group of n >= 1 operations committed
 	// atomically (DESIGN.md §3.3) — one record, one append, one fsync

@@ -3,6 +3,7 @@ package causalgc_test
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -412,4 +413,49 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal(fmt.Errorf("condition not reached within %v", timeout))
+}
+
+// TestRecoverRestartsCounters: the counters are per session, as the
+// monitor documents — a snapshot carries no counter, so a node
+// recovered from a checkpoint taken after traffic starts from zero.
+func TestRecoverRestartsCounters(t *testing.T) {
+	dir := t.TempDir()
+	c := causalgc.NewCluster(2, causalgc.WithPersistence(dir))
+	n1 := c.Node(1)
+	root := n1.Root().Obj
+	for i := 0; i < 8; i++ {
+		ref, err := n1.NewRemote(root, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n1.DropRefs(root, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := n1.Stats().DestroysSent; got == 0 {
+		t.Fatal("the traffic sent no destroy")
+	}
+	if got := n1.FrameStats().AcksReceived; got == 0 {
+		t.Fatal("the traffic drew no acknowledgement")
+	}
+	if err := n1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := causalgc.Recover(1, causalgc.WithPersistence(filepath.Join(dir, "site-1")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.Stats().DestroysSent; got != 0 {
+		t.Errorf("DestroysSent = %d right after Recover, want 0", got)
+	}
+	if got := r.FrameStats().AcksReceived; got != 0 {
+		t.Errorf("AcksReceived = %d right after Recover, want 0", got)
+	}
 }
