@@ -73,8 +73,8 @@ type AckObserver = site.AckObserver
 func FanoutObserver(obs ...Observer) Observer { return site.Fanout(obs...) }
 
 // FrameStats counts a node's acknowledged-retirement activity: the
-// outbox gauge, FrameAck traffic, retired frames, damper suppressions
-// and floor advisories. See Node.FrameStats.
+// outbox gauge, FrameAck traffic, retired frames and damper
+// suppressions. See Node.FrameStats.
 type FrameStats = site.FrameStats
 
 // Stream identifies one acknowledged-retirement stream between a pair

@@ -60,6 +60,8 @@ var retired = []struct {
 		"a FrameAck is applied once per site, to every shard, by applyAck and journaled by none: the per-frame shard range and the per-shard ack delivery are gone"},
 	{"durable state is protocol state", regexp.MustCompile(`PeerEpochImage|FrameStatsImage|restoreFrameStats|EdgeImage|sortEdges`), outsideBench,
 		"the snapshot holds only what replay must reproduce: peer epochs, counters and edge counts are rebuilt by recovery, not imaged"},
+	{"a retained row is a peer, a sequence and a payload", regexp.MustCompile(`assertRowLess|\bassertRow\b|edgeKey|outKey`), outsideBench,
+		"a ledger row has no key: every ledger walks in retention order, and the assert journal's key order and the row-key types are gone"},
 }
 
 // TestRetiredNamesStayGone fails on any line of a .go file that a

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"causalgc/internal/ids"
-)
+import "causalgc/internal/ids"
 
 // Stream identifies one acknowledged-retirement stream between a pair of
 // sites (DESIGN.md §3.2). Every re-sendable frame a site ships carries a
@@ -52,17 +48,18 @@ const resendBackoffCap = 64
 // exponentially growing round intervals (1, 2, 4, ... up to
 // resendBackoffCap), so long-lived systems stop re-shipping the same rows
 // every round while a genuinely lost frame is still retried promptly.
-// The damper is deliberately not persisted: recovery resets it, so a
+// Its rounds are its ledger's Due walks, one per refresh round. The
+// damper is deliberately not persisted: recovery resets it, so a
 // restarted site re-ships everything once and the peers re-converge.
 type damper struct {
 	attempts uint8
-	due      uint64 // first refresh round the next re-send is due
+	due      uint64 // first walk the next re-send is due at
 }
 
-// ready reports whether a re-send is due at the given refresh round.
+// ready reports whether a re-send is due at the given walk.
 func (b *damper) ready(round uint64) bool { return round >= b.due }
 
-// bump schedules the next re-send after a send at the given round.
+// bump schedules the next re-send after a send at the given walk.
 func (b *damper) bump(round uint64) {
 	interval := uint64(1)
 	if b.attempts < 62 {
@@ -79,7 +76,7 @@ func (b *damper) bump(round uint64) {
 
 // Ledger is the sender half of acknowledged retirement (DESIGN.md §3.2),
 // written once: the retained rows of one stream that are outstanding —
-// not yet covered by the peer's cumulative FrameAck — each with its key,
+// not yet covered by the peer's cumulative FrameAck — each with its
 // payload, destination peer, stream sequence (drawn by its first send
 // and stable across re-sends, so a re-send fills the same receiver-side
 // gap) and re-send damper. The engine holds two (asserts,
@@ -92,147 +89,130 @@ func (b *damper) bump(round uint64) {
 // remembers an acknowledgement — the payload went with the row.
 // Outstanding is retained: there is no cap, so a row toward a peer that
 // never answers stays until it does (the depth gauges show it), and
-// nothing is lost. Walks (Due, Each) run in retention order, oldest
-// first, unless less orders the keys; both are replay-exact, and Each
-// exports what a Put per row restores. Not safe for concurrent use.
-type Ledger[K comparable, V any] struct {
-	less func(a, b K) bool // walk order over keys, when not retention
-
-	rows map[K]*row[K, V]
-	// peers rings each peer's rows by ascending sequence through a
-	// sentinel kept once the peer is known: its above is the oldest.
-	peers map[ids.SiteID]*row[K, V]
-	born  uint64 // retention counter
+// nothing is lost. A row sits in exactly two lists: its peer's ring by
+// ascending sequence, which Ack retires a prefix of, and the retention
+// list, oldest first, which Due and Each walk. Both walks are
+// replay-exact, and Each exports what a Put per row restores. Not safe
+// for concurrent use.
+type Ledger[V any] struct {
+	// rings holds one sentinel per known peer, kept once the peer is
+	// known: its above is the peer's oldest row by sequence.
+	rings []*row[V]
+	kept  row[V] // the retention list's sentinel: its next is the oldest
+	n     int
+	walks uint64 // Due walks so far: the dampers' time base
 }
 
 // row is one outstanding retained row.
-type row[K comparable, V any] struct {
-	key          K
+type row[V any] struct {
 	val          V
 	peer         ids.SiteID
 	seq          uint64 // drawn by the first send, never zero
 	bo           damper
-	born         uint64
-	below, above *row[K, V]
+	below, above *row[V] // the peer's ring
+	prev, next   *row[V] // the retention list
 }
 
 // NewLedger creates an empty ledger.
-func NewLedger[K comparable, V any]() *Ledger[K, V] {
-	return &Ledger[K, V]{rows: make(map[K]*row[K, V]), peers: make(map[ids.SiteID]*row[K, V])}
+func NewLedger[V any]() *Ledger[V] {
+	l := &Ledger[V]{}
+	l.kept.prev, l.kept.next = &l.kept, &l.kept
+	return l
 }
 
 // Len is the number of outstanding rows.
-func (l *Ledger[K, V]) Len() int { return len(l.rows) }
+func (l *Ledger[V]) Len() int { return l.n }
 
-// Put retains val under key as shipped to peer under the non-zero
-// stream sequence seq its first send drew. A key is put once: the row
-// it makes leaves only through Ack.
-func (l *Ledger[K, V]) Put(key K, peer ids.SiteID, seq uint64, val V) {
-	l.born++
-	r := &row[K, V]{key: key, val: val, peer: peer, seq: seq, born: l.born}
-	l.rows[key] = r
-	l.link(r)
-}
-
-// before is the walk order: the key order when set, else retention.
-func (l *Ledger[K, V]) before(a, b *row[K, V]) bool {
-	if l.less != nil {
-		return l.less(a.key, b.key)
-	}
-	return a.born < b.born
-}
-
-// link inserts r into its peer's ring, searching from the high end:
-// sequences are drawn from a counter, so a new row almost always belongs
-// there.
-func (l *Ledger[K, V]) link(r *row[K, V]) {
-	ring := l.peers[r.peer]
+// Put retains val as shipped to peer under the non-zero stream sequence
+// seq its first send drew. The row leaves only through Ack.
+func (l *Ledger[V]) Put(peer ids.SiteID, seq uint64, val V) {
+	r := &row[V]{val: val, peer: peer, seq: seq}
+	r.prev, r.next = l.kept.prev, &l.kept
+	l.kept.prev.next, l.kept.prev = r, r
+	l.n++
+	ring := l.ring(peer)
 	if ring == nil {
-		ring = &row[K, V]{}
+		ring = &row[V]{peer: peer}
 		ring.below, ring.above = ring, ring
-		l.peers[r.peer] = ring
+		l.rings = append(l.rings, ring)
 	}
+	// Search from the high end: sequences are drawn from a counter, so a
+	// new row almost always belongs there.
 	at := ring.below
-	for at != ring && at.seq > r.seq {
+	for at != ring && at.seq > seq {
 		at = at.below
 	}
 	r.below, r.above = at, at.above
 	at.above.below, at.above = r, r
 }
 
-// remove takes r out of the ledger.
-func (l *Ledger[K, V]) remove(r *row[K, V]) {
-	delete(l.rows, r.key)
-	r.below.above, r.above.below = r.above, r.below
+// ring returns peer's sentinel, or nil while no row was ever put for it.
+func (l *Ledger[V]) ring(peer ids.SiteID) *row[V] {
+	for _, ring := range l.rings {
+		if ring.peer == peer {
+			return ring
+		}
+	}
+	return nil
 }
 
 // Ack retires every row bound for peer whose sequence the cumulative
 // watermark covers, and reports how many.
-func (l *Ledger[K, V]) Ack(peer ids.SiteID, watermark uint64) int {
+func (l *Ledger[V]) Ack(peer ids.SiteID, watermark uint64) int {
 	n := 0
-	if ring := l.peers[peer]; ring != nil {
+	if ring := l.ring(peer); ring != nil {
 		// The sentinel's zero sequence ends the walk with the rows.
 		for r := ring.above; r.seq != 0 && r.seq <= watermark; r = ring.above {
-			l.remove(r)
+			r.below.above, r.above.below = r.above, r.below
+			r.prev.next, r.next.prev = r.next, r.prev
 			n++
 		}
 	}
+	l.n -= n
 	return n
 }
 
 // ResetPeer re-arms the damper of every row bound for peer, so the next
 // round re-ships them all (the peer restarted and may have lost
 // undurable state).
-func (l *Ledger[K, V]) ResetPeer(peer ids.SiteID) {
-	if ring := l.peers[peer]; ring != nil {
+func (l *Ledger[V]) ResetPeer(peer ids.SiteID) {
+	if ring := l.ring(peer); ring != nil {
 		for r := ring.above; r != ring; r = r.above {
 			r.bo = damper{}
 		}
 	}
 }
 
-// walk returns the outstanding rows in walk order.
-func (l *Ledger[K, V]) walk() []*row[K, V] {
-	rows := make([]*row[K, V], 0, len(l.rows))
-	for _, r := range l.rows {
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return l.before(rows[i], rows[j]) })
-	return rows
-}
-
-// Due is one refresh round's re-send walk: every row whose damper allows
-// a re-send at round is handed to send, which ships it under its
-// sequence, and damped further; the rest are held back. It reports both
-// counts.
-func (l *Ledger[K, V]) Due(round uint64, send func(key K, val V, seq uint64)) (sent, held int) {
-	for _, r := range l.walk() {
-		if !r.bo.ready(round) {
+// Due is one refresh round's re-send walk, in retention order: every
+// row whose damper allows a re-send at this walk is handed to send,
+// which ships it under its sequence, and damped further; the rest are
+// held back. It reports both counts. The walks are the dampers' rounds,
+// so a ledger is walked once per refresh round.
+func (l *Ledger[V]) Due(send func(peer ids.SiteID, val V, seq uint64)) (sent, held int) {
+	l.walks++
+	for r := l.kept.next; r != &l.kept; r = r.next {
+		if !r.bo.ready(l.walks) {
 			held++
 			continue
 		}
 		sent++
-		send(r.key, r.val, r.seq)
-		r.bo.bump(round)
+		send(r.peer, r.val, r.seq)
+		r.bo.bump(l.walks)
 	}
 	return sent, held
 }
 
-// Each visits the outstanding rows in walk order: the export order, which
-// a Put per row restores.
-func (l *Ledger[K, V]) Each(visit func(key K, val V, seq uint64)) {
-	for _, r := range l.walk() {
-		visit(r.key, r.val, r.seq)
+// Each visits the outstanding rows in retention order: the export order,
+// which a Put per row restores.
+func (l *Ledger[V]) Each(visit func(peer ids.SiteID, val V, seq uint64)) {
+	for r := l.kept.next; r != &l.kept; r = r.next {
+		visit(r.peer, r.val, r.seq)
 	}
 }
 
-// edgeKey identifies one destruction of an edge of the global root
-// graph: a dropped edge whose Ē bundle is re-shipped until the target
-// site acknowledges it, or a removed holder's edge whose finalisation
-// bundle is. seq is the bundle's destroy-stream sequence, so an edge
-// destroyed, re-formed and destroyed again holds one row per
-// destruction until each is acknowledged.
-type edgeKey struct {
-	holder, target ids.ClusterID
-	seq            uint64
+// edgeMsg is a retained control message with the edge it travels: the
+// payload of an assert or destroy ledger row.
+type edgeMsg[M any] struct {
+	from, to ids.ClusterID
+	msg      M
 }

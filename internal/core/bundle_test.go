@@ -187,12 +187,12 @@ type edge [2]ids.ClusterID
 // how many it compared.
 func checkNewestBundles(t *testing.T, e *Engine, held map[edge]bool, at string) (compared int) {
 	t.Helper()
-	newest := make(map[edge]edgeKey)
+	newest := make(map[edge]uint64)
 	bundles := make(map[edge]DestroyMsg)
-	e.destroys.Each(func(ek edgeKey, m DestroyMsg, _ uint64) {
-		ed := edge{ek.holder, ek.target}
-		if ek.seq > newest[ed].seq {
-			newest[ed], bundles[ed] = ek, m
+	e.destroys.Each(func(_ ids.SiteID, d edgeMsg[DestroyMsg], seq uint64) {
+		ed := edge{d.from, d.to}
+		if seq > newest[ed] {
+			newest[ed], bundles[ed] = seq, d.msg
 		}
 	})
 	for ed, m := range bundles {
@@ -202,10 +202,10 @@ func checkNewestBundles(t *testing.T, e *Engine, held map[edge]bool, at string) 
 		}
 		ob := p.log.PeekOB(ed[1])
 		if ob == nil {
-			t.Fatalf("%s: row %v has no on-behalf row", at, newest[ed])
+			t.Fatalf("%s: edge %v row %d has no on-behalf row", at, ed, newest[ed])
 		}
 		if want := (DestroyMsg{Auth: ob.Auth, Hints: ob.Hints, Processed: ob.Processed}); !sameBundle(m, want) || !m.Auth.Get(ed[0]).Eps {
-			t.Fatalf("%s: row %v retains %+v, its on-behalf row gives %+v", at, newest[ed], m, want)
+			t.Fatalf("%s: edge %v row %d retains %+v, its on-behalf row gives %+v", at, ed, newest[ed], m, want)
 		}
 		compared++
 	}

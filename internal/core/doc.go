@@ -88,11 +88,11 @@
 // never resolved pins its owner forever — the one leak the engine used
 // to tolerate. Three mechanisms close it:
 //
-//   - Assert re-send: every edge-assert is journaled per (holder,
-//     target, introducer, forwarding-seq) until the owner's site
+//   - Assert re-send: every edge-assert is journaled with its edge
+//     under the sequence its first send drew, until the owner's site
 //     acknowledges its frame (cumulative FrameAck, DESIGN.md §3.2);
-//     Refresh re-ships the journal alongside the destroyed-edge bundles,
-//     under the exponential re-send damper. Loss of an assert (or of
+//     Refresh re-ships the journal after the destroyed-edge bundles,
+//     each in first-send order, under the exponential re-send damper. Loss of an assert (or of
 //     its ack) costs refresh rounds, never the resolution.
 //   - Hint expiry: a forwarding whose reference was delivered and
 //     discarded without an edge ever forming — the holder object

@@ -153,13 +153,12 @@ type Engine struct {
 	// creation message arrived (process.born false).
 	unborn int
 
-	// asserts is the re-send journal: every un-acknowledged edge-assert,
-	// keyed by (holder, target, introducer, forwarding-seq, stream seq),
-	// holding the asserted stamp (zero for negative asserts) and walked
-	// in key order. Rows are retired by the owner site's cumulative
+	// asserts is the re-send journal: every un-acknowledged edge-assert
+	// (a negative one has a zero stamp) with its edge, walked in
+	// first-send order. Rows are retired by the owner site's cumulative
 	// FrameAck and by nothing else; Refresh re-sends whatever remains,
 	// damped.
-	asserts *Ledger[assertRow, uint64]
+	asserts *Ledger[edgeMsg[AssertMsg]]
 	// destroys retains the bundle of every destruction of a remote edge —
 	// a dropped one's Ē, or a removed holder's finalisation bundle —
 	// until the target site acknowledges it. An edge that re-forms and is
@@ -169,18 +168,9 @@ type Engine struct {
 	// re-forms, so the edge's newest bundle stays what a rebuild from it
 	// would give; rows outlive their holder's removal, which is no
 	// acknowledgement.
-	destroys *Ledger[edgeKey, DestroyMsg]
-	// round counts Refresh invocations: the damper's time base.
-	round uint64
+	destroys *Ledger[edgeMsg[DestroyMsg]]
 
 	stats Stats
-}
-
-// assertRow identifies one journaled edge-assert: the introduction it
-// resolves (intro, seq) and the assert-stream sequence its send drew.
-type assertRow struct {
-	holder, target, intro ids.ClusterID
-	seq, streamSeq        uint64
 }
 
 // process is the per-global-root state: the paper's "each global root
@@ -282,9 +272,8 @@ func New(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Option
 		procs:     make(map[ids.ClusterID]*process),
 		tombstone: make(map[ids.ClusterID]uint64),
 	}
-	e.asserts = NewLedger[assertRow, uint64]()
-	e.asserts.less = assertRowLess
-	e.destroys = NewLedger[edgeKey, DestroyMsg]()
+	e.asserts = NewLedger[edgeMsg[AssertMsg]]()
+	e.destroys = NewLedger[edgeMsg[DestroyMsg]]()
 	return e
 }
 
@@ -473,17 +462,17 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 	// authoritative stamp to the new cluster.
 	if first && !creation && !e.opts.UnsafeNoHints {
 		m := AssertMsg{Stamp: p.clock, Intro: intro, IntroSeq: introSeq}
-		e.sendJournaledAssert(assertRow{holder: holder, target: target, intro: intro, seq: introSeq}, m)
+		e.sendJournaledAssert(holder, target, m)
 	}
 }
 
 // sendJournaledAssert ships the assert under a fresh stream sequence and
-// journals the row under it for Refresh re-send until the owner's site
-// acknowledges it.
-func (e *Engine) sendJournaledAssert(row assertRow, m AssertMsg) {
+// journals it under that sequence for Refresh re-send until the owner's
+// site acknowledges it.
+func (e *Engine) sendJournaledAssert(holder, target ids.ClusterID, m AssertMsg) {
 	e.stats.AssertsSent++
-	row.streamSeq = e.send.SendAssert(row.holder, row.target, m, 0)
-	e.asserts.Put(row, row.target.Site, row.streamSeq, m.Stamp)
+	seq := e.send.SendAssert(holder, target, m, 0)
+	e.asserts.Put(target.Site, seq, edgeMsg[AssertMsg]{holder, target, m})
 }
 
 // SentRef records that the holder forwarded a reference denoting target
@@ -818,7 +807,7 @@ func (e *Engine) ResolveIntroduction(holder, target, intro ids.ClusterID, seq ui
 		ob.Auth.MergeEntry(holder, vclock.At(p.clock))
 		ob.Processed.MergeEntry(intro, vclock.At(seq))
 	}
-	e.sendJournaledAssert(assertRow{holder: holder, target: target, intro: intro, seq: seq}, m)
+	e.sendJournaledAssert(holder, target, m)
 }
 
 // evaluate runs ComputeV on p and acts on the verdict: removal when the
@@ -990,7 +979,7 @@ func (e *Engine) destroyEdge(p *process, k ids.ClusterID) {
 	ob.Auth.MergeEntry(p.id, vclock.Eps(p.clock))
 	m := DestroyMsg{Auth: ob.Auth.Clone(), Hints: ob.Hints.Clone(), Processed: ob.Processed.Clone()}
 	seq := e.send.SendDestroy(p.id, k, m, 0)
-	e.destroys.Put(edgeKey{p.id, k, seq}, k.Site, seq, m)
+	e.destroys.Put(k.Site, seq, edgeMsg[DestroyMsg]{p.id, k, m})
 }
 
 // --- Recovery (§5: residual garbage) ------------------------------------
@@ -1013,7 +1002,6 @@ func (e *Engine) destroyEdge(p *process, k ids.ClusterID) {
 // the destroy ledger until a refresh re-ships it (the crash-recovery
 // path depends on this, and E8's healing rounds improve with it).
 func (e *Engine) Refresh() {
-	e.round++
 	for _, id := range e.Processes() {
 		// A process an earlier iteration's cascade removed is gone; an
 		// unborn one is not evaluated, so it stays out of the episode.
@@ -1025,38 +1013,21 @@ func (e *Engine) Refresh() {
 		e.Drain()
 	}
 	// Re-ship what is retained and un-acknowledged — edge-destruction
-	// bundles in retention order, then edge-asserts in key order. All are
+	// bundles, then edge-asserts, each in first-send order. All are
 	// idempotent: receivers settle the frames (so the ledgers drain
 	// through cumulative acks) and merge bundles by stamp order (a
 	// re-created edge's fresher live stamp supersedes an Ē; copies to
 	// removed targets are dropped there).
-	sent, held := e.destroys.Due(e.round, func(ek edgeKey, m DestroyMsg, seq uint64) {
-		e.send.SendDestroy(ek.holder, ek.target, m, seq)
+	sent, held := e.destroys.Due(func(_ ids.SiteID, d edgeMsg[DestroyMsg], seq uint64) {
+		e.send.SendDestroy(d.from, d.to, d.msg, seq)
 	})
 	e.stats.DestroysSent += sent
 	e.stats.DestroyResends += sent
 	e.stats.ResendsSuppressed += held
-	sent, held = e.asserts.Due(e.round, func(row assertRow, stamp, seq uint64) {
-		e.send.SendAssert(row.holder, row.target, AssertMsg{Stamp: stamp, Intro: row.intro, IntroSeq: row.seq}, seq)
+	sent, held = e.asserts.Due(func(_ ids.SiteID, a edgeMsg[AssertMsg], seq uint64) {
+		e.send.SendAssert(a.from, a.to, a.msg, seq)
 	})
 	e.stats.AssertResends += sent
 	e.stats.ResendsSuppressed += held
 	e.Drain()
-}
-
-// assertRowLess is the total order over journal rows.
-func assertRowLess(a, b assertRow) bool {
-	if a.holder != b.holder {
-		return a.holder.Less(b.holder)
-	}
-	if a.target != b.target {
-		return a.target.Less(b.target)
-	}
-	if a.intro != b.intro {
-		return a.intro.Less(b.intro)
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.streamSeq < b.streamSeq
 }

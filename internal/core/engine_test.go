@@ -735,7 +735,7 @@ func TestEngineBufferedFrameSettles(t *testing.T) {
 func TestEngineJournalRetainsEveryRow(t *testing.T) {
 	e, _, _ := newEngine(t, Options{})
 	for i := uint64(1); i <= 5000; i++ {
-		e.sendJournaledAssert(assertRow{holder: cA, target: rem, intro: cB, seq: i}, AssertMsg{Intro: cB, IntroSeq: i})
+		e.sendJournaledAssert(cA, rem, AssertMsg{Intro: cB, IntroSeq: i})
 	}
 	if got := e.Retained().AssertRows; got != 5000 {
 		t.Fatalf("journal holds %d rows, want all 5000", got)

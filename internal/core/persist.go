@@ -17,10 +17,11 @@ import (
 type EngineImage struct {
 	Procs      []ProcImage
 	Tombstones map[ids.ClusterID]uint64
-	// Asserts is the re-send journal of un-acknowledged edge-asserts:
-	// losing it to a crash would silently re-open the hint leak, so it
-	// is part of the durable image, stream sequences included (a
-	// recovered re-send must fill the same receiver-side gap).
+	// Asserts is the re-send journal of un-acknowledged edge-asserts, in
+	// retention order: losing it to a crash would silently re-open the
+	// hint leak, so it is part of the durable image, stream sequences
+	// included (a recovered re-send must fill the same receiver-side
+	// gap).
 	Asserts []AssertRowImage
 	// Destroys holds the un-acknowledged edge-destruction bundles, in
 	// retention order: the holder may be a tombstone, so the bundle is
@@ -85,14 +86,14 @@ func (e *Engine) Export() (EngineImage, error) {
 	for cl, clock := range e.tombstone {
 		img.Tombstones[cl] = clock
 	}
-	e.asserts.Each(func(row assertRow, stamp, _ uint64) {
+	e.asserts.Each(func(_ ids.SiteID, a edgeMsg[AssertMsg], seq uint64) {
 		img.Asserts = append(img.Asserts, AssertRowImage{
-			Holder: row.holder, Target: row.target, Intro: row.intro,
-			Seq: row.seq, Stamp: stamp, StreamSeq: row.streamSeq,
+			Holder: a.from, Target: a.to, Intro: a.msg.Intro,
+			Seq: a.msg.IntroSeq, Stamp: a.msg.Stamp, StreamSeq: seq,
 		})
 	})
-	e.destroys.Each(func(ek edgeKey, m DestroyMsg, _ uint64) {
-		img.Destroys = append(img.Destroys, DestroyImage{Holder: ek.holder, Target: ek.target, M: cloneDestroy(m), Seq: ek.seq})
+	e.destroys.Each(func(_ ids.SiteID, d edgeMsg[DestroyMsg], seq uint64) {
+		img.Destroys = append(img.Destroys, DestroyImage{Holder: d.from, Target: d.to, M: cloneDestroy(d.msg), Seq: seq})
 	})
 	return img, nil
 }
@@ -126,10 +127,10 @@ func Restore(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Op
 		e.tombstone[cl] = clock
 	}
 	for _, ai := range img.Asserts {
-		e.asserts.Put(assertRow{holder: ai.Holder, target: ai.Target, intro: ai.Intro, seq: ai.Seq, streamSeq: ai.StreamSeq}, ai.Target.Site, ai.StreamSeq, ai.Stamp)
+		e.asserts.Put(ai.Target.Site, ai.StreamSeq, edgeMsg[AssertMsg]{ai.Holder, ai.Target, AssertMsg{Stamp: ai.Stamp, Intro: ai.Intro, IntroSeq: ai.Seq}})
 	}
 	for _, di := range img.Destroys {
-		e.destroys.Put(edgeKey{di.Holder, di.Target, di.Seq}, di.Target.Site, di.Seq, cloneDestroy(di.M))
+		e.destroys.Put(di.Target.Site, di.Seq, edgeMsg[DestroyMsg]{di.Holder, di.Target, cloneDestroy(di.M)})
 	}
 	return e, nil
 }

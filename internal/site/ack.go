@@ -287,8 +287,8 @@ func (r *shard) applyAckLocked(peer ids.SiteID, m wire.FrameAck, restarted bool)
 // resendOutboxLocked re-ships the unacknowledged, damper-due outbox
 // frames during this shard's refresh round. Caller holds r.mu.
 func (r *shard) resendOutboxLocked() {
-	resent, suppressed := r.outbox.Due(r.round, func(k outKey, p netsim.Payload, _ uint64) {
-		r.emitLocked(k.to, p)
+	resent, suppressed := r.outbox.Due(func(to ids.SiteID, p netsim.Payload, _ uint64) {
+		r.emitLocked(to, p)
 	})
 	if resent+suppressed > 0 {
 		r.site.st.mu.Lock()

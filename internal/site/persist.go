@@ -367,7 +367,7 @@ func (r *shard) restore(ss wire.ShardState) error {
 		return err
 	}
 	for _, f := range ss.Outbox {
-		r.outbox.Put(outKey{f.To, f.Seq}, f.To, f.Seq, f.Payload)
+		r.outbox.Put(f.To, f.Seq, f.Payload)
 	}
 	return nil
 }
@@ -402,8 +402,8 @@ func (r *shard) exportShardStateLocked() (wire.ShardState, error) {
 		return wire.ShardState{}, err
 	}
 	ss := wire.ShardState{Heap: r.heap.Export(), Engine: eng}
-	r.outbox.Each(func(k outKey, p netsim.Payload, seq uint64) {
-		ss.Outbox = append(ss.Outbox, wire.FrameImage{To: k.to, Payload: p, Seq: seq})
+	r.outbox.Each(func(to ids.SiteID, p netsim.Payload, seq uint64) {
+		ss.Outbox = append(ss.Outbox, wire.FrameImage{To: to, Payload: p, Seq: seq})
 	})
 	return ss, nil
 }

@@ -11,13 +11,6 @@ import (
 	"causalgc/internal/wire"
 )
 
-// outKey names one outbox row: a sent mutator frame, by destination site
-// and mutator-stream sequence.
-type outKey struct {
-	to  ids.SiteID
-	seq uint64
-}
-
 // shard is one lock stripe of a Site: a heap partition, a GGD engine
 // over the clusters the site routes to it, and the delivery-side state
 // of those clusters, all under one mutex. The site identity, the
@@ -42,10 +35,7 @@ type shard struct {
 	// the mutator stream's ledger, oldest first. A frame toward a peer
 	// that never answers stays (FrameStats.OutboxRetained): dropping it
 	// would lose a Create or RefTransfer, and with it safety.
-	outbox *core.Ledger[outKey, netsim.Payload]
-	// round counts this shard's refresh rounds, its outbox dampers'
-	// time base.
-	round uint64
+	outbox *core.Ledger[netsim.Payload]
 
 	// coalescing, when set, buffers outbound frames instead of sending
 	// them: open during every commit and during the dispatch of a
@@ -68,7 +58,7 @@ type shard struct {
 // newShard allocates shard i of s without its heap and engine: the
 // caller builds those fresh (initFresh) or from an image (restore).
 func newShard(s *Site, i int) *shard {
-	return &shard{site: s, index: i, outbox: core.NewLedger[outKey, netsim.Payload]()}
+	return &shard{site: s, index: i, outbox: core.NewLedger[netsim.Payload]()}
 }
 
 // engineOptions are the site's engine options with this shard's routing
@@ -299,7 +289,7 @@ func (r *shard) recordOutboundLocked(to ids.SiteID, seq uint64, p netsim.Payload
 	if r.site.journal == nil || seq == 0 {
 		return
 	}
-	r.outbox.Put(outKey{to, seq}, to, seq, p)
+	r.outbox.Put(to, seq, p)
 }
 
 func (r *shard) handleCreate(m wire.Create) {
@@ -599,16 +589,15 @@ func (r *shard) collectShardLocked() (heap.CollectStats, error) {
 }
 
 // refreshShardLocked is this shard's part of a site-wide Refresh, one
-// event journaled by its own OpRefresh marker: advance this shard's
-// damper round, re-propagate every local process's vector and re-ship
-// the unacknowledged retained state — the engine's journal rows and
-// bundles plus the outbox frames, each under its re-send damper. Caller
+// event journaled by its own OpRefresh marker: re-propagate every local
+// process's vector and re-ship the unacknowledged retained state — the
+// engine's journal rows and bundles plus the outbox frames, each under
+// its re-send damper, whose round is its ledger's walk. Caller
 // holds r.mu (under the event lock) and no other shard's lock.
 func (r *shard) refreshShardLocked() error {
 	if err := r.journalCycleLocked(wire.OpRefresh); err != nil {
 		return err
 	}
-	r.round++
 	r.engine.Refresh()
 	r.resendOutboxLocked()
 	r.settleLocked()

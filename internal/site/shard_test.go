@@ -754,8 +754,8 @@ func outboxFramesTo(s *Site, peer ids.SiteID) (map[uint64]ids.ObjectID, int) {
 	n := 0
 	for _, r := range s.shards {
 		r.mu.Lock()
-		r.outbox.Each(func(k outKey, p netsim.Payload, seq uint64) {
-			if k.to != peer {
+		r.outbox.Each(func(to ids.SiteID, p netsim.Payload, seq uint64) {
+			if to != peer {
 				return
 			}
 			if c, ok := p.(wire.Create); ok {

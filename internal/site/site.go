@@ -325,11 +325,13 @@ func (s *Site) cascade(work []netsim.Payload) {
 
 // route delivers one payload, from the network or from a sibling, and
 // returns the own-site frames the deliveries emitted. A FrameAck, bare
-// or enveloped, goes to applyAck; an envelope's other frames split into
-// one sub-envelope per frameShard (inner order kept; a lone frame on a
-// striped site goes bare), so an envelope with nothing else journals
-// nothing. Only the last shard reached flushes acknowledgements: one
-// FrameAck per stream however many shards settled the payload.
+// or enveloped, goes to applyAck. An envelope with no ack whose frames
+// all route to one shard is delivered whole, as received; any other
+// envelope's frames split into one sub-envelope per frameShard (inner
+// order kept), so an envelope with nothing but acks journals nothing.
+// A lone frame on a striped site goes bare either way. Only the last
+// shard reached flushes acknowledgements: one FrameAck per stream
+// however many shards settled the payload.
 func (s *Site) route(from ids.SiteID, p netsim.Payload) (emitted []netsim.Payload) {
 	env, ok := p.(wire.Envelope)
 	if !ok {
@@ -338,6 +340,12 @@ func (s *Site) route(from ids.SiteID, p netsim.Payload) (emitted []netsim.Payloa
 			return nil
 		}
 		return s.shards[s.frameShard(p)].handle(from, p, true)
+	}
+	if i, whole := s.oneShard(env); whole {
+		if len(env.Frames) == 1 && s.n > 1 {
+			p = env.Frames[0]
+		}
+		return s.shards[i].handle(from, p, true)
 	}
 	parts := make([][]netsim.Payload, s.n)
 	last := -1
@@ -360,6 +368,20 @@ func (s *Site) route(from ids.SiteID, p netsim.Payload) (emitted []netsim.Payloa
 		}
 	}
 	return emitted
+}
+
+// oneShard reports the shard every frame of env routes to, when env
+// holds a frame and no FrameAck.
+func (s *Site) oneShard(env wire.Envelope) (shard int, whole bool) {
+	shard = -1
+	for _, f := range env.Frames {
+		i := s.frameShard(f)
+		if _, ack := f.(wire.FrameAck); ack || shard >= 0 && i != shard {
+			return 0, false
+		}
+		shard = i
+	}
+	return shard, shard >= 0
 }
 
 // --- Mutator API ---------------------------------------------------------
