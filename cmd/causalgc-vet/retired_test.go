@@ -62,6 +62,8 @@ var retired = []struct {
 		"the snapshot holds only what replay must reproduce: peer epochs, counters and edge counts are rebuilt by recovery, not imaged"},
 	{"a retained row is a peer, a sequence and a payload", regexp.MustCompile(`assertRowLess|\bassertRow\b|edgeKey|outKey`), outsideBench,
 		"a ledger row has no key: every ledger walks in retention order, and the assert journal's key order and the row-key types are gone"},
+	{"the site keeps what it sent", regexp.MustCompile(`core\.Ledger|\bLedger\[|NewLedger|edgeMsg|AssertRowImage|DestroyImage|sendJournaledAssert|cloneDestroy`), outsideBench,
+		"the engine only sends: each shard keeps the frames it sent in one ledger per stream, so the engine's ledgers, their rows and their image types are gone"},
 }
 
 // TestRetiredNamesStayGone fails on any line of a .go file that a

@@ -10,27 +10,28 @@
 //   - edge-destruction control messages (HandleDestroyFrame, §3.1);
 //   - dependency-vector propagations (HandlePropagate, §3.3 step 3);
 //   - explicit refresh rounds (Refresh), the §5 recovery mechanism;
-//   - cumulative frame acknowledgements relayed by the site runtime
-//     (Ack — DESIGN.md §3.2), which retire rows of the engine's two
-//     Ledgers (ack.go): the assert journal and the edge-destruction
-//     bundles (finalisation bundles included) are one retained-row type,
-//     as is the site runtime's outbox. Each row carries what it re-ships
-//     under the sequence its first send drew and leaves only when
-//     acknowledged, so no stream sequence is ever abandoned; a destroyed
-//     edge's Ē bundle outlives the edge's re-formation and its holder's
-//     removal.
+//   - a peer's restart, relayed by the site runtime (PeerRestarted).
+//
+// The engine decides what to send and sends each edge-assert and each
+// edge-destruction bundle once, through its Sender; it retains nothing
+// it sent. The site runtime keeps every such frame, under the stream
+// sequence it drew, until the receiver's cumulative FrameAck covers it,
+// and re-sends it on refresh rounds (DESIGN.md §3.2): a destroyed
+// edge's Ē bundle outlives the edge's re-formation and its holder's
+// removal there.
 //
 // # Log-keeping and gossip
 //
-// A delivery changes a log in one place, merge, which never sends.
-// Sending has five homes: evaluate (the verdict — remove, or propagate
-// when the log changed), propagate (one payload, assembled once for
-// every out-edge and the local inbox), destroyEdge (one Ē, for a dropped
-// edge and a removal's finalisation alike), sendJournaledAssert, and
-// Refresh's ledger walks; a refresh round runs the same evaluate as a
-// delivery. A payload is immutable once built, merged by value and
-// never retained, so one value serves every recipient and the destroy
-// ledger (DESIGN.md §3). A row crosses an edge once: an edge that has
+// A delivery changes a log in one place, merge, which never sends, and
+// is evaluated only when merge changed the log: a process's verdict
+// depends on its own log alone. Sending has four homes: evaluate (the
+// verdict — remove, or propagate), propagate (one payload, assembled
+// once for every out-edge and the local inbox), destroyEdge (one Ē, for
+// a dropped edge and a removal's finalisation alike) and sendAssert; a
+// refresh round runs the same evaluate as a delivery. A payload is
+// immutable once built, merged by value and never retained by an
+// engine, so one value serves every recipient and the site's ledger
+// (DESIGN.md §3). A row crosses an edge once: an edge that has
 // carried a propagation gets only the rows of a later version, and a
 // refresh round ships in full, which heals any that a lost one carried.
 //
@@ -88,18 +89,18 @@
 // never resolved pins its owner forever — the one leak the engine used
 // to tolerate. Three mechanisms close it:
 //
-//   - Assert re-send: every edge-assert is journaled with its edge
-//     under the sequence its first send drew, until the owner's site
-//     acknowledges its frame (cumulative FrameAck, DESIGN.md §3.2);
-//     Refresh re-ships the journal after the destroyed-edge bundles,
-//     each in first-send order, under the exponential re-send damper. Loss of an assert (or of
-//     its ack) costs refresh rounds, never the resolution.
+//   - Assert re-send: the site retains every edge-assert frame under
+//     the sequence its send drew, until the owner's site acknowledges it
+//     (cumulative FrameAck, DESIGN.md §3.2); its refresh round re-ships
+//     them after the destroyed-edge bundles, under the exponential
+//     re-send damper. Loss of an assert (or of its ack) costs refresh
+//     rounds, never the resolution.
 //   - Hint expiry: a forwarding whose reference was delivered and
 //     discarded without an edge ever forming — the holder object
 //     already collected, its cluster tombstoned — can never be consumed
 //     by the source's word. The receiving site expires it at the owner
 //     with a stampless negative assert for exactly that (introducer,
-//     forwarding-seq), journaled and re-sent like any other
+//     forwarding-seq), retained and re-sent like any other
 //     (ResolveIntroduction). Expiry is causally safe: the negative
 //     assert is issued after the delivery that proves no edge resulted,
 //     and a fresher forwarding carries a higher seq that the expiry
@@ -107,9 +108,9 @@
 //   - Retained finalisation bundles: the destroy bundles a removed
 //     process sends carry the processed-introduction records that
 //     resolve its hints, but the process is gone — nothing could
-//     rebuild a lost bundle. Removal therefore retains them in the
-//     destroy ledger like any Ē (acknowledged retirement) and Refresh
-//     re-sends the un-acknowledged remainder.
+//     rebuild a lost bundle. Removal therefore sends them like any Ē,
+//     and the site retains them (acknowledged retirement) and re-sends
+//     the un-acknowledged remainder.
 //
 // Detection then proceeds exactly as in §3.6: GGD work starts when an
 // edge-destruction message arrives, first-hand vectors circulate along

@@ -122,7 +122,7 @@ func genEarlyProgram(seed int64, wellFormed bool) earlyProgram {
 		}
 		seq := track(q, StreamDestroy)
 		delete(live, q)
-		add(func(e *Engine) { e.HandleDestroyFrame(earlyT, q, cloneDestroy(m), seq, false) })
+		add(func(e *Engine) { e.HandleDestroyFrame(earlyT, q, copyBundle(m), seq, false) })
 	}
 	assertFrom := func(q ids.ClusterID, positive bool) {
 		var m AssertMsg
@@ -197,7 +197,7 @@ func genEarlyProgram(seed int64, wellFormed bool) earlyProgram {
 	dropCreator := func() {
 		m := DestroyMsg{Auth: vclock.Vector{earlyCreator: vclock.Eps(tick(earlyCreator))}}
 		seq := track(earlyCreator, StreamDestroy)
-		add(func(e *Engine) { e.HandleDestroyFrame(earlyT, earlyCreator, cloneDestroy(m), seq, false) })
+		add(func(e *Engine) { e.HandleDestroyFrame(earlyT, earlyCreator, copyBundle(m), seq, false) })
 	}
 
 	for n := 1 + rng.Intn(140); n > 0; n-- {

@@ -56,15 +56,16 @@ type AssertMsg struct {
 	IntroSeq uint64
 }
 
-// Sender transmits GGD control messages to other sites and assigns the
-// retirement-stream sequence numbers of DESIGN.md §3.2. The site runtime
-// implements it on top of the network; local deliveries never touch it.
+// Sender transmits GGD control messages to other sites. The site runtime
+// implements it on top of the network, and owns what the engine does
+// not: it draws each tracked frame's retirement-stream sequence, retains
+// the frame until the receiver acknowledges it, and re-sends it
+// (DESIGN.md §3.2). Local deliveries never touch it.
 //
-// SendDestroy and SendAssert take the frame's stream sequence: zero
-// means "assign a fresh one" (first send); non-zero means "re-send under
-// the same sequence", so a re-sent frame fills the same receiver-side gap
-// instead of opening a new one. Both return the sequence the frame was
-// shipped with.
+// The engine sends each destroy and assert once: it passes sequence 0
+// and ignores the result. The sequence parameter and the result stay
+// only because the frozen benchmark's engine harness implements this
+// interface.
 type Sender interface {
 	// SendDestroy ships an edge-destruction bundle in StreamDestroy.
 	SendDestroy(from, to ids.ClusterID, m DestroyMsg, seq uint64) uint64
@@ -89,24 +90,30 @@ type Stats struct {
 	// PropagationsSent counts dependency vectors sent (local and remote).
 	PropagationsSent int
 	// DestroysSent counts edge-destruction messages sent (local and
-	// remote), including finalisation destroys and refresh re-sends.
+	// remote), including finalisation destroys and, on a site, refresh
+	// re-sends.
 	DestroysSent int
 	// AssertsSent counts edge-assert messages sent (first sends, negative
 	// asserts included).
 	AssertsSent int
-	// AssertResends counts journaled edge-asserts re-sent by Refresh.
+	// The next four are counted by the site, which retains and re-sends
+	// what the engine sent, and are summed in with the engine's counters
+	// by Site.EngineStats; an engine alone leaves them zero.
+	//
+	// AssertResends counts retained edge-asserts re-sent by a refresh.
 	AssertResends int
 	// DestroyResends counts edge-destruction bundles, finalisation ones
-	// included, re-sent by Refresh (subset of DestroysSent).
+	// included, re-sent by a refresh (subset of DestroysSent).
 	DestroyResends int
 	// Deprecated: always zero (finalisation re-sends count in
 	// DestroyResends); kept only while the frozen benchmark reads it.
 	LegacyResends int
-	// ResendsSuppressed counts re-sends the exponential damper held back
-	// (the row stays retained; it is re-shipped when its interval lapses).
+	// ResendsSuppressed counts assert and destroy re-sends the
+	// exponential damper held back (the row stays retained; it is
+	// re-shipped when its interval lapses).
 	ResendsSuppressed int
-	// RowsRetired counts retained rows (asserts, edge-destruction
-	// bundles) retired by cumulative frame acknowledgements.
+	// RowsRetired counts retained asserts and edge-destruction bundles
+	// retired by cumulative frame acknowledgements.
 	RowsRetired int
 	// HintsExpired counts introduction hints expired as provably stale
 	// (negative asserts processed, local expiries included).
@@ -152,23 +159,6 @@ type Engine struct {
 	// unborn counts the processes in procs that were mentioned before their
 	// creation message arrived (process.born false).
 	unborn int
-
-	// asserts is the re-send journal: every un-acknowledged edge-assert
-	// (a negative one has a zero stamp) with its edge, walked in
-	// first-send order. Rows are retired by the owner site's cumulative
-	// FrameAck and by nothing else; Refresh re-sends whatever remains,
-	// damped.
-	asserts *Ledger[edgeMsg[AssertMsg]]
-	// destroys retains the bundle of every destruction of a remote edge —
-	// a dropped one's Ē, or a removed holder's finalisation bundle —
-	// until the target site acknowledges it. An edge that re-forms and is
-	// destroyed again holds a row per destruction: the older one is a
-	// late duplicate the fresher stamps dominate (DESIGN.md §3.2). The
-	// holder's on-behalf row is frozen from a destruction until the edge
-	// re-forms, so the edge's newest bundle stays what a rebuild from it
-	// would give; rows outlive their holder's removal, which is no
-	// acknowledgement.
-	destroys *Ledger[edgeMsg[DestroyMsg]]
 
 	stats Stats
 }
@@ -272,8 +262,6 @@ func New(site ids.SiteID, send Sender, onRemove func(ids.ClusterID), opts Option
 		procs:     make(map[ids.ClusterID]*process),
 		tombstone: make(map[ids.ClusterID]uint64),
 	}
-	e.asserts = NewLedger[edgeMsg[AssertMsg]]()
-	e.destroys = NewLedger[edgeMsg[DestroyMsg]]()
 	return e
 }
 
@@ -290,32 +278,12 @@ func (e *Engine) owns(cl ids.ClusterID) bool {
 	return cl.Site == e.site
 }
 
-// Retained reports the sizes of the engine's retained-state tables: the
-// depth gauges a monitor watches to confirm the metadata stays bounded
-// (the paper's §4 scalability argument made operational). All three are
-// zero at quiescence.
-type Retained struct {
-	// AssertRows is the number of un-acknowledged edge-asserts in the
-	// re-send journal.
-	AssertRows int
-	// DestroyRows is the number of un-acknowledged edge-destruction
-	// bundles in the destroy ledger; a bundle toward a peer that never
-	// answers stays.
-	DestroyRows int
-	// PendingDeliveries is the number of unborn processes: clusters that
-	// control messages named ahead of their creation message, each one
-	// log that outlives its traffic until the creation arrives.
-	PendingDeliveries int
-}
-
-// Retained returns the current retained-state table sizes.
-func (e *Engine) Retained() Retained {
-	return Retained{
-		AssertRows:        e.asserts.Len(),
-		DestroyRows:       e.destroys.Len(),
-		PendingDeliveries: e.unborn,
-	}
-}
+// Unborn is the number of unborn processes: clusters that control
+// messages named ahead of their creation message, each one log that
+// outlives its traffic until the creation arrives. It is the engine's
+// one depth gauge (the paper's §4 scalability argument made
+// operational); the engine retains no sent frame, the site does.
+func (e *Engine) Unborn() int { return e.unborn }
 
 // local returns the process of the owned cluster cl, creating it unborn
 // on first mention, or nil when cl is tombstoned.
@@ -428,7 +396,8 @@ func (e *Engine) holder(cl ids.ClusterID) *process {
 // a target whose creation message is still in flight exists unborn).
 // For a remote target the holder records its authoritative stamp on
 // behalf of the target and, on a 0→1 transition, sends one deferred
-// idempotent edge-assert so the target can resolve the introduction.
+// idempotent edge-assert so the target can resolve the introduction
+// (the site retains it until acknowledged).
 func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.ClusterID, introSeq uint64) {
 	if holder == target {
 		return
@@ -461,18 +430,14 @@ func (e *Engine) EdgeUp(holder, target ids.ClusterID, first bool, intro ids.Clus
 	// A creation needs no assert: the creation message itself carries the
 	// authoritative stamp to the new cluster.
 	if first && !creation && !e.opts.UnsafeNoHints {
-		m := AssertMsg{Stamp: p.clock, Intro: intro, IntroSeq: introSeq}
-		e.sendJournaledAssert(holder, target, m)
+		e.sendAssert(holder, target, AssertMsg{Stamp: p.clock, Intro: intro, IntroSeq: introSeq})
 	}
 }
 
-// sendJournaledAssert ships the assert under a fresh stream sequence and
-// journals it under that sequence for Refresh re-send until the owner's
-// site acknowledges it.
-func (e *Engine) sendJournaledAssert(holder, target ids.ClusterID, m AssertMsg) {
+// sendAssert ships an edge-assert to the remote target.
+func (e *Engine) sendAssert(holder, target ids.ClusterID, m AssertMsg) {
 	e.stats.AssertsSent++
-	seq := e.send.SendAssert(holder, target, m, 0)
-	e.asserts.Put(target.Site, seq, edgeMsg[AssertMsg]{holder, target, m})
+	e.send.SendAssert(holder, target, m, 0)
 }
 
 // SentRef records that the holder forwarded a reference denoting target
@@ -578,41 +543,15 @@ func (e *Engine) HandleAssertFrame(to, from ids.ClusterID, m AssertMsg, seq uint
 	e.Drain()
 }
 
-// --- Cumulative frame retirement (DESIGN.md §3.2) ------------------------
+// AckDestroys retires nothing and returns 0: the site, not the engine,
+// retains the bundles an ack covers (DESIGN.md §3.2). It stays only
+// because the frozen benchmark calls it.
+func (e *Engine) AckDestroys(ids.SiteID, uint64) int { return 0 }
 
-// Ack retires every retained row of stream s addressed to peer whose
-// sequence the cumulative watermark covers, and reports how many (none
-// on the mutator stream, whose ledger is the site outbox). Negative
-// assert rows retire too: the watermark proves the owner's site durably
-// processed the expiry. An acknowledged destroyed-edge bundle leaves
-// like any other row; the Ē stamp itself stays in the on-behalf row —
-// it is authoritative log state, not re-send state.
-func (e *Engine) Ack(peer ids.SiteID, s Stream, watermark uint64) int {
-	n := 0
-	switch s {
-	case StreamAssert:
-		n = e.asserts.Ack(peer, watermark)
-	case StreamDestroy:
-		n = e.destroys.Ack(peer, watermark)
-	}
-	e.stats.RowsRetired += n
-	return n
-}
-
-// AckDestroys is Ack on the destroy stream.
-func (e *Engine) AckDestroys(peer ids.SiteID, watermark uint64) int {
-	return e.Ack(peer, StreamDestroy, watermark)
-}
-
-// ResetPeerBackoff re-arms the re-send damper of every retained row
-// addressed to peer and unmarks every out-edge into it: called when the
-// peer's epoch changes (it restarted and may have lost undurable state),
-// so the next refresh round re-ships everything it might be missing
-// without waiting out the backoff, and the next propagation on each such
-// edge ships the full payload.
-func (e *Engine) ResetPeerBackoff(peer ids.SiteID) {
-	e.asserts.ResetPeer(peer)
-	e.destroys.ResetPeer(peer)
+// PeerRestarted unmarks every out-edge into peer, so the next
+// propagation on each ships the full payload: called when the peer's
+// epoch changes (it restarted and may have lost undurable state).
+func (e *Engine) PeerRestarted(peer ids.SiteID) {
 	for _, p := range e.procs {
 		for k := range p.acq {
 			if k.Site == peer {
@@ -648,7 +587,9 @@ func (e *Engine) settle(d delivery) {
 }
 
 // receive is the paper's Receive procedure (Fig 6): merge the delivery
-// into its process's log, settle it, and evaluate.
+// into its process's log, settle it, and evaluate when the log changed.
+// A delivery that changes nothing changes no verdict: a process's
+// verdict depends only on its own log.
 func (e *Engine) receive(d delivery) {
 	// The lookup comes first: owns is asked only on a miss (on a sharded
 	// site it is a routing-map load, and this is the hot path).
@@ -675,7 +616,9 @@ func (e *Engine) receive(d delivery) {
 	}
 	changed := e.merge(p, d)
 	e.settle(d)
-	e.evaluate(p, changed)
+	if changed {
+		e.evaluate(p)
+	}
 }
 
 // merge is log-keeping, the one place a delivery changes a log: it
@@ -786,7 +729,8 @@ func (e *Engine) armHints(p *process, from ids.ClusterID, hints vclock.Vector) (
 //     transfer's dedup record means it never re-arrives, so the expiry
 //     must not wait for anything).
 //
-// All emitted asserts are journaled and re-sent until acknowledged.
+// The site retains every emitted assert and re-sends it until
+// acknowledged.
 func (e *Engine) ResolveIntroduction(holder, target, intro ids.ClusterID, seq uint64) {
 	if e.opts.UnsafeNoHints || seq == 0 || seq == ids.CreationSeq || !intro.Valid() {
 		return
@@ -794,7 +738,7 @@ func (e *Engine) ResolveIntroduction(holder, target, intro ids.ClusterID, seq ui
 	if e.owns(target) {
 		if t := e.local(target); t != nil && t.log.Hints().Expire(holder, intro, seq) {
 			e.stats.HintsExpired++
-			e.evaluate(t, true)
+			e.evaluate(t)
 			e.Drain()
 		}
 		return
@@ -807,16 +751,16 @@ func (e *Engine) ResolveIntroduction(holder, target, intro ids.ClusterID, seq ui
 		ob.Auth.MergeEntry(holder, vclock.At(p.clock))
 		ob.Processed.MergeEntry(intro, vclock.At(seq))
 	}
-	e.sendJournaledAssert(holder, target, m)
+	e.sendAssert(holder, target, m)
 }
 
-// evaluate runs ComputeV on p and acts on the verdict: removal when the
-// closure certifies garbage, else propagation when the log changed and p
-// takes part in an episode (new first-hand or relayed knowledge
+// evaluate runs ComputeV on p, whose log changed, and acts on the
+// verdict: removal when the closure certifies garbage, else propagation
+// when p takes part in an episode (new first-hand or relayed knowledge
 // circulates onward for cycle-wide convergence). An unborn process is
 // never evaluated — it merges, but can be neither removed nor made to
 // propagate; its Register queues the one evaluation it is owed.
-func (e *Engine) evaluate(p *process, changed bool) {
+func (e *Engine) evaluate(p *process) {
 	if !p.born {
 		return
 	}
@@ -827,7 +771,7 @@ func (e *Engine) evaluate(p *process, changed bool) {
 	}
 	if res.Garbage() && !p.id.IsRoot() {
 		e.remove(p)
-	} else if changed && p.active {
+	} else if p.active {
 		e.propagate(p, res)
 	}
 }
@@ -962,10 +906,8 @@ func (e *Engine) remove(p *process) {
 // message (§3.4). A local target gets a minimal destroy through the
 // inbox: hints and processed records were written directly at
 // forward/acquire time. A remote target's on-behalf row takes the Ē, and
-// the bundle built from it ships under a fresh sequence and stays in the
-// destroy ledger as one value until the target site acknowledges it.
-// The edge's assert rows stay too: each leaves on its own ack, and the
-// Ē dominates their stamps wherever they arrive.
+// the bundle built from it ships once; the site retains that frame until
+// the target site acknowledges it.
 func (e *Engine) destroyEdge(p *process, k ids.ClusterID) {
 	p.clock++
 	e.stats.DestroysSent++
@@ -977,30 +919,22 @@ func (e *Engine) destroyEdge(p *process, k ids.ClusterID) {
 	}
 	ob := p.log.OB(k)
 	ob.Auth.MergeEntry(p.id, vclock.Eps(p.clock))
-	m := DestroyMsg{Auth: ob.Auth.Clone(), Hints: ob.Hints.Clone(), Processed: ob.Processed.Clone()}
-	seq := e.send.SendDestroy(p.id, k, m, 0)
-	e.destroys.Put(k.Site, seq, edgeMsg[DestroyMsg]{p.id, k, m})
+	e.send.SendDestroy(p.id, k, DestroyMsg{Auth: ob.Auth.Clone(), Hints: ob.Hints.Clone(), Processed: ob.Processed.Clone()}, 0)
 }
 
 // --- Recovery (§5: residual garbage) ------------------------------------
 
-// Refresh re-evaluates every local process, re-propagates its current
-// state unconditionally and in full (a row a lost propagation carried
-// reaches its receiver again only here: later ones carry only newer
-// rows), and re-ships the retained re-send state that has not been
-// acknowledged (DESIGN.md §3.2): edge-destruction bundles
-// (finalisation bundles included) and journaled edge-asserts. Each
-// retained row is damped by an exponential per-row backoff; acknowledged
-// rows are never re-shipped, so a quiescent, fault-free system's refresh
-// rounds carry propagations only.
+// Refresh re-evaluates every local process and re-propagates its
+// current state unconditionally and in full: a row a lost propagation
+// carried reaches its receiver again only here, since later ones carry
+// only newer rows. The site's refresh round then re-ships the retained
+// frames no ack has covered (DESIGN.md §3.2), a lost destroy among
+// them, which propagation alone can never recover: once the edge is
+// gone the destroyer no longer propagates towards its former target.
 //
 // GGD messages are idempotent, so a refresh is always safe; it
 // re-detects residual garbage whose original detection traffic was
-// lost — including a lost destroy message itself, which propagation
-// alone can never recover: once the edge is gone the destroyer no
-// longer propagates towards its former target, so the Ē is marooned in
-// the destroy ledger until a refresh re-ships it (the crash-recovery
-// path depends on this, and E8's healing rounds improve with it).
+// lost.
 func (e *Engine) Refresh() {
 	for _, id := range e.Processes() {
 		// A process an earlier iteration's cascade removed is gone; an
@@ -1008,26 +942,8 @@ func (e *Engine) Refresh() {
 		if p, ok := e.procs[id]; ok && p.born {
 			p.active = true
 			p.acq.unmark()
-			e.evaluate(p, true)
+			e.evaluate(p)
 		}
 		e.Drain()
 	}
-	// Re-ship what is retained and un-acknowledged — edge-destruction
-	// bundles, then edge-asserts, each in first-send order. All are
-	// idempotent: receivers settle the frames (so the ledgers drain
-	// through cumulative acks) and merge bundles by stamp order (a
-	// re-created edge's fresher live stamp supersedes an Ē; copies to
-	// removed targets are dropped there).
-	sent, held := e.destroys.Due(func(_ ids.SiteID, d edgeMsg[DestroyMsg], seq uint64) {
-		e.send.SendDestroy(d.from, d.to, d.msg, seq)
-	})
-	e.stats.DestroysSent += sent
-	e.stats.DestroyResends += sent
-	e.stats.ResendsSuppressed += held
-	sent, held = e.asserts.Due(func(_ ids.SiteID, a edgeMsg[AssertMsg], seq uint64) {
-		e.send.SendAssert(a.from, a.to, a.msg, seq)
-	})
-	e.stats.AssertResends += sent
-	e.stats.ResendsSuppressed += held
-	e.Drain()
 }

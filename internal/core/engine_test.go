@@ -317,8 +317,8 @@ func TestEngineStaleDeliveriesCounted(t *testing.T) {
 	if got := e.Stats().StaleDeliveries; got != 4 {
 		t.Errorf("StaleDeliveries = %d after an owned early holder's EdgeUp, want 4", got)
 	}
-	if e.Registered(cB) || e.Retained().PendingDeliveries != 1 {
-		t.Errorf("early holder: registered=%v unborn=%d, want one unborn process", e.Registered(cB), e.Retained().PendingDeliveries)
+	if e.Registered(cB) || e.Unborn() != 1 {
+		t.Errorf("early holder: registered=%v unborn=%d, want one unborn process", e.Registered(cB), e.Unborn())
 	}
 	if acq := e.Acquaintances(cB); e.Clock(cB) != 1 || len(acq) != 1 || acq[0] != rem {
 		t.Errorf("early holder: clock %d, acquaintances %v; want the edge stamped at 1", e.Clock(cB), e.Acquaintances(cB))
@@ -331,8 +331,8 @@ func TestEngineStaleDeliveriesCounted(t *testing.T) {
 	// whose first event is sending its own reference (no edge, no earlier
 	// mention): the hint protecting the pending edge must be armed.
 	early := ids.ClusterID{Site: 1, Seq: 9}
-	if seq := e.SentRef(early, early, rem); seq != 1 || e.Retained().PendingDeliveries != 2 {
-		t.Errorf("early holder's own reference: forwarding seq %d, unborn %d; want 1 and 2", seq, e.Retained().PendingDeliveries)
+	if seq := e.SentRef(early, early, rem); seq != 1 || e.Unborn() != 2 {
+		t.Errorf("early holder's own reference: forwarding seq %d, unborn %d; want 1 and 2", seq, e.Unborn())
 	}
 	e.EdgeDown(cB, rem)
 	if got := e.Stats().StaleDeliveries; got != 4 || len(fs.destroys) != 1 {
@@ -403,78 +403,6 @@ func TestEngineUnsafeNoHintsSkipsMechanism(t *testing.T) {
 	e.SentRef(cA, cA, rem)
 	if e.LogSnapshot(cA).Hints() != nil && !e.LogSnapshot(cA).Hints().Empty() {
 		t.Error("hints armed with UnsafeNoHints")
-	}
-}
-
-func TestEngineAssertJournaledAndResentUntilAck(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(r1)
-	e.Register(cA)
-	e.EdgeUp(r1, cA, true, ids.NoCluster, 0) // keep cA alive across refreshes
-	e.Drain()
-	intro := ids.ClusterID{Site: 3, Seq: 9}
-	e.EdgeUp(cA, rem, true, intro, 7)
-	if len(fs.asserts) != 1 {
-		t.Fatalf("asserts = %+v, want 1", fs.asserts)
-	}
-	first := fs.asserts[0]
-	// The assert was lost: every refresh round re-ships it verbatim.
-	for i := 0; i < 2; i++ {
-		e.Refresh()
-		if got := len(fs.asserts); got != 2+i {
-			t.Fatalf("after refresh %d: asserts = %d, want %d", i+1, got, 2+i)
-		}
-		if re := fs.asserts[len(fs.asserts)-1]; re != first {
-			t.Fatalf("re-sent assert %+v != original %+v", re, first)
-		}
-	}
-	if got := e.Stats().AssertResends; got != 2 {
-		t.Errorf("AssertResends = %d, want 2", got)
-	}
-	// The owner site's cumulative ack retires the journal row: no
-	// further re-sends.
-	if got := e.Ack(rem.Site, StreamAssert, first.seq); got != 1 {
-		t.Fatalf("AckAsserts retired %d rows, want 1", got)
-	}
-	n := len(fs.asserts)
-	e.Refresh()
-	if len(fs.asserts) != n {
-		t.Fatalf("re-sent after ack: %+v", fs.asserts[n:])
-	}
-}
-
-// TestEngineAssertJournalRetainedUntilAcked: an edge's destruction does
-// not retire its assert row. The row stays, is re-sent under its own
-// sequence (the Ē that followed dominates its stamp at the owner), and
-// leaves only when the owner's site acknowledges it.
-func TestEngineAssertJournalRetainedUntilAcked(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(r1)
-	e.Register(cA)
-	e.EdgeUp(r1, cA, true, ids.NoCluster, 0) // keep cA alive
-	e.EdgeUp(cA, rem, true, cB, 3)
-	e.EdgeDown(cA, rem)
-	e.Drain()
-	if len(fs.asserts) != 1 {
-		t.Fatalf("asserts = %+v, want 1", fs.asserts)
-	}
-	first := fs.asserts[0]
-	e.Refresh()
-	if got := len(fs.asserts); got != 2 || fs.asserts[1] != first {
-		t.Fatalf("asserts after refresh = %+v, want %+v re-sent once", fs.asserts, first)
-	}
-	if got := e.Retained().AssertRows; got != 1 {
-		t.Fatalf("AssertRows = %d after the edge's destruction, want 1", got)
-	}
-	if n := e.Ack(rem.Site, StreamAssert, first.seq); n != 1 {
-		t.Fatalf("Ack retired %d rows, want 1", n)
-	}
-	n := len(fs.asserts)
-	for i := 0; i < 4; i++ {
-		e.Refresh()
-	}
-	if len(fs.asserts) != n {
-		t.Fatalf("acknowledged assert re-sent: %+v", fs.asserts[n:])
 	}
 }
 
@@ -577,17 +505,10 @@ func TestEngineResolveIntroductionDeadHolder(t *testing.T) {
 	if a := fs.asserts[0]; a.from != cA || a.to != rem || a.m.Stamp != 0 || a.m.IntroSeq != 4 {
 		t.Errorf("negative assert = %+v", a)
 	}
-	// Journaled: refresh re-sends until acked.
+	// Sent once: re-sending it is the site's job, not the engine's.
 	e.Refresh()
-	if len(fs.asserts) != 2 {
-		t.Fatalf("negative assert not re-sent: %+v", fs.asserts)
-	}
-	if got := e.Ack(rem.Site, StreamAssert, fs.asserts[0].seq); got != 1 {
-		t.Fatalf("AckAsserts retired %d rows, want 1", got)
-	}
-	e.Refresh()
-	if len(fs.asserts) != 2 {
-		t.Fatalf("negative assert re-sent after ack: %+v", fs.asserts)
+	if len(fs.asserts) != 1 {
+		t.Fatalf("the engine re-sent the negative assert: %+v", fs.asserts)
 	}
 }
 
@@ -634,37 +555,6 @@ func TestEngineResolveIntroductionLocalOwner(t *testing.T) {
 	}
 }
 
-func TestEngineNegativeRowSurvivesEdgeLifecycle(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(r1)
-	e.Register(cA)
-	e.EdgeUp(r1, cA, true, ids.NoCluster, 0) // keep cA alive
-	e.Drain()
-	// A dead introduction is expired while cA holds no edge to rem: a
-	// negative assert row is journaled.
-	e.ResolveIntroduction(cA, rem, cB, 4)
-	neg := len(fs.asserts)
-	if neg == 0 || fs.asserts[neg-1].m.Stamp != 0 {
-		t.Fatalf("asserts = %+v, want trailing negative", fs.asserts)
-	}
-	// cA later forms a genuine edge to rem (different introduction) and
-	// destroys it: the negative row is still unacknowledged, so it
-	// survives the edge's lifecycle and is re-sent.
-	e.EdgeUp(cA, rem, true, cB, 9)
-	e.EdgeDown(cA, rem)
-	e.Drain()
-	e.Refresh()
-	found := false
-	for _, a := range fs.asserts[neg:] {
-		if a.m.Stamp == 0 && a.m.Intro == cB && a.m.IntroSeq == 4 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("negative assert not re-sent after edge lifecycle: %+v", fs.asserts[neg:])
-	}
-}
-
 // TestUnbornIsNeverRemovedNorPropagates pins the safety half of
 // merge-on-arrival: however many frames condemn a cluster ahead of its
 // creation message — far more than the buffer this replaced could hold —
@@ -694,7 +584,7 @@ func TestUnbornIsNeverRemovedNorPropagates(t *testing.T) {
 	if len(fs.settles) != 200 {
 		t.Fatalf("settled %d of 200 merged frames", len(fs.settles))
 	}
-	if got := e.Retained().PendingDeliveries; got != 1 {
+	if got := e.Unborn(); got != 1 {
 		t.Fatalf("unborn gauge = %d, want 1", got)
 	}
 	if got := e.LogSnapshot(cA).Own().Get(rem); got != vclock.Eps(201) {
@@ -714,7 +604,7 @@ func TestUnbornIsNeverRemovedNorPropagates(t *testing.T) {
 	if got := e.Stats().Evaluations; got != 1 {
 		t.Errorf("birth ran %d evaluations, want exactly 1", got)
 	}
-	if got := e.Retained().PendingDeliveries; got != 0 {
+	if got := e.Unborn(); got != 0 {
 		t.Errorf("unborn gauge = %d after birth, want 0", got)
 	}
 }
@@ -727,18 +617,6 @@ func TestEngineBufferedFrameSettles(t *testing.T) {
 	e.HandleDestroyFrame(cA, rem, DestroyMsg{Auth: vclock.Vector{rem: vclock.Eps(1)}}, 3, false)
 	if len(fs.settles) != 1 || fs.settles[0] != (settledFrame{rem.Site, StreamDestroy, 3}) {
 		t.Fatalf("settles = %+v, want buffered destroy seq 3", fs.settles)
-	}
-}
-
-// TestEngineJournalRetainsEveryRow: the assert journal has no cap —
-// every journaled row stays until the owner's site acknowledges it.
-func TestEngineJournalRetainsEveryRow(t *testing.T) {
-	e, _, _ := newEngine(t, Options{})
-	for i := uint64(1); i <= 5000; i++ {
-		e.sendJournaledAssert(cA, rem, AssertMsg{Intro: cB, IntroSeq: i})
-	}
-	if got := e.Retained().AssertRows; got != 5000 {
-		t.Fatalf("journal holds %d rows, want all 5000", got)
 	}
 }
 
@@ -774,28 +652,6 @@ func TestEnginePendingOverflowAdmitsLocalExpiry(t *testing.T) {
 	}
 }
 
-func TestEngineRemoveRetainsFinalBundle(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(cA)
-	e.EdgeUp(cA, rem, true, ids.NoCluster, 0)
-	e.HandleDestroy(cA, r1, DestroyMsg{Auth: vclock.Vector{r1: vclock.Eps(1)}})
-	if !e.Removed(cA) {
-		t.Fatal("cA not removed")
-	}
-	if len(fs.destroys) != 1 || fs.destroys[0].to != rem {
-		t.Fatalf("destroys = %+v", fs.destroys)
-	}
-	// The finalisation destroy was lost: the process is gone, but the
-	// retained bundle re-ships on refresh.
-	e.Refresh()
-	if len(fs.destroys) != 2 {
-		t.Fatalf("final bundle not re-sent: %+v", fs.destroys)
-	}
-	if d := fs.destroys[1]; d.from != cA || d.to != rem || !d.m.Auth.Get(cA).Eps {
-		t.Errorf("re-sent bundle = %+v", d)
-	}
-}
-
 func TestEngineRemoveObserver(t *testing.T) {
 	var observed []ids.ClusterID
 	fs := &fakeSender{}
@@ -811,178 +667,6 @@ func TestEngineRemoveObserver(t *testing.T) {
 	e.HandleDestroy(cA, r1, DestroyMsg{Auth: vclock.Vector{r1: vclock.Eps(1)}})
 	if len(observed) != 1 || observed[0] != cA {
 		t.Fatalf("observed = %v", observed)
-	}
-}
-
-// --- Acknowledged retirement (DESIGN.md §3.2) ----------------------------
-
-func TestEngineAckAssertsRetiresCumulatively(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(r1)
-	e.Register(cA)
-	e.EdgeUp(r1, cA, true, ids.NoCluster, 0) // keep cA alive
-	e.Drain()
-	intro := ids.ClusterID{Site: 3, Seq: 9}
-	rem2 := ids.ClusterID{Site: 2, Seq: 4}
-	e.EdgeUp(cA, rem, true, intro, 7)  // assert stream seq 1
-	e.EdgeUp(cA, rem2, true, intro, 8) // assert stream seq 2
-	if len(fs.asserts) != 2 {
-		t.Fatalf("asserts = %+v, want 2", fs.asserts)
-	}
-	// The peer site's cumulative watermark 2 retires both rows at once.
-	if n := e.Ack(2, StreamAssert, 2); n != 2 {
-		t.Fatalf("AckAsserts retired %d rows, want 2", n)
-	}
-	e.Refresh()
-	if got := e.Stats().AssertResends; got != 0 {
-		t.Errorf("AssertResends after full ack = %d, want 0", got)
-	}
-	if got := e.Stats().RowsRetired; got != 2 {
-		t.Errorf("RowsRetired = %d, want 2", got)
-	}
-}
-
-func TestEngineAckDestroysStopsResend(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(r1)
-	e.Register(cA)
-	e.EdgeUp(r1, cA, true, ids.NoCluster, 0) // keep cA alive
-	e.EdgeUp(cA, rem, true, ids.NoCluster, 0)
-	e.EdgeDown(cA, rem)
-	e.Drain()
-	if len(fs.destroys) != 1 || fs.destroys[0].seq == 0 {
-		t.Fatalf("destroys = %+v, want one tracked bundle", fs.destroys)
-	}
-	seq := fs.destroys[0].seq
-	// Unacknowledged: the first refresh re-ships the Ē bundle.
-	e.Refresh()
-	if got := e.Stats().DestroyResends; got != 1 {
-		t.Fatalf("DestroyResends = %d, want 1", got)
-	}
-	if re := fs.destroys[len(fs.destroys)-1]; re.seq != seq {
-		t.Fatalf("re-send changed the stream seq: %d -> %d (would open a receiver gap)", seq, re.seq)
-	}
-	// The target site acknowledges: no further re-sends, ever.
-	if n := e.AckDestroys(rem.Site, seq); n != 1 {
-		t.Fatalf("AckDestroys retired %d, want 1", n)
-	}
-	n := len(fs.destroys)
-	for i := 0; i < 4; i++ {
-		e.Refresh()
-	}
-	if len(fs.destroys) != n {
-		t.Fatalf("acked bundle re-sent: %+v", fs.destroys[n:])
-	}
-}
-
-func TestEngineEdgeReformInvalidatesDestroyAck(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(r1)
-	e.Register(cA)
-	e.EdgeUp(r1, cA, true, ids.NoCluster, 0)
-	e.EdgeUp(cA, rem, true, ids.NoCluster, 0)
-	e.EdgeDown(cA, rem)
-	e.Drain()
-	firstSeq := fs.destroys[0].seq
-	// The edge re-forms, then is destroyed again: the second Ē ships
-	// under a fresh stream sequence, and the first row stays beside it.
-	e.EdgeUp(cA, rem, true, cB, 5)
-	e.EdgeDown(cA, rem)
-	e.Drain()
-	second := fs.destroys[len(fs.destroys)-1]
-	if second.seq == firstSeq {
-		t.Fatalf("re-destroyed edge reused stream seq %d", firstSeq)
-	}
-	if got := e.Retained().DestroyRows; got != 2 {
-		t.Fatalf("DestroyRows = %d, want both destructions retained", got)
-	}
-	// A stale ack of the first frame retires exactly the first row.
-	if n := e.AckDestroys(rem.Site, firstSeq); n != 1 {
-		t.Fatalf("stale watermark retired %d rows, want the first one", n)
-	}
-	n := len(fs.destroys)
-	e.Refresh()
-	if got := e.Stats().DestroyResends; got != 1 {
-		t.Errorf("fresh Ē bundle not re-sent after stale ack: resends = %d", got)
-	}
-	if re := fs.destroys[n:]; len(re) != 1 || re[0].seq != second.seq || !sameBundle(re[0].m, second.m) {
-		t.Errorf("refresh re-sent %+v, want the fresh bundle %+v", re, second)
-	}
-}
-
-// TestEngineAckRetiresFinalisationBundle: a removed process's
-// finalisation bundle is a destroy-ledger row in the destroy stream, and
-// the target site's ack on that stream retires it.
-func TestEngineAckRetiresFinalisationBundle(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(cA)
-	e.EdgeUp(cA, rem, true, ids.NoCluster, 0)
-	e.HandleDestroy(cA, r1, DestroyMsg{Auth: vclock.Vector{r1: vclock.Eps(1)}})
-	if !e.Removed(cA) {
-		t.Fatal("cA not removed")
-	}
-	if len(fs.destroys) != 1 || fs.destroys[0].from != cA || fs.destroys[0].to != rem {
-		t.Fatalf("destroys = %+v, want cA's one finalisation bundle", fs.destroys)
-	}
-	if got := e.Retained().DestroyRows; got != 1 {
-		t.Fatalf("DestroyRows = %d, want the finalisation bundle", got)
-	}
-	if n := e.Ack(rem.Site, StreamDestroy, fs.destroys[0].seq); n != 1 {
-		t.Fatalf("Ack retired %d, want 1", n)
-	}
-	e.Refresh()
-	if got := e.Stats().DestroyResends; got != 0 {
-		t.Errorf("acked finalisation bundle re-sent: DestroyResends = %d", got)
-	}
-}
-
-func TestEngineResendDamperBacksOff(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(r1)
-	e.Register(cA)
-	e.EdgeUp(r1, cA, true, ids.NoCluster, 0)
-	e.Drain()
-	e.EdgeUp(cA, rem, true, cB, 7) // one journaled assert, never acked
-	base := len(fs.asserts)
-	sentAt := []uint64{}
-	for round := uint64(1); round <= 16; round++ {
-		n := len(fs.asserts)
-		e.Refresh()
-		if len(fs.asserts) > n {
-			sentAt = append(sentAt, round)
-		}
-	}
-	// Exponential schedule: rounds 1, 2, 4, 8, 16.
-	want := []uint64{1, 2, 4, 8, 16}
-	if len(sentAt) != len(want) {
-		t.Fatalf("re-sends at rounds %v, want %v", sentAt, want)
-	}
-	for i := range want {
-		if sentAt[i] != want[i] {
-			t.Fatalf("re-sends at rounds %v, want %v", sentAt, want)
-		}
-	}
-	if got := e.Stats().ResendsSuppressed; got != 16-len(want) {
-		t.Errorf("ResendsSuppressed = %d, want %d", got, 16-len(want))
-	}
-	_ = base
-}
-
-func TestEngineResetPeerBackoffReArms(t *testing.T) {
-	e, fs, _ := newEngine(t, Options{})
-	e.Register(r1)
-	e.Register(cA)
-	e.EdgeUp(r1, cA, true, ids.NoCluster, 0)
-	e.Drain()
-	e.EdgeUp(cA, rem, true, cB, 7)
-	e.Refresh() // round 1: re-send, next due round 2
-	e.Refresh() // round 2: re-send, next due round 4
-	n := len(fs.asserts)
-	// Peer restarted: the damper re-arms and round 3 re-sends at once.
-	e.ResetPeerBackoff(rem.Site)
-	e.Refresh()
-	if len(fs.asserts) != n+1 {
-		t.Errorf("reset damper did not re-send on the next round")
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "causalgc/internal/ids"
+import (
+	"causalgc/internal/ids"
+	"causalgc/internal/vclock"
+)
 
 // HandleDestroy processes an untracked edge-destruction control message
 // (live traffic uses HandleDestroyFrame).
@@ -11,7 +14,7 @@ func (e *Engine) HandleDestroy(to, from ids.ClusterID, m DestroyMsg) {
 // Evaluate forces one evaluation of a single process.
 func (e *Engine) Evaluate(cl ids.ClusterID) {
 	if p, ok := e.procs[cl]; ok {
-		e.evaluate(p, false)
+		e.evaluate(p)
 		e.Drain()
 	}
 }
@@ -22,6 +25,18 @@ func (e *Engine) Acquaintances(cl ids.ClusterID) []ids.ClusterID {
 		return p.acq.sorted()
 	}
 	return nil
+}
+
+// copyBundle deep-copies a destroy bundle, so a test can hand one
+// bundle to several engines; a nil vector stays nil.
+func copyBundle(m DestroyMsg) DestroyMsg {
+	cp := func(v vclock.Vector) vclock.Vector {
+		if v == nil {
+			return nil
+		}
+		return v.Clone()
+	}
+	return DestroyMsg{Auth: cp(m.Auth), Hints: cp(m.Hints), Processed: cp(m.Processed)}
 }
 
 // cloneProp deep-copies a propagation payload, so a test can hand one

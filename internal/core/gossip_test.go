@@ -80,7 +80,7 @@ func shipped(m Propagation) string {
 // propagateAgain forces one propagating evaluation of cA and returns
 // what each edge carried.
 func propagateAgain(e *Engine, s *edgeSender) map[ids.ClusterID]Propagation {
-	e.evaluate(e.procs[cA], true)
+	e.evaluate(e.procs[cA])
 	e.Drain()
 	return s.take()
 }
@@ -164,7 +164,7 @@ func TestDeltaUnmarkedEdgesShipInFull(t *testing.T) {
 	})
 	t.Run("peer restart", func(t *testing.T) {
 		e, s := gossipCast(t)
-		e.ResetPeerBackoff(gossipY.Site)
+		e.PeerRestarted(gossipY.Site)
 		sent := propagateAgain(e, s)
 		if got := shipped(sent[gossipY]); got != fullPayload {
 			t.Errorf("edge into the restarted site ships %s, want %s", got, fullPayload)

@@ -60,7 +60,7 @@ func TestPropagationSharedAcrossEdges(t *testing.T) {
 	ps := &payloads{}
 	e := New(1, ps, nil, Options{})
 	p := fanOut(e, 8, true)
-	e.evaluate(p, true)
+	e.evaluate(p)
 	if len(ps.props) != 8 {
 		t.Fatalf("remote propagations = %d, want 8", len(ps.props))
 	}
@@ -94,9 +94,9 @@ func TestPropagateAllocs(t *testing.T) {
 	p := fanOut(e, 8, false)
 	full := testing.AllocsPerRun(100, func() {
 		p.acq.unmark()
-		e.evaluate(p, true)
+		e.evaluate(p)
 	})
-	delta := testing.AllocsPerRun(100, func() { e.evaluate(p, true) })
+	delta := testing.AllocsPerRun(100, func() { e.evaluate(p) })
 	t.Logf("one evaluate at fan-out 8: %.0f allocations unmarked, %.0f marked with nothing new", full, delta)
 	if full > 36 {
 		t.Fatalf("an unmarked evaluate at fan-out 8 allocates %.0f times, want <= 36", full)
@@ -188,13 +188,13 @@ func TestSentPayloadsNotMutated(t *testing.T) {
 	e.SentRef(cA, gone, peer)
 	e.EdgeUp(cA, gone, false, intro, 5)
 	e.EdgeDown(cA, gone)
-	e.evaluate(p, true)
+	e.evaluate(p)
 	e.Drain()
 	if len(ps.destroys) != 1 || len(ps.props) != 1 {
 		t.Fatalf("sent %d destroys and %d propagations, want 1 and 1", len(ps.destroys), len(ps.props))
 	}
 	bundle, prop := ps.destroys[0], ps.props[0]
-	bundleCopy, propCopy := cloneDestroy(bundle), cloneProp(prop)
+	bundleCopy, propCopy := copyBundle(bundle), cloneProp(prop)
 	if len(bundle.Hints) == 0 || len(bundle.Processed) == 0 || len(prop.OBs) == 0 {
 		t.Fatalf("payloads too thin to test: bundle %v, propagation %v", bundle, prop)
 	}

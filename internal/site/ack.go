@@ -6,16 +6,15 @@ import (
 
 	"causalgc/internal/core"
 	"causalgc/internal/ids"
-	"causalgc/internal/netsim"
 	"causalgc/internal/wire"
 )
 
 // This file implements the site half of the acknowledged-retirement
-// protocol (DESIGN.md §3.2). The engine decides *what* is retained and
-// re-sent; the site owns the wire-level bookkeeping: per-(peer, stream)
-// sequence counters on the send side, cumulative watermarks on the
-// receive side, FrameAck emission, and the outbox of unacknowledged
-// mutator frames.
+// protocol (DESIGN.md §3.2). The engine decides *what* is sent; the
+// site owns the wire-level bookkeeping: per-(peer, stream) sequence
+// counters on the send side, each shard's ledgers of the tracked frames
+// it sent (ledger.go), cumulative watermarks on the receive side,
+// FrameAck emission, and the re-send of what no ack has covered yet.
 //
 // The stream state lives in a streams table shared by every shard of
 // the site (DESIGN.md §3.4): a remote peer tracks ONE cumulative
@@ -41,7 +40,7 @@ type FrameStats struct {
 	// AcksSent and AcksReceived count FrameAck traffic.
 	AcksSent, AcksReceived int
 	// FramesRetired counts outbox frames retired by cumulative acks
-	// (engine-side rows are counted in EngineStats.RowsRetired).
+	// (assert and destroy rows are counted in EngineStats.RowsRetired).
 	FramesRetired int
 	// Deprecated: always zero (a retained row leaves only on an ack, so
 	// no floor is ever advised); kept only while the frozen benchmark
@@ -172,20 +171,16 @@ func (st *streams) deliveryRefused() {
 	st.fstats.DeliveriesRefused++
 }
 
-// assignSeqLocked returns seq unchanged when non-zero (a re-send under
-// its original sequence) and otherwise assigns the next sequence of the
-// (peer, kind) stream. Caller holds r.mu.
-func (r *shard) assignSeqLocked(peer ids.SiteID, kind core.Stream, seq uint64) uint64 {
-	if seq != 0 {
-		return seq
-	}
+// nextSeqLocked draws the next sequence of the (peer, kind) stream: a
+// frame's first and only draw, since a re-send ships the retained frame
+// under the sequence it carries. Caller holds r.mu.
+func (r *shard) nextSeqLocked(peer ids.SiteID, kind core.Stream) uint64 {
 	st := r.site.st
 	k := streamKey{peer: peer, kind: kind}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.send[k]++
-	seq = st.send[k]
-	st.mu.Unlock()
-	return seq
+	return st.send[k]
 }
 
 // markRecvLocked records the settlement of one tracked inbound frame
@@ -261,19 +256,26 @@ func (s *Site) applyAck(peer ids.SiteID, m wire.FrameAck) {
 }
 
 // applyAckLocked is this shard's part of applyAck: a peer restart
-// re-arms every row this shard holds bound for the peer, and the
-// watermark retires the covered rows exactly. An ack of the untracked
-// stream covers nothing. Caller holds r.mu.
+// re-arms every row this shard holds bound for the peer and unmarks the
+// engine's out-edges into it, and the watermark retires the covered
+// rows of its stream exactly. An ack of the untracked stream covers
+// nothing. Caller holds r.mu.
 func (r *shard) applyAckLocked(peer ids.SiteID, m wire.FrameAck, restarted bool) {
 	if restarted {
-		r.engine.ResetPeerBackoff(peer)
-		r.outbox.ResetPeer(peer)
+		r.engine.PeerRestarted(peer)
+		for i := range r.retained {
+			r.retained[i].ResetPeer(peer)
+		}
 	}
-	if m.Stream != core.StreamMut {
-		r.engine.Ack(peer, m.Stream, m.Seq)
+	if m.Stream < core.StreamMut || m.Stream > core.StreamDestroy {
 		return
 	}
-	if n := r.outbox.Ack(peer, m.Seq); n > 0 {
+	n := r.ledger(m.Stream).Ack(peer, m.Seq)
+	switch {
+	case n == 0:
+	case m.Stream != core.StreamMut:
+		r.counts.RowsRetired += n
+	default:
 		st := r.site.st
 		st.mu.Lock()
 		st.fstats.FramesRetired += n
@@ -284,17 +286,30 @@ func (r *shard) applyAckLocked(peer ids.SiteID, m wire.FrameAck, restarted bool)
 	}
 }
 
-// resendOutboxLocked re-ships the unacknowledged, damper-due outbox
-// frames during this shard's refresh round. Caller holds r.mu.
-func (r *shard) resendOutboxLocked() {
-	resent, suppressed := r.outbox.Due(func(to ids.SiteID, p netsim.Payload, _ uint64) {
-		r.emitLocked(to, p)
-	})
-	if resent+suppressed > 0 {
-		r.site.st.mu.Lock()
-		r.site.st.fstats.OutboxResends += resent
-		r.site.st.fstats.ResendsSuppressed += suppressed
-		r.site.st.mu.Unlock()
+// resendLocked re-ships the unacknowledged, damper-due retained frames
+// during this shard's refresh round — the due Ē and finalisation
+// bundles, then the due asserts, then the due mutator frames — and
+// counts the re-sends and the ones the dampers held back: the mutator
+// frames' in FrameStats, the others' in the engine counters
+// (Site.EngineStats). Caller holds r.mu.
+func (r *shard) resendLocked() {
+	for _, s := range [...]core.Stream{core.StreamDestroy, core.StreamAssert, core.StreamMut} {
+		sent, held := r.ledger(s).Due(r.emitLocked)
+		switch s {
+		case core.StreamDestroy:
+			r.counts.DestroysSent += sent
+			r.counts.DestroyResends += sent
+			r.counts.ResendsSuppressed += held
+		case core.StreamAssert:
+			r.counts.AssertResends += sent
+			r.counts.ResendsSuppressed += held
+		default:
+			st := r.site.st
+			st.mu.Lock()
+			st.fstats.OutboxResends += sent
+			st.fstats.ResendsSuppressed += held
+			st.mu.Unlock()
+		}
 	}
 }
 
@@ -307,7 +322,7 @@ func (s *Site) FrameStats() FrameStats {
 	fs.OutboxRetained = 0
 	for _, r := range s.shards {
 		r.mu.Lock()
-		fs.OutboxRetained += r.outbox.Len()
+		fs.OutboxRetained += r.ledger(core.StreamMut).Len()
 		r.mu.Unlock()
 	}
 	return fs

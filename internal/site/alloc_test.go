@@ -55,13 +55,16 @@ func TestApplyBatchAllocs(t *testing.T) {
 
 // TestDeliverEnvelopeAllocs bounds the allocations of one received
 // envelope of three propagations into a volatile site at steady state,
-// at widths 1 and 2. All three name one cluster the site has not
-// created, so they route to one shard and merge into its unborn
-// process, which is never evaluated: what is counted is the routing
-// and dispatch. An ack-free envelope bound for one shard is delivered
-// whole, never re-boxed: it measured 7 allocations at both widths when
-// the gate was set, and 12 when every envelope was split into per-shard
-// parts.
+// at widths 1 and 2. All three name one cluster, so they route to one
+// shard, and re-deliveries change nothing: what is counted is the
+// routing and dispatch. The cluster is one the site has not created,
+// whose unborn process is never evaluated, and then the site's root
+// cluster, whose born process a delivery that changes nothing must not
+// evaluate either: the root measured 22 allocations while every
+// delivery ran a full closure. An ack-free envelope bound for one shard
+// is delivered whole, never re-boxed: it measured 7 allocations at both
+// widths when the gate was set, and 12 when every envelope was split
+// into per-shard parts.
 func TestDeliverEnvelopeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
@@ -69,20 +72,21 @@ func TestDeliverEnvelopeAllocs(t *testing.T) {
 	for _, width := range []int{1, 2} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
 			s := NewSharded(1, netsim.NewSim(netsim.Faults{Seed: 1}), DefaultOptions(), width)
-			unborn := ids.ClusterID{Site: 1, Seq: 1 << 20}
-			var env wire.Envelope
-			for i := uint64(1); i <= 3; i++ {
-				from := ids.ClusterID{Site: 2, Seq: i}
-				env.Frames = append(env.Frames, wire.Propagate{From: from, To: unborn, M: core.Propagation{
-					Clock: 1, Auth: vclock.Vector{from: vclock.At(1)},
-				}})
-			}
-			deliver := func() { s.handleNet(2, env) }
-			deliver() // the first delivery merges; the rest change nothing
-			got := testing.AllocsPerRun(200, deliver)
-			t.Logf("one 3-propagation envelope at width %d: %.0f allocations", width, got)
-			if got > 7 {
-				t.Fatalf("one 3-propagation envelope at width %d allocates %.0f times, want <= 7", width, got)
+			for _, to := range []ids.ClusterID{{Site: 1, Seq: 1 << 20}, s.Root().Cluster} {
+				var env wire.Envelope
+				for i := uint64(1); i <= 3; i++ {
+					from := ids.ClusterID{Site: 2, Seq: i}
+					env.Frames = append(env.Frames, wire.Propagate{From: from, To: to, M: core.Propagation{
+						Clock: 1, Auth: vclock.Vector{from: vclock.At(1)},
+					}})
+				}
+				deliver := func() { s.handleNet(2, env) }
+				deliver() // the first delivery merges; the rest change nothing
+				got := testing.AllocsPerRun(200, deliver)
+				t.Logf("one 3-propagation envelope to %v at width %d: %.0f allocations", to, width, got)
+				if got > 7 {
+					t.Fatalf("one 3-propagation envelope to %v at width %d allocates %.0f times, want <= 7", to, width, got)
+				}
 			}
 		})
 	}

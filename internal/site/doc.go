@@ -8,7 +8,7 @@
 //
 // A Site is always a composition of n >= 1 shards (DESIGN.md §3.4):
 // each shard owns a partition of the site's clusters — heap rows, engine
-// processes, outbox — under its own mutex, which models the paper's
+// processes, the frames it sent — under its own mutex, which models the paper's
 // single mutator/collector interleaving per partition. There is one
 // commit path (commitLocked: stage, one journal append, apply — for a
 // group of n >= 1 operations; the singleton methods commit groups of
@@ -30,16 +30,17 @@
 //     RecoverSharded reconstructs the site and resumes the protocol.
 //     Both hold only what replay must reproduce: no FrameAck is
 //     journaled, and no peer epoch, counter or edge count is imaged.
-//   - Acknowledged retirement (ack.go, DESIGN.md §3.2): the site
-//     assigns retirement-stream sequences to every re-sendable frame,
-//     tracks cumulative receive watermarks, emits FrameAck and applies
-//     each one it receives once per site, to every shard, retains
-//     unacknowledged mutator frames in the outbox — a core.Ledger like
-//     the engine's two, so ack, re-arm and re-send are the engine's
-//     code, not a copy — and re-ships damper-due state on Refresh. A
-//     row leaves only when the peer acknowledges it: nothing is
-//     evicted or abandoned, so every receive watermark reaches its
-//     sender's last sequence by acks alone, and a peer that never
-//     answers shows in the depth gauges (Depths). FrameStats and the
-//     optional AckObserver expose the retirement activity.
+//   - Acknowledged retirement (ack.go, ledger.go, DESIGN.md §3.2): the
+//     engine only sends; the site assigns retirement-stream sequences to
+//     every re-sendable frame, keeps each frame it sent in its shard's
+//     ledger for the frame's stream (mutator frames on a durable site,
+//     edge-asserts, edge-destruction bundles), tracks cumulative
+//     receive watermarks, emits FrameAck and applies each one it
+//     receives once per site, to every shard, and re-ships the
+//     damper-due frames on Refresh. A frame leaves only when the peer
+//     acknowledges it: nothing is evicted or abandoned, so every receive
+//     watermark reaches its sender's last sequence by acks alone, and a
+//     peer that never answers shows in the depth gauges (Depths).
+//     FrameStats, EngineStats and the optional AckObserver expose the
+//     retirement activity.
 package site

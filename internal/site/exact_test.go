@@ -14,33 +14,31 @@ import (
 	"causalgc/internal/wire"
 )
 
-// engineRowsTo maps every retained engine row toward peer — destroy
-// bundles and edge-asserts, across all shards — to its stream sequence,
-// keyed by stream and sequence. Two rows sharing a (stream, sequence)
-// show as a count above the map's size.
+// engineRowsTo maps every retained destroy bundle and edge-assert
+// toward peer, across all shards, to its edge, keyed by stream and
+// sequence. Two rows sharing a (stream, sequence) show as a count above
+// the map's size.
 func engineRowsTo(t *testing.T, s *Site, peer ids.SiteID) (map[string]string, int) {
 	t.Helper()
 	out := make(map[string]string)
 	n := 0
 	for i, r := range s.shards {
 		r.mu.Lock()
-		img, err := r.engine.Export()
+		for _, kind := range []core.Stream{core.StreamDestroy, core.StreamAssert} {
+			r.ledger(kind).Each(func(to ids.SiteID, p netsim.Payload, seq uint64) {
+				if to != peer {
+					return
+				}
+				n++
+				switch f := p.(type) {
+				case wire.Destroy:
+					out[fmt.Sprintf("destroy/%d", seq)] = fmt.Sprintf("shard %d: %v→%v", i, f.From, f.To)
+				case wire.Assert:
+					out[fmt.Sprintf("assert/%d", seq)] = fmt.Sprintf("shard %d: %v→%v via %v#%d", i, f.From, f.To, f.M.Intro, f.M.IntroSeq)
+				}
+			})
+		}
 		r.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range img.Destroys {
-			if d.Target.Site == peer {
-				n++
-				out[fmt.Sprintf("destroy/%d", d.Seq)] = fmt.Sprintf("shard %d: %v→%v", i, d.Holder, d.Target)
-			}
-		}
-		for _, a := range img.Asserts {
-			if a.Target.Site == peer && a.StreamSeq != 0 {
-				n++
-				out[fmt.Sprintf("assert/%d", a.StreamSeq)] = fmt.Sprintf("shard %d: %v→%v via %v#%d", i, a.Holder, a.Target, a.Intro, a.Seq)
-			}
-		}
 	}
 	return out, n
 }
@@ -245,7 +243,7 @@ func TestPeerRestartRearmsEveryShard(t *testing.T) {
 			run()
 			for i, r := range s.shards {
 				r.mu.Lock()
-				rows := r.engine.Retained().DestroyRows
+				rows := r.ledger(core.StreamDestroy).Len()
 				r.mu.Unlock()
 				if rows == 0 {
 					t.Fatalf("shard %d retains no destroy row toward the peer", i)

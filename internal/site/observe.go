@@ -70,11 +70,12 @@ type Depths struct {
 	// Outbox is the number of sent mutator frames retained awaiting
 	// cumulative acknowledgement.
 	Outbox int
-	// AssertRows is the engine's un-acknowledged edge-assert journal
-	// size.
+	// AssertRows is the number of sent edge-asserts retained awaiting
+	// cumulative acknowledgement.
 	AssertRows int
-	// DestroyRows is the engine's un-acknowledged edge-destruction bundle
-	// count; a bundle toward a peer that never answers stays.
+	// DestroyRows is the number of sent edge-destruction bundles
+	// retained awaiting cumulative acknowledgement; a bundle toward a
+	// peer that never answers stays.
 	DestroyRows int
 	// PendingDeliveries is the engine's count of unborn processes:
 	// clusters that control messages or reference transfers named ahead
@@ -102,11 +103,10 @@ func (s *Site) ShardDepths(i int) Depths {
 	r := s.shards[i]
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ret := r.engine.Retained()
 	return Depths{
-		Outbox:            r.outbox.Len(),
-		AssertRows:        ret.AssertRows,
-		DestroyRows:       ret.DestroyRows,
-		PendingDeliveries: ret.PendingDeliveries,
+		Outbox:            r.ledger(core.StreamMut).Len(),
+		AssertRows:        r.ledger(core.StreamAssert).Len(),
+		DestroyRows:       r.ledger(core.StreamDestroy).Len(),
+		PendingDeliveries: r.engine.Unborn(),
 	}
 }

@@ -151,8 +151,8 @@ func (p *Persist) Close() error { return p.store.Close() }
 // The world stops to export, not to drain: an own-site frame a
 // goroutine holds between releasing its sender's lock and taking its
 // receiver's is a post-snapshot delivery — its journal record lands
-// after the truncation — and a tracked one has its sender's outbox row
-// in the image.
+// after the truncation — and a tracked one is in its sender's ledger,
+// so in the image.
 func (s *Site) checkpointEvent() error {
 	for _, r := range s.shards {
 		r.mu.Lock()
@@ -188,8 +188,9 @@ func Recover(id ids.SiteID, net netsim.Network, opts Options, j *Persist) (*Site
 // protocol: load the latest snapshot, replay the WAL tail through the
 // regular commit and delivery paths (journaling suppressed — the
 // records are already durable), and run one journaled Refresh, which
-// re-sends the outboxes' mutator frames (a receiver applies each once,
-// by its stream sequence) and lets peers re-converge. A fresh journal
+// re-sends every shard's retained frames (a receiver applies a mutator
+// frame once, by its stream sequence, and merges the others by stamp)
+// and lets peers re-converge. A fresh journal
 // yields a fresh site of the requested width with journaling enabled,
 // so RecoverSharded doubles as the persistent constructor.
 //
@@ -352,9 +353,10 @@ func (s *Site) applyRecord(rec *wire.WALRecord) {
 	r.mu.Unlock() // replay emits no own-site frame
 }
 
-// restore rebuilds the shard's heap, engine and outbox from its durable
-// state block. Outbox dampers reset on restore: recovery's refresh
-// round finds every restored row due.
+// restore rebuilds the shard's heap, engine and ledgers from its
+// durable state block, each retained frame into the ledger of the
+// stream its payload type names. Dampers reset on restore: recovery's
+// refresh round finds every restored row due.
 func (r *shard) restore(ss wire.ShardState) error {
 	s := r.site
 	var err error
@@ -366,10 +368,28 @@ func (r *shard) restore(ss wire.ShardState) error {
 	if err != nil {
 		return err
 	}
-	for _, f := range ss.Outbox {
-		r.outbox.Put(f.To, f.Seq, f.Payload)
+	for _, f := range ss.Retained {
+		kind := frameStream(f.Payload)
+		if kind == 0 || f.Seq == 0 {
+			return fmt.Errorf("retained frame %T seq %d: not a tracked frame", f.Payload, f.Seq)
+		}
+		r.ledger(kind).Put(f.To, f.Seq, f.Payload)
 	}
 	return nil
+}
+
+// frameStream names the retirement stream a tracked frame travels in,
+// or the untracked stream 0 for any other payload.
+func frameStream(p netsim.Payload) core.Stream {
+	switch p.(type) {
+	case wire.Create, wire.RefTransfer:
+		return core.StreamMut
+	case wire.Assert:
+		return core.StreamAssert
+	case wire.Destroy:
+		return core.StreamDestroy
+	}
+	return 0
 }
 
 // restoreStreams rebuilds the shared stream table from a snapshot
@@ -394,17 +414,20 @@ func restoreStreams(st *streams, img *wire.SiteImage) {
 }
 
 // exportShardStateLocked renders this shard's partition of the site
-// state: heap, engine and outbox — everything except the shared stream
-// table. Caller holds r.mu at a quiescent point (engine drained).
+// state: heap, engine and retained frames — everything except the
+// shared stream table. Caller holds r.mu at a quiescent point (engine
+// drained).
 func (r *shard) exportShardStateLocked() (wire.ShardState, error) {
 	eng, err := r.engine.Export()
 	if err != nil {
 		return wire.ShardState{}, err
 	}
 	ss := wire.ShardState{Heap: r.heap.Export(), Engine: eng}
-	r.outbox.Each(func(to ids.SiteID, p netsim.Payload, seq uint64) {
-		ss.Outbox = append(ss.Outbox, wire.FrameImage{To: to, Payload: p, Seq: seq})
-	})
+	for i := range r.retained {
+		r.retained[i].Each(func(to ids.SiteID, p netsim.Payload, seq uint64) {
+			ss.Retained = append(ss.Retained, wire.FrameImage{To: to, Payload: p, Seq: seq})
+		})
+	}
 	return ss, nil
 }
 

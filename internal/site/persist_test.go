@@ -263,6 +263,61 @@ func TestRetainedOutboxSurvivesDownPeer(t *testing.T) {
 	}
 }
 
+// TestRetainedTransferIntoOwnCluster: a reference copied into the
+// cluster it denotes (SendRef(root, x, x)) carries no introduction, yet
+// it is a mutator frame like any other: a durable sender retains it
+// until acknowledged, and the receiver applies it once by its stream
+// sequence. Sent toward a down peer beside an introduced copy, both
+// reach the peer once it is back.
+func TestRetainedTransferIntoOwnCluster(t *testing.T) {
+	net := &downNet{Sim: netsim.NewSim(netsim.Faults{Seed: 1}), down: make(map[ids.SiteID]bool)}
+	p := openPersist(t, t.TempDir(), 4096)
+	defer p.Close()
+	s1 := recoverSite(t, 1, net, p)
+	s2 := site.New(2, net, site.DefaultOptions())
+	root := s1.Root().Obj
+	x, err := s1.NewRemote(root, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := s1.NewRemote(root, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, net.Sim)
+
+	net.down[2] = true
+	if err := s1.SendRef(root, x, x); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.SendRef(root, x, y); err != nil {
+		t.Fatal(err)
+	}
+	run(t, net.Sim)
+	net.down[2] = false
+	for round := 0; round < 3; round++ {
+		for _, s := range []*site.Site{s1, s2} {
+			if err := s.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run(t, net.Sim)
+	}
+	_, objs := s2.Snapshot()
+	var slots []heap.Ref
+	for _, o := range objs {
+		if o.ID == x.Obj {
+			slots = o.Slots
+		}
+	}
+	if len(slots) != 2 {
+		t.Fatalf("x holds %v, want its own reference and y's", slots)
+	}
+	if got := s1.FrameStats().OutboxRetained; got != 0 {
+		t.Errorf("OutboxRetained = %d after the peer acknowledged, want 0", got)
+	}
+}
+
 // TestRecoverDedupsResentTransfers: a transfer the receiver already
 // processed is re-sent by the sender's recovery; the receiver must not
 // grow a second slot.

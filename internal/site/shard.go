@@ -29,13 +29,18 @@ type shard struct {
 	// removals counts GGD removals since the last collection.
 	removals int
 
-	// outbox retains outbound mutator frames (populated only on a
-	// durable site) until the receiver's cumulative FrameAck retires
-	// them, re-sent by crash recovery and by damper-due refresh rounds:
-	// the mutator stream's ledger, oldest first. A frame toward a peer
-	// that never answers stays (FrameStats.OutboxRetained): dropping it
-	// would lose a Create or RefTransfer, and with it safety.
-	outbox *core.Ledger[netsim.Payload]
+	// retained keeps every tracked frame this shard sent until the
+	// receiver's cumulative FrameAck retires it, one ledger per stream
+	// (reached through ledger); the mut ledger is the outbox, filled
+	// only on a durable site. Crash recovery and refresh rounds re-send
+	// them. A frame toward a peer that never answers stays: dropping it
+	// would lose a Create or RefTransfer (safety) or an assert or Ē
+	// (comprehensiveness).
+	retained [3]ledger
+	// counts are the engine counters the ledgers keep: re-sends, held
+	// re-sends and ack retirements of the assert and destroy streams
+	// (Site.EngineStats adds them to the engine's own).
+	counts core.Stats
 
 	// coalescing, when set, buffers outbound frames instead of sending
 	// them: open during every commit and during the dispatch of a
@@ -58,8 +63,11 @@ type shard struct {
 // newShard allocates shard i of s without its heap and engine: the
 // caller builds those fresh (initFresh) or from an image (restore).
 func newShard(s *Site, i int) *shard {
-	return &shard{site: s, index: i, outbox: core.NewLedger[netsim.Payload]()}
+	return &shard{site: s, index: i}
 }
+
+// ledger returns the ledger of tracked stream s.
+func (r *shard) ledger(s core.Stream) *ledger { return &r.retained[s-1] }
 
 // engineOptions are the site's engine options with this shard's routing
 // rule as the locality predicate.
@@ -101,9 +109,12 @@ func (h *hooks) EdgeDown(holder, target ids.ClusterID) {
 
 var _ heap.Hooks = (*hooks)(nil)
 
-// sender adapts shard to core.Sender: it assigns retirement-stream
-// sequences (per destination site and stream) and stamps them onto the
-// wire frames, so receivers can acknowledge cumulatively.
+// sender adapts shard to core.Sender: it draws each tracked frame's
+// retirement-stream sequence (per destination site and stream), stamps
+// it onto the wire frame, and retains the frame it emits until the
+// receiver acknowledges it, so receivers can acknowledge cumulatively
+// and the shard can re-send. The engine passes sequence 0 and ignores
+// the result (core.Sender).
 //
 // The engine only runs inside shard methods that hold r.mu, so every
 // callback below executes under the lock by construction; the
@@ -112,18 +123,18 @@ var _ heap.Hooks = (*hooks)(nil)
 // exceptions instead.
 type sender shard
 
-func (s *sender) SendDestroy(from, to ids.ClusterID, m core.DestroyMsg, seq uint64) uint64 {
+func (s *sender) SendDestroy(from, to ids.ClusterID, m core.DestroyMsg, _ uint64) uint64 {
 	r := (*shard)(s)
-	seq = r.assignSeqLocked(to.Site, core.StreamDestroy, seq)               //causalgc:allow-locked-call engine callbacks run under r.mu
-	r.emitLocked(to.Site, wire.Destroy{From: from, To: to, M: m, Seq: seq}) //causalgc:allow-locked-call engine callbacks run under r.mu
-	return seq
+	f := wire.Destroy{From: from, To: to, M: m, Seq: r.nextSeqLocked(to.Site, core.StreamDestroy)} //causalgc:allow-locked-call engine callbacks run under r.mu
+	r.sendRetainedLocked(to.Site, core.StreamDestroy, f.Seq, f)                                    //causalgc:allow-locked-call engine callbacks run under r.mu
+	return f.Seq
 }
 
-func (s *sender) SendAssert(from, to ids.ClusterID, m core.AssertMsg, seq uint64) uint64 {
+func (s *sender) SendAssert(from, to ids.ClusterID, m core.AssertMsg, _ uint64) uint64 {
 	r := (*shard)(s)
-	seq = r.assignSeqLocked(to.Site, core.StreamAssert, seq)               //causalgc:allow-locked-call engine callbacks run under r.mu
-	r.emitLocked(to.Site, wire.Assert{From: from, To: to, M: m, Seq: seq}) //causalgc:allow-locked-call engine callbacks run under r.mu
-	return seq
+	f := wire.Assert{From: from, To: to, M: m, Seq: r.nextSeqLocked(to.Site, core.StreamAssert)} //causalgc:allow-locked-call engine callbacks run under r.mu
+	r.sendRetainedLocked(to.Site, core.StreamAssert, f.Seq, f)                                   //causalgc:allow-locked-call engine callbacks run under r.mu
+	return f.Seq
 }
 
 func (s *sender) SendPropagate(from, to ids.ClusterID, m core.Propagation) {
@@ -280,16 +291,17 @@ func (r *shard) mutatorSeqLocked(target ids.SiteID) uint64 {
 	if r.site.journal == nil {
 		return 0
 	}
-	return r.assignSeqLocked(target, core.StreamMut, 0)
+	return r.nextSeqLocked(target, core.StreamMut)
 }
 
-// recordOutboundLocked retains a sent mutator frame until the receiver
-// acknowledges it.
-func (r *shard) recordOutboundLocked(to ids.SiteID, seq uint64, p netsim.Payload) {
-	if r.site.journal == nil || seq == 0 {
-		return
+// sendRetainedLocked emits a frame of stream s and, when it carries a
+// sequence, retains it until the receiver acknowledges it. Caller holds
+// r.mu.
+func (r *shard) sendRetainedLocked(to ids.SiteID, s core.Stream, seq uint64, f netsim.Payload) {
+	r.emitLocked(to, f)
+	if seq != 0 {
+		r.ledger(s).Put(to, seq, f)
 	}
-	r.outbox.Put(to, seq, p)
 }
 
 func (r *shard) handleCreate(m wire.Create) {
@@ -501,8 +513,7 @@ func (r *shard) createRemoteLocked(holder ids.ObjectID, target ids.SiteID, ref h
 		Cluster: ref.Cluster,
 		Seq:     r.mutatorSeqLocked(target),
 	}
-	r.emitLocked(target, create)
-	r.recordOutboundLocked(target, create.Seq, create)
+	r.sendRetainedLocked(target, core.StreamMut, create.Seq, create)
 	r.settleLocked()
 	return ref, nil
 }
@@ -544,16 +555,9 @@ func (r *shard) applySendRefLocked(fromObj ids.ObjectID, to heap.Ref, target hea
 		ToObj:       to.Obj,
 		ToCluster:   to.Cluster,
 		Target:      target,
+		Seq:         r.mutatorSeqLocked(to.Obj.Site),
 	}
-	// IntroSeq 0 frames (intra-cluster copies, stale holders) carry no
-	// dedup identity, so a re-send would apply them twice; they stay out
-	// of the retirement stream and the outbox — losing one to a crash is
-	// loss-equivalent, which the protocol tolerates.
-	if seq != 0 {
-		xfer.Seq = r.mutatorSeqLocked(to.Obj.Site)
-	}
-	r.emitLocked(to.Obj.Site, xfer)
-	r.recordOutboundLocked(to.Obj.Site, xfer.Seq, xfer)
+	r.sendRetainedLocked(to.Obj.Site, core.StreamMut, xfer.Seq, xfer)
 	r.settleLocked()
 	return nil
 }
@@ -590,16 +594,15 @@ func (r *shard) collectShardLocked() (heap.CollectStats, error) {
 
 // refreshShardLocked is this shard's part of a site-wide Refresh, one
 // event journaled by its own OpRefresh marker: re-propagate every local
-// process's vector and re-ship the unacknowledged retained state — the
-// engine's journal rows and bundles plus the outbox frames, each under
-// its re-send damper, whose round is its ledger's walk. Caller
+// process's vector and re-ship the unacknowledged retained frames, each
+// under its re-send damper, whose round is its ledger's walk. Caller
 // holds r.mu (under the event lock) and no other shard's lock.
 func (r *shard) refreshShardLocked() error {
 	if err := r.journalCycleLocked(wire.OpRefresh); err != nil {
 		return err
 	}
 	r.engine.Refresh()
-	r.resendOutboxLocked()
+	r.resendLocked()
 	r.settleLocked()
 	r.flushAcksLocked()
 	return nil

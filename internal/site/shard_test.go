@@ -754,7 +754,7 @@ func outboxFramesTo(s *Site, peer ids.SiteID) (map[uint64]ids.ObjectID, int) {
 	n := 0
 	for _, r := range s.shards {
 		r.mu.Lock()
-		r.outbox.Each(func(to ids.SiteID, p netsim.Payload, seq uint64) {
+		r.ledger(core.StreamMut).Each(func(to ids.SiteID, p netsim.Payload, seq uint64) {
 			if to != peer {
 				return
 			}

@@ -53,7 +53,7 @@ func DefaultOptions() Options {
 // the same. The shards interact only through
 // own-site frames, where a sibling shard is addressed exactly like a
 // remote peer: a tracked frame is journaled before it is emitted,
-// retained in the sending shard's outbox and retired by the ordinary
+// retained in the sending shard's ledger and retired by the ordinary
 // FrameAck path, and the goroutine that emitted it delivers it once it
 // has released the sender's lock (unlock) — in no promised order, which
 // the protocol never needed (DESIGN.md §3.4). A one-shard site has no
@@ -559,24 +559,26 @@ func (s *Site) Clock(cl ids.ClusterID) uint64 {
 	return r.engine.Clock(cl)
 }
 
-// EngineStats sums the per-shard GGD engine counters.
+// EngineStats sums the per-shard GGD engine counters, with the re-send
+// and retirement counts of the shards' assert and destroy ledgers.
 func (s *Site) EngineStats() core.Stats {
 	var total core.Stats
 	for _, r := range s.shards {
 		r.mu.Lock()
-		st := r.engine.Stats()
+		for _, st := range [...]core.Stats{r.engine.Stats(), r.counts} {
+			total.Removed += st.Removed
+			total.Evaluations += st.Evaluations
+			total.PropagationsSent += st.PropagationsSent
+			total.DestroysSent += st.DestroysSent
+			total.AssertsSent += st.AssertsSent
+			total.AssertResends += st.AssertResends
+			total.DestroyResends += st.DestroyResends
+			total.ResendsSuppressed += st.ResendsSuppressed
+			total.RowsRetired += st.RowsRetired
+			total.HintsExpired += st.HintsExpired
+			total.StaleDeliveries += st.StaleDeliveries
+		}
 		r.mu.Unlock()
-		total.Removed += st.Removed
-		total.Evaluations += st.Evaluations
-		total.PropagationsSent += st.PropagationsSent
-		total.DestroysSent += st.DestroysSent
-		total.AssertsSent += st.AssertsSent
-		total.AssertResends += st.AssertResends
-		total.DestroyResends += st.DestroyResends
-		total.ResendsSuppressed += st.ResendsSuppressed
-		total.RowsRetired += st.RowsRetired
-		total.HintsExpired += st.HintsExpired
-		total.StaleDeliveries += st.StaleDeliveries
 	}
 	return total
 }

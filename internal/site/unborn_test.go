@@ -230,6 +230,7 @@ type unbornState struct {
 	objs    []ObjectSnapshot
 	engines []core.EngineImage
 	outbox  map[uint64]ids.ObjectID
+	rows    map[string]string
 	acks    []string
 	unborn  int
 }
@@ -238,9 +239,9 @@ type unbornState struct {
 // Create of the cluster they name, so the cluster's process exists
 // unborn. The site checkpoints and crashes — or crashes with the frames
 // in the WAL only — recovers, and then receives the Create. Heap, engine
-// images, outbox and the acknowledgements sent must equal those of the
-// run that never crashed: the unborn process is durable state like any
-// other, and its birth replays exactly.
+// images, retained frames and the acknowledgements sent must equal
+// those of the run that never crashed: the unborn process is durable
+// state like any other, and its birth replays exactly.
 //
 // A second cluster is named by a reference transfer and its Create is
 // lost for good. All that is left of it is the early holder — one object
@@ -366,6 +367,7 @@ func TestRecoverWithUnbornProcess(t *testing.T) {
 			st.engines = append(st.engines, img)
 		}
 		st.outbox, _ = outboxFramesTo(s, 2)
+		st.rows, _ = engineRowsTo(t, s, 2)
 		st.unborn = s.Depths().PendingDeliveries
 		return st
 	}
@@ -384,6 +386,9 @@ func TestRecoverWithUnbornProcess(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.outbox, want.outbox) {
 				t.Errorf("width %d, %s: outbox %v, uncrashed %v", width, name, got.outbox, want.outbox)
+			}
+			if !reflect.DeepEqual(got.rows, want.rows) {
+				t.Errorf("width %d, %s: retained asserts and bundles %v, uncrashed %v", width, name, got.rows, want.rows)
 			}
 			if !reflect.DeepEqual(got.acks, want.acks) {
 				t.Errorf("width %d, %s: acks %v, uncrashed %v", width, name, got.acks, want.acks)

@@ -118,13 +118,13 @@ func TestRecordArity(t *testing.T) {
 	}
 }
 
-// TestSnapshotV9Pinned: the shard-partitioned snapshot format is v9 —
-// the only version that decodes (a v8 image is refused:
+// TestSnapshotV10Pinned: the shard-partitioned snapshot format is v10
+// — the only version that decodes (a v9 image is refused:
 // TestDecodeSnapshotRejectsOtherVersions) — re-encoded images
 // round-trip, and re-send state is always bare frames, never envelopes.
-func TestSnapshotV9Pinned(t *testing.T) {
-	if SnapshotVersion != 9 {
-		t.Fatalf("SnapshotVersion = %d; dropping what recovery rebuilds (peer epochs, counters, edge counts) pinned the format at v9", SnapshotVersion)
+func TestSnapshotV10Pinned(t *testing.T) {
+	if SnapshotVersion != 10 {
+		t.Fatalf("SnapshotVersion = %d; moving every retained frame into ShardState.Retained pinned the format at v10", SnapshotVersion)
 	}
 	img := sampleImage()
 	data, err := EncodeSnapshot(img)
@@ -139,9 +139,9 @@ func TestSnapshotV9Pinned(t *testing.T) {
 		t.Fatalf("image mismatch: got site=%v mint=%d", got.Site, got.Mint)
 	}
 	for _, ss := range got.Shards {
-		for _, f := range ss.Outbox {
+		for _, f := range ss.Retained {
 			if _, ok := f.Payload.(Envelope); ok {
-				t.Fatal("outbox must never retain envelopes")
+				t.Fatal("a shard must never retain envelopes")
 			}
 		}
 	}

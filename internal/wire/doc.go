@@ -15,10 +15,11 @@
 //
 // # Retirement streams
 //
-// Every frame whose sender retains re-send state — mutator frames of a
-// durable site's outbox, edge-asserts, edge-destruction bundles — carries
-// a Seq: its position in the sender site's per-(destination, stream)
-// retirement stream (DESIGN.md §3.2).
+// Every frame its sender retains for re-send — a durable site's mutator
+// frames, edge-asserts, edge-destruction bundles — carries a Seq: its
+// position in the sender site's per-(destination, stream) retirement
+// stream (DESIGN.md §3.2). The sender keeps the frame itself, exactly
+// as it went out, and a re-send ships it again under the same Seq.
 // Receivers acknowledge cumulatively with FrameAck once a frame reaches
 // a final, replayable disposition, letting the sender retire the
 // retained state exactly. A sender retires a row on nothing else, so
@@ -30,12 +31,14 @@
 //
 // A SiteImage is what replay must reproduce of one site: the state its
 // shards share (identity mint, retirement streams' sequences and
-// watermarks, recovery epoch) plus one ShardState per shard. Exactly
-// one SnapshotVersion decodes; there is no migration code. WALRecord is
-// one journaled event — a mutator commit (Batch, n >= 1 ops), an
-// inbound delivery other than a FrameAck (Deliver) or one shard's cycle
-// marker (Op: Collect or Refresh) — tagged with the shard that
-// journaled it and replayed against the image (DESIGN.md §5).
+// watermarks, recovery epoch) plus one ShardState per shard, whose
+// Retained list holds every frame the shard sent that no FrameAck has
+// covered, of all three streams; the payload type names the stream.
+// Exactly one SnapshotVersion decodes; there is no migration code.
+// WALRecord is one journaled event — a mutator commit (Batch, n >= 1
+// ops), an inbound delivery other than a FrameAck (Deliver) or one
+// shard's cycle marker (Op: Collect or Refresh) — tagged with the shard
+// that journaled it and replayed against the image (DESIGN.md §5).
 //
 // # Codec
 //

@@ -2,7 +2,7 @@
 // layer between the site runtime and the byte-oriented persist.Store.
 //
 // A SiteImage is what replay must reproduce of one site — identities,
-// sequences, heaps, logs, clocks, retained rows, receive watermarks —
+// sequences, heaps, logs, clocks, retained frames, receive watermarks —
 // and nothing recovery rebuilds. A WALRecord is one relevant event
 // appended between snapshots: a mutator commit (BatchRecord), an
 // incoming delivery other than an ack (DeliverRecord) or one shard's
@@ -29,12 +29,11 @@ import (
 // recovery over any other version fails rather than misdecodes (no
 // migration code: there is one format). The layout is the shard layout
 // — every site is n >= 1 shards (DESIGN.md §3.4), so the image is the
-// site-wide shared state plus one ShardState per shard. Version 9
-// dropped what recovery rebuilds: the peer epochs, the site and engine
-// counters, the shard's pending-removal count and the heap's edge
-// counts. A v8 image carries them, so it is refused like every other
-// version, not half-read.
-const SnapshotVersion = 9
+// site-wide shared state plus one ShardState per shard. Version 10
+// keeps every retained frame in ShardState.Retained: the engine image
+// lost its assert and destroy rows, which a v9 image still carries, so
+// it is refused like every other version, not half-read.
+const SnapshotVersion = 10
 
 // SiteImage is the durable state of one site at a quiescent point: the
 // state the shards share at runtime (identity mint, retirement streams,
@@ -71,11 +70,14 @@ type SiteImage struct {
 type ShardState struct {
 	Heap   heap.Image
 	Engine core.EngineImage
-	// Outbox holds the unacknowledged outbound mutator frames, all of
-	// them; recovery and refresh rounds re-send them until the
-	// receiver's cumulative FrameAck retires them, and receivers apply
-	// each once by its stream sequence (SiteImage.RecvStreams).
-	Outbox []FrameImage
+	// Retained holds every tracked frame the shard sent that no
+	// cumulative FrameAck covers yet — mutator frames, edge-asserts and
+	// edge-destruction bundles, each stream's in its ledger's walk
+	// order; each frame's payload type names its stream. Recovery and
+	// refresh rounds re-send them until the receiver's ack retires
+	// them; receivers apply a mutator frame once by its stream sequence
+	// (SiteImage.RecvStreams) and merge the others by stamp.
+	Retained []FrameImage
 }
 
 // SendStreamImage is one sender-side retirement stream.
@@ -97,8 +99,8 @@ type RecvStreamImage struct {
 	Pending []uint64
 }
 
-// FrameImage is one outbound frame: destination site, the frame's
-// sequence in the mutator retirement stream to that site, and the
+// FrameImage is one retained outbound frame: destination site, the
+// frame's sequence in its retirement stream to that site, and the
 // payload (which carries the same sequence on the wire).
 type FrameImage struct {
 	To      ids.SiteID

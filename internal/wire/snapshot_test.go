@@ -61,29 +61,23 @@ func sampleImage() *SiteImage {
 				Log:    vclock.LogImage{Own: vclock.Vector{cl3: vclock.Eps(6)}},
 			}},
 			Tombstones: map[ids.ClusterID]uint64{{Site: 2, Seq: 3}: 21},
-			Asserts: []core.AssertRowImage{
-				{Holder: cl2, Target: cl3, Intro: root, Seq: 11, Stamp: 16},
-				{Holder: ids.ClusterID{Site: 2, Seq: 3}, Target: cl3, Intro: root, Seq: 12, Stamp: 0},
-			},
+		},
+		Retained: []FrameImage{
+			{To: 3, Seq: 1, Payload: Create{Creator: cl2, Stamp: 17, Obj: ids.ObjectID{Site: 3, Seq: 40}, Cluster: ids.ClusterID{Site: 3, Seq: 40}, Seq: 1}},
+			{To: 3, Seq: 2, Payload: RefTransfer{FromCluster: cl2, IntroSeq: 12, ToObj: ids.ObjectID{Site: 3, Seq: 2}, ToCluster: cl3, Target: heap.Ref{Obj: obj, Cluster: cl2}, Seq: 2}},
+			// A positive and a negative assert.
+			{To: 3, Seq: 6, Payload: Assert{From: cl2, To: cl3, M: core.AssertMsg{Stamp: 16, Intro: root, IntroSeq: 11}, Seq: 6}},
+			{To: 3, Seq: 7, Payload: Assert{From: ids.ClusterID{Site: 2, Seq: 3}, To: cl3, M: core.AssertMsg{Intro: root, IntroSeq: 12}, Seq: 7}},
 			// An Ē bundle whose holder is already a tombstone, then that
 			// holder's finalisation bundle for another edge.
-			Destroys: []core.DestroyImage{{
-				Holder: ids.ClusterID{Site: 2, Seq: 3}, Target: cl3, Seq: 4,
-				M: core.DestroyMsg{
-					Auth:  vclock.Vector{{Site: 2, Seq: 3}: vclock.Eps(19)},
-					Hints: vclock.Vector{root: vclock.At(18)},
-				},
-			}, {
-				Holder: ids.ClusterID{Site: 2, Seq: 3}, Target: ids.ClusterID{Site: 3, Seq: 4}, Seq: 5,
-				M: core.DestroyMsg{
-					Auth:      vclock.Vector{{Site: 2, Seq: 3}: vclock.Eps(20)},
-					Processed: vclock.Vector{root: vclock.At(11)},
-				},
-			}},
-		},
-		Outbox: []FrameImage{
-			{To: 3, Payload: Create{Creator: cl2, Stamp: 17, Obj: ids.ObjectID{Site: 3, Seq: 40}, Cluster: ids.ClusterID{Site: 3, Seq: 40}}},
-			{To: 3, Payload: RefTransfer{FromCluster: cl2, IntroSeq: 12, ToObj: ids.ObjectID{Site: 3, Seq: 2}, ToCluster: cl3, Target: heap.Ref{Obj: obj, Cluster: cl2}}},
+			{To: 3, Seq: 4, Payload: Destroy{From: ids.ClusterID{Site: 2, Seq: 3}, To: cl3, Seq: 4, M: core.DestroyMsg{
+				Auth:  vclock.Vector{{Site: 2, Seq: 3}: vclock.Eps(19)},
+				Hints: vclock.Vector{root: vclock.At(18)},
+			}}},
+			{To: 3, Seq: 5, Payload: Destroy{From: ids.ClusterID{Site: 2, Seq: 3}, To: ids.ClusterID{Site: 3, Seq: 4}, Seq: 5, M: core.DestroyMsg{
+				Auth:      vclock.Vector{{Site: 2, Seq: 3}: vclock.Eps(20)},
+				Processed: vclock.Vector{root: vclock.At(11)},
+			}}},
 		},
 	}
 	// Shard 1 is a rootless partition holding one cluster.
@@ -141,21 +135,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got0.Engine.Tombstones[ids.ClusterID{Site: 2, Seq: 3}] != 21 {
 		t.Fatalf("tombstones mismatch: %+v", got0.Engine.Tombstones)
 	}
-	if len(got0.Outbox) != 2 {
-		t.Fatalf("outbox mismatch: %+v", got0.Outbox)
-	}
-	if c, ok := got0.Outbox[0].Payload.(Create); !ok || c.Stamp != 17 {
-		t.Fatalf("outbox[0] payload mismatch: %#v", got0.Outbox[0].Payload)
-	}
-	if r, ok := got0.Outbox[1].Payload.(RefTransfer); !ok || r.IntroSeq != 12 || !r.ToCluster.Valid() {
-		t.Fatalf("outbox[1] payload mismatch: %#v", got0.Outbox[1].Payload)
-	}
-	if len(got0.Engine.Asserts) != 2 || got0.Engine.Asserts[0] != img0.Engine.Asserts[0] ||
-		got0.Engine.Asserts[1].Stamp != 0 {
-		t.Fatalf("assert journal mismatch: %+v", got0.Engine.Asserts)
-	}
-	if !reflect.DeepEqual(got0.Engine.Destroys, img0.Engine.Destroys) {
-		t.Fatalf("destroy bundles mismatch: %+v", got0.Engine.Destroys)
+	if !reflect.DeepEqual(got0.Retained, img0.Retained) {
+		t.Fatalf("retained frames mismatch:\n got %#v\nwant %#v", got0.Retained, img0.Retained)
 	}
 }
 
@@ -237,7 +218,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 // decodes — there is no migration code — and any other is refused with
 // an error naming both versions, never misdecoded.
 func TestDecodeSnapshotRejectsOtherVersions(t *testing.T) {
-	for _, bad := range []int{0, 2, 3, 4, 5, 6, 7, 8, SnapshotVersion + 1} {
+	for _, bad := range []int{0, 2, 3, 4, 5, 6, 7, 8, 9, SnapshotVersion + 1} {
 		img := sampleImage()
 		img.Version = bad
 		var buf bytes.Buffer
@@ -279,7 +260,7 @@ func TestSnapshotRoundTripStreams(t *testing.T) {
 	img.RecvStreams = []RecvStreamImage{
 		{Peer: 4, Kind: core.StreamDestroy, Watermark: 9, Pending: []uint64{11, 12}},
 	}
-	img.Shards[0].Outbox = []FrameImage{{To: 3, Seq: 16, Payload: Create{Creator: ids.ClusterID{Site: 2, Seq: 7}, Stamp: 3, Seq: 16}}}
+	img.Shards[0].Retained = []FrameImage{{To: 3, Seq: 16, Payload: Create{Creator: ids.ClusterID{Site: 2, Seq: 7}, Stamp: 3, Seq: 16}}}
 	data, err := EncodeSnapshot(img)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +274,7 @@ func TestSnapshotRoundTripStreams(t *testing.T) {
 		got.Epoch != img.Epoch {
 		t.Fatalf("retirement state did not round-trip:\n got %+v\nwant %+v", got, img)
 	}
-	if out := got.Shards[0].Outbox; len(out) != 1 || out[0].Seq != 16 {
-		t.Fatalf("outbox seq lost: %+v", out)
+	if out := got.Shards[0].Retained; len(out) != 1 || out[0].Seq != 16 {
+		t.Fatalf("retained frame's seq lost: %+v", out)
 	}
 }

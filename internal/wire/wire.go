@@ -140,9 +140,9 @@ func (Assert) ApproxSize() int { return 64 }
 // retirement protocol (DESIGN.md §3.2): the sending site has reached a
 // final, replayable disposition for every frame of the named stream
 // from the destination site with sequence ≤ Seq. The destination
-// retires the covered retained state exactly — outbox frames,
-// assert-journal rows, edge-destruction bundles — instead of
-// re-shipping it every refresh round. Acks are
+// retires the covered frames it retained exactly — mutator frames,
+// edge-asserts, edge-destruction bundles — instead of re-shipping them
+// every refresh round. Acks are
 // GGD-plane traffic: idempotent (watermarks merge by max) and
 // loss-tolerant (a re-delivered frame re-sends the current watermark).
 type FrameAck struct {
