@@ -20,17 +20,22 @@ func everyFile(string) bool        { return true }
 func rootPackage(rel string) bool  { return !strings.Contains(rel, "/") }
 func examples(rel string) bool     { return strings.HasPrefix(rel, "examples/") }
 
+// nameRow is one row of the retired and frozen tables: a rule, a
+// use-site pattern searched line by line in the .go files the scope
+// accepts, and the message a match reports.
+type nameRow struct {
+	rule    string
+	pattern *regexp.Regexp
+	scope   func(rel string) bool
+	message string
+}
+
 // retired lists the names a change deleted on purpose and that must not
 // come back. Each row is named after the change that retired it; its
 // pattern is searched line by line in the .go files its scope accepts.
 // bench/ is its own module, frozen with the benchmark, and most rows
 // leave it out.
-var retired = []struct {
-	rule    string
-	pattern *regexp.Regexp
-	scope   func(rel string) bool
-	message string
-}{
+var retired = []nameRow{
 	{"one codec per value", regexp.MustCompile(`"encoding/gob"`),
 		func(rel string) bool { return nonTest(rel) && rel != "internal/wire/codec.go" },
 		"encoding/gob is imported by internal/wire/codec.go only, for snapshots"},
@@ -51,9 +56,9 @@ var retired = []struct {
 	{"nothing computed that nothing reads", regexp.MustCompile(`JoinPath|WithMetricsAddr|MetricsAddr\(\)`), outsideBench,
 		"the closure is a reachability walk and monitor.NewServer the one way to serve monitors: JoinPath and the metrics-address option are gone"},
 	{"nothing computed that nothing reads", regexp.MustCompile(`Unsafe|Owns`), rootPackage,
-		"causalgc.EngineOptions carries the removal observer only: the ablations are eval's, set through site.Options.Engine"},
+		"causalgc.EngineOptions carries the removal observer only: the ablations are the internal/sim experiments', set through site.Options.Engine"},
 	{"nothing computed that nothing reads", regexp.MustCompile(`Unsafe|Owns`), examples,
-		"causalgc.EngineOptions carries the removal observer only: the ablations are eval's, set through site.Options.Engine"},
+		"causalgc.EngineOptions carries the removal observer only: the ablations are the internal/sim experiments', set through site.Options.Engine"},
 	{"retained means retained, with no exceptions", regexp.MustCompile(`StreamAdvance|tagStreamAdvance|advanceFloors|handleAdvanceLocked|RetainedFloor|retireAsserts|causalgc_advances_sent_total`), outsideBench,
 		"a ledger row leaves only when it is acknowledged, so no sequence is abandoned: the floor advisories and the side-path drops are gone"},
 	{"durable state is protocol state", regexp.MustCompile(`frameShards|handleFrameAckLocked`), outsideBench,
@@ -64,12 +69,40 @@ var retired = []struct {
 		"a ledger row has no key: every ledger walks in retention order, and the assert journal's key order and the row-key types are gone"},
 	{"the site keeps what it sent", regexp.MustCompile(`core\.Ledger|\bLedger\[|NewLedger|edgeMsg|AssertRowImage|DestroyImage|sendJournaledAssert|cloneDestroy`), outsideBench,
 		"the engine only sends: each shard keeps the frames it sent in one ledger per stream, so the engine's ledgers, their rows and their image types are gone"},
+	{"the experiments are tests", regexp.MustCompile(`causalgc/eval\b|causalgc-bench|RunResults|WriteJSON|NewShardedWorld|NewDurableWorld`), outsideBench,
+		"E5-E9 and A2 are tests in internal/sim and newWorld is the harness's one constructor: the eval package, its CLI, its JSON artifact and the world wrappers are gone"},
+}
+
+// frozen lists the names kept only because bench/, frozen with the
+// benchmark, still refers to them. No code outside bench/ may use one;
+// the thaw deletes each row together with its names. Each row's pattern
+// is a use site, searched line by line like a retired row's.
+//
+// Three vestigial parameters stay in product signatures for the same
+// reason, and cannot be matched by name: HandleDestroyFrame's trailing
+// bool, Log.Closure's uint64 clock, and the sequence core.Sender's
+// SendDestroy and SendAssert take (bench's engine harness implements
+// the interface).
+var frozen = []nameRow{
+	{"frozen for bench/", regexp.MustCompile(`\.(AckDestroys|LegacyResends|OutboxEvicted|AdvancesSent|KindAdvance|Instance)\b`), outsideBench,
+		"Engine.AckDestroys, Stats.LegacyResends, FrameStats.OutboxEvicted, FrameStats.AdvancesSent, wire.KindAdvance and site.Instance are kept only for bench/"},
+	{"frozen for bench/", regexp.MustCompile(`site\.(New|Recover)\(`), func(rel string) bool { return outsideBench(rel) && nonTest(rel) },
+		"site.New and site.Recover are kept only for bench/ and the site tests: product code calls site.NewSharded and site.RecoverSharded"},
 }
 
 // TestRetiredNamesStayGone fails on any line of a .go file that a
 // retired row's pattern matches within the row's scope: a name deleted
 // on purpose is not re-added by accident.
-func TestRetiredNamesStayGone(t *testing.T) {
+func TestRetiredNamesStayGone(t *testing.T) { checkModule(t, retired) }
+
+// TestFrozenNamesStayInBench fails on any line of a .go file that a
+// frozen row's pattern matches within the row's scope: no new code
+// leans on a name the thaw will delete.
+func TestFrozenNamesStayInBench(t *testing.T) { checkModule(t, frozen) }
+
+// checkModule checks every .go file of the module, this one aside,
+// against rows.
+func checkModule(t *testing.T, rows []nameRow) {
 	root, _, err := findModule()
 	if err != nil {
 		t.Fatal(err)
@@ -92,12 +125,12 @@ func TestRetiredNamesStayGone(t *testing.T) {
 			if rel == retiredSelf {
 				continue
 			}
-			checkRetired(t, path, rel)
+			checkRetired(t, rows, path, rel)
 		}
 	}
 }
 
-func checkRetired(t *testing.T, path, rel string) {
+func checkRetired(t *testing.T, rows []nameRow, path, rel string) {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -106,7 +139,7 @@ func checkRetired(t *testing.T, path, rel string) {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	for line := 1; sc.Scan(); line++ {
-		for _, r := range retired {
+		for _, r := range rows {
 			if r.scope(rel) && r.pattern.MatchString(sc.Text()) {
 				t.Errorf("%s:%d: %s: %s", rel, line, r.rule, r.message)
 			}

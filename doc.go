@@ -71,10 +71,10 @@
 // # Structure
 //
 // Public packages: causalgc (Node, Cluster, workloads, oracle checks),
-// causalgc/transport (the Transport interface and in-memory backends),
-// causalgc/transport/tcp (the socket backend) and causalgc/eval (the
-// experiment harness reproducing the paper's evaluation). The protocol
-// internals live under internal/ — see DESIGN.md for the algorithm
+// causalgc/transport (the Transport interface and in-memory backends)
+// and causalgc/transport/tcp (the socket backend). The experiments
+// reproducing the paper's evaluation are tests in internal/sim. The
+// protocol internals live under internal/ — see DESIGN.md for the algorithm
 // reconstruction, ARCHITECTURE.md for the package/dataflow map and the
 // frame lifecycle, and README.md for the quickstart.
 package causalgc

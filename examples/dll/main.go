@@ -5,7 +5,7 @@
 // packets at every k E6 measures. Programs against the public causalgc
 // API only, which builds sound engines alone; the paper's literal guard
 // (the O(k) claim) and the three-way comparison including Schelvis are
-// produced by `causalgc-bench -exp E6` (package causalgc/eval).
+// E6, a test in internal/sim.
 //
 //	go run ./examples/dll
 package main
@@ -27,7 +27,8 @@ func main() {
 	fmt.Println("\nthe sound guard pays O(k²) for all-pairs knowledge inside the")
 	fmt.Println("subcycles. The paper's literal guard reproduces its O(k) claim, and")
 	fmt.Println("Schelvis is O(k²) with fewer messages at every k: run")
-	fmt.Println("`causalgc-bench -exp E6` for the three-way table (see DESIGN.md §4, E6).")
+	fmt.Println("`go test -v -run ExperimentCountsPinned/E6 ./internal/sim` for the")
+	fmt.Println("three-way table (see DESIGN.md §4, E6).")
 }
 
 func causal(k int) int {

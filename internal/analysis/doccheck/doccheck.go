@@ -30,7 +30,6 @@ var Analyzer = New(Config{Packages: []string{
 	"causalgc/transport",
 	"causalgc/transport/tcp",
 	"causalgc/persist",
-	"causalgc/eval",
 	"causalgc/internal/core",
 	"causalgc/internal/site",
 	"causalgc/internal/vclock",

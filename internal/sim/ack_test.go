@@ -90,17 +90,13 @@ func TestAckDropCannotRetireUndelivered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	// x acquires tgt: the edge-assert resolving the introduction is
 	// dropped, and so would any ack be.
 	if err := s1.SendRef(s1.Root().Obj, x, tgt); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	for i := 0; i < 3; i++ {
 		if err := w.RefreshAll(); err != nil {
 			t.Fatal(err)
@@ -113,27 +109,15 @@ func TestAckDropCannotRetireUndelivered(t *testing.T) {
 	// Heal; one refresh resolves and the acks drain the journal.
 	w.Net().SetDropKindProb(wire.KindAssert, 0)
 	w.Net().SetDropKindProb(wire.KindFrameAck, 0)
-	if err := w.RefreshAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	refreshSettled(t, w, 1)
 	if err := s1.DropRefs(s1.Root().Obj, x); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.DropRefs(s1.Root().Obj, tgt); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.RefreshAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
+	refreshSettled(t, w, 1)
 	rep := w.Check()
 	if !rep.Safe() || len(rep.Garbage) != 0 {
 		t.Fatalf("not clean after heal: %v", rep)
@@ -147,7 +131,7 @@ func TestAckDropCannotRetireUndelivered(t *testing.T) {
 // included) and outbox frames — refresh traffic no longer grows with
 // history.
 func TestRefreshQuiescentReshipsNothing(t *testing.T) {
-	w, err := NewDurableWorld(4, netsim.Faults{Seed: 11}, site.DefaultOptions(), t.TempDir(), 64)
+	w, err := newWorld(4, netsim.Faults{Seed: 11}, site.DefaultOptions(), t.TempDir(), 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,19 +139,10 @@ func TestRefreshQuiescentReshipsNothing(t *testing.T) {
 	if _, err := mutator.Churn(w, mutator.ChurnConfig{Seed: 77, Ops: 120, StepsBetweenOps: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	// Two refresh+settle rounds let every straggler re-send once and its
 	// ack retire the row.
-	for i := 0; i < 2; i++ {
-		if err := w.RefreshAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Settle(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	refreshSettled(t, w, 2)
 	type counters struct{ asserts, destroys, outbox int }
 	snap := func() counters {
 		var c counters
@@ -180,12 +155,7 @@ func TestRefreshQuiescentReshipsNothing(t *testing.T) {
 		return c
 	}
 	before := snap()
-	if err := w.RefreshAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	refreshSettled(t, w, 1)
 	after := snap()
 	if after != before {
 		t.Fatalf("quiescent refresh re-shipped retained state: before=%+v after=%+v", before, after)
@@ -206,7 +176,7 @@ func TestOutboxRetainsEveryFrameForCrashedPeer(t *testing.T) {
 	watcher := &ackWatcher{}
 	opts := site.DefaultOptions()
 	opts.Observer = watcher
-	w, err := NewDurableWorld(2, netsim.Faults{Seed: 5}, opts, t.TempDir(), 4096)
+	w, err := newWorld(2, netsim.Faults{Seed: 5}, opts, t.TempDir(), 4096, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +209,8 @@ func TestOutboxRetainsEveryFrameForCrashedPeer(t *testing.T) {
 	if err := w.Restart(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.RefreshAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
+	refreshSettled(t, w, 1)
 	if rep := w.Check(); !rep.Safe() {
 		t.Fatalf("unsafe after the peer recovered: %v", rep)
 	}
@@ -284,15 +247,11 @@ func TestNegativeAssertsRetainedThroughPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	if err := s1.DropRefs(root, h); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	if !s2.ClusterRemoved(h.Cluster) {
 		t.Fatal("H not collected before the transfers")
 	}
@@ -303,9 +262,7 @@ func TestNegativeAssertsRetainedThroughPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	if got := s2.Depths().AssertRows; got != targets {
 		t.Fatalf("site 2 journals %d negative asserts under the partition, want all %d", got, targets)
 	}
@@ -318,12 +275,7 @@ func TestNegativeAssertsRetainedThroughPartition(t *testing.T) {
 
 	rounds := 0
 	for ; rounds < 4 && !w.Check().Clean(); rounds++ {
-		if err := w.RefreshAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Settle(); err != nil {
-			t.Fatal(err)
-		}
+		refreshSettled(t, w, 1)
 	}
 	if rep := w.Check(); !rep.Clean() {
 		t.Fatalf("not clean after %d refresh rounds (a lost negative assert pins its target): %v", rounds, rep)

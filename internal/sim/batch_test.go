@@ -287,9 +287,7 @@ func execBatchPlan(t *testing.T, plan []batchPlanGroup, seed int64, sites int, d
 		// with one refresh round to re-ship mutator frames a crash
 		// window dropped — and check. Identical in both modes.
 		if gi%7 == 6 && !crashed {
-			if err := w.Run(); err != nil {
-				t.Fatal(err)
-			}
+			run(t, w)
 			if err := w.RefreshAll(); err != nil {
 				t.Fatal(err)
 			}
@@ -303,16 +301,9 @@ func execBatchPlan(t *testing.T, plan []batchPlanGroup, seed int64, sites int, d
 	// until clean.
 	w.Net().SetDropProb(0)
 	w.Net().SetDupProb(0)
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	for r := 0; r < 8; r++ {
-		if err := w.RefreshAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Settle(); err != nil {
-			t.Fatal(err)
-		}
+		refreshSettled(t, w, 1)
 		rep := w.Check()
 		if !rep.Safe() {
 			t.Fatalf("SAFETY VIOLATION while healing (batched=%v, round %d): %v", batched, r, rep)

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"causalgc/internal/heap"
 	"causalgc/internal/netsim"
 	"causalgc/internal/site"
 )
@@ -31,39 +32,7 @@ func TestConfirmationGuardCounterexample(t *testing.T) {
 		{"both", true, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := site.DefaultOptions()
-			opts.Engine.UnsafeSkipConfirmation = tc.skipConfirmation
-			opts.Engine.UnsafeNoHints = tc.noHints
-			w := NewWorld(4, netsim.Faults{Seed: 1}, opts)
-			s1, s2 := w.Site(1), w.Site(2)
-			root := s1.Root().Obj
-			x, err := s1.NewRemote(root, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Run(); err != nil {
-				t.Fatal(err)
-			}
-			y, err := s2.NewRemote(x.Obj, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			z, err := s1.NewRemote(root, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s2.SendRef(x.Obj, z, y); err != nil {
-				t.Fatal(err)
-			}
-			if err := s1.DropRefs(root, z); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Settle(); err != nil {
-				t.Fatal(err)
-			}
+			w, x := confirmationCounterexample(t, tc.skipConfirmation, tc.noHints)
 			if got := len(w.Check().Dangling); got != tc.dangling {
 				t.Fatalf("dangling after z's drop = %d, want %d", got, tc.dangling)
 			}
@@ -72,15 +41,50 @@ func TestConfirmationGuardCounterexample(t *testing.T) {
 			// oracle then sees a clean world in every configuration,
 			// although y was freed while x still held it. Only a check at
 			// the instant of removal can catch this.
-			if err := s1.DropRefs(root, x); err != nil {
+			s1 := w.Site(1)
+			if err := s1.DropRefs(s1.Root().Obj, x); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Settle(); err != nil {
-				t.Fatal(err)
-			}
+			settle(t, w)
 			if rep := w.Check(); !rep.Safe() || len(rep.Garbage) != 0 {
 				t.Fatalf("after x's drop: %v, want a clean end state", rep)
 			}
 		})
 	}
+}
+
+// confirmationCounterexample runs the schedule above under the given
+// guard switches and settles after z's drop. It returns the world and
+// x. TestConfirmationGuardCounterexample asserts on it, and A2's pinned
+// lane counts from it.
+func confirmationCounterexample(t *testing.T, skipConfirmation, noHints bool) (*World, heap.Ref) {
+	t.Helper()
+	opts := site.DefaultOptions()
+	opts.Engine.UnsafeSkipConfirmation = skipConfirmation
+	opts.Engine.UnsafeNoHints = noHints
+	w := NewWorld(4, netsim.Faults{Seed: 1}, opts)
+	s1, s2 := w.Site(1), w.Site(2)
+	root := s1.Root().Obj
+	x, err := s1.NewRemote(root, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, w)
+	y, err := s2.NewRemote(x.Obj, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := s1.NewRemote(root, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, w)
+	if err := s2.SendRef(x.Obj, z, y); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.DropRefs(root, z); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, w)
+	return w, x
 }

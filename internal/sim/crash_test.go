@@ -16,7 +16,7 @@ import (
 // killed before detection converges, and the recovered site still
 // drives the cycle to reclamation.
 func TestCrashRestartCycleRecovered(t *testing.T) {
-	w, err := NewDurableWorld(3, netsim.Faults{Seed: 11}, site.DefaultOptions(), t.TempDir(), 8)
+	w, err := newWorld(3, netsim.Faults{Seed: 11}, site.DefaultOptions(), t.TempDir(), 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,22 +31,16 @@ func TestCrashRestartCycleRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	c, err := w.Site(2).NewRemote(b.Obj, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	if err := s1.SendRef(s1.Root().Obj, c, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	if err := s1.DropRefs(s1.Root().Obj, a); err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +52,9 @@ func TestCrashRestartCycleRecovered(t *testing.T) {
 	if err := w.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	for r := 0; r < 4 && w.TotalObjects() > 3; r++ {
-		if err := w.RefreshAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Settle(); err != nil {
-			t.Fatal(err)
-		}
+		refreshSettled(t, w, 1)
 	}
 	rep := w.Check()
 	if !rep.Safe() {
@@ -134,17 +121,8 @@ func crashRestartFuzz(t *testing.T, shards int) {
 			}
 		}
 		// Heal: settle and refresh until quiescent, then re-check safety.
-		if err := w.Settle(); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 6; r++ {
-			if err := w.RefreshAll(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Settle(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		settle(t, w)
+		refreshSettled(t, w, 6)
 		rep := w.Check()
 		if !rep.Safe() {
 			t.Fatalf("seed %d: SAFETY VIOLATION after healing: %v", seed, rep)
@@ -211,17 +189,8 @@ func crashAtEveryPoint(t *testing.T, shards int) {
 		w.Run()
 		maybeCrash(1)
 
-		if err := w.Settle(); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 4; r++ {
-			if err := w.RefreshAll(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Settle(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		settle(t, w)
+		refreshSettled(t, w, 4)
 		rep := w.Check()
 		if !rep.Safe() {
 			t.Fatalf("crash point %d: unsafe: %v", point, rep)
@@ -237,7 +206,7 @@ func crashAtEveryPoint(t *testing.T, shards int) {
 // acknowledges it again — the lost-ack path of DESIGN.md §3.2 — leaving
 // both sites where they were.
 func TestCrashHealsLostRetirements(t *testing.T) {
-	w, err := NewDurableWorld(2, netsim.Faults{Seed: 1}, site.DefaultOptions(), t.TempDir(), 1<<20)
+	w, err := newWorld(2, netsim.Faults{Seed: 1}, site.DefaultOptions(), t.TempDir(), 1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +222,7 @@ func TestCrashHealsLostRetirements(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	for _, s := range w.Sites() {
 		if d := s.Depths(); d != (site.Depths{}) {
 			t.Fatalf("site %v before the crash: %+v retained, want every row acknowledged", s.ID(), d)
@@ -272,9 +239,7 @@ func TestCrashHealsLostRetirements(t *testing.T) {
 	if d := w.Site(1).Depths(); d.Outbox != 64 || d.DestroyRows != 64 {
 		t.Fatalf("right after the restart site 1 retains %+v, want the 64 creations and 64 destroys whose acks the crash forgot", d)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	for _, s := range w.Sites() {
 		if d := s.Depths(); d != (site.Depths{}) {
 			t.Errorf("site %v after the re-sends: %+v retained, want 0", s.ID(), d)

@@ -20,16 +20,12 @@ func chain(t *testing.T, w *World) (a, b heap.Ref) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	b, err = w.Site(2).NewRemote(a.Obj, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	return a, b
 }
 
@@ -43,9 +39,7 @@ func dropHolder(t *testing.T, w *World, a heap.Ref) {
 	if err := s1.DropRefs(s1.Root().Obj, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	if !w.Site(2).ClusterRemoved(a.Cluster) {
 		t.Fatal("A not removed")
 	}
@@ -58,15 +52,7 @@ func dropHolder(t *testing.T, w *World, a heap.Ref) {
 // retires the bundle.
 func reclaimB(t *testing.T, w *World) {
 	t.Helper()
-	for r := 0; r < 4 && len(w.Check().Garbage) != 0; r++ {
-		if err := w.RefreshAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Settle(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep := w.Check()
+	rep := recoverResidual(t, w, w.Check(), 4)
 	if !rep.Safe() {
 		t.Fatalf("unsafe: %v", rep)
 	}
@@ -89,9 +75,7 @@ func TestLostEbarOutlivesItsHolder(t *testing.T) {
 	if err := w.Site(2).DropRefs(a.Obj, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	w.Net().SetDropKindProb(wire.KindDestroy, 0)
 
 	dropHolder(t, w, a)
@@ -126,9 +110,7 @@ func TestRecoverResendsBundleOfRemovedHolder(t *testing.T) {
 					if err := w.Site(2).DropRefs(a.Obj, b); err != nil {
 						t.Fatal(err)
 					}
-					if err := w.Run(); err != nil {
-						t.Fatal(err)
-					}
+					run(t, w)
 				}
 				dropHolder(t, w, a)
 
@@ -167,17 +149,13 @@ func TestFinalisationBundleSurvivesPartition(t *testing.T) {
 		}
 		as[i] = a
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	for _, a := range as {
 		if _, err := s2.NewRemote(a.Obj, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 
 	w.Net().SetPartition(func(from, to ids.SiteID) bool { return from == 2 && to == 3 })
 	for _, a := range as {
@@ -185,9 +163,7 @@ func TestFinalisationBundleSurvivesPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	for _, a := range as {
 		if !s2.ClusterRemoved(a.Cluster) {
 			t.Fatalf("A %v not removed", a)
@@ -200,12 +176,7 @@ func TestFinalisationBundleSurvivesPartition(t *testing.T) {
 
 	rounds := 0
 	for ; rounds < 4 && len(w.Check().Garbage) != 0; rounds++ {
-		if err := w.RefreshAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Settle(); err != nil {
-			t.Fatal(err)
-		}
+		refreshSettled(t, w, 1)
 	}
 	rep := w.Check()
 	if !rep.Safe() {

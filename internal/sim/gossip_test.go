@@ -37,17 +37,13 @@ func TestDroppedDeltaHealedByRefresh(t *testing.T) {
 		}
 		ring[i] = ref
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	for i, el := range ring {
 		if err := s1.SendRef(root, el, ring[(i+1)%len(ring)]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 
 	for _, el := range ring {
 		if err := s1.DropRefs(root, el); err != nil {
@@ -61,19 +57,12 @@ func TestDroppedDeltaHealedByRefresh(t *testing.T) {
 		}
 	}
 	runLosingRelays(w)
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	if n := reclaimed(w, ring); n != 0 {
 		t.Fatalf("%d ring elements reclaimed with every relayed row lost, want 0: the scenario no longer depends on the lost deltas", n)
 	}
 
-	if err := w.RefreshAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	refreshSettled(t, w, 1)
 	if n := reclaimed(w, ring); n != len(ring) {
 		t.Fatalf("%d of %d ring elements reclaimed after a refresh round on a healed network", n, len(ring))
 	}

@@ -5,6 +5,7 @@ import (
 
 	"causalgc/internal/mutator"
 	"causalgc/internal/netsim"
+	"causalgc/internal/oracle"
 	"causalgc/internal/site"
 	"causalgc/internal/wire"
 )
@@ -17,6 +18,26 @@ import (
 // of parking the frame forever; without expiry the hint pins the target
 // as residual garbage no refresh can recover.
 func TestLeakDeadIntroductionExpired(t *testing.T) {
+	w, rep := leakDeadIntroduction(t)
+	if !rep.Safe() {
+		t.Fatalf("unsafe: %v", rep)
+	}
+	// One bounded refresh round must finish the job in any case.
+	if rep = recoverResidual(t, w, rep, 1); len(rep.Garbage) != 0 {
+		t.Fatalf("dead introduction pinned residual garbage: %v", rep)
+	}
+	st := w.Site(2).EngineStats()
+	if st.AssertsSent == 0 {
+		t.Error("no resolution assert issued for the dead introduction")
+	}
+}
+
+// leakDeadIntroduction runs the dead-introduction schedule and returns
+// the world and the oracle's report once it has settled after tgt's
+// drop. TestLeakDeadIntroductionExpired asserts on it, and E9 counts
+// from it.
+func leakDeadIntroduction(t *testing.T) (*World, oracle.Report) {
+	t.Helper()
 	w := NewWorld(3, netsim.Faults{Seed: 1}, site.DefaultOptions())
 	s1 := w.Site(1)
 	x, err := s1.NewRemote(s1.Root().Obj, 2)
@@ -27,17 +48,13 @@ func TestLeakDeadIntroductionExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 
 	// x becomes garbage and is collected on site 2.
 	if err := s1.DropRefs(s1.Root().Obj, x); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	if !w.Site(2).ClusterRemoved(x.Cluster) {
 		t.Fatal("x not collected")
 	}
@@ -48,9 +65,7 @@ func TestLeakDeadIntroductionExpired(t *testing.T) {
 	if err := s1.SendRef(s1.Root().Obj, x, tgt); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 
 	// Drop the root's own reference: tgt is garbage. The destroy bundle
 	// arms the introduction hint (x, root1, seq) at tgt; only the expiry
@@ -58,45 +73,45 @@ func TestLeakDeadIntroductionExpired(t *testing.T) {
 	if err := s1.DropRefs(s1.Root().Obj, tgt); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	rep := w.Check()
-	if !rep.Safe() {
-		t.Fatalf("unsafe: %v", rep)
-	}
-	if len(rep.Garbage) != 0 {
-		// One bounded refresh round must finish the job in any case.
-		if err := w.RefreshAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Settle(); err != nil {
-			t.Fatal(err)
-		}
-		rep = w.Check()
-		if len(rep.Garbage) != 0 {
-			t.Fatalf("dead introduction pinned residual garbage: %v", rep)
-		}
-	}
-	st := w.Site(2).EngineStats()
-	if st.AssertsSent == 0 {
-		t.Error("no resolution assert issued for the dead introduction")
-	}
+	settle(t, w)
+	return w, w.Check()
 }
 
 // TestLeakLostAssertCrashedReceiver is the "lost assert, crashed
 // receiver" scenario: the hint owner's site is killed while the
 // edge-assert is in flight (the crash drops it), and killed again while
 // the asserting cluster's finalisation destroy — the other resolution
-// carrier — is in flight. Recovery plus one refresh round must still
-// drive residual garbage to zero: the journaled re-send and the retained
-// finalisation bundle are exactly what survives the crashes.
+// carrier — is in flight. Recovery plus bounded refresh rounds must
+// still drive residual garbage to zero: the journaled re-send and the
+// retained finalisation bundle are exactly what survives the crashes.
 func TestLeakLostAssertCrashedReceiver(t *testing.T) {
-	w, err := NewDurableWorld(3, netsim.Faults{Seed: 7}, site.DefaultOptions(), t.TempDir(), 8)
+	w, rep := leakLostAssertCrashedReceiver(t)
+	if !rep.Safe() {
+		t.Fatalf("unsafe: %v", rep)
+	}
+
+	// Bounded recovery: refresh rounds re-ship the retained bundles and
+	// journaled asserts until the hint resolves and tgt is reclaimed.
+	rep = recoverResidual(t, w, rep, 3)
+	if !rep.Safe() {
+		t.Fatalf("unsafe after recovery: %v", rep)
+	}
+	if len(rep.Garbage) != 0 {
+		t.Fatalf("lost assert + crashed receiver pinned residual garbage: %v", rep)
+	}
+}
+
+// leakLostAssertCrashedReceiver runs the crashed-receiver schedule on
+// durable sites and returns the world and the oracle's report once it
+// has settled after tgt's drop. TestLeakLostAssertCrashedReceiver
+// asserts on it, and E9 counts from it.
+func leakLostAssertCrashedReceiver(t *testing.T) (*World, oracle.Report) {
+	t.Helper()
+	w, err := newWorld(3, netsim.Faults{Seed: 7}, site.DefaultOptions(), t.TempDir(), 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
+	t.Cleanup(func() { w.Close() })
 	s1 := w.Site(1)
 	x, err := s1.NewRemote(s1.Root().Obj, 2)
 	if err != nil {
@@ -106,9 +121,7 @@ func TestLeakLostAssertCrashedReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 
 	// Crash the hint owner's site, then forward tgt's reference to x:
 	// the transfer (application traffic) is delivered, x forms the edge
@@ -119,9 +132,7 @@ func TestLeakLostAssertCrashedReceiver(t *testing.T) {
 	if err := s1.SendRef(s1.Root().Obj, x, tgt); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	if err := w.Restart(3); err != nil {
 		t.Fatal(err)
 	}
@@ -152,31 +163,8 @@ func TestLeakLostAssertCrashedReceiver(t *testing.T) {
 	if err := s1.DropRefs(s1.Root().Obj, tgt); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	rep := w.Check()
-	if !rep.Safe() {
-		t.Fatalf("unsafe: %v", rep)
-	}
-
-	// Bounded recovery: refresh rounds re-ship the retained bundles and
-	// journaled asserts until the hint resolves and tgt is reclaimed.
-	for i := 0; i < 3 && len(rep.Garbage) > 0; i++ {
-		if err := w.RefreshAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Settle(); err != nil {
-			t.Fatal(err)
-		}
-		rep = w.Check()
-	}
-	if !rep.Safe() {
-		t.Fatalf("unsafe after recovery: %v", rep)
-	}
-	if len(rep.Garbage) != 0 {
-		t.Fatalf("lost assert + crashed receiver pinned residual garbage: %v", rep)
-	}
+	settle(t, w)
+	return w, w.Check()
 }
 
 // TestChurnLostAssertSchedules is the seeded fuzz lane over lost-assert
@@ -251,45 +239,33 @@ func TestLeakExpiryThenFreshIntroduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	// Dead introduction: x collected, then the stale forward arrives.
 	if err := s1.DropRefs(s1.Root().Obj, x); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	if err := s1.SendRef(s1.Root().Obj, x, tgt); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	// A fresh holder on site 2 receives tgt's reference: a genuinely new
 	// introduction of a site-2 edge to tgt, with a higher forwarding seq.
 	y, err := s1.NewRemote(s1.Root().Obj, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	if err := s1.SendRef(s1.Root().Obj, y, tgt); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 	// tgt must stay alive while y holds it, and be reclaimed once the
 	// whole chain is dropped.
 	if err := s1.DropRefs(s1.Root().Obj, tgt); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	rep := w.Check()
 	if !rep.Safe() {
 		t.Fatalf("unsafe: %v", rep)
@@ -300,9 +276,7 @@ func TestLeakExpiryThenFreshIntroduction(t *testing.T) {
 	if err := s1.DropRefs(s1.Root().Obj, y); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	rep = w.Check()
 	if !rep.Safe() || len(rep.Garbage) != 0 {
 		t.Fatalf("chain not reclaimed: %v", rep)

@@ -4,62 +4,46 @@ import (
 	"testing"
 
 	"causalgc/internal/heap"
+	"causalgc/internal/mutator"
 	"causalgc/internal/netsim"
 	"causalgc/internal/site"
 )
 
-// buildPaperScenario constructs the global root graph of Fig 3: four
-// sites, one object per site (so the object graph and the global root
-// graph coincide, §3.1). Returns the world and the refs to objects 2,3,4.
+// paperScenario constructs the global root graph of Fig 3 with
+// mutator.BuildPaperScenario: four sites, one object per site (so the
+// object graph and the global root graph coincide, §3.1).
 //
 //	e2,1: root 1 creates 2     e3,1: 2 creates 3     e4,1: 2 creates 4
 //	e3,2: 2 sends 4 a ref to 3 (edge 4→3)
 //	e4,2: 2 sends 3 a ref to 4 (edge 3→4)
 //	e2,2: 2 sends its own ref to 4 (edge 4→2)
-func buildPaperScenario(t *testing.T, faults netsim.Faults, opts site.Options) (*World, heap.Ref, heap.Ref, heap.Ref) {
+func paperScenario(t *testing.T) (*World, *mutator.Scenario) {
 	t.Helper()
-	w := NewWorld(4, faults, opts)
-	s1, s2 := w.Site(1), w.Site(2)
-
-	root1 := s1.Root()
-	obj2, err := s1.NewRemote(root1.Obj, 2)
+	w := NewWorld(4, netsim.Faults{Seed: 1}, site.DefaultOptions())
+	sc, err := mutator.BuildPaperScenario(w)
 	if err != nil {
-		t.Fatalf("create 2: %v", err)
-	}
-	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return w, sc
+}
 
-	obj3, err := s2.NewRemote(obj2.Obj, 3)
-	if err != nil {
-		t.Fatalf("create 3: %v", err)
-	}
-	obj4, err := s2.NewRemote(obj2.Obj, 4)
-	if err != nil {
-		t.Fatalf("create 4: %v", err)
-	}
-	if err := w.Run(); err != nil {
+// collectPaperCycle is e2,3 on the Fig 3 graph: the root drops its edge
+// to 2 and the world settles. It returns the world, the scenario and
+// the messages sent from the drop on. TestPaperScenarioCycleCollected
+// asserts on it, and E5 counts from it.
+func collectPaperCycle(t *testing.T) (*World, *mutator.Scenario, int) {
+	t.Helper()
+	w, sc := paperScenario(t)
+	base := w.Net().Stats().TotalSent()
+	if err := sc.DropRootEdge(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Third-party exchanges (Fig 7): no extra control messages.
-	if err := s2.SendRef(obj2.Obj, obj4, obj3); err != nil { // edge 4→3
-		t.Fatalf("send 3 to 4: %v", err)
-	}
-	if err := s2.SendRef(obj2.Obj, obj3, obj4); err != nil { // edge 3→4
-		t.Fatalf("send 4 to 3: %v", err)
-	}
-	if err := s2.SendRef(obj2.Obj, obj4, obj2); err != nil { // edge 4→2
-		t.Fatalf("send 2 to 4: %v", err)
-	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return w, obj2, obj3, obj4
+	settle(t, w)
+	return w, sc, w.Net().Stats().TotalSent() - base
 }
 
 func TestPaperScenarioBeforeDrop(t *testing.T) {
-	w, obj2, obj3, obj4 := buildPaperScenario(t, netsim.Faults{Seed: 1}, site.DefaultOptions())
+	w, sc := paperScenario(t)
 
 	// Everything is live: 4 roots + 3 objects.
 	rep := w.Check()
@@ -69,7 +53,7 @@ func TestPaperScenarioBeforeDrop(t *testing.T) {
 	if len(rep.Garbage) != 0 {
 		t.Fatalf("unexpected garbage before drop: %v", rep)
 	}
-	for _, ref := range []heap.Ref{obj2, obj3, obj4} {
+	for _, ref := range []heap.Ref{sc.Obj2, sc.Obj3, sc.Obj4} {
 		if !w.Site(ref.Obj.Site).HasObject(ref.Obj) {
 			t.Fatalf("object %v missing before drop", ref)
 		}
@@ -88,16 +72,7 @@ func TestPaperScenarioBeforeDrop(t *testing.T) {
 // spanning three sites, invisible to any per-site collector — is detected
 // by GGD and reclaimed, with no global consensus round.
 func TestPaperScenarioCycleCollected(t *testing.T) {
-	w, obj2, obj3, obj4 := buildPaperScenario(t, netsim.Faults{Seed: 1}, site.DefaultOptions())
-	s1 := w.Site(1)
-
-	if err := s1.DropRefs(s1.Root().Obj, obj2); err != nil { // e2,3
-		t.Fatal(err)
-	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
-
+	w, sc, _ := collectPaperCycle(t)
 	rep := w.Check()
 	if !rep.Safe() {
 		t.Fatalf("unsafe after settle: %v", rep)
@@ -105,7 +80,7 @@ func TestPaperScenarioCycleCollected(t *testing.T) {
 	if len(rep.Garbage) != 0 {
 		t.Fatalf("residual garbage after settle: %v", rep)
 	}
-	for _, ref := range []heap.Ref{obj2, obj3, obj4} {
+	for _, ref := range []heap.Ref{sc.Obj2, sc.Obj3, sc.Obj4} {
 		if w.Site(ref.Obj.Site).HasObject(ref.Obj) {
 			t.Errorf("object %v not collected", ref)
 		}
@@ -122,24 +97,21 @@ func TestPaperScenarioCycleCollected(t *testing.T) {
 // TestPaperScenarioLiveThroughCycle keeps the cycle reachable via a second
 // root edge (1→4): nothing may be collected even though the 1→2 edge dies.
 func TestPaperScenarioLiveThroughCycle(t *testing.T) {
-	w, obj2, obj3, obj4 := buildPaperScenario(t, netsim.Faults{Seed: 1}, site.DefaultOptions())
+	w, sc := paperScenario(t)
 	s1, s2 := w.Site(1), w.Site(2)
+	obj2, obj4 := sc.Obj2, sc.Obj4
 
 	// Root 1 additionally references 4 (2 holds 4's ref and sends it to
 	// the root: a third-party transfer to site 1).
 	if err := s2.SendRef(obj2.Obj, s1.Root(), obj4); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
+	run(t, w)
 
 	if err := s1.DropRefs(s1.Root().Obj, obj2); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 
 	rep := w.Check()
 	if !rep.Safe() {
@@ -147,7 +119,7 @@ func TestPaperScenarioLiveThroughCycle(t *testing.T) {
 	}
 	// The whole cycle stays live: 4 → 2 and 4 → 3 and 2,3,4 reachable via
 	// 1 → 4.
-	for _, ref := range []heap.Ref{obj2, obj3, obj4} {
+	for _, ref := range []heap.Ref{obj2, sc.Obj3, obj4} {
 		if !w.Site(ref.Obj.Site).HasObject(ref.Obj) {
 			t.Errorf("live object %v was collected (UNSAFE)", ref)
 		}
@@ -160,9 +132,7 @@ func TestPaperScenarioLiveThroughCycle(t *testing.T) {
 	if err := s1.DropRefs(s1.Root().Obj, obj4); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Settle(); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, w)
 	rep = w.Check()
 	if !rep.Safe() {
 		t.Fatalf("unsafe after final drop: %v", rep)
@@ -181,7 +151,8 @@ func TestPaperScenarioLiveThroughCycle(t *testing.T) {
 // authoritative record lives at 4 until propagation, so we check 4's log
 // holds a live on-behalf stamp for the edge.
 func TestPaperScenarioReachabilityFacts(t *testing.T) {
-	w, obj2, _, obj4 := buildPaperScenario(t, netsim.Faults{Seed: 1}, site.DefaultOptions())
+	w, sc := paperScenario(t)
+	obj2, obj4 := sc.Obj2, sc.Obj4
 
 	log4 := w.Site(4).LogSnapshot(obj4.Cluster)
 	if log4 == nil {
@@ -219,7 +190,7 @@ func TestPaperScenarioReachabilityFacts(t *testing.T) {
 // this reproduction adds for soundness (one per first acquisition; see
 // the core package documentation and DESIGN.md §2).
 func TestLazyNoControlMessages(t *testing.T) {
-	w, _, _, _ := buildPaperScenario(t, netsim.Faults{Seed: 1}, site.DefaultOptions())
+	w, _ := paperScenario(t)
 	stats := w.Net().Stats()
 	if n := stats.Sent("ggd.destroy"); n != 0 {
 		t.Errorf("destroy messages during pure mutation = %d, want 0", n)

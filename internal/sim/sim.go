@@ -33,8 +33,8 @@ type World struct {
 	// shards is the lock-stripe width every site is built with.
 	shards int
 
-	// durable tracks the journals of a durable world (NewDurableWorld);
-	// nil for a volatile world.
+	// durable tracks the journals of a durable world (newWorld with a
+	// directory); nil for a volatile world.
 	durable []*durableSite
 }
 
@@ -50,27 +50,17 @@ type durableSite struct {
 // NewWorld builds n volatile one-shard sites (IDs 1..n) over a
 // deterministic simulator.
 func NewWorld(n int, faults netsim.Faults, opts site.Options) *World {
-	return NewShardedWorld(n, faults, opts, 1)
-}
-
-// NewShardedWorld is NewWorld with every site striped over the given
-// number of lock shards.
-func NewShardedWorld(n int, faults netsim.Faults, opts site.Options, shards int) *World {
-	w, _ := newWorld(n, faults, opts, "", 0, shards) // a volatile world cannot fail
+	w, _ := newWorld(n, faults, opts, "", 0, 1) // a volatile world cannot fail
 	return w
 }
 
-// NewDurableWorld builds n durable one-shard sites journaling under
-// dir/site-<id>, snapshotting every `every` records. Sites can then be
-// killed and recovered with Crash/Restart — the kill-and-restart fault
-// scenario. Journals run unsynced: an in-process "crash" cannot lose
-// page-cache contents, so fsync would only slow the schedule search.
-func NewDurableWorld(n int, faults netsim.Faults, opts site.Options, dir string, every int) (*World, error) {
-	return newWorld(n, faults, opts, dir, every, 1)
-}
-
 // newWorld is the one constructor body: n sites of the given width,
-// durable under dir when dir is non-empty, volatile otherwise.
+// durable under dir when dir is non-empty, volatile otherwise. A durable
+// site journals under dir/site-<id>, snapshotting every `every` records,
+// and can then be killed and recovered with Crash/Restart — the
+// kill-and-restart fault scenario. Journals run unsynced: an in-process
+// "crash" cannot lose page-cache contents, so fsync would only slow the
+// schedule search.
 func newWorld(n int, faults netsim.Faults, opts site.Options, dir string, every, shards int) (*World, error) {
 	w := &World{net: netsim.NewSim(faults), opts: opts, shards: shards}
 	for i := 1; i <= n; i++ {

@@ -48,12 +48,7 @@ func TestQuiescentWatermarksMeet(t *testing.T) {
 				}
 				refresh := func() {
 					t.Helper()
-					if err := w.RefreshAll(); err != nil {
-						t.Fatal(err)
-					}
-					if err := w.Settle(); err != nil {
-						t.Fatal(err)
-					}
+					refreshSettled(t, w, 1)
 				}
 				churn(seed * 31)
 				w.Net().SetPartition(func(from, to ids.SiteID) bool { return (from <= 2) != (to <= 2) })
