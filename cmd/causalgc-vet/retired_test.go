@@ -71,6 +71,8 @@ var retired = []nameRow{
 		"the engine only sends: each shard keeps the frames it sent in one ledger per stream, so the engine's ledgers, their rows and their image types are gone"},
 	{"the experiments are tests", regexp.MustCompile(`causalgc/eval\b|causalgc-bench|RunResults|WriteJSON|NewShardedWorld|NewDurableWorld`), outsideBench,
 		"E5-E9 and A2 are tests in internal/sim and newWorld is the harness's one constructor: the eval package, its CLI, its JSON artifact and the world wrappers are gone"},
+	{"the soak is a test", regexp.MustCompile(`causalgc-soak|SetResidual|causalgc_residual_garbage|SOAK_`), outsideBench,
+		"the soak is the root package's TestSoak, which asserts causalgc.Check directly: the CLI, its JSON artifacts and the residual gauge only it set are gone"},
 }
 
 // frozen lists the names kept only because bench/, frozen with the

@@ -13,10 +13,9 @@
 // Monitor to a Node, and NewServer(addr, mons...) serves a fixed set of
 // monitors — one node's, or every node's of a Cluster on one endpoint.
 // cmd/causalgc-node serves its sites' monitors that way via
-// -metrics-addr. The
-// cmd/causalgc-soak harness is the reference consumer: it polls
-// /metrics during a long fault-injected run and asserts the steady-state
-// invariants the paper's scalability argument promises.
+// -metrics-addr. The root package's TestSoak scrapes /metrics
+// throughout a fault-injected churn run and asserts the steady-state
+// invariants below from two scrapes at quiescence.
 //
 // # Metrics reference
 //
@@ -24,9 +23,8 @@
 // kind="<payload>" and causalgc_resends_total adds stream=. Sources:
 // ENG = engine core.Stats, FRM = site FrameStats, DEP = site Depths
 // gauges, COL = accumulated heap.CollectStats, WAL = persist.Stats
-// (persistent nodes only), NET = transport Stats, ORA = oracle via
-// Monitor.SetResidual (test deployments only), TRC = the monitor's own
-// ring.
+// (persistent nodes only), NET = transport Stats, TRC = the monitor's
+// own ring.
 //
 //	causalgc_uptime_seconds            gauge    —    seconds since Attach
 //	causalgc_objects                   gauge    heap live heap objects
@@ -66,7 +64,6 @@
 //	causalgc_net_dropped_total{kind}   counter  NET  losses by payload kind
 //	causalgc_net_duplicated_total{kind} counter NET  duplicated deliveries by kind
 //	causalgc_net_bytes_total{kind}     counter  NET  approximate payload bytes by kind
-//	causalgc_residual_garbage          gauge    ORA  unreclaimed garbage objects (absent in production)
 //	causalgc_trace_recorded_total      counter  TRC  events ever recorded
 //	causalgc_trace_dropped_total       counter  TRC  events overwritten off the ring
 //

@@ -142,10 +142,6 @@ type Snapshot struct {
 	// ShardDepths is each shard's retained-state table sizes, in shard
 	// order. The site-wide Depths above is their sum.
 	ShardDepths []site.Depths `json:"shard_depths,omitempty"`
-	// Residual is the oracle-reported residual garbage object count;
-	// nil until SetResidual is called (production deployments have no
-	// oracle).
-	Residual *int `json:"residual,omitempty"`
 	// Trace describes the event ring's occupancy.
 	Trace TraceStats `json:"trace"`
 }
@@ -166,7 +162,6 @@ type Monitor struct {
 	filled  bool
 	dropped uint64
 	collect CollectTotals
-	resid   *int
 }
 
 // New creates a monitor with the given event-trace depth; a non-positive
@@ -196,17 +191,6 @@ func (m *Monitor) Site() ids.SiteID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.siteID
-}
-
-// SetResidual records the residual garbage count an external oracle
-// (causalgc.Check) measured for this site. Test and soak deployments
-// feed it so the residual-garbage gauge exports; production deployments
-// never call it and the gauge stays absent.
-func (m *Monitor) SetResidual(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := n
-	m.resid = &v
 }
 
 // record appends one event to the bounded ring.
@@ -280,10 +264,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		Site:    m.siteID,
 		Collect: m.collect,
 		Trace:   TraceStats{Recorded: m.seq, Dropped: m.dropped, Depth: len(m.ring)},
-	}
-	if m.resid != nil {
-		v := *m.resid
-		s.Residual = &v
 	}
 	start := m.start
 	m.mu.Unlock()

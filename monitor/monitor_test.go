@@ -45,13 +45,6 @@ func TestSnapshotReadsSources(t *testing.T) {
 	if s.Persist == nil || s.Persist.SyncMaxNanos != 2000 {
 		t.Errorf("Persist surface missing or wrong: %+v", s.Persist)
 	}
-	if s.Residual != nil {
-		t.Errorf("Residual set before SetResidual: %v", *s.Residual)
-	}
-	m.SetResidual(0)
-	if s = m.Snapshot(); s.Residual == nil || *s.Residual != 0 {
-		t.Errorf("Residual after SetResidual(0): %v", s.Residual)
-	}
 }
 
 func TestEventRingBoundsAndOrder(t *testing.T) {
@@ -111,7 +104,6 @@ func TestWriteExposition(t *testing.T) {
 	src.Transport.RecordSent(p)
 	src.Transport.RecordDelivered(p)
 	m.Attach(2, src)
-	m.SetResidual(0)
 
 	var b strings.Builder
 	if err := WriteExposition(&b, m.Snapshot()); err != nil {
@@ -128,7 +120,6 @@ func TestWriteExposition(t *testing.T) {
 		`causalgc_wal_fsync_seconds_total{site="s2"} 3e-06`,
 		`causalgc_wal_fsync_max_seconds{site="s2"} 2e-06`,
 		`causalgc_net_sent_total{site="s2",kind="fake"} 1`,
-		`causalgc_residual_garbage{site="s2"} 0`,
 		"# TYPE causalgc_outbox_depth gauge",
 	} {
 		if !strings.Contains(out, want) {
@@ -149,9 +140,9 @@ func TestExpositionOmitsAbsentSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, absent := range []string{"causalgc_wal_", "causalgc_net_", "causalgc_residual_garbage"} {
+	for _, absent := range []string{"causalgc_wal_", "causalgc_net_"} {
 		if strings.Contains(out, absent) {
-			t.Errorf("exposition contains %q for a volatile, oracle-less node\n%s", absent, out)
+			t.Errorf("exposition contains %q for a volatile node\n%s", absent, out)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // WriteExposition renders snapshots in the Prometheus text exposition
 // format (version 0.0.4), one site-labelled sample per snapshot per
 // metric. Metrics whose source surface is absent from every snapshot
-// (persist counters on volatile nodes, the residual gauge before the
-// oracle reports) are omitted entirely. See the package documentation
+// (persist counters on volatile nodes, net counters on a transport
+// without stats) are omitted entirely. See the package documentation
 // for the metrics reference.
 func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 	p := &promWriter{w: w}
@@ -119,15 +119,6 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 			func(k kindView) int { return k.Duplicated })
 		p.net(snaps, "causalgc_net_bytes_total", "Approximate transport payload bytes by kind.",
 			func(k kindView) int { return k.Bytes })
-	}
-
-	if anyResidual(snaps) {
-		p.head("causalgc_residual_garbage", "gauge", "Oracle-measured unreclaimed garbage objects (test deployments).")
-		for i := range snaps {
-			if s := &snaps[i]; s.Residual != nil {
-				p.sample("causalgc_residual_garbage", s, "", float64(*s.Residual))
-			}
-		}
 	}
 
 	p.counter("causalgc_trace_recorded_total", "Structured trace events recorded.",
@@ -260,15 +251,6 @@ func anyPersist(snaps []Snapshot) bool {
 func anyTransport(snaps []Snapshot) bool {
 	for i := range snaps {
 		if snaps[i].Transport != nil {
-			return true
-		}
-	}
-	return false
-}
-
-func anyResidual(snaps []Snapshot) bool {
-	for i := range snaps {
-		if snaps[i].Residual != nil {
 			return true
 		}
 	}

@@ -15,6 +15,8 @@
 // Delivery matches the Transport contract: asynchronous with respect to
 // Send, serialised per destination site (one delivery goroutine each),
 // and at-most-once per send — a frame that cannot be written before Close
-// is dropped, which the GGD control plane tolerates by design (§5 of the
-// paper; mutator payloads are retried across reconnects until Close).
+// is dropped, and so is a frame past the early buffer of a site that has
+// not registered yet. The GGD control plane tolerates that by design (§5
+// of the paper). A mutator frame is re-sent only by a durable sender;
+// a volatile sender's lost frame stays lost (DESIGN.md §6).
 package tcp

@@ -73,7 +73,7 @@ type Network struct {
 
 // maxEarly bounds the frames buffered per not-yet-registered site and
 // maxEarlySites the distinct site IDs buffered for; overflow is
-// dropped (tolerated loss). The site bound keeps stale routing — a
+// dropped and counted, mutator frames included (see readLoop). The site bound keeps stale routing — a
 // peer persistently addressing sites this process never hosts — from
 // growing the map without limit.
 const (
@@ -332,9 +332,12 @@ func (n *Network) readLoop(conn net.Conn) {
 		}
 		n.mu.Unlock()
 		if in == nil || !in.Enqueue(f.From, f.Payload) {
-			// Buffer overflow (a site this process never hosts — stale
-			// routing) or delivered after Close: lost, which the
-			// protocol tolerates.
+			// Buffer overflow (a site not registered yet, or one this
+			// process never hosts) or delivered after Close: dropped
+			// and counted. A durable sender re-sends a lost mutator
+			// frame at its next Refresh; a volatile sender never does,
+			// so its lost Create or RefTransfer is gone for good
+			// (TestEarlyOverflowLosesVolatileCreates).
 			n.stats.RecordDropped(f.Payload)
 		}
 	}
