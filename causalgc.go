@@ -77,20 +77,6 @@ func FanoutObserver(obs ...Observer) Observer { return site.Fanout(obs...) }
 // suppressions. See Node.FrameStats.
 type FrameStats = site.FrameStats
 
-// Stream identifies one acknowledged-retirement stream between a pair
-// of sites (DESIGN.md §3.2); AckObserver callbacks name the stream a
-// frame belonged to.
-type Stream = core.Stream
-
-// The retirement streams: retained outbound mutator frames, journaled
-// edge-asserts, and edge-destruction bundles (destroyed edges' and
-// removed clusters' finalisation bundles alike).
-const (
-	StreamMut     = core.StreamMut
-	StreamAssert  = core.StreamAssert
-	StreamDestroy = core.StreamDestroy
-)
-
 // Check runs the global reachability oracle over the given nodes: ground
 // truth no real site can compute, for tests and demos. All nodes of the
 // system must be passed, and the system should be quiescent for a

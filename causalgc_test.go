@@ -10,34 +10,6 @@ import (
 	"causalgc/transport"
 )
 
-// ExampleCluster is the quickstart: three sites share objects, a
-// distributed cycle becomes garbage, and GGD collects it.
-func ExampleCluster() {
-	c := causalgc.NewCluster(3)
-	defer c.Close()
-	n1 := c.Node(1)
-
-	// Site 1's root creates an object on site 2, which creates one on
-	// site 3, which is handed a reference back to the site-2 object: a
-	// cycle spanning two sites, reachable only from site 1.
-	a, _ := n1.NewRemote(n1.Root().Obj, 2)
-	c.Run()
-	b, _ := c.Node(2).NewRemote(a.Obj, 3)
-	c.Run()
-	c.Node(2).SendRef(a.Obj, b, a) // b → a: the cycle closes
-	c.Run()
-	fmt.Println("before drop:", c.TotalObjects(), "objects")
-
-	// Drop the only root reference: {a, b} become a distributed garbage
-	// cycle no per-site collector can see.
-	n1.DropRefs(n1.Root().Obj, a)
-	c.Settle()
-	fmt.Println("after drop: ", c.TotalObjects(), "objects, clean:", c.Check().Clean())
-	// Output:
-	// before drop: 5 objects
-	// after drop:  3 objects, clean: true
-}
-
 // TestClusterQuickstart is the example with assertions: remote create,
 // third-party state, drop, cycle reclamation, oracle verdicts — on
 // default (one-shard) nodes and on volatile WithShards(2) nodes, which

@@ -9,11 +9,10 @@ import (
 	"strings"
 )
 
-// An Analyzer describes one invariant checker: a name (the flag that
-// selects it in causalgc-vet), a one-line doc string, and a Run
-// function invoked once per analyzed package unit.
+// An Analyzer describes one invariant checker: a name, a one-line doc
+// string, and a Run function invoked once per analyzed package unit.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-line description of the enforced invariant.
 	Doc string

@@ -39,7 +39,7 @@ type Config struct {
 	Packages []string
 }
 
-// Analyzer is the determcheck instance run by causalgc-vet, covering
+// Analyzer is the determcheck instance the module gate runs, covering
 // the replay- and simulation-critical packages.
 var Analyzer = New(Config{Packages: []string{
 	"causalgc/internal/core",

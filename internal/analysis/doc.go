@@ -19,7 +19,17 @@
 // weakening an analyzer; Pass.Allowed checks them.
 //
 // The analyzers themselves live in subpackages (lockcheck, sendcheck,
-// determcheck, errcmpcheck, doccheck); cmd/causalgc-vet is the
-// multichecker that runs them over ./... in CI, and subpackage
-// analysistest is the golden-file test harness.
+// determcheck, errcmpcheck, doccheck), and subpackage analysistest is
+// the golden-file test harness. This package's external tests are the
+// module gates: TestModuleInvariantsClean runs every analyzer over the
+// whole module, TestNoDeadSurface finds internal functions only tests
+// reach, and TestRetiredNamesStayGone and TestFrozenNamesStayInBench
+// keep retired and bench-only names out of the code. One command runs
+// the golden tests and every gate:
+//
+//	go test ./internal/analysis/...
+//
+// They leave the module one binary, cmd/causalgc-node; the worked
+// examples are likewise tests, the root package's Example functions
+// (go test -v -run Example .).
 package analysis

@@ -2,8 +2,8 @@
 // API and the load-bearing internals: every exported identifier in the
 // lint set must carry a doc comment, so `go doc` tells the protocol
 // story end to end. It is the analyzer port of the repository's
-// original doclint_test.go go/ast walker; the docs-lint CI step now
-// runs it as `causalgc-vet -doccheck ./...`.
+// original doclint_test.go go/ast walker, and runs with the rest of
+// the suite in internal/analysis's TestModuleInvariantsClean.
 package doccheck
 
 import (
@@ -21,7 +21,7 @@ type Config struct {
 	Packages []string
 }
 
-// Analyzer is the doccheck instance run by causalgc-vet: the public
+// Analyzer is the doccheck instance the module gate runs: the public
 // packages plus the internals that carry the protocol's design
 // documentation.
 var Analyzer = New(Config{Packages: []string{

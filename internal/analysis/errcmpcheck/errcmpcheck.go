@@ -20,7 +20,7 @@ import (
 	"causalgc/internal/analysis"
 )
 
-// Analyzer is the errcmpcheck instance run by causalgc-vet.
+// Analyzer is the errcmpcheck instance the module gate runs.
 var Analyzer = New()
 
 // sentinelName matches the sentinel-error naming convention.

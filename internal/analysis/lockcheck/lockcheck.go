@@ -32,7 +32,7 @@ import (
 	"causalgc/internal/analysis"
 )
 
-// Analyzer is the lockcheck instance run by causalgc-vet.
+// Analyzer is the lockcheck instance the module gate runs.
 var Analyzer = New()
 
 // New returns the lockcheck analyzer. It is purely syntactic: the

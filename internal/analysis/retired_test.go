@@ -1,4 +1,4 @@
-package main
+package analysis_test
 
 import (
 	"bufio"
@@ -11,14 +11,13 @@ import (
 
 // retiredSelf is this file, whose patterns would otherwise match their
 // own source.
-const retiredSelf = "cmd/causalgc-vet/retired_test.go"
+const retiredSelf = "internal/analysis/retired_test.go"
 
 // File scopes of the retired-name rows, on module-relative paths.
 func outsideBench(rel string) bool { return !strings.HasPrefix(rel, "bench/") }
 func nonTest(rel string) bool      { return !strings.HasSuffix(rel, "_test.go") }
 func everyFile(string) bool        { return true }
 func rootPackage(rel string) bool  { return !strings.Contains(rel, "/") }
-func examples(rel string) bool     { return strings.HasPrefix(rel, "examples/") }
 
 // nameRow is one row of the retired and frozen tables: a rule, a
 // use-site pattern searched line by line in the .go files the scope
@@ -57,8 +56,6 @@ var retired = []nameRow{
 		"the closure is a reachability walk and monitor.NewServer the one way to serve monitors: JoinPath and the metrics-address option are gone"},
 	{"nothing computed that nothing reads", regexp.MustCompile(`Unsafe|Owns`), rootPackage,
 		"causalgc.EngineOptions carries the removal observer only: the ablations are the internal/sim experiments', set through site.Options.Engine"},
-	{"nothing computed that nothing reads", regexp.MustCompile(`Unsafe|Owns`), examples,
-		"causalgc.EngineOptions carries the removal observer only: the ablations are the internal/sim experiments', set through site.Options.Engine"},
 	{"retained means retained, with no exceptions", regexp.MustCompile(`StreamAdvance|tagStreamAdvance|advanceFloors|handleAdvanceLocked|RetainedFloor|retireAsserts|causalgc_advances_sent_total`), outsideBench,
 		"a ledger row leaves only when it is acknowledged, so no sequence is abandoned: the floor advisories and the side-path drops are gone"},
 	{"durable state is protocol state", regexp.MustCompile(`frameShards|handleFrameAckLocked`), outsideBench,
@@ -73,6 +70,10 @@ var retired = []nameRow{
 		"E5-E9 and A2 are tests in internal/sim and newWorld is the harness's one constructor: the eval package, its CLI, its JSON artifact and the world wrappers are gone"},
 	{"the soak is a test", regexp.MustCompile(`causalgc-soak|SetResidual|causalgc_residual_garbage|SOAK_`), outsideBench,
 		"the soak is the root package's TestSoak, which asserts causalgc.Check directly: the CLI, its JSON artifacts and the residual gauge only it set are gone"},
+	{"the module builds one binary", regexp.MustCompile(`causalgc-vet|go run \./examples`), outsideBench,
+		"the invariant checker is internal/analysis's module tests and the worked examples are the root package's Example functions: causalgc-vet and the example programs are gone"},
+	{"the module builds one binary", regexp.MustCompile(`\bStream(Mut|Assert|Destroy)?\b`), rootPackage,
+		"a retirement names no stream outside the site: AckObserver.FrameRetired fires for mutator frames only, and causalgc.Stream and its constants are gone"},
 }
 
 // frozen lists the names kept only because bench/, frozen with the
@@ -109,7 +110,7 @@ func checkModule(t *testing.T, rows []nameRow) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := expand(root, []string{"./..."})
+	dirs, err := moduleDirs(root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type Config struct {
 	AllowIn []string
 }
 
-// Analyzer is the sendcheck instance run by causalgc-vet, scoped to
+// Analyzer is the sendcheck instance the module gate runs, scoped to
 // the site runtime with emitLocked/flushCoalesceLocked as the funnel.
 var Analyzer = New(Config{
 	Packages: []string{"causalgc/internal/site"},

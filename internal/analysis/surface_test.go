@@ -1,4 +1,4 @@
-package main
+package analysis_test
 
 import (
 	"go/ast"
@@ -40,16 +40,10 @@ var surfaceAllow = []struct{ key, reason string }{
 // import path, receiver type name and name rather than by its
 // types.Object.
 func TestNoDeadSurface(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short runs")
-	}
+	units := loadModule(t)
 	_, modPath, err := findModule()
 	if err != nil {
 		t.Fatal(err)
-	}
-	units, err := load([]string{"./..."})
-	if err != nil {
-		t.Fatalf("load: %v", err)
 	}
 	s := scanSurface(units, modPath+"/internal/")
 

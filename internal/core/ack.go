@@ -24,7 +24,7 @@ const (
 	StreamDestroy
 )
 
-// String names the stream for diagnostics and observer callbacks.
+// String names the stream for diagnostics.
 func (s Stream) String() string {
 	switch s {
 	case StreamMut:

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"causalgc/internal/core"
 	"causalgc/internal/heap"
 	"causalgc/internal/ids"
 	"causalgc/internal/mutator"
@@ -294,7 +293,7 @@ type ackWatcher struct {
 func (c *ackWatcher) ClusterRemoved(ids.SiteID, ids.ClusterID) {}
 func (c *ackWatcher) Collected(ids.SiteID, heap.CollectStats)  {}
 
-func (c *ackWatcher) FrameRetired(_ ids.SiteID, _ ids.SiteID, _ core.Stream, n int) {
+func (c *ackWatcher) FrameRetired(_ ids.SiteID, _ ids.SiteID, n int) {
 	c.mu.Lock()
 	c.retired += n
 	c.mu.Unlock()

@@ -44,6 +44,7 @@ var pinnedCounts = map[string]map[string]float64{
 		"schelvis_k4": 34, "schelvis_k8": 101, "schelvis_k16": 516, "schelvis_k32": 2030,
 		"causal_paper_bytes_k4": 1572, "causal_paper_bytes_k8": 3164, "causal_paper_bytes_k16": 11212, "causal_paper_bytes_k32": 18364,
 		"causal_sound_bytes_k4": 4660, "causal_sound_bytes_k8": 39476, "causal_sound_bytes_k16": 215692, "causal_sound_bytes_k32": 1017436,
+		"ring_sound_k2": 6, "ring_sound_k4": 10, "ring_sound_k8": 18, "ring_sound_k16": 34, "ring_sound_k32": 66, "ring_sound_k64": 130,
 	},
 	"E7": {
 		"tracing_l50_g5": 62, "tracing_l100_g5": 112, "tracing_l200_g5": 212, "tracing_l50_g50": 62,
@@ -65,6 +66,7 @@ var pinnedCounts = map[string]map[string]float64{
 		"dangling_sound": 0, "dangling_paper_guard": 75,
 		"dangling_skip_confirmation": 0, "dangling_no_hints": 75,
 		"pinned_dangling_sound": 0, "pinned_dangling_skip_confirmation": 1,
+		"ring_build_dangling_sound": 0, "ring_build_dangling_skip_confirmation": 1,
 	},
 }
 
@@ -140,14 +142,16 @@ func e5(t *testing.T, w io.Writer) map[string]float64 {
 // e6 regenerates the §4 comparison: messages to collect a detached
 // doubly-linked list, for the causal algorithm under the paper's literal
 // guard and the sound guard, versus Schelvis's eager timestamp packets,
-// and the bytes both causal guards send doing it.
+// and the bytes both causal guards send doing it. The control is a
+// detached k-element ring under the sound guard, which costs 2k+2
+// messages.
 func e6(t *testing.T, w io.Writer) map[string]float64 {
 	m := map[string]float64{}
 	fmt.Fprintln(w, "== E6: §4 — messages to collect a detached doubly-linked list ==")
 	fmt.Fprintf(w, "%6s %20s %14s %10s %14s %14s\n", "k", "causal(paper-guard)", "causal(sound)", "schelvis", "paper bytes", "sound bytes")
 	for _, k := range []int{4, 8, 16, 32} {
-		a, aBytes := dllCausalCost(t, k, true)
-		b, bBytes := dllCausalCost(t, k, false)
+		a, aBytes := causalCost(t, k, true, false)
+		b, bBytes := causalCost(t, k, false, false)
 		c := dllSchelvisCost(k)
 		fmt.Fprintf(w, "%6d %20d %14d %10d %14d %14d\n", k, a, b, c, aBytes, bBytes)
 		m[fmt.Sprintf("causal_paper_k%d", k)] = float64(a)
@@ -157,31 +161,42 @@ func e6(t *testing.T, w io.Writer) map[string]float64 {
 		m[fmt.Sprintf("causal_sound_bytes_k%d", k)] = float64(bBytes)
 	}
 	fmt.Fprintln(w, "shape: paper-guard O(k); sound O(k²), above schelvis at every k; schelvis O(k²); sound bytes O(k²): a row crosses each edge once")
+	fmt.Fprintf(w, "%6s %14s\n", "k", "ring(sound)")
+	for _, k := range []int{2, 4, 8, 16, 32, 64} {
+		r, _ := causalCost(t, k, false, true)
+		fmt.Fprintf(w, "%6d %14d\n", k, r)
+		m[fmt.Sprintf("ring_sound_k%d", k)] = float64(r)
+	}
+	fmt.Fprintln(w, "shape: a ring is 2k+2 under the sound guard: one wave, one direction")
 	fmt.Fprintln(w)
 	return m
 }
 
-// dllCausalCost returns the number of messages and the approximate
-// bytes the causal algorithm sends to collect a detached k-element
-// doubly-linked list, and fails t unless collection completes. With
-// paperGuard the paper's literal removal test (no row confirmation) is
-// used.
-func dllCausalCost(t *testing.T, k int, paperGuard bool) (msgs, bytes int) {
+// causalCost returns the number of messages and the approximate bytes
+// the causal algorithm sends to collect a detached k-element
+// doubly-linked list, or with ring a detached k-element ring, and fails
+// t unless collection completes. With paperGuard the paper's literal
+// removal test (no row confirmation) is used.
+func causalCost(t *testing.T, k int, paperGuard, ring bool) (msgs, bytes int) {
 	t.Helper()
 	opts := site.DefaultOptions()
 	opts.Engine.UnsafeSkipConfirmation = paperGuard
 	wd := NewWorld(k+1, netsim.Faults{Seed: 1}, opts)
-	dll, err := mutator.BuildDLL(wd, k)
+	build, detach := mutator.BuildDLL, (*mutator.DLL).Detach
+	if ring {
+		build, detach = mutator.BuildRing, (*mutator.DLL).DetachRing
+	}
+	l, err := build(wd, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseMsgs, baseBytes := traffic(wd.Net().Stats())
-	if err := dll.Detach(); err != nil {
+	if err := detach(l); err != nil {
 		t.Fatal(err)
 	}
 	settle(t, wd)
 	if rep := wd.Check(); !rep.Clean() {
-		t.Errorf("k=%d paperGuard=%v: DLL not collected cleanly: %v", k, paperGuard, rep)
+		t.Errorf("k=%d paperGuard=%v ring=%v: not collected cleanly: %v", k, paperGuard, ring, rep)
 	}
 	msgs, bytes = traffic(wd.Net().Stats())
 	return msgs - baseMsgs, bytes - baseBytes
@@ -490,9 +505,11 @@ func e9Run(t *testing.T, seed int64) (r e9Result) {
 // row confirmation and introduction hints, each switched off on its own
 // and both together (the paper's literal guard). Randomised churn
 // reaches the hint race only: it finds no hole with confirmation alone
-// off. The pinned lane is the deterministic schedule that does need
-// confirmation, TestConfirmationGuardCounterexample's. The sound
-// configuration never dangles in either lane.
+// off. Two deterministic lanes do need confirmation: the pinned
+// schedule TestConfirmationGuardCounterexample asserts on (4 sites),
+// and the build of a 2-element ring on a fault-free 3-site world, which
+// leaves a dangling reference before anything is detached. The sound
+// configuration never dangles in any lane.
 func a2(t *testing.T, w io.Writer) map[string]float64 {
 	fmt.Fprintln(w, "== A2: ablation — each half of the sound removal guard closes its own race ==")
 	sound := a2Run(t, false, false)
@@ -507,16 +524,33 @@ func a2(t *testing.T, w io.Writer) map[string]float64 {
 	}
 	pinnedSound, pinnedSkip := pinned(false), pinned(true)
 	fmt.Fprintf(w, "pinned confirmation counterexample (4 sites): sound=%d skip-confirmation=%d\n", pinnedSound, pinnedSkip)
-	fmt.Fprintln(w, "(introduction hints close the churn race; row confirmation closes the pinned one)")
+	ringSound, ringSkip := ringBuildDangling(t, 2, false), ringBuildDangling(t, 2, true)
+	fmt.Fprintf(w, "2-element ring build, nothing detached (3 sites): sound=%d skip-confirmation=%d\n", ringSound, ringSkip)
+	fmt.Fprintln(w, "(introduction hints close the churn race; row confirmation closes the deterministic ones)")
 	fmt.Fprintln(w)
 	return map[string]float64{
-		"dangling_sound":                    float64(sound),
-		"dangling_paper_guard":              float64(unsafe),
-		"dangling_skip_confirmation":        float64(skipConf),
-		"dangling_no_hints":                 float64(noHints),
-		"pinned_dangling_sound":             float64(pinnedSound),
-		"pinned_dangling_skip_confirmation": float64(pinnedSkip),
+		"dangling_sound":                        float64(sound),
+		"dangling_paper_guard":                  float64(unsafe),
+		"dangling_skip_confirmation":            float64(skipConf),
+		"dangling_no_hints":                     float64(noHints),
+		"pinned_dangling_sound":                 float64(pinnedSound),
+		"pinned_dangling_skip_confirmation":     float64(pinnedSkip),
+		"ring_build_dangling_sound":             float64(ringSound),
+		"ring_build_dangling_skip_confirmation": float64(ringSkip),
 	}
+}
+
+// ringBuildDangling builds a k-element ring on a fault-free world at
+// seed 1 and returns the dangling references the oracle finds once the
+// build is quiescent, with nothing detached.
+func ringBuildDangling(t *testing.T, k int, skipConfirmation bool) int {
+	opts := site.DefaultOptions()
+	opts.Engine.UnsafeSkipConfirmation = skipConfirmation
+	wd := NewWorld(k+1, netsim.Faults{Seed: 1}, opts)
+	if _, err := mutator.BuildRing(wd, k); err != nil {
+		t.Fatal(err)
+	}
+	return len(wd.Check().Dangling)
 }
 
 func a2Run(t *testing.T, skipConfirmation, noHints bool) int {

@@ -59,8 +59,8 @@ type FrameStats struct {
 // into the Site.
 type AckObserver interface {
 	// FrameRetired fires when a cumulative FrameAck from peer retires
-	// outbox frames exactly.
-	FrameRetired(site ids.SiteID, peer ids.SiteID, stream core.Stream, frames int)
+	// retained mutator frames exactly.
+	FrameRetired(site ids.SiteID, peer ids.SiteID, frames int)
 }
 
 // streamKey names one retirement stream between this site and a peer.
@@ -281,7 +281,7 @@ func (r *shard) applyAckLocked(peer ids.SiteID, m wire.FrameAck, restarted bool)
 		st.fstats.FramesRetired += n
 		st.mu.Unlock()
 		if ao, ok := r.site.opts.Observer.(AckObserver); ok {
-			ao.FrameRetired(r.site.id, peer, core.StreamMut, n)
+			ao.FrameRetired(r.site.id, peer, n)
 		}
 	}
 }

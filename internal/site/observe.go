@@ -55,10 +55,10 @@ func (f fanout) Collected(site ids.SiteID, stats heap.CollectStats) {
 
 // FrameRetired forwards the retirement event to the children
 // implementing AckObserver.
-func (f fanout) FrameRetired(site ids.SiteID, peer ids.SiteID, stream core.Stream, frames int) {
+func (f fanout) FrameRetired(site ids.SiteID, peer ids.SiteID, frames int) {
 	for _, o := range f {
 		if a, ok := o.(AckObserver); ok {
-			a.FrameRetired(site, peer, stream, frames)
+			a.FrameRetired(site, peer, frames)
 		}
 	}
 }

@@ -47,8 +47,7 @@
 //	causalgc_destroy_bundles_depth     gauge    DEP  un-acknowledged edge-destruction bundles retained: dropped edges' Ē and removed clusters' finalisation bundles
 //	causalgc_pending_deliveries_depth  gauge    DEP  unborn processes: clusters named ahead of their creation (an early transfer's holder included)
 //	causalgc_shards                    gauge    DEP  lock-stripe width (1 on a default node)
-//	causalgc_shard_outbox_depth{shard} gauge    DEP  per-shard share of causalgc_outbox_depth
-//	causalgc_shard_assert_journal_depth{shard} gauge DEP per-shard share of causalgc_assert_journal_depth
+//	causalgc_shard_<depth>{shard}      gauge    DEP  per-shard share of each of the four depth gauges above (outbox, assert_journal, destroy_bundles, pending_deliveries)
 //	causalgc_collections_total         counter  COL  mark-sweep collections observed
 //	causalgc_collect_marked_total      counter  COL  objects marked, summed
 //	causalgc_collect_swept_total       counter  COL  objects reclaimed, summed

@@ -68,8 +68,6 @@ type Event struct {
 	// Peer is the remote site of a retirement-stream event
 	// ("frame_retired").
 	Peer ids.SiteID `json:"peer,omitempty"`
-	// Stream names the retirement stream ("frame_retired").
-	Stream string `json:"stream,omitempty"`
 	// Frames is the number of outbox frames retired ("frame_retired").
 	Frames int `json:"frames,omitempty"`
 }
@@ -230,8 +228,8 @@ func (m *Monitor) Collected(siteID ids.SiteID, stats heap.CollectStats) {
 
 // FrameRetired implements the AckObserver hook: it traces the
 // acknowledged retirement.
-func (m *Monitor) FrameRetired(siteID ids.SiteID, peer ids.SiteID, stream core.Stream, frames int) {
-	m.record(Event{Kind: EventFrameRetired, Peer: peer, Stream: stream.String(), Frames: frames})
+func (m *Monitor) FrameRetired(siteID ids.SiteID, peer ids.SiteID, frames int) {
+	m.record(Event{Kind: EventFrameRetired, Peer: peer, Frames: frames})
 }
 
 // Events returns up to max recent trace events, oldest first (all of

@@ -24,7 +24,11 @@ func testSources() Sources {
 		Frames: func() site.FrameStats {
 			return site.FrameStats{OutboxRetained: 1, OutboxResends: 4, DeliveriesRefused: 6}
 		},
-		Depths: func() site.Depths { return site.Depths{Outbox: 1, AssertRows: 5} },
+		Depths: func() site.Depths { return site.Depths{Outbox: 1, AssertRows: 5, DestroyRows: 4, PendingDeliveries: 2} },
+		Shards: func() int { return 2 },
+		ShardDepths: func(i int) site.Depths {
+			return site.Depths{Outbox: i, AssertRows: 5 * i, DestroyRows: 4 * i, PendingDeliveries: 2 * i}
+		},
 		Persist: func() persist.Stats {
 			return persist.Stats{Appends: 10, Syncs: 2, SyncNanos: 3000, SyncMaxNanos: 2000}
 		},
@@ -79,7 +83,7 @@ func TestObserverHooksRecordKinds(t *testing.T) {
 	m.Attach(3, Sources{})
 	m.Collected(3, heap.CollectStats{Marked: 5, Swept: 2, Roots: 4})
 	m.Collected(3, heap.CollectStats{Marked: 1, Swept: 1, Roots: 1})
-	m.FrameRetired(3, 1, core.StreamMut, 6)
+	m.FrameRetired(3, 1, 6)
 	evs := m.Events(0)
 	kinds := make([]string, len(evs))
 	for i, e := range evs {
@@ -89,7 +93,7 @@ func TestObserverHooksRecordKinds(t *testing.T) {
 	if fmt.Sprint(kinds) != fmt.Sprint(want) {
 		t.Fatalf("kinds = %v, want %v", kinds, want)
 	}
-	if evs[2].Peer != 1 || evs[2].Frames != 6 || evs[2].Stream == "" {
+	if evs[2].Peer != 1 || evs[2].Frames != 6 {
 		t.Errorf("frame_retired event malformed: %+v", evs[2])
 	}
 	if c := m.Snapshot().Collect; c.Collections != 2 || c.Marked != 6 || c.Swept != 3 {
@@ -121,6 +125,8 @@ func TestWriteExposition(t *testing.T) {
 		`causalgc_wal_fsync_max_seconds{site="s2"} 2e-06`,
 		`causalgc_net_sent_total{site="s2",kind="fake"} 1`,
 		"# TYPE causalgc_outbox_depth gauge",
+		`causalgc_shards{site="s2"} 2`,
+		`causalgc_shard_assert_journal_depth{site="s2",shard="1"} 5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
@@ -129,6 +135,24 @@ func TestWriteExposition(t *testing.T) {
 	// HELP/TYPE must appear exactly once per metric.
 	if n := strings.Count(out, "# TYPE causalgc_objects "); n != 1 {
 		t.Errorf("TYPE causalgc_objects appears %d times", n)
+	}
+	// Every depth gauge is exported site-wide and per site × shard.
+	for _, d := range []struct {
+		name     string
+		per      int
+		siteWide int
+	}{{"outbox", 1, 1}, {"assert_journal", 5, 5}, {"destroy_bundles", 4, 4}, {"pending_deliveries", 2, 2}} {
+		want := []string{
+			fmt.Sprintf(`causalgc_%s_depth{site="s2"} %d`, d.name, d.siteWide),
+			fmt.Sprintf(`causalgc_shard_%s_depth{site="s2",shard="0"} 0`, d.name),
+			fmt.Sprintf(`causalgc_shard_%s_depth{site="s2",shard="1"} %d`, d.name, d.per),
+			"# TYPE causalgc_shard_" + d.name + "_depth gauge",
+		}
+		for _, w := range want {
+			if n := strings.Count(out, w+"\n"); n != 1 {
+				t.Errorf("exposition has %q %d times, want once\n%s", w, n, out)
+			}
+		}
 	}
 }
 

@@ -62,15 +62,9 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 	p.counter("causalgc_deliveries_refused_total", "Deliveries dropped unapplied because their write-ahead append failed.",
 		snaps, func(s *Snapshot) int { return s.Frames.DeliveriesRefused })
 
-	p.igauge("causalgc_outbox_depth", "Unacknowledged outbound mutator frames retained.",
-		snaps, func(s *Snapshot) int { return s.Depths.Outbox })
-	p.igauge("causalgc_assert_journal_depth", "Un-acknowledged edge-asserts journaled for re-send.",
-		snaps, func(s *Snapshot) int { return s.Depths.AssertRows })
-	p.igauge("causalgc_destroy_bundles_depth", "Un-acknowledged edge-destruction bundles (finalisation bundles included) retained for re-send.",
-		snaps, func(s *Snapshot) int { return s.Depths.DestroyRows })
-	p.igauge("causalgc_pending_deliveries_depth", "Unborn processes: clusters that control messages or reference transfers named ahead of their creation message.",
-		snaps, func(s *Snapshot) int { return s.Depths.PendingDeliveries })
-
+	for _, g := range depthGauges {
+		p.igauge("causalgc_"+g.name, g.help, snaps, func(s *Snapshot) int { return g.get(s.Depths) })
+	}
 	if anyShards(snaps) {
 		p.head("causalgc_shards", "gauge", "Lock-stripe width of the site (1 by default).")
 		for i := range snaps {
@@ -78,10 +72,9 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 				p.sample("causalgc_shards", s, "", float64(s.Shards))
 			}
 		}
-		p.head("causalgc_shard_outbox_depth", "gauge", "Per-shard unacknowledged outbound mutator frames.")
-		p.shardDepth(snaps, "causalgc_shard_outbox_depth", func(d site.Depths) int { return d.Outbox })
-		p.head("causalgc_shard_assert_journal_depth", "gauge", "Per-shard un-acknowledged edge-assert journal size.")
-		p.shardDepth(snaps, "causalgc_shard_assert_journal_depth", func(d site.Depths) int { return d.AssertRows })
+		for _, g := range depthGauges {
+			p.shardDepth(snaps, "causalgc_shard_"+g.name, "Per-shard share of causalgc_"+g.name+".", g.get)
+		}
 	}
 
 	p.counter("causalgc_collections_total", "Local mark-sweep collections observed.",
@@ -127,6 +120,23 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) error {
 		snaps, func(s *Snapshot) int { return int(s.Trace.Dropped) })
 
 	return p.err
+}
+
+// depthGauges are the retained-state depth gauges. Each is rendered
+// site-wide as causalgc_<name> and, on a sharded node, once per shard
+// as causalgc_shard_<name>, so the two lists cannot drift.
+var depthGauges = []struct {
+	name, help string
+	get        func(site.Depths) int
+}{
+	{"outbox_depth", "Unacknowledged outbound mutator frames retained.",
+		func(d site.Depths) int { return d.Outbox }},
+	{"assert_journal_depth", "Un-acknowledged edge-asserts journaled for re-send.",
+		func(d site.Depths) int { return d.AssertRows }},
+	{"destroy_bundles_depth", "Un-acknowledged edge-destruction bundles (finalisation bundles included) retained for re-send.",
+		func(d site.Depths) int { return d.DestroyRows }},
+	{"pending_deliveries_depth", "Unborn processes: clusters that control messages or reference transfers named ahead of their creation message.",
+		func(d site.Depths) int { return d.PendingDeliveries }},
 }
 
 // kindView is the per-kind transport counters as seen by the exposition
@@ -219,9 +229,10 @@ func (p *promWriter) net(snaps []Snapshot, name, help string, get func(kindView)
 	}
 }
 
-// shardDepth writes one shard-labelled depth sample per shard of every
-// snapshot (shard="0" alone on a default node).
-func (p *promWriter) shardDepth(snaps []Snapshot, name string, get func(site.Depths) int) {
+// shardDepth writes one depth gauge with a shard-labelled sample per
+// shard of every snapshot (shard="0" alone on a default node).
+func (p *promWriter) shardDepth(snaps []Snapshot, name, help string, get func(site.Depths) int) {
+	p.head(name, "gauge", help)
 	for i := range snaps {
 		s := &snaps[i]
 		for shard, d := range s.ShardDepths {

@@ -226,11 +226,14 @@ func (s *soak) checkScrapes() {
 		t.Errorf("causalgc_resends_total moved across a quiescent refresh: %v -> %v", b, a)
 	}
 	for gauge, n := range map[string]int{
-		"causalgc_outbox_depth":               len(s.mons),
-		"causalgc_assert_journal_depth":       len(s.mons),
-		"causalgc_destroy_bundles_depth":      len(s.mons),
-		"causalgc_shard_outbox_depth":         len(s.mons) * s.shards,
-		"causalgc_shard_assert_journal_depth": len(s.mons) * s.shards,
+		"causalgc_outbox_depth":                   len(s.mons),
+		"causalgc_assert_journal_depth":           len(s.mons),
+		"causalgc_destroy_bundles_depth":          len(s.mons),
+		"causalgc_pending_deliveries_depth":       len(s.mons),
+		"causalgc_shard_outbox_depth":             len(s.mons) * s.shards,
+		"causalgc_shard_assert_journal_depth":     len(s.mons) * s.shards,
+		"causalgc_shard_destroy_bundles_depth":    len(s.mons) * s.shards,
+		"causalgc_shard_pending_deliveries_depth": len(s.mons) * s.shards,
 	} {
 		if got := after[gauge]; got != (series{n: n}) {
 			t.Errorf("%s: %d samples summing to %v, want %d zeros", gauge, got.n, got.sum, n)
