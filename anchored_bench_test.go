@@ -25,10 +25,9 @@ type anchoredChain [4]causalgc.Ref
 // one or two goroutines commit batch-64 groups, each to its own anchor
 // under the root. Anchors are placed round-robin, so at width 2 two
 // committers own a shard each and commit under their own locks; at
-// width 1 they share one. A durable node journals every group (with a
-// 1 ms group-commit window, so the fsync does not dominate) and runs
-// one journaled event at a time. Throughput is reported as ops/s;
-// compare width 2 against width 1 at the same durability and
+// width 1 they share one. A durable node journals and fsyncs every
+// group and runs one journaled event at a time. Throughput is reported
+// as ops/s; compare width 2 against width 1 at the same durability and
 // committer count, and at one fixed iteration count: the heap does not
 // reuse a cleared slot, so each anchor's slot array grows by 8 per
 // commit and every collection's mark walks it — the cost of a commit
@@ -52,7 +51,7 @@ func benchAnchored(b *testing.B, durable bool, committers, width int) {
 	var n *causalgc.Node
 	if durable {
 		var err error
-		opts = append(opts, causalgc.WithPersistence(b.TempDir()), causalgc.WithGroupCommit(time.Millisecond))
+		opts = append(opts, causalgc.WithPersistence(b.TempDir()))
 		if n, err = causalgc.Recover(1, opts...); err != nil {
 			b.Fatal(err)
 		}

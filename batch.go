@@ -6,9 +6,8 @@ import (
 
 // Batch stages a group of mutator operations against a node and
 // commits them atomically with respect to cost: one lock acquisition,
-// one write-ahead journal append (one fsync, or one group-commit
-// window share, composing with WithGroupCommit) and one coalesced
-// wire envelope per destination site — instead of paying each of those
+// one write-ahead journal append (one fsync) and one coalesced wire
+// envelope per destination site — instead of paying each of those
 // per operation, as the singleton Node methods (batches of one) do. The
 // protocol itself is unchanged: every frame of a committed batch keeps
 // its own retirement-stream sequence, the journal-before-send invariant

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"causalgc/transport"
 )
@@ -180,9 +179,6 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := Recover(1, WithPersistence(t.TempDir()), WithSnapshotEvery(-1)); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("negative WithSnapshotEvery: %v, want ErrBadOption", err)
 	}
-	if _, err := Recover(1, WithPersistence(t.TempDir()), WithGroupCommit(-1)); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("negative WithGroupCommit: %v, want ErrBadOption", err)
-	}
 	func() {
 		defer func() {
 			err, ok := recover().(error)
@@ -199,10 +195,10 @@ func TestOptionValidation(t *testing.T) {
 				t.Fatalf("NewCluster panic = %v, want ErrBadOption error", err)
 			}
 		}()
-		NewCluster(2, WithGroupCommit(-2))
+		NewCluster(2, WithSnapshotEvery(-2))
 	}()
 	// Valid configurations still construct.
-	n := NewNode(1, WithSnapshotEvery(8), WithGroupCommit(time.Millisecond))
+	n := NewNode(1, WithSnapshotEvery(8))
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}

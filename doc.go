@@ -43,7 +43,7 @@
 //
 // Write-heavy workloads should group operations with Node.Batch: a
 // committed Batch pays one lock acquisition, one write-ahead journal
-// append (one fsync, composing with WithGroupCommit) and one coalesced
+// append (one fsync) and one coalesced
 // wire envelope per destination site for the whole group, instead of
 // each cost per operation. Creations return *BatchRef placeholders
 // later ops of the same batch can chain onto (deferred reference

@@ -14,7 +14,7 @@ var ErrNodeClosed = errors.New("causalgc: node closed")
 
 // ErrBadOption is returned (wrapped, naming the offending option and
 // value) by Recover when an option carries a nonsensical value — a
-// negative WithSnapshotEvery or WithGroupCommit. NewNode and NewCluster
+// negative WithSnapshotEvery. NewNode and NewCluster
 // panic with the same wrapped error value (their signatures predate
 // option validation), so a recover() can still match it. Match with
 // errors.Is.

@@ -13,9 +13,12 @@ type ChurnConfig struct {
 	Seed int64
 	// Ops is the number of mutator operations to perform.
 	Ops int
-	// StepsBetweenOps delivers up to this many random messages between
-	// operations, interleaving mutation with GGD traffic. Zero delivers
-	// nothing (maximum raciness is exercised by the network's own seed).
+	// StepsBetweenOps delivers up to this many random messages after
+	// each performed operation, interleaving mutation with GGD traffic.
+	// A skipped operation (counted in ChurnStats.Skipped) is followed by
+	// no delivery, so two operations around a skip run back to back.
+	// Zero delivers nothing (maximum raciness is exercised by the
+	// network's own seed).
 	StepsBetweenOps int
 	// PCreate, PShare, PDrop weight the operation mix; they are
 	// normalised internally. Defaults (when all zero): 4/4/3.

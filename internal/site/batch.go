@@ -15,9 +15,8 @@ import (
 // commit groups of one — and follows ONE sequence under ONE lock
 // acquisition: stage (an illegal group is rejected before anything is
 // journaled), ONE write-ahead journal append (a single wire.BatchRecord
-// — one fsync, or one group-commit window share, for the whole group),
-// then apply inside one coalescing window (one transport send per peer;
-// a single frame ships bare). The journal-before-send invariant holds
+// — one fsync for the whole group), then apply inside one coalescing
+// window (one transport send per peer; a single frame ships bare). The journal-before-send invariant holds
 // per commit: the group record is durable before any frame the group
 // produced leaves the site. Retirement semantics are per frame — every
 // coalesced mutator frame keeps its own stream sequence and outbox row;

@@ -119,8 +119,8 @@ type WALRecord struct {
 	Deliver *DeliverRecord
 	// Batch is a mutator commit: a group of n >= 1 operations committed
 	// atomically (DESIGN.md §3.3) — one record, one append, one fsync
-	// (or group-commit window) for the whole group. The singleton
-	// mutator methods journal groups of one.
+	// for the whole group. The singleton mutator methods journal groups
+	// of one.
 	Batch *BatchRecord
 	// Shard tags the record with the shard that journaled it (the
 	// executing shard for ops, the destination shard for deliveries).

@@ -3,12 +3,10 @@ package causalgc
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"causalgc/internal/site"
 	"causalgc/internal/wire"
 	"causalgc/monitor"
-	"causalgc/persist"
 	"causalgc/transport"
 )
 
@@ -21,7 +19,6 @@ type config struct {
 	tr            transport.Transport
 	persistDir    string
 	snapshotEvery int
-	groupCommit   time.Duration
 	monitor       *monitor.Monitor
 	shards        int
 }
@@ -44,14 +41,11 @@ func newConfig(opts []Option) config {
 }
 
 // validate rejects nonsensical option values with typed errors
-// (ErrBadOption): a negative snapshot cadence or group-commit window
-// has no meaning, so accepting either would misconfigure the node.
+// (ErrBadOption): a negative snapshot cadence has no meaning, so
+// accepting it would misconfigure the node.
 func (c config) validate() error {
 	if c.snapshotEvery < 0 {
 		return fmt.Errorf("%w: WithSnapshotEvery(%d) must be non-negative", ErrBadOption, c.snapshotEvery)
-	}
-	if c.groupCommit < 0 {
-		return fmt.Errorf("%w: WithGroupCommit(%v) must be non-negative", ErrBadOption, c.groupCommit)
 	}
 	return nil
 }
@@ -132,22 +126,6 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithGroupCommit batches the write-ahead log's fsync across the
-// mutator's op stream: records are written immediately but synced only
-// once per window, cutting the per-operation durability tax an order of
-// magnitude for write-heavy workloads (persist.append_* in bench/). A
-// process crash (kill -9 included) still loses nothing — page-cache
-// writes survive it, so kill-and-restart recovery is as strong as with
-// per-record fsync. An OS crash (power loss, kernel panic) may lose up
-// to one window of the newest records; since operations proceed before
-// the deferred sync, messages derived from those records may already
-// have reached peers, relaxing the journal-before-send invariant by at
-// most one window. Use it where that OS-crash exposure is acceptable.
-// Zero keeps per-record fsync.
-func WithGroupCommit(window time.Duration) Option {
-	return func(c *config) { c.groupCommit = window }
-}
-
 // Node is one causalgc site: a heap, a local collector and a GGD engine,
 // attached to a transport. The node itself serialises its own state, so
 // methods are safe for concurrent use whenever the underlying transport
@@ -216,10 +194,7 @@ func newNode(id SiteID, c config) (*Node, error) {
 			n.mon.Attach(id, monitor.Sources{})
 		}
 		var err error
-		n.pst, err = site.OpenPersist(c.persistDir, site.PersistOptions{
-			SnapshotEvery: c.snapshotEvery,
-			Store:         persist.Options{GroupCommit: c.groupCommit},
-		})
+		n.pst, err = site.OpenPersist(c.persistDir, site.PersistOptions{SnapshotEvery: c.snapshotEvery})
 		if err == nil {
 			if n.rt, err = site.RecoverSharded(id, n.tr, c.site, n.pst, c.shards); err != nil {
 				n.pst.Close()

@@ -24,36 +24,15 @@ var (
 
 // Options tune a Store.
 type Options struct {
-	// SegmentBytes rotates the WAL to a new segment once the current one
-	// exceeds this size. Zero means 4 MiB.
-	SegmentBytes int64
 	// NoSync disables fsync on appends and snapshots. Throughput rises;
 	// an OS crash (not a process crash) may then lose the unsynced tail,
 	// which weakens the "nothing sent before durable" invariant the
 	// recovery argument rests on. Reserved for benchmarks and simulation.
 	NoSync bool
-	// GroupCommit batches fsync across the append stream: Append writes
-	// every record immediately but syncs only when this window has
-	// elapsed since the last sync; a background flusher, Close, Flush,
-	// WriteSnapshot and segment rotation drain the remainder. A
-	// *process* crash (kill -9 included) cannot lose page-cache writes,
-	// so it keeps full write-ahead semantics. An *OS* crash may lose up
-	// to one window of the newest records — and because the caller acts
-	// on Append before the deferred sync, messages derived from those
-	// records may already have escaped, weakening the write-ahead
-	// invariant exactly as NoSync does, just bounded to a window
-	// instead of unbounded. The trade buys an order of magnitude on the
-	// per-record durability tax (persist.append_* in bench/); reserve it
-	// for deployments that accept the OS-crash exposure. Zero keeps
-	// per-record fsync; ignored when NoSync is set.
+	// GroupCommit is ignored: every Append is synced before it returns
+	// unless NoSync is set. The field is kept only because bench/ sets
+	// it.
 	GroupCommit time.Duration
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes == 0 {
-		o.SegmentBytes = 4 << 20
-	}
-	return o
 }
 
 const (
@@ -65,6 +44,9 @@ const (
 	// maxRecord bounds one WAL record / snapshot body; larger frames
 	// indicate corruption.
 	maxRecord = 1 << 30
+	// segmentBytes rotates the WAL to a new segment once the current one
+	// exceeds this size.
+	segmentBytes = 4 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -73,8 +55,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 type Stats struct {
 	// Appends counts records appended in this session.
 	Appends int
-	// Syncs counts WAL fsyncs in this session; with group commit it
-	// trails Appends, quantifying the batching.
+	// Syncs counts WAL fsyncs in this session: one per Append unless
+	// NoSync is set.
 	Syncs int
 	// SyncNanos is the total wall-clock time spent in WAL fsyncs this
 	// session, in nanoseconds; SyncNanos/Syncs is the mean fsync latency
@@ -97,6 +79,9 @@ type Store struct {
 	mu   sync.Mutex
 	dir  string
 	opts Options
+	// rotateAt is the segment size past which Append rotates:
+	// segmentBytes, lowered only by tests that need several segments.
+	rotateAt int64
 
 	gen     uint64 // generation of the live snapshot (0: none yet)
 	seq     uint64 // last segment sequence number in this generation
@@ -109,14 +94,6 @@ type Store struct {
 	// then discard or reject.
 	failed error
 
-	// dirty marks group-commit-deferred writes awaiting fsync; lastSync
-	// is when the segment was last synced (group-commit mode only).
-	dirty    bool
-	lastSync time.Time
-	// flushQuit stops the background flusher that bounds how long an
-	// idle store's deferred tail stays unsynced (group-commit mode).
-	flushQuit chan struct{}
-
 	snapshot []byte   // recovered snapshot body (nil if none)
 	wal      [][]byte // recovered WAL records of the live generation
 	stats    Stats
@@ -126,41 +103,14 @@ type Store struct {
 // after Open, Snapshot/WAL return the durable state and Append
 // continues the log in a fresh segment.
 func Open(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{dir: dir, opts: opts, rotateAt: segmentBytes}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	if opts.GroupCommit > 0 && !opts.NoSync {
-		// Without this, a burst followed by idleness would leave the
-		// deferred tail unsynced indefinitely — the documented exposure
-		// is one *window*, by wall clock, not one quiet period.
-		s.flushQuit = make(chan struct{})
-		go s.flushLoop(s.flushQuit)
-	}
 	return s, nil
-}
-
-// flushLoop fsyncs group-commit-deferred writes once per window while
-// the store is idle. Stopped by Close.
-func (s *Store) flushLoop(quit <-chan struct{}) {
-	t := time.NewTicker(s.opts.GroupCommit)
-	defer t.Stop()
-	for {
-		select {
-		case <-quit:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			if !s.closed && s.failed == nil {
-				_ = s.flushLocked() // a failure poisons; the next Append surfaces it
-			}
-			s.mu.Unlock()
-		}
-	}
 }
 
 // Snapshot returns the recovered snapshot body, or nil when the store
@@ -186,9 +136,6 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Append durably appends one WAL record. The record is synced to disk
 // before Append returns (unless Options.NoSync), so a caller may act on
 // it — send messages, mutate state — the moment Append succeeds.
@@ -204,7 +151,7 @@ func (s *Store) Append(payload []byte) error {
 	if s.failed != nil {
 		return s.failed
 	}
-	if s.seg == nil || s.segSize >= s.opts.SegmentBytes {
+	if s.seg == nil || s.segSize >= s.rotateAt {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
@@ -217,24 +164,7 @@ func (s *Store) Append(payload []byte) error {
 		s.rollbackTornWriteLocked()
 		return fmt.Errorf("persist: append: %w", err)
 	}
-	switch {
-	case s.opts.NoSync:
-	case s.opts.GroupCommit > 0:
-		// Group commit: defer the fsync until the window elapses. The
-		// record is written (a process crash keeps it); only an OS crash
-		// can lose the unsynced window.
-		s.dirty = true
-		if time.Since(s.lastSync) >= s.opts.GroupCommit {
-			if err := s.flushLocked(); err != nil {
-				// This frame's Append reports failure, so it must not
-				// survive into recovery: roll it back (earlier frames of
-				// the batch reported success and stay; the poisoned
-				// store refuses further appends either way).
-				s.rollbackTornWriteLocked()
-				return err
-			}
-		}
-	default:
+	if !s.opts.NoSync {
 		if err := s.syncSegLocked(); err != nil {
 			// The frame is in the file but not provably durable: roll it
 			// back so the caller's "append failed ⇒ event never happened"
@@ -248,28 +178,8 @@ func (s *Store) Append(payload []byte) error {
 	return nil
 }
 
-// flushLocked fsyncs group-commit-deferred writes. A failed flush
-// poisons the store: the batch cannot be rolled back record-by-record,
-// and continuing past unprovable durability would break the write-ahead
-// argument. A later successful snapshot supersedes and un-poisons.
-func (s *Store) flushLocked() error {
-	if !s.dirty || s.seg == nil {
-		s.dirty = false
-		return nil
-	}
-	if err := s.syncSegLocked(); err != nil {
-		s.failed = fmt.Errorf("persist: group-commit flush failed: %w", err)
-		return s.failed
-	}
-	s.dirty = false
-	s.lastSync = time.Now()
-	return nil
-}
-
 // syncSegLocked fsyncs the live segment, timing the call and folding the
-// latency into the stats on success. Every WAL fsync — per-record and
-// group-commit — funnels through here so the latency aggregation covers
-// both modes.
+// latency into the stats on success.
 func (s *Store) syncSegLocked() error {
 	start := time.Now()
 	if err := s.seg.Sync(); err != nil {
@@ -282,20 +192,6 @@ func (s *Store) syncSegLocked() error {
 		s.stats.SyncMaxNanos = d
 	}
 	return nil
-}
-
-// Flush forces any group-commit-deferred fsync now. A no-op in the
-// per-record and NoSync modes.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.failed != nil {
-		return s.failed
-	}
-	return s.flushLocked()
 }
 
 // rollbackTornWriteLocked removes a possibly-partial frame from the
@@ -347,13 +243,11 @@ func (s *Store) WriteSnapshot(payload []byte) error {
 	if !s.opts.NoSync {
 		syncDir(s.dir)
 	}
-	// The snapshot is the commit point; everything below is cleanup. Any
-	// group-commit-deferred writes belong to the superseded generation.
+	// The snapshot is the commit point; everything below is cleanup.
 	if s.seg != nil {
 		s.seg.Close()
 		s.seg = nil
 	}
-	s.dirty = false
 	oldGen := s.gen
 	s.gen = newGen
 	s.seq = 0
@@ -376,18 +270,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.flushQuit != nil {
-		close(s.flushQuit)
-	}
 	if s.seg != nil {
-		// Flush group-commit-deferred writes so a clean Close loses
-		// nothing even to an OS crash right after.
-		ferr := s.flushLocked()
 		err := s.seg.Close()
 		s.seg = nil
-		if err == nil {
-			err = ferr
-		}
 		return err
 	}
 	return nil
@@ -404,12 +289,6 @@ func segName(gen, seq uint64) string {
 // rotateLocked opens the next WAL segment of the current generation.
 func (s *Store) rotateLocked() error {
 	if s.seg != nil {
-		// A rotated-away segment is no longer the generation's tail, so
-		// recovery reads it strictly: group-commit-deferred writes must
-		// be durable before it is sealed.
-		if err := s.flushLocked(); err != nil {
-			return err
-		}
 		if err := s.seg.Close(); err != nil {
 			return fmt.Errorf("persist: rotate: %w", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -79,7 +80,8 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s := reopen(t, dir, Options{SegmentBytes: 64})
+	s := reopen(t, dir, Options{})
+	s.rotateAt = 64
 	var recs [][]byte
 	for i := 0; i < 20; i++ {
 		recs = append(recs, []byte(fmt.Sprintf("record-%02d-padding-padding", i)))
@@ -238,7 +240,8 @@ func TestCorruptCRCInTailDiscarded(t *testing.T) {
 
 func TestCorruptInteriorSegmentRejected(t *testing.T) {
 	dir := t.TempDir()
-	s := reopen(t, dir, Options{SegmentBytes: 32})
+	s := reopen(t, dir, Options{})
+	s.rotateAt = 32
 	appendAll(t, s, []byte("seg1-record-padding"), []byte("seg2-record-padding"), []byte("seg3-record-padding"))
 	s.Close()
 
@@ -386,95 +389,43 @@ func TestClosedStoreErrors(t *testing.T) {
 	}
 }
 
-func TestGroupCommitBatchesSyncs(t *testing.T) {
-	dir := t.TempDir()
-	// A wide window: nothing but the very first append (lastSync is the
-	// zero time) should sync during the burst.
-	s := reopen(t, dir, Options{GroupCommit: time.Hour})
-	const n = 64
-	var recs [][]byte
+// TestStoreSyncsEveryAppend: every append is synced before Append
+// returns, whatever GroupCommit says, and the store runs no goroutine of
+// its own.
+func TestStoreSyncsEveryAppend(t *testing.T) {
+	s := reopen(t, t.TempDir(), Options{GroupCommit: time.Hour})
+	if g := storeGoroutines(); g != "" {
+		t.Errorf("Open started a goroutine:\n%s", g)
+	}
+	const n = 16
 	for i := 0; i < n; i++ {
-		recs = append(recs, []byte(fmt.Sprintf("rec-%03d", i)))
+		appendAll(t, s, []byte(fmt.Sprintf("rec-%02d", i)))
+		if st := s.Stats(); st.Syncs != st.Appends {
+			t.Fatalf("after append %d: Syncs = %d, Appends = %d", i+1, st.Syncs, st.Appends)
+		}
 	}
-	appendAll(t, s, recs...)
 	st := s.Stats()
-	if st.Appends != n {
-		t.Fatalf("Appends = %d, want %d", st.Appends, n)
-	}
-	if st.Syncs >= n/2 {
-		t.Errorf("Syncs = %d: group commit did not batch (appends %d)", st.Syncs, n)
-	}
-	// Flush drains the deferred window on demand.
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	// Every fsync that happened was timed: the latency aggregation is
-	// live under group commit.
-	st = s.Stats()
-	if st.Syncs > 0 && (st.SyncNanos <= 0 || st.SyncMaxNanos <= 0) {
-		t.Errorf("fsync latency not aggregated: Syncs=%d SyncNanos=%d SyncMaxNanos=%d",
-			st.Syncs, st.SyncNanos, st.SyncMaxNanos)
-	}
-	if st.SyncMaxNanos > st.SyncNanos {
-		t.Errorf("SyncMaxNanos=%d exceeds total SyncNanos=%d", st.SyncMaxNanos, st.SyncNanos)
+	if st.Appends != n || st.SyncNanos <= 0 || st.SyncMaxNanos <= 0 || st.SyncMaxNanos > st.SyncNanos {
+		t.Errorf("Appends = %d, SyncNanos = %d, SyncMaxNanos = %d", st.Appends, st.SyncNanos, st.SyncMaxNanos)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Every record is durable after a clean close.
-	s2 := reopen(t, dir, Options{GroupCommit: time.Hour})
-	defer s2.Close()
-	wantWAL(t, s2, recs...)
-}
-
-func TestGroupCommitWindowElapses(t *testing.T) {
-	dir := t.TempDir()
-	s := reopen(t, dir, Options{GroupCommit: time.Nanosecond})
-	defer s.Close()
-	appendAll(t, s, []byte("a"), []byte("b"), []byte("c"))
-	// With a degenerate window every append syncs — group commit
-	// degrades to per-record durability, never below it.
-	if st := s.Stats(); st.Syncs != st.Appends {
-		t.Errorf("Syncs = %d, Appends = %d: elapsed window did not sync", st.Syncs, st.Appends)
-	} else if st.SyncNanos <= 0 || st.SyncMaxNanos <= 0 {
-		t.Errorf("per-record fsyncs not timed: SyncNanos=%d SyncMaxNanos=%d",
-			st.SyncNanos, st.SyncMaxNanos)
+	if g := storeGoroutines(); g != "" {
+		t.Errorf("a goroutine outlived Close:\n%s", g)
 	}
 }
 
-func TestGroupCommitIdleTailFlushed(t *testing.T) {
-	dir := t.TempDir()
-	s := reopen(t, dir, Options{GroupCommit: 200 * time.Millisecond})
-	defer s.Close()
-	// The first append syncs (fresh store, window trivially elapsed);
-	// the second lands inside the window and stays deferred.
-	appendAll(t, s, []byte("head"), []byte("tail"))
-	base := s.Stats().Syncs
-	// No further appends: the background flusher must sync the deferred
-	// tail within roughly one window (generous deadline for CI).
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Syncs == base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+// storeGoroutines returns the stacks of the goroutines, other than the
+// caller's, that are inside a Store method. runtime.NumGoroutine would
+// also count the goroutines an earlier test leaves winding down.
+func storeGoroutines() string {
+	buf := make([]byte, 1<<20)
+	var found []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "persist.(*Store).") {
+			found = append(found, g)
+		}
 	}
-	if st := s.Stats(); st.Syncs == base {
-		t.Fatalf("idle deferred tail never synced (Syncs=%d)", st.Syncs)
-	}
-}
-
-func TestGroupCommitRotationFlushes(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments force rotation mid-stream; sealed segments are read
-	// strictly on recovery, so rotation must flush the deferred window.
-	s := reopen(t, dir, Options{GroupCommit: time.Hour, SegmentBytes: 64})
-	var recs [][]byte
-	for i := 0; i < 16; i++ {
-		recs = append(recs, []byte(fmt.Sprintf("record-%05d", i)))
-	}
-	appendAll(t, s, recs...)
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	s2 := reopen(t, dir, Options{})
-	defer s2.Close()
-	wantWAL(t, s2, recs...)
+	return strings.Join(found, "\n\n")
 }

@@ -146,37 +146,6 @@ func TestNodeRecoverFresh(t *testing.T) {
 	}
 }
 
-// TestNodeGroupCommitRecovers: a node journaling under WithGroupCommit
-// loses nothing across a close/recover cycle — the batched fsync is a
-// throughput knob, not a durability downgrade for process crashes.
-func TestNodeGroupCommitRecovers(t *testing.T) {
-	dir := t.TempDir()
-	n, err := causalgc.Recover(1,
-		causalgc.WithPersistence(dir),
-		causalgc.WithGroupCommit(50*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := n.NewLocal(n.Root().Obj); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := causalgc.Recover(1, causalgc.WithPersistence(dir), causalgc.WithGroupCommit(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := r.NumObjects(); got != 9 {
-		t.Fatalf("recovered %d objects, want 9", got)
-	}
-}
-
 // TestNodeCheckpointTruncates: an explicit checkpoint snapshots and
 // truncates, and recovery replays nothing.
 func TestNodeCheckpointTruncates(t *testing.T) {

@@ -92,7 +92,7 @@ func startSoak(t *testing.T, sites, shards int) *soak {
 		c := SiteID(s.cut.Load())
 		return c != 0 && (from == c || to == c)
 	}})
-	s.common = []Option{WithTransport(s.tr), WithSnapshotEvery(128), WithGroupCommit(2 * time.Millisecond), WithShards(shards)}
+	s.common = []Option{WithTransport(s.tr), WithSnapshotEvery(128), WithShards(shards)}
 	s.c = NewCluster(sites, append(s.common, WithPersistence(s.dir), WithMonitor(monitor.New(0)))...)
 	t.Cleanup(func() {
 		for i, m := range s.mons {
