@@ -35,11 +35,14 @@ type nameRow struct {
 // bench/ is its own module, frozen with the benchmark, and most rows
 // leave it out.
 var retired = []nameRow{
-	{"one codec per value", regexp.MustCompile(`"encoding/gob"`),
-		func(rel string) bool { return nonTest(rel) && rel != "internal/wire/codec.go" },
-		"encoding/gob is imported by internal/wire/codec.go only, for snapshots"},
+	{"one codec per value", regexp.MustCompile(`"encoding/gob"`), nonTest,
+		"frames, records and snapshots share internal/wire/binary.go's codec: only tests import encoding/gob, as the oracle"},
 	{"one codec per value", regexp.MustCompile(`RegisterPayload`), everyFile,
 		"RegisterPayload is gone: the wire payload set is closed"},
+	{"one codec per value", regexp.MustCompile(`SnapshotVersion`), outsideBench,
+		"a snapshot opens with the codec version like every other wire value: SnapshotVersion and SiteImage.Version are gone"},
+	{"one codec per value", regexp.MustCompile(`gob\.Register`), nonTest,
+		"no product code registers types with gob: only tests gob-encode an image, as the oracle"},
 	{"a destroy is a destroy", regexp.MustCompile(`StreamLegacy|SendLegacy|LegacyImage|LegacyBundles|LegacyEvicted|causalgc_legacy_`), outsideBench,
 		"finalisation bundles ride the destroy ledger and stream: the legacy names are gone"},
 	{"retained means retained", regexp.MustCompile(`maxOutbox|maxAssertRows|outboxEvictedLocked|FrameEvicted|AssertRowsDropped|causalgc_backstop_drops_total|frame_evicted`), outsideBench,

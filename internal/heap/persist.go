@@ -7,9 +7,9 @@ import (
 )
 
 // Image is the serialisable form of a Heap, used by the durability
-// subsystem's snapshots. Export is deterministic (sorted), so snapshot
-// bytes are reproducible for a given state. It carries no edge counts:
-// the slots determine them, and RestoreShard recounts.
+// subsystem's snapshots. Export's slices are sorted, but snapshot bytes
+// differ per encoding (image maps go in map order), so never compare
+// them. No edge counts: the slots determine them; RestoreShard recounts.
 type Image struct {
 	Site        ids.SiteID
 	RootCluster ids.ClusterID

@@ -625,3 +625,58 @@ func TestRecoverRefusesGobJournal(t *testing.T) {
 		t.Fatal("a site recovered from a gob journal")
 	}
 }
+
+// TestRecoverRefusesGobSnapshot: a snapshot written before images
+// joined the binary codec — the same image, gob-encoded — is refused at
+// Load with an error naming the codec version, never misparsed into a
+// different state.
+func TestRecoverRefusesGobSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	net := netsim.NewSim(netsim.Faults{Seed: 1})
+	p := openPersist(t, dir, 1)
+	s1 := recoverSite(t, 1, net, p)
+	if _, err := s1.NewLocal(s1.Root().Obj); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, net, 1, p)
+
+	src, err := persist.Open(dir, persist.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if src.Snapshot() == nil {
+		t.Fatal("no snapshot taken")
+	}
+	img, err := wire.DecodeSnapshot(src.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []any{wire.Create{}, wire.RefTransfer{}, wire.Destroy{}, wire.Assert{}, wire.FrameAck{}, wire.Propagate{}, wire.Envelope{}} {
+		gob.Register(v)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+		t.Fatal(err)
+	}
+	gobDir := t.TempDir()
+	dst, err := persist.Open(gobDir, persist.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.WriteSnapshot(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gp := openPersist(t, gobDir, 1_000_000)
+	defer gp.Close()
+	if _, _, err := gp.Load(); err == nil || !strings.Contains(err.Error(), "codec version") {
+		t.Fatalf("Load of a gob snapshot: err = %v, want a codec-version refusal", err)
+	}
+	if _, err := site.Recover(1, netsim.NewSim(netsim.Faults{Seed: 1}), site.DefaultOptions(), gp); err == nil {
+		t.Fatal("a site recovered from a gob snapshot")
+	}
+}

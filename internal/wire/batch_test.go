@@ -118,18 +118,20 @@ func TestRecordArity(t *testing.T) {
 	}
 }
 
-// TestSnapshotV10Pinned: the shard-partitioned snapshot format is v10
-// — the only version that decodes (a v9 image is refused:
-// TestDecodeSnapshotRejectsOtherVersions) — re-encoded images
-// round-trip, and re-send state is always bare frames, never envelopes.
+// TestSnapshotV10Pinned: the shard-partitioned layout that was gob's
+// v10 (every retained frame in ShardState.Retained) is encoded under
+// the codec version every frame and record carries — the only version
+// that decodes (TestDecodeSnapshotRejectsOtherVersions) — re-encoded
+// images round-trip, and re-send state is always bare frames, never
+// envelopes.
 func TestSnapshotV10Pinned(t *testing.T) {
-	if SnapshotVersion != 10 {
-		t.Fatalf("SnapshotVersion = %d; moving every retained frame into ShardState.Retained pinned the format at v10", SnapshotVersion)
-	}
 	img := sampleImage()
 	data, err := EncodeSnapshot(img)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if data[0] != codecVersion {
+		t.Fatalf("snapshot opens with %d, want the codec version %d", data[0], codecVersion)
 	}
 	got, err := DecodeSnapshot(data)
 	if err != nil {

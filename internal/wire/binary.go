@@ -1,20 +1,20 @@
-// The binary format of frames and WAL records: the bytes behind
-// EncodeFrame, DecodeFrame, EncodeRecord and DecodeRecord (codec.go).
+// The binary format of frames, WAL records and snapshots: the bytes
+// behind codec.go's Encode and Decode pairs.
 //
 // Every value opens with codecVersion. A frame follows with From, To
 // and one payload; a record with Shard, Width, one record tag (Op,
-// Deliver, Batch) and that arm's body. A payload is one tag byte and its
-// fields in declaration order; an Envelope's body is a count and that
-// many tagged payloads, none of them an Envelope. Unsigned integers,
-// ids, sequences and stamps are uvarints; the signed Shard, Width,
-// Slot and *From fields zigzag varints; bools and the one-byte
-// enums (OpKind, core.Stream) one byte. A ClusterID is
-// uvarint(Site<<1 | Root) then uvarint(Seq). A map (a vector or a
-// propagation's row map) is uvarint(len+1), 0 for a nil map, followed
-// by its entries: gob kept an empty map apart from a nil one, and the
-// decoded values stay exactly what gob's were. A slice (cluster
-// list, envelope frames, batch ops) is a uvarint count followed by its
-// entries, and an empty one decodes as nil, as gob's did.
+// Deliver, Batch) and that arm's body; a snapshot with the SiteImage,
+// whose structs are their fields in declaration order. A payload is one
+// tag byte and its fields in declaration order; an Envelope's body is a
+// count and that many tagged payloads, none of them an Envelope.
+// Unsigned integers, ids, sequences and stamps are uvarints; the signed
+// Shard, Width, Slot and *From fields zigzag varints; bools and the
+// one-byte enums (OpKind, core.Stream) one byte. A ClusterID is
+// uvarint(Site<<1 | Root) then uvarint(Seq). Every map is keyed by
+// cluster and is uvarint(len+1), 0 for a nil map, followed by its
+// entries in map order: gob kept an empty map apart from a nil one, and
+// the decoded values stay exactly what gob's were. A slice is a uvarint
+// count and its entries; an empty one decodes as nil, as gob's did.
 //
 // Decoding trusts nothing: every count is checked against the bytes
 // left (at the entry kind's minimum encoded size) before anything is
@@ -37,10 +37,10 @@ import (
 	"causalgc/internal/vclock"
 )
 
-// codecVersion leads every encoded frame and record. No gob stream
-// starts with this byte (gob opens with the length of a type
-// definition), so a gob-era journal is refused by version, not
-// misparsed. Version 2 dropped Destroy's finalisation-stream flag, so a
+// codecVersion leads every encoded frame, record and snapshot. No gob
+// stream starts with this byte (gob opens with the length of a type
+// definition), so a gob-era journal or snapshot is refused by version,
+// not misparsed. Version 2 dropped Destroy's finalisation-stream flag, so a
 // v1 journal, whose frames may name the retired stream, is refused.
 // Version 3 dropped the draws an op record carried (apply draws), so a
 // v2 journal, whose ops would decode misaligned, is refused. Version 4
@@ -68,25 +68,35 @@ const (
 )
 
 // Minimum encoded sizes of the repeated entries, which bound a count by
-// the bytes left: a cluster id is two uvarints, a vector entry a cluster
-// id and a stamp (uvarint + bool), a row-map entry a cluster id and two
-// counts, a payload a tag and at least two one-byte fields, and a batch
-// op an OpRecord (kind byte, object id, site, cluster id, two refs,
-// one integer) plus three varints.
+// the bytes left: each sums its fields' minima, one byte for an
+// integer, a bool, an enum, a count or a map length and two for an id.
 const (
-	minCluster = 2
-	minEntry   = minCluster + 2
-	minRow     = minCluster + 2
-	minPayload = 3
-	minOp      = 1 + 2 + 1 + minCluster + 2*(2+minCluster) + 1 + 3
+	minID      = 2                                       // a cluster or object id: two uvarints
+	minEntry   = minID + 2                               // a vector entry: key, stamp (uvarint + bool)
+	minRow     = minID + 2                               // a row-map entry: key, two fields
+	minPayload = 3                                       // a tag and at least two one-byte fields
+	minOp      = 1 + minID + 1 + minID + 4*minID + 1 + 3 // a batch op: an OpRecord, three varints
+	minSend    = 3                                       // a send stream: peer, stream, sequence
+	minRecv    = 4                                       // a receive stream: peer, stream, watermark, list
+	minShard   = 1 + 2*minID + 2 + 2 + 2 + 1             // a shard: heap (site, ids, counters, lists), engine, list
+	minObjImg  = 2*minID + 1                             // an object: id, cluster, slots
+	minCluImg  = minID + 2                               // a cluster: id, entries, removed
+	minProc    = minID + 4 + 5                           // a process: id, clock, two bools, list; log of five
+	minFrame   = 1 + minPayload + 1                      // a retained frame: site, payload, sequence
+	minKeyed   = minID + 1                               // a tombstone or hint-map entry
+	minLogRow  = minID + 3                               // a log's vector or on-behalf row entry
 )
 
 var errNestedEnvelope = errors.New("an Envelope never nests another Envelope")
 
 // --- encoding -------------------------------------------------------------
 
-// encoder appends the binary form of values to b.
-type encoder struct{ b []byte }
+// encoder appends the binary form of values to b. A payload it cannot
+// encode sets err, which its callers check once, as a decoder's do.
+type encoder struct {
+	b   []byte
+	err error
+}
 
 func (e *encoder) u8(v byte)         { e.b = append(e.b, v) }
 func (e *encoder) uvarint(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
@@ -120,17 +130,36 @@ func (e *encoder) ref(r heap.Ref) {
 	e.cluster(r.Cluster)
 }
 
-// mapLen writes a map's length as len+1, or 0 for a nil map.
-func (e *encoder) mapLen(n int, isNil bool) {
-	if isNil {
+// each writes a slice: its count, then put for every entry.
+func each[T any](e *encoder, s []T, put func(T)) {
+	e.uvarint(uint64(len(s)))
+	for _, v := range s {
+		put(v)
+	}
+}
+
+// byCluster writes a cluster-keyed map: its length as len+1 (0 for a
+// nil map), then every key and put for its value, in map order.
+func byCluster[V any](e *encoder, m map[ids.ClusterID]V, put func(V)) {
+	if m == nil {
 		e.uvarint(0)
 		return
 	}
-	e.uvarint(uint64(n) + 1)
+	e.uvarint(uint64(len(m)) + 1)
+	for c, v := range m {
+		e.cluster(c)
+		put(v)
+	}
 }
 
+// vector is byCluster written out: an indirect call per stamp slows a
+// propagation's encoding measurably.
 func (e *encoder) vector(v vclock.Vector) {
-	e.mapLen(len(v), v == nil)
+	if v == nil {
+		e.uvarint(0)
+		return
+	}
+	e.uvarint(uint64(len(v)) + 1)
 	for c, s := range v {
 		e.cluster(c)
 		e.uvarint(s.Seq)
@@ -138,12 +167,7 @@ func (e *encoder) vector(v vclock.Vector) {
 	}
 }
 
-func (e *encoder) clusters(cs []ids.ClusterID) {
-	e.uvarint(uint64(len(cs)))
-	for _, c := range cs {
-		e.cluster(c)
-	}
-}
+func (e *encoder) clusters(cs []ids.ClusterID) { each(e, cs, e.cluster) }
 
 func (e *encoder) destroyMsg(m *core.DestroyMsg) {
 	e.vector(m.Auth)
@@ -155,23 +179,19 @@ func (e *encoder) propagation(m *core.Propagation) {
 	e.uvarint(m.Clock)
 	e.vector(m.Auth)
 	e.clusters(m.HintCols)
-	e.mapLen(len(m.Rows), m.Rows == nil)
-	for c, r := range m.Rows {
-		e.cluster(c)
+	byCluster(e, m.Rows, func(r core.RowGossip) {
 		e.vector(r.Auth)
 		e.clusters(r.HintCols)
-	}
-	e.mapLen(len(m.OBs), m.OBs == nil)
-	for c, r := range m.OBs {
-		e.cluster(c)
+	})
+	byCluster(e, m.OBs, func(r core.OBGossip) {
 		e.vector(r.Auth)
 		e.vector(r.Hints)
-	}
+	})
 }
 
 // payload writes one tagged payload; inner is set for an envelope's
 // frames, which may not be envelopes themselves.
-func (e *encoder) payload(p netsim.Payload, inner bool) error {
+func (e *encoder) payload(p netsim.Payload, inner bool) {
 	switch p := p.(type) {
 	case Create:
 		e.u8(tagCreate)
@@ -214,19 +234,14 @@ func (e *encoder) payload(p netsim.Payload, inner bool) error {
 		e.propagation(&p.M)
 	case Envelope:
 		if inner {
-			return errNestedEnvelope
+			e.err = errNestedEnvelope
+			return
 		}
 		e.u8(tagEnvelope)
-		e.uvarint(uint64(len(p.Frames)))
-		for _, f := range p.Frames {
-			if err := e.payload(f, true); err != nil {
-				return err
-			}
-		}
+		each(e, p.Frames, func(f netsim.Payload) { e.payload(f, true) })
 	default:
-		return fmt.Errorf("payload type %T is not a wire message", p)
+		e.err = fmt.Errorf("payload type %T is not a wire message", p)
 	}
-	return nil
 }
 
 func (e *encoder) op(op *OpRecord) {
@@ -239,15 +254,15 @@ func (e *encoder) op(op *OpRecord) {
 	e.varint(op.Slot)
 }
 
-func (e *encoder) frame(f *Frame) error {
+func (e *encoder) frame(f *Frame) {
 	e.u8(codecVersion)
 	e.site(f.From)
 	e.site(f.To)
-	return e.payload(f.Payload, false)
+	e.payload(f.Payload, false)
 }
 
 // record writes rec, which has exactly one arm set (recordArity).
-func (e *encoder) record(rec *WALRecord) error {
+func (e *encoder) record(rec *WALRecord) {
 	e.u8(codecVersion)
 	e.varint(rec.Shard)
 	e.varint(rec.Width)
@@ -258,9 +273,11 @@ func (e *encoder) record(rec *WALRecord) error {
 	case rec.Deliver != nil:
 		e.u8(recDeliver)
 		e.site(rec.Deliver.From)
-		return e.payload(rec.Deliver.Payload, false)
+		e.payload(rec.Deliver.Payload, false)
 	default:
 		e.u8(recBatch)
+		// Written out, not through each: copying every op into each's
+		// callback slows a batch-64 encode measurably.
 		e.uvarint(uint64(len(rec.Batch.Ops)))
 		for i := range rec.Batch.Ops {
 			op := &rec.Batch.Ops[i]
@@ -270,7 +287,80 @@ func (e *encoder) record(rec *WALRecord) error {
 			e.varint(op.TargetFrom)
 		}
 	}
-	return nil
+}
+
+func (e *encoder) image(img *SiteImage) {
+	e.u8(codecVersion)
+	e.site(img.Site)
+	e.uvarint(img.Mint)
+	e.uvarint(img.Epoch)
+	each(e, img.SendStreams, func(s SendStreamImage) {
+		e.site(s.Peer)
+		e.u8(byte(s.Kind))
+		e.uvarint(s.NextSeq)
+	})
+	each(e, img.RecvStreams, func(s RecvStreamImage) {
+		e.site(s.Peer)
+		e.u8(byte(s.Kind))
+		e.uvarint(s.Watermark)
+		each(e, s.Pending, e.uvarint)
+	})
+	e.uvarint(img.PlaceRR)
+	each(e, img.Shards, func(s ShardState) {
+		e.heap(&s.Heap)
+		e.engine(&s.Engine)
+		each(e, s.Retained, func(f FrameImage) {
+			e.site(f.To)
+			e.payload(f.Payload, false)
+			e.uvarint(f.Seq)
+		})
+	})
+}
+
+func (e *encoder) heap(h *heap.Image) {
+	e.site(h.Site)
+	e.cluster(h.RootCluster)
+	e.object(h.RootObject)
+	e.uvarint(h.NextObj)
+	e.uvarint(h.NextClu)
+	each(e, h.Objects, func(o heap.ObjectImage) {
+		e.object(o.ID)
+		e.cluster(o.Cluster)
+		each(e, o.Slots, e.ref)
+	})
+	each(e, h.Clusters, func(c heap.ClusterImage) {
+		e.cluster(c.ID)
+		each(e, c.Entries, e.object)
+		e.flag(c.Removed)
+	})
+}
+
+func (e *encoder) engine(g *core.EngineImage) {
+	each(e, g.Procs, func(p core.ProcImage) {
+		e.cluster(p.ID)
+		e.uvarint(p.Clock)
+		e.flag(p.Active)
+		e.flag(p.Born)
+		e.clusters(p.Acq)
+		e.log(&p.Log)
+	})
+	byCluster(e, g.Tombstones, e.uvarint)
+}
+
+func (e *encoder) log(l *vclock.LogImage) {
+	e.vector(l.Own)
+	byCluster(e, l.HintPending, e.vector)
+	byCluster(e, l.HintCleared, e.vector)
+	byCluster(e, l.VRows, func(r vclock.VRowImage) {
+		e.vector(r.Auth)
+		e.clusters(r.HintCols)
+		e.flag(r.Confirmed)
+	})
+	byCluster(e, l.OBs, func(r vclock.OBImage) {
+		e.vector(r.Auth)
+		e.vector(r.Hints)
+		e.vector(r.Processed)
+	})
 }
 
 // --- decoding -------------------------------------------------------------
@@ -349,18 +439,41 @@ func (d *decoder) stream() core.Stream {
 	return s
 }
 
-// count reads a slice's length.
-func (d *decoder) count(size int) int { return d.fit(d.uvarint(), size) }
+// list reads a slice written by each, whose entries take at least size
+// bytes, calling get for every entry. An empty slice decodes as nil.
+func list[T any](d *decoder, size int, get func() T) []T {
+	n := d.fit(d.uvarint(), size)
+	if n == 0 {
+		return nil
+	}
+	s := make([]T, n)
+	for i := range s {
+		s[i] = get()
+	}
+	return s
+}
 
-// mapLen reads a map's length (written len+1, 0 for a nil map); ok is
-// false for a nil map.
-func (d *decoder) mapLen(size int) (n int, ok bool) {
+// clusterMap reads a map written by byCluster, whose entries (key
+// included) take at least size bytes, calling get for every value. A
+// repeated key is an error.
+func clusterMap[V any](d *decoder, size int, get func() V) map[ids.ClusterID]V {
 	x := d.uvarint()
 	if x == 0 {
-		return 0, false
+		return nil
 	}
-	n = d.fit(x-1, size)
-	return n, d.err == nil
+	n := d.fit(x-1, size)
+	m := make(map[ids.ClusterID]V, n)
+	for range n {
+		c, v := d.cluster(), get()
+		if _, dup := m[c]; dup {
+			d.fail("map repeats key %v", c)
+		}
+		if d.err != nil {
+			return nil
+		}
+		m[c] = v
+	}
+	return m
 }
 
 // fit returns n once the bytes left can hold n entries of at least size
@@ -402,72 +515,25 @@ func (d *decoder) ref() heap.Ref {
 }
 
 func (d *decoder) vector() vclock.Vector {
-	n, ok := d.mapLen(minEntry)
-	if !ok {
-		return nil
-	}
-	v := make(vclock.Vector, n)
-	for range n {
-		c := d.cluster()
-		s := vclock.Stamp{Seq: d.uvarint(), Eps: d.flag()}
-		if _, dup := v[c]; dup {
-			d.fail("vector repeats column %v", c)
-		}
-		if d.err != nil {
-			return nil
-		}
-		v[c] = s
-	}
-	return v
+	return clusterMap(d, minEntry, func() vclock.Stamp { return vclock.Stamp{Seq: d.uvarint(), Eps: d.flag()} })
 }
 
-func (d *decoder) clusters() []ids.ClusterID {
-	n := d.count(minCluster)
-	if n == 0 {
-		return nil
-	}
-	cs := make([]ids.ClusterID, n)
-	for i := range cs {
-		cs[i] = d.cluster()
-	}
-	return cs
-}
+func (d *decoder) clusters() []ids.ClusterID { return list(d, minID, d.cluster) }
 
 func (d *decoder) destroyMsg() core.DestroyMsg {
 	return core.DestroyMsg{Auth: d.vector(), Hints: d.vector(), Processed: d.vector()}
 }
 
 func (d *decoder) propagation() core.Propagation {
-	m := core.Propagation{Clock: d.uvarint(), Auth: d.vector(), HintCols: d.clusters()}
-	if n, ok := d.mapLen(minRow); ok {
-		m.Rows = make(map[ids.ClusterID]core.RowGossip, n)
-		for range n {
-			c := d.cluster()
-			r := core.RowGossip{Auth: d.vector(), HintCols: d.clusters()}
-			if _, dup := m.Rows[c]; dup {
-				d.fail("propagation repeats row %v", c)
-			}
-			if d.err != nil {
-				break
-			}
-			m.Rows[c] = r
-		}
+	return core.Propagation{
+		Clock: d.uvarint(), Auth: d.vector(), HintCols: d.clusters(),
+		Rows: clusterMap(d, minRow, func() core.RowGossip {
+			return core.RowGossip{Auth: d.vector(), HintCols: d.clusters()}
+		}),
+		OBs: clusterMap(d, minRow, func() core.OBGossip {
+			return core.OBGossip{Auth: d.vector(), Hints: d.vector()}
+		}),
 	}
-	if n, ok := d.mapLen(minRow); ok {
-		m.OBs = make(map[ids.ClusterID]core.OBGossip, n)
-		for range n {
-			c := d.cluster()
-			r := core.OBGossip{Auth: d.vector(), Hints: d.vector()}
-			if _, dup := m.OBs[c]; dup {
-				d.fail("propagation repeats on-behalf row %v", c)
-			}
-			if d.err != nil {
-				break
-			}
-			m.OBs[c] = r
-		}
-	}
-	return m
 }
 
 // payload reads one tagged payload; inner is set for an envelope's
@@ -494,14 +560,7 @@ func (d *decoder) payload(inner bool) netsim.Payload {
 			d.fail("%v", errNestedEnvelope)
 			return nil
 		}
-		var env Envelope
-		if n := d.count(minPayload); n > 0 {
-			env.Frames = make([]netsim.Payload, n)
-			for i := range env.Frames {
-				env.Frames[i] = d.payload(true)
-			}
-		}
-		return env
+		return Envelope{Frames: list(d, minPayload, func() netsim.Payload { return d.payload(true) })}
 	default:
 		d.fail("unknown payload tag %d", tag)
 		return nil
@@ -546,8 +605,9 @@ func (d *decoder) record() *WALRecord {
 	case recDeliver:
 		rec.Deliver = &DeliverRecord{From: d.site(), Payload: d.payload(false)}
 	case recBatch:
+		// Written out, not through list, for the encoder's reason.
 		rec.Batch = &BatchRecord{}
-		if n := d.count(minOp); n > 0 {
+		if n := d.fit(d.uvarint(), minOp); n > 0 {
 			rec.Batch.Ops = make([]BatchOp, n)
 			for i := range rec.Batch.Ops {
 				rec.Batch.Ops[i] = BatchOp{Op: d.op(), HolderFrom: d.varint(), ToFrom: d.varint(), TargetFrom: d.varint()}
@@ -558,4 +618,61 @@ func (d *decoder) record() *WALRecord {
 	}
 	d.end()
 	return rec
+}
+
+func (d *decoder) image() *SiteImage {
+	d.version()
+	img := &SiteImage{
+		Site: d.site(), Mint: d.uvarint(), Epoch: d.uvarint(),
+		SendStreams: list(d, minSend, func() SendStreamImage {
+			return SendStreamImage{Peer: d.site(), Kind: d.stream(), NextSeq: d.uvarint()}
+		}),
+		RecvStreams: list(d, minRecv, func() RecvStreamImage {
+			return RecvStreamImage{Peer: d.site(), Kind: d.stream(), Watermark: d.uvarint(), Pending: list(d, 1, d.uvarint)}
+		}),
+		PlaceRR: d.uvarint(),
+		Shards: list(d, minShard, func() ShardState {
+			return ShardState{Heap: d.heap(), Engine: d.engine(), Retained: list(d, minFrame, func() FrameImage {
+				return FrameImage{To: d.site(), Payload: d.payload(false), Seq: d.uvarint()}
+			})}
+		}),
+	}
+	d.end()
+	return img
+}
+
+func (d *decoder) heap() heap.Image {
+	return heap.Image{
+		Site: d.site(), RootCluster: d.cluster(), RootObject: d.object(), NextObj: d.uvarint(), NextClu: d.uvarint(),
+		Objects: list(d, minObjImg, func() heap.ObjectImage {
+			return heap.ObjectImage{ID: d.object(), Cluster: d.cluster(), Slots: list(d, 2*minID, d.ref)}
+		}),
+		Clusters: list(d, minCluImg, func() heap.ClusterImage {
+			return heap.ClusterImage{ID: d.cluster(), Entries: list(d, minID, d.object), Removed: d.flag()}
+		}),
+	}
+}
+
+func (d *decoder) engine() core.EngineImage {
+	return core.EngineImage{
+		Procs: list(d, minProc, func() core.ProcImage {
+			return core.ProcImage{ID: d.cluster(), Clock: d.uvarint(), Active: d.flag(), Born: d.flag(),
+				Acq: d.clusters(), Log: d.log()}
+		}),
+		Tombstones: clusterMap(d, minKeyed, d.uvarint),
+	}
+}
+
+func (d *decoder) log() vclock.LogImage {
+	return vclock.LogImage{
+		Own:         d.vector(),
+		HintPending: clusterMap(d, minKeyed, d.vector),
+		HintCleared: clusterMap(d, minKeyed, d.vector),
+		VRows: clusterMap(d, minLogRow, func() vclock.VRowImage {
+			return vclock.VRowImage{Auth: d.vector(), HintCols: d.clusters(), Confirmed: d.flag()}
+		}),
+		OBs: clusterMap(d, minLogRow, func() vclock.OBImage {
+			return vclock.OBImage{Auth: d.vector(), Hints: d.vector(), Processed: d.vector()}
+		}),
+	}
 }

@@ -1,36 +1,20 @@
 // The codec: the entry points through which wire values become bytes.
-// Frames a socket transport carries and WAL records are binary, in the
-// versioned format binary.go defines: a handful of bytes per value and
-// no codec state, so a reader resynchronises per value and a
-// reconnecting sender starts clean. The payload set is closed — a
-// payload of any type this package does not define fails to encode.
-//
-// Snapshots stay gob, one self-contained stream per image, until
-// SiteImage settles: this file is the module's only non-test importer
-// of encoding/gob, and only the snapshot pair below calls it.
+// Frames a socket transport carries, WAL records and snapshots are all
+// binary, in the one versioned format binary.go defines: a handful of
+// bytes per value and no codec state, so a reader resynchronises per
+// value and a reconnecting sender starts clean. The payload set is
+// closed — a payload of any type this package does not define fails to
+// encode, in a frame, a record or an image's retained frames alike.
 
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"causalgc/internal/ids"
 	"causalgc/internal/netsim"
 )
-
-// The snapshot codec carries payloads behind FrameImage.Payload, so gob
-// must know their concrete types.
-func init() {
-	for _, p := range []netsim.Payload{
-		Create{}, RefTransfer{}, Destroy{}, Assert{},
-		FrameAck{}, Propagate{}, Envelope{},
-	} {
-		gob.Register(p)
-	}
-}
 
 // Frame is the addressed unit a socket transport carries: one payload
 // with its source and destination sites.
@@ -44,8 +28,8 @@ type Frame struct {
 // stream (length prefix, size cap) is the transport's business.
 func EncodeFrame(w io.Writer, f *Frame) error {
 	e := encoder{b: make([]byte, 0, 64)}
-	if err := e.frame(f); err != nil {
-		return fmt.Errorf("wire: encode frame: %w", err)
+	if e.frame(f); e.err != nil {
+		return fmt.Errorf("wire: encode frame: %w", e.err)
 	}
 	_, err := w.Write(e.b)
 	return err
@@ -63,28 +47,26 @@ func DecodeFrame(data []byte) (Frame, error) {
 
 // EncodeSnapshot renders a SiteImage for persist.Store.WriteSnapshot.
 func EncodeSnapshot(img *SiteImage) ([]byte, error) {
-	img.Version = SnapshotVersion
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		return nil, fmt.Errorf("wire: encode snapshot: %w", err)
+	e := encoder{b: make([]byte, 0, 512)}
+	if e.image(img); e.err != nil {
+		return nil, fmt.Errorf("wire: encode snapshot: %w", e.err)
 	}
-	return buf.Bytes(), nil
+	return e.b, nil
 }
 
-// DecodeSnapshot parses a snapshot body, accepting SnapshotVersion only
-// and only an image that records at least one shard.
+// DecodeSnapshot parses a snapshot body, accepting only an image that
+// records at least one shard. An image of another codec version — a
+// gob-era one among them — is refused with an error naming the version.
 func DecodeSnapshot(data []byte) (*SiteImage, error) {
-	var img SiteImage
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("wire: decode snapshot: %w", err)
-	}
-	if img.Version != SnapshotVersion {
-		return nil, fmt.Errorf("wire: snapshot version %d, want %d", img.Version, SnapshotVersion)
+	d := decoder{b: data}
+	img := d.image()
+	if d.err != nil {
+		return nil, fmt.Errorf("wire: decode snapshot: %w", d.err)
 	}
 	if len(img.Shards) == 0 {
 		return nil, fmt.Errorf("wire: snapshot of site %v records no shards", img.Site)
 	}
-	return &img, nil
+	return img, nil
 }
 
 // recordArity counts the set fields of a WALRecord (exactly one must
@@ -115,8 +97,8 @@ func EncodeRecord(rec *WALRecord) ([]byte, error) {
 		size += 24 * len(rec.Batch.Ops)
 	}
 	e := encoder{b: make([]byte, 0, size)}
-	if err := e.record(rec); err != nil {
-		return nil, fmt.Errorf("wire: encode record: %w", err)
+	if e.record(rec); e.err != nil {
+		return nil, fmt.Errorf("wire: encode record: %w", e.err)
 	}
 	return e.b, nil
 }

@@ -34,7 +34,7 @@
 // watermarks, recovery epoch) plus one ShardState per shard, whose
 // Retained list holds every frame the shard sent that no FrameAck has
 // covered, of all three streams; the payload type names the stream.
-// Exactly one SnapshotVersion decodes; there is no migration code.
+// It decodes under one codec version only; there is no migration code.
 // WALRecord is one journaled event — a mutator commit (Batch, n >= 1
 // ops), an inbound delivery other than a FrameAck (Deliver) or one
 // shard's cycle marker (Op: Collect or Refresh) — tagged with the shard
@@ -44,9 +44,9 @@
 //
 // codec.go holds the entry points through which any of the above
 // becomes bytes, the addressed Frame of a socket transport included.
-// Frames and WAL records are binary — a codec-version byte, one tag per
-// payload kind, varints — in the format binary.go defines; the payload
-// set is closed, so a payload of a type this package does not define
-// fails to encode. Snapshots stay gob until the snapshot layout settles,
-// and codec.go is the module's only non-test importer of encoding/gob.
+// Frames, WAL records and snapshots share one binary codec — a
+// codec-version byte, one tag per payload kind, varints — in the format
+// binary.go defines; the payload set is closed, so a payload of a type
+// this package does not define fails to encode. No product code uses
+// gob: tests keep it as the oracle the binary round trip must match.
 package wire

@@ -10,9 +10,9 @@
 // records against the image deterministically reconstructs the site
 // (see internal/site and DESIGN.md §5).
 //
-// Encoding lives in codec.go: records in the binary format the TCP
-// backend's frames use, snapshots in gob (which knows every wire
-// payload type, so an image can embed any payload a transport carries).
+// Encoding lives in codec.go: records and snapshots in the binary format
+// the TCP backend's frames use, so an image embeds its retained frames'
+// payloads exactly as a transport carries them.
 
 package wire
 
@@ -25,22 +25,12 @@ import (
 	"causalgc/internal/netsim"
 )
 
-// SnapshotVersion is bumped when SiteImage changes incompatibly; a
-// recovery over any other version fails rather than misdecodes (no
-// migration code: there is one format). The layout is the shard layout
-// — every site is n >= 1 shards (DESIGN.md §3.4), so the image is the
-// site-wide shared state plus one ShardState per shard. Version 10
-// keeps every retained frame in ShardState.Retained: the engine image
-// lost its assert and destroy rows, which a v9 image still carries, so
-// it is refused like every other version, not half-read.
-const SnapshotVersion = 10
-
 // SiteImage is the durable state of one site at a quiescent point: the
 // state the shards share at runtime (identity mint, retirement streams,
-// recovery epoch, placement cursor) and one ShardState per shard.
+// recovery epoch, placement cursor) and one ShardState per shard —
+// every site is n >= 1 shards (DESIGN.md §3.4).
 type SiteImage struct {
-	Version int
-	Site    ids.SiteID
+	Site ids.SiteID
 	// Mint numbers identities created on behalf of other sites.
 	Mint uint64
 	// Epoch counts this site's recoveries; FrameAcks carry it so peers

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"strings"
@@ -104,7 +102,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != SnapshotVersion || got.Site != 2 || got.Mint != 13 || got.PlaceRR != 3 || len(got.Shards) != 2 {
+	if got.Site != 2 || got.Mint != 13 || got.PlaceRR != 3 || len(got.Shards) != 2 {
 		t.Fatalf("header fields: %+v", got)
 	}
 	if !reflect.DeepEqual(got.Shards[1], img.Shards[1]) {
@@ -212,28 +210,61 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if _, err := DecodeSnapshot(nil); err == nil {
 		t.Error("empty snapshot decoded")
 	}
+
+	// An image whose fields encode to distinctive byte runs, each
+	// damaged in place: a repeated map key, an unknown stream, a count
+	// beyond the bytes left, an unknown payload tag, a trailing byte.
+	odd := sampleImage()
+	odd.SendStreams = []SendStreamImage{{Peer: 77, Kind: core.StreamMut, NextSeq: 99}}
+	odd.RecvStreams = []RecvStreamImage{{Peer: 78, Kind: core.StreamMut, Watermark: 98, Pending: []uint64{5}}}
+	odd.Shards[1].Engine.Tombstones = map[ids.ClusterID]uint64{{Site: 5, Seq: 100}: 7, {Site: 5, Seq: 101}: 7}
+	odd.Shards[1].Retained = []FrameImage{{To: 79, Payload: FrameAck{Stream: core.StreamMut, Seq: 3, Epoch: 4}, Seq: 97}}
+	good, err := EncodeSnapshot(odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ from, to, want string }{
+		{"\x0a\x65\x07", "\x0a\x64\x07", "repeats key"},
+		{"\x4d\x01\x63", "\x4d\x09\x63", "unknown stream 9"},
+		{"\x4e\x01\x62\x01\x05", "\x4e\x01\x62\xff\x7f\x05", "exceeds"},
+		{"\x4f\x05\x01\x03\x04\x61", "\x4f\x63\x01\x03\x04\x61", "unknown payload tag 99"},
+		{"", "", "trailing"},
+	} {
+		data := []byte(strings.Replace(string(good), tc.from, tc.to, 1))
+		if tc.from == "" {
+			data = append(data, 0)
+		} else if strings.Count(string(good), tc.from) != 1 {
+			t.Fatalf("%q does not occur once in the image", tc.from)
+		}
+		if _, err := DecodeSnapshot(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err = %v, want %q", tc.want, err, tc.want)
+		}
+	}
 }
 
-// TestDecodeSnapshotRejectsOtherVersions: exactly one snapshot version
-// decodes — there is no migration code — and any other is refused with
-// an error naming both versions, never misdecoded.
+// TestDecodeSnapshotRejectsOtherVersions: exactly one codec version
+// decodes — there is no migration code — and an image of any other is
+// refused with an error naming both versions, never misdecoded. A
+// gob-era image is refused by its first byte, the length gob opens
+// with.
 func TestDecodeSnapshotRejectsOtherVersions(t *testing.T) {
-	for _, bad := range []int{0, 2, 3, 4, 5, 6, 7, 8, 9, SnapshotVersion + 1} {
-		img := sampleImage()
-		img.Version = bad
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-			t.Fatal(err)
-		}
-		_, err := DecodeSnapshot(buf.Bytes())
+	good, err := EncodeSnapshot(sampleImage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []byte{0, 1, 2, 3, codecVersion + 1, 10, 255} {
+		_, err := DecodeSnapshot(append([]byte{bad}, good[1:]...))
 		if err == nil {
 			t.Errorf("version %d accepted", bad)
 			continue
 		}
-		want := fmt.Sprintf("snapshot version %d, want %d", bad, SnapshotVersion)
+		want := fmt.Sprintf("codec version %d, want %d", bad, codecVersion)
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("version %d: error %q does not say %q", bad, err, want)
 		}
+	}
+	if _, err := DecodeSnapshot(gobEncode(t, sampleImage())); err == nil || !strings.Contains(err.Error(), "codec version") {
+		t.Errorf("gob image: err = %v, want a codec-version refusal", err)
 	}
 	// A current-version image with no shard states (what the pre-uniform
 	// draft of the layout decodes to) is refused too, not rebuilt empty.
